@@ -5,6 +5,12 @@
 // (direct-mapped when associativity is 1, as in the NC).
 package cache
 
+import (
+	"math/bits"
+
+	"numachine/internal/sim"
+)
+
 // State is a secondary-cache line state.
 type State uint8
 
@@ -40,21 +46,29 @@ type Line struct {
 	lastUse int64 // LRU clock
 }
 
-// Cache is a set-associative tag/data store.
+// noLines is the page every never-inserted region of every cache reads:
+// all Invalid, shared machine-wide, never written (see sim.Paged).
+var noLines sim.Page[Line]
+
+// Cache is a set-associative tag/data store. The tag array is paged and
+// allocated on first Insert, so an untouched cache costs its page table.
 type Cache struct {
-	sets     int
-	assoc    int
-	lineSize uint64
-	lines    []Line // sets*assoc, set-major
-	clock    int64
+	// The fields the read path loads come first, together.
+	sets      uint64
+	lineShift uint
+	lines     sim.Paged[Line] // one row per set, set-major
+	assoc     int
+	lineSize  uint64
+	clock     int64
 
 	// Statistics.
 	Hits, Misses, Evictions, DirtyEvictions int64
 }
 
 // New builds a cache with capacity totalLines, the given associativity and
-// line size in bytes. totalLines must be a multiple of assoc and the line
-// size a power of two.
+// line size in bytes. totalLines must be a multiple of assoc, the line
+// size a power of two, and a set must fit in one tag-store page (assoc <=
+// sim.PageLen).
 func New(totalLines, assoc, lineSize int) *Cache {
 	if totalLines <= 0 || assoc <= 0 || totalLines%assoc != 0 {
 		panic("cache: totalLines must be a positive multiple of assoc")
@@ -63,15 +77,16 @@ func New(totalLines, assoc, lineSize int) *Cache {
 		panic("cache: line size must be a positive power of two")
 	}
 	return &Cache{
-		sets:     totalLines / assoc,
-		assoc:    assoc,
-		lineSize: uint64(lineSize),
-		lines:    make([]Line, totalLines),
+		sets:      uint64(totalLines / assoc),
+		assoc:     assoc,
+		lineSize:  uint64(lineSize),
+		lineShift: uint(bits.TrailingZeros(uint(lineSize))),
+		lines:     sim.NewPaged(totalLines/assoc, assoc, &noLines),
 	}
 }
 
 // Sets returns the number of sets.
-func (c *Cache) Sets() int { return c.sets }
+func (c *Cache) Sets() int { return int(c.sets) }
 
 // Assoc returns the associativity.
 func (c *Cache) Assoc() int { return c.assoc }
@@ -79,9 +94,15 @@ func (c *Cache) Assoc() int { return c.assoc }
 // Align returns the line-aligned address containing addr.
 func (c *Cache) Align(addr uint64) uint64 { return addr &^ (c.lineSize - 1) }
 
+// index returns the set lineAddr maps to.
+func (c *Cache) index(lineAddr uint64) int {
+	return int((lineAddr >> c.lineShift) % c.sets)
+}
+
+// set returns lineAddr's set for reading: a never-inserted set reads as
+// all Invalid, and only entries seen to be valid may be written through.
 func (c *Cache) set(lineAddr uint64) []Line {
-	s := int((lineAddr / c.lineSize) % uint64(c.sets))
-	return c.lines[s*c.assoc : (s+1)*c.assoc]
+	return c.lines.Row(c.index(lineAddr))
 }
 
 // Lookup returns the entry holding lineAddr, or nil. It refreshes LRU state
@@ -117,7 +138,7 @@ func (c *Cache) Probe(lineAddr uint64) *Line {
 // only when a valid entry was displaced).
 func (c *Cache) Insert(lineAddr uint64, st State, data uint64) (victim Line) {
 	c.clock++
-	set := c.set(lineAddr)
+	set := c.lines.Touch(c.index(lineAddr))
 	// Reuse an existing or invalid slot first.
 	slot := -1
 	for i := range set {
@@ -159,9 +180,9 @@ func (c *Cache) Invalidate(lineAddr uint64) (old Line, ok bool) {
 
 // ForEach visits every valid line (used by block operations and checkers).
 func (c *Cache) ForEach(fn func(*Line)) {
-	for i := range c.lines {
-		if c.lines[i].State != Invalid {
-			fn(&c.lines[i])
+	c.lines.Each(func(l *Line) {
+		if l.State != Invalid {
+			fn(l)
 		}
-	}
+	})
 }

@@ -9,10 +9,10 @@ import "numachine/internal/snap"
 // canonical form (two caches with the same ranks behave identically).
 // Statistics are excluded.
 func (c *Cache) Encode(e *snap.Enc) {
-	e.Int(c.sets)
+	e.Int(c.Sets())
 	e.Int(c.assoc)
-	for s := 0; s < c.sets; s++ {
-		set := c.lines[s*c.assoc : (s+1)*c.assoc]
+	for s := 0; s < c.Sets(); s++ {
+		set := c.lines.Row(s) // a never-inserted set encodes as all Invalid
 		for i := range set {
 			if set[i].State == Invalid {
 				e.Byte(0)

@@ -164,6 +164,43 @@ func equivScenarios() []equivScenario {
 		},
 	}
 
+	// Paper-size caches (64 L2 pages, 256 NC pages each) and lines a tag
+	// page apart: every fill lands on a page nobody has written yet, so
+	// under the parallel loop pages are first allocated from phase-1
+	// workers of different stations at once while the untouched rest of
+	// every store still aliases the shared zero page — the case the -race
+	// run of this suite must keep clean.
+	firstTouch := equivScenario{
+		name: "first-touch-pages",
+		cfg: func() Config {
+			cfg := DefaultConfig()
+			cfg.Geom = topo.Geometry{ProcsPerStation: 2, StationsPerRing: 2, Rings: 2}
+			cfg.Params.DeadlockCycles = 2_000_000
+			return cfg
+		},
+		load: func(m *Machine) []proc.Program {
+			const lines, perProc, stride = 24, 40, sim.PageLen + 1
+			base := m.AllocLines(lines * stride)
+			prog := func(c *proc.Ctx) {
+				rng := sim.NewRNG(0xfeed<<16 | uint64(c.ID) | 1)
+				for i := 0; i < perProc; i++ {
+					line := base + uint64(rng.Intn(lines))*stride*64
+					if rng.Intn(3) == 0 {
+						c.Write(line, uint64(c.ID)<<32|uint64(i))
+					} else {
+						c.Read(line)
+					}
+				}
+				c.Barrier()
+			}
+			progs := make([]proc.Program, m.Geometry().Procs())
+			for i := range progs {
+				progs[i] = prog
+			}
+			return progs
+		},
+	}
+
 	scenarios = append(scenarios,
 		mixed(topo.Geometry{ProcsPerStation: 1, StationsPerRing: 2, Rings: 1}, 0, 11),
 		mixed(topo.Geometry{ProcsPerStation: 2, StationsPerRing: 2, Rings: 2}, 1, 12),
@@ -173,6 +210,7 @@ func equivScenarios() []equivScenario {
 		computeHeavy,
 		barrierPingPong,
 		special,
+		firstTouch,
 	)
 	return scenarios
 }

@@ -131,11 +131,6 @@ type Machine struct {
 	runners []*proc.Runner
 	inj     *fault.Injector // nil in fault-free runs
 
-	// maskCache memoizes routing-mask expansions for any consumer that
-	// needs the full covered-station set (diagnostics, reports): each
-	// distinct mask is expanded once per machine instead of per call.
-	maskCache *topo.MaskCache
-
 	// msgPools/pktPools are every message and packet free list in the
 	// machine, collected once so rebalancePools can level them: structs
 	// are allocated by the sending side's pool but recycled into the pool
@@ -287,7 +282,6 @@ func New(cfg Config) (*Machine, error) {
 		m.inj = fault.New(cfg.FaultSeed, spec)
 	}
 	m.credits = ring.NewCredits(g.Stations(), p.MaxNonsinkable)
-	m.maskCache = topo.NewMaskCache(g)
 
 	for s := 0; s < g.Stations(); s++ {
 		// One message pool per station, shared by every component of that

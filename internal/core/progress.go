@@ -45,7 +45,7 @@ func (m *Machine) Progress() *ProgressReport {
 		home := m.HomeOf(line)
 		st, lk, mask, procs, _ := m.Mems[home].Peek(line)
 		fmt.Fprintf(&b, "cpu[%d] line %#x:\n  mem[%d]: %v locked=%v %v covers=%v procs=%04b %s\n",
-			i, line, home, st, lk, mask, m.maskCache.Covered(mask), procs, m.Mems[home].TxnInfo(line))
+			i, line, home, st, lk, mask, mask.CoveredStations(m.g), procs, m.Mems[home].TxnInfo(line))
 		if c.Station != home {
 			if ncs, nlk, npr, _, ok := m.NCs[c.Station].Peek(line); ok {
 				fmt.Fprintf(&b, "  nc[%d]: %v locked=%v procs=%04b %s\n",

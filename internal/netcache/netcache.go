@@ -14,6 +14,7 @@ package netcache
 
 import (
 	"fmt"
+	"math/bits"
 
 	"numachine/internal/fault"
 	"numachine/internal/memory"
@@ -75,20 +76,26 @@ type txn struct {
 	wbData     uint64
 }
 
-// entry is one NC line: tag, state, local processor mask and data.
+// entry is one NC line: tag, state, local processor mask and data. It is
+// packed to 32 bytes (pinned by TestEntrySize) so a tag-store page covers
+// 256 lines: home and broughtBy are as narrow as topo.Geometry.Validate's
+// bounds allow (at most 256 stations, 16 processors per station).
 type entry struct {
-	valid bool
-	line  uint64
-	home  int // home station of the line
-	state memory.DirState
-	procs uint16
-	data  uint64
+	line uint64
+	data uint64
+	txn  *txn
 
-	locked bool
-	txn    *txn
-
-	broughtBy int // processor whose miss allocated the entry (hit classification)
+	procs     uint16
+	home      int16 // home station of the line
+	broughtBy int8  // processor whose miss allocated the entry (hit classification)
+	state     memory.DirState
+	valid     bool
+	locked    bool
 }
+
+// noEntries is the page every never-allocated region of every NC reads:
+// all NotIn, shared machine-wide, never written (see sim.Paged).
+var noEntries sim.Page[entry]
 
 // Stats aggregates the NC monitoring hardware, feeding Figures 15 and 16
 // and Table 3.
@@ -146,7 +153,12 @@ type Module struct {
 	g topo.Geometry
 	p sim.Params
 
-	entries []entry
+	// entries is the direct-mapped tag store, one row per slot, paged and
+	// allocated on first allocate: an NC that caches nothing costs its
+	// page table.
+	entries   sim.Paged[entry]
+	lineShift uint
+	slotMask  uint64 // NCLines-1 when NCLines is a power of two (the usual case), else 0
 	// sideTxns holds intervention/recovery work for lines with no entry
 	// (the NC must still serve interventions after ejecting a line).
 	sideTxns map[uint64]*txn
@@ -195,14 +207,18 @@ type Module struct {
 // New builds the network cache for a station.
 func New(g topo.Geometry, p sim.Params, station int) *Module {
 	n := &Module{
-		Station:  station,
-		g:        g,
-		p:        p,
-		entries:  make([]entry, p.NCLines),
-		sideTxns: make(map[uint64]*txn),
-		inQ:      sim.NewQueue[*msg.Message](0),
-		outQ:     sim.NewQueue[*msg.Message](0),
-		Stats:    Stats{Hist: monitor.NewTable(fmt.Sprintf("netcache[%d] coherence histogram", station), HistRows, HistCols)},
+		Station:   station,
+		g:         g,
+		p:         p,
+		entries:   sim.NewPaged(p.NCLines, 1, &noEntries),
+		lineShift: uint(bits.TrailingZeros(uint(p.LineSize))),
+		sideTxns:  make(map[uint64]*txn),
+		inQ:       sim.NewQueue[*msg.Message](0),
+		outQ:      sim.NewQueue[*msg.Message](0),
+		Stats:     Stats{Hist: monitor.NewTable(fmt.Sprintf("netcache[%d] coherence histogram", station), HistRows, HistCols)},
+	}
+	if p.NCLines&(p.NCLines-1) == 0 {
+		n.slotMask = uint64(p.NCLines - 1)
 	}
 	// Observed at the top of Tick, after same-cycle bus deliveries (the bus
 	// phase precedes the NC phase), hence prePush=false.
@@ -276,13 +292,21 @@ func (n *Module) dropSide(line uint64) {
 	n.freeTxn(t)
 }
 
-func (n *Module) slot(line uint64) *entry {
-	return &n.entries[(line/uint64(n.p.LineSize))%uint64(len(n.entries))]
+// slot returns the index of the direct-mapped slot line maps to. It sits
+// under every lookup, including NextWork's per-cycle scan of the retry
+// list, so the usual power-of-two size takes a mask instead of a divide.
+func (n *Module) slot(line uint64) int {
+	i := line >> n.lineShift
+	if n.slotMask != 0 {
+		return int(i & n.slotMask)
+	}
+	return int(i % uint64(n.p.NCLines))
 }
 
-// lookup returns the entry for line, or nil when NotIn.
+// lookup returns the entry for line, or nil when NotIn. It never
+// allocates: a slot nothing was allocated in reads as invalid.
 func (n *Module) lookup(line uint64) *entry {
-	e := n.slot(line)
+	e := n.entries.Get(n.slot(line))
 	if e.valid && e.line == line {
 		return e
 	}
@@ -548,7 +572,7 @@ func (n *Module) busInterv(now int64, line uint64, procs uint16, alsoProc int, e
 // station-level directory — the source of false remote requests; GV/GI
 // victims are dropped. Returns nil when the slot is held by a locked entry.
 func (n *Module) allocate(line uint64, home int, now int64) *entry {
-	e := n.slot(line)
+	e := &n.entries.Touch(n.slot(line))[0]
 	if e.valid && e.line == line {
 		return e
 	}
@@ -561,7 +585,7 @@ func (n *Module) allocate(line uint64, home int, now int64) *entry {
 	if n.p.TraceLine != 0 && line == n.p.TraceLine {
 		fmt.Printf("%8d  nc[%d] ALLOC line=%#x\n", now, n.Station, line)
 	}
-	*e = entry{valid: true, line: line, home: home, state: GI, broughtBy: -1}
+	*e = entry{valid: true, line: line, home: int16(home), state: GI, broughtBy: -1}
 	return e
 }
 
@@ -575,7 +599,7 @@ func (n *Module) evict(e *entry, now int64) {
 		// The NC holds the only valid data in the system: it must travel
 		// home. Local processors may retain shared copies (no inclusion).
 		n.Stats.EjectWrBacks.Inc()
-		wb := n.toNet(now, msg.RemWrBack, e.home, e.home, e.line)
+		wb := n.toNet(now, msg.RemWrBack, int(e.home), int(e.home), e.line)
 		wb.Data, wb.HasData = e.data, true
 	case LI:
 		// The dirty copy lives in a local secondary cache; dropping the

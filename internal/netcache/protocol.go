@@ -86,7 +86,7 @@ func (n *Module) countHit(e *entry, req int, retry bool) {
 	if retry {
 		return
 	}
-	if e.broughtBy >= 0 && e.broughtBy != req {
+	if e.broughtBy >= 0 && int(e.broughtBy) != req {
 		n.Stats.HitsMigration.Inc()
 	} else {
 		n.Stats.HitsCaching.Inc()
@@ -114,7 +114,7 @@ func (n *Module) localReq(x *msg.Message, now int64) {
 			n.toProc(now, msg.ProcNAK, req, x.Line, 0, x.Type)
 			return
 		}
-		e.broughtBy = req
+		e.broughtBy = int8(req)
 		n.startFetch(e, x, now)
 		return
 	}
@@ -161,7 +161,7 @@ func (n *Module) localReq(x *msg.Message, now int64) {
 			}
 			t := n.newTxn()
 			*t = txn{kind: txnFetch, origType: msg.RemUpgd, reqProc: req,
-				home: e.home, upgdAck: x.Type == msg.LocalUpgd && e.procs&bit != 0}
+				home: int(e.home), upgdAck: x.Type == msg.LocalUpgd && e.procs&bit != 0}
 			e.locked, e.txn = true, t
 			n.sendHome(now, msg.RemUpgd, x.Line, t)
 		}
@@ -179,7 +179,7 @@ func (n *Module) localReq(x *msg.Message, now int64) {
 			return
 		}
 		t := n.newTxn()
-		*t = txn{kind: txnLocalInterv, origType: x.Type, reqProc: req, home: e.home, pending: 1}
+		*t = txn{kind: txnLocalInterv, origType: x.Type, reqProc: req, home: int(e.home), pending: 1}
 		e.locked, e.txn = true, t
 		n.busInterv(now, x.Line, 1<<uint(owner), req, x.Type != msg.LocalRead)
 		if x.Type == msg.LocalRead {
@@ -188,7 +188,7 @@ func (n *Module) localReq(x *msg.Message, now int64) {
 			e.procs = bit
 		}
 	case GI:
-		e.broughtBy = req
+		e.broughtBy = int8(req)
 		n.startFetch(e, x, now)
 	}
 }
@@ -205,9 +205,9 @@ func (n *Module) prefetch(x *msg.Message, now int64) {
 	if e == nil {
 		return // conflict with a locked entry: drop the hint
 	}
-	e.broughtBy = x.SrcMod
+	e.broughtBy = int8(x.SrcMod)
 	t := n.newTxn()
-	*t = txn{kind: txnFetch, origType: msg.RemRead, reqProc: -1, home: e.home}
+	*t = txn{kind: txnFetch, origType: msg.RemRead, reqProc: -1, home: int(e.home)}
 	e.locked, e.txn = true, t
 	n.sendHome(now, msg.RemRead, x.Line, t)
 }
@@ -230,7 +230,7 @@ func (n *Module) startFetch(e *entry, x *msg.Message, now int64) {
 		rt = msg.RemReadEx
 	}
 	t := n.newTxn()
-	*t = txn{kind: txnFetch, origType: rt, reqProc: req, home: e.home}
+	*t = txn{kind: txnFetch, origType: rt, reqProc: req, home: int(e.home)}
 	e.locked, e.txn = true, t
 	n.sendHome(now, rt, x.Line, t)
 }
@@ -261,7 +261,7 @@ func (n *Module) localWrBack(x *msg.Message, now int64) {
 			wb.Data, wb.HasData = x.Data, true
 			return
 		}
-		e.broughtBy = x.SrcMod
+		e.broughtBy = int8(x.SrcMod)
 		e.data = x.Data
 		e.state = LV
 		e.procs = 0

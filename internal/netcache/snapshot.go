@@ -15,15 +15,15 @@ import (
 // (the model checker runs with RetryBackoff off, so the jitter stream is
 // never drawn), statistics.
 func (n *Module) Encode(e *snap.Enc) {
-	for i := range n.entries {
-		en := &n.entries[i]
+	for i := 0; i < n.p.NCLines; i++ {
+		en := n.entries.Get(i) // a never-allocated slot encodes as NotIn
 		if !en.valid {
 			e.Byte(0)
 			continue
 		}
 		e.Byte(1)
 		e.U64(en.line)
-		e.Int(en.home)
+		e.Int(int(en.home))
 		e.Byte(byte(en.state))
 		e.U16(en.procs)
 		e.U64(en.data)

@@ -25,12 +25,12 @@ func FuzzParseServeSpec(f *testing.F) {
 	f.Add("open=1,duration=1000,kill=4,retries=2,backoff=100:800,retry-budget=8,hedge=500,breaker=150:2000,shed=on")
 	f.Add("closed=2,requests=8,kill=1,retries=1") // backoff defaulted
 	f.Add("open=1,duration=100,kill=2,hedge=7")
-	f.Add("open=1,duration=100,retries=2")        // needs kill=
+	f.Add("open=1,duration=100,retries=2") // needs kill=
 	f.Add("open=1,duration=100,kill=2,retries=1,backoff=5:1")
-	f.Add("open=1,duration=100,retry-budget=3")   // needs retries=
-	f.Add("open=1,duration=100,hedge=9")          // needs kill=
-	f.Add("open=1,duration=100,breaker=50:10")    // threshold below 100%
-	f.Add("open=1,duration=100,breaker=200")      // missing cooldown
+	f.Add("open=1,duration=100,retry-budget=3") // needs retries=
+	f.Add("open=1,duration=100,hedge=9")        // needs kill=
+	f.Add("open=1,duration=100,breaker=50:10")  // threshold below 100%
+	f.Add("open=1,duration=100,breaker=200")    // missing cooldown
 	f.Add("open=1,duration=100,shed=off")
 	f.Fuzz(func(t *testing.T, s string) {
 		sp, err := ParseSpec(s)

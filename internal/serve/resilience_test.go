@@ -323,13 +323,13 @@ func TestResilienceSpecRoundTrip(t *testing.T) {
 // with errors, not silently accepted.
 func TestResilienceSpecErrors(t *testing.T) {
 	bad := []string{
-		"open=1,duration=100,retries=2",              // retries need kill
-		"open=1,duration=100,kill=2,backoff=10:5",    // backoff needs retries; cap < base
+		"open=1,duration=100,retries=2",                     // retries need kill
+		"open=1,duration=100,kill=2,backoff=10:5",           // backoff needs retries; cap < base
 		"open=1,duration=100,kill=2,retries=1,backoff=10:5", // cap < base
-		"open=1,duration=100,retry-budget=5",         // budget needs retries
-		"open=1,duration=100,hedge=100",              // hedge needs kill
-		"open=1,duration=100,breaker=50:100",         // threshold < 100%
-		"open=1,duration=100,breaker=200",            // missing cooldown
+		"open=1,duration=100,retry-budget=5",                // budget needs retries
+		"open=1,duration=100,hedge=100",                     // hedge needs kill
+		"open=1,duration=100,breaker=50:100",                // threshold < 100%
+		"open=1,duration=100,breaker=200",                   // missing cooldown
 		"open=1,duration=100,shed=maybe",
 		"open=1,duration=100,kill=0",
 		"open=1,duration=100,kill=2,hedge=-5",

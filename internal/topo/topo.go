@@ -35,6 +35,8 @@ func (g Geometry) Validate() error {
 		return fmt.Errorf("topo: StationsPerRing must be >= 1, got %d", g.StationsPerRing)
 	case g.Rings < 1:
 		return fmt.Errorf("topo: Rings must be >= 1, got %d", g.Rings)
+	case g.ProcsPerStation > 16:
+		return fmt.Errorf("topo: per-station processor masks hold at most 16 bits (%d processors/station requested)", g.ProcsPerStation)
 	case g.StationsPerRing > 16 || g.Rings > 16:
 		return fmt.Errorf("topo: routing mask fields hold at most 16 bits per level (%d stations/ring, %d rings requested)", g.StationsPerRing, g.Rings)
 	}
@@ -152,69 +154,6 @@ func (m RoutingMask) CoversOther(g Geometry, station int) bool {
 		return s != station
 	}
 	return true
-}
-
-// MaskCache memoizes CoveredStations expansions per mask for one geometry.
-// The expansion is the one remaining per-call slice allocation on mask-fan
-// paths; the cache computes each distinct mask's slice once and hands out
-// the shared slice on every later call, so steady state allocates nothing.
-// Callers must treat the result as immutable.
-//
-// Entries are built lazily. Geometries whose mask space is small (the
-// common case — the prototype has 2^8 possible masks) index a flat table;
-// larger ones fall back to a map so a 16x16 geometry does not pay a
-// 2^32-entry table. A MaskCache is single-owner, like the module that
-// embeds it: memoization order is irrelevant to the (deterministic)
-// contents, so lazy fill cannot perturb simulated behaviour.
-type MaskCache struct {
-	g     Geometry
-	shift uint // Stations field width, for the table index
-	table [][]int
-	big   map[uint32][]int
-}
-
-// maskCacheTableBits bounds the flat table at 2^16 slice headers (~1.5 MB);
-// wider mask spaces use the map.
-const maskCacheTableBits = 16
-
-// NewMaskCache builds an empty cache for the geometry.
-func NewMaskCache(g Geometry) *MaskCache {
-	c := &MaskCache{g: g, shift: uint(g.StationsPerRing)}
-	if g.Rings+g.StationsPerRing <= maskCacheTableBits {
-		c.table = make([][]int, 1<<uint(g.Rings+g.StationsPerRing))
-	} else {
-		c.big = make(map[uint32][]int)
-	}
-	return c
-}
-
-// emptyCovered distinguishes "memoized as empty" from "not yet computed"
-// in the flat table, where both would otherwise be nil.
-var emptyCovered = make([]int, 0)
-
-// Covered returns the stations addressed by the mask, in order — the same
-// set as RoutingMask.CoveredStations — as a shared slice the caller must
-// not modify.
-func (c *MaskCache) Covered(m RoutingMask) []int {
-	key := uint32(m.Rings&(1<<uint(c.g.Rings)-1))<<c.shift |
-		uint32(m.Stations&(1<<c.shift-1))
-	if c.table != nil {
-		if s := c.table[key]; s != nil {
-			return s
-		}
-		s := m.CoveredStations(c.g)
-		if s == nil {
-			s = emptyCovered
-		}
-		c.table[key] = s
-		return s
-	}
-	if s, ok := c.big[key]; ok {
-		return s
-	}
-	s := m.CoveredStations(c.g)
-	c.big[key] = s
-	return s
 }
 
 // MultiRing reports whether the mask spans more than one local ring, i.e.

@@ -31,6 +31,8 @@ func TestGeometryValidation(t *testing.T) {
 		{Geometry{4, 17, 1}, false},
 		{Geometry{4, 1, 17}, false},
 		{Geometry{8, 16, 16}, true},
+		{Geometry{16, 16, 16}, true},
+		{Geometry{17, 1, 1}, false}, // processor masks are 16 bits
 	}
 	for _, c := range cases {
 		if err := c.g.Validate(); (err == nil) != c.ok {
@@ -147,5 +149,34 @@ func TestModuleIndices(t *testing.T) {
 	}
 	if g.IsProcMod(g.ModMem()) {
 		t.Error("memory module classified as processor")
+	}
+}
+
+// allMasks enumerates every routing mask expressible in a geometry's bit
+// widths, including the zero mask.
+func allMasks(g Geometry) []RoutingMask {
+	var out []RoutingMask
+	for r := 0; r < 1<<uint(g.Rings); r++ {
+		for s := 0; s < 1<<uint(g.StationsPerRing); s++ {
+			out = append(out, RoutingMask{Rings: uint16(r), Stations: uint16(s)})
+		}
+	}
+	return out
+}
+
+func TestCoversOtherMatchesExpansion(t *testing.T) {
+	g := Geometry{ProcsPerStation: 2, StationsPerRing: 3, Rings: 3}
+	for _, m := range allMasks(g) {
+		for st := 0; st < g.Stations(); st++ {
+			want := false
+			for _, c := range m.CoveredStations(g) {
+				if c != st {
+					want = true
+				}
+			}
+			if got := m.CoversOther(g, st); got != want {
+				t.Fatalf("CoversOther(%v, %d) = %v, want %v", m, st, got, want)
+			}
+		}
 	}
 }
