@@ -201,6 +201,54 @@ func equivScenarios() []equivScenario {
 		},
 	}
 
+	// FirstTouch placement on a multi-ring machine with the fast-hit path
+	// on (DefaultConfig), built so that ties are the rule: every round
+	// opens with all CPUs released from a barrier in the same cycle, the
+	// CPUs with id >= round then touch one fresh page in the same cycle
+	// (the lowest of them, a different station as the rounds go, must win
+	// the page), re-read their line (hits the fast path resolves under the
+	// tier 2.5/3 horizons, which read other stations mid-cycle), and all
+	// arrive at the closing barrier in the same cycle. The gated cycle is
+	// station-major, the naive one component-major: this is the scenario
+	// where only ascending CPU order keeps the two identical.
+	// TestFirstTouchTiesScenario checks the ties really occur.
+	firstTouchTies := equivScenario{
+		name: "first-touch-ties",
+		cfg: func() Config {
+			cfg := DefaultConfig()
+			cfg.Geom = topo.Geometry{ProcsPerStation: 2, StationsPerRing: 2, Rings: 2}
+			cfg.Placement = FirstTouch
+			cfg.Params.L2Lines = 64
+			cfg.Params.DeadlockCycles = 2_000_000
+			return cfg
+		},
+		load: func(m *Machine) []proc.Program {
+			procs := m.Geometry().Procs()
+			ps := uint64(m.Params().PageSize)
+			base := (m.Alloc((procs+1)*int(ps)) + ps - 1) &^ (ps - 1)
+			prog := func(c *proc.Ctx) {
+				for round := 0; round < procs; round++ {
+					if c.ID < round {
+						c.Compute(9) // touch after the page has its home
+					}
+					line := base + uint64(round)*ps + uint64(c.ID)*64
+					c.Write(line, uint64(round)<<8|uint64(c.ID))
+					for i := 0; i < 4; i++ {
+						c.Read(line)
+					}
+					c.Barrier()
+					c.Compute(40)
+					c.Barrier()
+				}
+			}
+			progs := make([]proc.Program, procs)
+			for i := range progs {
+				progs[i] = prog
+			}
+			return progs
+		},
+	}
+
 	scenarios = append(scenarios,
 		mixed(topo.Geometry{ProcsPerStation: 1, StationsPerRing: 2, Rings: 1}, 0, 11),
 		mixed(topo.Geometry{ProcsPerStation: 2, StationsPerRing: 2, Rings: 2}, 1, 12),
@@ -211,8 +259,78 @@ func equivScenarios() []equivScenario {
 		barrierPingPong,
 		special,
 		firstTouch,
+		firstTouchTies,
 	)
 	return scenarios
+}
+
+// TestFirstTouchTiesScenario checks the premise of the first-touch-ties
+// scenario on the reference loop: some page is first-touched by CPUs of
+// different stations in one cycle and goes to the lowest CPU id among
+// them, and some barrier collects arrivals from different stations in one
+// cycle. Without those ties the scenario would not tell a station-major
+// cycle from any other order.
+func TestFirstTouchTiesScenario(t *testing.T) {
+	scs := equivScenarios()
+	sc := scs[len(scs)-1]
+	cfg := sc.cfg()
+	cfg.NaiveLoop = true
+	m, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ps := uint64(cfg.Params.PageSize)
+	firstAt := map[uint64]int64{}        // page -> cycle of its first lookup
+	touchers := map[uint64][]*proc.CPU{} // page -> CPUs looking it up in that cycle, in call order
+	arrivals := map[int64]map[int]bool{} // barrier cycle -> stations arriving
+	for _, c := range m.CPUs {
+		c := c
+		homeOf := c.HomeOf
+		c.HomeOf = func(line uint64) int {
+			pg := line / ps
+			if _, seen := firstAt[pg]; !seen {
+				firstAt[pg] = m.Now()
+			}
+			if firstAt[pg] == m.Now() {
+				touchers[pg] = append(touchers[pg], c)
+			}
+			return homeOf(line)
+		}
+		c.OnBarrier = func(c *proc.CPU, now int64) {
+			if arrivals[now] == nil {
+				arrivals[now] = map[int]bool{}
+			}
+			arrivals[now][c.Station] = true
+			m.barrierArrive(c, now)
+		}
+	}
+	m.Load(sc.load(m))
+	m.Run()
+	tiedPages := 0
+	for pg, cs := range touchers {
+		stations := map[int]bool{}
+		for _, c := range cs {
+			stations[c.Station] = true
+			if c.GlobalID < cs[0].GlobalID {
+				t.Errorf("page %#x: cpu %d looked it up after cpu %d in cycle %d", pg, c.GlobalID, cs[0].GlobalID, firstAt[pg])
+			}
+		}
+		if len(stations) > 1 {
+			tiedPages++
+			if got := m.pageHome[pg]; got != cs[0].Station {
+				t.Errorf("page %#x tied at cycle %d: home %d, want station %d of the lowest cpu", pg, firstAt[pg], got, cs[0].Station)
+			}
+		}
+	}
+	tiedBarriers := 0
+	for _, stations := range arrivals {
+		if len(stations) > 1 {
+			tiedBarriers++
+		}
+	}
+	if tiedPages < 3 || tiedBarriers < 3 {
+		t.Errorf("scenario lost its ties: %d pages first-touched and %d barriers reached from several stations in one cycle", tiedPages, tiedBarriers)
+	}
 }
 
 // equivLoops are the cycle-loop variants every scenario must agree across.

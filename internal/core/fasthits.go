@@ -21,7 +21,7 @@ package core
 //	          plus a grant), and a ring-borne arrival (land, forward, and
 //	          win a grant; an injection and slot hop further out when the
 //	          local ring is provably empty).
-//	tier 2.5  no packet in transit anywhere (serial loops only — the check
+//	tier 2.5  no packet in transit anywhere (no pool running — the check
 //	          reads cross-station state, which a phase-1 worker must not):
 //	          ring-borne threats must start from scratch, so the remote
 //	          floor — the cheapest of a busy remote bus handing its RI a
@@ -40,6 +40,37 @@ package core
 // different result. proc.CPU.assertHitWindow backstops the analysis at
 // runtime: a cache-affecting delivery landing before the last
 // fast-resolved probe panics instead of silently diverging.
+//
+// What a horizon call sees depends on the cycle order. The closure runs
+// inside its CPU's tick of cycle now. Its own station is in the same state
+// under every order: lower-id siblings have ticked now, the station's bus,
+// memory, NC and RI have not. Tiers 1 and 2 read nothing else but the
+// local ring, which no order ticks before phase 2. Tiers 2.5 and 3 read
+// the whole machine, and there the gated cycle differs from the naive one:
+// it is station-major, so the CPUs, bus, memory and NC of every
+// lower-numbered station have already ticked cycle now (the RIs and rings
+// of all stations have not). That is still a state on the one timeline all
+// orders share — the simulation is bit-identical — and each term of the
+// two tiers is a lower bound on that timeline from whatever point of it
+// the state was read:
+//
+//   - a message a lower station's bus handed its RI this cycle makes that
+//     RI non-idle, so neither tier fires;
+//   - a transfer that bus granted this cycle leaves it non-Quiet: tier 3
+//     does not fire, tier 2.5 charges injChain from now, and the hand-over
+//     to the RI is at now or later;
+//   - a response a lower station's memory or NC queued this cycle sits in
+//     a bus out-queue (bus non-Quiet, same term); one it is still staging
+//     is charged ctrlChain from its NextWork, which after its tick is no
+//     earlier than before it;
+//   - a request a lower-id CPU pushed this cycle is charged from now (the
+//     flat CPU-request term of tier 2.5; a live HorizonWake that reports
+//     needs-delivery in tier 3), however far its own station has carried
+//     it since.
+//
+// Reading later state can only drop terms whose work has finished or push
+// them out, never lose a message: every message is always in some queue,
+// bus, controller or ring that the two predicates scan.
 
 import (
 	"numachine/internal/proc"
@@ -47,9 +78,9 @@ import (
 )
 
 // hitHorizonFor builds the per-CPU horizon closure wired into
-// proc.CPU.Horizon by Load when Config.FastHits is set. Under the
-// station-parallel loop it reads only station-local state (the CPU's own
-// shard) plus phase-2-owned RI/ring state that is stable during phase 1.
+// proc.CPU.Horizon by Load when Config.FastHits is set. With a pool
+// running it reads only station-local state (the CPU's own shard) plus
+// phase-2-owned RI/ring state that is stable during phase 1.
 func (m *Machine) hitHorizonFor(c *proc.CPU) func(now int64) int64 {
 	s := c.Station
 	b, mem, nc, ri := m.Buses[s], m.Mems[s], m.NCs[s], m.RIs[s]
@@ -149,7 +180,7 @@ func (m *Machine) hitHorizonFor(c *proc.CPU) func(now int64) int64 {
 			deep = riW + arbcmd
 		}
 		if m.pool == nil {
-			// Tier 2.5 (serial loops only — reads cross-station state): if
+			// Tier 2.5 (no pool running — reads cross-station state): if
 			// no packet is in transit anywhere, ring-borne threats must
 			// start from scratch and the remote floor replaces the
 			// land-this-cycle pessimism.
@@ -193,9 +224,14 @@ func ctrlChain(p sim.Params) int64 {
 // a staging controller pushes no earlier than its NextWork (ctrlChain),
 // and a fresh or already-queued remote CPU request additionally pays a
 // directory pass before anything threatening comes back. Memoized per
-// cycle; the memo stays sound across one cycle's CPU phase because
-// anything created mid-phase is CPU-initiated at or after now, which the
-// flat CPU-request term already covers. Serial loops only.
+// cycle. The memo stays sound for the rest of the cycle although, in the
+// station-major gated cycle, lower stations' buses and controllers tick
+// between the CPU that took it and a later station's CPU that reuses it:
+// the floor bounds every delivery that evolves from the state it was taken
+// in, those ticks are part of that evolution, and the only work not
+// derived from that state is a request a CPU pushes at or after now,
+// which the flat CPU-request term already covers. Never called with a
+// pool running.
 func (m *Machine) remoteTransitFloor() (int64, bool) {
 	if m.transitAt == m.now {
 		return m.transitFloor, m.transitOK

@@ -40,19 +40,19 @@ type Config struct {
 	L1Lines   int // primary-cache timing filter size (0 disables)
 	Placement Placement
 
-	// NaiveLoop disables the quiescence scheduler and ticks every component
-	// every cycle. Results are bit-identical either way (the equivalence
-	// test suite enforces it); the naive loop exists as the reference
-	// implementation and for debugging.
+	// NaiveLoop disables the activity gates and the quiescence fast-forward
+	// and ticks every component every cycle, component-major. Results are
+	// bit-identical either way (the equivalence test suite enforces it); the
+	// naive loop exists as the reference implementation and for debugging.
 	NaiveLoop bool
 
-	// ParallelStations runs the station phase of each cycle (processors,
-	// buses, memory modules, network caches) on a worker pool, one shard
-	// per station, with the ring phase serialized behind a barrier. Results
-	// stay bit-identical to the serial loops. Ignored under NaiveLoop, and
-	// under FirstTouch placement (same-cycle first touches from different
-	// stations have no serial order to reproduce), where the machine falls
-	// back to the scheduled serial loop.
+	// ParallelStations runs the gated cycle on a worker pool instead of
+	// inline: the same per-station and per-ring-group tick functions, one
+	// shard per station in the station phase and one per local ring in the
+	// ring phase (see parallel.go). Results stay bit-identical. Ignored
+	// under NaiveLoop, and under FirstTouch placement (same-cycle first
+	// touches from different stations need the inline executor's ascending
+	// CPU order), where the gated cycle runs inline.
 	ParallelStations bool
 
 	// StationWorkers bounds the worker pool for ParallelStations;
@@ -86,9 +86,10 @@ type Config struct {
 	CheckInvariants bool
 }
 
-// LoopName names the cycle loop this configuration selects: "naive",
-// "parallel", or "scheduled" (the default). Error messages and sweep
-// drivers use it so any run is reproducible from its label.
+// LoopName names the cycle loop this configuration selects: "naive", or
+// the gated cycle under its pooled ("parallel") or inline ("scheduled", the
+// default) executor. Error messages and sweep drivers use it so any run is
+// reproducible from its label.
 func (cfg Config) LoopName() string {
 	switch {
 	case cfg.NaiveLoop:
@@ -154,35 +155,25 @@ type Machine struct {
 	// (the check runs once per quiescent period, not once per cycle).
 	wasQuiesced bool
 
-	// Station-parallel cycle loop (nil pool when serial): stations tick
-	// concurrently in phase 1, one shard each, and ring groups tick
-	// concurrently in phase 2 (see parallel.go). stationCPUs[s] are the
-	// CPUs of station s in tick order. inParallelPhase marks phase 1 so
-	// shared controllers (the barrier) buffer per station instead of
+	// Pooled executor of the gated cycle (ParallelStations; nil pool means
+	// the cycle runs inline — see parallel.go). inParallelPhase marks a
+	// pooled phase 1 so the barrier buffers arrivals per station instead of
 	// mutating global state from worker goroutines. parPhase selects the
 	// shard body for the current pool dispatch; it is written only at
 	// serial points. phase2Ring[s] is the ring led by shard s in phase 2
-	// (-1 when shard s is idle in that phase). busFedRing / ringFedCentral
-	// stage the two influence marks that would otherwise race across
-	// shards; stationNext / ringNext are per-shard aggregate wakes used as
-	// the dispatch-skip masks.
+	// (-1 when shard s is idle in that phase).
 	pool            *sim.ShardPool
-	stationCPUs     [][]*proc.CPU
 	inParallelPhase bool
 	parPhase        int
+	phase2Ring      []int
 
-	// Deferred serial tail: when the central ring has work at cycle N the
-	// parallel loop records it here instead of ticking inline, and performs
-	// the tick overlapped with cycle N+1's phase-1 dispatch (or at the next
+	// Deferred tail: when the central ring has work at cycle N the pooled
+	// executor records it here instead of ticking inline, and performs the
+	// tick overlapped with cycle N+1's phase-1 dispatch (or at the next
 	// serial observation point, whichever comes first). See flushTail in
 	// parallel.go for the disjointness argument.
-	tailPending    bool
-	tailAt         int64
-	phase2Ring     []int
-	busFedRing     []bool
-	ringFedCentral []bool
-	stationNext    []int64
-	ringNext       []int64
+	tailPending bool
+	tailAt      int64
 
 	// watchdogAt is the cycle at which the deadlock watchdog next samples
 	// progress; quiescence fast-forwards clamp to it so the watchdog trips
@@ -201,30 +192,39 @@ type Machine struct {
 	transitOK    bool
 	transitFloor int64
 
-	// gated is set for the scheduled and parallel loops (everything but
-	// NaiveLoop): components tick only when their activity gate fires, with
-	// the poll caches below amortizing the gate itself.
+	// gated is set for everything but NaiveLoop: components tick only when
+	// their activity gate fires (stepGated), with the poll caches below
+	// amortizing the gate itself.
 	gated bool
 
-	// Poll caches for the gated loops (see stepScheduled): the
-	// cycle at which each component's activity gate must next be consulted.
-	// A cached entry is either the component's own last NextWork report or
-	// an influence mark set when a component that can hand it work ticked.
-	// ringOf maps a station to its local-ring index.
-	pollCPU     []int64
-	pollBus     []int64
-	pollMem     []int64
-	pollNC      []int64
-	pollRI      []int64
-	pollLocal   []int64
-	pollCentral int64
-	ringOf      []int
+	// Poll caches for the gated cycle (see stepGated): the cycle at which
+	// each component's activity gate must next be consulted. A cached entry
+	// is either the component's own last NextWork report or an influence
+	// mark set when a component that can hand it work ticked.
+	// stationNext[s] / ringNext[r] are the minimum over station s's phase-1
+	// entries / ring group r's phase-2 entries, the skip masks of the two
+	// phases. busFedRing / ringFedCentral stage the two influence marks
+	// that cross a phase boundary (and would race across pool shards).
+	// ringOf maps a station to its local-ring index; stationCPUs[s] are the
+	// CPUs of station s in tick order.
+	pollCPU        []int64
+	pollBus        []int64
+	pollMem        []int64
+	pollNC         []int64
+	pollRI         []int64
+	pollLocal      []int64
+	pollCentral    int64
+	stationNext    []int64
+	ringNext       []int64
+	busFedRing     []bool
+	ringFedCentral []bool
+	ringOf         []int
+	stationCPUs    [][]*proc.CPU
 
 	// liveCPU marks processors with a loaded program. The others sit in
 	// sDone forever, so the bus influence mark skips them and their poll
-	// cache stays at sim.Never after the first pass — a machine bigger than
-	// the workload's P costs one comparison per idle CPU per cycle, not a
-	// NextWork call.
+	// cache stays at sim.Never after the first pass — a station none of
+	// whose CPUs is live costs one stationNext comparison per cycle.
 	liveCPU []bool
 
 	// FastForwarded counts cycles skipped by quiescence fast-forwarding.
@@ -332,6 +332,7 @@ func New(cfg Config) (*Machine, error) {
 	for _, iri := range m.IRIs {
 		m.pktPools = append(m.pktPools, iri.PacketPool())
 	}
+	m.liveCPU = make([]bool, g.Procs())
 	if !cfg.NaiveLoop {
 		m.gated = true
 		m.pollCPU = make([]int64, g.Procs())
@@ -340,17 +341,20 @@ func New(cfg Config) (*Machine, error) {
 		m.pollNC = make([]int64, g.Stations())
 		m.pollRI = make([]int64, g.Stations())
 		m.pollLocal = make([]int64, g.Rings)
-		m.liveCPU = make([]bool, g.Procs())
 		m.ringOf = make([]int, g.Stations())
 		for s := range m.ringOf {
 			m.ringOf[s] = g.RingOf(s)
 		}
-	}
-	if cfg.LoopName() == "parallel" {
 		for s := 0; s < g.Stations(); s++ {
 			first := g.ProcAt(s, 0)
 			m.stationCPUs = append(m.stationCPUs, m.CPUs[first:first+g.ProcsPerStation])
 		}
+		m.busFedRing = make([]bool, g.Stations())
+		m.ringFedCentral = make([]bool, g.Rings)
+		m.stationNext = make([]int64, g.Stations())
+		m.ringNext = make([]int64, g.Rings)
+	}
+	if cfg.LoopName() == "parallel" {
 		// Phase-2 shard assignment: the first station of ring r leads ring
 		// group r, every other shard is idle in phase 2. With the pool's
 		// block partition this spreads the ring groups across workers.
@@ -361,10 +365,6 @@ func New(cfg Config) (*Machine, error) {
 		for r := 0; r < g.Rings; r++ {
 			m.phase2Ring[g.StationAt(r, 0)] = r
 		}
-		m.busFedRing = make([]bool, g.Stations())
-		m.ringFedCentral = make([]bool, g.Rings)
-		m.stationNext = make([]int64, g.Stations())
-		m.ringNext = make([]int64, g.Rings)
 		m.pool = sim.NewShardPool(cfg.StationWorkers, g.Stations(), m.runShard)
 		m.barrier.parArrived = make([][]*proc.CPU, g.Stations())
 	}
@@ -466,10 +466,10 @@ func (m *Machine) HomeOf(addr uint64) int {
 }
 
 // homeOfFor builds the per-CPU home resolver, implementing first-touch
-// assignment when configured. Under the parallel loop the resolver must
+// assignment when configured. Under the pooled executor the resolver must
 // not memoize: CPUs on different stations call it concurrently during
 // phase 1, and round-robin homes are a pure function of the page anyway
-// (FirstTouch, which genuinely assigns, never runs parallel). pageHome is
+// (FirstTouch, which genuinely assigns, never runs pooled). pageHome is
 // then read-only during phase 1 — only AllocAt overrides, written before
 // Run — so the concurrent map reads are safe.
 func (m *Machine) homeOfFor(c *proc.CPU) func(uint64) int {
@@ -509,7 +509,7 @@ type barrierRelease struct {
 	at  int64
 }
 
-// barrierArrive records a CPU's arrival. During the parallel station phase
+// barrierArrive records a CPU's arrival. During a pooled station phase
 // arrivals land in the caller's station buffer (each buffer is touched by
 // exactly one worker); flushParallelArrivals merges them afterwards.
 func (m *Machine) barrierArrive(c *proc.CPU, now int64) {
@@ -534,19 +534,6 @@ func (m *Machine) arriveSerial(c *proc.CPU, now int64) {
 	m.barrier.arrived = m.barrier.arrived[:0]
 }
 
-// flushParallelArrivals replays the buffered phase-1 arrivals in station
-// order. Processor ids are station-major and each buffer preserves local
-// tick order, so the merged sequence is exactly the order the serial CPU
-// loop would have produced — barrier completion is bit-identical.
-func (m *Machine) flushParallelArrivals(now int64) {
-	for s, buf := range m.barrier.parArrived {
-		for _, c := range buf {
-			m.arriveSerial(c, now)
-		}
-		m.barrier.parArrived[s] = buf[:0]
-	}
-}
-
 // barrierLatency approximates the multicast of barrier-register writes:
 // one traversal of the ring hierarchy.
 func (m *Machine) barrierLatency() int64 {
@@ -565,11 +552,11 @@ func (m *Machine) fireBarriers() {
 	for _, r := range m.barrier.releases {
 		if r.at <= m.now {
 			r.cpu.FinishBarrier(m.now)
-			if m.pollCPU != nil {
+			if m.gated {
 				m.pollCPU[r.cpu.GlobalID] = m.now
-			}
-			if m.stationNext != nil && m.stationNext[r.cpu.Station] > m.now {
-				m.stationNext[r.cpu.Station] = m.now
+				if s := r.cpu.Station; m.stationNext[s] > m.now {
+					m.stationNext[s] = m.now
+				}
 			}
 		} else {
 			kept = append(kept, r)
@@ -598,9 +585,6 @@ func (m *Machine) Load(progs []proc.Program) {
 			m.CPUs[i].EnableFastHits()
 		}
 	}
-	if m.liveCPU == nil {
-		m.liveCPU = make([]bool, len(m.CPUs))
-	}
 	for i := range m.liveCPU {
 		m.liveCPU[i] = m.runners[i] != nil
 	}
@@ -624,24 +608,18 @@ func (m *Machine) rebalancePools() {
 	msg.RebalancePackets(m.pktPools)
 }
 
-// Step advances the machine one cycle in the fixed deterministic order:
-// processors, buses, memory modules, network caches, ring interfaces,
-// rings. With the quiescence scheduler enabled only components whose
-// activity gate fires are ticked; the gate runs immediately before each
-// component's slot in the same order, so it sees exactly the state the
-// naive tick would have seen, and a skipped tick is provably a stats-only
-// no-op that the lazy counters reconcile later. With ParallelStations the
-// station phase runs sharded across workers (see stepParallel); the
-// observable tick order is unchanged.
+// Step advances the machine one cycle. The reference order (stepNaive) is
+// component-major: processors, buses, memory modules, network caches, ring
+// interfaces, local rings, central ring. The gated cycle (stepGated) ticks
+// only components whose activity gate fires and walks the station phase
+// station-major; DESIGN.md "Gated cycle loop" argues why no component can
+// tell the two orders apart, and the equivalence suites check it.
 func (m *Machine) Step() {
-	switch {
-	case !m.gated:
+	if !m.gated {
 		m.stepNaive()
-	case m.pool != nil:
-		m.stepParallel()
-	default:
-		m.stepScheduled()
+		return
 	}
+	m.stepGated()
 }
 
 func (m *Machine) stepNaive() {
@@ -676,40 +654,137 @@ func (m *Machine) stepNaive() {
 	m.now++
 }
 
-// stepScheduled is the gated cycle; it returns how many components ticked
-// (0 means the whole machine was quiescent this cycle and the run loop may
-// fast-forward to cachedWake()).
+// stepGated is the gated cycle; it returns how many components ticked (0
+// means the whole machine was quiescent this cycle and the run loop may
+// fast-forward to cachedWake()). There is one body and two executors:
+//
+//	phase 1  every station with work ticks its CPUs, bus, memory and NC
+//	         (tickStation) — inline in ascending station order, or one pool
+//	         shard per station under ParallelStations;
+//	phase 2  the interconnect: every RI, then every local ring
+//	         (tickRingsSerial, the reference order) — or, with a pool and
+//	         credit headroom, one shard per ring group (parallel.go);
+//	tail     the central ring and the IRI occupancy observation — inline, or
+//	         deferred into the next cycle's phase-1 window with a pool.
+//
+// Station-major equals the component-major reference order because within
+// a cycle a station's CPUs, bus, memory and NC touch only that station's
+// state: everything they hand to another station goes through the
+// station's RI, which ticks in phase 2, after every station. The one
+// order-sensitive structure several stations feed in phase 1, the barrier
+// arrival list (and the FirstTouch page table), is fed by CPU ticks only,
+// and CPU ids are station-major, so ascending stations is ascending ids.
 //
 // The poll caches make the gate pass cost proportional to the components
 // that are (or might be) active rather than to the machine size. A cached
 // entry pollX[i] > now means component i's last NextWork report (or an
 // influence mark, below) proved it cannot do work this cycle, so the gate
-// is one comparison. The cache is invalidated exactly where work can be
-// handed over, following the machine's data flow within the fixed tick
-// order:
+// is one comparison; stationNext[s] / ringNext[r] are the minimum over one
+// station's / one ring group's entries, so an idle station or ring costs
+// one comparison in all. The caches are invalidated exactly where work can
+// be handed over, following the machine's data flow:
 //
 //	CPU tick      -> its bus this cycle (request pushed to BusOut);
-//	bus tick      -> mem/NC/RI/local ring this cycle (deliveries and RI
-//	                 packetization happen inside the bus tick; all four are
-//	                 gated after the buses), its live CPUs next cycle;
+//	bus tick      -> mem/NC this cycle, its RI and local ring this cycle
+//	                 (deliveries and RI packetization happen inside the bus
+//	                 tick; staged in busFedRing and merged between the
+//	                 phases, because two stations of one ring would write
+//	                 the same pollLocal entry from different shards), its
+//	                 live CPUs next cycle;
 //	mem/NC tick   -> its bus next cycle (responses queued to BusOut);
 //	RI tick       -> its bus next cycle (reassembled messages to BusOut);
 //	local tick    -> member RIs next cycle (slot consumption lands in the
 //	                 RI input FIFO), the central ring this cycle (ascending
-//	                 packets into the IRI up-FIFO), itself next cycle;
+//	                 packets into the IRI up-FIFO; staged in
+//	                 ringFedCentral), itself next cycle;
 //	central tick  -> every local ring next cycle (descending packets into
 //	                 the IRI down-FIFOs), itself next cycle;
 //	barrier fire  -> the released CPU this cycle (fireBarriers runs before
-//	                 the CPU phase).
+//	                 phase 1).
 //
 // Everything else a tick does is invisible to NextWork (credit releases
 // and FIFO pops can only remove work, so a stale-early cache merely costs
 // a re-poll).
-func (m *Machine) stepScheduled() int {
+func (m *Machine) stepGated() int {
 	now := m.now
-	ticked := 0
 	m.fireBarriers()
-	for i, c := range m.CPUs {
+	ticked := 0
+	if m.pool != nil {
+		ticked += m.stationPhasePooled(now)
+	} else {
+		for s, next := range m.stationNext {
+			if next <= now {
+				ticked += m.tickStation(s, now)
+			}
+		}
+	}
+	for s, fed := range m.busFedRing {
+		if !fed {
+			continue
+		}
+		m.busFedRing[s] = false
+		if m.pollRI[s] > now {
+			m.pollRI[s] = now
+		}
+		r := m.ringOf[s]
+		if m.pollLocal[r] > now {
+			m.pollLocal[r] = now
+		}
+		if m.ringNext[r] > now {
+			m.ringNext[r] = now
+		}
+	}
+	ringWork := false
+	for _, next := range m.ringNext {
+		if next <= now {
+			ringWork = true
+			break
+		}
+	}
+	if ringWork {
+		if m.pool != nil && m.credits.Headroom() {
+			ticked += m.ringPhasePooled(now)
+		} else {
+			ticked += m.tickRingsSerial(now)
+		}
+		for r, fed := range m.ringFedCentral {
+			if fed {
+				m.ringFedCentral[r] = false
+				if m.pollCentral > now {
+					m.pollCentral = now
+				}
+			}
+		}
+	}
+	central := false
+	if m.Central != nil && m.pollCentral <= now {
+		if w := m.Central.NextWork(now); w <= now {
+			central = true
+			ticked++
+		} else {
+			m.pollCentral = w
+		}
+	}
+	if central && m.pool != nil {
+		// Counted above, so a deferring cycle can never fast-forward away
+		// before the tail runs.
+		m.tailPending, m.tailAt = true, now
+	} else {
+		m.tail(now, central)
+	}
+	m.now++
+	return ticked
+}
+
+// tickStation runs the gated phase-1 ticks for station s and reports how
+// many components ticked. Everything it touches is station-s state (the
+// poll-cache entries of station s's components included), which is what
+// lets the pool run one call per station concurrently.
+func (m *Machine) tickStation(s int, now int64) int {
+	ticked := 0
+	first := m.g.ProcAt(s, 0)
+	for j, c := range m.stationCPUs[s] {
+		i := first + j
 		if m.pollCPU[i] > now {
 			continue
 		}
@@ -717,17 +792,15 @@ func (m *Machine) stepScheduled() int {
 			c.Tick(now)
 			ticked++
 			m.pollCPU[i] = now + 1
-			if s := c.Station; m.pollBus[s] > now {
+			if m.pollBus[s] > now {
 				m.pollBus[s] = now
 			}
 		} else {
 			m.pollCPU[i] = w
 		}
 	}
-	for s, b := range m.Buses {
-		if m.pollBus[s] > now {
-			continue
-		}
+	if m.pollBus[s] <= now {
+		b := m.Buses[s]
 		if w := b.NextWork(now); w <= now {
 			b.Tick(now)
 			ticked++
@@ -738,13 +811,7 @@ func (m *Machine) stepScheduled() int {
 			if m.pollNC[s] > now {
 				m.pollNC[s] = now
 			}
-			if m.pollRI[s] > now {
-				m.pollRI[s] = now
-			}
-			if r := m.ringOf[s]; m.pollLocal[r] > now {
-				m.pollLocal[r] = now
-			}
-			first := m.g.ProcAt(s, 0)
+			m.busFedRing[s] = true
 			for i := first; i < first+m.g.ProcsPerStation; i++ {
 				if m.liveCPU[i] && m.pollCPU[i] > now+1 {
 					m.pollCPU[i] = now + 1
@@ -754,10 +821,8 @@ func (m *Machine) stepScheduled() int {
 			m.pollBus[s] = w
 		}
 	}
-	for s, mem := range m.Mems {
-		if m.pollMem[s] > now {
-			continue
-		}
+	if m.pollMem[s] <= now {
+		mem := m.Mems[s]
 		if w := mem.NextWork(now); w <= now {
 			mem.Tick(now)
 			ticked++
@@ -769,10 +834,8 @@ func (m *Machine) stepScheduled() int {
 			m.pollMem[s] = w
 		}
 	}
-	for s, nc := range m.NCs {
-		if m.pollNC[s] > now {
-			continue
-		}
+	if m.pollNC[s] <= now {
+		nc := m.NCs[s]
 		if w := nc.NextWork(now); w <= now {
 			nc.Tick(now)
 			ticked++
@@ -784,53 +847,115 @@ func (m *Machine) stepScheduled() int {
 			m.pollNC[s] = w
 		}
 	}
-	for s, ri := range m.RIs {
-		if m.pollRI[s] > now {
-			continue
+	// Aggregate wake: the earliest cycle any of this station's phase-1
+	// components can work again, given no outside influence (an RI tick and
+	// a barrier release lower it where they lower the entries it covers).
+	next := m.pollBus[s]
+	if m.pollMem[s] < next {
+		next = m.pollMem[s]
+	}
+	if m.pollNC[s] < next {
+		next = m.pollNC[s]
+	}
+	for i := first; i < first+m.g.ProcsPerStation; i++ {
+		if m.pollCPU[i] < next {
+			next = m.pollCPU[i]
 		}
-		if w := ri.NextWork(now); w <= now {
-			ri.Tick(now)
-			ticked++
+	}
+	m.stationNext[s] = next
+	return ticked
+}
+
+// tickRI is the gate-and-tick block of station s's ring interface.
+func (m *Machine) tickRI(s int, now int64) int {
+	if m.pollRI[s] > now {
+		return 0
+	}
+	ri := m.RIs[s]
+	w := ri.NextWork(now)
+	if w > now {
+		m.pollRI[s] = w
+		return 0
+	}
+	ri.Tick(now)
+	m.pollRI[s] = now + 1
+	if m.pollBus[s] > now+1 {
+		m.pollBus[s] = now + 1
+	}
+	if m.stationNext[s] > now+1 {
+		m.stationNext[s] = now + 1
+	}
+	return 1
+}
+
+// tickLocal is the gate-and-tick block of local ring r.
+func (m *Machine) tickLocal(r int, now int64) int {
+	if m.pollLocal[r] > now {
+		return 0
+	}
+	lr := m.Locals[r]
+	w := lr.NextWork(now)
+	if w > now {
+		m.pollLocal[r] = w
+		return 0
+	}
+	lr.Tick(now)
+	m.pollLocal[r] = now + 1
+	for pos := 0; pos < m.g.StationsPerRing; pos++ {
+		if s := m.g.StationAt(r, pos); m.pollRI[s] > now+1 {
 			m.pollRI[s] = now + 1
-			if m.pollBus[s] > now+1 {
-				m.pollBus[s] = now + 1
-			}
-		} else {
-			m.pollRI[s] = w
 		}
 	}
-	for r, lr := range m.Locals {
-		if m.pollLocal[r] > now {
-			continue
-		}
-		if w := lr.NextWork(now); w <= now {
-			lr.Tick(now)
-			ticked++
-			m.pollLocal[r] = now + 1
-			for pos := 0; pos < m.g.StationsPerRing; pos++ {
-				if s := m.g.StationAt(r, pos); m.pollRI[s] > now+1 {
-					m.pollRI[s] = now + 1
-				}
-			}
-			if m.Central != nil && m.pollCentral > now {
-				m.pollCentral = now
-			}
-		} else {
-			m.pollLocal[r] = w
+	m.ringFedCentral[r] = true
+	return 1
+}
+
+// setRingNext recomputes ring group r's aggregate wake after its phase-2
+// ticks: the minimum over the local ring and its member RIs.
+func (m *Machine) setRingNext(r int) {
+	next := m.pollLocal[r]
+	for pos := 0; pos < m.g.StationsPerRing; pos++ {
+		if s := m.g.StationAt(r, pos); m.pollRI[s] < next {
+			next = m.pollRI[s]
 		}
 	}
-	if m.Central != nil && m.pollCentral <= now {
-		if w := m.Central.NextWork(now); w <= now {
-			m.Central.Tick(now)
-			ticked++
-			m.pollCentral = now + 1
-			for r := range m.Locals {
-				if m.pollLocal[r] > now+1 {
-					m.pollLocal[r] = now + 1
-				}
+	m.ringNext[r] = next
+}
+
+// tickRingsSerial is the interconnect phase in the reference order: every
+// RI, then every local ring. The pooled executor also runs it, on the
+// cycles the credit lookahead mask rejects: with some station at its
+// credit cap a TryAcquire outcome can depend on releases made by other
+// ring groups earlier in the reference order, so only that order is
+// authoritative.
+func (m *Machine) tickRingsSerial(now int64) int {
+	ticked := 0
+	for s := range m.RIs {
+		ticked += m.tickRI(s, now)
+	}
+	for r := range m.Locals {
+		ticked += m.tickLocal(r, now)
+	}
+	for r := range m.Locals {
+		m.setRingNext(r)
+	}
+	return ticked
+}
+
+// tail finishes cycle now: the central-ring tick when its gate fired, then
+// the periodic IRI occupancy observation, which must follow it. The pooled
+// executor defers the call (flushTail); now is then the deferring cycle.
+func (m *Machine) tail(now int64, central bool) {
+	if central {
+		m.Central.Tick(now)
+		m.pollCentral = now + 1
+		for r := range m.Locals {
+			if m.pollLocal[r] > now+1 {
+				m.pollLocal[r] = now + 1
 			}
-		} else {
-			m.pollCentral = w
+			if m.ringNext[r] > now+1 {
+				m.ringNext[r] = now + 1
+			}
 		}
 	}
 	if now&31 == 0 {
@@ -838,46 +963,25 @@ func (m *Machine) stepScheduled() int {
 			iri.ObserveAt(now)
 		}
 	}
-	m.now++
-	return ticked
 }
 
 // cachedWake returns the earliest future cycle at which any component or
-// pending barrier release can do work, read straight from the poll caches.
-// It is only meaningful immediately after a fully quiescent stepScheduled
-// pass: nothing ticked, so every cache entry was either freshly polled or
-// already proved future, and their minimum is a sound floor on the next
-// event. (A floor, not an exact time — influence marks may be one cycle
-// early — so a jump may land short and re-step; that costs one gated pass,
-// never correctness.)
+// pending barrier release can do work, read from the aggregate wakes (each
+// is the minimum of the poll caches it covers, see stepGated). It is only
+// meaningful immediately after a fully quiescent stepGated pass: nothing
+// ticked, so every cache entry was either freshly polled or already proved
+// future, and their minimum is a sound floor on the next event. (A floor,
+// not an exact time — influence marks may be one cycle early — so a jump
+// may land short and re-step; that costs one gated pass, never
+// correctness.)
 func (m *Machine) cachedWake() int64 {
 	wake := m.pollCentral
-	for _, at := range m.pollCPU {
+	for _, at := range m.stationNext {
 		if at < wake {
 			wake = at
 		}
 	}
-	for _, at := range m.pollBus {
-		if at < wake {
-			wake = at
-		}
-	}
-	for _, at := range m.pollMem {
-		if at < wake {
-			wake = at
-		}
-	}
-	for _, at := range m.pollNC {
-		if at < wake {
-			wake = at
-		}
-	}
-	for _, at := range m.pollRI {
-		if at < wake {
-			wake = at
-		}
-	}
-	for _, at := range m.pollLocal {
+	for _, at := range m.ringNext {
 		if at < wake {
 			wake = at
 		}
@@ -890,11 +994,11 @@ func (m *Machine) cachedWake() int64 {
 	return wake
 }
 
-// resetPolls discards every poll cache so the next scheduled cycle gates
-// every component afresh. Load calls it (new runners change CPU state
-// outside the loop) and Run calls it on entry.
+// resetPolls discards every poll cache so the next gated cycle gates every
+// component afresh. Load calls it (new runners change CPU state outside the
+// loop) and Run calls it on entry.
 func (m *Machine) resetPolls() {
-	if m.pollCPU == nil {
+	if !m.gated {
 		return
 	}
 	for i := range m.pollCPU {
@@ -915,15 +1019,13 @@ func (m *Machine) resetPolls() {
 	if m.Central == nil {
 		m.pollCentral = sim.Never
 	}
-	if m.stationNext != nil {
-		for s := range m.stationNext {
-			m.stationNext[s] = m.now
-			m.busFedRing[s] = false
-		}
-		for r := range m.ringNext {
-			m.ringNext[r] = m.now
-			m.ringFedCentral[r] = false
-		}
+	for s := range m.stationNext {
+		m.stationNext[s] = m.now
+		m.busFedRing[s] = false
+	}
+	for r := range m.ringNext {
+		m.ringNext[r] = m.now
+		m.ringFedCentral[r] = false
 	}
 }
 
@@ -939,23 +1041,14 @@ func (m *Machine) step() {
 		m.stepNaive()
 		return
 	}
-	ticked := 0
-	wake := sim.Never
-	if m.pool != nil {
-		ticked = m.stepParallel()
-	} else {
-		ticked = m.stepScheduled()
-	}
-	if ticked == 0 {
-		wake = m.cachedWake()
-	}
-	if ticked == 0 {
+	if m.stepGated() == 0 {
+		wake := m.cachedWake()
 		if m.watchdogAt > m.now && wake > m.watchdogAt {
 			wake = m.watchdogAt
 		}
 		// The external driver must observe every scheduled drive cycle:
 		// clamp like the watchdog so the fast-forward lands on driveAt
-		// instead of jumping over it. >= because stepScheduled has already
+		// instead of jumping over it. >= because stepGated has already
 		// advanced m.now — a drive due exactly now must suppress the jump
 		// entirely (wake becomes m.now) so Run fires it before moving on.
 		if m.onDrive != nil && m.driveAt >= m.now && wake > m.driveAt {
@@ -1259,14 +1352,17 @@ func (m *Machine) deliveryQuiet() bool {
 
 // quiescedThisCycle memoizes deliveryQuiet() per cycle for the fast-hit
 // tier-3 horizon, which may consult it once per handshake: every deep-idle
-// window opened during the same cycle shares a single machine scan. The
-// memo stays sound across one cycle's CPU phase: any activity created
-// after it was taken is CPU-initiated at or after the current cycle, and
-// the tier-3 bound reads each CPU's wake live (a CPU that just went active
-// contributes wake <= now), so the two-transfer argument still covers it.
-// A memo that turns stale in the other direction (machine drained
-// mid-cycle) only under-reports quiescence, which merely narrows the
-// window to tier 2.
+// window opened during the same cycle shares a single machine scan. A true
+// memo stays sound for the rest of the cycle, including for a later
+// station's CPU that reuses it after lower stations' buses and controllers
+// have ticked (the gated cycle is station-major): with no message anywhere
+// when it was taken, those ticks had nothing to move, so any activity since
+// is CPU-initiated at or after the current cycle, and the tier-3 bound
+// reads each CPU's wake live (a CPU that just went active contributes
+// wake <= now), so the two-transfer argument still covers it however far
+// the request has travelled. A memo that turns stale in the other
+// direction (machine drained mid-cycle) only under-reports quiescence,
+// which merely narrows the window to tier 2.
 func (m *Machine) quiescedThisCycle() bool {
 	if m.quiescedAt != m.now {
 		m.quiescedAt = m.now
@@ -1286,5 +1382,3 @@ func (m *Machine) totalRefs() int64 {
 // dumpState renders the structured stuck-transaction report for abort
 // messages (see progress.go).
 func (m *Machine) dumpState() string { return m.Progress().String() }
-
-var _ = msg.Invalid // keep the import while the package grows

@@ -1,33 +1,26 @@
 package core
 
-// Station-parallel cycle loop with a sharded interconnect phase
-// (Config.ParallelStations).
+// The pooled executor of the gated cycle (Config.ParallelStations): what
+// stepGated does differently when a sim.ShardPool is running. The cycle
+// body — gates, influence marks, tick functions — is the one in stepGated;
+// this file only dispatches it across workers:
 //
-// Within one cycle the stations are independent: a station's processors,
-// bus, memory module and network cache read and write only station-local
-// state, and every cross-station effect travels through the ring
-// interfaces with at least one full ring-clock period of latency — the
-// conservative lookahead. stepParallel exploits that by splitting the
-// cycle into two sharded phases and a short serial tail:
-//
-//	phase 1  all stations tick concurrently, one shard each, preserving
-//	         the intra-station component order (CPUs, bus, memory, NC);
-//	phase 2  the interconnect ticks concurrently, one shard per local
-//	         ring: the ring's station interfaces (in station order) and
-//	         then the local ring itself. Ring state is per-ring — a local
-//	         ring touches only its own slots, its member RIs and its IRI's
-//	         local port — so the only cross-shard coupling is the
+//	phase 1  tickStation runs for all stations concurrently, one shard
+//	         each; barrier arrivals are buffered per station and merged in
+//	         station order afterwards;
+//	phase 2  with credit headroom, the interconnect runs one shard per
+//	         ring group — the ring's station interfaces in station order,
+//	         then the local ring (tickRingGroup). Ring state is per-ring — a
+//	         local ring touches only its own slots, its member RIs and its
+//	         IRI's local port — so the only cross-shard coupling is the
 //	         flow-control credit accounting (below);
-//	tail     the central ring (which reads every IRI's central port) and
-//	         the IRI occupancy observation run serially, as does barrier
-//	         release and the arrival merge.
+//	tail     the central-ring tick is deferred and overlapped with the
+//	         next cycle's phase-1 dispatch (flushTail).
 //
-// The tick order any component can observe is exactly the serial order: a
-// phase-1 component's visible state depends only on earlier components of
+// A phase-1 component's visible state depends only on earlier components of
 // its own station, a phase-2 component's only on earlier components of its
-// own ring group plus the commutative credit counters. The equivalence
-// test suite checks bit-identity against both serial loops on every
-// scenario family, including traced and faulted schedules.
+// own ring group plus the commutative credit counters, so any interleaving
+// of shards is value-identical to the inline executor.
 //
 // Flow-control credits are the one piece of phase-2 state written across
 // shards: StationRI.Tick and the fault-drop paths release the credit of a
@@ -44,21 +37,13 @@ package core
 //     concurrent releases interleave, releases commute (atomic adds),
 //     and the sharded outcome is value-identical to the serial order.
 //
-// On the rare cycle where some station is at its credit cap the loop falls
-// back to the serial reference order for the interconnect phase
-// (tickRingsSerial) — bit-identical by construction, merely slower.
+// On the rare cycle where some station is at its credit cap stepGated runs
+// the interconnect phase inline (tickRingsSerial) — bit-identical by
+// construction, merely slower.
 //
-// Work masks: both pool dispatches are skipped entirely on cycles where
-// the corresponding phase provably has no work. Each shard maintains an
-// aggregate wake (stationNext[s], ringNext[r]) — the minimum of its
-// components' NextWork reports — and the serial points lower it where work
-// is handed across phases: a bus that delivered during phase 1 feeds its
-// ring group (busFedRing, merged before phase 2), a ring that ticked feeds
-// the central ring (ringFedCentral), the central ring feeds every ring
-// group next cycle, a reassembled message feeds the station's bus, and a
-// barrier release feeds the released CPU's station. The masks reuse the
-// scheduled loop's poll caches, so a fully quiescent cycle fast-forwards
-// through cachedWake() with no full-machine scan.
+// Both dispatches are skipped on cycles where no shard of the phase has
+// work (stationNext / ringNext), so a machine with traffic on one ring does
+// not pay two barrier rounds for sixteen idle stations.
 
 // runShard dispatches one pool shard according to the current phase. In
 // phase 1 the shard is a station; in phase 2 the shard leads a ring group
@@ -71,7 +56,7 @@ func (m *Machine) runShard(shard int, now int64) int {
 		if m.stationNext[shard] > now {
 			return 0
 		}
-		return m.tickStationGated(shard, now)
+		return m.tickStation(shard, now)
 	}
 	r := m.phase2Ring[shard]
 	if r < 0 || m.ringNext[r] > now {
@@ -80,303 +65,63 @@ func (m *Machine) runShard(shard int, now int64) int {
 	return m.tickRingGroup(r, now)
 }
 
-// tickStationGated runs the gated phase-1 ticks for one station and
-// reports how many components ticked. It runs on a pool worker; everything
-// it touches is station-s state (the poll-cache entries for station s's
-// components are owned by this shard during phase 1). The gate and
-// influence-mark logic mirrors stepScheduled exactly, restricted to one
-// station — cross-station influence (bus feeding the ring layer) is staged
-// in busFedRing and merged at the serial point.
-func (m *Machine) tickStationGated(s int, now int64) int {
-	ticked := 0
-	first := m.g.ProcAt(s, 0)
-	for j, c := range m.stationCPUs[s] {
-		i := first + j
-		if m.pollCPU[i] > now {
-			continue
-		}
-		if w := c.NextWork(now); w <= now {
-			c.Tick(now)
-			ticked++
-			m.pollCPU[i] = now + 1
-			if m.pollBus[s] > now {
-				m.pollBus[s] = now
-			}
-		} else {
-			m.pollCPU[i] = w
-		}
-	}
-	if m.pollBus[s] <= now {
-		b := m.Buses[s]
-		if w := b.NextWork(now); w <= now {
-			b.Tick(now)
-			ticked++
-			m.pollBus[s] = now + 1
-			if m.pollMem[s] > now {
-				m.pollMem[s] = now
-			}
-			if m.pollNC[s] > now {
-				m.pollNC[s] = now
-			}
-			m.busFedRing[s] = true
-			for i := first; i < first+m.g.ProcsPerStation; i++ {
-				if m.liveCPU[i] && m.pollCPU[i] > now+1 {
-					m.pollCPU[i] = now + 1
-				}
-			}
-		} else {
-			m.pollBus[s] = w
-		}
-	}
-	if m.pollMem[s] <= now {
-		mem := m.Mems[s]
-		if w := mem.NextWork(now); w <= now {
-			mem.Tick(now)
-			ticked++
-			m.pollMem[s] = now + 1
-			if m.pollBus[s] > now+1 {
-				m.pollBus[s] = now + 1
-			}
-		} else {
-			m.pollMem[s] = w
-		}
-	}
-	if m.pollNC[s] <= now {
-		nc := m.NCs[s]
-		if w := nc.NextWork(now); w <= now {
-			nc.Tick(now)
-			ticked++
-			m.pollNC[s] = now + 1
-			if m.pollBus[s] > now+1 {
-				m.pollBus[s] = now + 1
-			}
-		} else {
-			m.pollNC[s] = w
-		}
-	}
-	// Aggregate wake for the dispatch mask: the earliest cycle any of this
-	// station's phase-1 components can work again, given no outside
-	// influence (outside influences lower it at the serial points).
-	next := m.pollBus[s]
-	if m.pollMem[s] < next {
-		next = m.pollMem[s]
-	}
-	if m.pollNC[s] < next {
-		next = m.pollNC[s]
-	}
-	for i := first; i < first+m.g.ProcsPerStation; i++ {
-		if m.pollCPU[i] < next {
-			next = m.pollCPU[i]
-		}
-	}
-	m.stationNext[s] = next
-	return ticked
-}
-
-// tickRingGroup runs the gated phase-2 ticks for one ring group: the
-// ring's station interfaces in station order, then the local ring. It runs
-// on a pool worker under the credit-headroom mask (see the package
-// comment); everything else it touches is owned by ring r. The relative
-// order within the group matches the serial reference order (lower RIs
-// first, every RI before its ring).
-func (m *Machine) tickRingGroup(r int, now int64) int {
-	ticked := 0
-	for pos := 0; pos < m.g.StationsPerRing; pos++ {
-		s := m.g.StationAt(r, pos)
-		if m.pollRI[s] > now {
-			continue
-		}
-		ri := m.RIs[s]
-		if w := ri.NextWork(now); w <= now {
-			ri.Tick(now)
-			ticked++
-			m.pollRI[s] = now + 1
-			if m.pollBus[s] > now+1 {
-				m.pollBus[s] = now + 1
-			}
-			if m.stationNext[s] > now+1 {
-				m.stationNext[s] = now + 1
-			}
-		} else {
-			m.pollRI[s] = w
-		}
-	}
-	if m.pollLocal[r] <= now {
-		lr := m.Locals[r]
-		if w := lr.NextWork(now); w <= now {
-			lr.Tick(now)
-			ticked++
-			m.pollLocal[r] = now + 1
-			for pos := 0; pos < m.g.StationsPerRing; pos++ {
-				if s := m.g.StationAt(r, pos); m.pollRI[s] > now+1 {
-					m.pollRI[s] = now + 1
-				}
-			}
-			m.ringFedCentral[r] = true
-		} else {
-			m.pollLocal[r] = w
-		}
-	}
-	next := m.pollLocal[r]
-	for pos := 0; pos < m.g.StationsPerRing; pos++ {
-		if s := m.g.StationAt(r, pos); m.pollRI[s] < next {
-			next = m.pollRI[s]
-		}
-	}
-	m.ringNext[r] = next
-	return ticked
-}
-
-// tickRingsSerial is the interconnect phase in the serial reference order
-// (every RI, then every local ring) with the same gates and mask
-// maintenance as the sharded path. It runs on the cycles the credit
-// lookahead mask rejects: with some station at its credit cap, a
-// TryAcquire outcome can depend on releases made by other shards earlier
-// in the reference order, so only the reference order is authoritative.
-func (m *Machine) tickRingsSerial(now int64) int {
-	ticked := 0
-	for s, ri := range m.RIs {
-		if m.pollRI[s] > now {
-			continue
-		}
-		if w := ri.NextWork(now); w <= now {
-			ri.Tick(now)
-			ticked++
-			m.pollRI[s] = now + 1
-			if m.pollBus[s] > now+1 {
-				m.pollBus[s] = now + 1
-			}
-			if m.stationNext[s] > now+1 {
-				m.stationNext[s] = now + 1
-			}
-		} else {
-			m.pollRI[s] = w
-		}
-	}
-	for r, lr := range m.Locals {
-		if m.pollLocal[r] > now {
-			continue
-		}
-		if w := lr.NextWork(now); w <= now {
-			lr.Tick(now)
-			ticked++
-			m.pollLocal[r] = now + 1
-			for pos := 0; pos < m.g.StationsPerRing; pos++ {
-				if s := m.g.StationAt(r, pos); m.pollRI[s] > now+1 {
-					m.pollRI[s] = now + 1
-				}
-			}
-			m.ringFedCentral[r] = true
-		} else {
-			m.pollLocal[r] = w
-		}
-	}
-	for r := range m.Locals {
-		next := m.pollLocal[r]
-		for pos := 0; pos < m.g.StationsPerRing; pos++ {
-			if s := m.g.StationAt(r, pos); m.pollRI[s] < next {
-				next = m.pollRI[s]
-			}
-		}
-		m.ringNext[r] = next
-	}
-	return ticked
-}
-
-// stepParallel is the sharded cycle. Like stepScheduled it returns the
-// number of components ticked; 0 lets the run loop fast-forward through
-// cachedWake().
-func (m *Machine) stepParallel() int {
-	now := m.now
-	m.fireBarriers()
-	ticked := 0
+// stationPhasePooled is phase 1 on the pool. The previous cycle's deferred
+// central tail runs on the caller between releasing the workers and the
+// barrier (see flushTail for why that is safe).
+func (m *Machine) stationPhasePooled(now int64) int {
 	stationWork := false
-	for s := range m.stationNext {
-		if m.stationNext[s] <= now {
+	for _, next := range m.stationNext {
+		if next <= now {
 			stationWork = true
 			break
 		}
 	}
-	if stationWork {
-		m.inParallelPhase = true
-		m.parPhase = 1
-		// Overlap the previous cycle's deferred central tail with the
-		// phase-1 shards: the tail touches only interconnect state (central
-		// ring, IRI central ports, pollCentral/pollLocal/ringNext) while the
-		// shards touch only station state, so the caller can run it between
-		// releasing the workers and the barrier.
-		m.pool.CycleStart(now)
+	if !stationWork {
 		m.flushTail()
-		ticked += m.pool.CycleWait()
-		m.inParallelPhase = false
-		m.flushParallelArrivals(now)
-	} else {
-		m.flushTail()
+		return 0
 	}
-	// Merge the staged bus→ring influence marks at the serial point: two
-	// stations of one ring would otherwise write the same pollLocal entry
-	// from different phase-1 shards.
-	for s := range m.busFedRing {
-		if !m.busFedRing[s] {
-			continue
+	m.inParallelPhase = true
+	m.parPhase = 1
+	m.pool.CycleStart(now)
+	m.flushTail()
+	ticked := m.pool.CycleWait()
+	m.inParallelPhase = false
+	m.flushParallelArrivals(now)
+	return ticked
+}
+
+// flushParallelArrivals replays the barrier arrivals buffered during a
+// pooled phase 1 (barrierArrive) in station order. Processor ids are
+// station-major and each buffer preserves local tick order, so the merged
+// sequence is exactly the order the inline executor produces.
+func (m *Machine) flushParallelArrivals(now int64) {
+	for s, buf := range m.barrier.parArrived {
+		for _, c := range buf {
+			m.arriveSerial(c, now)
 		}
-		m.busFedRing[s] = false
-		if m.pollRI[s] > now {
-			m.pollRI[s] = now
-		}
-		r := m.ringOf[s]
-		if m.pollLocal[r] > now {
-			m.pollLocal[r] = now
-		}
-		if m.ringNext[r] > now {
-			m.ringNext[r] = now
-		}
+		m.barrier.parArrived[s] = buf[:0]
 	}
-	ringWork := false
-	for r := range m.ringNext {
-		if m.ringNext[r] <= now {
-			ringWork = true
-			break
-		}
+}
+
+// ringPhasePooled is phase 2 on the pool; stepGated calls it only under
+// the credit-headroom mask.
+func (m *Machine) ringPhasePooled(now int64) int {
+	m.parPhase = 2
+	return m.pool.Cycle(now)
+}
+
+// tickRingGroup runs the phase-2 ticks of one ring group: the ring's
+// station interfaces in station order, then the local ring. The relative
+// order within the group matches the reference order (lower RIs first,
+// every RI before its ring); everything it touches but the credit counters
+// is owned by ring r.
+func (m *Machine) tickRingGroup(r int, now int64) int {
+	ticked := 0
+	for pos := 0; pos < m.g.StationsPerRing; pos++ {
+		ticked += m.tickRI(m.g.StationAt(r, pos), now)
 	}
-	if ringWork {
-		if m.credits.Headroom() {
-			m.parPhase = 2
-			ticked += m.pool.Cycle(now)
-		} else {
-			ticked += m.tickRingsSerial(now)
-		}
-		for r := range m.ringFedCentral {
-			if !m.ringFedCentral[r] {
-				continue
-			}
-			m.ringFedCentral[r] = false
-			if m.pollCentral > now {
-				m.pollCentral = now
-			}
-		}
-	}
-	deferred := false
-	if m.Central != nil && m.pollCentral <= now {
-		if w := m.Central.NextWork(now); w <= now {
-			// Defer the central tick (and the IRI observation that must
-			// follow it) into the next cycle's phase-1 window. The tick is
-			// counted now so a deferring cycle can never fast-forward away
-			// before the tail runs.
-			m.tailPending = true
-			m.tailAt = now
-			ticked++
-			deferred = true
-		} else {
-			m.pollCentral = w
-		}
-	}
-	if !deferred && now&31 == 0 {
-		for _, iri := range m.IRIs {
-			iri.ObserveAt(now)
-		}
-	}
-	m.now++
+	ticked += m.tickLocal(r, now)
+	m.setRingNext(r)
 	return ticked
 }
 
@@ -392,24 +137,8 @@ func (m *Machine) stepParallel() int {
 // deferral was recorded, and the flush completes before anything of cycle
 // N+1 reads interconnect state.
 func (m *Machine) flushTail() {
-	if !m.tailPending {
-		return
-	}
-	m.tailPending = false
-	now := m.tailAt
-	m.Central.Tick(now)
-	m.pollCentral = now + 1
-	for r := range m.Locals {
-		if m.pollLocal[r] > now+1 {
-			m.pollLocal[r] = now + 1
-		}
-		if m.ringNext[r] > now+1 {
-			m.ringNext[r] = now + 1
-		}
-	}
-	if now&31 == 0 {
-		for _, iri := range m.IRIs {
-			iri.ObserveAt(now)
-		}
+	if m.tailPending {
+		m.tailPending = false
+		m.tail(m.tailAt, true)
 	}
 }

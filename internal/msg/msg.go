@@ -238,11 +238,39 @@ type Message struct {
 	// descend copy adds one, and every packet death releases one. The site
 	// that observes the count hit zero owns the message and may recycle it —
 	// including multicast originals, which before refcounting always leaked
-	// to the GC. A plain int32 manipulated through sync/atomic (packets of
-	// one message die on different ring shards of the parallel cycle loop);
-	// not an atomic.Int32, whose noCopy field would flag the intentional
-	// whole-struct copies (`*cp = *m`) that create private bus deliveries.
+	// to the GC. Manipulated only through sync/atomic once the message is
+	// packetized (packets of one message die on different ring shards of
+	// the pooled cycle executor); copies go through CopyFrom, which skips
+	// it. A plain int32 rather than an atomic.Int32 so that pool recycling
+	// (`*m = Message{}`) and composite literals stay legal.
 	refs int32
+}
+
+// CopyFrom makes m a private copy of src for a bus delivery: every field
+// but the packet reference count, which belongs to the struct, not to the
+// transaction. src may still be aliased by packets dying on other ring
+// shards, whose Release updates src.refs atomically — a whole-struct
+// `*m = *src` would read it non-atomically (a data race), and m's own count
+// is meaningless until m is packetized and InitRefs overwrites it.
+// TestCopyFromCopiesEveryField fails when a new field is left out.
+func (m *Message) CopyFrom(src *Message) {
+	m.Type = src.Type
+	m.Line = src.Line
+	m.Home = src.Home
+	m.SrcMod, m.DstMod = src.SrcMod, src.DstMod
+	m.BusProcs = src.BusProcs
+	m.AlsoProc = src.AlsoProc
+	m.SrcStation, m.DstStation = src.SrcStation, src.DstStation
+	m.Mask = src.Mask
+	m.Requester, m.ReqStation = src.Requester, src.ReqStation
+	m.Data, m.HasData = src.Data, src.HasData
+	m.TxnID = src.TxnID
+	m.NakOf = src.NakOf
+	m.Retry = src.Retry
+	m.Ex = src.Ex
+	m.InvalFollows = src.InvalFollows
+	m.Sequenced = src.Sequenced
+	m.IssueCycle = src.IssueCycle
 }
 
 // InitRefs sets the packet reference count at packetization time, before

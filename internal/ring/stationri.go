@@ -21,7 +21,7 @@ import (
 // injected at its source station), but releases happen wherever the
 // message is consumed or dropped — any shard. Under the loop's lookahead
 // mask (sharding is only chosen for a cycle when every station has at
-// least one free credit, see core.stepParallel) the single possible
+// least one free credit, see core.stepGated) the single possible
 // acquire per station per cycle succeeds in every interleaving and
 // releases commute, so the atomic orderings never change an outcome; they
 // only make the cross-shard accounting race-free.
@@ -172,7 +172,7 @@ func (r *StationRI) BusDeliver(m *msg.Message, now int64) {
 	// back locally (single-station machines).
 	if m.DstStation == r.Station && m.Type != msg.Invalidate {
 		cp := r.Msgs.Get()
-		*cp = *m
+		cp.CopyFrom(m)
 		r.route(cp)
 		r.busOutQ.Push(cp, now)
 		r.Msgs.Put(m) // superseded by the private copy
@@ -361,7 +361,7 @@ func (r *StationRI) Tick(now int64) {
 		first := r.firstSeen[m]
 		delete(r.firstSeen, m)
 		cp := r.Msgs.Get()
-		*cp = *m
+		cp.CopyFrom(m)
 		r.route(cp)
 		if m.Type.Sinkable() {
 			r.DownSink.Sample(now - first)

@@ -7,6 +7,13 @@
 // nanoseconds with Params.CyclesToNS.
 package sim
 
+import "math"
+
+// Never is the wake-up time of a component that cannot do any work until an
+// external event (a bus delivery, a ring slot, a barrier release) reaches
+// it. It compares greater than every real cycle number.
+const Never = int64(math.MaxInt64)
+
 // Params collects every architectural and timing knob of the simulated
 // machine. DefaultParams is calibrated so that the contention-free latency
 // probe reproduces the paper's Table 1 within a small tolerance.
