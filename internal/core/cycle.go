@@ -1,0 +1,456 @@
+package core
+
+import "numachine/internal/sim"
+
+// Step advances the machine one cycle. The reference order (stepNaive) is
+// component-major: processors, buses, memory modules, network caches, ring
+// interfaces, local rings, central ring. The gated cycle (stepGated) ticks
+// only components whose activity gate fires and walks the station phase
+// station-major; DESIGN.md "Gated cycle loop" argues why no component can
+// tell the two orders apart, and the equivalence suites check it.
+func (m *Machine) Step() {
+	if !m.gated {
+		m.stepNaive()
+		return
+	}
+	m.stepGated()
+}
+
+func (m *Machine) stepNaive() {
+	now := m.now
+	m.fireBarriers()
+	for _, c := range m.CPUs {
+		c.Tick(now)
+	}
+	for _, b := range m.Buses {
+		b.Tick(now)
+	}
+	for _, mem := range m.Mems {
+		mem.Tick(now)
+	}
+	for _, nc := range m.NCs {
+		nc.Tick(now)
+	}
+	for _, ri := range m.RIs {
+		ri.Tick(now)
+	}
+	for _, lr := range m.Locals {
+		lr.Tick(now)
+	}
+	if m.Central != nil {
+		m.Central.Tick(now)
+	}
+	if now&31 == 0 {
+		for _, iri := range m.IRIs {
+			iri.ObserveAt(now)
+		}
+	}
+	m.now++
+}
+
+// stepGated is the gated cycle; it returns how many components ticked (0
+// means the whole machine was quiescent this cycle and the run loop may
+// fast-forward to cachedWake()). There is one body and two executors:
+//
+//	phase 1  every station with work ticks its CPUs, bus, memory and NC
+//	         (tickStation) — inline in ascending station order, or one pool
+//	         shard per station under ParallelStations;
+//	phase 2  the interconnect: every RI, then every local ring
+//	         (tickRingsSerial, the reference order) — or, with a pool and
+//	         credit headroom, one shard per ring group (parallel.go);
+//	tail     the central ring and the IRI occupancy observation — inline, or
+//	         deferred into the next cycle's phase-1 window with a pool.
+//
+// Station-major equals the component-major reference order because within
+// a cycle a station's CPUs, bus, memory and NC touch only that station's
+// state: everything they hand to another station goes through the
+// station's RI, which ticks in phase 2, after every station. The one
+// order-sensitive structure several stations feed in phase 1, the barrier
+// arrival list (and the FirstTouch page table), is fed by CPU ticks only,
+// and CPU ids are station-major, so ascending stations is ascending ids.
+//
+// The poll caches make the gate pass cost proportional to the components
+// that are (or might be) active rather than to the machine size. A cached
+// entry pollX[i] > now means component i's last NextWork report (or an
+// influence mark, below) proved it cannot do work this cycle, so the gate
+// is one comparison; stationNext[s] / ringNext[r] are the minimum over one
+// station's / one ring group's entries, so an idle station or ring costs
+// one comparison in all. The caches are invalidated exactly where work can
+// be handed over, following the machine's data flow:
+//
+//	CPU tick      -> its bus this cycle (request pushed to BusOut);
+//	bus tick      -> mem/NC this cycle, its RI and local ring this cycle
+//	                 (deliveries and RI packetization happen inside the bus
+//	                 tick; staged in busFedRing and merged between the
+//	                 phases, because two stations of one ring would write
+//	                 the same pollLocal entry from different shards), its
+//	                 live CPUs next cycle;
+//	mem/NC tick   -> its bus next cycle (responses queued to BusOut);
+//	RI tick       -> its bus next cycle (reassembled messages to BusOut);
+//	local tick    -> member RIs next cycle (slot consumption lands in the
+//	                 RI input FIFO), the central ring this cycle (ascending
+//	                 packets into the IRI up-FIFO; staged in
+//	                 ringFedCentral), itself next cycle;
+//	central tick  -> every local ring next cycle (descending packets into
+//	                 the IRI down-FIFOs), itself next cycle;
+//	barrier fire  -> the released CPU this cycle (fireBarriers runs before
+//	                 phase 1).
+//
+// Everything else a tick does is invisible to NextWork (credit releases
+// and FIFO pops can only remove work, so a stale-early cache merely costs
+// a re-poll).
+func (m *Machine) stepGated() int {
+	now := m.now
+	m.fireBarriers()
+	ticked := 0
+	if m.pool != nil {
+		ticked += m.stationPhasePooled(now)
+	} else {
+		for s, next := range m.stationNext {
+			if next <= now {
+				ticked += m.tickStation(s, now)
+			}
+		}
+	}
+	for s, fed := range m.busFedRing {
+		if !fed {
+			continue
+		}
+		m.busFedRing[s] = false
+		if m.pollRI[s] > now {
+			m.pollRI[s] = now
+		}
+		r := m.ringOf[s]
+		if m.pollLocal[r] > now {
+			m.pollLocal[r] = now
+		}
+		if m.ringNext[r] > now {
+			m.ringNext[r] = now
+		}
+	}
+	ringWork := false
+	for _, next := range m.ringNext {
+		if next <= now {
+			ringWork = true
+			break
+		}
+	}
+	if ringWork {
+		if m.pool != nil && m.credits.Headroom() {
+			ticked += m.ringPhasePooled(now)
+		} else {
+			ticked += m.tickRingsSerial(now)
+		}
+		for r, fed := range m.ringFedCentral {
+			if fed {
+				m.ringFedCentral[r] = false
+				if m.pollCentral > now {
+					m.pollCentral = now
+				}
+			}
+		}
+	}
+	central := false
+	if m.Central != nil && m.pollCentral <= now {
+		if w := m.Central.NextWork(now); w <= now {
+			central = true
+			ticked++
+		} else {
+			m.pollCentral = w
+		}
+	}
+	if central && m.pool != nil {
+		// Counted above, so a deferring cycle can never fast-forward away
+		// before the tail runs.
+		m.tailPending, m.tailAt = true, now
+	} else {
+		m.tail(now, central)
+	}
+	m.now++
+	return ticked
+}
+
+// tickStation runs the gated phase-1 ticks for station s and reports how
+// many components ticked. Everything it touches is station-s state (the
+// poll-cache entries of station s's components included), which is what
+// lets the pool run one call per station concurrently.
+func (m *Machine) tickStation(s int, now int64) int {
+	ticked := 0
+	first := m.g.ProcAt(s, 0)
+	for j, c := range m.stationCPUs[s] {
+		i := first + j
+		if m.pollCPU[i] > now {
+			continue
+		}
+		if w := c.NextWork(now); w <= now {
+			c.Tick(now)
+			ticked++
+			m.pollCPU[i] = now + 1
+			if m.pollBus[s] > now {
+				m.pollBus[s] = now
+			}
+		} else {
+			m.pollCPU[i] = w
+		}
+	}
+	if m.pollBus[s] <= now {
+		b := m.Buses[s]
+		if w := b.NextWork(now); w <= now {
+			b.Tick(now)
+			ticked++
+			m.pollBus[s] = now + 1
+			if m.pollMem[s] > now {
+				m.pollMem[s] = now
+			}
+			if m.pollNC[s] > now {
+				m.pollNC[s] = now
+			}
+			m.busFedRing[s] = true
+			for i := first; i < first+m.g.ProcsPerStation; i++ {
+				if m.liveCPU[i] && m.pollCPU[i] > now+1 {
+					m.pollCPU[i] = now + 1
+				}
+			}
+		} else {
+			m.pollBus[s] = w
+		}
+	}
+	if m.pollMem[s] <= now {
+		mem := m.Mems[s]
+		if w := mem.NextWork(now); w <= now {
+			mem.Tick(now)
+			ticked++
+			m.pollMem[s] = now + 1
+			if m.pollBus[s] > now+1 {
+				m.pollBus[s] = now + 1
+			}
+		} else {
+			m.pollMem[s] = w
+		}
+	}
+	if m.pollNC[s] <= now {
+		nc := m.NCs[s]
+		if w := nc.NextWork(now); w <= now {
+			nc.Tick(now)
+			ticked++
+			m.pollNC[s] = now + 1
+			if m.pollBus[s] > now+1 {
+				m.pollBus[s] = now + 1
+			}
+		} else {
+			m.pollNC[s] = w
+		}
+	}
+	// Aggregate wake: the earliest cycle any of this station's phase-1
+	// components can work again, given no outside influence (an RI tick and
+	// a barrier release lower it where they lower the entries it covers).
+	next := m.pollBus[s]
+	if m.pollMem[s] < next {
+		next = m.pollMem[s]
+	}
+	if m.pollNC[s] < next {
+		next = m.pollNC[s]
+	}
+	for i := first; i < first+m.g.ProcsPerStation; i++ {
+		if m.pollCPU[i] < next {
+			next = m.pollCPU[i]
+		}
+	}
+	m.stationNext[s] = next
+	return ticked
+}
+
+// tickRI is the gate-and-tick block of station s's ring interface.
+func (m *Machine) tickRI(s int, now int64) int {
+	if m.pollRI[s] > now {
+		return 0
+	}
+	ri := m.RIs[s]
+	w := ri.NextWork(now)
+	if w > now {
+		m.pollRI[s] = w
+		return 0
+	}
+	ri.Tick(now)
+	m.pollRI[s] = now + 1
+	if m.pollBus[s] > now+1 {
+		m.pollBus[s] = now + 1
+	}
+	if m.stationNext[s] > now+1 {
+		m.stationNext[s] = now + 1
+	}
+	return 1
+}
+
+// tickLocal is the gate-and-tick block of local ring r.
+func (m *Machine) tickLocal(r int, now int64) int {
+	if m.pollLocal[r] > now {
+		return 0
+	}
+	lr := m.Locals[r]
+	w := lr.NextWork(now)
+	if w > now {
+		m.pollLocal[r] = w
+		return 0
+	}
+	lr.Tick(now)
+	m.pollLocal[r] = now + 1
+	for pos := 0; pos < m.g.StationsPerRing; pos++ {
+		if s := m.g.StationAt(r, pos); m.pollRI[s] > now+1 {
+			m.pollRI[s] = now + 1
+		}
+	}
+	m.ringFedCentral[r] = true
+	return 1
+}
+
+// setRingNext recomputes ring group r's aggregate wake after its phase-2
+// ticks: the minimum over the local ring and its member RIs.
+func (m *Machine) setRingNext(r int) {
+	next := m.pollLocal[r]
+	for pos := 0; pos < m.g.StationsPerRing; pos++ {
+		if s := m.g.StationAt(r, pos); m.pollRI[s] < next {
+			next = m.pollRI[s]
+		}
+	}
+	m.ringNext[r] = next
+}
+
+// tickRingsSerial is the interconnect phase in the reference order: every
+// RI, then every local ring. The pooled executor also runs it, on the
+// cycles the credit lookahead mask rejects: with some station at its
+// credit cap a TryAcquire outcome can depend on releases made by other
+// ring groups earlier in the reference order, so only that order is
+// authoritative.
+func (m *Machine) tickRingsSerial(now int64) int {
+	ticked := 0
+	for s := range m.RIs {
+		ticked += m.tickRI(s, now)
+	}
+	for r := range m.Locals {
+		ticked += m.tickLocal(r, now)
+	}
+	for r := range m.Locals {
+		m.setRingNext(r)
+	}
+	return ticked
+}
+
+// tail finishes cycle now: the central-ring tick when its gate fired, then
+// the periodic IRI occupancy observation, which must follow it. The pooled
+// executor defers the call (flushTail); now is then the deferring cycle.
+func (m *Machine) tail(now int64, central bool) {
+	if central {
+		m.Central.Tick(now)
+		m.pollCentral = now + 1
+		for r := range m.Locals {
+			if m.pollLocal[r] > now+1 {
+				m.pollLocal[r] = now + 1
+			}
+			if m.ringNext[r] > now+1 {
+				m.ringNext[r] = now + 1
+			}
+		}
+	}
+	if now&31 == 0 {
+		for _, iri := range m.IRIs {
+			iri.ObserveAt(now)
+		}
+	}
+}
+
+// cachedWake returns the earliest future cycle at which any component or
+// pending barrier release can do work, read from the aggregate wakes (each
+// is the minimum of the poll caches it covers, see stepGated). It is only
+// meaningful immediately after a fully quiescent stepGated pass: nothing
+// ticked, so every cache entry was either freshly polled or already proved
+// future, and their minimum is a sound floor on the next event. (A floor,
+// not an exact time — influence marks may be one cycle early — so a jump
+// may land short and re-step; that costs one gated pass, never
+// correctness.)
+func (m *Machine) cachedWake() int64 {
+	wake := m.pollCentral
+	for _, at := range m.stationNext {
+		if at < wake {
+			wake = at
+		}
+	}
+	for _, at := range m.ringNext {
+		if at < wake {
+			wake = at
+		}
+	}
+	for _, r := range m.barrier.releases {
+		if r.at < wake {
+			wake = r.at
+		}
+	}
+	return wake
+}
+
+// resetPolls discards every poll cache so the next gated cycle gates every
+// component afresh. Load calls it (new runners change CPU state outside the
+// loop) and Run calls it on entry.
+func (m *Machine) resetPolls() {
+	if !m.gated {
+		return
+	}
+	for i := range m.pollCPU {
+		m.pollCPU[i] = m.now
+	}
+	for s := range m.pollBus {
+		m.pollBus[s] = m.now
+		m.pollMem[s] = m.now
+		m.pollNC[s] = m.now
+		m.pollRI[s] = m.now
+	}
+	for r := range m.pollLocal {
+		m.pollLocal[r] = m.now
+	}
+	// A machine without a central ring must not keep re-gating it: the
+	// entry is folded into cachedWake unconditionally.
+	m.pollCentral = m.now
+	if m.Central == nil {
+		m.pollCentral = sim.Never
+	}
+	for s := range m.stationNext {
+		m.stationNext[s] = m.now
+		m.busFedRing[s] = false
+	}
+	for r := range m.ringNext {
+		m.ringNext[r] = m.now
+		m.ringFedCentral[r] = false
+	}
+}
+
+// step advances one cycle and, when the machine proved quiescent, jumps
+// m.now to the next scheduled event. The jump is exact: no component
+// ticked, so no state can change until the earliest reported wake-up, and
+// every per-cycle statistic is reconciled lazily. Jumps never pass the
+// watchdog deadline, so the no-progress check in Run samples at exactly
+// the cycles the naive loop samples — including a sim.Never wake on a
+// fully wedged machine, which must land on the deadline rather than spin.
+func (m *Machine) step() {
+	if !m.gated {
+		m.stepNaive()
+		return
+	}
+	if m.stepGated() == 0 {
+		wake := m.cachedWake()
+		if m.watchdogAt > m.now && wake > m.watchdogAt {
+			wake = m.watchdogAt
+		}
+		// The external driver must observe every scheduled drive cycle:
+		// clamp like the watchdog so the fast-forward lands on driveAt
+		// instead of jumping over it. >= because stepGated has already
+		// advanced m.now — a drive due exactly now must suppress the jump
+		// entirely (wake becomes m.now) so Run fires it before moving on.
+		if m.onDrive != nil && m.driveAt >= m.now && wake > m.driveAt {
+			wake = m.driveAt
+		}
+		if wake > m.now && wake != sim.Never {
+			m.FastForwarded.Add(wake - m.now)
+			m.now = wake
+		}
+	}
+}

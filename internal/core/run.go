@@ -1,0 +1,371 @@
+package core
+
+import (
+	"fmt"
+
+	"numachine/internal/msg"
+	"numachine/internal/proc"
+)
+
+// Load assigns programs to the first len(progs) processors. It must be
+// called before Run; the remaining processors stay idle.
+func (m *Machine) Load(progs []proc.Program) {
+	if len(progs) > len(m.CPUs) {
+		panic(fmt.Sprintf("core: %d programs for %d processors", len(progs), len(m.CPUs)))
+	}
+	m.barrier.participants = len(progs)
+	for i := range m.runners {
+		m.runners[i] = nil // drop runners from a previous phase
+	}
+	for i, pr := range progs {
+		m.runners[i] = proc.NewRunner(i, len(progs), pr)
+		m.CPUs[i].SetRunner(m.runners[i])
+		if m.Cfg.FastHits {
+			m.CPUs[i].Horizon = m.hitHorizonFor(m.CPUs[i])
+			m.CPUs[i].EnableFastHits()
+		}
+	}
+	for i := range m.liveCPU {
+		m.liveCPU[i] = m.runners[i] != nil
+	}
+	m.rebalancePools() // start the phase with leveled free lists
+	m.resetPolls()
+}
+
+// rebalanceEvery is the cycle cadence of the free-list leveling in Run.
+// The interval only has to bound how far a free list can drain between
+// levelings: cross-pool drift is a few structs per thousand cycles even
+// under the most asymmetric workloads, far below the working-set-sized
+// free lists a warmed-up machine carries.
+const rebalanceEvery = 1 << 13
+
+// rebalancePools levels every message and packet free list across the
+// machine (see msg.RebalancePackets). Callers must hold the serial point:
+// no shard may be running, and a deferred central tick must be flushed
+// first because it touches the IRI packet pools.
+func (m *Machine) rebalancePools() {
+	msg.RebalanceMessages(m.msgPools)
+	msg.RebalancePackets(m.pktPools)
+}
+
+// SetDriver arranges for fn to run at a serial point of the run loop
+// every `every` cycles, starting at the next step, before that cycle's
+// components tick. Drives are part of the simulated experiment, not
+// observation: unlike the sampler, they fire at *exactly* the same cycles
+// under every cycle loop (the quiescence fast-forward clamps to the next
+// drive), so a driver that mutates state visible to workload goroutines —
+// the serving layer's dispatcher — keeps the machine bit-identical across
+// naive/scheduled/parallel. Pass fn == nil to detach.
+func (m *Machine) SetDriver(every int64, fn func(*Machine)) {
+	if every <= 0 {
+		every = 1
+	}
+	m.driveEvery = every
+	m.driveAt = m.now
+	m.onDrive = fn
+}
+
+// SetServeReport registers the serving layer's results provider; Results
+// calls it to fill the Serve section. Pass nil to detach.
+func (m *Machine) SetServeReport(fn func() *ServeResults) { m.serveReport = fn }
+
+// Run executes until every loaded program finishes, returning the cycle
+// count of the parallel section (max completion time). It panics if the
+// deadlock watchdog trips.
+func (m *Machine) Run() int64 {
+	start := m.now
+	m.resetPolls()
+	if m.pool != nil {
+		defer m.pool.Stop() // park the workers between runs (and on panic)
+	}
+	// Gate on the CPUs, not the runners: a runner reports Done as soon as
+	// the RefDone sentinel is fetched, but the CPU may still owe its
+	// coalesced trailing compute cycles.
+	active := func() bool {
+		for i, r := range m.runners {
+			if r != nil && !m.CPUs[i].Done() {
+				return true
+			}
+		}
+		return false
+	}
+	lastRefs, lastAt := int64(-1), m.now
+	m.rebalanceAt = m.now + rebalanceEvery
+	if m.p.DeadlockCycles > 0 {
+		m.watchdogAt = lastAt + m.p.DeadlockCycles
+	}
+	// Per-transaction forward-progress monitor state, sampled on the same
+	// watchdog schedule (the quiescence fast-forward clamps to watchdogAt,
+	// so every loop samples at identical cycles and aborts identically).
+	var starveRefs []int64
+	var starveWins []int
+	if m.p.StarvationWindows > 0 {
+		starveRefs = make([]int64, len(m.CPUs))
+		starveWins = make([]int, len(m.CPUs))
+	}
+	for active() {
+		if m.onDrive != nil && m.now >= m.driveAt {
+			// Drive before the cycle's step: the driver sees the machine at
+			// the top of cycle now, before any component ticks, exactly as
+			// it would under the naive loop. A deferred central tick from
+			// the previous cycle must land first.
+			m.flushTail()
+			m.onDrive(m)
+			m.driveAt = m.now + m.driveEvery
+		}
+		m.step()
+		if m.Cfg.CheckInvariants {
+			q := m.Quiesced()
+			if q && !m.wasQuiesced {
+				if err := m.CheckCoherence(); err != nil {
+					panic(fmt.Sprintf("core: invariant violation at cycle %d: %v", m.now, err))
+				}
+			}
+			m.wasQuiesced = q
+		}
+		if m.onSample != nil && m.now >= m.sampleAt {
+			m.flushTail()
+			m.onSample(m)
+			m.sampleAt = m.now + m.sampleEvery
+		}
+		if m.now >= m.rebalanceAt {
+			// Level the free lists so cross-pool migration cannot drain any
+			// pool below its steady-state working set mid-run.
+			m.flushTail()
+			m.rebalancePools()
+			m.rebalanceAt = m.now + rebalanceEvery
+		}
+		if m.p.DeadlockCycles > 0 && m.now-lastAt >= m.p.DeadlockCycles {
+			refs := m.totalRefs()
+			if refs == lastRefs {
+				panic(fmt.Sprintf("core: no progress for %d cycles at cycle %d\n%s",
+					m.p.DeadlockCycles, m.now, m.dumpState()))
+			}
+			// Retry budget: one reference accumulating this many
+			// consecutive NAKs is wedged even if the rest of the machine
+			// moves (a permanently locked home line, a retry convoy).
+			if m.p.MaxRetries > 0 {
+				for i, c := range m.CPUs {
+					if c.Retries() > m.p.MaxRetries {
+						panic(fmt.Sprintf("core: cpu[%d] exceeded the retry budget (%d consecutive NAKs > %d) at cycle %d\n%s",
+							i, c.Retries(), m.p.MaxRetries, m.now, m.dumpState()))
+					}
+				}
+			}
+			// Starvation: a processor parked in a memory-wait state with
+			// no completed reference for StarvationWindows consecutive
+			// windows while the machine as a whole progressed (the global
+			// no-progress check above did not fire).
+			if m.p.StarvationWindows > 0 {
+				for i, c := range m.CPUs {
+					r := c.Stats.Reads.Value() + c.Stats.Writes.Value()
+					if c.Stalled() && r == starveRefs[i] {
+						starveWins[i]++
+						if starveWins[i] >= m.p.StarvationWindows {
+							panic(fmt.Sprintf("core: cpu[%d] starved for %d watchdog windows (%d cycles) at cycle %d\n%s",
+								i, starveWins[i], int64(starveWins[i])*m.p.DeadlockCycles, m.now, m.dumpState()))
+						}
+					} else {
+						starveWins[i] = 0
+					}
+					starveRefs[i] = r
+				}
+			}
+			lastRefs, lastAt = refs, m.now
+			m.watchdogAt = lastAt + m.p.DeadlockCycles
+		}
+	}
+	end := int64(0)
+	for i, r := range m.runners {
+		if r != nil && m.CPUs[i].FinishedAt() > end {
+			end = m.CPUs[i].FinishedAt()
+		}
+	}
+	m.Drain()
+	if m.Cfg.CheckInvariants {
+		if err := m.CheckCoherence(); err != nil {
+			panic(fmt.Sprintf("core: invariant violation after drain at cycle %d: %v", m.now, err))
+		}
+	}
+	return end - start
+}
+
+// Drain runs the machine until all queues, rings and controllers are
+// empty, so post-run invariant checks see a quiesced system.
+func (m *Machine) Drain() {
+	limit := m.now + 10_000_000
+	for !m.Quiesced() {
+		m.step()
+		if m.now > limit {
+			panic("core: machine failed to drain\n" + m.dumpState())
+		}
+	}
+}
+
+// SyncStats reconciles every lazily-accounted statistic (stall counters,
+// utilization, queue-occupancy sampling) through the last completed cycle.
+// Idempotent; a no-op on the naive loop. Results() calls it before
+// snapshotting.
+func (m *Machine) SyncStats() {
+	m.flushTail() // the deferred central tick belongs to the last cycle
+	limit := m.now - 1
+	if limit < 0 {
+		return
+	}
+	for _, c := range m.CPUs {
+		c.SyncStats(limit)
+	}
+	for _, b := range m.Buses {
+		b.SyncStats(limit)
+	}
+	for _, mem := range m.Mems {
+		mem.SyncStats(limit)
+	}
+	for _, nc := range m.NCs {
+		nc.SyncStats(limit)
+	}
+	for _, ri := range m.RIs {
+		ri.SyncStats(limit)
+	}
+	for _, iri := range m.IRIs {
+		iri.SyncStats(limit)
+	}
+	for _, lr := range m.Locals {
+		lr.SyncStats(limit)
+	}
+	if m.Central != nil {
+		m.Central.SyncStats(limit)
+	}
+}
+
+// StationHealth is one station's cumulative retry-pressure counters, the
+// raw material for the serving layer's health monitor: CPU NAK retries
+// (hot/locked lines, frozen directories) plus NC loss-timeout re-issues
+// (dropped packets, degraded rings).
+type StationHealth struct {
+	NAKRetries      int64
+	TimeoutReissues int64
+}
+
+// SampleStationHealth fills dst (grown as needed) with per-station
+// cumulative health counters. It reconciles lazy statistics first, so
+// when called at a SetDriver serial point — which fires at identical
+// cycles under every loop — the sample is loop-invariant and safe to
+// feed back into simulated decisions (the serving circuit breaker).
+func (m *Machine) SampleStationHealth(dst []StationHealth) []StationHealth {
+	m.SyncStats()
+	n := m.g.Stations()
+	if cap(dst) < n {
+		dst = make([]StationHealth, n)
+	}
+	dst = dst[:n]
+	for i := range dst {
+		dst[i] = StationHealth{}
+	}
+	for i, c := range m.CPUs {
+		dst[m.g.StationOfProc(i)].NAKRetries += c.Stats.NAKRetries.Value()
+	}
+	for s, nc := range m.NCs {
+		dst[s].TimeoutReissues += nc.Stats.TimeoutReissues.Value()
+	}
+	return dst
+}
+
+// Quiesced reports whether no messages remain anywhere in the machine and
+// no memory line is still locked by an unfinished lock transaction.
+func (m *Machine) Quiesced() bool {
+	m.flushTail() // a pending central tick is in-flight work
+	if !m.deliveryQuiet() {
+		return false
+	}
+	for _, mem := range m.Mems {
+		if mem.PendingLocks() > 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// deliveryQuiet reports whether no messages remain anywhere in the
+// machine: every controller idle, every queue empty, every ring drained.
+// Unlike Quiesced it ignores held memory locks — a locked line is passive
+// state, not a message source: nothing emanates from it until some CPU
+// pushes a new request, and that request pays the full grant-plus-
+// directory-stage path like any other. The fast-hit tier-3 horizon
+// therefore gates on this predicate (lock-heavy workloads would otherwise
+// never see a deep window), while fast-forwarding and the public API keep
+// the stricter Quiesced.
+func (m *Machine) deliveryQuiet() bool {
+	for _, mem := range m.Mems {
+		if !mem.Idle() {
+			return false
+		}
+	}
+	for _, nc := range m.NCs {
+		if !nc.Idle() {
+			return false
+		}
+	}
+	for _, ri := range m.RIs {
+		if !ri.Idle() {
+			return false
+		}
+	}
+	for _, iri := range m.IRIs {
+		if !iri.Idle() {
+			return false
+		}
+	}
+	for _, lr := range m.Locals {
+		if !lr.Drained() {
+			return false
+		}
+	}
+	if m.Central != nil && !m.Central.Drained() {
+		return false
+	}
+	for _, b := range m.Buses {
+		if !b.Idle(m.now) {
+			return false
+		}
+	}
+	for _, c := range m.CPUs {
+		if !c.BusOut().Empty() {
+			return false
+		}
+	}
+	return true
+}
+
+// quiescedThisCycle memoizes deliveryQuiet() per cycle for the fast-hit
+// tier-3 horizon, which may consult it once per handshake: every deep-idle
+// window opened during the same cycle shares a single machine scan. A true
+// memo stays sound for the rest of the cycle, including for a later
+// station's CPU that reuses it after lower stations' buses and controllers
+// have ticked (the gated cycle is station-major): with no message anywhere
+// when it was taken, those ticks had nothing to move, so any activity since
+// is CPU-initiated at or after the current cycle, and the tier-3 bound
+// reads each CPU's wake live (a CPU that just went active contributes
+// wake <= now), so the two-transfer argument still covers it however far
+// the request has travelled. A memo that turns stale in the other
+// direction (machine drained mid-cycle) only under-reports quiescence,
+// which merely narrows the window to tier 2.
+func (m *Machine) quiescedThisCycle() bool {
+	if m.quiescedAt != m.now {
+		m.quiescedAt = m.now
+		m.quiescedOK = m.deliveryQuiet()
+	}
+	return m.quiescedOK
+}
+
+func (m *Machine) totalRefs() int64 {
+	var n int64
+	for _, c := range m.CPUs {
+		n += c.Stats.Reads.Value() + c.Stats.Writes.Value()
+	}
+	return n
+}
+
+// dumpState renders the structured stuck-transaction report for abort
+// messages (see progress.go).
+func (m *Machine) dumpState() string { return m.Progress().String() }
