@@ -61,14 +61,6 @@ func (m *Machine) stepNaive() {
 //	tail     the central ring and the IRI occupancy observation — inline, or
 //	         deferred into the next cycle's phase-1 window with a pool.
 //
-// Station-major equals the component-major reference order because within
-// a cycle a station's CPUs, bus, memory and NC touch only that station's
-// state: everything they hand to another station goes through the
-// station's RI, which ticks in phase 2, after every station. The one
-// order-sensitive structure several stations feed in phase 1, the barrier
-// arrival list (and the FirstTouch page table), is fed by CPU ticks only,
-// and CPU ids are station-major, so ascending stations is ascending ids.
-//
 // The poll caches make the gate pass cost proportional to the components
 // that are (or might be) active rather than to the machine size. A cached
 // entry pollX[i] > now means component i's last NextWork report (or an
@@ -137,7 +129,8 @@ func (m *Machine) stepGated() int {
 	}
 	if ringWork {
 		if m.pool != nil && m.credits.Headroom() {
-			ticked += m.ringPhasePooled(now)
+			m.parPhase = 2 // runShard: one shard per ring group
+			ticked += m.pool.Cycle(now)
 		} else {
 			ticked += m.tickRingsSerial(now)
 		}
@@ -177,11 +170,11 @@ func (m *Machine) stepGated() int {
 func (m *Machine) tickStation(s int, now int64) int {
 	ticked := 0
 	first := m.g.ProcAt(s, 0)
-	for j, c := range m.stationCPUs[s] {
-		i := first + j
+	for i := first; i < first+m.g.ProcsPerStation; i++ {
 		if m.pollCPU[i] > now {
 			continue
 		}
+		c := m.CPUs[i]
 		if w := c.NextWork(now); w <= now {
 			c.Tick(now)
 			ticked++

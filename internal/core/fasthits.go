@@ -217,8 +217,7 @@ func ctrlChain(p sim.Params) int64 {
 }
 
 // remoteTransitFloor reports (floor, true) when no packet is in transit
-// anywhere — every ring drained, every ring interface (station and
-// inter-ring) empty — in which case floor is a sound lower bound on the
+// anywhere (transitQuiet), in which case floor is a sound lower bound on the
 // earliest cycle a ring-borne delivery could complete at any station's
 // bus: a busy remote bus may hand its RI a message this cycle (injChain),
 // a staging controller pushes no earlier than its NextWork (ctrlChain),
@@ -238,26 +237,10 @@ func (m *Machine) remoteTransitFloor() (int64, bool) {
 	}
 	now := m.now
 	m.transitAt = now
-	m.transitOK = false
-	for _, lr := range m.Locals {
-		if !lr.Drained() {
-			return 0, false
-		}
-	}
-	if m.Central != nil && !m.Central.Drained() {
+	m.transitOK = m.transitQuiet()
+	if !m.transitOK {
 		return 0, false
 	}
-	for _, iri := range m.IRIs {
-		if !iri.Idle() {
-			return 0, false
-		}
-	}
-	for _, ri := range m.RIs {
-		if !ri.Idle() {
-			return 0, false
-		}
-	}
-	m.transitOK = true
 	arbcmd := int64(m.p.BusArbCycles + m.p.BusCmdCycles)
 	minStage := int64(min(m.p.MemDirCycles, m.p.NCDirCycles))
 	cc := ctrlChain(m.p)

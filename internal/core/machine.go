@@ -205,8 +205,7 @@ type Machine struct {
 	// entries / ring group r's phase-2 entries, the skip masks of the two
 	// phases. busFedRing / ringFedCentral stage the two influence marks
 	// that cross a phase boundary (and would race across pool shards).
-	// ringOf maps a station to its local-ring index; stationCPUs[s] are the
-	// CPUs of station s in tick order.
+	// ringOf maps a station to its local-ring index.
 	pollCPU        []int64
 	pollBus        []int64
 	pollMem        []int64
@@ -219,7 +218,6 @@ type Machine struct {
 	busFedRing     []bool
 	ringFedCentral []bool
 	ringOf         []int
-	stationCPUs    [][]*proc.CPU
 
 	// liveCPU marks processors with a loaded program. The others sit in
 	// sDone forever, so the bus influence mark skips them and their poll
@@ -344,10 +342,6 @@ func New(cfg Config) (*Machine, error) {
 		m.ringOf = make([]int, g.Stations())
 		for s := range m.ringOf {
 			m.ringOf[s] = g.RingOf(s)
-		}
-		for s := 0; s < g.Stations(); s++ {
-			first := g.ProcAt(s, 0)
-			m.stationCPUs = append(m.stationCPUs, m.CPUs[first:first+g.ProcsPerStation])
 		}
 		m.busFedRing = make([]bool, g.Stations())
 		m.ringFedCentral = make([]bool, g.Rings)

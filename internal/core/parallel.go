@@ -103,13 +103,6 @@ func (m *Machine) flushParallelArrivals(now int64) {
 	}
 }
 
-// ringPhasePooled is phase 2 on the pool; stepGated calls it only under
-// the credit-headroom mask.
-func (m *Machine) ringPhasePooled(now int64) int {
-	m.parPhase = 2
-	return m.pool.Cycle(now)
-}
-
 // tickRingGroup runs the phase-2 ticks of one ring group: the ring's
 // station interfaces in station order, then the local ring. The relative
 // order within the group matches the reference order (lower RIs first,

@@ -306,22 +306,7 @@ func (m *Machine) deliveryQuiet() bool {
 			return false
 		}
 	}
-	for _, ri := range m.RIs {
-		if !ri.Idle() {
-			return false
-		}
-	}
-	for _, iri := range m.IRIs {
-		if !iri.Idle() {
-			return false
-		}
-	}
-	for _, lr := range m.Locals {
-		if !lr.Drained() {
-			return false
-		}
-	}
-	if m.Central != nil && !m.Central.Drained() {
+	if !m.transitQuiet() {
 		return false
 	}
 	for _, b := range m.Buses {
@@ -331,6 +316,30 @@ func (m *Machine) deliveryQuiet() bool {
 	}
 	for _, c := range m.CPUs {
 		if !c.BusOut().Empty() {
+			return false
+		}
+	}
+	return true
+}
+
+// transitQuiet reports whether no packet is in transit anywhere: every
+// ring drained, every ring interface (station and inter-ring) empty.
+func (m *Machine) transitQuiet() bool {
+	for _, lr := range m.Locals {
+		if !lr.Drained() {
+			return false
+		}
+	}
+	if m.Central != nil && !m.Central.Drained() {
+		return false
+	}
+	for _, iri := range m.IRIs {
+		if !iri.Idle() {
+			return false
+		}
+	}
+	for _, ri := range m.RIs {
+		if !ri.Idle() {
 			return false
 		}
 	}
