@@ -120,14 +120,7 @@ func (m *Machine) stepGated() int {
 			m.ringNext[r] = now
 		}
 	}
-	ringWork := false
-	for _, next := range m.ringNext {
-		if next <= now {
-			ringWork = true
-			break
-		}
-	}
-	if ringWork {
+	if anyDue(m.ringNext, now) {
 		if m.pool != nil && m.credits.Headroom() {
 			m.parPhase = 2 // runShard: one shard per ring group
 			ticked += m.pool.Cycle(now)
@@ -161,6 +154,16 @@ func (m *Machine) stepGated() int {
 	}
 	m.now++
 	return ticked
+}
+
+// anyDue reports whether any aggregate wake in next has come due.
+func anyDue(next []int64, now int64) bool {
+	for _, at := range next {
+		if at <= now {
+			return true
+		}
+	}
+	return false
 }
 
 // tickStation runs the gated phase-1 ticks for station s and reports how
@@ -322,8 +325,6 @@ func (m *Machine) tickRingsSerial(now int64) int {
 	}
 	for r := range m.Locals {
 		ticked += m.tickLocal(r, now)
-	}
-	for r := range m.Locals {
 		m.setRingNext(r)
 	}
 	return ticked

@@ -43,34 +43,31 @@ package core
 //
 // What a horizon call sees depends on the cycle order. The closure runs
 // inside its CPU's tick of cycle now. Its own station is in the same state
-// under every order: lower-id siblings have ticked now, the station's bus,
-// memory, NC and RI have not. Tiers 1 and 2 read nothing else but the
-// local ring, which no order ticks before phase 2. Tiers 2.5 and 3 read
-// the whole machine, and there the gated cycle differs from the naive one:
-// it is station-major, so the CPUs, bus, memory and NC of every
-// lower-numbered station have already ticked cycle now (the RIs and rings
-// of all stations have not). That is still a state on the one timeline all
+// under every order — lower-id siblings have ticked now, its bus, memory,
+// NC and RI have not — and tiers 1 and 2 read nothing else but the local
+// ring, which no order ticks before phase 2. Tiers 2.5 and 3 read the
+// whole machine, and the gated cycle is station-major: the CPUs, bus,
+// memory and NC of every lower-numbered station have already ticked cycle
+// now (no RI or ring has). That is still a state on the one timeline all
 // orders share — the simulation is bit-identical — and each term of the
-// two tiers is a lower bound on that timeline from whatever point of it
-// the state was read:
+// two tiers bounds that timeline from whatever point the state was read:
 //
 //   - a message a lower station's bus handed its RI this cycle makes that
 //     RI non-idle, so neither tier fires;
-//   - a transfer that bus granted this cycle leaves it non-Quiet: tier 3
-//     does not fire, tier 2.5 charges injChain from now, and the hand-over
-//     to the RI is at now or later;
+//   - a transfer that bus granted this cycle leaves it busy: tier 3 does
+//     not fire, tier 2.5 charges injChain from now, and the hand-over to
+//     the RI is at now or later;
 //   - a response a lower station's memory or NC queued this cycle sits in
-//     a bus out-queue (bus non-Quiet, same term); one it is still staging
-//     is charged ctrlChain from its NextWork, which after its tick is no
-//     earlier than before it;
+//     its out-queue (controller not idle, bus not Quiet: same outcome); one
+//     still staging is charged ctrlChain from its NextWork, which after
+//     its tick is no earlier than before it;
 //   - a request a lower-id CPU pushed this cycle is charged from now (the
-//     flat CPU-request term of tier 2.5; a live HorizonWake that reports
-//     needs-delivery in tier 3), however far its own station has carried
-//     it since.
+//     flat CPU-request term of tier 2.5; a live HorizonWake reporting
+//     needs-delivery in tier 3), however far its station has carried it.
 //
-// Reading later state can only drop terms whose work has finished or push
-// them out, never lose a message: every message is always in some queue,
-// bus, controller or ring that the two predicates scan.
+// Later state can only drop terms whose work has finished or push them
+// out, never lose a message: every message is always in some queue, bus,
+// controller or ring that the two predicates scan.
 
 import (
 	"numachine/internal/proc"

@@ -156,16 +156,13 @@ type Machine struct {
 	wasQuiesced bool
 
 	// Pooled executor of the gated cycle (ParallelStations; nil pool means
-	// the cycle runs inline — see parallel.go). inParallelPhase marks a
-	// pooled phase 1 so the barrier buffers arrivals per station instead of
-	// mutating global state from worker goroutines. parPhase selects the
-	// shard body for the current pool dispatch; it is written only at
-	// serial points. phase2Ring[s] is the ring led by shard s in phase 2
-	// (-1 when shard s is idle in that phase).
-	pool            *sim.ShardPool
-	inParallelPhase bool
-	parPhase        int
-	phase2Ring      []int
+	// the cycle runs inline — see parallel.go). parPhase selects the shard
+	// body for the current pool dispatch (1 stations, 2 ring groups, 0
+	// between dispatches); it is written only at serial points. While it is
+	// 1 the barrier buffers arrivals per station instead of mutating global
+	// state from worker goroutines.
+	pool     *sim.ShardPool
+	parPhase int
 
 	// Deferred tail: when the central ring has work at cycle N the pooled
 	// executor records it here instead of ticking inline, and performs the
@@ -349,16 +346,6 @@ func New(cfg Config) (*Machine, error) {
 		m.ringNext = make([]int64, g.Rings)
 	}
 	if cfg.LoopName() == "parallel" {
-		// Phase-2 shard assignment: the first station of ring r leads ring
-		// group r, every other shard is idle in phase 2. With the pool's
-		// block partition this spreads the ring groups across workers.
-		m.phase2Ring = make([]int, g.Stations())
-		for s := range m.phase2Ring {
-			m.phase2Ring[s] = -1
-		}
-		for r := 0; r < g.Rings; r++ {
-			m.phase2Ring[g.StationAt(r, 0)] = r
-		}
 		m.pool = sim.NewShardPool(cfg.StationWorkers, g.Stations(), m.runShard)
 		m.barrier.parArrived = make([][]*proc.CPU, g.Stations())
 	}

@@ -58,8 +58,8 @@ func (m *Machine) runShard(shard int, now int64) int {
 		}
 		return m.tickStation(shard, now)
 	}
-	r := m.phase2Ring[shard]
-	if r < 0 || m.ringNext[r] > now {
+	r := m.ringOf[shard]
+	if m.g.PosOf(shard) != 0 || m.ringNext[r] > now {
 		return 0
 	}
 	return m.tickRingGroup(r, now)
@@ -69,23 +69,15 @@ func (m *Machine) runShard(shard int, now int64) int {
 // central tail runs on the caller between releasing the workers and the
 // barrier (see flushTail for why that is safe).
 func (m *Machine) stationPhasePooled(now int64) int {
-	stationWork := false
-	for _, next := range m.stationNext {
-		if next <= now {
-			stationWork = true
-			break
-		}
-	}
-	if !stationWork {
+	if !anyDue(m.stationNext, now) {
 		m.flushTail()
 		return 0
 	}
-	m.inParallelPhase = true
 	m.parPhase = 1
 	m.pool.CycleStart(now)
 	m.flushTail()
 	ticked := m.pool.CycleWait()
-	m.inParallelPhase = false
+	m.parPhase = 0
 	m.flushParallelArrivals(now)
 	return ticked
 }
