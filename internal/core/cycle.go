@@ -1,6 +1,10 @@
 package core
 
-import "numachine/internal/sim"
+import (
+	"fmt"
+
+	"numachine/internal/sim"
+)
 
 // Step advances the machine one cycle. The reference order (stepNaive) is
 // component-major: processors, buses, memory modules, network caches, ring
@@ -62,35 +66,56 @@ func (m *Machine) stepNaive() {
 //	         deferred into the next cycle's phase-1 window with a pool.
 //
 // The poll caches make the gate pass cost proportional to the components
-// that are (or might be) active rather than to the machine size. A cached
-// entry pollX[i] > now means component i's last NextWork report (or an
-// influence mark, below) proved it cannot do work this cycle, so the gate
-// is one comparison; stationNext[s] / ringNext[r] are the minimum over one
-// station's / one ring group's entries, so an idle station or ring costs
-// one comparison in all. The caches are invalidated exactly where work can
-// be handed over, following the machine's data flow:
+// that are due and the FIFOs that were filled rather than to the machine
+// size. A cached entry pollX[i] > now means component i's last NextWork
+// report (or an influence mark, below) proved it cannot do work this cycle,
+// so the gate is one comparison; stationNext[s] / ringNext[r] are the
+// minimum over one station's / one ring group's entries, so an idle station
+// or ring group costs one comparison in all, in either phase.
 //
-//	CPU tick      -> its bus this cycle (request pushed to BusOut);
-//	bus tick      -> mem/NC this cycle, its RI and local ring this cycle
-//	                 (deliveries and RI packetization happen inside the bus
-//	                 tick; staged in busFedRing and merged between the
-//	                 phases, because two stations of one ring would write
-//	                 the same pollLocal entry from different shards), its
-//	                 live CPUs next cycle;
-//	mem/NC tick   -> its bus next cycle (responses queued to BusOut);
-//	RI tick       -> its bus next cycle (reassembled messages to BusOut);
-//	local tick    -> member RIs next cycle (slot consumption lands in the
-//	                 RI input FIFO), the central ring this cycle (ascending
-//	                 packets into the IRI up-FIFO; staged in
-//	                 ringFedCentral), itself next cycle;
-//	central tick  -> every local ring next cycle (descending packets into
-//	                 the IRI down-FIFOs), itself next cycle;
-//	barrier fire  -> the released CPU this cycle (fireBarriers runs before
-//	                 phase 1).
+// The caches are invalidated where work is handed over, and marks follow
+// the data: a mark fires when the FIFO the receiver's NextWork reads holds
+// something after the feeder's tick, not because a component that could
+// have fed it ticked. Every condition reads state owned by the shard that
+// evaluates it, named in brackets (parallel.go relies on that):
 //
-// Everything else a tick does is invisible to NextWork (credit releases
-// and FIFO pops can only remove work, so a stale-early cache merely costs
-// a re-poll).
+//	CPU tick     -> its bus, now: always (a request in its BusOut). [station s]
+//	bus tick     -> mem and NC, now: always (their input queues); live CPUs,
+//	                now+1: always (a delivery changes CPU state, there is no
+//	                FIFO to look at). [station s]
+//	             -> its local ring, now: iff the RI's send queues are non-empty
+//	                (StationRI.OutPending — pushed only by this bus, popped
+//	                only in phase 2). [station s; staged in busFedRing and
+//	                merged between the phases, because two stations of one ring
+//	                would write the same pollLocal entry from different shards]
+//	                The RI itself is not marked: its NextWork reads only its
+//	                input FIFO, and BusDeliver's loop-back branch feeds the bus,
+//	                which pollBus = now+1 covers.
+//	mem/NC tick  -> its bus, now+1: always (responses in BusOut). [station s]
+//	RI tick      -> its bus, now+1: always (reassembled messages in BusOut).
+//	                [ring group r, in phase 2, when no station shard runs]
+//	local tick   -> a member RI, now+1: iff that RI's input FIFO is non-empty.
+//	                [ring group r]
+//	             -> the central ring, now: iff the IRI's up FIFO is non-empty
+//	                or its down FIFO has reached the halt threshold
+//	                (IRI.CentralPending). [ring group r: the central tick that
+//	                drains them runs in the tail, never beside phase 2; staged
+//	                in ringFedCentral]
+//	             -> itself, now+1: always.
+//	central tick -> local ring r, now+1: iff IRI r's down FIFO is non-empty
+//	                (IRI.DownPending — pushed by this tick, popped by ring r's
+//	                phase-2 tick). [the tail: deferred, it overlaps phase 1
+//	                only, and no station shard touches an IRI]
+//	             -> itself, now+1: always.
+//	barrier fire -> the released CPU, now (fireBarriers, before phase 1).
+//
+// Marks remove polls, never ticks: a component still ticks iff its own
+// NextWork(now) <= now at its slot in the cycle, so the set of (component,
+// cycle) ticks is the reference loop's. A mark that does not fire leaves an
+// entry the component's own state confirms — auditGates checks exactly that
+// under Config.CheckInvariants. Everything else a tick does is invisible to
+// NextWork (credit releases and FIFO pops can only remove work, so a
+// stale-early cache merely costs a re-poll).
 func (m *Machine) stepGated() int {
 	now := m.now
 	m.fireBarriers()
@@ -104,20 +129,19 @@ func (m *Machine) stepGated() int {
 			}
 		}
 	}
-	for s, fed := range m.busFedRing {
-		if !fed {
-			continue
-		}
-		m.busFedRing[s] = false
-		if m.pollRI[s] > now {
-			m.pollRI[s] = now
-		}
-		r := m.ringOf[s]
-		if m.pollLocal[r] > now {
-			m.pollLocal[r] = now
-		}
-		if m.ringNext[r] > now {
-			m.ringNext[r] = now
+	if ticked > 0 { // busFedRing is set only by a bus tick, which is counted
+		for s, fed := range m.busFedRing {
+			if !fed {
+				continue
+			}
+			m.busFedRing[s] = false
+			r := m.ringOf[s]
+			if m.pollLocal[r] > now {
+				m.pollLocal[r] = now
+			}
+			if m.ringNext[r] > now {
+				m.ringNext[r] = now
+			}
 		}
 	}
 	if anyDue(m.ringNext, now) {
@@ -201,7 +225,9 @@ func (m *Machine) tickStation(s int, now int64) int {
 			if m.pollNC[s] > now {
 				m.pollNC[s] = now
 			}
-			m.busFedRing[s] = true
+			if m.RIs[s].OutPending() {
+				m.busFedRing[s] = true
+			}
 			for i := first; i < first+m.g.ProcsPerStation; i++ {
 				if m.liveCPU[i] && m.pollCPU[i] > now+1 {
 					m.pollCPU[i] = now + 1
@@ -292,11 +318,13 @@ func (m *Machine) tickLocal(r int, now int64) int {
 	lr.Tick(now)
 	m.pollLocal[r] = now + 1
 	for pos := 0; pos < m.g.StationsPerRing; pos++ {
-		if s := m.g.StationAt(r, pos); m.pollRI[s] > now+1 {
+		if s := m.g.StationAt(r, pos); m.pollRI[s] > now+1 && m.RIs[s].InFIFODepth() > 0 {
 			m.pollRI[s] = now + 1
 		}
 	}
-	m.ringFedCentral[r] = true
+	if m.Central != nil && m.IRIs[r].CentralPending() {
+		m.ringFedCentral[r] = true
+	}
 	return 1
 }
 
@@ -313,17 +341,28 @@ func (m *Machine) setRingNext(r int) {
 }
 
 // tickRingsSerial is the interconnect phase in the reference order: every
-// RI, then every local ring. The pooled executor also runs it, on the
+// RI, then every local ring — of the ring groups that are due; a group with
+// ringNext[r] > now has every entry > now and is skipped in both passes
+// (station ids are ring-major, so the RI pass stays in ascending station
+// order). The pooled executor also runs it, on the
 // cycles the credit lookahead mask rejects: with some station at its
 // credit cap a TryAcquire outcome can depend on releases made by other
 // ring groups earlier in the reference order, so only that order is
 // authoritative.
 func (m *Machine) tickRingsSerial(now int64) int {
 	ticked := 0
-	for s := range m.RIs {
-		ticked += m.tickRI(s, now)
+	for r, next := range m.ringNext {
+		if next > now {
+			continue
+		}
+		for pos := 0; pos < m.g.StationsPerRing; pos++ {
+			ticked += m.tickRI(m.g.StationAt(r, pos), now)
+		}
 	}
-	for r := range m.Locals {
+	for r, next := range m.ringNext {
+		if next > now {
+			continue
+		}
 		ticked += m.tickLocal(r, now)
 		m.setRingNext(r)
 	}
@@ -337,7 +376,10 @@ func (m *Machine) tail(now int64, central bool) {
 	if central {
 		m.Central.Tick(now)
 		m.pollCentral = now + 1
-		for r := range m.Locals {
+		for r, iri := range m.IRIs {
+			if !iri.DownPending() {
+				continue
+			}
 			if m.pollLocal[r] > now+1 {
 				m.pollLocal[r] = now + 1
 			}
@@ -382,6 +424,55 @@ func (m *Machine) cachedWake() int64 {
 	return wake
 }
 
+// auditGates is the poll caches' self-check, armed by Config.CheckInvariants
+// and run at the top of cycle m.now (after a step, before the next drive):
+// every cached entry > now must be confirmed by the component's own
+// NextWork, and every aggregate must be <= each entry it covers, because
+// cachedWake and the phase skips read only the aggregates. A stale-early
+// entry is legal (it costs a re-poll); a stale-late one is a tick about to
+// be lost, reported here at that cycle instead of as a digest mismatch
+// thousands of cycles later. A barrier release due now needs no exception:
+// until fireBarriers applies it, the waiting CPU itself reports Never.
+func (m *Machine) auditGates() error {
+	m.flushTail()
+	now := m.now
+	cyc := func(at int64) string {
+		if at == sim.Never {
+			return "Never"
+		}
+		return fmt.Sprint(at)
+	}
+	var err error
+	check := func(kind string, i int, cached, agg, reported int64) {
+		if err == nil && cached > now && reported <= now {
+			err = fmt.Errorf("gate audit at cycle %d: %s %d cached %s but NextWork %s",
+				now, kind, i, cyc(cached), cyc(reported))
+		}
+		if err == nil && agg > cached {
+			err = fmt.Errorf("gate audit at cycle %d: %s %d cached %s below its aggregate %s",
+				now, kind, i, cyc(cached), cyc(agg))
+		}
+	}
+	for s := range m.Buses {
+		next := m.stationNext[s]
+		first := m.g.ProcAt(s, 0)
+		for i := first; i < first+m.g.ProcsPerStation; i++ {
+			check("cpu", i, m.pollCPU[i], next, m.CPUs[i].NextWork(now))
+		}
+		check("bus", s, m.pollBus[s], next, m.Buses[s].NextWork(now))
+		check("mem", s, m.pollMem[s], next, m.Mems[s].NextWork(now))
+		check("nc", s, m.pollNC[s], next, m.NCs[s].NextWork(now))
+		check("ri", s, m.pollRI[s], m.ringNext[m.ringOf[s]], m.RIs[s].NextWork(now))
+	}
+	for r, lr := range m.Locals {
+		check("local ring", r, m.pollLocal[r], m.ringNext[r], lr.NextWork(now))
+	}
+	if m.Central != nil {
+		check("central ring", 0, m.pollCentral, m.pollCentral, m.Central.NextWork(now))
+	}
+	return err
+}
+
 // resetPolls discards every poll cache so the next gated cycle gates every
 // component afresh. Load calls it (new runners change CPU state outside the
 // loop) and Run calls it on entry.
@@ -418,7 +509,8 @@ func (m *Machine) resetPolls() {
 }
 
 // step advances one cycle and, when the machine proved quiescent, jumps
-// m.now to the next scheduled event. The jump is exact: no component
+// m.now to the next scheduled event (and, under CheckInvariants, audits the
+// poll caches at the cycle it lands on). The jump is exact: no component
 // ticked, so no state can change until the earliest reported wake-up, and
 // every per-cycle statistic is reconciled lazily. Jumps never pass the
 // watchdog deadline, so the no-progress check in Run samples at exactly
@@ -445,6 +537,11 @@ func (m *Machine) step() {
 		if wake > m.now && wake != sim.Never {
 			m.FastForwarded.Add(wake - m.now)
 			m.now = wake
+		}
+	}
+	if m.Cfg.CheckInvariants {
+		if err := m.auditGates(); err != nil {
+			panic("core: " + err.Error())
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"numachine/internal/monitor"
@@ -13,7 +14,7 @@ import (
 // its own station, on a second station of its ring and on a station of
 // another ring leaves 13 of the 16 stations and two of the four local rings
 // with nothing to do, and after the first gate pass none of their
-// components may tick again.
+// components may tick — or, for the interconnect, even be polled — again.
 //
 // The evidence is two existing sets of counters. Every tick of a station's
 // CPU, bus, memory or NC — and of its RI, which marks the bus — leaves
@@ -24,6 +25,13 @@ import (
 // otherwise reconciled only by SyncStats, which this test does not call
 // before comparing: an unchanged Utilization value is an unticked
 // component.
+//
+// The interconnect entries go further: marks follow the data, so a ring
+// interface no packet is addressed to (every idle station's: one CPU, no
+// sharers) and a local ring whose IRI down FIFO stays empty (rings 2 and 3,
+// while the central ring carries the ring-0/ring-1 traffic past them) are
+// not merely unticked but never re-polled — their cache entries, and the
+// ring groups' aggregates, read sim.Never at every sample.
 func TestIdleStationsNeverTick(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Params.DeadlockCycles = 2_000_000
@@ -77,6 +85,15 @@ func TestIdleStationsNeverTick(t *testing.T) {
 			if m.stationNext[s] != sim.Never {
 				t.Fatalf("cycle %d: idle station %d has stationNext=%d, a component of it ticked", m.Now(), s, m.stationNext[s])
 			}
+			if m.pollRI[s] != sim.Never {
+				t.Fatalf("cycle %d: RI %d receives no packet but pollRI=%d, a tick of its ring re-gated it", m.Now(), s, m.pollRI[s])
+			}
+		}
+		for _, r := range idleRings {
+			if m.pollLocal[r] != sim.Never || m.ringNext[r] != sim.Never {
+				t.Fatalf("cycle %d: local ring %d carries no traffic but pollLocal=%d ringNext=%d, a central tick re-gated it",
+					m.Now(), r, m.pollLocal[r], m.ringNext[r])
+			}
 		}
 	})
 	cycles := m.Run()
@@ -100,5 +117,54 @@ func TestIdleStationsNeverTick(t *testing.T) {
 	}
 	if m.FastForwarded.Value() == 0 {
 		t.Errorf("no cycle fast-forwarded in a run that is mostly remote-miss latency and compute")
+	}
+}
+
+// TestGateAuditReportsStaleEntry forges the one kind of poll-cache error
+// that loses a tick — an entry later than the component's own NextWork —
+// and checks that the audit CheckInvariants arms names it: the first time a
+// ring interface holds a packet at a serial point, its entry is set to
+// sim.Never, audited, and restored so the run finishes normally.
+func TestGateAuditReportsStaleEntry(t *testing.T) {
+	cfg := tinyConfig(1, 2, 1)
+	cfg.CheckInvariants = true // the unforged caches pass the audit every cycle
+	m, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := m.AllocAt(1, 8*cfg.Params.LineSize)
+	m.Load([]proc.Program{func(c *proc.Ctx) {
+		for i := 0; i < 8; i++ {
+			c.Read(base + uint64(i*cfg.Params.LineSize))
+		}
+	}})
+	var forged error
+	done := false
+	m.SetSampler(1, func(m *Machine) {
+		if done {
+			return
+		}
+		for s, ri := range m.RIs {
+			if ri.InFIFODepth() == 0 {
+				continue
+			}
+			done = true
+			if err := m.auditGates(); err != nil {
+				t.Fatalf("audit fails before the forgery: %v", err)
+			}
+			saved := m.pollRI[s]
+			m.pollRI[s] = sim.Never
+			forged = m.auditGates()
+			m.pollRI[s] = saved
+			return
+		}
+	})
+	m.Run()
+	if !done {
+		t.Fatal("no ring interface ever held a packet at a sample point")
+	}
+	if forged == nil || !strings.Contains(forged.Error(), "cached Never but NextWork") ||
+		!strings.Contains(forged.Error(), "ri ") {
+		t.Fatalf("audit of a forged pollRI entry = %v, want a stale ri entry reported", forged)
 	}
 }

@@ -81,8 +81,12 @@ type Config struct {
 	// check to an every-quiescence invariant: whenever the machine enters
 	// a quiescent state during Run (and again after the final Drain), the
 	// full coherence check runs and any violation panics with the line,
-	// cycle and rule. Off by default (the scan costs a full-machine pass
-	// per quiescent period); the equivalence suites enable it.
+	// cycle and rule. It also arms the gate audit: after every step of Run
+	// the gated cycle's poll caches are checked against the components'
+	// own NextWork (auditGates), so a missed influence mark fails at the
+	// cycle the tick would be lost. Off by default (a full-machine pass per
+	// quiescent period, and per stepped cycle); the equivalence suites
+	// enable it.
 	CheckInvariants bool
 }
 
@@ -197,7 +201,7 @@ type Machine struct {
 	// Poll caches for the gated cycle (see stepGated): the cycle at which
 	// each component's activity gate must next be consulted. A cached entry
 	// is either the component's own last NextWork report or an influence
-	// mark set when a component that can hand it work ticked.
+	// mark set when a feeder's tick left something in a FIFO it reads.
 	// stationNext[s] / ringNext[r] are the minimum over station s's phase-1
 	// entries / ring group r's phase-2 entries, the skip masks of the two
 	// phases. busFedRing / ringFedCentral stage the two influence marks

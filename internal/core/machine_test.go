@@ -59,6 +59,33 @@ func TestSingleProcessorReadBack(t *testing.T) {
 	}
 }
 
+// TestRunWaitsForTrailingCompute: a runner reports Done as soon as the
+// RefDone sentinel is fetched, but Run must keep stepping until every
+// loaded CPU — the last loaded one included — has served the compute
+// cycles coalesced into that sentinel.
+func TestRunWaitsForTrailingCompute(t *testing.T) {
+	const tail = 5000
+	cfg := tinyConfig(2, 2, 1)
+	m, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := m.AllocLines(1)
+	m.Load([]proc.Program{
+		func(c *proc.Ctx) { c.Read(addr) },
+		func(c *proc.Ctx) { c.Read(addr); c.Compute(tail) },
+	})
+	if cycles := m.Run(); cycles < tail {
+		t.Fatalf("Run returned after %d cycles, before CPU 1's %d trailing compute cycles", cycles, tail)
+	}
+	// Those cycles are quiescent and must be jumped, on a single-ring
+	// machine too: a local-ring tick used to lower pollCentral, which no
+	// central ring was there to raise again, pinning cachedWake in the past.
+	if ff := m.FastForwarded.Value(); ff < tail/2 {
+		t.Errorf("only %d of %d idle cycles fast-forwarded on a single-ring machine", ff, tail)
+	}
+}
+
 func TestStationSharing(t *testing.T) {
 	cfg := tinyConfig(4, 1, 1)
 	m, err := New(cfg)

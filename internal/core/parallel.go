@@ -12,8 +12,9 @@ package core
 //	         ring group — the ring's station interfaces in station order,
 //	         then the local ring (tickRingGroup). Ring state is per-ring — a
 //	         local ring touches only its own slots, its member RIs and its
-//	         IRI's local port — so the only cross-shard coupling is the
-//	         flow-control credit accounting (below);
+//	         IRI's local port, and the marks it sets are conditioned on those
+//	         RIs' input FIFOs and that IRI's FIFOs — so the only cross-shard
+//	         coupling is the flow-control credit accounting (below);
 //	tail     the central-ring tick is deferred and overlapped with the
 //	         next cycle's phase-1 dispatch (flushTail).
 //
@@ -115,12 +116,16 @@ func (m *Machine) tickRingGroup(r int, now int64) int {
 // point (Quiesced, SyncStats, the run loop's drive/sample hooks call it
 // before observing). Overlap safety: phase-1 shards write only station
 // state and their own poll caches (pollCPU/pollBus/pollMem/pollNC,
-// stationNext, busFedRing); the tail writes only interconnect state — the
-// central ring, the IRIs' central ports, pollCentral, pollLocal, ringNext
-// — plus the atomic credit and message reference counters. The serial op
-// order is preserved exactly: phase 2 of cycle N finished before the
-// deferral was recorded, and the flush completes before anything of cycle
-// N+1 reads interconnect state.
+// stationNext, busFedRing), and the one interconnect structure they read to
+// condition a mark is their own RI's send queues (OutPending), which only
+// their own bus pushes and only phase 2 pops; the tail writes only
+// interconnect state — the central ring, the IRIs' central ports,
+// pollCentral, pollLocal, ringNext — plus the atomic credit and message
+// reference counters, and conditions its mark on the IRI down FIFOs it has
+// just pushed (DownPending), which otherwise only phase 2 touches. The
+// serial op order is preserved exactly: phase 2 of cycle N finished before
+// the deferral was recorded, and the flush completes before anything of
+// cycle N+1 reads interconnect state.
 func (m *Machine) flushTail() {
 	if m.tailPending {
 		m.tailPending = false

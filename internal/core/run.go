@@ -81,9 +81,10 @@ func (m *Machine) Run() int64 {
 	// Gate on the CPUs, not the runners: a runner reports Done as soon as
 	// the RefDone sentinel is fetched, but the CPU may still owe its
 	// coalesced trailing compute cycles.
+	// Load fills exactly the first barrier.participants processors.
 	active := func() bool {
-		for i, r := range m.runners {
-			if r != nil && !m.CPUs[i].Done() {
+		for _, c := range m.CPUs[:m.barrier.participants] {
+			if !c.Done() {
 				return true
 			}
 		}

@@ -89,6 +89,17 @@ func (i *IRI) DownStats() sim.QueueStats { return i.downQ.Stats() }
 // Idle reports whether both FIFOs are empty.
 func (i *IRI) Idle() bool { return i.upQ.Empty() && i.downQ.Empty() }
 
+// CentralPending reports whether a local-ring tick may have left the
+// central ring something to do: an ascending packet in the up FIFO, or a
+// down FIFO filled (by the sequencing point's re-injections) to the point
+// where the central ring must halt. The cycle loop re-gates the central
+// ring after a local tick only then.
+func (i *IRI) CentralPending() bool { return !i.upQ.Empty() || centralPort{i}.InputFull() }
+
+// DownPending reports whether the down FIFO holds a packet for the local
+// ring: the cycle loop re-gates that ring after a central tick only then.
+func (i *IRI) DownPending() bool { return !i.downQ.Empty() }
+
 type localPort struct{ i *IRI }
 
 func (l localPort) InputFull() bool {

@@ -24,7 +24,6 @@ import (
 	"numachine/internal/monitor"
 	"numachine/internal/msg"
 	"numachine/internal/sim"
-	"numachine/internal/topo"
 	"numachine/internal/trace"
 )
 
@@ -130,13 +129,11 @@ func (r *Ring) NextWork(now int64) int64 {
 	if r.occ > 0 {
 		return r.nextEdge(now)
 	}
+	wake := sim.Never
 	for _, n := range r.nodes {
 		if n.InputFull() {
 			return r.nextEdge(now)
 		}
-	}
-	wake := sim.Never
-	for _, n := range r.nodes {
 		if w := n.NextInject(now); w < wake {
 			wake = w
 		}
@@ -245,5 +242,3 @@ func (r *Ring) Occupied() int { return r.occ }
 
 // Drained reports whether the ring carries no packets.
 func (r *Ring) Drained() bool { return r.occ == 0 }
-
-var _ = topo.Geometry{} // keep import stable while the package grows

@@ -326,6 +326,10 @@ func (r *StationRI) NextInject(now int64) int64 {
 	return wake
 }
 
+// OutPending reports whether packets wait in the send queues for a ring
+// slot: the cycle loop re-gates the local ring after a bus tick only then.
+func (r *StationRI) OutPending() bool { return !r.sinkQ.Empty() || !r.nonsinkQ.Empty() }
+
 // SyncStats brings the input-FIFO occupancy sampling up to date through
 // limit (called before snapshotting results).
 func (r *StationRI) SyncStats(limit int64) { r.inFIFO.SyncObsTo(limit) }
