@@ -61,7 +61,7 @@ type Config struct {
 
 	// FastHits resolves L1/L2 cache hits synchronously in the workload
 	// goroutine within a back-end-published delivery horizon, banking hit
-	// cycles into Ref.Pre like compute coalescing — zero channel operations
+	// cycles into Ref.Pre like compute coalescing — no coroutine switch
 	// per hit (see internal/proc/fasthits.go and DESIGN.md "Front-end hit
 	// filtering"). Results and traces are bit-identical with it on or off;
 	// the equivalence suites enforce this across all three cycle loops and

@@ -8,14 +8,19 @@ import (
 )
 
 // Load assigns programs to the first len(progs) processors. It must be
-// called before Run; the remaining processors stay idle.
+// called before Run; the remaining processors stay idle. Programs of a
+// previous phase that have not finished are abandoned (see Close).
 func (m *Machine) Load(progs []proc.Program) {
 	if len(progs) > len(m.CPUs) {
 		panic(fmt.Sprintf("core: %d programs for %d processors", len(progs), len(m.CPUs)))
 	}
 	m.barrier.participants = len(progs)
+	m.Close()
 	for i := range m.runners {
 		m.runners[i] = nil // drop runners from a previous phase
+		if i >= len(progs) && !m.CPUs[i].Done() {
+			m.CPUs[i].SetRunner(nil) // its program was abandoned mid-reference
+		}
 	}
 	for i, pr := range progs {
 		m.runners[i] = proc.NewRunner(i, len(progs), pr)
@@ -69,15 +74,32 @@ func (m *Machine) SetDriver(every int64, fn func(*Machine)) {
 // calls it to fill the Serve section. Pass nil to detach.
 func (m *Machine) SetServeReport(fn func() *ServeResults) { m.serveReport = fn }
 
+// Close abandons every loaded program that has not finished — a program
+// parked mid-reference unwinds and its goroutine exits (proc.Runner.Stop)
+// — and parks the pool's workers. A machine dropped without it while
+// programs are parked leaks their goroutines and, through their closures,
+// itself. Run closes the machine on every exit, so only callers that drive
+// Step themselves, or drop a machine after Load alone, need to call it.
+// The machine stays usable: Load starts the next phase.
+func (m *Machine) Close() {
+	for _, r := range m.runners {
+		if r != nil {
+			r.Stop()
+		}
+	}
+	if m.pool != nil {
+		m.pool.Stop()
+	}
+}
+
 // Run executes until every loaded program finishes, returning the cycle
 // count of the parallel section (max completion time). It panics if the
-// deadlock watchdog trips.
+// deadlock watchdog trips, a component assertion fails or a program
+// panics; the machine is closed first either way.
 func (m *Machine) Run() int64 {
 	start := m.now
 	m.resetPolls()
-	if m.pool != nil {
-		defer m.pool.Stop() // park the workers between runs (and on panic)
-	}
+	defer m.Close() // on return every program has finished; on panic they are abandoned
 	// Gate on the CPUs, not the runners: a runner reports Done as soon as
 	// the RefDone sentinel is fetched, but the CPU may still owe its
 	// coalesced trailing compute cycles.

@@ -149,6 +149,7 @@ func (c *Checker) Run() *Result {
 // violations with the path's counterexample attached.
 func (c *Checker) replay(seq []int, traceEvents int) (r *run, vio *Violation) {
 	r = newRun(c.spec, c.mut, seq, traceEvents)
+	defer r.m.Close() // pruned, violating and over-budget paths leave programs parked
 	start := r.m.Now()
 	step := func() (err error) {
 		defer func() {

@@ -2,6 +2,7 @@ package mcheck
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 
 	"numachine/internal/trace"
@@ -213,5 +214,39 @@ func TestSpecValidation(t *testing.T) {
 	short.Ops = []string{"w0"}
 	if _, err := New(short); err == nil {
 		t.Error("wrong op-string count validated unexpectedly")
+	}
+}
+
+// TestNoGoroutineLeak: every replay abandons its machine — pruned paths
+// mid-program — so a sweep must stop each path's workloads instead of
+// leaving them parked for ever (414 pruned paths of the default sweep used
+// to leave ~1300 goroutines, each pinning its whole machine). Mutated runs
+// cover the violating exits.
+func TestNoGoroutineLeak(t *testing.T) {
+	base := runtime.NumGoroutine()
+	c, err := New(DefaultSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := c.Run()
+	if res.Pruned == 0 {
+		t.Fatalf("no path was pruned — the sweep abandons nothing: %s", res)
+	}
+	if n := runtime.NumGoroutine(); n > base {
+		t.Errorf("default sweep: %d goroutines, %d before (%d paths pruned)", n, base, res.Pruned)
+	}
+	for _, mc := range MutationTable() {
+		c, err := New(mc.Spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.SetMutation(mc.Mut)
+		c.StopAtFirst = true
+		if res := c.Run(); len(res.Violations) == 0 {
+			t.Fatalf("mutation %s escaped: %s", mc.Name, res)
+		}
+	}
+	if n := runtime.NumGoroutine(); n > base {
+		t.Errorf("mutated sweeps: %d goroutines, %d before", n, base)
 	}
 }

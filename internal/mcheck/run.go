@@ -38,7 +38,7 @@ func (v *Violation) String() string {
 // recorded so the explorer can schedule the alternatives.
 //
 // A fresh machine per path is the restore mechanism: live snapshot/restore
-// is impossible because workload goroutines hold stack state, but replaying
+// is impossible because workload coroutines hold stack state, but replaying
 // a choice prefix from reset reaches the identical machine state — the
 // simulator is deterministic given the oracle's answers.
 type run struct {
@@ -216,7 +216,7 @@ func (r *run) vio(err error) *Violation {
 
 // key canonically encodes the full machine state plus the checker-side
 // state that shapes future behavior: the driver program positions (the
-// workload goroutines' only hidden state) and the consumed fault budget.
+// workload coroutines' only hidden state) and the consumed fault budget.
 func (r *run) key() string {
 	e := snap.New(r.m.Now())
 	for _, p := range r.pos {

@@ -160,10 +160,13 @@ func New(g topo.Geometry, p sim.Params, globalID int, runner *Runner, l1Lines in
 	return c
 }
 
-// SetRunner loads a program into an idle CPU.
+// SetRunner loads a program into an idle CPU; nil returns the CPU to idle.
 func (c *CPU) SetRunner(r *Runner) {
 	c.runner = r
 	c.st = sThink
+	if r == nil {
+		c.st = sDone
+	}
 	c.thinkUntil = 0
 	c.hasStash = false
 }
@@ -284,13 +287,7 @@ func (c *CPU) Tick(now int64) {
 		if c.hasStash {
 			ref, c.hasStash = c.stash, false
 		} else {
-			// The workload goroutine runs only inside Next (the channels
-			// enforce strict alternation), so the fast path may resolve hits
-			// against the live caches; publish its burst window first and
-			// adopt the burst's last probe as the delivery guard after.
-			c.openFastWindow(now)
-			ref = c.runner.Next(c.lastResult)
-			c.adoptFastGuard()
+			ref = c.fetch(now)
 		}
 		if ref.Pre > 0 {
 			// Burn the coalesced compute prefix first; the reference itself
@@ -303,6 +300,25 @@ func (c *CPU) Tick(now int64) {
 		}
 		c.process(ref, now)
 	}
+}
+
+// fetch switches to the program for its next reference. The program runs
+// only inside Next (a coroutine switch: strict alternation), so the fast
+// path may resolve hits against the live caches; publish its burst window
+// first and adopt the burst's last probe as the delivery guard after. A
+// panic in the program surfaces in Next; it is re-raised naming the
+// processor and the cycle, on the goroutine ticking this CPU, where the
+// callers of Machine.Run and Step can recover it.
+func (c *CPU) fetch(now int64) Ref {
+	defer func() {
+		if e := recover(); e != nil {
+			panic(fmt.Sprintf("proc: cpu[%d] program panicked at cycle %d: %v", c.GlobalID, now, e))
+		}
+	}()
+	c.openFastWindow(now)
+	ref := c.runner.Next(c.lastResult)
+	c.adoptFastGuard()
+	return ref
 }
 
 // process starts executing one reference.

@@ -6,10 +6,15 @@
 // Workloads drive processors through an execution-driven front end in the
 // style of MINT: the workload is a real Go function running against a
 // blocking memory interface (Ctx); each Read/Write hands a reference to
-// the timing back end and suspends the workload goroutine until the
-// simulated access completes. The handshake is strictly lock-step, so
-// simulations are deterministic.
+// the timing back end and suspends the workload until the simulated
+// access completes. The workload runs as an iter.Pull coroutine of its
+// CPU: the handshake is a direct switch between the goroutine ticking the
+// CPU and the program's — no run queue, no wake-up, no migration to
+// another thread — and it is strictly lock-step (exactly one side runs at
+// any time), so simulations are deterministic.
 package proc
+
+import "iter"
 
 // RefKind enumerates the operations a workload can issue.
 type RefKind uint8
@@ -54,7 +59,7 @@ type Ref struct {
 	// Pre is the number of compute cycles the processor must burn before
 	// this reference executes. Consecutive Ctx.Compute calls coalesce into
 	// the Pre of the next blocking reference, so a think-then-access pair
-	// costs one channel round-trip instead of two; the timing is identical
+	// costs one handshake instead of two; the timing is identical
 	// because a compute burst is pure elapsed processor time.
 	Pre int64
 }
@@ -70,8 +75,11 @@ type Ctx struct {
 	ID     int
 	NProcs int
 
-	refs    chan Ref
-	resume  chan uint64
+	// yield parks the program and switches to the goroutine inside
+	// Runner.Next; it returns false once the runner has been stopped. prev
+	// is the result Next stored for the reference the program parked on.
+	yield   func(struct{}) bool
+	prev    uint64
 	pending int64 // coalesced compute cycles awaiting the next reference
 
 	// batch is the slow-path reference burst awaiting one handshake.
@@ -79,9 +87,9 @@ type Ctx struct {
 	// return immediately — the workload runs ahead in virtual time, exactly
 	// as Compute does — and the whole burst is handed to the back end on
 	// the next result-bearing reference (or when the batch fills): one
-	// refs/resume round-trip instead of one per reference. The back end
-	// consumes the burst in order from the parked goroutine's slice
-	// (Runner.Next serves batch[1:] without resuming), executing every
+	// coroutine round-trip instead of one per reference. The back end
+	// consumes the burst in order from the parked program's slice
+	// (Runner.Next serves it without resuming), executing every
 	// reference at its true cycle with its own coalesced Pre prefix, so
 	// timing, results and traces are bit-identical to the unbatched
 	// handshake. No value computed ahead of the burst can be observed: the
@@ -92,7 +100,7 @@ type Ctx struct {
 	batch []Ref
 
 	// fast is the front-end hit fast path (see fasthits.go): when enabled,
-	// Read/Write resolve cache hits synchronously in the workload goroutine
+	// Read/Write resolve cache hits synchronously in the workload coroutine
 	// within the back-end-published window, banking the hit cycles into
 	// pending like Compute does.
 	fast fastHits
@@ -100,15 +108,11 @@ type Ctx struct {
 
 // batchCap bounds the deferred burst; a run of result-free references
 // longer than this pays one handshake per batchCap references, which
-// already amortizes the channel round-trip to noise.
+// already amortizes the coroutine round-trip to noise.
 const batchCap = 64
 
-func newCtx(id, nprocs int) *Ctx {
-	return &Ctx{ID: id, NProcs: nprocs, refs: make(chan Ref), resume: make(chan uint64)}
-}
-
 // do queues a result-bearing reference and performs the handshake: the
-// back end consumes the whole batch and resumes the goroutine with this
+// back end consumes the whole batch and resumes the program with this
 // (final) reference's result.
 func (c *Ctx) do(r Ref) uint64 {
 	r.Pre, c.pending = c.pending, 0
@@ -126,15 +130,24 @@ func (c *Ctx) post(r Ref) {
 	}
 }
 
-// flush hands the batch to the back end and blocks until it has executed
-// in full, returning the last reference's result. The runner reads
-// batch[1:] directly — safe because this goroutine parks on resume for
-// the duration and the channel operations order the accesses.
+// stopped is the panic value that unwinds a program whose runner was
+// stopped while it was parked; Runner.run recovers it.
+type stopped struct{}
+
+// flush hands the batch to the back end and parks until it has executed
+// in full, returning the last reference's result. The runner reads the
+// batch directly — safe because the program is parked in yield for the
+// duration and the coroutine switch orders the accesses. After
+// Runner.Stop yield returns false, here and on every later call, so a
+// program cannot park again from a deferred function; the hit fast path
+// is switched off so those calls reach flush instead of the caches.
 func (c *Ctx) flush() uint64 {
-	c.refs <- c.batch[0]
-	v := <-c.resume
+	if !c.yield(struct{}{}) {
+		c.fast.enabled = false
+		panic(stopped{})
+	}
 	c.batch = c.batch[:0]
-	return v
+	return c.prev
 }
 
 // Read loads the 64-bit value of the line containing addr.
@@ -167,9 +180,9 @@ func (c *Ctx) FetchAdd(addr uint64, delta uint64) uint64 {
 // Compute consumes n cycles of processor time without memory traffic. The
 // cycles are banked and attached to the next blocking reference (Ref.Pre)
 // rather than handed over immediately, so runs of Compute calls — the
-// spin-lock backoff path hits this constantly — cost a single channel
-// round-trip. A trailing Compute with no following reference is carried by
-// the RefDone sentinel.
+// spin-lock backoff path hits this constantly — cost a single handshake.
+// A trailing Compute with no following reference is carried by the
+// RefDone sentinel.
 func (c *Ctx) Compute(n int64) {
 	if n <= 0 {
 		return
@@ -201,12 +214,12 @@ func (c *Ctx) Cycle() int64 {
 }
 
 // Sync is Cycle with a forced handshake: it always hands the batch to the
-// back end and parks the goroutine until the back end executes the probe,
+// back end and parks the program until the back end executes the probe,
 // even when the hit fast path could answer from the front end. Drivers
 // that exchange work with the simulation loop through shared memory (the
 // serving layer's dispatch mailboxes) call Sync instead of Cycle so the
-// goroutine observes exactly the state published at or before the
-// returned cycle: the handshake pins the goroutine's execution point to
+// program observes exactly the state published at or before the
+// returned cycle: the handshake pins the program's execution point to
 // its CPU's tick, closing the run-ahead window in which a fast-path
 // Cycle would let it read the mailbox "early". Timing is identical to
 // Cycle — the probe costs the same one cycle either way.
@@ -248,67 +261,89 @@ func (c *Ctx) AcquireLock(addr uint64) {
 // ReleaseLock releases a spin lock acquired with AcquireLock.
 func (c *Ctx) ReleaseLock(addr uint64) { c.Write(addr, 0) }
 
-// Runner adapts a Program goroutine into the pull interface the CPU model
-// consumes. It is not safe for concurrent use; each CPU owns one.
+// Runner adapts a Program into the pull interface the CPU model consumes:
+// the program runs as an iter.Pull coroutine that Next switches to. It is
+// not safe for concurrent use; each CPU owns one. Next may be called from
+// a different goroutine each time (pool workers do), never from two at
+// once.
 type Runner struct {
-	ctx     *Ctx
-	prog    Program
-	started bool
-	done    bool
+	ctx  *Ctx
+	prog Program
+	done bool
 
-	// bi indexes the next unserved entry of ctx.batch: the handshake
-	// delivers batch[0] over the channel and Next serves batch[1:] from the
-	// slice while the goroutine stays parked (see Ctx.batch).
+	// next and stop are the coroutine's handles, created by the first Next
+	// so a runner that never runs costs no goroutine.
+	next func() (struct{}, bool)
+	stop func()
+
+	// bi indexes the next unserved entry of ctx.batch, which Next serves
+	// from the slice while the program stays parked (see Ctx.batch).
 	bi int
 }
 
 // NewRunner prepares prog to run as processor id of nprocs.
 func NewRunner(id, nprocs int, prog Program) *Runner {
-	return &Runner{ctx: newCtx(id, nprocs), prog: prog}
+	return &Runner{ctx: &Ctx{ID: id, NProcs: nprocs}, prog: prog}
+}
+
+// run is the coroutine body: the program, then the RefDone sentinel.
+func (r *Runner) run(yield func(struct{}) bool) {
+	c := r.ctx
+	c.yield = yield
+	defer func() {
+		if e := recover(); e != nil && e != any(stopped{}) {
+			panic(e)
+		}
+	}()
+	r.prog(c)
+	// Carry any trailing Compute cycles so the completion timestamp
+	// matches the uncoalesced execution. Returning ends the coroutine:
+	// nothing resumes a finished workload.
+	c.batch = append(c.batch, Ref{Kind: RefDone, Pre: c.pending})
 }
 
 // Next resumes the workload with the result of its previous reference and
-// returns the next one. The first call starts the goroutine. After RefDone
-// is returned, Next must not be called again.
+// returns the next one. The first call starts the coroutine. After RefDone
+// is returned, Next must not be called again. A panic in the program
+// surfaces here, in the caller.
 //
 // While unserved batch entries remain, Next returns them in order without
-// waking the goroutine; prev is discarded, matching the unbatched protocol
-// where the callers of those references discard the resume value. Only
-// when the batch is exhausted does the final result travel back over the
-// resume channel.
+// resuming the program; prev is discarded, matching the unbatched protocol
+// where the callers of those references discard the result. Only when the
+// batch is exhausted does the final result travel back, through Ctx.prev.
 func (r *Runner) Next(prev uint64) Ref {
 	if r.done {
-		panic("proc: Next called after RefDone")
+		panic("proc: Next called after RefDone or Stop")
 	}
 	c := r.ctx
-	if r.bi < len(c.batch) {
-		ref := c.batch[r.bi]
-		r.bi++
-		if ref.Kind == RefDone {
-			r.done = true
+	if r.bi == len(c.batch) {
+		if r.next == nil {
+			r.next, r.stop = iter.Pull(r.run)
 		}
-		return ref
+		c.prev = prev
+		r.next() // returns with the program parked in flush, or finished
+		r.bi = 0
 	}
-	if !r.started {
-		r.started = true
-		go func() {
-			r.prog(c)
-			// Carry any trailing Compute cycles so the completion timestamp
-			// matches the uncoalesced execution. The final flush does not
-			// wait: nothing resumes a finished workload.
-			c.batch = append(c.batch, Ref{Kind: RefDone, Pre: c.pending})
-			c.refs <- c.batch[0]
-		}()
-	} else {
-		c.resume <- prev
-	}
-	ref := <-c.refs
-	r.bi = 1
+	ref := c.batch[r.bi]
+	r.bi++
 	if ref.Kind == RefDone {
 		r.done = true
 	}
 	return ref
 }
 
-// Done reports whether the workload has finished.
+// Stop abandons the workload: a program parked mid-reference unwinds (its
+// deferred functions run; any Ctx call they make that needs a result
+// unwinds again) and its goroutine exits. Without it a parked program is
+// unreachable for ever once its machine is dropped, together with
+// everything its closure holds. A no-op on a finished or never-started
+// runner.
+func (r *Runner) Stop() {
+	r.done = true
+	if r.stop != nil {
+		r.stop()
+	}
+}
+
+// Done reports whether the workload has finished or was stopped.
 func (r *Runner) Done() bool { return r.done }

@@ -9,9 +9,9 @@ import (
 
 // Front-end hit fast path (core.Config.FastHits).
 //
-// The lock-step handshake makes every Ctx.Read/Write cost two channel
-// operations even when the access is an L1/L2 hit that completes without
-// touching the memory system. The fast path removes that cost for the
+// The lock-step handshake makes every Ctx.Read/Write cost a coroutine
+// round trip (two switches) even when the access is an L1/L2 hit that
+// completes without touching the memory system. The fast path removes that cost for the
 // common case: the workload goroutine resolves cache hits itself, against
 // the very tag arrays the timing back end uses, and banks the hit latency
 // into the coalesced compute prefix (Ref.Pre) of the next reference that
@@ -20,9 +20,14 @@ import (
 //
 // Safety rests on two invariants:
 //
-//  1. Alternation. The workload goroutine runs only while its CPU is
-//     blocked inside Runner.Next; the unbuffered channels give the
-//     happens-before edges. The goroutine may therefore read and mutate
+//  1. Alternation. The workload is a coroutine of its CPU (iter.Pull): it
+//     runs only while the goroutine ticking the CPU is switched out
+//     inside Runner.Next, and that goroutine runs only while the workload
+//     is parked in Ctx.flush — one thread of control that changes stacks.
+//     The switch is the happens-before edge in both directions (iter.Pull
+//     annotates it for the race detector), also when successive Next
+//     calls come from different pool workers, whose own hand-over is the
+//     pool's barrier. The workload may therefore read and mutate
 //     the CPU's live L1/L2 state with no data race, and nothing —
 //     invalidation, intervention, fill — can change that state while a
 //     burst of fast hits is being resolved. The coherence epoch snapshot

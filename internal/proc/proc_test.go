@@ -275,3 +275,118 @@ func TestInterruptRegister(t *testing.T) {
 		t.Errorf("interrupt register %b, want bit 3", c.InterruptReg)
 	}
 }
+
+// TestRunnerNextAcrossGoroutines calls Next from a rotation of goroutines,
+// as the pool's workers do (a CPU's station can be ticked by a different
+// worker after every relaunch): batch entries and results must arrive
+// intact, and the hand-over through the rotation must be the only
+// synchronization the race detector needs.
+func TestRunnerNextAcrossGoroutines(t *testing.T) {
+	const rounds = 200
+	r := NewRunner(0, 1, func(c *Ctx) {
+		for i := uint64(0); i < rounds; i++ {
+			c.Write(0x1000+i*64, i) // rides in the batch with the read below
+			if v := c.Read(0x40 + i*64); v != i*3 {
+				t.Errorf("round %d: read resumed with %d, want %d", i, v, i*3)
+			}
+		}
+	})
+	const callers = 4
+	type turn struct {
+		i    uint64
+		prev uint64
+	}
+	turns := make([]chan turn, callers)
+	for g := range turns {
+		turns[g] = make(chan turn)
+	}
+	finished := make(chan struct{})
+	for g := 0; g < callers; g++ {
+		go func(g int) {
+			for tn := range turns[g] {
+				if tn.i == rounds {
+					if ref := r.Next(tn.prev); ref.Kind != RefDone {
+						t.Errorf("final ref %+v, want RefDone", ref)
+					}
+					close(finished)
+					continue
+				}
+				w := r.Next(tn.prev)
+				if w.Kind != RefWrite || w.Addr != 0x1000+tn.i*64 || w.Data != tn.i {
+					t.Errorf("round %d: write ref %+v", tn.i, w)
+				}
+				rd := r.Next(0) // served from the batch: the result is discarded
+				if rd.Kind != RefRead || rd.Addr != 0x40+tn.i*64 {
+					t.Errorf("round %d: read ref %+v", tn.i, rd)
+				}
+				turns[(g+1)%callers] <- turn{i: tn.i + 1, prev: tn.i * 3}
+			}
+		}(g)
+	}
+	turns[0] <- turn{}
+	<-finished
+	for _, ch := range turns {
+		close(ch)
+	}
+	if !r.Done() {
+		t.Error("runner not done after RefDone")
+	}
+}
+
+// TestRunnerStop abandons a program parked mid-reference: its deferred
+// functions run, a Ctx call from one of them unwinds again instead of
+// parking, and Stop on a finished or never-started runner does nothing.
+func TestRunnerStop(t *testing.T) {
+	var deferred, afterRead bool
+	r := NewRunner(0, 1, func(c *Ctx) {
+		defer func() {
+			deferred = true
+			c.Read(0x80) // must not park a stopped program
+			afterRead = true
+		}()
+		c.Read(0x40)
+		t.Error("program resumed after Stop")
+	})
+	if ref := r.Next(0); ref.Kind != RefRead {
+		t.Fatalf("first ref %+v", ref)
+	}
+	r.Stop()
+	if !deferred || afterRead {
+		t.Errorf("deferred ran = %v, continued past a Ctx call after Stop = %v; want true, false", deferred, afterRead)
+	}
+	if !r.Done() {
+		t.Error("stopped runner not done")
+	}
+	r.Stop() // idempotent
+
+	ran := false
+	never := NewRunner(0, 1, func(c *Ctx) { ran = true })
+	never.Stop()
+	if ran {
+		t.Error("Stop started a never-started program")
+	}
+
+	fin := NewRunner(0, 1, func(c *Ctx) {})
+	if ref := fin.Next(0); ref.Kind != RefDone {
+		t.Fatalf("empty program's first ref %+v", ref)
+	}
+	fin.Stop()
+}
+
+// BenchmarkHandshake prices one forced handshake (Ctx.Sync: park the
+// program, resume it with the result): ns per Next. Run with -cpu 1,4 to
+// see what a second P costs — the coroutine switch keeps the program on the
+// caller's thread, so the two lines should read alike.
+func BenchmarkHandshake(b *testing.B) {
+	r := NewRunner(0, 1, func(c *Ctx) {
+		for {
+			c.Sync()
+		}
+	})
+	defer r.Stop()
+	r.Next(0)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r.Next(uint64(i))
+	}
+}

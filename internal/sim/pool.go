@@ -59,6 +59,13 @@ type ShardPool struct {
 	counts  []int64
 	done    sync.WaitGroup // worker lifecycle (Stop waits for exits)
 	running bool
+
+	// panics holds, per worker, the value its shard range panicked with in
+	// the current cycle. CycleWait re-raises the lowest worker's — the
+	// lowest panicking shard's, whatever the interleaving — on the caller's
+	// goroutine, where it can be recovered; a panic on a worker would end
+	// the process.
+	panics []any
 }
 
 const countStride = 8 // int64s per cache line
@@ -88,6 +95,7 @@ func (p *ShardPool) Workers() int { return p.workers }
 
 func (p *ShardPool) launch() {
 	p.counts = make([]int64, p.workers*countStride)
+	p.panics = make([]any, p.workers)
 	p.stopped.Store(false)
 	p.done.Add(p.workers)
 	for w := 0; w < p.workers; w++ {
@@ -129,14 +137,24 @@ func (p *ShardPool) worker(w, lo, hi int, seen uint32) {
 			return
 		}
 		seen = p.epoch.Load()
-		now := p.now
-		n := 0
-		for s := lo; s < hi; s++ {
-			n += p.run(s, now)
-		}
-		p.counts[w*countStride] = int64(n)
+		p.counts[w*countStride] = int64(p.runRange(w, lo, hi, p.now))
 		p.pending.Add(-1)
 	}
+}
+
+// runRange runs worker w's shards [lo, hi) and returns their summed
+// results. A shard panic abandons the rest of the range and is kept for
+// CycleWait.
+func (p *ShardPool) runRange(w, lo, hi int, now int64) (n int) {
+	defer func() {
+		if e := recover(); e != nil {
+			p.panics[w] = e
+		}
+	}()
+	for s := lo; s < hi; s++ {
+		n += p.run(s, now)
+	}
+	return n
 }
 
 // Cycle runs every shard once at cycle now and returns the summed shard
@@ -167,10 +185,17 @@ func (p *ShardPool) CycleStart(now int64) {
 // CycleWait blocks until every shard of the started cycle has finished —
 // the barrier half of Cycle — and returns the summed shard results. The
 // pending-counter load carries the happens-before edge making all shard
-// writes visible to the caller.
+// writes visible to the caller. If a shard panicked, CycleWait panics with
+// the same value once every worker has finished the cycle.
 func (p *ShardPool) CycleWait() int {
 	for p.pending.Load() != 0 {
 		runtime.Gosched()
+	}
+	for _, e := range p.panics {
+		if e != nil {
+			clear(p.panics)
+			panic(e)
+		}
 	}
 	total := 0
 	for w := 0; w < p.workers; w++ {
@@ -190,5 +215,5 @@ func (p *ShardPool) Stop() {
 	p.cond.Broadcast()
 	p.mu.Unlock()
 	p.done.Wait()
-	p.counts, p.running = nil, false
+	p.counts, p.panics, p.running = nil, nil, false
 }

@@ -41,3 +41,34 @@ func TestShardPoolClampsWorkers(t *testing.T) {
 	}
 	p.Stop()
 }
+
+// TestShardPoolPropagatesPanic: a shard panic must surface in the caller
+// of CycleWait — recoverable, unlike a panic on a worker goroutine — after
+// the other workers finished the cycle, and the pool must keep working.
+func TestShardPoolPropagatesPanic(t *testing.T) {
+	var ran [8]int
+	p := NewShardPool(4, 8, func(s int, now int64) int {
+		if s == 5 && now == 1 {
+			panic("shard 5 broke")
+		}
+		ran[s]++
+		return 1
+	})
+	defer p.Stop()
+	got := func() (v any) {
+		defer func() { v = recover() }()
+		p.Cycle(1)
+		return nil
+	}()
+	if got != "shard 5 broke" {
+		t.Fatalf("Cycle(1) panicked with %v, want the shard's value", got)
+	}
+	for s, n := range ran {
+		if (s == 5) == (n == 1) {
+			t.Errorf("shard %d ran %d times in the panicking cycle", s, n)
+		}
+	}
+	if got := p.Cycle(2); got != 8 {
+		t.Errorf("Cycle(2) after the panic = %d, want 8", got)
+	}
+}
