@@ -21,7 +21,7 @@ type barrierRelease struct {
 // arrivals land in the caller's station buffer (each buffer is touched by
 // exactly one worker); flushParallelArrivals merges them afterwards.
 func (m *Machine) barrierArrive(c *proc.CPU, now int64) {
-	if m.parPhase == 1 {
+	if m.parPhase {
 		s := c.Station
 		m.barrier.parArrived[s] = append(m.barrier.parArrived[s], c)
 		return

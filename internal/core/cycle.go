@@ -54,16 +54,15 @@ func (m *Machine) stepNaive() {
 
 // stepGated is the gated cycle; it returns how many components ticked (0
 // means the whole machine was quiescent this cycle and the run loop may
-// fast-forward to cachedWake()). There is one body and two executors:
+// fast-forward to cachedWake()). There is one body; the two executors
+// differ in phase 1 only:
 //
 //	phase 1  every station with work ticks its CPUs, bus, memory and NC
 //	         (tickStation) — inline in ascending station order, or one pool
-//	         shard per station under ParallelStations;
-//	phase 2  the interconnect: every RI, then every local ring
-//	         (tickRingsSerial, the reference order) — or, with a pool and
-//	         credit headroom, one shard per ring group (parallel.go);
-//	tail     the central ring and the IRI occupancy observation — inline, or
-//	         deferred into the next cycle's phase-1 window with a pool.
+//	         shard per station under ParallelStations (parallel.go);
+//	phase 2  the interconnect, on the caller's goroutine: every RI, then
+//	         every local ring (tickRingsSerial, the reference order);
+//	tail     the central ring and the IRI occupancy observation.
 //
 // The poll caches make the gate pass cost proportional to the components
 // that are due and the FIFOs that were filled rather than to the machine
@@ -76,36 +75,32 @@ func (m *Machine) stepNaive() {
 // The caches are invalidated where work is handed over, and marks follow
 // the data: a mark fires when the FIFO the receiver's NextWork reads holds
 // something after the feeder's tick, not because a component that could
-// have fed it ticked. Every condition reads state owned by the shard that
-// evaluates it, named in brackets (parallel.go relies on that):
+// have fed it ticked. The phase-1 marks read and write only state of the
+// station that evaluates them (parallel.go relies on that):
 //
-//	CPU tick     -> its bus, now: always (a request in its BusOut). [station s]
+//	CPU tick     -> its bus, now: always (a request in its BusOut).
 //	bus tick     -> mem and NC, now: always (their input queues); live CPUs,
 //	                now+1: always (a delivery changes CPU state, there is no
-//	                FIFO to look at). [station s]
+//	                FIFO to look at).
 //	             -> its local ring, now: iff the RI's send queues are non-empty
 //	                (StationRI.OutPending — pushed only by this bus, popped
-//	                only in phase 2). [station s; staged in busFedRing and
-//	                merged between the phases, because two stations of one ring
-//	                would write the same pollLocal entry from different shards]
+//	                only in phase 2). Staged in busFedRing and merged between
+//	                the phases, because two stations of one ring would write
+//	                the same pollLocal entry from different shards.
 //	                The RI itself is not marked: its NextWork reads only its
 //	                input FIFO, and BusDeliver's loop-back branch feeds the bus,
 //	                which pollBus = now+1 covers.
-//	mem/NC tick  -> its bus, now+1: always (responses in BusOut). [station s]
+//	mem/NC tick  -> its bus, now+1: always (responses in BusOut).
 //	RI tick      -> its bus, now+1: always (reassembled messages in BusOut).
-//	                [ring group r, in phase 2, when no station shard runs]
 //	local tick   -> a member RI, now+1: iff that RI's input FIFO is non-empty.
-//	                [ring group r]
 //	             -> the central ring, now: iff the IRI's up FIFO is non-empty
 //	                or its down FIFO has reached the halt threshold
-//	                (IRI.CentralPending). [ring group r: the central tick that
-//	                drains them runs in the tail, never beside phase 2; staged
-//	                in ringFedCentral]
+//	                (IRI.CentralPending); the central tick that drains them
+//	                runs in the tail of this same cycle.
 //	             -> itself, now+1: always.
 //	central tick -> local ring r, now+1: iff IRI r's down FIFO is non-empty
 //	                (IRI.DownPending — pushed by this tick, popped by ring r's
-//	                phase-2 tick). [the tail: deferred, it overlaps phase 1
-//	                only, and no station shard touches an IRI]
+//	                phase-2 tick).
 //	             -> itself, now+1: always.
 //	barrier fire -> the released CPU, now (fireBarriers, before phase 1).
 //
@@ -145,37 +140,9 @@ func (m *Machine) stepGated() int {
 		}
 	}
 	if anyDue(m.ringNext, now) {
-		if m.pool != nil && m.credits.Headroom() {
-			m.parPhase = 2 // runShard: one shard per ring group
-			ticked += m.pool.Cycle(now)
-		} else {
-			ticked += m.tickRingsSerial(now)
-		}
-		for r, fed := range m.ringFedCentral {
-			if fed {
-				m.ringFedCentral[r] = false
-				if m.pollCentral > now {
-					m.pollCentral = now
-				}
-			}
-		}
+		ticked += m.tickRingsSerial(now)
 	}
-	central := false
-	if m.Central != nil && m.pollCentral <= now {
-		if w := m.Central.NextWork(now); w <= now {
-			central = true
-			ticked++
-		} else {
-			m.pollCentral = w
-		}
-	}
-	if central && m.pool != nil {
-		// Counted above, so a deferring cycle can never fast-forward away
-		// before the tail runs.
-		m.tailPending, m.tailAt = true, now
-	} else {
-		m.tail(now, central)
-	}
+	ticked += m.tail(now)
 	m.now++
 	return ticked
 }
@@ -322,8 +289,8 @@ func (m *Machine) tickLocal(r int, now int64) int {
 			m.pollRI[s] = now + 1
 		}
 	}
-	if m.Central != nil && m.IRIs[r].CentralPending() {
-		m.ringFedCentral[r] = true
+	if m.Central != nil && m.pollCentral > now && m.IRIs[r].CentralPending() {
+		m.pollCentral = now
 	}
 	return 1
 }
@@ -344,11 +311,9 @@ func (m *Machine) setRingNext(r int) {
 // RI, then every local ring — of the ring groups that are due; a group with
 // ringNext[r] > now has every entry > now and is skipped in both passes
 // (station ids are ring-major, so the RI pass stays in ascending station
-// order). The pooled executor also runs it, on the
-// cycles the credit lookahead mask rejects: with some station at its
-// credit cap a TryAcquire outcome can depend on releases made by other
-// ring groups earlier in the reference order, so only that order is
-// authoritative.
+// order). The order is part of the model, not a convenience: with some
+// station at its flow-control credit cap a TryAcquire outcome depends on
+// the releases other ring groups made earlier in the same cycle.
 func (m *Machine) tickRingsSerial(now int64) int {
 	ticked := 0
 	for r, next := range m.ringNext {
@@ -369,22 +334,27 @@ func (m *Machine) tickRingsSerial(now int64) int {
 	return ticked
 }
 
-// tail finishes cycle now: the central-ring tick when its gate fired, then
-// the periodic IRI occupancy observation, which must follow it. The pooled
-// executor defers the call (flushTail); now is then the deferring cycle.
-func (m *Machine) tail(now int64, central bool) {
-	if central {
-		m.Central.Tick(now)
-		m.pollCentral = now + 1
-		for r, iri := range m.IRIs {
-			if !iri.DownPending() {
-				continue
-			}
-			if m.pollLocal[r] > now+1 {
-				m.pollLocal[r] = now + 1
-			}
-			if m.ringNext[r] > now+1 {
-				m.ringNext[r] = now + 1
+// tail finishes cycle now: the gate-and-tick block of the central ring,
+// then the periodic IRI occupancy observation, which must follow it.
+func (m *Machine) tail(now int64) int {
+	ticked := 0
+	if m.Central != nil && m.pollCentral <= now {
+		if w := m.Central.NextWork(now); w > now {
+			m.pollCentral = w
+		} else {
+			m.Central.Tick(now)
+			ticked = 1
+			m.pollCentral = now + 1
+			for r, iri := range m.IRIs {
+				if !iri.DownPending() {
+					continue
+				}
+				if m.pollLocal[r] > now+1 {
+					m.pollLocal[r] = now + 1
+				}
+				if m.ringNext[r] > now+1 {
+					m.ringNext[r] = now + 1
+				}
 			}
 		}
 	}
@@ -393,6 +363,7 @@ func (m *Machine) tail(now int64, central bool) {
 			iri.ObserveAt(now)
 		}
 	}
+	return ticked
 }
 
 // cachedWake returns the earliest future cycle at which any component or
@@ -434,7 +405,6 @@ func (m *Machine) cachedWake() int64 {
 // thousands of cycles later. A barrier release due now needs no exception:
 // until fireBarriers applies it, the waiting CPU itself reports Never.
 func (m *Machine) auditGates() error {
-	m.flushTail()
 	now := m.now
 	cyc := func(at int64) string {
 		if at == sim.Never {
@@ -504,7 +474,6 @@ func (m *Machine) resetPolls() {
 	}
 	for r := range m.ringNext {
 		m.ringNext[r] = m.now
-		m.ringFedCentral[r] = false
 	}
 }
 

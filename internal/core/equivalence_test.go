@@ -249,6 +249,60 @@ func equivScenarios() []equivScenario {
 		},
 	}
 
+	// One nonsinkable credit per station instead of the prototype's 16, and
+	// every reference a miss to a line homed on another station: each RI
+	// holds its next request until the previous one has been consumed
+	// somewhere else in the machine, so most cycles have a station at its
+	// cap and a TryAcquire there succeeds or fails by whether the release —
+	// made by an RI of another ring group — comes earlier in the reference
+	// order of that cycle. The 5-cycle unpack latency is what lets the two
+	// meet: with the default 6 on a 3-cycle ring clock every RI release
+	// falls one cycle after a ring edge and no order of the ring phase could
+	// change an outcome (ticking ring-group-major instead of all RIs first
+	// passes every other scenario and fails this one).
+	// TestCreditCapScenario checks the cap really binds. Kept last: other
+	// suites pick scenarios by index.
+	creditCap := equivScenario{
+		name: "credit-cap",
+		cfg: func() Config {
+			cfg := DefaultConfig()
+			cfg.Geom = topo.Geometry{ProcsPerStation: 4, StationsPerRing: 2, Rings: 2}
+			cfg.Params.L2Lines = 64
+			cfg.Params.NCLines = 128
+			cfg.Params.MaxNonsinkable = 1
+			cfg.Params.RIUnpackCycles = 5
+			cfg.Params.DeadlockCycles = 2_000_000
+			return cfg
+		},
+		load: func(m *Machine) []proc.Program {
+			const lines, perProc = 256, 64
+			g := m.Geometry()
+			per := lines / g.Stations()
+			homed := make([]uint64, g.Stations())
+			for s := range homed {
+				homed[s] = m.AllocAt(s, per*m.Params().LineSize)
+			}
+			prog := func(c *proc.Ctx) {
+				own := g.StationOfProc(c.ID)
+				for i := 0; i < perProc; i++ {
+					s := (own + 1 + i%(g.Stations()-1)) % g.Stations()
+					line := homed[s] + uint64((i+c.ID)%per)*uint64(m.Params().LineSize)
+					if i%3 == 0 {
+						c.Write(line, uint64(c.ID)<<32|uint64(i))
+					} else {
+						c.Read(line)
+					}
+				}
+				c.Barrier()
+			}
+			progs := make([]proc.Program, g.Procs())
+			for i := range progs {
+				progs[i] = prog
+			}
+			return progs
+		},
+	}
+
 	scenarios = append(scenarios,
 		mixed(topo.Geometry{ProcsPerStation: 1, StationsPerRing: 2, Rings: 1}, 0, 11),
 		mixed(topo.Geometry{ProcsPerStation: 2, StationsPerRing: 2, Rings: 2}, 1, 12),
@@ -260,8 +314,21 @@ func equivScenarios() []equivScenario {
 		special,
 		firstTouch,
 		firstTouchTies,
+		creditCap,
 	)
 	return scenarios
+}
+
+// equivScenarioNamed returns the scenario a premise test is about.
+func equivScenarioNamed(t *testing.T, name string) equivScenario {
+	t.Helper()
+	for _, sc := range equivScenarios() {
+		if sc.name == name {
+			return sc
+		}
+	}
+	t.Fatalf("no equivalence scenario %q", name)
+	return equivScenario{}
 }
 
 // TestFirstTouchTiesScenario checks the premise of the first-touch-ties
@@ -271,8 +338,7 @@ func equivScenarios() []equivScenario {
 // cycle. Without those ties the scenario would not tell a station-major
 // cycle from any other order.
 func TestFirstTouchTiesScenario(t *testing.T) {
-	scs := equivScenarios()
-	sc := scs[len(scs)-1]
+	sc := equivScenarioNamed(t, "first-touch-ties")
 	cfg := sc.cfg()
 	cfg.NaiveLoop = true
 	m, err := New(cfg)
@@ -331,6 +397,37 @@ func TestFirstTouchTiesScenario(t *testing.T) {
 	if tiedPages < 3 || tiedBarriers < 3 {
 		t.Errorf("scenario lost its ties: %d pages first-touched and %d barriers reached from several stations in one cycle", tiedPages, tiedBarriers)
 	}
+}
+
+// TestCreditCapScenario checks the premise of the credit-cap scenario on
+// the reference loop: on a large share of cycles some station has its only
+// nonsinkable credit in the network. Without that the scenario would not
+// tell a ring phase that reorders TryAcquire against same-cycle releases
+// from one that does not.
+func TestCreditCapScenario(t *testing.T) {
+	sc := equivScenarioNamed(t, "credit-cap")
+	cfg := sc.cfg()
+	cfg.NaiveLoop = true
+	m, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cycles, atCap int64
+	m.SetSampler(1, func(m *Machine) {
+		cycles++
+		for st := 0; st < m.g.Stations(); st++ {
+			if m.credits.InFlight(st) >= cfg.Params.MaxNonsinkable {
+				atCap++
+				break
+			}
+		}
+	})
+	m.Load(sc.load(m))
+	m.Run()
+	if atCap*3 < cycles {
+		t.Errorf("scenario lost its pressure: some station at its credit cap on only %d of %d cycles", atCap, cycles)
+	}
+	t.Logf("%d cycles, some station at its credit cap on %d", cycles, atCap)
 }
 
 // equivLoops are the cycle-loop variants every scenario must agree across.

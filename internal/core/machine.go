@@ -46,13 +46,13 @@ type Config struct {
 	// naive loop exists as the reference implementation and for debugging.
 	NaiveLoop bool
 
-	// ParallelStations runs the gated cycle on a worker pool instead of
-	// inline: the same per-station and per-ring-group tick functions, one
-	// shard per station in the station phase and one per local ring in the
-	// ring phase (see parallel.go). Results stay bit-identical. Ignored
-	// under NaiveLoop, and under FirstTouch placement (same-cycle first
-	// touches from different stations need the inline executor's ascending
-	// CPU order), where the gated cycle runs inline.
+	// ParallelStations runs the station phase of the gated cycle on a
+	// worker pool instead of inline: the same per-station tick function,
+	// one shard per station (see parallel.go); the interconnect stays on
+	// the caller's goroutine. Results stay bit-identical. Ignored under
+	// NaiveLoop, and under FirstTouch placement (same-cycle first touches
+	// from different stations need the inline executor's ascending CPU
+	// order), where the gated cycle runs inline.
 	ParallelStations bool
 
 	// StationWorkers bounds the worker pool for ParallelStations;
@@ -64,16 +64,16 @@ type Config struct {
 	// cycles into Ref.Pre like compute coalescing — no coroutine switch
 	// per hit (see internal/proc/fasthits.go and DESIGN.md "Front-end hit
 	// filtering"). Results and traces are bit-identical with it on or off;
-	// the equivalence suites enforce this across all three cycle loops and
-	// faulted schedules. DefaultConfig enables it.
+	// the equivalence suites enforce this across the naive loop and both
+	// executors, and faulted schedules. DefaultConfig enables it.
 	FastHits bool
 
 	// FaultSpec selects the deterministic fault-injection schedule (see
 	// fault.ParseSpec); the empty string disables injection entirely and
 	// reproduces the fault-free machine byte for byte. FaultSeed seeds
 	// every injector PRNG stream: a fixed (seed, spec) pair yields the
-	// same faults — at the same cycles, on the same packets — under all
-	// three cycle loops.
+	// same faults — at the same cycles, on the same packets — under the
+	// naive loop and both executors.
 	FaultSpec string
 	FaultSeed uint64
 
@@ -141,8 +141,8 @@ type Machine struct {
 	// are allocated by the sending side's pool but recycled into the pool
 	// where they die, so asymmetric traffic steadily drains some free
 	// lists while growing others. Leveling runs only at serial points
-	// (Load, and the Run loop every rebalanceEvery cycles after flushing
-	// any deferred central tick) and is invisible to simulated behaviour.
+	// (Load, and the Run loop every rebalanceEvery cycles) and is invisible
+	// to simulated behaviour.
 	msgPools    []*msg.MessagePool
 	pktPools    []*msg.PacketPool
 	rebalanceAt int64
@@ -160,21 +160,12 @@ type Machine struct {
 	wasQuiesced bool
 
 	// Pooled executor of the gated cycle (ParallelStations; nil pool means
-	// the cycle runs inline — see parallel.go). parPhase selects the shard
-	// body for the current pool dispatch (1 stations, 2 ring groups, 0
-	// between dispatches); it is written only at serial points. While it is
-	// 1 the barrier buffers arrivals per station instead of mutating global
-	// state from worker goroutines.
+	// the cycle runs inline — see parallel.go). parPhase is set while a
+	// pooled station phase is running, and written only at serial points:
+	// the barrier then buffers arrivals per station instead of mutating
+	// global state from worker goroutines.
 	pool     *sim.ShardPool
-	parPhase int
-
-	// Deferred tail: when the central ring has work at cycle N the pooled
-	// executor records it here instead of ticking inline, and performs the
-	// tick overlapped with cycle N+1's phase-1 dispatch (or at the next
-	// serial observation point, whichever comes first). See flushTail in
-	// parallel.go for the disjointness argument.
-	tailPending bool
-	tailAt      int64
+	parPhase bool
 
 	// watchdogAt is the cycle at which the deadlock watchdog next samples
 	// progress; quiescence fast-forwards clamp to it so the watchdog trips
@@ -204,21 +195,20 @@ type Machine struct {
 	// mark set when a feeder's tick left something in a FIFO it reads.
 	// stationNext[s] / ringNext[r] are the minimum over station s's phase-1
 	// entries / ring group r's phase-2 entries, the skip masks of the two
-	// phases. busFedRing / ringFedCentral stage the two influence marks
-	// that cross a phase boundary (and would race across pool shards).
-	// ringOf maps a station to its local-ring index.
-	pollCPU        []int64
-	pollBus        []int64
-	pollMem        []int64
-	pollNC         []int64
-	pollRI         []int64
-	pollLocal      []int64
-	pollCentral    int64
-	stationNext    []int64
-	ringNext       []int64
-	busFedRing     []bool
-	ringFedCentral []bool
-	ringOf         []int
+	// phases. busFedRing stages the one influence mark that two station
+	// shards of the same ring would otherwise write to one entry. ringOf
+	// maps a station to its local-ring index.
+	pollCPU     []int64
+	pollBus     []int64
+	pollMem     []int64
+	pollNC      []int64
+	pollRI      []int64
+	pollLocal   []int64
+	pollCentral int64
+	stationNext []int64
+	ringNext    []int64
+	busFedRing  []bool
+	ringOf      []int
 
 	// liveCPU marks processors with a loaded program. The others sit in
 	// sDone forever, so the bus influence mark skips them and their poll
@@ -285,8 +275,9 @@ func New(cfg Config) (*Machine, error) {
 	for s := 0; s < g.Stations(); s++ {
 		// One message pool per station, shared by every component of that
 		// station: all of a station's Get/Put calls happen on its phase-1
-		// worker or its ring's phase-2 worker, which the cycle barrier
-		// separates, so the pool needs no locking under any cycle loop.
+		// worker or in the serial interconnect phase, which the pool's
+		// barrier separates, so the pool needs no locking under any cycle
+		// loop.
 		pool := new(msg.MessagePool)
 		m.msgPools = append(m.msgPools, pool)
 		b := bus.New(g, p, s)
@@ -345,7 +336,6 @@ func New(cfg Config) (*Machine, error) {
 			m.ringOf[s] = g.RingOf(s)
 		}
 		m.busFedRing = make([]bool, g.Stations())
-		m.ringFedCentral = make([]bool, g.Rings)
 		m.stationNext = make([]int64, g.Stations())
 		m.ringNext = make([]int64, g.Rings)
 	}

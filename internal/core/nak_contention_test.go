@@ -13,7 +13,8 @@ import (
 // run must complete (no starvation or retry-budget abort), the counter
 // must show every update applied exactly once, retries must be bounded
 // by the budget, and — because the backoff jitter is drawn from seeded
-// per-requester streams — all three cycle loops must stay bit-identical.
+// per-requester streams — the naive loop and both executors must stay
+// bit-identical.
 func TestNAKContentionBackoff(t *testing.T) {
 	const perProc = 25
 	build := func(loop string) (*Machine, int64, uint64) {
@@ -73,6 +74,25 @@ func TestNAKContentionBackoff(t *testing.T) {
 	}
 	if n := r.Proc.RetryLatency.Count(); n != r.Proc.RetryStreaks {
 		t.Errorf("retry latency histogram holds %d samples, want %d retried references", n, r.Proc.RetryStreaks)
+	}
+	// The per-CPU monitoring tables are allocated on first use: exactly the
+	// CPUs that completed a NAK'ed reference hold a histogram (two of the six
+	// never do), and the merged figures are what by-value tables produced.
+	held := 0
+	for i, c := range mn.CPUs {
+		if (c.Stats.RetryLatency != nil) != (c.Stats.RetryStreak.Count() > 0) {
+			t.Errorf("cpu[%d]: retry histogram allocated=%v with %d retried references",
+				i, c.Stats.RetryLatency != nil, c.Stats.RetryStreak.Count())
+		}
+		if c.Stats.RetryLatency != nil {
+			held++
+		}
+	}
+	if held != 4 || r.Proc.RetryStreaks != 4 {
+		t.Errorf("%d CPUs hold a retry histogram over %d retried references, want 4 and 4", held, r.Proc.RetryStreaks)
+	}
+	if got := mn.PhaseTransactions(); len(got) != 1 || got[0] != 31 {
+		t.Errorf("phase transactions %v, want 31 in phase 0", got)
 	}
 
 	for _, loop := range equivLoops[1:] {

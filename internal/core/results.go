@@ -325,8 +325,10 @@ func (m *Machine) Results() Results {
 		r.Proc.NAKRetries += s.NAKRetries.Value()
 		r.Proc.StallCycles += s.StallCycles.Value()
 		r.Proc.BarrierCycles += s.BarrierCycles.Value()
+		if s.RetryLatency != nil {
+			r.Proc.RetryLatency.Merge(s.RetryLatency)
+		}
 		var streakSum float64
-		r.Proc.RetryLatency.Merge(&s.RetryLatency)
 		if n := s.RetryStreak.Count(); n > 0 {
 			streakSum = r.Proc.RetryStreakMean*float64(r.Proc.RetryStreaks) + s.RetryStreak.Mean()*float64(n)
 			r.Proc.RetryStreaks += n

@@ -46,8 +46,7 @@ const rebalanceEvery = 1 << 13
 
 // rebalancePools levels every message and packet free list across the
 // machine (see msg.RebalancePackets). Callers must hold the serial point:
-// no shard may be running, and a deferred central tick must be flushed
-// first because it touches the IRI packet pools.
+// no shard may be running.
 func (m *Machine) rebalancePools() {
 	msg.RebalanceMessages(m.msgPools)
 	msg.RebalancePackets(m.pktPools)
@@ -130,9 +129,7 @@ func (m *Machine) Run() int64 {
 		if m.onDrive != nil && m.now >= m.driveAt {
 			// Drive before the cycle's step: the driver sees the machine at
 			// the top of cycle now, before any component ticks, exactly as
-			// it would under the naive loop. A deferred central tick from
-			// the previous cycle must land first.
-			m.flushTail()
+			// it would under the naive loop.
 			m.onDrive(m)
 			m.driveAt = m.now + m.driveEvery
 		}
@@ -147,14 +144,12 @@ func (m *Machine) Run() int64 {
 			m.wasQuiesced = q
 		}
 		if m.onSample != nil && m.now >= m.sampleAt {
-			m.flushTail()
 			m.onSample(m)
 			m.sampleAt = m.now + m.sampleEvery
 		}
 		if m.now >= m.rebalanceAt {
 			// Level the free lists so cross-pool migration cannot drain any
 			// pool below its steady-state working set mid-run.
-			m.flushTail()
 			m.rebalancePools()
 			m.rebalanceAt = m.now + rebalanceEvery
 		}
@@ -230,7 +225,6 @@ func (m *Machine) Drain() {
 // Idempotent; a no-op on the naive loop. Results() calls it before
 // snapshotting.
 func (m *Machine) SyncStats() {
-	m.flushTail() // the deferred central tick belongs to the last cycle
 	limit := m.now - 1
 	if limit < 0 {
 		return
@@ -297,7 +291,6 @@ func (m *Machine) SampleStationHealth(dst []StationHealth) []StationHealth {
 // Quiesced reports whether no messages remain anywhere in the machine and
 // no memory line is still locked by an unfinished lock transaction.
 func (m *Machine) Quiesced() bool {
-	m.flushTail() // a pending central tick is in-flight work
 	if !m.deliveryQuiet() {
 		return false
 	}

@@ -12,7 +12,6 @@ package msg
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"numachine/internal/topo"
 )
@@ -238,60 +237,32 @@ type Message struct {
 	// descend copy adds one, and every packet death releases one. The site
 	// that observes the count hit zero owns the message and may recycle it —
 	// including multicast originals, which before refcounting always leaked
-	// to the GC. Manipulated only through sync/atomic once the message is
-	// packetized (packets of one message die on different ring shards of
-	// the pooled cycle executor); copies go through CopyFrom, which skips
-	// it. A plain int32 rather than an atomic.Int32 so that pool recycling
-	// (`*m = Message{}`) and composite literals stay legal.
+	// to the GC. A plain counter: InitRefs runs in the sending station's
+	// phase (on a message no other station can see yet), everything after
+	// it in the serial interconnect phase. The private copy a ring
+	// interface delivers to its bus (`*cp = *m`) inherits a count that means
+	// nothing: InitRefs overwrites it if the copy is ever packetized.
 	refs int32
 }
 
-// CopyFrom makes m a private copy of src for a bus delivery: every field
-// but the packet reference count, which belongs to the struct, not to the
-// transaction. src may still be aliased by packets dying on other ring
-// shards, whose Release updates src.refs atomically — a whole-struct
-// `*m = *src` would read it non-atomically (a data race), and m's own count
-// is meaningless until m is packetized and InitRefs overwrites it.
-// TestCopyFromCopiesEveryField fails when a new field is left out.
-func (m *Message) CopyFrom(src *Message) {
-	m.Type = src.Type
-	m.Line = src.Line
-	m.Home = src.Home
-	m.SrcMod, m.DstMod = src.SrcMod, src.DstMod
-	m.BusProcs = src.BusProcs
-	m.AlsoProc = src.AlsoProc
-	m.SrcStation, m.DstStation = src.SrcStation, src.DstStation
-	m.Mask = src.Mask
-	m.Requester, m.ReqStation = src.Requester, src.ReqStation
-	m.Data, m.HasData = src.Data, src.HasData
-	m.TxnID = src.TxnID
-	m.NakOf = src.NakOf
-	m.Retry = src.Retry
-	m.Ex = src.Ex
-	m.InvalFollows = src.InvalFollows
-	m.Sequenced = src.Sequenced
-	m.IssueCycle = src.IssueCycle
-}
-
-// InitRefs sets the packet reference count at packetization time, before
-// any packet becomes visible to another shard.
-func (m *Message) InitRefs(n int) { atomic.StoreInt32(&m.refs, int32(n)) }
+// InitRefs sets the packet reference count at packetization time.
+func (m *Message) InitRefs(n int) { m.refs = int32(n) }
 
 // AddRef records one more live packet aliasing the message (a consume or
 // descend copy). Must be called while the caller still holds a live packet
 // of the message, so the count cannot transiently reach zero.
-func (m *Message) AddRef() { atomic.AddInt32(&m.refs, 1) }
+func (m *Message) AddRef() { m.refs++ }
 
 // Release records a packet death and reports whether it was the last one:
 // a true return transfers message ownership to the caller, which may
-// recycle or drop it. Calling Release on a message with no initialized
-// reference count panics — every packetization path must InitRefs first.
+// recycle or drop it. Releasing a count of zero — a message never
+// packetized, or a double packet death — panics.
 func (m *Message) Release() bool {
-	n := atomic.AddInt32(&m.refs, -1)
-	if n < 0 {
+	m.refs--
+	if m.refs < 0 {
 		panic("msg: packet reference count underflow")
 	}
-	return n == 0
+	return m.refs == 0
 }
 
 // Packets returns the number of ring packets the message occupies.

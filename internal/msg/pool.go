@@ -13,10 +13,11 @@ package msg
 //
 // Concurrency: a pool is single-owner, like the component that embeds it.
 // The StationRI pool is touched from its own station's phase-1 worker
-// (BusDeliver) and from the serial phase 2 (HandleSlot/Tick), which never
-// overlap; IRI pools are phase-2-only. Packets may die at a different
-// interface than the one that allocated them — cross-pool migration is
-// harmless because every pool recycles the same struct type.
+// (BusDeliver) and from the serial interconnect phase (HandleSlot/Tick),
+// which never overlap; IRI pools are touched in the interconnect phase
+// only. Packets may die at a different interface than the one that
+// allocated them — cross-pool migration is harmless because every pool
+// recycles the same struct type.
 type PacketPool struct {
 	free []*Packet
 	news int64 // fresh heap allocations (pool misses)

@@ -41,8 +41,10 @@ type Stats struct {
 	// RetryLatency histograms the issue-to-completion latency of
 	// references that were NAK'ed at least once; RetryStreak samples how
 	// many consecutive NAKs each such reference absorbed. Together they
-	// make retry convoys visible in the results and telemetry.
-	RetryLatency hist.Hist
+	// make retry convoys visible in the results and telemetry. The
+	// histogram is 3.9 KB and most CPUs of most runs never retry, so it is
+	// allocated by the first such completion (nil until then).
+	RetryLatency *hist.Hist
 	RetryStreak  monitor.Sampler
 }
 
@@ -130,9 +132,11 @@ type CPU struct {
 	// phase mirrors the monitor's phase-identifier register so the CPU
 	// can attribute transactions without touching shared monitor state
 	// from a phase-1 worker; phaseTxns counts issued transactions per
-	// phase (§3.3.4), aggregated serially by core.
+	// phase (§3.3.4), aggregated serially by core. The 2 KB table is
+	// allocated by the first counted transaction (countTxn): an idle CPU
+	// holds none.
 	phase     uint8
-	phaseTxns [256]int64
+	phaseTxns *[256]int64
 
 	Stats Stats
 }
@@ -180,6 +184,9 @@ func (c *CPU) Phase() uint8 { return c.phase }
 // AddPhaseTransactions folds this CPU's per-phase transaction counts into
 // dst, skipping empty phases.
 func (c *CPU) AddPhaseTransactions(dst map[uint8]int64) {
+	if c.phaseTxns == nil {
+		return
+	}
 	for ph, n := range c.phaseTxns {
 		if n != 0 {
 			dst[uint8(ph)] += n
@@ -496,13 +503,21 @@ func (c *CPU) nak(m *msg.Message, now int64) {
 	c.retryAt = now + d
 }
 
+// countTxn attributes one issued transaction to the current phase.
+func (c *CPU) countTxn() {
+	if c.phaseTxns == nil {
+		c.phaseTxns = new([256]int64)
+	}
+	c.phaseTxns[c.phase]++
+}
+
 func (c *CPU) send(t msg.Type, now int64, retry bool) {
 	home := c.HomeOf(c.curLine)
 	dst := c.g.ModNC()
 	if home == c.Station {
 		dst = c.g.ModMem()
 	}
-	c.phaseTxns[c.phase]++
+	c.countTxn()
 	rb := int32(0)
 	if retry {
 		rb = 1
@@ -521,7 +536,7 @@ func (c *CPU) send(t msg.Type, now int64, retry bool) {
 
 func (c *CPU) sendKill(now int64) {
 	home := c.HomeOf(c.curLine)
-	c.phaseTxns[c.phase]++
+	c.countTxn()
 	c.Tr.Emit(now, trace.KindTxnBegin, c.curLine, 0, int32(msg.KillReq), int32(c.phase)<<1)
 	m := c.Msgs.Get()
 	*m = msg.Message{
@@ -607,6 +622,9 @@ func (c *CPU) retryDone(now int64) {
 		return
 	}
 	c.Stats.RetryStreak.Sample(int64(c.nakStreak))
+	if c.Stats.RetryLatency == nil {
+		c.Stats.RetryLatency = new(hist.Hist)
+	}
 	c.Stats.RetryLatency.Add(now - c.firstIssueAt)
 	c.nakStreak = 0
 }

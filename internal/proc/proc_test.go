@@ -2,6 +2,7 @@ package proc
 
 import (
 	"testing"
+	"unsafe"
 
 	"numachine/internal/cache"
 	"numachine/internal/msg"
@@ -170,6 +171,47 @@ func TestNAKRetries(t *testing.T) {
 	}
 	if c.Stats.NAKRetries.Value() != 1 {
 		t.Error("retry not counted")
+	}
+}
+
+// TestCPUSize pins the per-processor footprint: core.New builds 64 of
+// these, and the two monitoring tables most of them never touch (the
+// retry-latency histogram, 3.9 KB, and the per-phase transaction counts,
+// 2 KB) made each one 6.6 KB until they moved behind pointers.
+func TestCPUSize(t *testing.T) {
+	if s := unsafe.Sizeof(CPU{}); s > 1024 {
+		t.Fatalf("CPU is %d bytes, want <= 1024", s)
+	}
+}
+
+// TestMonitoringTablesAllocateOnFirstUse: a CPU holds neither table until
+// it counts a transaction / completes a NAK'ed reference, reports nothing
+// from a table it does not hold, and records the first event in full.
+func TestMonitoringTablesAllocateOnFirstUse(t *testing.T) {
+	c := newCPU(func(ctx *Ctx) { ctx.Read(0x1000) })
+	txns := map[uint8]int64{}
+	c.AddPhaseTransactions(txns)
+	if c.phaseTxns != nil || c.Stats.RetryLatency != nil || len(txns) != 0 {
+		t.Fatalf("idle CPU holds monitoring state: phaseTxns=%v RetryLatency=%v txns=%v",
+			c.phaseTxns != nil, c.Stats.RetryLatency != nil, txns)
+	}
+	now, _ := runCPU(c, 0, 10) // the miss is issued: one transaction in phase 0
+	if c.Stats.RetryLatency != nil {
+		t.Error("retry-latency histogram allocated before any retried reference completed")
+	}
+	c.BusDeliver(&msg.Message{Type: msg.ProcNAK, Line: 0x1000, NakOf: msg.LocalRead}, now)
+	now, _ = runCPU(c, now, int64(sim.DefaultParams().RetryDelay)+10)
+	c.BusDeliver(&msg.Message{Type: msg.ProcData, Line: 0x1000, Data: 5}, now)
+	runCPU(c, now, 60)
+	if !c.Done() {
+		t.Fatal("program did not complete after the fill")
+	}
+	c.AddPhaseTransactions(txns)
+	if txns[0] != 2 || len(txns) != 1 {
+		t.Errorf("phase transactions %v, want the request and its retry in phase 0", txns)
+	}
+	if h := c.Stats.RetryLatency; h == nil || h.Count() != 1 || h.Count() != c.Stats.RetryStreak.Count() {
+		t.Errorf("retry-latency histogram %+v, want the one retried reference", h)
 	}
 }
 

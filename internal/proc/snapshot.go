@@ -6,8 +6,7 @@ import (
 )
 
 // Encode appends the CPU's behaviorally relevant state to a canonical
-// encoding (see internal/snap and the model-checker notes in
-// docs/CONCURRENCY.md).
+// encoding (see internal/snap and DESIGN.md "Verification").
 //
 // Excluded as monitoring-only: Stats, finishAt, statsAt, firstIssueAt,
 // phase/phaseTxns. Excluded because the model checker runs with the

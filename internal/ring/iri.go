@@ -26,9 +26,8 @@ type IRI struct {
 	// packets that die here (fully-copied multicast originals, switch-time
 	// drops). Packet deaths here release their message reference but never
 	// recycle the message even on the last release: the IRI owns no message
-	// pool and may run concurrently with station phase-1 workers (the
-	// central tick overlaps them in the parallel loop), so a zero-hit —
-	// possible only for fault-dropped requests — falls back to the GC.
+	// pool, so a zero-hit — possible only for fault-dropped requests — falls
+	// back to the GC.
 	pool msg.PacketPool
 
 	// UpDelay feeds Figure 18b (average delay in the upward path of the

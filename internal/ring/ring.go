@@ -11,12 +11,14 @@
 // ordering of invalidations that the coherence protocol relies on (§2.3).
 //
 // Concurrency contract: ring interfaces, rings and IRIs are the
-// cross-station layer, so they tick only in the serial phase 2 of the
-// station-parallel cycle loop. StationRI.BusDeliver is the one entry
-// point reached from phase 1; it touches only the RI's own packetization
-// queues. Everything else crosses stations: HandleSlot acquires — and
-// Tick releases — the flow-control credits of the packet's *source*
-// station, and ring Ticks move slots between nodes of different stations.
+// cross-station layer, so under every cycle loop they tick on one
+// goroutine, after the station phase (core.stepGated's phase 2 and tail).
+// StationRI.BusDeliver is the one entry point reached from a pooled station
+// phase; it touches only the RI's own packetization queues and a message no
+// other station can see yet. Everything else crosses stations: HandleSlot
+// acquires — and Tick releases — the flow-control credits of the packet's
+// *source* station, and ring Ticks move slots between nodes of different
+// stations. Nothing in this package is synchronized.
 package ring
 
 import (

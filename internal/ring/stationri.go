@@ -1,8 +1,6 @@
 package ring
 
 import (
-	"sync/atomic"
-
 	"numachine/internal/fault"
 	"numachine/internal/monitor"
 	"numachine/internal/msg"
@@ -15,16 +13,13 @@ import (
 // in the network at once (§2.4: up to 16 in the prototype). The bound is
 // what makes the sinkable/nonsinkable queueing discipline deadlock-free.
 //
-// The counters are atomics because credits are the one piece of ring state
-// shared across ring shards of the parallel cycle loop: only station st's
-// own ring interface ever acquires slot st (every ring-bound message is
-// injected at its source station), but releases happen wherever the
-// message is consumed or dropped — any shard. Under the loop's lookahead
-// mask (sharding is only chosen for a cycle when every station has at
-// least one free credit, see core.stepGated) the single possible
-// acquire per station per cycle succeeds in every interleaving and
-// releases commute, so the atomic orderings never change an outcome; they
-// only make the cross-shard accounting race-free.
+// Only station st's own ring interface ever acquires slot st (every
+// ring-bound message is injected at its source station), but releases
+// happen wherever the message is consumed or dropped — any ring interface
+// or IRI. All of them tick in the serial interconnect phase (see the
+// package comment), so the counters are plain integers, and the reference
+// tick order decides whether an acquire at the cap sees a same-cycle
+// release.
 type Credits struct {
 	max      int32
 	inFlight []int32
@@ -36,41 +31,24 @@ func NewCredits(stations, max int) *Credits {
 }
 
 // TryAcquire reserves a slot for a nonsinkable message from station st.
-// Only st's own ring interface calls this, so the load/add pair cannot
-// race another acquire; a concurrent release merely frees headroom.
 func (c *Credits) TryAcquire(st int) bool {
-	if c.max > 0 && atomic.LoadInt32(&c.inFlight[st]) >= c.max {
+	if c.max > 0 && c.inFlight[st] >= c.max {
 		return false
 	}
-	atomic.AddInt32(&c.inFlight[st], 1)
+	c.inFlight[st]++
 	return true
 }
 
 // Release returns the slot when the message is consumed at its target.
 func (c *Credits) Release(st int) {
-	if atomic.AddInt32(&c.inFlight[st], -1) < 0 {
+	c.inFlight[st]--
+	if c.inFlight[st] < 0 {
 		panic("ring: nonsinkable credit underflow")
 	}
 }
 
 // InFlight reports station st's outstanding nonsinkable messages.
-func (c *Credits) InFlight(st int) int { return int(atomic.LoadInt32(&c.inFlight[st])) }
-
-// Headroom reports whether every station holds at least one free credit —
-// the lookahead-mask condition under which the parallel cycle loop may
-// shard the ring phase (at most one acquire per station per cycle can
-// occur, and it succeeds regardless of in-flight releases).
-func (c *Credits) Headroom() bool {
-	if c.max <= 0 {
-		return true
-	}
-	for st := range c.inFlight {
-		if atomic.LoadInt32(&c.inFlight[st]) >= c.max {
-			return false
-		}
-	}
-	return true
-}
+func (c *Credits) InFlight(st int) int { return int(c.inFlight[st]) }
 
 // StationRI is the local ring interface of one station (Figure 11). On the
 // upward path it packetizes bus messages into the sinkable or nonsinkable
@@ -112,8 +90,8 @@ type StationRI struct {
 	// that drops the count to zero owns the message and recycles it to its
 	// own station's pool, so multicast and dup-faulted originals now
 	// recycle too instead of leaking to the GC. The pool is touched from
-	// the station's phase-1 worker (BusDeliver) and its ring's phase-2
-	// worker (HandleSlot/Tick), which the cycle barrier separates.
+	// the station's phase-1 worker (BusDeliver) and from the serial phase 2
+	// (HandleSlot/Tick), which the pool's barrier separates.
 	Msgs *msg.MessagePool
 
 	// Figure 18a measurements.
@@ -172,7 +150,7 @@ func (r *StationRI) BusDeliver(m *msg.Message, now int64) {
 	// back locally (single-station machines).
 	if m.DstStation == r.Station && m.Type != msg.Invalidate {
 		cp := r.Msgs.Get()
-		cp.CopyFrom(m)
+		*cp = *m
 		r.route(cp)
 		r.busOutQ.Push(cp, now)
 		r.Msgs.Put(m) // superseded by the private copy
@@ -365,7 +343,7 @@ func (r *StationRI) Tick(now int64) {
 		first := r.firstSeen[m]
 		delete(r.firstSeen, m)
 		cp := r.Msgs.Get()
-		cp.CopyFrom(m)
+		*cp = *m
 		r.route(cp)
 		if m.Type.Sinkable() {
 			r.DownSink.Sample(now - first)

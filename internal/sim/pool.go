@@ -29,8 +29,7 @@ import (
 // Two channel operations plus a WaitGroup Add/Wait per cycle cost roughly
 // a microsecond at GOMAXPROCS>=4 (see BenchmarkShardPoolHandoff); the
 // barrier form costs a fraction of that, which matters when the simulator
-// dispatches the pool twice per simulated cycle (station phase and ring
-// phase).
+// dispatches the pool once per simulated cycle that has station work.
 //
 // The shard-to-worker assignment is a fixed block partition, so a shard is
 // always ticked by the same goroutine while the pool is running. Workers
@@ -61,7 +60,7 @@ type ShardPool struct {
 	running bool
 
 	// panics holds, per worker, the value its shard range panicked with in
-	// the current cycle. CycleWait re-raises the lowest worker's — the
+	// the current cycle. Cycle re-raises the lowest worker's — the
 	// lowest panicking shard's, whatever the interleaving — on the caller's
 	// goroutine, where it can be recovered; a panic on a worker would end
 	// the process.
@@ -144,7 +143,7 @@ func (p *ShardPool) worker(w, lo, hi int, seen uint32) {
 
 // runRange runs worker w's shards [lo, hi) and returns their summed
 // results. A shard panic abandons the rest of the range and is kept for
-// CycleWait.
+// Cycle to re-raise.
 func (p *ShardPool) runRange(w, lo, hi int, now int64) (n int) {
 	defer func() {
 		if e := recover(); e != nil {
@@ -158,17 +157,11 @@ func (p *ShardPool) runRange(w, lo, hi int, now int64) (n int) {
 }
 
 // Cycle runs every shard once at cycle now and returns the summed shard
-// results. It blocks until all shards complete.
+// results. It blocks until all shards complete: the pending-counter load
+// carries the happens-before edge making all shard writes visible to the
+// caller. If a shard panicked, Cycle panics with the same value once every
+// worker has finished the cycle.
 func (p *ShardPool) Cycle(now int64) int {
-	p.CycleStart(now)
-	return p.CycleWait()
-}
-
-// CycleStart releases the workers into cycle now and returns immediately,
-// letting the caller overlap its own serial work with the shards. Every
-// CycleStart must be paired with exactly one CycleWait before the next
-// start; the caller-side work must not touch state any shard can write.
-func (p *ShardPool) CycleStart(now int64) {
 	if !p.running {
 		p.launch()
 	}
@@ -180,14 +173,6 @@ func (p *ShardPool) CycleStart(now int64) {
 		p.cond.Broadcast()
 		p.mu.Unlock()
 	}
-}
-
-// CycleWait blocks until every shard of the started cycle has finished —
-// the barrier half of Cycle — and returns the summed shard results. The
-// pending-counter load carries the happens-before edge making all shard
-// writes visible to the caller. If a shard panicked, CycleWait panics with
-// the same value once every worker has finished the cycle.
-func (p *ShardPool) CycleWait() int {
 	for p.pending.Load() != 0 {
 		runtime.Gosched()
 	}

@@ -43,7 +43,7 @@ func TestShardPoolClampsWorkers(t *testing.T) {
 }
 
 // TestShardPoolPropagatesPanic: a shard panic must surface in the caller
-// of CycleWait — recoverable, unlike a panic on a worker goroutine — after
+// of Cycle — recoverable, unlike a panic on a worker goroutine — after
 // the other workers finished the cycle, and the pool must keep working.
 func TestShardPoolPropagatesPanic(t *testing.T) {
 	var ran [8]int
