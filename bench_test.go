@@ -200,61 +200,3 @@ func BenchmarkAblationSCLocking(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkSimulatorThroughput measures raw simulation speed (cycles of
-// simulated machine time per wall second) on a busy 64-processor run.
-func BenchmarkSimulatorThroughput(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		cfg := benchConfig()
-		m, _ := core.New(cfg)
-		inst, err := workloads.Build("ocean", m, 64, 64)
-		if err != nil {
-			b.Fatal(err)
-		}
-		m.Load(inst.Progs)
-		cycles := m.Run()
-		b.ReportMetric(float64(cycles), "sim_cycles")
-	}
-}
-
-// BenchmarkCycleLoop compares the three cycle loops on the same workloads:
-// the naive tick-everything reference, the event-aware quiescence
-// scheduler, and the station-parallel two-phase loop. All three produce
-// bit-identical results (internal/core/equivalence_test.go); the scheduler
-// skips ticks of provably idle components and fast-forwards fully
-// quiescent stretches, and the parallel loop additionally shards the
-// station phase across cores, so the ratios are the speedups of the
-// optimized loops. CI runs this trio with -benchmem and archives the
-// output, recording the perf trajectory per PR.
-func BenchmarkCycleLoop(b *testing.B) {
-	workset := []struct {
-		workload string
-		procs    int
-	}{{"ocean", 64}, {"water-nsq", 64}}
-	for _, w := range workset {
-		for _, loop := range []string{"naive", "scheduler", "parallel"} {
-			b.Run(w.workload+"/"+loop, func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					cfg := benchConfig()
-					cfg.NaiveLoop = loop == "naive"
-					cfg.ParallelStations = loop == "parallel"
-					m, err := core.New(cfg)
-					if err != nil {
-						b.Fatal(err)
-					}
-					inst, err := workloads.Build(w.workload, m, w.procs, benchSizes[w.workload])
-					if err != nil {
-						b.Fatal(err)
-					}
-					m.Load(inst.Progs)
-					cycles := m.Run()
-					if err := inst.Check(); err != nil {
-						b.Fatal(err)
-					}
-					b.ReportMetric(float64(cycles), "sim_cycles")
-					b.ReportMetric(float64(m.FastForwarded.Value()), "ff_cycles")
-				}
-			})
-		}
-	}
-}

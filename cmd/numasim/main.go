@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"strings"
 
 	"numachine/internal/core"
 	"numachine/internal/profile"
@@ -149,14 +150,21 @@ func main() {
 		})
 	}
 
-	var cycles int64
+	run := m.Run
 	if ctl != nil {
-		cycles = ctl.Run()
-	} else {
-		cycles = m.Run()
+		run = ctl.Run
 	}
+	cycles, abort := runOrAbort(run)
 	if err := stopProf(); err != nil {
 		fatal(err)
+	}
+	if abort != "" {
+		fmt.Fprintln(os.Stderr, "numasim:", abort)
+		fmt.Fprintln(os.Stderr, "numasim: repro:", reproLine())
+		if *traceOut != "" {
+			writeTrace(m, *traceOut) // the ring buffers hold the window before the abort
+		}
+		os.Exit(1)
 	}
 	if srv != nil {
 		srv.Publish(telemetry.SnapshotOf(m, name, loop, true))
@@ -210,25 +218,60 @@ func main() {
 	}
 
 	if *traceOut != "" {
-		tr := m.Tracer()
-		f, err := os.Create(*traceOut)
-		if err != nil {
-			fatal(err)
-		}
-		if err := tr.WriteChrome(f); err != nil {
-			fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			fatal(err)
-		}
-		n := len(tr.Events())
-		fmt.Printf("trace            %s: %d events (%d dropped to ring-buffer wrap)\n",
-			*traceOut, n, tr.Dropped())
+		writeTrace(m, *traceOut)
 	}
 	if srv != nil && *hold {
 		fmt.Println("holding for live metrics; interrupt to exit")
 		select {}
 	}
+}
+
+// runOrAbort runs the simulation. The machine aborts a run (watchdog,
+// starvation detector, invariant check, panicking program) by panicking
+// with its report as a string; that comes back as abort. Any other panic
+// value is a simulator bug and keeps its goroutine dump.
+func runOrAbort(run func() int64) (cycles int64, abort string) {
+	defer func() {
+		if r := recover(); r != nil {
+			msg, ok := r.(string)
+			if !ok {
+				panic(r)
+			}
+			abort = strings.TrimRight(msg, "\n\t ")
+		}
+	}()
+	return run(), ""
+}
+
+// writeTrace writes the machine's trace buffers as a Chrome/Perfetto file.
+func writeTrace(m *core.Machine, path string) {
+	tr := m.Tracer()
+	f, err := os.Create(path)
+	if err != nil {
+		fatal(err)
+	}
+	if err := tr.WriteChrome(f); err != nil {
+		fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		fatal(err)
+	}
+	fmt.Printf("trace            %s: %d events (%d dropped to ring-buffer wrap)\n",
+		path, len(tr.Events()), tr.Dropped())
+}
+
+// reproLine renders the flags this run was given as one shell command.
+func reproLine() string {
+	var b strings.Builder
+	b.WriteString("numasim")
+	flag.Visit(func(f *flag.Flag) {
+		v := f.Value.String()
+		if v == "" || strings.Trim(v, "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789-_./:=,+") != "" {
+			v = "'" + strings.ReplaceAll(v, "'", `'\''`) + "'"
+		}
+		fmt.Fprintf(&b, " -%s=%s", f.Name, v)
+	})
+	return b.String()
 }
 
 func fatal(err error) {

@@ -192,20 +192,6 @@ func (b *Bus) deliver(m *msg.Message, now int64) {
 	}
 }
 
-// Quiet reports whether the bus is idle AND no module has pending output —
-// nothing can be granted this cycle. Used by the fast-hit horizon.
-func (b *Bus) Quiet(now int64) bool {
-	if !b.Idle(now) {
-		return false
-	}
-	for _, q := range b.outs {
-		if q != nil && !q.Empty() {
-			return false
-		}
-	}
-	return true
-}
-
 // HitHorizon returns a sound lower bound on the earliest cycle at which a
 // transfer could be *delivered* to the processor at local index `local`,
 // seen from the CPU phase of cycle now (the bus ticks after the CPUs

@@ -207,7 +207,7 @@ func equivScenarios() []equivScenario {
 	// CPUs with id >= round then touch one fresh page in the same cycle
 	// (the lowest of them, a different station as the rounds go, must win
 	// the page), re-read their line (hits the fast path resolves under the
-	// tier 2.5/3 horizons, which read other stations mid-cycle), and all
+	// machine-quiet horizon, which reads other stations mid-cycle), and all
 	// arrive at the closing barrier in the same cycle. The gated cycle is
 	// station-major, the naive one component-major: this is the scenario
 	// where only ascending CPU order keeps the two identical.

@@ -172,17 +172,12 @@ type Machine struct {
 	// at the same cycle in every loop.
 	watchdogAt int64
 
-	// Per-cycle memo of Quiesced() for the fast-hit tier-3 horizon: every
-	// deep-idle window open on the same cycle shares one machine scan.
-	// quiescedAt is the cycle the memo was taken (-1 = none yet).
+	// Per-cycle memo of deliveryQuiet() for the fast-hit machine-quiet
+	// horizon: every deep-idle window open on the same cycle shares one
+	// machine scan. quiescedAt is the cycle the memo was taken (-1 = none
+	// yet).
 	quiescedAt int64
 	quiescedOK bool
-
-	// Per-cycle memo of remoteTransitFloor for the fast-hit tier-2.5
-	// horizon (transitAt = cycle taken; -1 = none yet).
-	transitAt    int64
-	transitOK    bool
-	transitFloor int64
 
 	// gated is set for everything but NaiveLoop: components tick only when
 	// their activity gate fires (stepGated), with the poll caches below
@@ -263,7 +258,6 @@ func New(cfg Config) (*Machine, error) {
 		heapNext:   uint64(p.PageSize), // keep address 0 unused
 		Phases:     monitor.NewPhaseIDs(g.Procs()),
 		quiescedAt: -1,
-		transitAt:  -1,
 	}
 	// Build the injector only for a non-zero spec: a nil injector keeps
 	// every hook inert and fault-free runs byte-identical.

@@ -303,11 +303,12 @@ func (m *Machine) Quiesced() bool {
 }
 
 // deliveryQuiet reports whether no messages remain anywhere in the
-// machine: every controller idle, every queue empty, every ring drained.
-// Unlike Quiesced it ignores held memory locks — a locked line is passive
-// state, not a message source: nothing emanates from it until some CPU
-// pushes a new request, and that request pays the full grant-plus-
-// directory-stage path like any other. The fast-hit tier-3 horizon
+// machine: every controller and ring interface idle (each Idle covers its
+// bus out-queue), every bus free, every CPU out-queue empty, every ring
+// drained. Unlike Quiesced it ignores held memory locks — a locked line is
+// passive state, not a message source: nothing emanates from it until some
+// CPU pushes a new request, and that request pays the full grant-plus-
+// directory-stage path like any other. The fast-hit machine-quiet horizon
 // therefore gates on this predicate (lock-heavy workloads would otherwise
 // never see a deep window), while fast-forwarding and the public API keep
 // the stricter Quiesced.
@@ -322,25 +323,6 @@ func (m *Machine) deliveryQuiet() bool {
 			return false
 		}
 	}
-	if !m.transitQuiet() {
-		return false
-	}
-	for _, b := range m.Buses {
-		if !b.Idle(m.now) {
-			return false
-		}
-	}
-	for _, c := range m.CPUs {
-		if !c.BusOut().Empty() {
-			return false
-		}
-	}
-	return true
-}
-
-// transitQuiet reports whether no packet is in transit anywhere: every
-// ring drained, every ring interface (station and inter-ring) empty.
-func (m *Machine) transitQuiet() bool {
 	for _, lr := range m.Locals {
 		if !lr.Drained() {
 			return false
@@ -359,22 +341,32 @@ func (m *Machine) transitQuiet() bool {
 			return false
 		}
 	}
+	for _, b := range m.Buses {
+		if !b.Idle(m.now) {
+			return false
+		}
+	}
+	for _, c := range m.CPUs {
+		if !c.BusOut().Empty() {
+			return false
+		}
+	}
 	return true
 }
 
 // quiescedThisCycle memoizes deliveryQuiet() per cycle for the fast-hit
-// tier-3 horizon, which may consult it once per handshake: every deep-idle
+// machine-quiet horizon, which consults it once per handshake: every
 // window opened during the same cycle shares a single machine scan. A true
-// memo stays sound for the rest of the cycle, including for a later
-// station's CPU that reuses it after lower stations' buses and controllers
+// memo stays sound for the rest of the cycle, including for a CPU that
+// reuses it after lower-id CPUs, and lower stations' buses and controllers,
 // have ticked (the gated cycle is station-major): with no message anywhere
 // when it was taken, those ticks had nothing to move, so any activity since
-// is CPU-initiated at or after the current cycle, and the tier-3 bound
-// reads each CPU's wake live (a CPU that just went active contributes
-// wake <= now), so the two-transfer argument still covers it however far
-// the request has travelled. A memo that turns stale in the other
-// direction (machine drained mid-cycle) only under-reports quiescence,
-// which merely narrows the window to tier 2.
+// is CPU-initiated at or after the current cycle, and the bound reads each
+// CPU's wake live (a CPU that just went active contributes wake <= now), so
+// the two-transfer argument still covers it however far the request has
+// travelled. A memo that turns stale in the other direction (machine
+// drained mid-cycle) only under-reports quiescence, which merely narrows
+// the window to the bus floor.
 func (m *Machine) quiescedThisCycle() bool {
 	if m.quiescedAt != m.now {
 		m.quiescedAt = m.now

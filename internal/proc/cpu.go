@@ -298,8 +298,8 @@ func (c *CPU) Tick(now int64) {
 		}
 		if ref.Pre > 0 {
 			// Burn the coalesced compute prefix first; the reference itself
-			// executes at now+Pre, exactly when the uncoalesced RefCompute
-			// sequence would have reached it.
+			// executes at now+Pre, exactly when uncoalesced compute
+			// references would have reached it.
 			c.stash, c.hasStash = ref, true
 			c.stash.Pre = 0
 			c.thinkUntil = now + ref.Pre
@@ -335,8 +335,6 @@ func (c *CPU) process(ref Ref, now int64) {
 	case RefDone:
 		c.st = sDone
 		c.finishAt = now
-	case RefCompute:
-		c.thinkUntil = now + ref.N
 	case RefCycle:
 		c.lastResult = uint64(now)
 		c.thinkUntil = now + 1

@@ -28,10 +28,7 @@ const (
 	RefTAS
 	// RefFetchAdd atomically adds Data to the line, returning the old value.
 	RefFetchAdd
-	// RefCompute consumes N cycles of pure computation. Ctx.Compute no
-	// longer emits it (compute bursts coalesce into Ref.Pre); the kind
-	// remains for back ends that synthesize references directly.
-	RefCompute
+	_ // was RefCompute (compute bursts coalesce into Ref.Pre); later kinds keep their byte values
 	// RefBarrier blocks until all participating processors arrive.
 	RefBarrier
 	// RefPhase writes the per-processor phase identifier register (§3.3).
@@ -53,7 +50,6 @@ type Ref struct {
 	Kind  RefKind
 	Addr  uint64
 	Data  uint64
-	N     int64 // compute cycles
 	Phase uint8
 
 	// Pre is the number of compute cycles the processor must burn before

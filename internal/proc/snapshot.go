@@ -46,7 +46,6 @@ func encodeRef(e *snap.Enc, r Ref) {
 	e.Byte(byte(r.Kind))
 	e.U64(r.Addr)
 	e.U64(r.Data)
-	e.I64(r.N)
 	e.Byte(r.Phase)
 	e.I64(r.Pre)
 }
