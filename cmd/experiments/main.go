@@ -34,7 +34,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"strconv"
 	"strings"
 
@@ -49,7 +48,6 @@ func main() {
 	scale := flag.Int("scale", 1, "problem size multiplier for speedup sweeps")
 	workers := flag.Int("workers", 1, "goroutines for independent sweep points (0 = GOMAXPROCS)")
 	parallel := flag.Bool("parallel", false, "station-parallel cycle loop inside each simulation")
-	maxProcs := flag.Int("gomaxprocs", 0, "cap OS threads running Go code (0 = runtime default); makes scaling comparisons reproducible across hosts")
 	serveBase := flag.String("serve-base", "duration=60000,tenants=4", "base -serve-spec for the serving sweep (coordinates appended per point)")
 	serveSeed := flag.Uint64("serve-seed", 1, "load-generator seed for the serving sweep")
 	resilBase := flag.String("resil-base", "open=4,duration=20000,procs=16,tenants=4,qcap=8,span=256,class=urgent:2:6:10:25:1000,class=interactive:3:8:20:25:4000,class=batch:1:48:60:50:0", "base -serve-spec for the resilience sweep")
@@ -59,9 +57,6 @@ func main() {
 	traceEvt := flag.Int("trace-events", 0, "per-component trace ring-buffer capacity (0 = default)")
 	prof := profile.AddFlags()
 	flag.Parse()
-	if *maxProcs > 0 {
-		runtime.GOMAXPROCS(*maxProcs)
-	}
 	what := flag.Arg(0)
 	if what == "" {
 		what = "all"

@@ -57,7 +57,7 @@ type Bus struct {
 	// when its receivers retain nothing: processor deliveries (the CPU
 	// copies what it needs) and multicasts. Memory/NC deliveries are
 	// retained in the target's input queue and recycled there instead.
-	Msgs *msg.MessagePool
+	Msgs *msg.Pool[msg.Message]
 }
 
 // New creates the bus for one station. Modules must be registered with
@@ -134,7 +134,7 @@ func (b *Bus) Tick(now int64) {
 		if q == nil || q.Empty() {
 			continue
 		}
-		m, ok := q.Pop(now)
+		m, ok := q.Pop()
 		if !ok {
 			continue
 		}

@@ -44,7 +44,7 @@ func run(b *Bus, from, cycles int64) int64 {
 
 func TestCommandTransfer(t *testing.T) {
 	b, mods, g := build(t)
-	mods[0].out.Push(&msg.Message{Type: msg.LocalRead, DstMod: g.ModMem()}, 0)
+	mods[0].out.Push(&msg.Message{Type: msg.LocalRead, DstMod: g.ModMem()})
 	run(b, 0, 20)
 	if len(mods[g.ModMem()].received) != 1 {
 		t.Fatal("command not delivered to memory")
@@ -55,7 +55,7 @@ func TestDataTransferTakesLonger(t *testing.T) {
 	b, mods, g := build(t)
 	p := sim.DefaultParams()
 	cmdCost := int64(p.BusArbCycles + p.BusCmdCycles)
-	mods[0].out.Push(&msg.Message{Type: msg.ProcData, DstMod: 1}, 0)
+	mods[0].out.Push(&msg.Message{Type: msg.ProcData, DstMod: 1})
 	run(b, 0, cmdCost+1)
 	if len(mods[1].received) != 0 {
 		t.Fatal("data transfer completed in command time")
@@ -71,8 +71,8 @@ func TestRoundRobinFairness(t *testing.T) {
 	b, mods, g := build(t)
 	// Processors 0 and 1 each queue 5 commands; deliveries must interleave.
 	for i := 0; i < 5; i++ {
-		mods[0].out.Push(&msg.Message{Type: msg.LocalRead, Line: uint64(i), DstMod: g.ModMem()}, 0)
-		mods[1].out.Push(&msg.Message{Type: msg.LocalRead, Line: 100 + uint64(i), DstMod: g.ModMem()}, 0)
+		mods[0].out.Push(&msg.Message{Type: msg.LocalRead, Line: uint64(i), DstMod: g.ModMem()})
+		mods[1].out.Push(&msg.Message{Type: msg.LocalRead, Line: 100 + uint64(i), DstMod: g.ModMem()})
 	}
 	run(b, 0, 200)
 	recv := mods[g.ModMem()].received
@@ -91,7 +91,7 @@ func TestBusInvalMulticast(t *testing.T) {
 	b, mods, g := build(t)
 	mods[g.ModMem()].out.Push(&msg.Message{
 		Type: msg.BusInval, DstMod: 0, BusProcs: 0b1010,
-	}, 0)
+	})
 	run(b, 0, 20)
 	for i := 0; i < 4; i++ {
 		want := 0
@@ -109,7 +109,7 @@ func TestIntervRespSnarfing(t *testing.T) {
 	// Owner proc 2 responds; memory is the target, proc 1 snarfs.
 	mods[2].out.Push(&msg.Message{
 		Type: msg.IntervResp, DstMod: g.ModMem(), AlsoProc: 1, Data: 9, HasData: true,
-	}, 0)
+	})
 	run(b, 0, 30)
 	if len(mods[g.ModMem()].received) != 1 {
 		t.Error("memory missed the intervention response")
@@ -124,7 +124,7 @@ func TestIntervRespSnarfing(t *testing.T) {
 
 func TestUtilizationTracksOccupancy(t *testing.T) {
 	b, mods, g := build(t)
-	mods[0].out.Push(&msg.Message{Type: msg.ProcData, DstMod: g.ModMem()}, 0)
+	mods[0].out.Push(&msg.Message{Type: msg.ProcData, DstMod: g.ModMem()})
 	run(b, 0, 100)
 	u := b.Util.Value()
 	if u <= 0 || u >= 0.5 {
@@ -137,7 +137,7 @@ func TestUtilizationTracksOccupancy(t *testing.T) {
 
 func TestIdleAccountsForInFlight(t *testing.T) {
 	b, mods, g := build(t)
-	mods[0].out.Push(&msg.Message{Type: msg.LocalRead, DstMod: g.ModMem()}, 0)
+	mods[0].out.Push(&msg.Message{Type: msg.LocalRead, DstMod: g.ModMem()})
 	b.Tick(0) // grabs the message; delivery pends
 	if b.Idle(100) {
 		t.Error("bus with undelivered in-flight message claims idle")

@@ -44,11 +44,6 @@ func (m *Machine) stepNaive() {
 	if m.Central != nil {
 		m.Central.Tick(now)
 	}
-	if now&31 == 0 {
-		for _, iri := range m.IRIs {
-			iri.ObserveAt(now)
-		}
-	}
 	m.now++
 }
 
@@ -62,7 +57,7 @@ func (m *Machine) stepNaive() {
 //	         shard per station under ParallelStations (parallel.go);
 //	phase 2  the interconnect, on the caller's goroutine: every RI, then
 //	         every local ring (tickRingsSerial, the reference order);
-//	tail     the central ring and the IRI occupancy observation.
+//	tail     the central ring.
 //
 // The poll caches make the gate pass cost proportional to the components
 // that are due and the FIFOs that were filled rather than to the machine
@@ -334,8 +329,7 @@ func (m *Machine) tickRingsSerial(now int64) int {
 	return ticked
 }
 
-// tail finishes cycle now: the gate-and-tick block of the central ring,
-// then the periodic IRI occupancy observation, which must follow it.
+// tail finishes cycle now: the gate-and-tick block of the central ring.
 func (m *Machine) tail(now int64) int {
 	ticked := 0
 	if m.Central != nil && m.pollCentral <= now {
@@ -356,11 +350,6 @@ func (m *Machine) tail(now int64) int {
 					m.ringNext[r] = now + 1
 				}
 			}
-		}
-	}
-	if now&31 == 0 {
-		for _, iri := range m.IRIs {
-			iri.ObserveAt(now)
 		}
 	}
 	return ticked

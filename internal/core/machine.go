@@ -143,13 +143,13 @@ type Machine struct {
 	// lists while growing others. Leveling runs only at serial points
 	// (Load, and the Run loop every rebalanceEvery cycles) and is invisible
 	// to simulated behaviour.
-	msgPools    []*msg.MessagePool
-	pktPools    []*msg.PacketPool
+	msgPools    []*msg.Pool[msg.Message]
+	pktPools    []*msg.Pool[msg.Packet]
 	rebalanceAt int64
 
 	now      int64
 	heapNext uint64
-	pageHome map[uint64]int // FirstTouch assignments
+	pageHome map[uint64]int // AllocAt overrides and FirstTouch assignments
 
 	barrier  barrierCtl
 	Phases   *monitor.PhaseIDs
@@ -272,7 +272,7 @@ func New(cfg Config) (*Machine, error) {
 		// worker or in the serial interconnect phase, which the pool's
 		// barrier separates, so the pool needs no locking under any cycle
 		// loop.
-		pool := new(msg.MessagePool)
+		pool := new(msg.Pool[msg.Message])
 		m.msgPools = append(m.msgPools, pool)
 		b := bus.New(g, p, s)
 		b.Msgs = pool
@@ -417,46 +417,34 @@ func (m *Machine) AllocAt(station, size int) uint64 {
 	return base
 }
 
-// HomeOf returns the home station of the line containing addr.
+// HomeOf returns the home station of the line containing addr: the page's
+// AllocAt override or first-touch assignment when it has one, round robin
+// otherwise. Round-robin homes are a pure function of the page and are not
+// stored.
 func (m *Machine) HomeOf(addr uint64) int {
 	pg := addr / uint64(m.p.PageSize)
 	if s, ok := m.pageHome[pg]; ok {
 		return s
 	}
-	if m.Cfg.Placement == RoundRobin {
-		s := int(pg % uint64(m.g.Stations()))
-		m.pageHome[pg] = s
-		return s
-	}
-	// FirstTouch without a toucher: fall back to round robin.
-	s := int(pg % uint64(m.g.Stations()))
-	m.pageHome[pg] = s
-	return s
+	return int(pg % uint64(m.g.Stations()))
 }
 
-// homeOfFor builds the per-CPU home resolver, implementing first-touch
-// assignment when configured. Under the pooled executor the resolver must
-// not memoize: CPUs on different stations call it concurrently during
-// phase 1, and round-robin homes are a pure function of the page anyway
-// (FirstTouch, which genuinely assigns, never runs pooled). pageHome is
-// then read-only during phase 1 — only AllocAt overrides, written before
-// Run — so the concurrent map reads are safe.
+// homeOfFor builds the per-CPU home resolver: HomeOf, except that under
+// FirstTouch a page without a home is assigned to the station of the CPU
+// asking. Under the pooled executor CPUs on different stations resolve
+// homes concurrently during phase 1; pageHome is read-only then (AllocAt
+// overrides are written before Run, and FirstTouch, which assigns, never
+// runs pooled), so the concurrent map reads are safe.
 func (m *Machine) homeOfFor(c *proc.CPU) func(uint64) int {
+	if m.Cfg.Placement != FirstTouch {
+		return m.HomeOf
+	}
 	return func(line uint64) int {
 		pg := line / uint64(m.p.PageSize)
 		if s, ok := m.pageHome[pg]; ok {
 			return s
 		}
-		var s int
-		if m.Cfg.Placement == FirstTouch {
-			s = c.Station
-		} else {
-			s = int(pg % uint64(m.g.Stations()))
-			if m.pool != nil {
-				return s
-			}
-		}
-		m.pageHome[pg] = s
-		return s
+		m.pageHome[pg] = c.Station
+		return c.Station
 	}
 }

@@ -61,8 +61,8 @@ func (m *Machine) Progress() *ProgressReport {
 		down := mem.Fault.DownCycles(m.now)
 		if locks > 0 || !mem.Idle() || down > 0 {
 			qs := mem.InQStats()
-			fmt.Fprintf(&b, "mem[%d]: locks=%d idle=%v inQ depth=%d (enq=%d mean=%.2f max=%d)",
-				i, locks, mem.Idle(), mem.InQDepth(), qs.Enqueued, qs.MeanDepth, qs.MaxDepth)
+			fmt.Fprintf(&b, "mem[%d]: locks=%d idle=%v inQ depth=%d (enq=%d max=%d)",
+				i, locks, mem.Idle(), mem.InQDepth(), qs.Enqueued, qs.MaxDepth)
 			if down > 0 {
 				fmt.Fprintf(&b, " fault-down=%d wedged=%v", down, mem.Fault.Wedged(m.now))
 			}
@@ -73,8 +73,8 @@ func (m *Machine) Progress() *ProgressReport {
 		down := nc.Fault.DownCycles(m.now)
 		if !nc.Idle() || down > 0 {
 			qs := nc.InQStats()
-			fmt.Fprintf(&b, "nc[%d]: busy inQ depth=%d (enq=%d mean=%.2f max=%d) nakRetries=%d timeoutReissues=%d",
-				i, nc.InQDepth(), qs.Enqueued, qs.MeanDepth, qs.MaxDepth,
+			fmt.Fprintf(&b, "nc[%d]: busy inQ depth=%d (enq=%d max=%d) nakRetries=%d timeoutReissues=%d",
+				i, nc.InQDepth(), qs.Enqueued, qs.MaxDepth,
 				nc.Stats.NetNAKRetries.Value(), nc.Stats.TimeoutReissues.Value())
 			if down > 0 {
 				fmt.Fprintf(&b, " fault-down=%d", down)

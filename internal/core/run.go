@@ -45,11 +45,11 @@ func (m *Machine) Load(progs []proc.Program) {
 const rebalanceEvery = 1 << 13
 
 // rebalancePools levels every message and packet free list across the
-// machine (see msg.RebalancePackets). Callers must hold the serial point:
+// machine (see msg.Rebalance). Callers must hold the serial point:
 // no shard may be running.
 func (m *Machine) rebalancePools() {
-	msg.RebalanceMessages(m.msgPools)
-	msg.RebalancePackets(m.pktPools)
+	msg.Rebalance(m.msgPools)
+	msg.Rebalance(m.pktPools)
 }
 
 // SetDriver arranges for fn to run at a serial point of the run loop
@@ -221,9 +221,8 @@ func (m *Machine) Drain() {
 }
 
 // SyncStats reconciles every lazily-accounted statistic (stall counters,
-// utilization, queue-occupancy sampling) through the last completed cycle.
-// Idempotent; a no-op on the naive loop. Results() calls it before
-// snapshotting.
+// utilization) through the last completed cycle. Idempotent; a no-op on
+// the naive loop. Results() calls it before snapshotting.
 func (m *Machine) SyncStats() {
 	limit := m.now - 1
 	if limit < 0 {
@@ -234,18 +233,6 @@ func (m *Machine) SyncStats() {
 	}
 	for _, b := range m.Buses {
 		b.SyncStats(limit)
-	}
-	for _, mem := range m.Mems {
-		mem.SyncStats(limit)
-	}
-	for _, nc := range m.NCs {
-		nc.SyncStats(limit)
-	}
-	for _, ri := range m.RIs {
-		ri.SyncStats(limit)
-	}
-	for _, iri := range m.IRIs {
-		iri.SyncStats(limit)
 	}
 	for _, lr := range m.Locals {
 		lr.SyncStats(limit)

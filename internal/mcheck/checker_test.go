@@ -8,32 +8,50 @@ import (
 	"numachine/internal/trace"
 )
 
-// TestExhaustiveDefaultSpec is the flagship verification run: the
-// 2-station × 2-CPU × 1-line configuration explored to a fixpoint. The
-// unmodified protocol must show zero violations over every reachable
-// interleaving of issue delays.
-func TestExhaustiveDefaultSpec(t *testing.T) {
-	c, err := New(DefaultSpec())
+// sweep explores spec to a fixpoint, requires a complete, violation-free
+// result and pins the size of the explored space. The counts are exact:
+// the sweep is deterministic, and a change that moves a choice point off
+// its issue cycle, or state out of the key, shows up as a smaller space
+// long before it shows up as a missed bug (DESIGN.md "Verification").
+func sweep(t *testing.T, spec Spec, states, paths, terminals int) {
+	t.Helper()
+	c, err := New(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	res := c.Run()
-	t.Logf("exhaustive sweep: %s", res)
+	t.Logf("sweep: %s", res)
 	if len(res.Violations) != 0 {
 		t.Fatalf("unmodified protocol produced violations:\n%s", res)
 	}
 	if !res.Complete {
 		t.Fatalf("exploration did not reach a fixpoint within budgets: %s", res)
 	}
-	if res.Terminals == 0 {
-		t.Fatalf("no path ran to completion: %s", res)
+	if res.States != states || res.Paths != paths || res.Terminals != terminals {
+		t.Errorf("explored states/paths/terminals = %d/%d/%d, want %d/%d/%d",
+			res.States, res.Paths, res.Terminals, states, paths, terminals)
 	}
-	if res.States == 0 {
-		t.Fatalf("no states recorded — dedup never engaged: %s", res)
+}
+
+// TestExhaustiveDefaultSpec is the flagship verification run: the
+// 2-station × 2-CPU × 1-line configuration explored to a fixpoint. The
+// unmodified protocol must show zero violations over every reachable
+// interleaving of issue delays.
+func TestExhaustiveDefaultSpec(t *testing.T) {
+	sweep(t, DefaultSpec(), 3078, 2742, 444)
+}
+
+// TestExhaustiveDefaultSpecWithFaults is the flagship with the fault
+// injector's drop/dup decisions as choice points, one fault per path
+// (cmd/mcheck -faults).
+func TestExhaustiveDefaultSpecWithFaults(t *testing.T) {
+	if testing.Short() {
+		t.Skip("the largest sweep: ~5 s")
 	}
-	if res.MaxChoices == 0 {
-		t.Fatalf("no choice points fired — nothing was actually explored: %s", res)
-	}
+	spec := DefaultSpec()
+	spec.FaultChoices = true
+	spec.MaxFaults = 1
+	sweep(t, spec, 16246, 15676, 782)
 }
 
 // TestExhaustiveRetryOrderings issues all four references simultaneously
@@ -65,27 +83,13 @@ func TestExhaustiveRetryOrderings(t *testing.T) {
 // configuration: the recovery machinery must keep every faulted
 // interleaving coherent and live.
 func TestExhaustiveWithFaults(t *testing.T) {
-	if testing.Short() {
-		t.Skip("fault sweep is the slowest exhaustive run")
-	}
 	spec := DefaultSpec()
 	spec.Procs = 1
 	spec.RetryDeltas = []int64{0}
 	spec.FaultChoices = true
 	spec.MaxFaults = 1
 	spec.MaxCycles = 12_000
-	c, err := New(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := c.Run()
-	t.Logf("fault sweep: %s", res)
-	if len(res.Violations) != 0 {
-		t.Fatalf("protocol with fault recovery produced violations:\n%s", res)
-	}
-	if !res.Complete {
-		t.Fatalf("exploration did not reach a fixpoint within budgets: %s", res)
-	}
+	sweep(t, spec, 38, 34, 8)
 }
 
 // TestDeterministicReplay re-runs a recorded path and checks the replay

@@ -152,12 +152,12 @@ type Module struct {
 	txnSeq uint64
 	locks  int // currently locked lines (kept in step by lock/unlock)
 
-	// txnFree recycles per-transition directory state: every locked line
-	// allocates a txn and frees it at unlock (the kill paths that complete
-	// without locking free theirs inline), so steady state allocates none.
-	// Single-owner like the module itself; plain LIFO, so reuse order is
-	// deterministic and txn pointers are never compared or used as keys.
-	txnFree []*txn
+	// txns recycles per-transition directory state: every locked line
+	// takes a txn and releases it at unlock (the kill paths that complete
+	// without locking release theirs inline), so steady state allocates
+	// none. Callers overwrite a fresh record wholesale (`*t = txn{...}`) so
+	// no field survives reuse.
+	txns msg.Pool[txn]
 
 	// InitData seeds the DRAM value of untouched lines (tests use it).
 	InitData uint64
@@ -175,7 +175,7 @@ type Module struct {
 
 	// Msgs recycles consumed and constructed messages (nil-safe; wired by
 	// core, shared per station).
-	Msgs *msg.MessagePool
+	Msgs *msg.Pool[msg.Message]
 
 	Stats Stats
 }
@@ -191,10 +191,6 @@ func New(g topo.Geometry, p sim.Params, station int) *Module {
 		outQ:    sim.NewQueue[*msg.Message](0),
 		Stats:   Stats{Hist: monitor.NewTable(fmt.Sprintf("memory[%d] coherence histogram", station), HistRows, HistCols)},
 	}
-	// The input queue is observed every 32 cycles at the top of Tick, after
-	// the same-cycle bus deliveries (the bus phase precedes the memory
-	// phase), hence prePush=false.
-	m.inQ.MonitorEvery(32, false)
 	return m
 }
 
@@ -203,7 +199,7 @@ func (m *Module) BusOut() *sim.Queue[*msg.Message] { return m.outQ }
 
 // BusDeliver implements bus.Module: enqueue for in-order processing.
 func (m *Module) BusDeliver(x *msg.Message, now int64) {
-	m.inQ.Push(x, now)
+	m.inQ.Push(x)
 	m.Tr.Emit(now, trace.KindQueueDepth, 0, 0, int32(m.inQ.Len()), 0)
 }
 
@@ -216,11 +212,11 @@ func (m *Module) Idle() bool { return m.inQ.Empty() && m.outQ.Empty() && m.stage
 // hot paths, so it must not scan the directory.
 func (m *Module) PendingLocks() int { return m.locks }
 
-// NextWork reports the earliest cycle at or after now at which Tick can do
-// more than occupancy sampling: the end of the current directory/DRAM
-// access when a message is staged, or now when input is queued. The gate
-// runs after the bus phase of the cycle, so same-cycle deliveries are
-// visible exactly as the naive Tick would see them.
+// NextWork reports the earliest cycle at or after now at which Tick has
+// work: the end of the current directory/DRAM access when a message is
+// staged, or now when input is queued. The gate runs after the bus phase
+// of the cycle, so same-cycle deliveries are visible exactly as the naive
+// Tick would see them.
 func (m *Module) NextWork(now int64) int64 {
 	if m.staged != nil || !m.inQ.Empty() {
 		at := now
@@ -235,10 +231,6 @@ func (m *Module) NextWork(now int64) int64 {
 	return sim.Never
 }
 
-// SyncStats brings the input-queue occupancy sampling up to date through
-// limit (called before snapshotting results).
-func (m *Module) SyncStats(limit int64) { m.inQ.SyncObsTo(limit) }
-
 // InQStats exposes the input-queue statistics (diagnostics).
 func (m *Module) InQStats() sim.QueueStats { return m.inQ.Stats() }
 
@@ -249,7 +241,6 @@ func (m *Module) InQDepth() int { return m.inQ.Len() }
 // controller for its directory (and, when data moves, DRAM) access time
 // and takes effect when that time has elapsed.
 func (m *Module) Tick(now int64) {
-	m.inQ.ObserveAt(now)
 	if m.Fault.Stalled(now) {
 		return
 	}
@@ -266,7 +257,7 @@ func (m *Module) Tick(now int64) {
 		// dead here.
 		m.Msgs.Put(x)
 	}
-	x, ok := m.inQ.Pop(now)
+	x, ok := m.inQ.Pop()
 	if !ok {
 		return
 	}
@@ -351,7 +342,7 @@ func (m *Module) toProc(now int64, t msg.Type, localProc int, line uint64, data 
 		SrcStation: m.Station, DstStation: m.Station,
 		Data: data, HasData: t.CarriesData(), NakOf: nakOf, IssueCycle: now,
 	}
-	m.outQ.Push(out, now)
+	m.outQ.Push(out)
 }
 
 // toStation queues a network message via the ring interface.
@@ -368,7 +359,7 @@ func (m *Module) toStation(now int64, t msg.Type, dst int, line uint64, x *msg.M
 		out.ReqStation = x.ReqStation
 		out.TxnID = x.TxnID
 	}
-	m.outQ.Push(out, now)
+	m.outQ.Push(out)
 	return out
 }
 
@@ -384,7 +375,7 @@ func (m *Module) busInval(now int64, line uint64, procs uint16) {
 		SrcMod: m.g.ModMem(), DstMod: m.g.ModProc(0), BusProcs: procs,
 		SrcStation: m.Station, DstStation: m.Station, IssueCycle: now,
 	}
-	m.outQ.Push(out, now)
+	m.outQ.Push(out)
 }
 
 // busInterv queues an intervention asking local owner to supply its dirty
@@ -398,7 +389,7 @@ func (m *Module) busInterv(now int64, line uint64, owner, alsoProc int, ex bool)
 		BusProcs: 1 << uint(owner), AlsoProc: alsoProc, Ex: ex,
 		SrcStation: m.Station, DstStation: m.Station, IssueCycle: now,
 	}
-	m.outQ.Push(out, now)
+	m.outQ.Push(out)
 }
 
 // netInval queues the single invalidation multicast of §2.3. The mask
@@ -417,7 +408,7 @@ func (m *Module) netInval(now int64, line uint64, mask topo.RoutingMask, id uint
 		SrcStation: m.Station, DstStation: -1, Mask: mask,
 		TxnID: id, IssueCycle: now,
 	}
-	m.outQ.Push(out, now)
+	m.outQ.Push(out)
 }
 
 func (m *Module) nak(now int64, x *msg.Message) {
@@ -475,38 +466,7 @@ func (m *Module) unlock(e *entry) {
 	e.locked = false
 	e.txn = nil
 	m.locks--
-	m.freeTxn(t)
-}
-
-// newTxn returns a zeroed transition record, recycling a freed one when
-// available. Callers overwrite it wholesale (`*t = txn{...}`) so no field
-// survives reuse.
-func (m *Module) newTxn() *txn {
-	if n := len(m.txnFree) - 1; n >= 0 {
-		t := m.txnFree[n]
-		m.txnFree[n] = nil
-		m.txnFree = m.txnFree[:n]
-		return t
-	}
-	return new(txn)
-}
-
-// freeTxn releases a completed transition record. Under msg.PoolDebug a
-// double free panics at the second release, mirroring the message and
-// packet pools' guard discipline.
-func (m *Module) freeTxn(t *txn) {
-	if t == nil {
-		return
-	}
-	if msg.PoolDebug() {
-		for _, q := range m.txnFree {
-			if q == t {
-				panic("memory: txn double free")
-			}
-		}
-	}
-	*t = txn{}
-	m.txnFree = append(m.txnFree, t)
+	m.txns.Put(t)
 }
 
 // remoteSharers reports whether the mask covers stations besides home.
@@ -529,14 +489,6 @@ func (m *Module) handle(x *msg.Message, now int64) {
 		}
 		m.Tr.Emit(now, trace.KindMemTxn, x.Line, x.TxnID, int32(x.Type), st)
 	}
-	if m.p.TraceLine != 0 && x.Line == m.p.TraceLine {
-		defer func() {
-			fmt.Printf("%8d mem[%d] %-16s from st%d/mod%d req=%d -> %v locked=%v mask=%v procs=%04b data=%#x\n",
-				now, m.Station, x.Type, x.SrcStation, x.SrcMod, x.Requester,
-				e.state, e.locked, e.mask, e.procs, e.data)
-		}()
-	}
-
 	switch x.Type {
 	case msg.LocalRead:
 		m.localRead(e, x, now)
@@ -596,7 +548,7 @@ func (m *Module) localRead(e *entry, x *msg.Message, now int64) {
 			m.toProc(now, msg.ProcData, req, x.Line, e.data, 0)
 			return
 		}
-		t := m.newTxn()
+		t := m.txns.Get()
 		*t = txn{kind: msg.LocalRead, requester: x.Requester, reqStation: m.Station, id: m.nextTxn()}
 		m.lock(e, t)
 		m.busInterv(now, x.Line, owner, req, false)
@@ -606,7 +558,7 @@ func (m *Module) localRead(e *entry, x *msg.Message, now int64) {
 			panic(fmt.Sprintf("memory[%d]: line %#x at cycle %d: GI with non-exact or local owner %v",
 				m.Station, x.Line, now, e.mask))
 		}
-		t := m.newTxn()
+		t := m.txns.Get()
 		*t = txn{kind: msg.LocalRead, requester: x.Requester, reqStation: m.Station, id: m.nextTxn(),
 			netInterv: true, ownerStation: owner}
 		m.lock(e, t)
@@ -649,7 +601,7 @@ func (m *Module) localWrite(e *entry, x *msg.Message, now int64) {
 			m.toProc(now, msg.ProcDataEx, req, x.Line, e.data, 0)
 			return
 		}
-		t := m.newTxn()
+		t := m.txns.Get()
 		*t = txn{kind: msg.LocalReadEx, requester: x.Requester, reqStation: m.Station, id: m.nextTxn()}
 		m.lock(e, t)
 		m.busInterv(now, x.Line, owner, req, true)
@@ -663,7 +615,7 @@ func (m *Module) localWrite(e *entry, x *msg.Message, now int64) {
 			e.mask = m.homeMask()
 			return
 		}
-		t := m.newTxn()
+		t := m.txns.Get()
 		*t = txn{kind: x.Type, requester: x.Requester, reqStation: m.Station,
 			id: m.nextTxn(), waitInval: true, upgdAck: upgd}
 		m.lock(e, t)
@@ -676,7 +628,7 @@ func (m *Module) localWrite(e *entry, x *msg.Message, now int64) {
 		e.procs = bit
 	case GI:
 		owner, _ := e.mask.Exact(m.g)
-		t := m.newTxn()
+		t := m.txns.Get()
 		*t = txn{kind: msg.LocalReadEx, requester: x.Requester, reqStation: m.Station, id: m.nextTxn(),
 			netInterv: true, ownerStation: owner}
 		m.lock(e, t)
@@ -724,13 +676,13 @@ func (m *Module) remRead(e *entry, x *msg.Message, now int64) {
 		e.state = GV
 	case LI:
 		owner := m.onlyBit(e.procs, x.Line, now)
-		t := m.newTxn()
+		t := m.txns.Get()
 		*t = txn{kind: msg.RemRead, requester: -1, reqStation: src, id: m.nextTxn()}
 		m.lock(e, t)
 		m.busInterv(now, x.Line, owner, -1, false)
 	case GI:
 		owner, _ := e.mask.Exact(m.g)
-		t := m.newTxn()
+		t := m.txns.Get()
 		*t = txn{kind: msg.RemRead, requester: -1, reqStation: src, id: m.nextTxn(),
 			netInterv: true, ownerStation: owner}
 		m.lock(e, t)
@@ -763,7 +715,7 @@ func (m *Module) remReadEx(e *entry, x *msg.Message, now int64, kind msg.Type) {
 		// (§2.3, Figure 7). The data response carries the home transaction
 		// id so the writer's NC can recognize the invalidation when it
 		// arrives.
-		t := m.newTxn()
+		t := m.txns.Get()
 		*t = txn{kind: msg.RemReadEx, requester: -1, reqStation: src, id: m.nextTxn(), waitInval: true, granted: true}
 		d := m.toStation(now, msg.NetDataEx, src, x.Line, x)
 		d.Data, d.HasData, d.InvalFollows = e.data, true, true
@@ -774,14 +726,14 @@ func (m *Module) remReadEx(e *entry, x *msg.Message, now int64, kind msg.Type) {
 		e.procs = 0
 	case LI:
 		owner := m.onlyBit(e.procs, x.Line, now)
-		t := m.newTxn()
+		t := m.txns.Get()
 		*t = txn{kind: msg.RemReadEx, requester: -1, reqStation: src, id: m.nextTxn()}
 		m.lock(e, t)
 		m.busInterv(now, x.Line, owner, -1, true)
 		e.procs = 0
 	case GI:
 		owner, _ := e.mask.Exact(m.g)
-		t := m.newTxn()
+		t := m.txns.Get()
 		*t = txn{kind: msg.RemReadEx, requester: -1, reqStation: src, id: m.nextTxn(),
 			netInterv: true, ownerStation: owner}
 		m.lock(e, t)
@@ -805,7 +757,7 @@ func (m *Module) remUpgd(e *entry, x *msg.Message, now int64) {
 		// Optimistic: the (possibly inexact) mask says the requester still
 		// has a valid copy, so answer with an acknowledgement only (§2.3).
 		m.Stats.OptimisticAcks.Inc()
-		t := m.newTxn()
+		t := m.txns.Get()
 		*t = txn{kind: msg.RemUpgd, requester: -1, reqStation: src, id: m.nextTxn(), waitInval: true, granted: true}
 		a := m.toStation(now, msg.NetUpgdAck, src, x.Line, x)
 		a.InvalFollows = true
@@ -1125,14 +1077,14 @@ func (m *Module) kill(e *entry, x *msg.Message, now int64) {
 		m.nak(now, x)
 		return
 	}
-	t := m.newTxn()
+	t := m.txns.Get()
 	*t = txn{kind: msg.KillReq, requester: x.Requester, reqStation: x.ReqStation, id: m.nextTxn()}
 	switch e.state {
 	case LV:
 		m.busInval(now, x.Line, e.procs)
 		e.procs = 0
 		m.killDone(t, x.Line, now)
-		m.freeTxn(t) // completed without locking
+		m.txns.Put(t) // completed without locking
 	case GV:
 		m.busInval(now, x.Line, e.procs)
 		e.procs = 0
@@ -1144,7 +1096,7 @@ func (m *Module) kill(e *entry, x *msg.Message, now int64) {
 			e.state = LV
 			e.mask = m.homeMask()
 			m.killDone(t, x.Line, now)
-			m.freeTxn(t) // completed without locking
+			m.txns.Put(t) // completed without locking
 		}
 	case LI:
 		owner := m.onlyBit(e.procs, x.Line, now)
@@ -1177,7 +1129,7 @@ func (m *Module) killDone(t *txn, line uint64, now int64) {
 			BusProcs:   1 << uint(m.g.LocalProc(t.requester)),
 			SrcStation: m.Station, DstStation: m.Station, IssueCycle: now,
 		}
-		m.outQ.Push(out, now)
+		m.outQ.Push(out)
 		return
 	}
 	it := m.toStation(now, msg.NetInterrupt, t.reqStation, line, nil)

@@ -30,7 +30,7 @@ func (h *harness) deliver(x *msg.Message) []*msg.Message {
 		h.m.Tick(h.now)
 		h.now++
 		for {
-			o, ok := h.m.BusOut().Pop(h.now)
+			o, ok := h.m.BusOut().Pop()
 			if !ok {
 				break
 			}

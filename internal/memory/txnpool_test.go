@@ -9,25 +9,25 @@ import (
 )
 
 // TestTxnPoolRecycles pins the free-list mechanics the directory relies
-// on: a freed transition record comes back zeroed from the next newTxn
+// on: a freed transition record comes back zeroed from the next Get
 // (callers overwrite it wholesale, but a stale waitInval or write-back
 // flag would corrupt the state machine if zeroing were lost).
 func TestTxnPoolRecycles(t *testing.T) {
 	g := topo.Geometry{ProcsPerStation: 4, StationsPerRing: 4, Rings: 2}
 	m := New(g, sim.DefaultParams(), 0)
-	a := m.newTxn()
+	a := m.txns.Get()
 	a.kind = msg.LocalReadEx
 	a.waitInval = true
 	a.wbSeen = true
-	m.freeTxn(a)
-	b := m.newTxn()
+	m.txns.Put(a)
+	b := m.txns.Get()
 	if b != a {
 		t.Fatal("freed txn was not recycled")
 	}
 	if b.kind != 0 || b.waitInval || b.wbSeen {
 		t.Fatalf("recycled txn not zeroed: %+v", b)
 	}
-	if c := m.newTxn(); c == a {
+	if c := m.txns.Get(); c == a {
 		t.Fatal("txn handed out twice")
 	}
 }
@@ -42,22 +42,22 @@ func TestTxnPoolLeakFree(t *testing.T) {
 	batch := make([]*txn, n)
 	seen := make(map[*txn]bool, n)
 	for i := range batch {
-		batch[i] = m.newTxn()
+		batch[i] = m.txns.Get()
 		seen[batch[i]] = true
 	}
 	for _, t := range batch {
-		m.freeTxn(t)
-	}
-	if len(m.txnFree) != n {
-		t.Fatalf("free list holds %d records after %d frees", len(m.txnFree), n)
+		m.txns.Put(t)
 	}
 	for i := 0; i < n; i++ {
-		if !seen[m.newTxn()] {
-			t.Fatal("newTxn allocated fresh with records on the free list")
+		if !seen[m.txns.Get()] {
+			t.Fatal("Get allocated fresh with records on the free list")
 		}
 	}
-	if len(m.txnFree) != 0 {
-		t.Fatalf("free list holds %d records after draining", len(m.txnFree))
+	if news, hits := m.txns.Stats(); news != n || hits != n {
+		t.Fatalf("Stats() = %d,%d after re-acquiring %d freed records; want %d,%d", news, hits, n, n, n)
+	}
+	if seen[m.txns.Get()] {
+		t.Fatal("a drained free list handed out a live record")
 	}
 }
 
@@ -68,24 +68,27 @@ func TestTxnPoolDoubleFreePanics(t *testing.T) {
 	defer msg.SetPoolDebug(msg.SetPoolDebug(true))
 	g := topo.Geometry{ProcsPerStation: 4, StationsPerRing: 4, Rings: 2}
 	m := New(g, sim.DefaultParams(), 0)
-	x := m.newTxn()
-	m.freeTxn(x)
+	x := m.txns.Get()
+	m.txns.Put(x)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("double free not detected")
 		}
 	}()
-	m.freeTxn(x)
+	m.txns.Put(x)
 }
 
 // TestTxnPoolNilFree mirrors the nil-safety the unlock path depends on:
 // entries can unlock without a transaction (e.g. kill of an unlocked
-// line), so freeTxn(nil) must be a no-op.
+// line), so Put(nil) must be a no-op.
 func TestTxnPoolNilFree(t *testing.T) {
 	g := topo.Geometry{ProcsPerStation: 4, StationsPerRing: 4, Rings: 2}
 	m := New(g, sim.DefaultParams(), 0)
-	m.freeTxn(nil)
-	if len(m.txnFree) != 0 {
-		t.Fatal("freeTxn(nil) touched the free list")
+	m.txns.Put(nil)
+	if m.txns.Get() == nil {
+		t.Fatal("Put(nil) put a nil record on the free list")
+	}
+	if news, hits := m.txns.Stats(); news != 1 || hits != 0 {
+		t.Fatalf("Stats() = %d,%d; want 1,0: Put(nil) touched the free list", news, hits)
 	}
 }

@@ -1,27 +1,46 @@
 package msg
 
-// PacketPool is a deterministic free list for ring packets. Packets churn
-// fast — every bus message bound for the network is split into packets at
-// the sending ring interface, copied at every consuming station and at
-// each inter-ring descent, and discarded after reassembly — so they
-// dominate the simulator's steady-state allocation rate. The pool recycles
-// them without any effect on simulated behaviour: a recycled packet is
-// fully overwritten at reuse and zeroed at release, packet pointers are
-// never compared or used as map keys (reassembly is keyed by the *Message*
-// identity, which is not pooled), and the free list is plain LIFO with no
-// time- or scheduling-dependent state, so runs remain bit-identical.
+import "fmt"
+
+// Pool is the deterministic free list behind every recycled record in the
+// machine: ring packets, bus/network messages and the directory
+// transaction records of internal/memory and internal/netcache.
 //
-// Concurrency: a pool is single-owner, like the component that embeds it.
-// The StationRI pool is touched from its own station's phase-1 worker
-// (BusDeliver) and from the serial interconnect phase (HandleSlot/Tick),
-// which never overlap; IRI pools are touched in the interconnect phase
-// only. Packets may die at a different interface than the one that
-// allocated them — cross-pool migration is harmless because every pool
-// recycles the same struct type.
-type PacketPool struct {
-	free []*Packet
+// Packets churn fastest — every bus message bound for the network is split
+// into packets at the sending ring interface, copied at every consuming
+// station and at each inter-ring descent, and discarded after reassembly.
+// Messages are the other steady-state allocation: every bus transaction,
+// coherence action and network response constructs one, and almost all of
+// them die at a well-defined point — consumed by a memory module or
+// network cache after handling, delivered to a processor, or superseded by
+// the private copy a ring interface hands to its bus. Messages whose
+// lifetime is genuinely shared (multicast originals whose packets alias
+// one Message across stations, duplicate-faulted packet chains) are simply
+// never Put and die to the garbage collector.
+//
+// Determinism: recycling cannot perturb simulated behaviour. A recycled
+// record is zeroed at release and fully overwritten at reuse, the free
+// list is plain LIFO with no time- or scheduling-dependent state, and
+// pooled pointers are never compared or used as map keys while free
+// (Message identity keys the reassembly maps while packets are in flight,
+// but every Put site runs strictly after the message has left them, or
+// never entered them).
+//
+// Concurrency: a pool is single-owner, like the component that holds it.
+// A StationRI's packet pool is touched from its own station's phase-1
+// worker (BusDeliver) and from the serial interconnect phase
+// (HandleSlot/Tick), which never overlap; IRI pools are touched in the
+// interconnect phase only. Records may die at a different component than
+// the one that allocated them — cross-pool migration is harmless because
+// every pool of one type recycles the same struct.
+//
+// All methods tolerate a nil receiver (Get falls back to the heap, Put
+// drops the record) so components constructed directly in tests work
+// without wiring a pool.
+type Pool[T any] struct {
+	free []*T
 	news int64 // fresh heap allocations (pool misses)
-	hits int64 // recycled packets
+	hits int64 // recycled records
 }
 
 // poolDebug, when true, makes every Put scan the free list and panic on a
@@ -39,56 +58,61 @@ func SetPoolDebug(on bool) bool {
 	return prev
 }
 
-// PoolDebug reports whether double-free detection is armed. The directory
-// transaction pools in internal/memory and internal/netcache honor the
-// same switch so one soak guards every free list in the machine.
-func PoolDebug() bool { return poolDebug }
-
-// Get returns a zeroed packet, recycling a freed one when available.
-func (p *PacketPool) Get() *Packet {
+// Get returns a zeroed record, recycling a freed one when available.
+func (p *Pool[T]) Get() *T {
+	if p == nil {
+		return new(T)
+	}
 	if n := len(p.free) - 1; n >= 0 {
-		pkt := p.free[n]
+		v := p.free[n]
 		p.free[n] = nil
 		p.free = p.free[:n]
 		p.hits++
-		return pkt
+		return v
 	}
 	p.news++
-	return new(Packet)
+	return new(T)
 }
 
-// Put releases a dead packet to the free list. The struct is zeroed
-// immediately so no Message is kept reachable through the pool and any
-// use-after-free reads a visibly blank packet instead of stale routing
-// state.
-func (p *PacketPool) Put(pkt *Packet) {
-	if pkt == nil {
+// Put releases a dead record to the free list. The struct is zeroed
+// immediately so nothing is kept reachable through the pool and any
+// use-after-free reads a visibly blank record instead of stale state.
+func (p *Pool[T]) Put(v *T) {
+	if p == nil || v == nil {
 		return
 	}
 	if poolDebug {
 		for _, q := range p.free {
-			if q == pkt {
-				panic("msg: packet double free")
+			if q == v {
+				panic(fmt.Sprintf("msg: %T double free", v))
 			}
 		}
 	}
-	*pkt = Packet{}
-	p.free = append(p.free, pkt)
+	var zero T
+	*v = zero
+	p.free = append(p.free, v)
 }
 
 // Stats reports fresh allocations and recycled reuses (diagnostics).
-func (p *PacketPool) Stats() (news, hits int64) { return p.news, p.hits }
+func (p *Pool[T]) Stats() (news, hits int64) {
+	if p == nil {
+		return 0, 0
+	}
+	return p.news, p.hits
+}
 
-// RebalancePackets levels the free lists across pools: every pool below
-// the mean free count is topped up from pools above it. Packets routinely
-// die at a different interface than the one that allocated them, so under
-// asymmetric traffic free packets pile up at the busy destinations while
-// the busy sources allocate fresh ones forever; periodic leveling at a
-// serial point turns that steady drift into a one-time warm-up cost.
-// Moving free entries between pools is invisible to the simulation —
-// recycled structs are zeroed and fully overwritten, and pointers are
-// never compared — so leveling cannot perturb bit-identical runs.
-func RebalancePackets(pools []*PacketPool) {
+// Rebalance levels the free lists across pools: every pool below the mean
+// free count is topped up from pools above it. Records routinely die at a
+// different component than the one that allocated them — packets at the
+// consuming interface, messages in the consuming station's pool — so under
+// asymmetric traffic (all hot lines homed on one station, say) free
+// records pile up at the busy destinations while the busy sources allocate
+// fresh ones forever; periodic leveling at a serial point turns that
+// steady drift into a one-time warm-up cost. Moving free entries between
+// pools is invisible to the simulation — recycled structs are zeroed and
+// fully overwritten, and pointers are never compared — so leveling cannot
+// perturb bit-identical runs.
+func Rebalance[T any](pools []*Pool[T]) {
 	if len(pools) < 2 {
 		return
 	}
@@ -98,106 +122,6 @@ func RebalancePackets(pools []*PacketPool) {
 	}
 	target := total / len(pools)
 	d := 0 // donor scan index; donors (above target) and receivers (below) are disjoint
-	for _, p := range pools {
-		for len(p.free) < target {
-			for d < len(pools) && len(pools[d].free) <= target {
-				d++
-			}
-			if d == len(pools) {
-				return
-			}
-			q := pools[d]
-			n := len(q.free) - 1
-			p.free = append(p.free, q.free[n])
-			q.free[n] = nil
-			q.free = q.free[:n]
-		}
-	}
-}
-
-// MessagePool is the Message counterpart of PacketPool. Messages are the
-// other steady-state allocation: every bus transaction, coherence action
-// and network response constructs one, and almost all of them die at a
-// well-defined point — consumed by a memory module or network cache after
-// handling, delivered to a processor, or superseded by the private copy a
-// ring interface hands to its bus. The pool recycles those. Messages whose
-// lifetime is genuinely shared (multicast originals whose packets alias
-// one Message across stations, duplicate-faulted packet chains) are simply
-// never Put and die to the garbage collector as before.
-//
-// Determinism: like PacketPool, recycling cannot perturb simulated
-// behaviour — a recycled Message is fully overwritten at reuse, zeroed at
-// release, and the free list is plain LIFO. Message *identity* is used as
-// a reassembly map key while packets are in flight, but every Put site
-// runs strictly after the message has left the in-flight maps (or never
-// entered them).
-//
-// All methods tolerate a nil receiver (Get falls back to the heap, Put
-// drops the message) so components constructed directly in tests work
-// without wiring a pool.
-type MessagePool struct {
-	free []*Message
-	news int64
-	hits int64
-}
-
-// Get returns a zeroed message, recycling a freed one when available.
-func (p *MessagePool) Get() *Message {
-	if p == nil {
-		return new(Message)
-	}
-	if n := len(p.free) - 1; n >= 0 {
-		m := p.free[n]
-		p.free[n] = nil
-		p.free = p.free[:n]
-		p.hits++
-		return m
-	}
-	p.news++
-	return new(Message)
-}
-
-// Put releases a dead message to the free list, zeroing it immediately so
-// any use-after-free reads a visibly blank message.
-func (p *MessagePool) Put(m *Message) {
-	if p == nil || m == nil {
-		return
-	}
-	if poolDebug {
-		for _, q := range p.free {
-			if q == m {
-				panic("msg: message double free")
-			}
-		}
-	}
-	*m = Message{}
-	p.free = append(p.free, m)
-}
-
-// Stats reports fresh allocations and recycled reuses (diagnostics).
-func (p *MessagePool) Stats() (news, hits int64) {
-	if p == nil {
-		return 0, 0
-	}
-	return p.news, p.hits
-}
-
-// RebalanceMessages is the MessagePool counterpart of RebalancePackets:
-// messages allocated by a source station are recycled into the consuming
-// station's pool, so asymmetric sharing (e.g. all hot lines homed on one
-// station) drains the requesters' free lists while the home station's pool
-// grows without bound. Leveling at a serial point keeps every station's
-// Get hitting its free list.
-func RebalanceMessages(pools []*MessagePool) {
-	if len(pools) < 2 {
-		return
-	}
-	total := 0
-	for _, p := range pools {
-		total += len(p.free)
-	}
-	target := total / len(pools)
-	d := 0
 	for _, p := range pools {
 		for len(p.free) < target {
 			for d < len(pools) && len(pools[d].free) <= target {

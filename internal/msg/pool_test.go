@@ -3,7 +3,7 @@ package msg
 import "testing"
 
 func TestPacketPoolRecycles(t *testing.T) {
-	var p PacketPool
+	var p Pool[Packet]
 	a := p.Get()
 	a.Seq, a.Of, a.ReadyAt = 3, 4, 99
 	a.Msg = &Message{Type: LocalRead}
@@ -28,7 +28,7 @@ func TestPacketPoolRecycles(t *testing.T) {
 }
 
 func TestPacketPoolNilPut(t *testing.T) {
-	var p PacketPool
+	var p Pool[Packet]
 	p.Put(nil) // must be a no-op
 	if news, hits := p.Stats(); news != 0 || hits != 0 {
 		t.Errorf("Stats() = %d,%d after nil Put; want 0,0", news, hits)
@@ -36,7 +36,7 @@ func TestPacketPoolNilPut(t *testing.T) {
 }
 
 func TestMessagePoolRecycles(t *testing.T) {
-	var p MessagePool
+	var p Pool[Message]
 	a := p.Get()
 	a.Type, a.Line, a.Data, a.HasData = LocalRead, 0x40, 7, true
 	p.Put(a)
@@ -63,13 +63,13 @@ func TestMessagePoolRecycles(t *testing.T) {
 // components rely on: a nil pool still hands out fresh messages and
 // swallows releases.
 func TestMessagePoolNilSafe(t *testing.T) {
-	var p *MessagePool
+	var p *Pool[Message]
 	m := p.Get()
 	if m == nil {
 		t.Fatal("nil pool Get returned nil")
 	}
 	p.Put(m) // must not panic
-	var p2 MessagePool
+	var p2 Pool[Message]
 	p2.Put(nil) // nil message must be a no-op
 	if news, hits := p.Stats(); news != 0 || hits != 0 {
 		t.Errorf("nil pool Stats() = %d,%d; want 0,0", news, hits)
@@ -81,7 +81,7 @@ func TestMessagePoolNilSafe(t *testing.T) {
 func TestPoolDoubleFreeDetected(t *testing.T) {
 	defer SetPoolDebug(SetPoolDebug(true))
 	t.Run("message", func(t *testing.T) {
-		var p MessagePool
+		var p Pool[Message]
 		m := p.Get()
 		p.Put(m)
 		defer func() {
@@ -92,7 +92,7 @@ func TestPoolDoubleFreeDetected(t *testing.T) {
 		p.Put(m)
 	})
 	t.Run("packet", func(t *testing.T) {
-		var p PacketPool
+		var p Pool[Packet]
 		pk := p.Get()
 		p.Put(pk)
 		defer func() {
@@ -108,7 +108,7 @@ func TestPoolDoubleFreeDetected(t *testing.T) {
 // has a matching Put, the pool owns exactly the allocated messages, and a
 // fresh Get cycle allocates nothing new.
 func TestMessagePoolNoLeak(t *testing.T) {
-	var p MessagePool
+	var p Pool[Message]
 	const n = 64
 	live := make([]*Message, 0, n)
 	for i := 0; i < n; i++ {

@@ -171,12 +171,11 @@ type Module struct {
 	// retryLines tracks locked lines with a scheduled retry.
 	retryLines []uint64
 
-	// txnFree recycles per-transaction state: entry txns die when the
-	// entry unlocks (clearTxn), side-table txns when their line leaves
-	// sideTxns (dropSide), so steady state allocates none. Single-owner,
-	// plain LIFO, pointers never compared — same discipline as the memory
-	// module's pool.
-	txnFree []*txn
+	// txns recycles per-transaction state: entry txns die when the entry
+	// unlocks (clearTxn), side-table txns when their line leaves sideTxns
+	// (dropSide), so steady state allocates none. Callers overwrite a fresh
+	// record wholesale (`*t = txn{...}`).
+	txns msg.Pool[txn]
 
 	// retryRNG draws the deterministic back-off jitter for this NC's
 	// re-issues; it is consumed only while handling a NetNAK (a real-work
@@ -199,7 +198,7 @@ type Module struct {
 
 	// Msgs recycles consumed and constructed messages (nil-safe; wired by
 	// core, shared per station).
-	Msgs *msg.MessagePool
+	Msgs *msg.Pool[msg.Message]
 
 	Stats Stats
 }
@@ -220,9 +219,6 @@ func New(g topo.Geometry, p sim.Params, station int) *Module {
 	if p.NCLines&(p.NCLines-1) == 0 {
 		n.slotMask = uint64(p.NCLines - 1)
 	}
-	// Observed at the top of Tick, after same-cycle bus deliveries (the bus
-	// phase precedes the NC phase), hence prePush=false.
-	n.inQ.MonitorEvery(32, false)
 	// Seed unconditionally: the zero xorshift state would be degenerate.
 	// The constant tags the stream so NC jitter never collides with the
 	// per-CPU streams derived from the same RetryJitterSeed.
@@ -236,7 +232,7 @@ func (n *Module) BusOut() *sim.Queue[*msg.Message] { return n.outQ }
 
 // BusDeliver implements bus.Module.
 func (n *Module) BusDeliver(x *msg.Message, now int64) {
-	n.inQ.Push(x, now)
+	n.inQ.Push(x)
 	n.Tr.Emit(now, trace.KindQueueDepth, 0, 0, int32(n.inQ.Len()), 0)
 }
 
@@ -246,50 +242,20 @@ func (n *Module) Idle() bool {
 		len(n.sideTxns) == 0 && len(n.retryLines) == 0
 }
 
-// newTxn returns a zeroed transaction record, recycling a freed one when
-// available. Callers overwrite it wholesale (`*t = txn{...}`).
-func (n *Module) newTxn() *txn {
-	if i := len(n.txnFree) - 1; i >= 0 {
-		t := n.txnFree[i]
-		n.txnFree[i] = nil
-		n.txnFree = n.txnFree[:i]
-		return t
-	}
-	return new(txn)
-}
-
-// freeTxn releases a completed transaction record. Under msg.PoolDebug a
-// double free panics at the second release, mirroring the message and
-// packet pools' guard discipline.
-func (n *Module) freeTxn(t *txn) {
-	if t == nil {
-		return
-	}
-	if msg.PoolDebug() {
-		for _, q := range n.txnFree {
-			if q == t {
-				panic("netcache: txn double free")
-			}
-		}
-	}
-	*t = txn{}
-	n.txnFree = append(n.txnFree, t)
-}
-
 // clearTxn unlocks the entry and frees its transaction — the single death
 // point for entry transactions (txnRecover conversions reuse theirs in
 // place instead).
 func (n *Module) clearTxn(e *entry) {
 	t := e.txn
 	e.locked, e.txn = false, nil
-	n.freeTxn(t)
+	n.txns.Put(t)
 }
 
 // dropSide removes the line's side-table transaction and frees it.
 func (n *Module) dropSide(line uint64) {
 	t := n.sideTxns[line]
 	delete(n.sideTxns, line)
-	n.freeTxn(t)
+	n.txns.Put(t)
 }
 
 // slot returns the index of the direct-mapped slot line maps to. It sits
@@ -353,12 +319,12 @@ func (n *Module) recordHist(t msg.Type, e *entry) {
 	n.Stats.Hist.Add(r, c)
 }
 
-// NextWork reports the earliest cycle at or after now at which Tick can do
-// more than occupancy sampling: the earliest scheduled NAK retry, the end
-// of the current SRAM/DRAM access when a message is staged, or now when
-// input is queued. A stale retryLines entry (its transaction already
-// completed) forces now so Tick prunes it exactly when the naive loop
-// would, keeping Idle() and drain semantics identical.
+// NextWork reports the earliest cycle at or after now at which Tick has
+// work: the earliest scheduled NAK retry, the end of the current SRAM/DRAM
+// access when a message is staged, or now when input is queued. A stale
+// retryLines entry (its transaction already completed) forces now so Tick
+// prunes it exactly when the naive loop would, keeping Idle() and drain
+// semantics identical.
 func (n *Module) NextWork(now int64) int64 {
 	wake := sim.Never
 	for _, line := range n.retryLines {
@@ -382,10 +348,6 @@ func (n *Module) NextWork(now int64) int64 {
 	return n.Fault.NextFree(wake)
 }
 
-// SyncStats brings the input-queue occupancy sampling up to date through
-// limit (called before snapshotting results).
-func (n *Module) SyncStats(limit int64) { n.inQ.SyncObsTo(limit) }
-
 // InQStats exposes the input-queue statistics (diagnostics).
 func (n *Module) InQStats() sim.QueueStats { return n.inQ.Stats() }
 
@@ -395,7 +357,6 @@ func (n *Module) InQDepth() int { return n.inQ.Len() }
 // Tick processes the input queue (a message takes effect after its
 // SRAM/DRAM access time) and fires due retries.
 func (n *Module) Tick(now int64) {
-	n.inQ.ObserveAt(now)
 	if n.Fault.Stalled(now) {
 		return // injected outage: the directory pipeline is frozen
 	}
@@ -410,7 +371,7 @@ func (n *Module) Tick(now int64) {
 		// Single-owner after handling, as in memory.Module.Tick.
 		n.Msgs.Put(x)
 	}
-	x, ok := n.inQ.Pop(now)
+	x, ok := n.inQ.Pop()
 	if !ok {
 		return
 	}
@@ -505,7 +466,7 @@ func (n *Module) toProc(now int64, t msg.Type, localProc int, line uint64, data 
 		SrcStation: n.Station, DstStation: n.Station,
 		Data: data, HasData: t.CarriesData(), NakOf: nakOf, IssueCycle: now,
 	}
-	n.outQ.Push(out, now)
+	n.outQ.Push(out)
 }
 
 // toNet queues a network message. home is the line's home station.
@@ -517,7 +478,7 @@ func (n *Module) toNet(now int64, t msg.Type, dst, home int, line uint64) *msg.M
 		SrcStation: n.Station, DstStation: dst,
 		IssueCycle: now,
 	}
-	n.outQ.Push(out, now)
+	n.outQ.Push(out)
 	return out
 }
 
@@ -550,7 +511,7 @@ func (n *Module) busInval(now int64, line uint64, procs uint16) {
 		SrcMod: n.g.ModNC(), DstMod: n.g.ModProc(0), BusProcs: procs,
 		SrcStation: n.Station, DstStation: n.Station, IssueCycle: now,
 	}
-	n.outQ.Push(out, now)
+	n.outQ.Push(out)
 }
 
 func (n *Module) busInterv(now int64, line uint64, procs uint16, alsoProc int, ex bool) {
@@ -561,7 +522,7 @@ func (n *Module) busInterv(now int64, line uint64, procs uint16, alsoProc int, e
 		BusProcs: procs, AlsoProc: alsoProc, Ex: ex,
 		SrcStation: n.Station, DstStation: n.Station, IssueCycle: now,
 	}
-	n.outQ.Push(out, now)
+	n.outQ.Push(out)
 }
 
 // ---- allocation & ejection ----
@@ -582,18 +543,12 @@ func (n *Module) allocate(line uint64, home int, now int64) *entry {
 		}
 		n.evict(e, now)
 	}
-	if n.p.TraceLine != 0 && line == n.p.TraceLine {
-		fmt.Printf("%8d  nc[%d] ALLOC line=%#x\n", now, n.Station, line)
-	}
 	*e = entry{valid: true, line: line, home: int16(home), state: GI, broughtBy: -1}
 	return e
 }
 
 func (n *Module) evict(e *entry, now int64) {
 	n.Stats.Ejections.Inc()
-	if n.p.TraceLine != 0 && e.line == n.p.TraceLine {
-		fmt.Printf("%8d  nc[%d] EVICT line=%#x state=%v procs=%04b\n", now, n.Station, e.line, e.state, e.procs)
-	}
 	switch e.state {
 	case LV:
 		// The NC holds the only valid data in the system: it must travel

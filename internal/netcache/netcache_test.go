@@ -32,7 +32,7 @@ func (h *harness) deliver(x *msg.Message) []*msg.Message {
 		h.n.Tick(h.now)
 		h.now++
 		for {
-			o, ok := h.n.BusOut().Pop(h.now)
+			o, ok := h.n.BusOut().Pop()
 			if !ok {
 				break
 			}

@@ -37,20 +37,6 @@ func (n *Module) handle(x *msg.Message, now int64) {
 		}
 		n.Tr.Emit(now, trace.KindNCTxn, x.Line, x.TxnID, int32(x.Type), st)
 	}
-	if n.p.TraceLine != 0 && x.Line == n.p.TraceLine {
-		snap := func() string {
-			e := n.lookup(x.Line)
-			if e == nil {
-				return "NotIn"
-			}
-			return fmt.Sprintf("%v locked=%v procs=%04b data=%#x", e.state, e.locked, e.procs, e.data)
-		}
-		pre := snap()
-		defer func() {
-			fmt.Printf("%8d  nc[%d] %-16s from st%d/mod%d txn=%d: %s -> %s\n",
-				now, n.Station, x.Type, x.SrcStation, x.SrcMod, x.TxnID, pre, snap())
-		}()
-	}
 	switch x.Type {
 	case msg.LocalRead, msg.LocalReadEx, msg.LocalUpgd:
 		n.localReq(x, now)
@@ -159,7 +145,7 @@ func (n *Module) localReq(x *msg.Message, now int64) {
 			if !x.Retry {
 				n.Stats.RemoteFetches.Inc()
 			}
-			t := n.newTxn()
+			t := n.txns.Get()
 			*t = txn{kind: txnFetch, origType: msg.RemUpgd, reqProc: req,
 				home: int(e.home), upgdAck: x.Type == msg.LocalUpgd && e.procs&bit != 0}
 			e.locked, e.txn = true, t
@@ -178,7 +164,7 @@ func (n *Module) localReq(x *msg.Message, now int64) {
 			n.toProc(now, msg.ProcDataEx, req, x.Line, e.data, 0)
 			return
 		}
-		t := n.newTxn()
+		t := n.txns.Get()
 		*t = txn{kind: txnLocalInterv, origType: x.Type, reqProc: req, home: int(e.home), pending: 1}
 		e.locked, e.txn = true, t
 		n.busInterv(now, x.Line, 1<<uint(owner), req, x.Type != msg.LocalRead)
@@ -206,7 +192,7 @@ func (n *Module) prefetch(x *msg.Message, now int64) {
 		return // conflict with a locked entry: drop the hint
 	}
 	e.broughtBy = int8(x.SrcMod)
-	t := n.newTxn()
+	t := n.txns.Get()
 	*t = txn{kind: txnFetch, origType: msg.RemRead, reqProc: -1, home: int(e.home)}
 	e.locked, e.txn = true, t
 	n.sendHome(now, msg.RemRead, x.Line, t)
@@ -229,7 +215,7 @@ func (n *Module) startFetch(e *entry, x *msg.Message, now int64) {
 		// ack-only grant here could hand out ownership of nothing.)
 		rt = msg.RemReadEx
 	}
-	t := n.newTxn()
+	t := n.txns.Get()
 	*t = txn{kind: txnFetch, origType: rt, reqProc: req, home: int(e.home)}
 	e.locked, e.txn = true, t
 	n.sendHome(now, rt, x.Line, t)
@@ -707,7 +693,7 @@ func (n *Module) netInterv(x *msg.Message, now int64) {
 		}
 		// The home believes we own this line but the NC ejected it: the
 		// dirty copy is in a local L2 or its write-back is in flight.
-		t := n.newTxn()
+		t := n.txns.Get()
 		*t = txn{kind: txnNetServe, origType: x.Type, reqProc: -1, home: home,
 			netTxnID: x.TxnID, reqStation: x.ReqStation, ex: ex,
 			pending: n.g.ProcsPerStation}
@@ -722,7 +708,7 @@ func (n *Module) netInterv(x *msg.Message, now int64) {
 	}
 	switch e.state {
 	case LV, GV:
-		t := n.newTxn()
+		t := n.txns.Get()
 		*t = txn{kind: txnNetServe, origType: x.Type, reqProc: -1, home: home,
 			netTxnID: x.TxnID, reqStation: x.ReqStation, ex: ex}
 		if ex {
@@ -732,10 +718,10 @@ func (n *Module) netInterv(x *msg.Message, now int64) {
 		// the entry (finishNetServe's clearTxn sees e.txn == nil), so free it
 		// here.
 		n.finishNetServe(e, x.Line, t, e.data, now)
-		n.freeTxn(t)
+		n.txns.Put(t)
 	case LI:
 		owner := onlyBit(e.procs)
-		t := n.newTxn()
+		t := n.txns.Get()
 		*t = txn{kind: txnNetServe, origType: x.Type, reqProc: -1, home: home,
 			netTxnID: x.TxnID, reqStation: x.ReqStation, ex: ex, pending: 1}
 		e.locked, e.txn = true, t

@@ -15,13 +15,13 @@ func newPoolModule() *Module {
 
 // TestTxnPoolRecycles pins the free-list mechanics: a record freed through
 // either death point (entry unlock or side-table removal) comes back
-// zeroed from the next newTxn.
+// zeroed from the next Get.
 func TestTxnPoolRecycles(t *testing.T) {
 	n := newPoolModule()
-	a := n.newTxn()
+	a := n.txns.Get()
 	a.kind = txnRecover
-	n.freeTxn(a)
-	b := n.newTxn()
+	n.txns.Put(a)
+	b := n.txns.Get()
 	if b != a {
 		t.Fatal("freed txn was not recycled")
 	}
@@ -36,41 +36,39 @@ func TestTxnPoolRecycles(t *testing.T) {
 func TestClearTxnFreesEntryRecord(t *testing.T) {
 	defer msg.SetPoolDebug(msg.SetPoolDebug(true))
 	n := newPoolModule()
-	x := n.newTxn()
+	x := n.txns.Get()
 	e := n.allocate(0, 0, 0)
 	e.locked, e.txn = true, x
 	n.clearTxn(e)
 	if e.locked || e.txn != nil {
 		t.Fatal("clearTxn left the entry locked or attached")
 	}
-	if len(n.txnFree) != 1 {
-		t.Fatalf("free list holds %d records, want 1", len(n.txnFree))
-	}
 	defer func() {
 		if recover() == nil {
 			t.Fatal("double free not detected")
 		}
 	}()
-	n.freeTxn(x)
+	n.txns.Put(x)
 }
 
 // TestDropSideFreesSideRecord exercises the side-table death point:
 // dropSide must remove the line's record and recycle it.
 func TestDropSideFreesSideRecord(t *testing.T) {
 	n := newPoolModule()
-	x := n.newTxn()
+	x := n.txns.Get()
 	n.sideTxns[0x1000] = x
 	n.dropSide(0x1000)
 	if len(n.sideTxns) != 0 {
 		t.Fatal("dropSide left the side table populated")
 	}
-	if got := n.newTxn(); got != x {
+	if got := n.txns.Get(); got != x {
 		t.Fatal("side-table txn was not recycled")
 	}
 	// dropSide of an absent line frees nothing (sideTxns[line] is nil).
 	n.dropSide(0x2000)
-	if len(n.txnFree) != 0 {
-		t.Fatal("dropSide of an absent line touched the free list")
+	n.txns.Get()
+	if news, hits := n.txns.Stats(); news != 2 || hits != 1 {
+		t.Fatalf("Stats() = %d,%d; want 2,1: dropSide of an absent line touched the free list", news, hits)
 	}
 }
 
@@ -79,12 +77,12 @@ func TestDropSideFreesSideRecord(t *testing.T) {
 func TestTxnPoolDoubleFreePanics(t *testing.T) {
 	defer msg.SetPoolDebug(msg.SetPoolDebug(true))
 	n := newPoolModule()
-	x := n.newTxn()
-	n.freeTxn(x)
+	x := n.txns.Get()
+	n.txns.Put(x)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("double free not detected")
 		}
 	}()
-	n.freeTxn(x)
+	n.txns.Put(x)
 }

@@ -66,8 +66,8 @@ type CPU struct {
 
 	// Msgs recycles the messages this station's components construct and
 	// consume (nil-safe; wired by core, shared per station). See
-	// msg.MessagePool for the ownership discipline.
-	Msgs *msg.MessagePool
+	// msg.Pool for the ownership discipline.
+	Msgs *msg.Pool[msg.Message]
 
 	st         state
 	thinkUntil int64
@@ -348,7 +348,7 @@ func (c *CPU) process(ref Ref, now int64) {
 				SrcStation: c.Station, DstStation: c.Station,
 				Requester: c.GlobalID, IssueCycle: now,
 			}
-			c.outQ.Push(out, now)
+			c.outQ.Push(out)
 		}
 		c.lastResult = 0
 		c.thinkUntil = now + 1
@@ -529,7 +529,7 @@ func (c *CPU) send(t msg.Type, now int64, retry bool) {
 		Requester: c.GlobalID, ReqStation: c.Station,
 		Retry: retry, IssueCycle: now,
 	}
-	c.outQ.Push(out, now)
+	c.outQ.Push(out)
 }
 
 func (c *CPU) sendKill(now int64) {
@@ -549,7 +549,7 @@ func (c *CPU) sendKill(now int64) {
 		m.DstMod = c.g.ModRI()
 		m.DstStation = home
 	}
-	c.outQ.Push(m, now)
+	c.outQ.Push(m)
 }
 
 // l1Fill records the line in the primary-cache timing filter.
@@ -590,7 +590,7 @@ func (c *CPU) writeBack(victim cache.Line, now int64) {
 		SrcStation: c.Station, DstStation: c.Station,
 		Data: victim.Data, HasData: true, IssueCycle: now,
 	}
-	c.outQ.Push(out, now)
+	c.outQ.Push(out)
 }
 
 // complete finishes the current reference after a fill.
@@ -651,14 +651,6 @@ func (c *CPU) FinishBarrier(now int64) {
 // delivery: account through now inclusive before mutating state.
 func (c *CPU) BusDeliver(m *msg.Message, now int64) {
 	c.syncStats(now)
-	if c.p.TraceLine != 0 && m.Line == c.p.TraceLine {
-		l2 := "miss"
-		if l := c.l2.Probe(m.Line); l != nil {
-			l2 = fmt.Sprintf("%v/%#x", l.State, l.Data)
-		}
-		fmt.Printf("%8d cpu[%d] %-16s from mod%d data=%#x l2=%s pending=%v\n",
-			now, c.GlobalID, m.Type, m.SrcMod, m.Data, l2, c.st == sWaitMem && m.Line == c.curLine)
-	}
 	switch m.Type {
 	case msg.ProcData:
 		if c.st == sWaitMem && m.Line == c.curLine {
@@ -771,5 +763,5 @@ func (c *CPU) serveIntervention(m *msg.Message, now int64) {
 			}
 		}
 	}
-	c.outQ.Push(resp, now)
+	c.outQ.Push(resp)
 }

@@ -72,28 +72,14 @@ type Ctx struct {
 	NProcs int
 
 	// yield parks the program and switches to the goroutine inside
-	// Runner.Next; it returns false once the runner has been stopped. prev
-	// is the result Next stored for the reference the program parked on.
+	// Runner.Next; it returns false once the runner has been stopped. ref is
+	// the reference the program is parked on, prev the result Next stored
+	// for it. A handshake carries exactly one reference, so a parked program
+	// has issued nothing its CPU has not been given.
 	yield   func(struct{}) bool
+	ref     Ref
 	prev    uint64
 	pending int64 // coalesced compute cycles awaiting the next reference
-
-	// batch is the slow-path reference burst awaiting one handshake.
-	// Result-free references (Write, Prefetch, SetPhase) append here and
-	// return immediately — the workload runs ahead in virtual time, exactly
-	// as Compute does — and the whole burst is handed to the back end on
-	// the next result-bearing reference (or when the batch fills): one
-	// coroutine round-trip instead of one per reference. The back end
-	// consumes the burst in order from the parked program's slice
-	// (Runner.Next serves it without resuming), executing every
-	// reference at its true cycle with its own coalesced Pre prefix, so
-	// timing, results and traces are bit-identical to the unbatched
-	// handshake. No value computed ahead of the burst can be observed: the
-	// batched kinds return nothing, and every result-bearing operation
-	// (including Cycle and the hit fast path, which gate on an empty batch
-	// because their resume-relative virtual clock is stale while a burst is
-	// open) drains the batch first.
-	batch []Ref
 
 	// fast is the front-end hit fast path (see fasthits.go): when enabled,
 	// Read/Write resolve cache hits synchronously in the workload coroutine
@@ -102,47 +88,23 @@ type Ctx struct {
 	fast fastHits
 }
 
-// batchCap bounds the deferred burst; a run of result-free references
-// longer than this pays one handshake per batchCap references, which
-// already amortizes the coroutine round-trip to noise.
-const batchCap = 64
-
-// do queues a result-bearing reference and performs the handshake: the
-// back end consumes the whole batch and resumes the program with this
-// (final) reference's result.
-func (c *Ctx) do(r Ref) uint64 {
-	r.Pre, c.pending = c.pending, 0
-	c.batch = append(c.batch, r)
-	return c.flush()
-}
-
-// post queues a result-free reference, deferring the handshake until a
-// result is needed or the batch fills.
-func (c *Ctx) post(r Ref) {
-	r.Pre, c.pending = c.pending, 0
-	c.batch = append(c.batch, r)
-	if len(c.batch) >= batchCap {
-		c.flush()
-	}
-}
-
 // stopped is the panic value that unwinds a program whose runner was
 // stopped while it was parked; Runner.run recovers it.
 type stopped struct{}
 
-// flush hands the batch to the back end and parks until it has executed
-// in full, returning the last reference's result. The runner reads the
-// batch directly — safe because the program is parked in yield for the
-// duration and the coroutine switch orders the accesses. After
-// Runner.Stop yield returns false, here and on every later call, so a
-// program cannot park again from a deferred function; the hit fast path
-// is switched off so those calls reach flush instead of the caches.
-func (c *Ctx) flush() uint64 {
+// do performs the handshake: it hands r, carrying the banked compute
+// cycles, to the back end and parks until the back end has executed it,
+// returning its result. After Runner.Stop yield returns false, here and on
+// every later call, so a program cannot park again from a deferred
+// function; the hit fast path is switched off so those calls reach do
+// instead of the caches.
+func (c *Ctx) do(r Ref) uint64 {
+	r.Pre, c.pending = c.pending, 0
+	c.ref = r
 	if !c.yield(struct{}{}) {
 		c.fast.enabled = false
 		panic(stopped{})
 	}
-	c.batch = c.batch[:0]
 	return c.prev
 }
 
@@ -156,13 +118,12 @@ func (c *Ctx) Read(addr uint64) uint64 {
 	return c.do(Ref{Kind: RefRead, Addr: addr})
 }
 
-// Write stores v to the line containing addr. Writes return no value, so
-// the slow path defers the handshake (see Ctx.batch).
+// Write stores v to the line containing addr.
 func (c *Ctx) Write(addr uint64, v uint64) {
 	if c.fast.enabled && c.fastWrite(addr, v) {
 		return
 	}
-	c.post(Ref{Kind: RefWrite, Addr: addr, Data: v})
+	c.do(Ref{Kind: RefWrite, Addr: addr, Data: v})
 }
 
 // TestAndSet atomically sets the line to 1 and returns its previous value.
@@ -193,7 +154,7 @@ func (c *Ctx) Barrier() { c.do(Ref{Kind: RefBarrier}) }
 
 // SetPhase writes the phase identifier register, tagging subsequent
 // transactions from this processor for the monitoring hardware.
-func (c *Ctx) SetPhase(p uint8) { c.post(Ref{Kind: RefPhase, Phase: p}) }
+func (c *Ctx) SetPhase(p uint8) { c.do(Ref{Kind: RefPhase, Phase: p}) }
 
 // Cycle returns the current simulation cycle. The call itself consumes one
 // cycle; latency probes subtract accordingly. With the fast path enabled
@@ -201,7 +162,7 @@ func (c *Ctx) SetPhase(p uint8) { c.post(Ref{Kind: RefPhase, Phase: p}) }
 // (resume cycle plus banked burst cycles) and the call touches no cache or
 // memory state, so no horizon check is needed.
 func (c *Ctx) Cycle() int64 {
-	if c.fast.enabled && len(c.batch) == 0 {
+	if c.fast.enabled {
 		v := c.fast.resumeAt + c.pending
 		c.pending++
 		return v
@@ -209,8 +170,8 @@ func (c *Ctx) Cycle() int64 {
 	return int64(c.do(Ref{Kind: RefCycle}))
 }
 
-// Sync is Cycle with a forced handshake: it always hands the batch to the
-// back end and parks the program until the back end executes the probe,
+// Sync is Cycle with a forced handshake: it always hands the probe to the
+// back end and parks the program until the back end executes it,
 // even when the hit fast path could answer from the front end. Drivers
 // that exchange work with the simulation loop through shared memory (the
 // serving layer's dispatch mailboxes) call Sync instead of Cycle so the
@@ -225,7 +186,7 @@ func (c *Ctx) Sync() int64 { return int64(c.do(Ref{Kind: RefCycle})) }
 // addr from its remote home in the background (§3.1.4). The processor
 // continues immediately; a later Read finds the line in the NC. Prefetch
 // of a locally-homed line is a no-op.
-func (c *Ctx) Prefetch(addr uint64) { c.post(Ref{Kind: RefPrefetch, Addr: addr}) }
+func (c *Ctx) Prefetch(addr uint64) { c.do(Ref{Kind: RefPrefetch, Addr: addr}) }
 
 // Kill purges every cached copy of the line containing addr (the special
 // function of §3.1.2), blocking until the completion interrupt arrives.
@@ -271,10 +232,6 @@ type Runner struct {
 	// so a runner that never runs costs no goroutine.
 	next func() (struct{}, bool)
 	stop func()
-
-	// bi indexes the next unserved entry of ctx.batch, which Next serves
-	// from the slice while the program stays parked (see Ctx.batch).
-	bi int
 }
 
 // NewRunner prepares prog to run as processor id of nprocs.
@@ -295,37 +252,27 @@ func (r *Runner) run(yield func(struct{}) bool) {
 	// Carry any trailing Compute cycles so the completion timestamp
 	// matches the uncoalesced execution. Returning ends the coroutine:
 	// nothing resumes a finished workload.
-	c.batch = append(c.batch, Ref{Kind: RefDone, Pre: c.pending})
+	c.ref = Ref{Kind: RefDone, Pre: c.pending}
 }
 
 // Next resumes the workload with the result of its previous reference and
 // returns the next one. The first call starts the coroutine. After RefDone
 // is returned, Next must not be called again. A panic in the program
 // surfaces here, in the caller.
-//
-// While unserved batch entries remain, Next returns them in order without
-// resuming the program; prev is discarded, matching the unbatched protocol
-// where the callers of those references discard the result. Only when the
-// batch is exhausted does the final result travel back, through Ctx.prev.
 func (r *Runner) Next(prev uint64) Ref {
 	if r.done {
 		panic("proc: Next called after RefDone or Stop")
 	}
 	c := r.ctx
-	if r.bi == len(c.batch) {
-		if r.next == nil {
-			r.next, r.stop = iter.Pull(r.run)
-		}
-		c.prev = prev
-		r.next() // returns with the program parked in flush, or finished
-		r.bi = 0
+	if r.next == nil {
+		r.next, r.stop = iter.Pull(r.run)
 	}
-	ref := c.batch[r.bi]
-	r.bi++
-	if ref.Kind == RefDone {
+	c.prev = prev
+	r.next() // returns with the program parked in do, or finished
+	if c.ref.Kind == RefDone {
 		r.done = true
 	}
-	return ref
+	return c.ref
 }
 
 // Stop abandons the workload: a program parked mid-reference unwinds (its

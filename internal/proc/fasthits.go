@@ -23,7 +23,7 @@ import (
 //  1. Alternation. The workload is a coroutine of its CPU (iter.Pull): it
 //     runs only while the goroutine ticking the CPU is switched out
 //     inside Runner.Next, and that goroutine runs only while the workload
-//     is parked in Ctx.flush — one thread of control that changes stacks.
+//     is parked in Ctx.do — one thread of control that changes stacks.
 //     The switch is the happens-before edge in both directions (iter.Pull
 //     annotates it for the race detector), also when successive Next
 //     calls come from different pool workers, whose own hand-over is the
@@ -124,13 +124,6 @@ func (f *fastHits) hitCost(line uint64) int64 {
 // end re-classifies the reference at its real execution cycle.
 func (c *Ctx) fastRead(addr uint64) (uint64, bool) {
 	f := &c.fast
-	if len(c.batch) != 0 {
-		// A deferred burst is open: this reference executes only after the
-		// batch drains, at a cycle the front end cannot know, so the
-		// resume-relative virtual clock below is meaningless. Fall back (the
-		// handshake drains the batch first and re-classifies at real time).
-		return 0, false
-	}
 	u := f.resumeAt + c.pending
 	if u > f.horizon {
 		f.missWindow++
@@ -158,9 +151,6 @@ func (c *Ctx) fastRead(addr uint64) (uint64, bool) {
 // upgrade, misses a fetch). Mirrors the Dirty branch of CPU.startWrite.
 func (c *Ctx) fastWrite(addr, v uint64) bool {
 	f := &c.fast
-	if len(c.batch) != 0 {
-		return false // see fastRead: stale virtual clock while a burst is open
-	}
 	u := f.resumeAt + c.pending
 	if u > f.horizon {
 		f.missWindow++

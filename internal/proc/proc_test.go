@@ -20,7 +20,7 @@ func runCPU(c *CPU, from, cycles int64) (int64, []*msg.Message) {
 	for i := int64(0); i < cycles; i++ {
 		c.Tick(from)
 		for {
-			m, ok := c.BusOut().Pop(from)
+			m, ok := c.BusOut().Pop()
 			if !ok {
 				break
 			}
@@ -58,6 +58,39 @@ func TestRunnerHandshake(t *testing.T) {
 	ref = r.Next(0)
 	if ref.Kind != RefDone || !r.Done() {
 		t.Fatalf("final ref %+v done=%v", ref, r.Done())
+	}
+}
+
+// TestProgramNeverRunsAheadOfItsCPU: a handshake carries one reference, so
+// a result-free reference parks the program like any other and nothing
+// after it runs until the CPU has executed it. The model checker's state
+// key (see snapshot.go) and the serving layer's mailboxes rely on this.
+func TestProgramNeverRunsAheadOfItsCPU(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		kind RefKind
+		op   func(c *Ctx)
+	}{
+		{"write", RefWrite, func(c *Ctx) { c.Write(0x80, 1) }},
+		{"prefetch", RefPrefetch, func(c *Ctx) { c.Prefetch(0x80) }},
+		{"phase", RefPhase, func(c *Ctx) { c.SetPhase(3) }},
+	} {
+		flag := false
+		r := NewRunner(0, 1, func(c *Ctx) {
+			tc.op(c)
+			flag = true
+			c.Read(0x40)
+		})
+		if ref := r.Next(0); ref.Kind != tc.kind {
+			t.Fatalf("%s: first ref %+v", tc.name, ref)
+		}
+		if flag {
+			t.Errorf("%s: the program ran past a reference its CPU has not executed", tc.name)
+		}
+		if ref := r.Next(0); ref.Kind != RefRead || !flag {
+			t.Errorf("%s: second ref %+v, flag %v", tc.name, ref, flag)
+		}
+		r.Stop()
 	}
 }
 
@@ -320,14 +353,14 @@ func TestInterruptRegister(t *testing.T) {
 
 // TestRunnerNextAcrossGoroutines calls Next from a rotation of goroutines,
 // as the pool's workers do (a CPU's station can be ticked by a different
-// worker after every relaunch): batch entries and results must arrive
-// intact, and the hand-over through the rotation must be the only
-// synchronization the race detector needs.
+// worker after every relaunch): every Next resumes the program, references
+// and results must arrive intact, and the hand-over through the rotation
+// must be the only synchronization the race detector needs.
 func TestRunnerNextAcrossGoroutines(t *testing.T) {
 	const rounds = 200
 	r := NewRunner(0, 1, func(c *Ctx) {
 		for i := uint64(0); i < rounds; i++ {
-			c.Write(0x1000+i*64, i) // rides in the batch with the read below
+			c.Write(0x1000+i*64, i)
 			if v := c.Read(0x40 + i*64); v != i*3 {
 				t.Errorf("round %d: read resumed with %d, want %d", i, v, i*3)
 			}
@@ -357,7 +390,7 @@ func TestRunnerNextAcrossGoroutines(t *testing.T) {
 				if w.Kind != RefWrite || w.Addr != 0x1000+tn.i*64 || w.Data != tn.i {
 					t.Errorf("round %d: write ref %+v", tn.i, w)
 				}
-				rd := r.Next(0) // served from the batch: the result is discarded
+				rd := r.Next(0) // resumes the write, whose result the program discards
 				if rd.Kind != RefRead || rd.Addr != 0x40+tn.i*64 {
 					t.Errorf("round %d: read ref %+v", tn.i, rd)
 				}

@@ -13,7 +13,7 @@ import (
 // front-end fast path off: epoch, fastGuard. Excluded because the checker
 // runs with RetryBackoff off or RetryChoice installed (the jitter stream is
 // never drawn): retryRNG. The workload coroutine itself carries no hidden
-// state the checker needs: between references it is parked in Ctx.flush,
+// state the checker needs: between references it is parked in Ctx.do,
 // and the checker's driver programs are straight-line, so the per-CPU
 // program counter the checker encodes separately fully determines it.
 func (c *CPU) Encode(e *snap.Enc) {

@@ -28,7 +28,7 @@ type IRI struct {
 	// recycle the message even on the last release: the IRI owns no message
 	// pool, so a zero-hit — possible only for fault-dropped requests — falls
 	// back to the GC.
-	pool msg.PacketPool
+	pool msg.Pool[msg.Packet]
 
 	// UpDelay feeds Figure 18b (average delay in the upward path of the
 	// central ring interface).
@@ -53,18 +53,13 @@ type IRI struct {
 // station flow-control accounting (may be nil in unit tests); the IRI
 // needs it to return the credit of a packet the fault injector loses.
 func NewIRI(p sim.Params, ringID int, credits *Credits) *IRI {
-	i := &IRI{
+	return &IRI{
 		RingID:  ringID,
 		p:       p,
 		credits: credits,
 		upQ:     sim.NewQueue[*msg.Packet](p.IRIFIFO),
 		downQ:   sim.NewQueue[*msg.Packet](p.IRIFIFO),
 	}
-	// Observed at the end of the cycle, after the ring phases that push and
-	// pop these FIFOs, hence prePush=false.
-	i.upQ.MonitorEvery(32, false)
-	i.downQ.MonitorEvery(32, false)
-	return i
 }
 
 // LocalPort returns the IRI's attachment to its local ring.
@@ -72,14 +67,6 @@ func (i *IRI) LocalPort() Node { return localPort{i} }
 
 // CentralPort returns the IRI's attachment to the central ring.
 func (i *IRI) CentralPort() Node { return centralPort{i} }
-
-// ObserveAt brings the periodic FIFO-depth sampling up to date through
-// cycle now (the machine calls it at the end of every stepped cycle).
-func (i *IRI) ObserveAt(now int64) { i.upQ.ObserveAt(now); i.downQ.ObserveAt(now) }
-
-// SyncStats accounts all observation boundaries through limit (called
-// before snapshotting results).
-func (i *IRI) SyncStats(limit int64) { i.upQ.SyncObsTo(limit); i.downQ.SyncObsTo(limit) }
 
 // UpStats and DownStats expose queue statistics.
 func (i *IRI) UpStats() sim.QueueStats   { return i.upQ.Stats() }
@@ -138,7 +125,7 @@ func (l localPort) HandleSlot(pkt *msg.Packet, now int64) *msg.Packet {
 					return nil
 				}
 				pkt.ReadyAt = now + int64(i.p.IRICycles)
-				i.upQ.Push(pkt, now)
+				i.upQ.Push(pkt)
 				i.Tr.Emit(now, trace.KindFlitSwitch, pkt.Msg.Line, pkt.Msg.TxnID,
 					0, int32(pkt.Msg.Type))
 				return nil
@@ -153,7 +140,7 @@ func (l localPort) HandleSlot(pkt *msg.Packet, now int64) *msg.Packet {
 				pkt.Sequenced = true
 				pkt.ReadyAt = now + int64(i.p.IRICycles)
 				pkt.EnqueuedAt = now
-				i.downQ.Push(pkt, now)
+				i.downQ.Push(pkt)
 				i.Tr.Emit(now, trace.KindFlitSwitch, pkt.Msg.Line, pkt.Msg.TxnID,
 					1, int32(pkt.Msg.Type))
 				return nil
@@ -162,7 +149,7 @@ func (l localPort) HandleSlot(pkt *msg.Packet, now int64) *msg.Packet {
 		return pkt
 	}
 	if pk, ok := i.downQ.Peek(); ok && pk.ReadyAt <= now {
-		i.downQ.Pop(now)
+		i.downQ.Pop()
 		i.DownDelay.Sample(now - pk.EnqueuedAt)
 		return pk
 	}
@@ -216,7 +203,7 @@ func (c centralPort) HandleSlot(pkt *msg.Packet, now int64) *msg.Packet {
 				cp.Mask.Rings = 0
 				cp.ReadyAt = now + int64(i.p.IRICycles)
 				cp.EnqueuedAt = now
-				i.downQ.Push(cp, now)
+				i.downQ.Push(cp)
 				i.Tr.Emit(now, trace.KindFlitSwitch, cp.Msg.Line, cp.Msg.TxnID,
 					1, int32(cp.Msg.Type))
 				pkt.Mask.Rings &^= 1 << uint(i.RingID)
@@ -233,18 +220,15 @@ func (c centralPort) HandleSlot(pkt *msg.Packet, now int64) *msg.Packet {
 		return pkt
 	}
 	if pk, ok := i.upQ.Peek(); ok && pk.ReadyAt <= now {
-		i.upQ.Pop(now)
+		i.upQ.Pop()
 		i.UpDelay.Sample(now - pk.EnqueuedAt)
 		return pk
 	}
 	return nil
 }
 
-// PoolStats reports the packet pool's fresh allocations and reuses.
-func (i *IRI) PoolStats() (news, hits int64) { return i.pool.Stats() }
-
 // PacketPool exposes the free list so the machine can level it against the
-// other interfaces' pools at serial points (see msg.RebalancePackets): the
+// other interfaces' pools at serial points (see msg.Rebalance): the
 // IRI allocates every descend copy but the copies die at stations, so its
 // free list only ever drains.
-func (i *IRI) PacketPool() *msg.PacketPool { return &i.pool }
+func (i *IRI) PacketPool() *msg.Pool[msg.Packet] { return &i.pool }

@@ -55,7 +55,7 @@ func TestPointToPointDelivery(t *testing.T) {
 	ris[0].BusDeliver(m, 0)
 	runRing(r, ris, 0, 40)
 
-	out, ok := ris[2].BusOut().Pop(40)
+	out, ok := ris[2].BusOut().Pop()
 	if !ok {
 		t.Fatal("message not delivered to station 2")
 	}
@@ -105,7 +105,7 @@ func TestInvalidateMulticastAndSequencing(t *testing.T) {
 	runRing(r, ris, 0, 60)
 
 	for _, s := range []int{0, 1, 2} {
-		got, ok := ris[s].BusOut().Pop(60)
+		got, ok := ris[s].BusOut().Pop()
 		if !ok {
 			t.Fatalf("station %d missed the invalidation", s)
 		}
@@ -139,7 +139,7 @@ func TestSequencingPointOrdersInvalidateAfterData(t *testing.T) {
 			ri.Tick(now)
 		}
 		r.Tick(now)
-		if got, ok := ris[3].BusOut().Pop(now); ok {
+		if got, ok := ris[3].BusOut().Pop(); ok {
 			order = append(order, got.Type)
 		}
 		now++
@@ -165,7 +165,7 @@ func TestNonsinkableCreditLimit(t *testing.T) {
 	runRing(r, ris, 0, 200)
 	n := 0
 	for {
-		if _, ok := ris[1].BusOut().Pop(200); !ok {
+		if _, ok := ris[1].BusOut().Pop(); !ok {
 			break
 		}
 		n++
@@ -213,7 +213,7 @@ func TestTwoLevelHierarchyCrossRing(t *testing.T) {
 		central.Tick(now)
 		now++
 	}
-	if got, ok := ris[3].BusOut().Pop(now); !ok || got.Type != msg.NetData {
+	if got, ok := ris[3].BusOut().Pop(); !ok || got.Type != msg.NetData {
 		t.Fatalf("cross-ring delivery failed (ok=%v)", ok)
 	}
 	// An invalidation multicast spanning both rings reaches all stations.
@@ -232,7 +232,7 @@ func TestTwoLevelHierarchyCrossRing(t *testing.T) {
 		now++
 	}
 	for s, ri := range ris {
-		if got, ok := ri.BusOut().Pop(now); !ok || got.Type != msg.Invalidate {
+		if got, ok := ri.BusOut().Pop(); !ok || got.Type != msg.Invalidate {
 			t.Errorf("station %d missed the system-wide invalidation (ok=%v)", s, ok)
 		}
 	}

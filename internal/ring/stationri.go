@@ -76,8 +76,8 @@ type StationRI struct {
 	// pool recycles the packets this interface creates (packetization and
 	// the per-station consume copy) and the ones that die here (last
 	// multicast destination, injection-time drops, reassembled input). See
-	// msg.PacketPool for why reuse cannot change simulated behaviour.
-	pool msg.PacketPool
+	// msg.Pool for why reuse cannot change simulated behaviour.
+	pool msg.Pool[msg.Packet]
 
 	// Msgs recycles messages whose last stop is this interface (nil-safe;
 	// wired by core, shared with the station's other components): loopback
@@ -92,7 +92,7 @@ type StationRI struct {
 	// recycle too instead of leaking to the GC. The pool is touched from
 	// the station's phase-1 worker (BusDeliver) and from the serial phase 2
 	// (HandleSlot/Tick), which the pool's barrier separates.
-	Msgs *msg.MessagePool
+	Msgs *msg.Pool[msg.Message]
 
 	// Figure 18a measurements.
 	SendDelay   monitor.Sampler // output-queue wait, upward path
@@ -134,9 +134,6 @@ func NewStationRI(g topo.Geometry, p sim.Params, station int, credits *Credits) 
 		reasm:     make(map[*msg.Message]int),
 		firstSeen: make(map[*msg.Message]int64),
 	}
-	// Observed at the top of Tick, which runs before the ring phase that
-	// pushes into this FIFO, hence prePush=true.
-	r.inFIFO.MonitorEvery(32, true)
 	return r
 }
 
@@ -152,7 +149,7 @@ func (r *StationRI) BusDeliver(m *msg.Message, now int64) {
 		cp := r.Msgs.Get()
 		*cp = *m
 		r.route(cp)
-		r.busOutQ.Push(cp, now)
+		r.busOutQ.Push(cp)
 		r.Msgs.Put(m) // superseded by the private copy
 		return
 	}
@@ -196,7 +193,7 @@ func (r *StationRI) BusDeliver(m *msg.Message, now int64) {
 				EnqueuedAt: now,
 				ReadyAt:    now + int64(r.p.RIPackCycles),
 			}
-			q.Push(pk, now)
+			q.Push(pk)
 		}
 	}
 }
@@ -216,7 +213,7 @@ func (r *StationRI) HandleSlot(pkt *msg.Packet, now int64) *msg.Packet {
 				cp := r.pool.Get()
 				*cp = *pkt
 				cp.Msg.AddRef() // one more live packet aliases the message
-				r.inFIFO.Push(cp, now)
+				r.inFIFO.Push(cp)
 				r.Tr.Emit(now, trace.KindFlitArrive, pkt.Msg.Line, pkt.Msg.TxnID,
 					int32(pkt.Msg.Type), int32(pkt.Seq))
 				pkt.Mask.Stations &^= 1 << uint(r.pos)
@@ -234,7 +231,7 @@ func (r *StationRI) HandleSlot(pkt *msg.Packet, now int64) *msg.Packet {
 	}
 	// Free slot: sinkable output has priority (§2.4).
 	if pk, ok := r.sinkQ.Peek(); ok && pk.ReadyAt <= now {
-		r.sinkQ.Pop(now)
+		r.sinkQ.Pop()
 		r.SendDelay.Sample(now - pk.EnqueuedAt)
 		r.Injected.Inc()
 		r.Tr.Emit(now, trace.KindFlitInject, pk.Msg.Line, pk.Msg.TxnID,
@@ -244,7 +241,7 @@ func (r *StationRI) HandleSlot(pkt *msg.Packet, now int64) *msg.Packet {
 	if pk, ok := r.nonsinkQ.Peek(); ok && pk.ReadyAt <= now {
 		// Nonsinkable messages are single packets; each consumes a credit.
 		if r.credits == nil || r.credits.TryAcquire(pk.Msg.SrcStation) {
-			r.nonsinkQ.Pop(now)
+			r.nonsinkQ.Pop()
 			// Drop fault: the request vanishes at injection time. The
 			// credit goes back (the message never enters the network) and
 			// the sender's loss timeout recovers the transaction. The RNG
@@ -274,10 +271,10 @@ func (r *StationRI) HandleSlot(pkt *msg.Packet, now int64) *msg.Packet {
 	return nil
 }
 
-// NextWork reports the earliest cycle at or after now at which Tick can do
-// more than occupancy sampling: the end of the current unpack latency when
-// packets are buffered, or now. An empty input FIFO only refills through
-// the ring phase, which the gate for the following cycle will see.
+// NextWork reports the earliest cycle at or after now at which Tick has
+// work: the end of the current unpack latency when packets are buffered, or
+// now. An empty input FIFO only refills through the ring phase, which the
+// gate for the following cycle will see.
 func (r *StationRI) NextWork(now int64) int64 {
 	if r.inFIFO.Empty() {
 		return sim.Never
@@ -308,19 +305,14 @@ func (r *StationRI) NextInject(now int64) int64 {
 // slot: the cycle loop re-gates the local ring after a bus tick only then.
 func (r *StationRI) OutPending() bool { return !r.sinkQ.Empty() || !r.nonsinkQ.Empty() }
 
-// SyncStats brings the input-FIFO occupancy sampling up to date through
-// limit (called before snapshotting results).
-func (r *StationRI) SyncStats(limit int64) { r.inFIFO.SyncObsTo(limit) }
-
 // InFIFODepth returns the current input-FIFO depth (diagnostics).
 func (r *StationRI) InFIFODepth() int { return r.inFIFO.Len() }
 
 // Tick drains the input FIFO through the packet handler, reassembling
 // messages and handing completed ones to the station bus.
 func (r *StationRI) Tick(now int64) {
-	r.inFIFO.ObserveAt(now)
 	for now >= r.unpackBusy {
-		pkt, ok := r.inFIFO.Pop(now)
+		pkt, ok := r.inFIFO.Pop()
 		if !ok {
 			return
 		}
@@ -353,7 +345,7 @@ func (r *StationRI) Tick(now int64) {
 		if !m.Type.Sinkable() && r.credits != nil {
 			r.credits.Release(m.SrcStation)
 		}
-		r.busOutQ.Push(cp, now)
+		r.busOutQ.Push(cp)
 		r.Delivered.Inc()
 		r.Tr.Emit(now, trace.KindFlitDeliver, m.Line, m.TxnID,
 			int32(m.Type), int32(now-first))
@@ -392,12 +384,9 @@ func (r *StationRI) route(m *msg.Message) {
 	m.DstStation = r.Station
 }
 
-// PoolStats reports the packet pool's fresh allocations and reuses.
-func (r *StationRI) PoolStats() (news, hits int64) { return r.pool.Stats() }
-
 // PacketPool exposes the free list so the machine can level it against the
-// other interfaces' pools at serial points (see msg.RebalancePackets).
-func (r *StationRI) PacketPool() *msg.PacketPool { return &r.pool }
+// other interfaces' pools at serial points (see msg.Rebalance).
+func (r *StationRI) PacketPool() *msg.Pool[msg.Packet] { return &r.pool }
 
 // QueueStats exposes queue statistics for the monitoring reports.
 func (r *StationRI) QueueStats() (sendSink, sendNonsink, input sim.QueueStats) {

@@ -86,11 +86,6 @@ type Params struct {
 	// more than this many consecutive NAKs (0 disables).
 	StarvationWindows int
 	MaxRetries        int
-
-	// TraceLine, when non-zero, makes every component log its handling of
-	// messages for that line address to stdout — the software analogue of
-	// attaching the monitoring hardware's trace memory to one line.
-	TraceLine uint64
 }
 
 // DefaultParams returns the calibrated prototype parameter set.

@@ -1,36 +1,19 @@
 package sim
 
-// Queue is an instrumented FIFO used for every buffer in the machine
-// (processor FIFOs, memory input queues, ring interface queues). It records
-// occupancy and waiting-time statistics so the monitoring subsystem can
-// reproduce the paper's FIFO-depth and queueing-delay measurements.
+// Queue is the FIFO used for every buffer in the machine (processor
+// FIFOs, memory input queues, ring interface queues). It counts what the
+// monitoring subsystem reads back: items enqueued and the deepest the
+// queue has been (the paper's FIFO-depth measurement), both exact because
+// they change only on a push.
 type Queue[T any] struct {
-	items []entry[T]
+	items []T
 	head  int
 
 	// Capacity <= 0 means unbounded.
 	Capacity int
 
-	// Statistics.
 	totalEnq int64
-	sumDelay int64 // cycles spent queued, summed over dequeued items
-	sumDepth int64 // depth integrated over observations
-	depthObs int64
 	maxDepth int
-
-	// Periodic-observation schedule (MonitorEvery). Occupancy samples are
-	// accounted lazily so the event-aware cycle loop can skip a quiescent
-	// queue's ticks and reconcile the missed samples afterwards: between
-	// two mutations the depth is constant, so every observation boundary
-	// crossed since the last sync is sampled at the current depth.
-	obsEvery  int64 // 0 = manual Observe() only
-	nextObs   int64 // next unsampled boundary cycle
-	obsAtPush bool  // the observation point precedes same-cycle pushes
-}
-
-type entry[T any] struct {
-	v  T
-	at int64 // enqueue cycle
 }
 
 // NewQueue returns a queue with the given capacity (<=0 for unbounded).
@@ -47,53 +30,13 @@ func (q *Queue[T]) Full() bool { return q.Capacity > 0 && q.Len() >= q.Capacity 
 // Empty reports whether the queue holds no items.
 func (q *Queue[T]) Empty() bool { return q.Len() == 0 }
 
-// MonitorEvery schedules an occupancy observation every `every` cycles
-// (cycle numbers divisible by every), replacing manual Observe calls.
-// prePush selects the intra-cycle observation point: true when the
-// component observes the queue before same-cycle pushes reach it (the ring
-// interface input FIFO, observed before the rings run), false when pushes
-// land first (memory and network-cache input queues, fed by the bus phase
-// that precedes their tick).
-func (q *Queue[T]) MonitorEvery(every int64, prePush bool) {
-	q.obsEvery = every
-	q.obsAtPush = prePush
-}
-
-// syncObs samples every unaccounted observation boundary up to and
-// including limit at the current depth.
-func (q *Queue[T]) syncObs(limit int64) {
-	if q.obsEvery == 0 || q.nextObs > limit {
-		return
-	}
-	k := (limit-q.nextObs)/q.obsEvery + 1
-	q.sumDepth += k * int64(q.Len())
-	q.depthObs += k
-	q.nextObs += k * q.obsEvery
-}
-
-// ObserveAt brings the periodic occupancy sampling up to date through
-// cycle now. Components call it where the naive loop would call Observe;
-// the lazy accounting makes it exact even when calls were skipped.
-func (q *Queue[T]) ObserveAt(now int64) { q.syncObs(now) }
-
-// SyncObsTo accounts all observation boundaries through limit (used when
-// snapshotting statistics after fast-forwarded cycles).
-func (q *Queue[T]) SyncObsTo(limit int64) { q.syncObs(limit) }
-
-// Push enqueues v at simulation time now. It returns false (and drops
-// nothing) when the queue is full; callers must check.
-func (q *Queue[T]) Push(v T, now int64) bool {
+// Push enqueues v. It returns false (and drops nothing) when the queue is
+// full; callers must check.
+func (q *Queue[T]) Push(v T) bool {
 	if q.Full() {
 		return false
 	}
-	if q.obsEvery > 0 {
-		if q.obsAtPush {
-			q.syncObs(now) // boundary at now sees the pre-push depth
-		} else {
-			q.syncObs(now - 1) // boundary at now is sampled after the push
-		}
-	}
-	q.items = append(q.items, entry[T]{v: v, at: now})
+	q.items = append(q.items, v)
 	if d := q.Len(); d > q.maxDepth {
 		q.maxDepth = d
 	}
@@ -106,68 +49,46 @@ func (q *Queue[T]) Peek() (v T, ok bool) {
 	if q.Empty() {
 		return v, false
 	}
-	return q.items[q.head].v, true
+	return q.items[q.head], true
 }
 
-// Pop removes and returns the head item, recording its queueing delay.
-func (q *Queue[T]) Pop(now int64) (v T, ok bool) {
+// Pop removes and returns the head item. ok is false when empty.
+func (q *Queue[T]) Pop() (v T, ok bool) {
 	if q.Empty() {
 		return v, false
 	}
-	if q.obsEvery > 0 {
-		q.syncObs(now - 1) // boundaries before the pop cycle at pre-pop depth
-	}
-	e := q.items[q.head]
+	v = q.items[q.head]
 	var zero T
-	q.items[q.head] = entry[T]{v: zero} // release reference
+	q.items[q.head] = zero // release reference
 	q.head++
 	if q.head == len(q.items) {
 		q.items = q.items[:0]
 		q.head = 0
 	} else if q.head > 64 && q.head*2 > len(q.items) {
 		n := copy(q.items, q.items[q.head:])
-		for i := n; i < len(q.items); i++ {
-			q.items[i] = entry[T]{}
-		}
+		clear(q.items[n:])
 		q.items = q.items[:n]
 		q.head = 0
 	}
-	q.sumDelay += now - e.at
-	return e.v, true
+	return v, true
 }
 
 // Each calls fn for every queued item in FIFO order (head first). It is a
 // read-only iteration used by the model checker's snapshot hooks; fn must
 // not push or pop.
 func (q *Queue[T]) Each(fn func(v T)) {
-	for i := q.head; i < len(q.items); i++ {
-		fn(q.items[i].v)
+	for _, v := range q.items[q.head:] {
+		fn(v)
 	}
 }
 
-// Observe samples the current depth into the occupancy statistics. The
-// machine calls this once per cycle on monitored queues.
-func (q *Queue[T]) Observe() {
-	q.sumDepth += int64(q.Len())
-	q.depthObs++
-}
-
-// Stats summarizes the queue's activity.
+// QueueStats summarizes a queue's activity.
 type QueueStats struct {
-	Enqueued  int64
-	MeanDelay float64 // cycles, over dequeued items
-	MeanDepth float64 // over Observe samples
-	MaxDepth  int
+	Enqueued int64
+	MaxDepth int
 }
 
 // Stats returns a snapshot of the accumulated statistics.
 func (q *Queue[T]) Stats() QueueStats {
-	s := QueueStats{Enqueued: q.totalEnq, MaxDepth: q.maxDepth}
-	if done := q.totalEnq - int64(q.Len()); done > 0 {
-		s.MeanDelay = float64(q.sumDelay) / float64(done)
-	}
-	if q.depthObs > 0 {
-		s.MeanDepth = float64(q.sumDepth) / float64(q.depthObs)
-	}
-	return s
+	return QueueStats{Enqueued: q.totalEnq, MaxDepth: q.maxDepth}
 }

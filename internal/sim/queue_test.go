@@ -4,20 +4,20 @@ import "testing"
 
 // TestQueueCompactionShift pins the head>64 shifted-copy branch: grow a
 // long tail, pop past the threshold so head*2 > len triggers the in-place
-// copy, then verify ordering, delay accounting, and that freed slots hold
-// zero values (no leaked references).
+// copy, then verify ordering and that freed slots hold zero values (no
+// leaked references).
 func TestQueueCompactionShift(t *testing.T) {
 	q := NewQueue[int](0)
 	const n = 200
 	for i := 0; i < n; i++ {
-		q.Push(i, int64(i))
+		q.Push(i + 1) // non-zero payloads, so a zeroed slot is recognisable
 	}
 	// Pop 110 items. The shifted-copy branch fires at head=101 (head > 64
 	// and head*2 > 200): 99 items move to the front, the tail is zeroed,
 	// and the remaining 9 pops advance head again from 0 to 9.
 	for i := 0; i < 110; i++ {
-		v, ok := q.Pop(int64(n + i))
-		if !ok || v != i {
+		v, ok := q.Pop()
+		if !ok || v != i+1 {
 			t.Fatalf("pop %d = (%d, %v)", i, v, ok)
 		}
 	}
@@ -31,133 +31,40 @@ func TestQueueCompactionShift(t *testing.T) {
 	// pointer payloads do not leak.
 	backing := q.items[:n]
 	for i := len(q.items); i < n; i++ {
-		if backing[i].v != 0 || backing[i].at != 0 {
-			t.Fatalf("backing slot %d not zeroed: %+v", i, backing[i])
+		if backing[i] != 0 {
+			t.Fatalf("backing slot %d not zeroed: %d", i, backing[i])
 		}
 	}
-	// Remaining items still pop in order with exact delays.
 	for i := 110; i < n; i++ {
-		v, ok := q.Pop(int64(i) + 1000)
-		if !ok || v != i {
-			t.Fatalf("post-compaction pop = (%d, %v), want %d", v, ok, i)
+		v, ok := q.Pop()
+		if !ok || v != i+1 {
+			t.Fatalf("post-compaction pop = (%d, %v), want %d", v, ok, i+1)
 		}
 	}
-	s := q.Stats()
-	if s.Enqueued != n {
-		t.Errorf("enqueued = %d, want %d", s.Enqueued, n)
-	}
-	// First 110 items: pushed at i, popped at 200+i → delay 200 each.
-	// Remaining 90: pushed at i, popped at i+1000 → delay 1000 each.
-	wantDelay := float64(110*200+90*1000) / float64(n)
-	if s.MeanDelay != wantDelay {
-		t.Errorf("mean delay = %v, want %v", s.MeanDelay, wantDelay)
+	if s := q.Stats(); s.Enqueued != n || s.MaxDepth != n {
+		t.Errorf("stats = %+v, want enqueued and max depth %d", s, n)
 	}
 }
 
-// TestQueueStatsAccounting pins the mean-delay/mean-depth arithmetic the
-// scheduler's idle decisions and the monitoring reports depend on.
+// TestQueueStatsAccounting pins the two event-driven counters the
+// monitoring reports read: both move on a push and on nothing else.
 func TestQueueStatsAccounting(t *testing.T) {
 	q := NewQueue[int](0)
-	if s := q.Stats(); s.MeanDelay != 0 || s.MeanDepth != 0 || s.MaxDepth != 0 {
+	if s := q.Stats(); s != (QueueStats{}) {
 		t.Errorf("fresh queue stats non-zero: %+v", s)
 	}
-	q.Push(1, 0)
-	q.Push(2, 0)
-	q.Push(3, 4)
-	q.Observe() // depth 3
-	q.Pop(10)   // delay 10
-	q.Observe() // depth 2
-	q.Observe() // depth 2
-	q.Pop(10)   // delay 10
-	q.Pop(20)   // delay 16
-	s := q.Stats()
-	if s.Enqueued != 3 {
-		t.Errorf("enqueued = %d", s.Enqueued)
+	q.Push(1)
+	q.Push(2)
+	q.Push(3)
+	q.Pop()
+	q.Pop()
+	q.Push(4)
+	if s := q.Stats(); s.Enqueued != 4 || s.MaxDepth != 3 {
+		t.Errorf("stats = %+v, want enqueued 4, max depth 3", s)
 	}
-	if want := float64(10+10+16) / 3; s.MeanDelay != want {
-		t.Errorf("mean delay = %v, want %v", s.MeanDelay, want)
-	}
-	if want := float64(3+2+2) / 3; s.MeanDepth != want {
-		t.Errorf("mean depth = %v, want %v", s.MeanDepth, want)
-	}
-	if s.MaxDepth != 3 {
-		t.Errorf("max depth = %d, want 3", s.MaxDepth)
-	}
-	// Items still queued do not count toward MeanDelay.
-	q.Push(4, 100)
-	if got := q.Stats().MeanDelay; got != s.MeanDelay {
-		t.Errorf("mean delay changed by an undequeued push: %v -> %v", s.MeanDelay, got)
-	}
-}
-
-// TestQueueLazyObservation proves the MonitorEvery machinery equivalent to
-// eagerly sampling every boundary cycle: an eagerly observed mirror queue
-// receiving the same mutations must end with identical statistics.
-func TestQueueLazyObservation(t *testing.T) {
-	type op struct {
-		at   int64
-		push bool
-	}
-	ops := []op{
-		{1, true}, {2, true}, {35, false}, {64, true}, {64, false},
-		{70, true}, {200, false}, {321, true}, {322, false}, {500, false},
-	}
-	const every = 32
-	for _, prePush := range []bool{false, true} {
-		lazy := NewQueue[int](0)
-		lazy.MonitorEvery(every, prePush)
-		eager := NewQueue[int](0)
-		cursor := int64(0) // next boundary the eager mirror samples
-		syncEager := func(limit int64) {
-			for ; cursor <= limit; cursor += every {
-				eager.Observe()
-			}
-		}
-		for _, o := range ops {
-			// The eager mirror samples every boundary up to the mutation
-			// point the lazy queue's convention defines: a prePush queue's
-			// boundary at the push cycle sees the pre-push depth; otherwise
-			// the push lands first.
-			if o.push {
-				if prePush {
-					syncEager(o.at)
-				} else {
-					syncEager(o.at - 1)
-				}
-				lazy.Push(1, o.at)
-				eager.Push(1, o.at)
-			} else {
-				syncEager(o.at - 1)
-				lazy.Pop(o.at)
-				eager.Pop(o.at)
-			}
-		}
-		lazy.SyncObsTo(512)
-		syncEager(512)
-		ls, es := lazy.Stats(), eager.Stats()
-		if ls != es {
-			t.Errorf("prePush=%v: lazy stats %+v != eager stats %+v", prePush, ls, es)
-		}
-	}
-}
-
-// TestQueueObserveAtIdempotent: repeated ObserveAt calls for the same
-// cycle must not double-count boundaries.
-func TestQueueObserveAtIdempotent(t *testing.T) {
-	q := NewQueue[int](0)
-	q.MonitorEvery(32, false)
-	q.Push(1, 0)
-	q.ObserveAt(64)
-	q.ObserveAt(64)
-	q.ObserveAt(64)
-	s := q.Stats()
-	// Boundaries 0, 32, 64 sampled exactly once each at depth 1.
-	if s.MeanDepth != 1 {
-		t.Errorf("mean depth = %v, want 1", s.MeanDepth)
-	}
-	q.SyncObsTo(95) // no boundary in (64, 95]
-	q.SyncObsTo(96) // boundary 96
-	if got := q.Stats().MeanDepth; got != 1 {
-		t.Errorf("mean depth after syncs = %v, want 1", got)
+	q.Pop()
+	q.Pop()
+	if s := q.Stats(); s.Enqueued != 4 || s.MaxDepth != 3 {
+		t.Errorf("stats moved on a pop: %+v", s)
 	}
 }

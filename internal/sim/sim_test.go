@@ -8,33 +8,33 @@ import (
 func TestQueueFIFO(t *testing.T) {
 	q := NewQueue[int](0)
 	for i := 0; i < 100; i++ {
-		if !q.Push(i, int64(i)) {
+		if !q.Push(i) {
 			t.Fatal("unbounded push failed")
 		}
 	}
 	for i := 0; i < 100; i++ {
-		v, ok := q.Pop(int64(100 + i))
+		v, ok := q.Pop()
 		if !ok || v != i {
 			t.Fatalf("pop %d = (%d, %v)", i, v, ok)
 		}
 	}
-	if _, ok := q.Pop(0); ok {
+	if _, ok := q.Pop(); ok {
 		t.Error("pop from empty queue succeeded")
 	}
 }
 
 func TestQueueCapacity(t *testing.T) {
 	q := NewQueue[int](2)
-	if !q.Push(1, 0) || !q.Push(2, 0) {
+	if !q.Push(1) || !q.Push(2) {
 		t.Fatal("pushes under capacity failed")
 	}
-	if q.Push(3, 0) {
+	if q.Push(3) {
 		t.Error("push beyond capacity succeeded")
 	}
 	if !q.Full() {
 		t.Error("full queue not reported full")
 	}
-	q.Pop(1)
+	q.Pop()
 	if q.Full() {
 		t.Error("queue still full after pop")
 	}
@@ -42,21 +42,13 @@ func TestQueueCapacity(t *testing.T) {
 
 func TestQueueStats(t *testing.T) {
 	q := NewQueue[string](0)
-	q.Push("a", 10)
-	q.Push("b", 10)
-	q.Observe() // depth 2
-	q.Pop(20)   // delay 10
-	q.Observe() // depth 1
-	q.Pop(40)   // delay 30
+	q.Push("a")
+	q.Push("b")
+	q.Pop()
+	q.Pop()
 	s := q.Stats()
 	if s.Enqueued != 2 {
 		t.Errorf("enqueued = %d", s.Enqueued)
-	}
-	if s.MeanDelay != 20 {
-		t.Errorf("mean delay = %v, want 20", s.MeanDelay)
-	}
-	if s.MeanDepth != 1.5 {
-		t.Errorf("mean depth = %v, want 1.5", s.MeanDepth)
 	}
 	if s.MaxDepth != 2 {
 		t.Errorf("max depth = %d, want 2", s.MaxDepth)
@@ -70,9 +62,9 @@ func TestQueueOrderProperty(t *testing.T) {
 		next, expect := 0, 0
 		for _, push := range ops {
 			if push {
-				q.Push(next, 0)
+				q.Push(next)
 				next++
-			} else if v, ok := q.Pop(0); ok {
+			} else if v, ok := q.Pop(); ok {
 				if v != expect {
 					return false
 				}
@@ -92,10 +84,10 @@ func TestQueueCompaction(t *testing.T) {
 	n := 0
 	for round := 0; round < 50; round++ {
 		for i := 0; i < 40; i++ {
-			q.Push(n+i, 0)
+			q.Push(n + i)
 		}
 		for i := 0; i < 40; i++ {
-			v, ok := q.Pop(0)
+			v, ok := q.Pop()
 			if !ok || v != n+i {
 				t.Fatalf("round %d: pop = (%d, %v), want %d", round, v, ok, n+i)
 			}
