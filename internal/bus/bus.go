@@ -161,7 +161,7 @@ func (b *Bus) deliver(m *msg.Message, now int64) {
 		return
 	}
 	switch m.Type {
-	case msg.BusInval, msg.BusIntervention, msg.NetInterrupt, msg.NetBarrier:
+	case msg.BusInval, msg.BusIntervention, msg.NetInterrupt:
 		// Multicast to the processors named in BusProcs. The message dies
 		// here: processors retain only field values, and a network-borne
 		// multicast reaches this bus as the ring interface's private
@@ -224,7 +224,7 @@ func (b *Bus) deliversToProc(m *msg.Message, local int) bool {
 		return false
 	}
 	switch m.Type {
-	case msg.BusInval, msg.BusIntervention, msg.NetInterrupt, msg.NetBarrier:
+	case msg.BusInval, msg.BusIntervention, msg.NetInterrupt:
 		return m.BusProcs&(1<<uint(local)) != 0
 	case msg.IntervResp:
 		return m.AlsoProc == local || m.DstMod == b.g.ModProc(local)

@@ -1,15 +1,11 @@
 // Package cache models the processor secondary caches (and the tag array
 // shape of the network cache). Per §2.3 a secondary cache line is in one of
 // the three standard write-back/invalidate states: Invalid, Shared or
-// Dirty. The structure is a set-associative tag store with LRU replacement
-// (direct-mapped when associativity is 1, as in the NC).
+// Dirty. The structure is a direct-mapped tag store, like the R4400's
+// external secondary cache and the NC.
 package cache
 
-import (
-	"math/bits"
-
-	"numachine/internal/sim"
-)
+import "numachine/internal/sim"
 
 // State is a secondary-cache line state.
 type State uint8
@@ -36,135 +32,54 @@ func (s State) String() string {
 	return "?"
 }
 
-// Line is one cache entry. The simulator carries a 64-bit value as the
-// line's data so coherence can be validated end to end.
+// Line is one cache entry, 24 bytes (pinned by TestLineSize). The
+// simulator carries a 64-bit value as the line's data so coherence can be
+// validated end to end.
 type Line struct {
 	Addr  uint64 // line-aligned address (tag); meaningful only when State != Invalid
 	State State
 	Data  uint64
-
-	lastUse int64 // LRU clock
 }
 
 // noLines is the page every never-inserted region of every cache reads:
 // all Invalid, shared machine-wide, never written (see sim.Paged).
 var noLines sim.Page[Line]
 
-// Cache is a set-associative tag/data store. The tag array is paged and
+// Cache is a direct-mapped tag/data store. The tag array is paged and
 // allocated on first Insert, so an untouched cache costs its page table.
 type Cache struct {
-	// The fields the read path loads come first, together.
-	sets      uint64
-	lineShift uint
-	lines     sim.Paged[Line] // one row per set, set-major
-	assoc     int
-	lineSize  uint64
-	clock     int64
-
-	// Statistics.
-	Hits, Misses, Evictions, DirtyEvictions int64
+	lines    sim.Paged[Line]
+	lineSize uint64
 }
 
-// New builds a cache with capacity totalLines, the given associativity and
-// line size in bytes. totalLines must be a multiple of assoc, the line
-// size a power of two, and a set must fit in one tag-store page (assoc <=
-// sim.PageLen).
-func New(totalLines, assoc, lineSize int) *Cache {
-	if totalLines <= 0 || assoc <= 0 || totalLines%assoc != 0 {
-		panic("cache: totalLines must be a positive multiple of assoc")
-	}
-	if lineSize <= 0 || lineSize&(lineSize-1) != 0 {
-		panic("cache: line size must be a positive power of two")
-	}
-	return &Cache{
-		sets:      uint64(totalLines / assoc),
-		assoc:     assoc,
-		lineSize:  uint64(lineSize),
-		lineShift: uint(bits.TrailingZeros(uint(lineSize))),
-		lines:     sim.NewPaged(totalLines/assoc, assoc, &noLines),
-	}
+// New builds a cache of the given number of lines of lineSize bytes, a
+// power of two.
+func New(lines, lineSize int) *Cache {
+	return &Cache{lines: sim.NewPaged(lines, lineSize, &noLines), lineSize: uint64(lineSize)}
 }
-
-// Sets returns the number of sets.
-func (c *Cache) Sets() int { return int(c.sets) }
-
-// Assoc returns the associativity.
-func (c *Cache) Assoc() int { return c.assoc }
 
 // Align returns the line-aligned address containing addr.
 func (c *Cache) Align(addr uint64) uint64 { return addr &^ (c.lineSize - 1) }
 
-// index returns the set lineAddr maps to.
-func (c *Cache) index(lineAddr uint64) int {
-	return int((lineAddr >> c.lineShift) % c.sets)
-}
-
-// set returns lineAddr's set for reading: a never-inserted set reads as
-// all Invalid, and only entries seen to be valid may be written through.
-func (c *Cache) set(lineAddr uint64) []Line {
-	return c.lines.Row(c.index(lineAddr))
-}
-
-// Lookup returns the entry holding lineAddr, or nil. It refreshes LRU state
-// and counts a hit or miss.
-func (c *Cache) Lookup(lineAddr uint64) *Line {
-	c.clock++
-	set := c.set(lineAddr)
-	for i := range set {
-		if set[i].State != Invalid && set[i].Addr == lineAddr {
-			set[i].lastUse = c.clock
-			c.Hits++
-			return &set[i]
-		}
-	}
-	c.Misses++
-	return nil
-}
-
-// Probe is like Lookup but does not disturb LRU state or statistics; it is
-// used by interventions, invalidations and the invariant checker.
+// Probe returns the entry holding lineAddr, or nil. A never-inserted slot
+// reads as Invalid, and only entries seen to be valid may be written
+// through.
 func (c *Cache) Probe(lineAddr uint64) *Line {
-	set := c.set(lineAddr)
-	for i := range set {
-		if set[i].State != Invalid && set[i].Addr == lineAddr {
-			return &set[i]
-		}
+	if l := c.lines.Get(lineAddr); l.State != Invalid && l.Addr == lineAddr {
+		return l
 	}
 	return nil
 }
 
-// Insert places lineAddr with the given state and data, evicting the LRU
-// entry of its set if needed. It returns the evicted line (State != Invalid
-// only when a valid entry was displaced).
+// Insert places lineAddr with the given state and data in its slot and
+// returns the line it displaced (State != Invalid only when a valid entry
+// for another address was there).
 func (c *Cache) Insert(lineAddr uint64, st State, data uint64) (victim Line) {
-	c.clock++
-	set := c.lines.Touch(c.index(lineAddr))
-	// Reuse an existing or invalid slot first.
-	slot := -1
-	for i := range set {
-		if set[i].State != Invalid && set[i].Addr == lineAddr {
-			slot = i
-			break
-		}
-		if set[i].State == Invalid && slot == -1 {
-			slot = i
-		}
+	l := c.lines.Touch(lineAddr)
+	if l.State != Invalid && l.Addr != lineAddr {
+		victim = *l
 	}
-	if slot == -1 {
-		// Evict the least recently used entry.
-		slot = 0
-		for i := 1; i < len(set); i++ {
-			if set[i].lastUse < set[slot].lastUse {
-				slot = i
-			}
-		}
-		victim = set[slot]
-		c.Evictions++
-		if victim.State == Dirty {
-			c.DirtyEvictions++
-		}
-	}
-	set[slot] = Line{Addr: lineAddr, State: st, Data: data, lastUse: c.clock}
+	*l = Line{Addr: lineAddr, State: st, Data: data}
 	return victim
 }
 

@@ -3,63 +3,44 @@ package cache
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
+// TestLineSize pins the tag entry: at 24 bytes a tag page covers
+// sim.PageLen lines in 6 KB; a fourth word grows every touched page of
+// every L1 and L2 by a third.
+func TestLineSize(t *testing.T) {
+	if s := unsafe.Sizeof(Line{}); s != 24 {
+		t.Fatalf("Line is %d bytes, want 24", s)
+	}
+}
+
 func TestLookupMissThenHit(t *testing.T) {
-	c := New(16, 1, 64)
-	if c.Lookup(0x1000) != nil {
+	c := New(16, 64)
+	if c.Probe(0x1000) != nil {
 		t.Fatal("hit in empty cache")
 	}
 	c.Insert(0x1000, Shared, 7)
-	l := c.Lookup(0x1000)
+	l := c.Probe(0x1000)
 	if l == nil || l.State != Shared || l.Data != 7 {
-		t.Fatalf("lookup after insert: %+v", l)
-	}
-	if c.Hits != 1 || c.Misses != 1 {
-		t.Errorf("hits=%d misses=%d", c.Hits, c.Misses)
+		t.Fatalf("probe after insert: %+v", l)
 	}
 }
 
 func TestDirectMappedConflict(t *testing.T) {
-	c := New(4, 1, 64) // 4 sets; lines 4 apart collide
+	c := New(4, 64) // 4 slots; lines 4 apart collide
 	c.Insert(0*64, Dirty, 1)
-	victim := c.Insert(4*64, Shared, 2) // same set
+	victim := c.Insert(4*64, Shared, 2) // same slot
 	if victim.State != Dirty || victim.Addr != 0 {
 		t.Fatalf("victim = %+v, want the dirty line 0", victim)
 	}
 	if c.Probe(0) != nil {
 		t.Error("evicted line still present")
 	}
-	if c.DirtyEvictions != 1 {
-		t.Errorf("dirty evictions = %d", c.DirtyEvictions)
-	}
-}
-
-func TestAssociativityAvoidsConflict(t *testing.T) {
-	c := New(8, 2, 64) // 4 sets, 2-way
-	c.Insert(0*64, Shared, 1)
-	v := c.Insert(4*64, Shared, 2) // same set, second way
-	if v.State != Invalid {
-		t.Fatalf("2-way set evicted prematurely: %+v", v)
-	}
-	if c.Probe(0) == nil || c.Probe(4*64) == nil {
-		t.Error("both ways should be resident")
-	}
-}
-
-func TestLRUVictimSelection(t *testing.T) {
-	c := New(8, 2, 64)
-	c.Insert(0*64, Shared, 1) // set 0, way A
-	c.Insert(4*64, Shared, 2) // set 0, way B
-	c.Lookup(0 * 64)          // touch A: B becomes LRU
-	v := c.Insert(8*64, Shared, 3)
-	if v.Addr != 4*64 {
-		t.Fatalf("victim %#x, want the LRU line %#x", v.Addr, 4*64)
-	}
 }
 
 func TestInvalidate(t *testing.T) {
-	c := New(16, 1, 64)
+	c := New(16, 64)
 	c.Insert(0x40, Dirty, 9)
 	old, ok := c.Invalidate(0x40)
 	if !ok || old.Data != 9 || old.State != Dirty {
@@ -70,19 +51,8 @@ func TestInvalidate(t *testing.T) {
 	}
 }
 
-func TestProbeDoesNotDisturbLRU(t *testing.T) {
-	c := New(8, 2, 64)
-	c.Insert(0*64, Shared, 1)
-	c.Insert(4*64, Shared, 2)
-	c.Probe(0 * 64) // must NOT refresh LRU
-	v := c.Insert(8*64, Shared, 3)
-	if v.Addr != 0 {
-		t.Fatalf("victim %#x; Probe disturbed LRU order", v.Addr)
-	}
-}
-
 func TestInsertUpdatesInPlace(t *testing.T) {
-	c := New(16, 1, 64)
+	c := New(16, 64)
 	c.Insert(0x80, Shared, 1)
 	v := c.Insert(0x80, Dirty, 2)
 	if v.State != Invalid {
@@ -95,14 +65,14 @@ func TestInsertUpdatesInPlace(t *testing.T) {
 }
 
 func TestAlign(t *testing.T) {
-	c := New(16, 1, 64)
+	c := New(16, 64)
 	if c.Align(0x1234) != 0x1200 {
 		t.Errorf("align(0x1234) = %#x", c.Align(0x1234))
 	}
 }
 
 func TestForEachVisitsAllValid(t *testing.T) {
-	c := New(16, 1, 64)
+	c := New(16, 64)
 	for i := uint64(0); i < 10; i++ {
 		c.Insert(i*64, Shared, i)
 	}
@@ -117,7 +87,7 @@ func TestForEachVisitsAllValid(t *testing.T) {
 // found by Probe at its own address, and the cache never exceeds capacity.
 func TestInsertProbeProperty(t *testing.T) {
 	f := func(addrs []uint16) bool {
-		c := New(32, 2, 64)
+		c := New(32, 64)
 		for _, a := range addrs {
 			line := uint64(a) &^ 63
 			c.Insert(line, Shared, uint64(a))
@@ -138,9 +108,9 @@ func TestInsertProbeProperty(t *testing.T) {
 
 func TestConstructorPanics(t *testing.T) {
 	for _, fn := range []func(){
-		func() { New(0, 1, 64) },
-		func() { New(7, 2, 64) },
-		func() { New(8, 2, 63) },
+		func() { New(0, 64) },
+		func() { New(-7, 64) },
+		func() { New(8, 63) },
 	} {
 		func() {
 			defer func() {

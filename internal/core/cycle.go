@@ -89,8 +89,7 @@ func (m *Machine) stepNaive() {
 //	RI tick      -> its bus, now+1: always (reassembled messages in BusOut).
 //	local tick   -> a member RI, now+1: iff that RI's input FIFO is non-empty.
 //	             -> the central ring, now: iff the IRI's up FIFO is non-empty
-//	                or its down FIFO has reached the halt threshold
-//	                (IRI.CentralPending); the central tick that drains them
+//	                (IRI.CentralPending); the central tick that drains it
 //	                runs in the tail of this same cycle.
 //	             -> itself, now+1: always.
 //	central tick -> local ring r, now+1: iff IRI r's down FIFO is non-empty

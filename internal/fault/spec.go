@@ -12,7 +12,8 @@ package fault
 import (
 	"fmt"
 	"strconv"
-	"strings"
+
+	"numachine/internal/sim"
 )
 
 // Window describes a recurring unavailability pattern: the component is
@@ -83,24 +84,12 @@ func (s Spec) Zero() bool {
 // The empty string parses to the zero spec.
 func ParseSpec(s string) (Spec, error) {
 	sp := Spec{WedgeMemStation: -1}
-	if s == "" {
-		return sp, nil
-	}
-	for _, clause := range strings.Split(s, ",") {
-		clause = strings.TrimSpace(clause)
-		if clause == "" {
-			continue
-		}
-		key, val, ok := strings.Cut(clause, "=")
-		if !ok {
-			return Spec{WedgeMemStation: -1}, fmt.Errorf("fault: clause %q is not key=value", clause)
-		}
-		var err error
+	err := sim.ParseClauses("fault", s, func(key, val string) (err error) {
 		switch key {
 		case "drop":
-			sp.Drop, err = parseProb(val)
+			sp.Drop, err = sim.ParseProb(val)
 		case "dup":
-			sp.Dup, err = parseProb(val)
+			sp.Dup, err = sim.ParseProb(val)
 		case "freeze-mem":
 			sp.FreezeMem, err = parseWindow(val)
 		case "freeze-nc":
@@ -110,38 +99,28 @@ func ParseSpec(s string) (Spec, error) {
 		case "wedge-mem":
 			sp.WedgeMemStation, sp.WedgeMemCycle, err = parseWedge(val)
 		case "timeout":
-			sp.Timeout, err = parsePositive(val)
+			sp.Timeout, err = sim.ParsePositive(val)
 		default:
 			err = fmt.Errorf("unknown key %q", key)
 		}
-		if err != nil {
-			return Spec{WedgeMemStation: -1}, fmt.Errorf("fault: clause %q: %w", clause, err)
-		}
+		return err
+	})
+	if err != nil {
+		return Spec{WedgeMemStation: -1}, err
 	}
 	return sp, nil
 }
 
-func parseProb(s string) (float64, error) {
-	p, err := strconv.ParseFloat(s, 64)
-	if err != nil {
-		return 0, err
-	}
-	if p != p || p < 0 || p > 1 {
-		return 0, fmt.Errorf("probability %v outside [0,1]", p)
-	}
-	return p, nil
-}
-
 func parseWindow(s string) (Window, error) {
-	g, d, ok := strings.Cut(s, ":")
-	if !ok {
-		return Window{}, fmt.Errorf("window %q is not GAP:DUR", s)
-	}
-	gap, err := parsePositive(g)
+	g, d, err := sim.CutPair("window", "GAP:DUR", s)
 	if err != nil {
 		return Window{}, err
 	}
-	dur, err := parsePositive(d)
+	gap, err := sim.ParsePositive(g)
+	if err != nil {
+		return Window{}, err
+	}
+	dur, err := sim.ParsePositive(d)
 	if err != nil {
 		return Window{}, err
 	}
@@ -149,9 +128,9 @@ func parseWindow(s string) (Window, error) {
 }
 
 func parseWedge(s string) (int, int64, error) {
-	st, cy, ok := strings.Cut(s, ":")
-	if !ok {
-		return -1, 0, fmt.Errorf("wedge %q is not STATION:CYCLE", s)
+	st, cy, err := sim.CutPair("wedge", "STATION:CYCLE", s)
+	if err != nil {
+		return -1, 0, err
 	}
 	station, err := strconv.Atoi(st)
 	if err != nil {
@@ -168,15 +147,4 @@ func parseWedge(s string) (int, int64, error) {
 		return -1, 0, fmt.Errorf("cycle %d negative", cycle)
 	}
 	return station, cycle, nil
-}
-
-func parsePositive(s string) (int64, error) {
-	n, err := strconv.ParseInt(s, 10, 64)
-	if err != nil {
-		return 0, err
-	}
-	if n <= 0 {
-		return 0, fmt.Errorf("value %d not positive", n)
-	}
-	return n, nil
 }

@@ -69,7 +69,6 @@ type run struct {
 func newRun(spec Spec, mut memory.Mutation, seq []int, traceEvents int) *run {
 	p := sim.DefaultParams()
 	p.L2Lines = spec.L2Lines
-	p.L2Assoc = 1
 	p.NCLines = spec.NCLines
 	p.RetryBackoff = false
 	p.DeadlockCycles = 0

@@ -21,6 +21,7 @@ package memory
 
 import (
 	"fmt"
+	"math/bits"
 
 	"numachine/internal/fault"
 	"numachine/internal/monitor"
@@ -128,7 +129,6 @@ type Stats struct {
 	Transactions     monitor.Counter
 	NAKs             monitor.Counter
 	InvalidatesSent  monitor.Counter // network invalidation multicasts
-	BusInvals        monitor.Counter
 	Interventions    monitor.Counter // bus + network interventions issued
 	OptimisticAcks   monitor.Counter // upgrades answered without data (§2.3)
 	UpgradeDataSends monitor.Counter // upgrades that had to carry data
@@ -368,7 +368,6 @@ func (m *Module) busInval(now int64, line uint64, procs uint16) {
 	if procs == 0 || m.Mut == MutSkipBusInval {
 		return
 	}
-	m.Stats.BusInvals.Inc()
 	out := m.Msgs.Get()
 	*out = msg.Message{
 		Type: msg.BusInval, Line: line, Home: m.Station,
@@ -443,13 +442,11 @@ func (m *Module) bounceOwnFalseRemote(e *entry, x *msg.Message, now int64) bool 
 }
 
 func (m *Module) onlyBit(procs uint16, line uint64, now int64) int {
-	for i := 0; i < 16; i++ {
-		if procs == 1<<uint(i) {
-			return i
-		}
+	if bits.OnesCount16(procs) != 1 {
+		panic(fmt.Sprintf("memory[%d]: line %#x at cycle %d: processor mask %04b does not name exactly one owner",
+			m.Station, line, now, procs))
 	}
-	panic(fmt.Sprintf("memory[%d]: line %#x at cycle %d: processor mask %04b does not name exactly one owner",
-		m.Station, line, now, procs))
+	return bits.TrailingZeros16(procs)
 }
 
 func (m *Module) lock(e *entry, t *txn) {

@@ -13,7 +13,7 @@
 // component and inherits that component's phase under the
 // station-parallel cycle loop. The shared PhaseIDs register file is
 // written via Set from phase-1 workers — safe because each processor
-// writes only its own slot — while Attribute reads across slots and must
+// writes only its own slot — while Snapshot reads across slots and must
 // run serially.
 package monitor
 
@@ -203,15 +203,15 @@ func (t *Table) String() string {
 
 // PhaseIDs models the per-processor phase identifier registers: software
 // writes a small integer naming the code region it is entering, and every
-// subsequent transaction from that processor is attributed to the phase.
+// subsequent transaction from that processor is attributed to the phase
+// (counted by the issuing processor, see proc.CPU.AddPhaseTransactions).
 type PhaseIDs struct {
-	cur    []uint8
-	counts map[uint8]*Counter
+	cur []uint8
 }
 
 // NewPhaseIDs creates registers for n processors, all in phase 0.
 func NewPhaseIDs(n int) *PhaseIDs {
-	return &PhaseIDs{cur: make([]uint8, n), counts: map[uint8]*Counter{}}
+	return &PhaseIDs{cur: make([]uint8, n)}
 }
 
 // Set records processor proc entering the given phase.
@@ -224,22 +224,3 @@ func (p *PhaseIDs) Phase(proc int) uint8 { return p.cur[proc] }
 // indexed by processor. Safe to call from any serial point; the telemetry
 // endpoint publishes it as the live phase view.
 func (p *PhaseIDs) Snapshot() []uint8 { return append([]uint8(nil), p.cur...) }
-
-// Attribute counts one transaction from proc against its current phase.
-func (p *PhaseIDs) Attribute(proc int) {
-	ph := p.cur[proc]
-	c := p.counts[ph]
-	if c == nil {
-		c = &Counter{}
-		p.counts[ph] = c
-	}
-	c.Inc()
-}
-
-// PhaseCount returns the transactions attributed to a phase.
-func (p *PhaseIDs) PhaseCount(phase uint8) int64 {
-	if c := p.counts[phase]; c != nil {
-		return c.Value()
-	}
-	return 0
-}

@@ -76,10 +76,9 @@ func TestPhaseIDs(t *testing.T) {
 	if p.Phase(2) != 7 || p.Phase(0) != 0 {
 		t.Error("phase registers wrong")
 	}
-	p.Attribute(2)
-	p.Attribute(2)
-	p.Attribute(0)
-	if p.PhaseCount(7) != 2 || p.PhaseCount(0) != 1 || p.PhaseCount(9) != 0 {
-		t.Errorf("phase counts %d %d %d", p.PhaseCount(7), p.PhaseCount(0), p.PhaseCount(9))
+	snap := p.Snapshot()
+	p.Set(2, 9)
+	if len(snap) != 4 || snap[2] != 7 {
+		t.Errorf("snapshot %v is not a copy of the registers at the time it was taken", snap)
 	}
 }

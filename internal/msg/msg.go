@@ -86,9 +86,8 @@ const (
 
 	// --- Hardware-supported software features (sinkable).
 	NetInterrupt // write into remote interrupt register(s)
-	NetBarrier   // write into remote barrier register(s)
+	_            // retired: a remote barrier-register write nothing sent; KillReq keeps its byte value
 	KillReq      // special function: purge copies of a line (memory-directed)
-	BlockXfer    // block transfer payload (memory-to-memory copy support)
 )
 
 var typeNames = map[Type]string{
@@ -103,8 +102,7 @@ var typeNames = map[Type]string{
 	NetXferDone: "NetXferDone", RemWrBack: "RemWrBack", Invalidate: "Invalidate",
 	FalseRemoteResp: "FalseRemoteResp", NetIntervMiss: "NetIntervMiss",
 	PrefetchReq:  "PrefetchReq",
-	NetInterrupt: "NetInterrupt", NetBarrier: "NetBarrier", KillReq: "KillReq",
-	BlockXfer: "BlockXfer",
+	NetInterrupt: "NetInterrupt", KillReq: "KillReq",
 }
 
 // String returns the mnemonic used in the paper's discussion.
@@ -149,7 +147,7 @@ func (t Type) Droppable() bool {
 func (t Type) DupSafe() bool {
 	switch t {
 	case NetData, NetNAK, NetUpgdAck, NetXferDone, FalseRemoteResp,
-		Invalidate, NetIntervMiss, NetBarrier:
+		Invalidate, NetIntervMiss:
 		return true
 	}
 	return false
@@ -160,7 +158,7 @@ func (t Type) DupSafe() bool {
 func (t Type) CarriesData() bool {
 	switch t {
 	case ProcData, ProcDataEx, IntervResp, NetData, NetDataEx, NetWBCopy,
-		RemWrBack, BlockXfer, LocalWrBack:
+		RemWrBack, LocalWrBack:
 		return true
 	}
 	return false

@@ -14,7 +14,6 @@ package netcache
 
 import (
 	"fmt"
-	"math/bits"
 
 	"numachine/internal/fault"
 	"numachine/internal/memory"
@@ -153,12 +152,9 @@ type Module struct {
 	g topo.Geometry
 	p sim.Params
 
-	// entries is the direct-mapped tag store, one row per slot, paged and
-	// allocated on first allocate: an NC that caches nothing costs its
-	// page table.
-	entries   sim.Paged[entry]
-	lineShift uint
-	slotMask  uint64 // NCLines-1 when NCLines is a power of two (the usual case), else 0
+	// entries is the direct-mapped tag store, paged and allocated on first
+	// allocate: an NC that caches nothing costs its page table.
+	entries sim.Paged[entry]
 	// sideTxns holds intervention/recovery work for lines with no entry
 	// (the NC must still serve interventions after ejecting a line).
 	sideTxns map[uint64]*txn
@@ -206,18 +202,14 @@ type Module struct {
 // New builds the network cache for a station.
 func New(g topo.Geometry, p sim.Params, station int) *Module {
 	n := &Module{
-		Station:   station,
-		g:         g,
-		p:         p,
-		entries:   sim.NewPaged(p.NCLines, 1, &noEntries),
-		lineShift: uint(bits.TrailingZeros(uint(p.LineSize))),
-		sideTxns:  make(map[uint64]*txn),
-		inQ:       sim.NewQueue[*msg.Message](0),
-		outQ:      sim.NewQueue[*msg.Message](0),
-		Stats:     Stats{Hist: monitor.NewTable(fmt.Sprintf("netcache[%d] coherence histogram", station), HistRows, HistCols)},
-	}
-	if p.NCLines&(p.NCLines-1) == 0 {
-		n.slotMask = uint64(p.NCLines - 1)
+		Station:  station,
+		g:        g,
+		p:        p,
+		entries:  sim.NewPaged(p.NCLines, p.LineSize, &noEntries),
+		sideTxns: make(map[uint64]*txn),
+		inQ:      sim.NewQueue[*msg.Message](0),
+		outQ:     sim.NewQueue[*msg.Message](0),
+		Stats:    Stats{Hist: monitor.NewTable(fmt.Sprintf("netcache[%d] coherence histogram", station), HistRows, HistCols)},
 	}
 	// Seed unconditionally: the zero xorshift state would be degenerate.
 	// The constant tags the stream so NC jitter never collides with the
@@ -258,21 +250,10 @@ func (n *Module) dropSide(line uint64) {
 	n.txns.Put(t)
 }
 
-// slot returns the index of the direct-mapped slot line maps to. It sits
-// under every lookup, including NextWork's per-cycle scan of the retry
-// list, so the usual power-of-two size takes a mask instead of a divide.
-func (n *Module) slot(line uint64) int {
-	i := line >> n.lineShift
-	if n.slotMask != 0 {
-		return int(i & n.slotMask)
-	}
-	return int(i % uint64(n.p.NCLines))
-}
-
 // lookup returns the entry for line, or nil when NotIn. It never
 // allocates: a slot nothing was allocated in reads as invalid.
 func (n *Module) lookup(line uint64) *entry {
-	e := n.entries.Get(n.slot(line))
+	e := n.entries.Get(line)
 	if e.valid && e.line == line {
 		return e
 	}
@@ -429,34 +410,14 @@ func (n *Module) armRetry(line uint64, t *txn, at int64, timeout bool) {
 }
 
 // retryDelay computes the back-off before re-issuing a NAK'ed request.
-// With RetryBackoff off it is the fixed RetryDelay; with it on, the delay
-// doubles per consecutive NAK up to RetryMaxDelay plus a deterministic
-// jitter drawn from this NC's seeded stream.
 func (n *Module) retryDelay(t *txn) int64 {
-	d := int64(n.p.RetryDelay)
 	if n.RetryChoice != nil {
-		return n.RetryChoice(t.nakStreak, d)
+		return n.RetryChoice(t.nakStreak, int64(n.p.RetryDelay))
 	}
-	if !n.p.RetryBackoff {
-		return d
-	}
-	shift := t.nakStreak
-	if shift > 16 {
-		shift = 16
-	}
-	d <<= uint(shift)
-	if max := int64(n.p.RetryMaxDelay); max > 0 && d > max {
-		d = max
-	}
-	if d > 1 {
-		d += int64(n.retryRNG.Intn(int(d/2) + 1))
-	}
-	return d
+	return n.p.NAKDelay(t.nakStreak, &n.retryRNG)
 }
 
 // ---- output helpers ----
-
-func (n *Module) homeOf(x *msg.Message) int { return x.Home }
 
 func (n *Module) toProc(now int64, t msg.Type, localProc int, line uint64, data uint64, nakOf msg.Type) {
 	out := n.Msgs.Get()
@@ -533,7 +494,7 @@ func (n *Module) busInterv(now int64, line uint64, procs uint16, alsoProc int, e
 // station-level directory — the source of false remote requests; GV/GI
 // victims are dropped. Returns nil when the slot is held by a locked entry.
 func (n *Module) allocate(line uint64, home int, now int64) *entry {
-	e := &n.entries.Touch(n.slot(line))[0]
+	e := n.entries.Touch(line)
 	if e.valid && e.line == line {
 		return e
 	}

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"unsafe"
 
+	"numachine/internal/cache"
 	"numachine/internal/msg"
 	"numachine/internal/sim"
 	"numachine/internal/snap"
@@ -17,6 +18,36 @@ import (
 func TestEntrySize(t *testing.T) {
 	if s := unsafe.Sizeof(entry{}); s > 32 {
 		t.Fatalf("entry is %d bytes, want <= 32", s)
+	}
+}
+
+// TestLineToSlotSharedWithCache: the L2 and the NC map a line to its slot
+// through one function (sim.Paged owns it). With a slot count that is not
+// a power of two — the modulo path — both must place a line at
+// (line/lineSize) mod n.
+func TestLineToSlotSharedWithCache(t *testing.T) {
+	const n, lineSize = 300, 64
+	h := newSizedHarness(t, n)
+	c := cache.New(n, lineSize)
+	// The first n lines fill n distinct slots, line i in slot i.
+	for i := uint64(0); i < n; i++ {
+		if v := c.Insert(i*lineSize, cache.Shared, i); v.State != cache.Invalid {
+			t.Fatalf("line %d displaced %+v from an empty cache", i, v)
+		}
+	}
+	rng := sim.NewRNG(1)
+	for i := 0; i < 2000; i++ {
+		line := (rng.Uint64() >> 20) &^ (lineSize - 1)
+		want := (line / lineSize) % n
+		// The cache displaces exactly the resident line of slot want.
+		resident := want * lineSize
+		if v := c.Insert(line, cache.Shared, 0); line != resident && v.Addr != resident {
+			t.Fatalf("cache: line %#x displaced %#x, want slot %d's %#x", line, v.Addr, want, resident)
+		}
+		c.Insert(resident, cache.Shared, 0)
+		if e := h.n.allocate(line, 0, 0); e == nil || e != h.n.entries.At(int(want)) {
+			t.Fatalf("netcache: line %#x not allocated in slot %d", line, want)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package netcache
 
 import (
 	"fmt"
+	"math/bits"
 
 	"numachine/internal/msg"
 	"numachine/internal/trace"
@@ -10,20 +11,10 @@ import (
 func (n *Module) allProcs() uint16 { return 1<<uint(n.g.ProcsPerStation) - 1 }
 
 func onlyBit(procs uint16) int {
-	for i := 0; i < 16; i++ {
-		if procs == 1<<uint(i) {
-			return i
-		}
+	if bits.OnesCount16(procs) != 1 {
+		panic(fmt.Sprintf("netcache: processor mask %04b does not name exactly one owner", procs))
 	}
-	panic(fmt.Sprintf("netcache: processor mask %04b does not name exactly one owner", procs))
-}
-
-func popcount(v uint16) int {
-	c := 0
-	for ; v != 0; v &= v - 1 {
-		c++
-	}
-	return c
+	return bits.TrailingZeros16(procs)
 }
 
 func (n *Module) handle(x *msg.Message, now int64) {
@@ -549,7 +540,7 @@ func (n *Module) falseRemote(x *msg.Message, now int64) {
 	t.retryAt = 0 // cancel any scheduled re-issue of the bounced request
 	t.ex = x.NakOf != msg.RemRead
 	others := n.allProcs() &^ (1 << uint(t.reqProc))
-	t.pending = popcount(others)
+	t.pending = bits.OnesCount16(others)
 	if t.pending == 0 {
 		// Single-processor station: the data can only be in a write-back.
 		n.checkIntervDone(e, now)

@@ -15,8 +15,8 @@ import (
 // (the model checker runs with RetryBackoff off, so the jitter stream is
 // never drawn), statistics.
 func (n *Module) Encode(e *snap.Enc) {
-	for i := 0; i < n.p.NCLines; i++ {
-		en := n.entries.Get(i) // a never-allocated slot encodes as NotIn
+	for i := 0; i < n.entries.Slots(); i++ {
+		en := n.entries.At(i) // a never-allocated slot encodes as NotIn
 		if !en.valid {
 			e.Byte(0)
 			continue

@@ -122,9 +122,8 @@ type CPU struct {
 	// OnPhase propagates phase-identifier writes to the monitor.
 	OnPhase func(cpu *CPU, phase uint8)
 
-	// Interrupt and barrier registers (§3.1.1).
+	// Interrupt register (§3.1.1).
 	InterruptReg uint64
-	BarrierReg   uint64
 
 	// Tr is the structured-event trace sink (nil when tracing is off).
 	Tr *trace.Sink
@@ -151,11 +150,11 @@ func New(g topo.Geometry, p sim.Params, globalID int, runner *Runner, l1Lines in
 		g:        g,
 		p:        p,
 		runner:   runner,
-		l2:       cache.New(p.L2Lines, p.L2Assoc, p.LineSize),
+		l2:       cache.New(p.L2Lines, p.LineSize),
 		outQ:     sim.NewQueue[*msg.Message](0),
 	}
 	if l1Lines > 0 {
-		c.l1 = cache.New(l1Lines, 1, p.LineSize)
+		c.l1 = cache.New(l1Lines, p.LineSize)
 	}
 	c.retryRNG = *sim.NewRNG(p.RetryJitterSeed ^ (0x9e3779b97f4a7c15 * (uint64(globalID) + 1)))
 	if runner == nil {
@@ -224,8 +223,6 @@ func (c *CPU) FinishedAt() int64 { return c.finishAt }
 
 // BusOut implements bus.Module.
 func (c *CPU) BusOut() *sim.Queue[*msg.Message] { return c.outQ }
-
-func (c *CPU) align(addr uint64) uint64 { return addr &^ (uint64(c.p.LineSize) - 1) }
 
 // NextWork reports the earliest cycle at or after now at which Tick can do
 // anything beyond per-cycle stall accounting: the end of the current
@@ -339,7 +336,7 @@ func (c *CPU) process(ref Ref, now int64) {
 		c.lastResult = uint64(now)
 		c.thinkUntil = now + 1
 	case RefPrefetch:
-		line := c.align(ref.Addr)
+		line := c.l2.Align(ref.Addr)
 		if c.HomeOf(line) != c.Station && c.l2.Probe(line) == nil {
 			out := c.Msgs.Get()
 			*out = msg.Message{
@@ -368,33 +365,41 @@ func (c *CPU) process(ref Ref, now int64) {
 		c.Tr.Emit(now, trace.KindBarrierArrive, 0, 0, int32(c.phase), 0)
 		c.OnBarrier(c, now)
 	case RefKill:
-		c.curLine = c.align(ref.Addr)
+		c.curLine = c.l2.Align(ref.Addr)
 		c.st = sWaitInterrupt
 		c.sendKill(now)
 	case RefRead:
 		c.Stats.Reads.Inc()
-		c.curLine = c.align(ref.Addr)
+		c.curLine = c.l2.Align(ref.Addr)
 		c.startRead(now)
 	case RefWrite, RefTAS, RefFetchAdd:
 		c.Stats.Writes.Inc()
-		c.curLine = c.align(ref.Addr)
+		c.curLine = c.l2.Align(ref.Addr)
 		c.startWrite(now)
 	default:
 		panic(fmt.Sprintf("proc: unknown ref kind %d", ref.Kind))
 	}
 }
 
+// hitCost classifies a hit on a line the L2 holds against the
+// primary-cache timing filter — an L1 hit, or an L2 hit that fills the
+// filter — counts it and returns the cycles it consumes. The back end
+// (startRead, startWrite) and the front-end fast path (fasthits.go) both
+// classify through it, so a hit costs the same whichever side resolves it.
+func (c *CPU) hitCost(line uint64) int64 {
+	if c.l1 != nil && c.l1.Probe(line) != nil {
+		c.Stats.L1Hits.Inc()
+		return 1
+	}
+	c.Stats.L2Hits.Inc()
+	c.l1Fill(line)
+	return int64(c.p.L2HitCycles)
+}
+
 func (c *CPU) startRead(now int64) {
 	if l := c.l2.Probe(c.curLine); l != nil {
 		c.lastResult = l.Data
-		if c.l1 != nil && c.l1.Probe(c.curLine) != nil {
-			c.Stats.L1Hits.Inc()
-			c.thinkUntil = now + 1
-		} else {
-			c.Stats.L2Hits.Inc()
-			c.l1Fill(c.curLine)
-			c.thinkUntil = now + int64(c.p.L2HitCycles)
-		}
+		c.thinkUntil = now + c.hitCost(c.curLine)
 		return
 	}
 	c.Stats.Misses.Inc()
@@ -405,14 +410,7 @@ func (c *CPU) startWrite(now int64) {
 	if l := c.l2.Probe(c.curLine); l != nil && l.State == cache.Dirty {
 		c.lastResult = l.Data
 		l.Data = c.newValue(l.Data)
-		if c.l1 != nil && c.l1.Probe(c.curLine) != nil {
-			c.Stats.L1Hits.Inc()
-			c.thinkUntil = now + 1
-		} else {
-			c.Stats.L2Hits.Inc()
-			c.l1Fill(c.curLine)
-			c.thinkUntil = now + int64(c.p.L2HitCycles)
-		}
+		c.thinkUntil = now + c.hitCost(c.curLine)
 		return
 	}
 	if l := c.l2.Probe(c.curLine); l != nil && l.State == cache.Shared {
@@ -465,31 +463,12 @@ func (c *CPU) issue(now int64, retry bool) {
 }
 
 // retryDelay computes the back-off before re-issuing after a NAK, with
-// nakStreak NAKs already absorbed by the current reference. With
-// RetryBackoff off this is the fixed RetryDelay of the prototype;
-// otherwise the delay doubles per consecutive NAK up to RetryMaxDelay
-// and gains a per-CPU jitter in [0, delay/2] so colliding requesters
-// spread out instead of re-colliding in lockstep.
+// nakStreak NAKs already absorbed by the current reference.
 func (c *CPU) retryDelay() int64 {
-	d := int64(c.p.RetryDelay)
 	if c.RetryChoice != nil {
-		return c.RetryChoice(c.nakStreak, d)
+		return c.RetryChoice(c.nakStreak, int64(c.p.RetryDelay))
 	}
-	if !c.p.RetryBackoff {
-		return d
-	}
-	shift := c.nakStreak
-	if shift > 16 {
-		shift = 16
-	}
-	d <<= uint(shift)
-	if max := int64(c.p.RetryMaxDelay); max > 0 && d > max {
-		d = max
-	}
-	if d > 1 {
-		d += int64(c.retryRNG.Intn(int(d/2) + 1))
-	}
-	return d
+	return c.p.NAKDelay(c.nakStreak, &c.retryRNG)
 }
 
 // nak moves the CPU to the retry state after a ProcNAK.
@@ -686,8 +665,7 @@ func (c *CPU) BusDeliver(m *msg.Message, now int64) {
 	case msg.BusInval:
 		c.assertHitWindow(now)
 		c.bumpEpoch()
-		if old, ok := c.l2.Invalidate(m.Line); ok {
-			_ = old
+		if _, ok := c.l2.Invalidate(m.Line); ok {
 			c.Tr.Emit(now, trace.KindInval, m.Line, m.TxnID, 0, 0)
 			if c.l1 != nil {
 				c.l1.Invalidate(m.Line)
@@ -717,8 +695,6 @@ func (c *CPU) BusDeliver(m *msg.Message, now int64) {
 			c.st = sThink
 			c.thinkUntil = now + 1
 		}
-	case msg.NetBarrier:
-		c.BarrierReg |= m.Data
 	default:
 		panic(fmt.Sprintf("proc[%d]: unexpected bus message %v", c.GlobalID, m))
 	}

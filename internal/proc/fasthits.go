@@ -59,10 +59,7 @@ import (
 // references ahead); final counters are identical.
 type fastHits struct {
 	enabled bool
-	l1, l2  *cache.Cache
-	stats   *Stats
-	epoch   *uint64
-	hitL2   int64 // cost of an L2 hit on an L1 miss (Params.L2HitCycles)
+	cpu     *CPU // whose live caches, epoch and counters the front end uses
 
 	// Per-resume window, published by the back end immediately before the
 	// workload goroutine resumes.
@@ -103,21 +100,6 @@ func (f *fastHits) window(now, horizon int64, epoch uint64) {
 	f.lastProbe = -1
 }
 
-// hitCost classifies a hit against the primary-cache timing filter exactly
-// as CPU.startRead/startWrite do, with the same counter and L1-fill
-// effects, and returns the cycles the hit consumes.
-func (f *fastHits) hitCost(line uint64) int64 {
-	if f.l1 != nil && f.l1.Probe(line) != nil {
-		f.stats.L1Hits.Inc()
-		return 1
-	}
-	f.stats.L2Hits.Inc()
-	if f.l1 != nil {
-		f.l1.Insert(line, cache.Shared, 0)
-	}
-	return f.hitL2
-}
-
 // fastRead resolves a read hit in the workload goroutine. It mirrors the
 // hit half of CPU.startRead; anything else (miss, stale window) reports
 // !ok and takes the slow handshake, which is always safe because the back
@@ -129,18 +111,18 @@ func (c *Ctx) fastRead(addr uint64) (uint64, bool) {
 		f.missWindow++
 		return 0, false
 	}
-	if *f.epoch != f.epochAt {
+	if f.cpu.epoch != f.epochAt {
 		f.missEpoch++
 		return 0, false
 	}
-	line := f.l2.Align(addr)
-	l := f.l2.Probe(line)
+	line := f.cpu.l2.Align(addr)
+	l := f.cpu.l2.Probe(line)
 	if l == nil {
 		f.missState++
 		return 0, false
 	}
-	f.stats.Reads.Inc()
-	c.pending += f.hitCost(line)
+	f.cpu.Stats.Reads.Inc()
+	c.pending += f.cpu.hitCost(line)
 	f.lastProbe = u
 	f.resolved++
 	return l.Data, true
@@ -156,19 +138,19 @@ func (c *Ctx) fastWrite(addr, v uint64) bool {
 		f.missWindow++
 		return false
 	}
-	if *f.epoch != f.epochAt {
+	if f.cpu.epoch != f.epochAt {
 		f.missEpoch++
 		return false
 	}
-	line := f.l2.Align(addr)
-	l := f.l2.Probe(line)
+	line := f.cpu.l2.Align(addr)
+	l := f.cpu.l2.Probe(line)
 	if l == nil || l.State != cache.Dirty {
 		f.missState++
 		return false
 	}
-	f.stats.Writes.Inc()
+	f.cpu.Stats.Writes.Inc()
 	l.Data = v
-	c.pending += f.hitCost(line)
+	c.pending += f.cpu.hitCost(line)
 	f.lastProbe = u
 	f.resolved++
 	return true
@@ -191,15 +173,7 @@ func (c *CPU) EnableFastHits() {
 	if c.runner == nil {
 		return
 	}
-	c.runner.ctx.fast = fastHits{
-		enabled:   true,
-		l1:        c.l1,
-		l2:        c.l2,
-		stats:     &c.Stats,
-		epoch:     &c.epoch,
-		hitL2:     int64(c.p.L2HitCycles),
-		lastProbe: -1,
-	}
+	c.runner.ctx.fast = fastHits{enabled: true, cpu: c, lastProbe: -1}
 }
 
 // openFastWindow publishes the burst window for the upcoming Next call and

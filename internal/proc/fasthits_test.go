@@ -44,11 +44,11 @@ func TestEpochBumpCompleteness(t *testing.T) {
 			},
 		},
 		{
-			// Same fill path with a full set: the forced (dirty) eviction is
+			// Same fill path with a full cache: the forced (dirty) eviction is
 			// covered by the same bump at the top of fill.
 			name: "fill-with-eviction",
 			prep: func(c *CPU) {
-				for i := uint64(0); i < uint64(c.p.L2Lines*c.p.L2Assoc)+8; i++ {
+				for i := uint64(0); i < uint64(c.p.L2Lines)+8; i++ {
 					c.l2.Insert(0x100000+i*uint64(c.p.LineSize), cache.Dirty, i)
 				}
 				c.st = sWaitMem

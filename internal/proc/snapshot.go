@@ -30,7 +30,6 @@ func (c *CPU) Encode(e *snap.Enc) {
 		encodeRef(e, c.stash)
 	}
 	e.U64(c.InterruptReg)
-	e.U64(c.BarrierReg)
 	if c.l1 != nil {
 		e.Byte(1)
 		c.l1.Encode(e)

@@ -52,13 +52,19 @@ type IRI struct {
 // NewIRI builds the interface for local ring ringID. credits is the
 // station flow-control accounting (may be nil in unit tests); the IRI
 // needs it to return the credit of a packet the fault injector loses.
+//
+// The FIFOs are unbounded: the paper sizes them so they never fill ("in
+// simulations of our prototype machine these buffers never contain more
+// than 60 packets"), and a bounded IRI buffer feeding a halted ring can
+// close a circular stall, so the model reports their observed depths
+// instead (UpStats, DownStats).
 func NewIRI(p sim.Params, ringID int, credits *Credits) *IRI {
 	return &IRI{
 		RingID:  ringID,
 		p:       p,
 		credits: credits,
-		upQ:     sim.NewQueue[*msg.Packet](p.IRIFIFO),
-		downQ:   sim.NewQueue[*msg.Packet](p.IRIFIFO),
+		upQ:     sim.NewQueue[*msg.Packet](0),
+		downQ:   sim.NewQueue[*msg.Packet](0),
 	}
 }
 
@@ -76,11 +82,9 @@ func (i *IRI) DownStats() sim.QueueStats { return i.downQ.Stats() }
 func (i *IRI) Idle() bool { return i.upQ.Empty() && i.downQ.Empty() }
 
 // CentralPending reports whether a local-ring tick may have left the
-// central ring something to do: an ascending packet in the up FIFO, or a
-// down FIFO filled (by the sequencing point's re-injections) to the point
-// where the central ring must halt. The cycle loop re-gates the central
-// ring after a local tick only then.
-func (i *IRI) CentralPending() bool { return !i.upQ.Empty() || centralPort{i}.InputFull() }
+// central ring something to do: an ascending packet in the up FIFO. The
+// cycle loop re-gates the central ring after a local tick only then.
+func (i *IRI) CentralPending() bool { return !i.upQ.Empty() }
 
 // DownPending reports whether the down FIFO holds a packet for the local
 // ring: the cycle loop re-gates that ring after a central tick only then.
@@ -88,10 +92,9 @@ func (i *IRI) DownPending() bool { return !i.downQ.Empty() }
 
 type localPort struct{ i *IRI }
 
-func (l localPort) InputFull() bool {
-	q := l.i.upQ
-	return q.Capacity > 0 && q.Len() >= q.Capacity-1
-}
+// InputFull is never true: the FIFOs are unbounded (see NewIRI), so an IRI
+// never halts the ring it sits on.
+func (l localPort) InputFull() bool { return false }
 
 // NextInject reports when the port could next place a packet into a free
 // local-ring slot: the head of the down FIFO becomes ready at its ReadyAt.
@@ -108,43 +111,39 @@ func (l localPort) HandleSlot(pkt *msg.Packet, now int64) *msg.Packet {
 		if pkt.Mask.Rings != 0 {
 			// Ascending packet: ring interfaces to higher-level rings always
 			// switch these up (§2.2).
-			if !i.upQ.Full() {
-				// Drop fault: the request is lost in the switch. The draw
-				// happens only for droppable types on an occupied-slot
-				// edge, which every cycle loop ticks.
-				if pkt.Msg.Type.Droppable() && i.Fault.Drop() {
-					i.Drops.Inc()
-					i.Tr.Emit(now, trace.KindFaultDrop, pkt.Msg.Line, pkt.Msg.TxnID,
-						int32(pkt.Msg.Type), 1)
-					if i.credits != nil {
-						i.credits.Release(pkt.Msg.SrcStation)
-					}
-					mm := pkt.Msg
-					i.pool.Put(pkt)
-					mm.Release()
-					return nil
+			//
+			// Drop fault: the request is lost in the switch. The draw
+			// happens only for droppable types on an occupied-slot
+			// edge, which every cycle loop ticks.
+			if pkt.Msg.Type.Droppable() && i.Fault.Drop() {
+				i.Drops.Inc()
+				i.Tr.Emit(now, trace.KindFaultDrop, pkt.Msg.Line, pkt.Msg.TxnID,
+					int32(pkt.Msg.Type), 1)
+				if i.credits != nil {
+					i.credits.Release(pkt.Msg.SrcStation)
 				}
-				pkt.ReadyAt = now + int64(i.p.IRICycles)
-				i.upQ.Push(pkt)
-				i.Tr.Emit(now, trace.KindFlitSwitch, pkt.Msg.Line, pkt.Msg.TxnID,
-					0, int32(pkt.Msg.Type))
+				mm := pkt.Msg
+				i.pool.Put(pkt)
+				mm.Release()
 				return nil
 			}
-			return pkt
+			pkt.ReadyAt = now + int64(i.p.IRICycles)
+			i.upQ.Push(pkt)
+			i.Tr.Emit(now, trace.KindFlitSwitch, pkt.Msg.Line, pkt.Msg.TxnID,
+				0, int32(pkt.Msg.Type))
+			return nil
 		}
 		if !pkt.Sequenced {
 			// This ring is the packet's highest level: the IRI is its
 			// sequencing point (§2.3). Absorb the invalidation into the
 			// ordering queue and re-inject it sequenced.
-			if !i.downQ.Full() {
-				pkt.Sequenced = true
-				pkt.ReadyAt = now + int64(i.p.IRICycles)
-				pkt.EnqueuedAt = now
-				i.downQ.Push(pkt)
-				i.Tr.Emit(now, trace.KindFlitSwitch, pkt.Msg.Line, pkt.Msg.TxnID,
-					1, int32(pkt.Msg.Type))
-				return nil
-			}
+			pkt.Sequenced = true
+			pkt.ReadyAt = now + int64(i.p.IRICycles)
+			pkt.EnqueuedAt = now
+			i.downQ.Push(pkt)
+			i.Tr.Emit(now, trace.KindFlitSwitch, pkt.Msg.Line, pkt.Msg.TxnID,
+				1, int32(pkt.Msg.Type))
+			return nil
 		}
 		return pkt
 	}
@@ -158,10 +157,7 @@ func (l localPort) HandleSlot(pkt *msg.Packet, now int64) *msg.Packet {
 
 type centralPort struct{ i *IRI }
 
-func (c centralPort) InputFull() bool {
-	q := c.i.downQ
-	return q.Capacity > 0 && q.Len() >= q.Capacity-1
-}
+func (c centralPort) InputFull() bool { return false }
 
 // NextInject reports when the port could next place a packet into a free
 // central-ring slot: the head of the up FIFO becomes ready at its ReadyAt.
@@ -176,45 +172,43 @@ func (c centralPort) HandleSlot(pkt *msg.Packet, now int64) *msg.Packet {
 	i := c.i
 	if pkt != nil {
 		if pkt.Mask.Rings&(1<<uint(i.RingID)) != 0 && pkt.Sequenced {
-			if !i.downQ.Full() {
-				// Drop fault: the descending copy is lost. Droppable
-				// requests are unicast, so clearing this ring's bit
-				// normally consumes the packet and frees its credit.
-				if pkt.Msg.Type.Droppable() && i.Fault.Drop() {
-					i.Drops.Inc()
-					i.Tr.Emit(now, trace.KindFaultDrop, pkt.Msg.Line, pkt.Msg.TxnID,
-						int32(pkt.Msg.Type), 2)
-					pkt.Mask.Rings &^= 1 << uint(i.RingID)
-					if pkt.Mask.Rings == 0 {
-						if i.credits != nil {
-							i.credits.Release(pkt.Msg.SrcStation)
-						}
-						mm := pkt.Msg
-						i.pool.Put(pkt)
-						mm.Release()
-						return nil
-					}
-					return pkt
-				}
-				// Copy the packet downward, clearing the higher-level field.
-				cp := i.pool.Get()
-				*cp = *pkt
-				cp.Msg.AddRef() // the descend copy aliases the message too
-				cp.Mask.Rings = 0
-				cp.ReadyAt = now + int64(i.p.IRICycles)
-				cp.EnqueuedAt = now
-				i.downQ.Push(cp)
-				i.Tr.Emit(now, trace.KindFlitSwitch, cp.Msg.Line, cp.Msg.TxnID,
-					1, int32(cp.Msg.Type))
+			// Drop fault: the descending copy is lost. Droppable
+			// requests are unicast, so clearing this ring's bit
+			// normally consumes the packet and frees its credit.
+			if pkt.Msg.Type.Droppable() && i.Fault.Drop() {
+				i.Drops.Inc()
+				i.Tr.Emit(now, trace.KindFaultDrop, pkt.Msg.Line, pkt.Msg.TxnID,
+					int32(pkt.Msg.Type), 2)
 				pkt.Mask.Rings &^= 1 << uint(i.RingID)
 				if pkt.Mask.Rings == 0 {
-					// Fully copied: the descend copies hold references, so
-					// this release cannot be the last.
+					if i.credits != nil {
+						i.credits.Release(pkt.Msg.SrcStation)
+					}
 					mm := pkt.Msg
 					i.pool.Put(pkt)
 					mm.Release()
 					return nil
 				}
+				return pkt
+			}
+			// Copy the packet downward, clearing the higher-level field.
+			cp := i.pool.Get()
+			*cp = *pkt
+			cp.Msg.AddRef() // the descend copy aliases the message too
+			cp.Mask.Rings = 0
+			cp.ReadyAt = now + int64(i.p.IRICycles)
+			cp.EnqueuedAt = now
+			i.downQ.Push(cp)
+			i.Tr.Emit(now, trace.KindFlitSwitch, cp.Msg.Line, cp.Msg.TxnID,
+				1, int32(cp.Msg.Type))
+			pkt.Mask.Rings &^= 1 << uint(i.RingID)
+			if pkt.Mask.Rings == 0 {
+				// Fully copied: the descend copies hold references, so
+				// this release cannot be the last.
+				mm := pkt.Msg
+				i.pool.Put(pkt)
+				mm.Release()
+				return nil
 			}
 		}
 		return pkt

@@ -154,7 +154,7 @@ func (r *StationRI) BusDeliver(m *msg.Message, now int64) {
 		return
 	}
 	mask := m.Mask
-	multicast := m.Type == msg.Invalidate || m.Type == msg.NetInterrupt || m.Type == msg.NetBarrier
+	multicast := m.Type == msg.Invalidate || m.Type == msg.NetInterrupt
 	if !multicast || mask.IsZero() {
 		mask = r.g.MaskFor(m.DstStation)
 	}
@@ -363,11 +363,10 @@ func (r *StationRI) Tick(now int64) {
 
 // route assigns the station-bus destination of an incoming network
 // message: memory-directed traffic has this station as home, everything
-// else concerns the network cache, and interrupt/barrier writes go to
-// processors.
+// else concerns the network cache, and interrupt writes go to processors.
 func (r *StationRI) route(m *msg.Message) {
 	switch m.Type {
-	case msg.NetInterrupt, msg.NetBarrier:
+	case msg.NetInterrupt:
 		m.DstMod = -1 // bus multicasts to BusProcs
 		if m.BusProcs == 0 {
 			m.BusProcs = 1<<uint(r.g.ProcsPerStation) - 1

@@ -21,8 +21,9 @@ package serve
 
 import (
 	"fmt"
-	"strconv"
 	"strings"
+
+	"numachine/internal/sim"
 )
 
 // Class is one request class: a weighted slice of the arrival stream with
@@ -149,39 +150,26 @@ func ParseSpec(s string) (Spec, error) {
 		s = DefaultSpec
 	}
 	sp := defaults()
-	for _, clause := range strings.Split(s, ",") {
-		clause = strings.TrimSpace(clause)
-		if clause == "" {
-			continue
+	// The clauses whose value is one positive number, by field.
+	counts := map[string]*int{
+		"open": &sp.OpenRate, "closed": &sp.Closed, "requests": &sp.Requests,
+		"procs": &sp.Procs, "tenants": &sp.Tenants, "qcap": &sp.QueueCap,
+		"depth": &sp.Depth, "span": &sp.SpanLines, "kill": &sp.KillEvery,
+		"retries": &sp.Retries, "retry-budget": &sp.RetryBudget,
+	}
+	cycles := map[string]*int64{
+		"duration": &sp.Duration, "poll": &sp.Poll, "quantum": &sp.Quantum, "hedge": &sp.Hedge,
+	}
+	err := sim.ParseClauses("serve", s, func(key, val string) (err error) {
+		if p := counts[key]; p != nil {
+			*p, err = sim.ParseCount(val)
+			return err
 		}
-		key, val, ok := strings.Cut(clause, "=")
-		if !ok {
-			return Spec{}, fmt.Errorf("serve: clause %q is not key=value", clause)
+		if p := cycles[key]; p != nil {
+			*p, err = sim.ParsePositive(val)
+			return err
 		}
-		var err error
 		switch key {
-		case "open":
-			sp.OpenRate, err = parseCount(val)
-		case "closed":
-			sp.Closed, err = parseCount(val)
-		case "duration":
-			sp.Duration, err = parseCycles(val)
-		case "requests":
-			sp.Requests, err = parseCount(val)
-		case "procs":
-			sp.Procs, err = parseCount(val)
-		case "tenants":
-			sp.Tenants, err = parseCount(val)
-		case "qcap":
-			sp.QueueCap, err = parseCount(val)
-		case "depth":
-			sp.Depth, err = parseCount(val)
-		case "span":
-			sp.SpanLines, err = parseCount(val)
-		case "poll":
-			sp.Poll, err = parseCycles(val)
-		case "quantum":
-			sp.Quantum, err = parseCycles(val)
 		case "discipline":
 			switch val {
 			case "fifo", "edf":
@@ -196,36 +184,24 @@ func ParseSpec(s string) (Spec, error) {
 			default:
 				err = fmt.Errorf("unknown policy %q (have static, locality, least-load)", val)
 			}
-		case "kill":
-			sp.KillEvery, err = parseCount(val)
-		case "retries":
-			sp.Retries, err = parseCount(val)
 		case "backoff":
-			base, max, ok := strings.Cut(val, ":")
-			if !ok {
-				err = fmt.Errorf("backoff %q is not BASE:MAX", val)
+			var base, max string
+			if base, max, err = sim.CutPair("backoff", "BASE:MAX", val); err != nil {
 				break
 			}
-			if sp.RetryBase, err = parseCycles(base); err != nil {
+			if sp.RetryBase, err = sim.ParsePositive(base); err != nil {
 				break
 			}
-			sp.RetryMax, err = parseCycles(max)
-		case "retry-budget":
-			sp.RetryBudget, err = parseCount(val)
-		case "hedge":
-			sp.Hedge, err = parseCycles(val)
+			sp.RetryMax, err = sim.ParsePositive(max)
 		case "breaker":
-			pct, cool, ok := strings.Cut(val, ":")
-			if !ok {
-				err = fmt.Errorf("breaker %q is not PCT:COOLDOWN", val)
+			var pct, cool string
+			if pct, cool, err = sim.CutPair("breaker", "PCT:COOLDOWN", val); err != nil {
 				break
 			}
-			var p int
-			if p, err = parseCount(pct); err != nil {
+			if sp.BreakerPct, err = sim.ParseCount(pct); err != nil {
 				break
 			}
-			sp.BreakerPct = p
-			sp.BreakerCool, err = parseCycles(cool)
+			sp.BreakerCool, err = sim.ParsePositive(cool)
 		case "shed":
 			if val != "on" {
 				err = fmt.Errorf("shed=%q (only shed=on)", val)
@@ -239,9 +215,10 @@ func ParseSpec(s string) (Spec, error) {
 		default:
 			err = fmt.Errorf("unknown key %q", key)
 		}
-		if err != nil {
-			return Spec{}, fmt.Errorf("serve: clause %q: %w", clause, err)
-		}
+		return err
+	})
+	if err != nil {
+		return Spec{}, err
 	}
 	if len(sp.Classes) == 0 {
 		sp.Classes = defaultClasses()
@@ -300,55 +277,22 @@ func parseClass(s string) (Class, error) {
 	}
 	c := Class{Name: f[0]}
 	var err error
-	if c.Weight, err = parseCount(f[1]); err != nil {
+	if c.Weight, err = sim.ParseCount(f[1]); err != nil {
 		return Class{}, fmt.Errorf("weight: %w", err)
 	}
-	if c.Touches, err = parseCount(f[2]); err != nil {
+	if c.Touches, err = sim.ParseCount(f[2]); err != nil {
 		return Class{}, fmt.Errorf("touches: %w", err)
 	}
-	if c.Think, err = parseNonNeg(f[3]); err != nil {
+	if c.Think, err = sim.ParseNonNeg(f[3]); err != nil {
 		return Class{}, fmt.Errorf("think: %w", err)
 	}
-	pct, err := parseNonNeg(f[4])
+	pct, err := sim.ParseNonNeg(f[4])
 	if err != nil || pct > 100 {
 		return Class{}, fmt.Errorf("writepct %q outside [0,100]", f[4])
 	}
 	c.WritePct = int(pct)
-	if c.Deadline, err = parseNonNeg(f[5]); err != nil {
+	if c.Deadline, err = sim.ParseNonNeg(f[5]); err != nil {
 		return Class{}, fmt.Errorf("deadline: %w", err)
 	}
 	return c, nil
-}
-
-func parseCount(s string) (int, error) {
-	n, err := strconv.Atoi(s)
-	if err != nil {
-		return 0, err
-	}
-	if n <= 0 {
-		return 0, fmt.Errorf("value %d not positive", n)
-	}
-	return n, nil
-}
-
-func parseCycles(s string) (int64, error) {
-	n, err := strconv.ParseInt(s, 10, 64)
-	if err != nil {
-		return 0, err
-	}
-	if n <= 0 {
-		return 0, fmt.Errorf("value %d not positive", n)
-	}
-	return n, nil
-}
-
-func parseNonNeg(s string) (int64, error) {
-	n, err := strconv.ParseInt(s, 10, 64)
-	if err != nil {
-		return 0, err
-	}
-	if n < 0 {
-		return 0, fmt.Errorf("value %d negative", n)
-	}
-	return n, nil
 }

@@ -1,95 +1,107 @@
 package sim
 
+import "math/bits"
+
 // PageLen is the number of elements in one page of a Paged store. With
-// the 32-byte tag entries of the secondary and network caches a page is
-// 8 KB: exactly the 256-line primary cache, 1/64 of a paper-size
+// the tag entries of the secondary and network caches (24 and 32 bytes) a
+// page is 6–8 KB: exactly the 256-line primary cache, 1/64 of a paper-size
 // secondary cache and 1/256 of a paper-size network cache. Smaller pages
 // buy no construction time (the page tables below are already ~1 KB per
 // cache) and cost more first-touch allocations during a run; larger ones
 // make a machine that touches a few lines pay for many it never reads.
-const PageLen = 256
+const PageLen = 1 << pageShift
+
+const pageShift = 8
 
 // Page is one page of a Paged store.
 type Page[T any] [PageLen]T
 
-// Paged is a fixed-size array of rows, each `width` consecutive elements of
-// T, whose backing store is allocated a page at a time on first write. A
-// row never straddles a page: a page holds the largest power-of-two number
-// of rows that fits in PageLen elements, and any remainder is left unused.
+// Paged is a direct-mapped tag store: a fixed number of slots of T, each
+// line address mapping to exactly one of them, whose backing store is
+// allocated a page at a time on first write. It owns the line→slot map
+// (slot); the L1 filter, the L2 and the network cache are all this store.
 //
 // Every page that has not been written aliases one shared, read-only zero
 // page, so reading costs the same as reading a flat array plus one
 // dependent load — no nil check, no branch. The contract that keeps the
 // zero page zero: only Touch returns memory that may be written where the
-// zero value stands. A pointer obtained from Row may be written through
-// only after its contents have been seen to be non-zero (a valid cache
-// line, a valid NC entry), which proves an earlier Touch of that page.
+// zero value stands. A pointer obtained from Get or At may be written
+// through only after its contents have been seen to be non-zero (a valid
+// cache line, a valid NC entry), which proves an earlier Touch of that
+// page.
 //
 // Pages, once allocated, never move or go away: element pointers are
 // stable for the life of the store.
 type Paged[T any] struct {
 	pages []*Page[T]
-	width int
-	shift uint // log2(rows per page)
-	mask  int  // rows per page - 1
+	shift uint   // log2(line size)
+	mask  uint64 // slots-1 when slots is a power of two (the usual case), else 0
+	slots uint64
 	zero  *Page[T]
 }
 
-// NewPaged builds a store of rows rows of width elements over the given
-// zero page, which callers share between all stores of one element type
-// (a package-level variable that nothing writes). It panics when a row
-// does not fit in a page.
-func NewPaged[T any](rows, width int, zero *Page[T]) Paged[T] {
-	if rows <= 0 || width <= 0 || width > PageLen {
-		panic("sim: Paged needs rows > 0 and 0 < width <= PageLen")
+// NewPaged builds a store of slots slots for lines of lineSize bytes over
+// the given zero page, which callers share between all stores of one
+// element type (a package-level variable that nothing writes).
+func NewPaged[T any](slots, lineSize int, zero *Page[T]) Paged[T] {
+	if slots <= 0 || lineSize <= 0 || lineSize&(lineSize-1) != 0 {
+		panic("sim: Paged needs slots > 0 and a positive power-of-two line size")
 	}
-	var shift uint
-	for width<<(shift+1) <= PageLen {
-		shift++
+	p := Paged[T]{zero: zero, slots: uint64(slots), shift: uint(bits.TrailingZeros(uint(lineSize)))}
+	if slots&(slots-1) == 0 {
+		p.mask = uint64(slots - 1)
 	}
-	p := Paged[T]{zero: zero, width: width, shift: shift, mask: 1<<shift - 1}
-	p.pages = make([]*Page[T], (rows+p.mask)>>shift)
+	p.pages = make([]*Page[T], (slots+PageLen-1)>>pageShift)
 	for i := range p.pages {
 		p.pages[i] = zero
 	}
 	return p
 }
 
-// Row returns row r for reading (see the type comment for when it may be
+// Slots returns the number of slots.
+func (p *Paged[T]) Slots() int { return int(p.slots) }
+
+// slot returns the slot the line at lineAddr maps to. It sits under every
+// reference and every NC message, so the usual power-of-two size takes a
+// mask instead of a divide.
+func (p *Paged[T]) slot(lineAddr uint64) int {
+	i := lineAddr >> p.shift
+	if p.mask != 0 {
+		return int(i & p.mask)
+	}
+	return int(i % p.slots)
+}
+
+// At returns slot i for reading (see the type comment for when it may be
 // written through). It never allocates.
-func (p *Paged[T]) Row(r int) []T {
-	o := (r & p.mask) * p.width
-	return p.pages[r>>p.shift][o : o+p.width]
+func (p *Paged[T]) At(i int) *T {
+	return &p.pages[i>>pageShift][i&(PageLen-1)]
 }
 
-// Get returns the first element of row r — in a width-1 store, element r
-// — under Row's rules. It never allocates.
-func (p *Paged[T]) Get(r int) *T {
-	return &p.pages[r>>p.shift][(r&p.mask)*p.width]
-}
+// Get returns lineAddr's slot under At's rules.
+func (p *Paged[T]) Get(lineAddr uint64) *T { return p.At(p.slot(lineAddr)) }
 
-// Touch returns row r for writing, allocating its page if this is the
-// page's first write.
-func (p *Paged[T]) Touch(r int) []T {
-	pg := p.pages[r>>p.shift]
+// Touch returns lineAddr's slot for writing, allocating its page if this
+// is the page's first write.
+func (p *Paged[T]) Touch(lineAddr uint64) *T {
+	i := p.slot(lineAddr)
+	pg := p.pages[i>>pageShift]
 	if pg == p.zero {
 		pg = new(Page[T])
-		p.pages[r>>p.shift] = pg
+		p.pages[i>>pageShift] = pg
 	}
-	o := (r & p.mask) * p.width
-	return pg[o : o+p.width]
+	return &pg[i&(PageLen-1)]
 }
 
-// Each visits, in row order, every element of every allocated page,
-// including rows past the store's last row in the final page and the
-// unused remainder of a page — all zero, since nothing can Touch them.
+// Each visits, in slot order, every element of every allocated page,
+// including those past the store's last slot in the final page — all
+// zero, since nothing can Touch them.
 func (p *Paged[T]) Each(fn func(*T)) {
-	used := (p.mask + 1) * p.width
 	for _, pg := range p.pages {
 		if pg == p.zero {
 			continue
 		}
-		for i := 0; i < used; i++ {
+		for i := range pg {
 			fn(&pg[i])
 		}
 	}

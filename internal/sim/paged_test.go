@@ -6,64 +6,67 @@ import (
 	"unsafe"
 )
 
-// TestPagedLayout checks the store's geometry for every width class and
-// for row counts that do and do not fill their last page: a row lies in
-// one page, rows do not overlap, Row/Get/Touch address the same memory,
-// untouched rows read as zero from the shared page, and Each visits the
-// written elements in row order.
+// TestPagedLayout checks the store's geometry and its line→slot map for
+// slot counts that are and are not powers of two (the mask and the modulo
+// path) and that do and do not fill their last page: a line maps to slot
+// (line/lineSize) mod slots, slots do not overlap, Get/At/Touch address
+// the same memory, untouched slots read as zero from the shared page, and
+// Each visits the written elements in slot order.
+//
+// The subtest names are the ones the test floor pins from when a store had
+// rows of `width` elements; a store has none now, and width × rows is just
+// the slot count.
 func TestPagedLayout(t *testing.T) {
+	const lineSize = 64
 	for _, width := range []int{1, 2, 3, 4, 5, 7, 100, PageLen} {
 		for _, rows := range []int{1, 2, PageLen - 1, PageLen, PageLen + 1, 3*PageLen + 17} {
+			slots := width * rows
 			t.Run(fmt.Sprintf("width=%d/rows=%d", width, rows), func(t *testing.T) {
 				var zero Page[uint32]
-				p := NewPaged(rows, width, &zero)
-				perPage := p.mask + 1
-				if perPage*width > PageLen || 2*perPage*width <= PageLen {
-					t.Fatalf("rows per page = %d: not the largest power of two that fits", perPage)
+				p := NewPaged(slots, lineSize, &zero)
+				if p.Slots() != slots {
+					t.Fatalf("Slots() = %d, want %d", p.Slots(), slots)
+				}
+				// lineOf returns an address that maps to slot s: aliased zero
+				// to three store sizes up, with a sub-line offset the map
+				// must ignore.
+				lineOf := func(s int) uint64 {
+					return uint64(s+(s%4)*slots)*lineSize + uint64(s%lineSize)
 				}
 				// Reads before any write come from the zero page.
-				for _, r := range []int{0, rows / 2, rows - 1} {
-					row := p.Row(r)
-					if len(row) != width || &row[0] != p.Get(r) {
-						t.Fatalf("Row(%d): len %d, Get disagrees", r, len(row))
+				for _, s := range []int{0, slots / 2, slots - 1} {
+					if got := p.slot(lineOf(s)); got != s {
+						t.Fatalf("slot(%#x) = %d, want %d", lineOf(s), got, s)
+					}
+					e := p.Get(lineOf(s))
+					if e != p.At(s) {
+						t.Fatalf("Get(%#x) and At(%d) disagree", lineOf(s), s)
 					}
 					base := uintptr(unsafe.Pointer(&zero))
-					if a := uintptr(unsafe.Pointer(&row[0])); a < base || a >= base+unsafe.Sizeof(zero) {
-						t.Fatalf("Row(%d) of an untouched store is outside the zero page", r)
+					if a := uintptr(unsafe.Pointer(e)); a < base || a >= base+unsafe.Sizeof(zero) {
+						t.Fatalf("slot %d of an untouched store is outside the zero page", s)
 					}
 				}
-				// Write every third row; value encodes (row, way).
+				// Write every third slot; the value encodes the slot.
 				seen := map[*uint32]bool{}
-				for r := 0; r < rows; r += 3 {
-					row := p.Touch(r)
-					if len(row) != width {
-						t.Fatalf("Touch(%d): len %d", r, len(row))
+				for s := 0; s < slots; s += 3 {
+					e := p.Touch(lineOf(s))
+					if seen[e] {
+						t.Fatalf("slot %d overlaps an earlier slot", s)
 					}
-					for w := range row {
-						if seen[&row[w]] {
-							t.Fatalf("row %d way %d overlaps an earlier row", r, w)
-						}
-						seen[&row[w]] = true
-						row[w] = uint32(r*width + w + 1)
-					}
-					pg := p.pages[r>>p.shift]
-					lo, hi := uintptr(unsafe.Pointer(pg)), uintptr(unsafe.Pointer(pg))+unsafe.Sizeof(*pg)
-					if a, b := uintptr(unsafe.Pointer(&row[0])), uintptr(unsafe.Pointer(&row[width-1])); a < lo || b >= hi {
-						t.Fatalf("row %d straddles its page", r)
-					}
-					if again := p.Row(r); &again[0] != &row[0] || p.Get(r) != &row[0] {
-						t.Fatalf("Row/Get(%d) do not address the touched row", r)
+					seen[e] = true
+					*e = uint32(s + 1)
+					if p.Get(lineOf(s)) != e || p.At(s) != e {
+						t.Fatalf("Get/At do not address touched slot %d", s)
 					}
 				}
-				for r := 0; r < rows; r++ {
-					for w, v := range p.Row(r) {
-						want := uint32(0)
-						if r%3 == 0 {
-							want = uint32(r*width + w + 1)
-						}
-						if v != want {
-							t.Fatalf("row %d way %d = %d, want %d", r, w, v, want)
-						}
+				for s := 0; s < slots; s++ {
+					want := uint32(0)
+					if s%3 == 0 {
+						want = uint32(s + 1)
+					}
+					if v := *p.At(s); v != want {
+						t.Fatalf("slot %d = %d, want %d", s, v, want)
 					}
 				}
 				var last uint32
@@ -72,11 +75,11 @@ func TestPagedLayout(t *testing.T) {
 						return
 					}
 					if *v <= last {
-						t.Fatalf("Each out of row order: %d after %d", *v, last)
+						t.Fatalf("Each out of slot order: %d after %d", *v, last)
 					}
 					last = *v
 				})
-				if want := uint32(((rows-1)/3*3)*width + width); last != want {
+				if want := uint32((slots-1)/3*3 + 1); last != want {
 					t.Fatalf("Each ended at %d, want %d", last, want)
 				}
 				if zero != (Page[uint32]{}) {
@@ -92,30 +95,34 @@ func TestPagedLayout(t *testing.T) {
 func TestPagedAllocatesOnTouchOnly(t *testing.T) {
 	var zero Page[uint64]
 	p := NewPaged(64*PageLen, 1, &zero)
-	r := 0
+	var line uint64
 	if avg := testing.AllocsPerRun(100, func() {
-		r += PageLen
-		if *p.Get(r % (64 * PageLen)) != 0 || p.Row(r % (64 * PageLen))[0] != 0 {
+		line += PageLen
+		if *p.Get(line) != 0 || *p.At(int(line % (64 * PageLen))) != 0 {
 			t.Fatal("untouched element is not zero")
 		}
 	}); avg != 0 {
 		t.Errorf("reads allocate %.1f objects per call, want 0", avg)
 	}
-	p.Touch(5)[0] = 1
-	if avg := testing.AllocsPerRun(100, func() { p.Touch(6)[0]++ }); avg != 0 {
+	*p.Touch(5) = 1
+	if avg := testing.AllocsPerRun(100, func() { *p.Touch(6)++ }); avg != 0 {
 		t.Errorf("Touch of an allocated page allocates %.1f objects per call, want 0", avg)
 	}
-	if avg := testing.AllocsPerRun(1, func() { p.Touch(40 * PageLen)[0] = 2 }); avg > 1 {
+	if avg := testing.AllocsPerRun(1, func() { *p.Touch(40 * PageLen) = 2 }); avg > 1 {
 		t.Errorf("first Touch of a page allocates %.1f objects, want 1", avg)
 	}
 }
 
-func TestPagedRejectsRowWiderThanPage(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("NewPaged accepted a row wider than a page")
-		}
-	}()
+func TestPagedRejectsBadGeometry(t *testing.T) {
 	var zero Page[byte]
-	NewPaged(4, PageLen+1, &zero)
+	for _, g := range [][2]int{{0, 64}, {-1, 64}, {4, 0}, {4, 48}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewPaged accepted %d slots of %d-byte lines", g[0], g[1])
+				}
+			}()
+			NewPaged(g[0], g[1], &zero)
+		}()
+	}
 }

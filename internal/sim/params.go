@@ -22,7 +22,6 @@ type Params struct {
 	LineSize    int // cache line size in bytes (64 in the prototype)
 	PageSize    int // physical page size used for placement (4096)
 	L2Lines     int // secondary cache capacity in lines, per processor
-	L2Assoc     int // secondary cache associativity (1 = direct mapped)
 	NCLines     int // network cache capacity in lines, per station
 	CPUClockMHz int // for cycle<->ns conversion only
 
@@ -64,7 +63,6 @@ type Params struct {
 	RIUnpackCycles int // packet handler latency (ring -> bus)
 	IRICycles      int // inter-ring interface switch latency, each way
 	RingInputFIFO  int // ring-interface input FIFO capacity (flow control)
-	IRIFIFO        int // inter-ring interface FIFO capacity per direction (0 = unbounded)
 	MaxNonsinkable int // nonsinkable messages in flight per station (16)
 
 	// Protocol options (the paper's design choices; flipping them gives the
@@ -94,7 +92,6 @@ func DefaultParams() Params {
 		LineSize:    64,
 		PageSize:    4096,
 		L2Lines:     16384, // 1 MB / 64 B
-		L2Assoc:     1,
 		NCLines:     65536, // 4 MB / 64 B
 		CPUClockMHz: 150,
 
@@ -121,12 +118,6 @@ func DefaultParams() Params {
 		RIUnpackCycles: 6,
 		IRICycles:      6,
 		RingInputFIFO:  64,
-		// The paper sizes these so they never fill ("in simulations of our
-		// prototype machine these buffers never contain more than 60
-		// packets"); a bounded IRI buffer feeding a halted ring can close a
-		// circular stall, so the model leaves them unbounded and reports
-		// their observed depths instead.
-		IRIFIFO:        0,
 		MaxNonsinkable: 16,
 
 		SCLocking:          true,
@@ -143,5 +134,23 @@ func (p Params) CyclesToNS(cycles int64) float64 {
 	return float64(cycles) * 1000.0 / float64(p.CPUClockMHz)
 }
 
-// LinesPerPage returns the number of cache lines per page.
-func (p Params) LinesPerPage() int { return p.PageSize / p.LineSize }
+// NAKDelay returns the back-off before re-issuing a request that has
+// absorbed streak consecutive NAKs. With RetryBackoff off it is the fixed
+// RetryDelay of the prototype; otherwise the delay doubles per NAK up to
+// RetryMaxDelay and gains a jitter in [0, delay/2] drawn from rng, the
+// requester's own stream, so colliding requesters spread out instead of
+// re-colliding in lockstep.
+func (p Params) NAKDelay(streak int, rng *RNG) int64 {
+	d := int64(p.RetryDelay)
+	if !p.RetryBackoff {
+		return d
+	}
+	d <<= uint(min(streak, 16))
+	if limit := int64(p.RetryMaxDelay); limit > 0 && d > limit {
+		d = limit
+	}
+	if d > 1 {
+		d += int64(rng.Intn(int(d/2) + 1))
+	}
+	return d
+}

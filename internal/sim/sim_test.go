@@ -127,24 +127,42 @@ func TestRNGIntnRange(t *testing.T) {
 	}
 }
 
-func TestRNGPerm(t *testing.T) {
-	r := NewRNG(3)
-	p := r.Perm(100)
-	seen := make([]bool, 100)
-	for _, v := range p {
-		if v < 0 || v >= 100 || seen[v] {
-			t.Fatalf("Perm produced invalid/duplicate %d", v)
-		}
-		seen[v] = true
-	}
-}
-
 func TestParamsConversions(t *testing.T) {
 	p := DefaultParams()
 	if ns := p.CyclesToNS(150); ns != 1000 {
 		t.Errorf("150 cycles at 150 MHz = %v ns, want 1000", ns)
 	}
-	if p.LinesPerPage() != 64 {
-		t.Errorf("lines per page = %d, want 64", p.LinesPerPage())
+}
+
+// TestNAKDelay: the fixed prototype delay with back-off off (no draw from
+// the stream); with it on, doubling per NAK from RetryDelay, capped at
+// RetryMaxDelay, plus a jitter in [0, delay/2] that is a pure function of
+// the requester's stream.
+func TestNAKDelay(t *testing.T) {
+	p := DefaultParams()
+	rng := NewRNG(5)
+	before := *rng
+	for _, streak := range []int{0, 3, 40} {
+		if d := p.NAKDelay(streak, rng); d != int64(p.RetryDelay) {
+			t.Errorf("fixed delay after %d NAKs = %d, want %d", streak, d, p.RetryDelay)
+		}
+	}
+	if *rng != before {
+		t.Error("the fixed delay drew from the jitter stream")
+	}
+	p.RetryBackoff = true
+	a, b := NewRNG(5), NewRNG(5)
+	for streak := 0; streak < 40; streak++ {
+		base := int64(p.RetryDelay) << uint(min(streak, 16))
+		if base > int64(p.RetryMaxDelay) {
+			base = int64(p.RetryMaxDelay)
+		}
+		d := p.NAKDelay(streak, a)
+		if d < base || d > base+base/2 {
+			t.Errorf("streak %d: delay %d outside [%d, %d]", streak, d, base, base+base/2)
+		}
+		if d2 := p.NAKDelay(streak, b); d2 != d {
+			t.Errorf("streak %d: same stream gave %d then %d", streak, d, d2)
+		}
 	}
 }

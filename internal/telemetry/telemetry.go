@@ -99,9 +99,6 @@ func NewServer() *Server {
 // Publish makes snap the snapshot served to subsequent requests.
 func (s *Server) Publish(snap *Snapshot) { s.cur.Store(snap) }
 
-// Latest returns the currently published snapshot.
-func (s *Server) Latest() *Snapshot { return s.cur.Load() }
-
 // Handler returns the HTTP handler (also usable under httptest).
 func (s *Server) Handler() http.Handler { return s.mux }
 

@@ -156,14 +156,6 @@ func (m RoutingMask) CoversOther(g Geometry, station int) bool {
 	return true
 }
 
-// MultiRing reports whether the mask spans more than one local ring, i.e.
-// packets for it must ascend to the central ring.
-func (m RoutingMask) MultiRing() bool { return bits.OnesCount16(m.Rings) > 1 }
-
-// SoleRing returns the single ring the mask covers. It must only be called
-// when MultiRing is false and the mask is non-zero.
-func (m RoutingMask) SoleRing() int { return bits.TrailingZeros16(m.Rings) }
-
 // MaskForStations OR-combines exact masks for each listed station.
 func (g Geometry) MaskForStations(stations ...int) RoutingMask {
 	var m RoutingMask

@@ -123,20 +123,6 @@ func TestInexactExample(t *testing.T) {
 	}
 }
 
-func TestMultiRing(t *testing.T) {
-	g := Prototype
-	if g.MaskFor(0).MultiRing() {
-		t.Error("single-station mask claims multiple rings")
-	}
-	m := g.MaskFor(0).Or(g.MaskFor(4))
-	if !m.MultiRing() {
-		t.Error("cross-ring mask not detected")
-	}
-	if r := g.MaskFor(5).SoleRing(); r != 1 {
-		t.Errorf("SoleRing = %d, want 1", r)
-	}
-}
-
 func TestModuleIndices(t *testing.T) {
 	g := Prototype
 	if g.ModMem() != 4 || g.ModNC() != 5 || g.ModRI() != 6 || g.ModCount() != 7 {
