@@ -52,10 +52,11 @@ func BenchmarkTable1Latencies(b *testing.B) {
 // the P=64 speedup.
 func speedupBench(b *testing.B, name string) {
 	for i := 0; i < b.N; i++ {
-		pts, err := experiments.Speedup(benchConfig(), name, benchSizes[name], []int{1, 16, 64}, 1)
+		curves, err := experiments.SweepSpeedups(benchConfig(), []string{name}, benchSizes, []int{1, 16, 64}, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
+		pts := curves[0].Points
 		b.ReportMetric(pts[len(pts)-1].Speedup, "speedup64x")
 		b.ReportMetric(float64(pts[0].Cycles), "t1_cycles")
 	}

@@ -123,12 +123,7 @@ func main() {
 		name = inst.Name
 	}
 
-	loop := "scheduled"
-	if *par {
-		loop = "parallel"
-	} else if *naive {
-		loop = "naive"
-	}
+	loop := cfg.LoopName()
 	if *traceOut != "" {
 		m.EnableTrace(*traceEvt)
 	}
@@ -184,33 +179,7 @@ func main() {
 		cfg.Geom.ProcsPerStation, cfg.Geom.StationsPerRing, cfg.Geom.Rings)
 	fmt.Printf("parallel section %d cycles (%.2f ms at %d MHz)\n",
 		cycles, p.CyclesToNS(cycles)/1e6, p.CPUClockMHz)
-	fmt.Printf("references       %d reads, %d writes (L1 %d, L2 %d, misses %d, upgrades %d)\n",
-		r.Proc.Reads, r.Proc.Writes, r.Proc.L1Hits, r.Proc.L2Hits, r.Proc.Misses, r.Proc.Upgrades)
-	fmt.Printf("stalls           %d memory, %d barrier cycles (all processors)\n",
-		r.Proc.StallCycles, r.Proc.BarrierCycles)
-	fmt.Printf("network cache    hit %.1f%% (migration %.1f%%, caching %.1f%%), combining %.1f%%, false remote %.3f%%\n",
-		100*r.NC.HitRate(), 100*r.NC.MigrationRate(), 100*r.NC.CachingRate(),
-		100*r.NC.CombiningRate(), 100*r.NC.FalseRemoteRate())
-	fmt.Printf("utilization      bus %.1f%%, local rings %.1f%%, central ring %.1f%%\n",
-		100*r.BusUtil, 100*r.LocalRingUtil, 100*r.CentralRingUtil)
-	fmt.Printf("ring delays      send %.1f, down sink %.1f, down nonsink %.1f, IRI up %.1f cycles\n",
-		r.RISendDelay, r.RIDownSink, r.RIDownNonsink, r.IRIUpDelay)
-	fmt.Printf("memory           %d transactions, %d invalidation multicasts, %d NAKs, %d optimistic acks\n",
-		r.Mem.Transactions, r.Mem.InvalidatesSent, r.Mem.NAKs, r.Mem.OptimisticAcks)
-	if *faultSpec != "" {
-		fmt.Printf("faults           seed=%d: %d drops, %d dups, %d timeout re-issues, %d ring stall edges, mem down %d / nc down %d cycles\n",
-			*faultSeed, r.Fault.Drops, r.Fault.Dups, r.Fault.TimeoutReissues,
-			r.Fault.RingFaultStalls, r.Fault.MemDownCycles, r.Fault.NCDownCycles)
-	}
-	if r.Proc.RetryStreaks > 0 {
-		h := &r.Proc.RetryLatency
-		fmt.Printf("NAK retries      %d references retried (streak mean %.1f, max %d); latency p50/p95/p99 %d/%d/%d max %d cycles\n",
-			r.Proc.RetryStreaks, r.Proc.RetryStreakMean, r.Proc.RetryStreakMax,
-			h.Percentile(0.50), h.Percentile(0.95), h.Percentile(0.99), h.Max())
-	}
-	if ctl != nil {
-		serve.WriteReport(os.Stdout, r.Serve)
-	}
+	r.WriteReport(os.Stdout, cfg.FaultLabel())
 
 	if *traceOut != "" {
 		writeTrace(m, *traceOut)

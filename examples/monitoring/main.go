@@ -53,8 +53,8 @@ func main() {
 	// transaction type found the line in each state. Show the home of the
 	// shared region's first page (round-robin placement).
 	home := m.HomeOf(shared)
-	fmt.Println(m.Mems[home].Stats.Hist.String())
-	fmt.Println(m.NCs[(home+1)%m.Geometry().Stations()].Stats.Hist.String())
+	fmt.Println(m.Mems[home].Hist.String())
+	fmt.Println(m.NCs[(home+1)%m.Geometry().Stations()].Hist.String())
 
 	r := m.Results()
 	fmt.Printf("memory transactions: %d total, %d invalidation multicasts, %d interventions\n",

@@ -34,11 +34,11 @@ func main() {
 	size := experiments.SpeedupSizes()[name]
 	fmt.Printf("%s (size %d) on the 64-processor prototype:\n", name, size)
 	// workers 0: run the four points concurrently on all available cores.
-	pts, err := experiments.Speedup(cfg, name, size, []int{1, 4, 16, 64}, 0)
+	curves, err := experiments.SweepSpeedups(cfg, []string{name}, map[string]int{name: size}, []int{1, 4, 16, 64}, 0)
 	if err != nil {
 		log.Fatal(err)
 	}
-	for _, p := range pts {
+	for _, p := range curves[0].Points {
 		bar := ""
 		for i := 0; i < int(p.Speedup*2+0.5); i++ {
 			bar += "#"

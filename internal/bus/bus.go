@@ -47,7 +47,7 @@ type Bus struct {
 	// Util reproduces the bus utilization measurement of Figure 17.
 	Util monitor.Utilization
 	// Transfers counts completed bus transactions.
-	Transfers monitor.Counter
+	Transfers int64
 
 	// Tr is the structured-event trace sink (nil when tracing is off).
 	Tr *trace.Sink
@@ -145,7 +145,7 @@ func (b *Bus) Tick(now int64) {
 		b.busyUntil = now + int64(cost)
 		b.inFlight = m
 		b.rr = (idx + 1) % n
-		b.Transfers.Inc()
+		b.Transfers++
 		b.Tr.Emit(now, trace.KindBusGrant, m.Line, m.TxnID, int32(m.Type), int32(cost))
 		return
 	}

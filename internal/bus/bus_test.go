@@ -130,8 +130,8 @@ func TestUtilizationTracksOccupancy(t *testing.T) {
 	if u <= 0 || u >= 0.5 {
 		t.Errorf("utilization %v, want a small positive fraction", u)
 	}
-	if b.Transfers.Value() != 1 {
-		t.Errorf("transfers = %d", b.Transfers.Value())
+	if b.Transfers != 1 {
+		t.Errorf("transfers = %d", b.Transfers)
 	}
 }
 

@@ -507,7 +507,7 @@ func compareRuns(t *testing.T, aName, bName string, ma, mb *Machine, cyclesA, cy
 		if a, b := ma.Buses[i].Util.Value(), mb.Buses[i].Util.Value(); a != b {
 			t.Errorf("bus[%d] utilization: %s=%v %s=%v", i, aName, a, bName, b)
 		}
-		if a, b := ma.Buses[i].Transfers.Value(), mb.Buses[i].Transfers.Value(); a != b {
+		if a, b := ma.Buses[i].Transfers, mb.Buses[i].Transfers; a != b {
 			t.Errorf("bus[%d] transfers: %s=%d %s=%d", i, aName, a, bName, b)
 		}
 	}
@@ -515,7 +515,7 @@ func compareRuns(t *testing.T, aName, bName string, ma, mb *Machine, cyclesA, cy
 		if a, b := ma.Locals[i].Util.Value(), mb.Locals[i].Util.Value(); a != b {
 			t.Errorf("local ring %d utilization: %s=%v %s=%v", i, aName, a, bName, b)
 		}
-		if a, b := ma.Locals[i].Stalls.Value(), mb.Locals[i].Stalls.Value(); a != b {
+		if a, b := ma.Locals[i].Stalls, mb.Locals[i].Stalls; a != b {
 			t.Errorf("local ring %d stalls: %s=%d %s=%d", i, aName, a, bName, b)
 		}
 	}

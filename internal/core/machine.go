@@ -105,6 +105,15 @@ func (cfg Config) LoopName() string {
 	}
 }
 
+// FaultLabel names the run's fault schedule in reports: "seed=N" when one
+// is configured, "" for a fault-free run.
+func (cfg Config) FaultLabel() string {
+	if cfg.FaultSpec == "" {
+		return ""
+	}
+	return fmt.Sprintf("seed=%d", cfg.FaultSeed)
+}
+
 // DefaultConfig returns the 64-processor prototype configuration.
 func DefaultConfig() Config {
 	return Config{

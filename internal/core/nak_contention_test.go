@@ -80,11 +80,11 @@ func TestNAKContentionBackoff(t *testing.T) {
 	// never do), and the merged figures are what by-value tables produced.
 	held := 0
 	for i, c := range mn.CPUs {
-		if (c.Stats.RetryLatency != nil) != (c.Stats.RetryStreak.Count() > 0) {
+		if (c.RetryLatency != nil) != (c.RetryStreak.Count() > 0) {
 			t.Errorf("cpu[%d]: retry histogram allocated=%v with %d retried references",
-				i, c.Stats.RetryLatency != nil, c.Stats.RetryStreak.Count())
+				i, c.RetryLatency != nil, c.RetryStreak.Count())
 		}
-		if c.Stats.RetryLatency != nil {
+		if c.RetryLatency != nil {
 			held++
 		}
 	}

@@ -75,7 +75,7 @@ func (m *Machine) Progress() *ProgressReport {
 			qs := nc.InQStats()
 			fmt.Fprintf(&b, "nc[%d]: busy inQ depth=%d (enq=%d max=%d) nakRetries=%d timeoutReissues=%d",
 				i, nc.InQDepth(), qs.Enqueued, qs.MaxDepth,
-				nc.Stats.NetNAKRetries.Value(), nc.Stats.TimeoutReissues.Value())
+				nc.Stats.NetNAKRetries, nc.Stats.TimeoutReissues)
 			if down > 0 {
 				fmt.Fprintf(&b, " fault-down=%d", down)
 			}
@@ -83,7 +83,7 @@ func (m *Machine) Progress() *ProgressReport {
 		}
 	}
 	for i, ri := range m.RIs {
-		drops, dups := ri.Drops.Value(), ri.Dups.Value()
+		drops, dups := ri.Drops, ri.Dups
 		if !ri.Idle() || drops > 0 || dups > 0 {
 			sk, nsk, in := ri.QueueStats()
 			fmt.Fprintf(&b, "ri[%d]: idle=%v (sink enq=%d maxdepth=%d, nonsink enq=%d maxdepth=%d, in enq=%d depth=%d maxdepth=%d) credits=%d drops=%d dups=%d\n",
@@ -92,19 +92,19 @@ func (m *Machine) Progress() *ProgressReport {
 		}
 	}
 	for i, lr := range m.Locals {
-		if !lr.Drained() || lr.FaultStalls.Value() > 0 {
+		if !lr.Drained() || lr.FaultStalls > 0 {
 			fmt.Fprintf(&b, "local ring %d: %d packets in slots, stalls=%d fault-stalls=%d\n",
-				i, lr.Occupied(), lr.Stalls.Value(), lr.FaultStalls.Value())
+				i, lr.Occupied(), lr.Stalls, lr.FaultStalls)
 		}
 	}
-	if m.Central != nil && (!m.Central.Drained() || m.Central.FaultStalls.Value() > 0) {
+	if m.Central != nil && (!m.Central.Drained() || m.Central.FaultStalls > 0) {
 		fmt.Fprintf(&b, "central ring: %d packets in slots, stalls=%d fault-stalls=%d\n",
-			m.Central.Occupied(), m.Central.Stalls.Value(), m.Central.FaultStalls.Value())
+			m.Central.Occupied(), m.Central.Stalls, m.Central.FaultStalls)
 	}
 	for i, iri := range m.IRIs {
-		if !iri.Idle() || iri.Drops.Value() > 0 {
+		if !iri.Idle() || iri.Drops > 0 {
 			fmt.Fprintf(&b, "iri[%d]: up=%d down=%d drops=%d\n",
-				i, iri.UpStats().Enqueued, iri.DownStats().Enqueued, iri.Drops.Value())
+				i, iri.UpStats().Enqueued, iri.DownStats().Enqueued, iri.Drops)
 		}
 	}
 	for i := 0; i < m.g.Stations(); i++ {

@@ -1,6 +1,16 @@
 package core
 
-import "numachine/internal/hist"
+import (
+	"fmt"
+	"io"
+	"reflect"
+
+	"numachine/internal/hist"
+	"numachine/internal/memory"
+	"numachine/internal/monitor"
+	"numachine/internal/netcache"
+	"numachine/internal/proc"
+)
 
 // Results aggregates the machine's monitoring hardware into the metrics
 // the paper reports: communication path utilizations (Figure 17), ring
@@ -22,8 +32,8 @@ type Results struct {
 	IRIUpDelay   float64
 	IRIDownDelay float64
 
-	NC    NCResults
-	Mem   MemResults
+	NC    netcache.Stats
+	Mem   memory.Stats
 	Proc  ProcResults
 	Fault FaultResults
 
@@ -130,93 +140,15 @@ type FaultResults struct {
 	NCDownCycles    int64 // network cache cycles lost to freeze windows
 }
 
-// NCResults aggregates network cache statistics across stations.
-type NCResults struct {
-	Requests      int64
-	HitsMigration int64
-	HitsCaching   int64
-	LocalInterv   int64
-	Combined      int64
-	Conflicts     int64
-	RemoteFetches int64
-	Retries       int64
-	FalseRemotes  int64
-	SpecialWrReqs int64
-	Ejections     int64
-	EjectWrBacks  int64
-	EjectLISilent int64
-}
-
-// HitRate is Figure 15's metric: requests satisfied locally (NC hits plus
-// local interventions) over total non-retry requests.
-func (n NCResults) HitRate() float64 {
-	if n.Requests == 0 {
-		return 0
-	}
-	return float64(n.HitsMigration+n.HitsCaching+n.LocalInterv) / float64(n.Requests)
-}
-
-// MigrationRate and CachingRate decompose the hit rate (Figure 15).
-func (n NCResults) MigrationRate() float64 {
-	if n.Requests == 0 {
-		return 0
-	}
-	return float64(n.HitsMigration) / float64(n.Requests)
-}
-
-// CachingRate is the caching-effect share of the hit rate.
-func (n NCResults) CachingRate() float64 {
-	if n.Requests == 0 {
-		return 0
-	}
-	return float64(n.HitsCaching+n.LocalInterv) / float64(n.Requests)
-}
-
-// CombiningRate is Figure 16's metric: concurrent same-line requests
-// masked out by a pending fetch, relative to all non-retry requests.
-func (n NCResults) CombiningRate() float64 {
-	if n.Requests == 0 {
-		return 0
-	}
-	return float64(n.Combined) / float64(n.Requests)
-}
-
-// FalseRemoteRate is Table 3's metric: the fraction of local requests to
-// the NC that caused a false remote request to the home memory.
-func (n NCResults) FalseRemoteRate() float64 {
-	if n.Requests == 0 {
-		return 0
-	}
-	return float64(n.FalseRemotes) / float64(n.Requests)
-}
-
-// MemResults aggregates memory module statistics across stations.
-type MemResults struct {
-	Transactions     int64
-	NAKs             int64
-	InvalidatesSent  int64
-	Interventions    int64
-	OptimisticAcks   int64
-	UpgradeDataSends int64
-	SpecialWrServed  int64
-	FalseRemotes     int64
-}
-
-// ProcResults aggregates processor statistics.
+// ProcResults is the processor section: proc's counters summed over
+// CPUs, beside the NAK-retry aggregates of their retry-latency histograms
+// and streak trackers. RetryLatency gives the first-issue-to-completion
+// latency of references NAK'ed at least once (percentiles via hist.Hist);
+// the streak fields summarize consecutive-NAK runs (how convoyed the
+// retries were).
 type ProcResults struct {
-	Reads, Writes  int64
-	L1Hits, L2Hits int64
-	Misses         int64
-	Upgrades       int64
-	WriteBacks     int64
-	NAKRetries     int64
-	StallCycles    int64
-	BarrierCycles  int64
+	proc.Stats
 
-	// NAK-retry visibility: RetryLatency histograms the first-issue-to-
-	// completion latency of references that were NAK'ed at least once
-	// (percentiles via hist.Hist); the streak fields summarize
-	// consecutive-NAK runs (how convoyed the retries were).
 	RetryLatency    hist.Hist
 	RetryStreaks    int64   // references that needed at least one retry
 	RetryStreakMean float64 // mean consecutive NAKs per retried reference
@@ -238,126 +170,164 @@ func (m *Machine) Results() Results {
 	r.BusUtil /= float64(len(m.Buses))
 	for _, lr := range m.Locals {
 		r.LocalRingUtil += lr.Util.Value()
+		r.Fault.RingFaultStalls += lr.FaultStalls
 	}
 	r.LocalRingUtil /= float64(len(m.Locals))
 	if m.Central != nil {
 		r.CentralRingUtil = m.Central.Util.Value()
+		r.Fault.RingFaultStalls += m.Central.FaultStalls
 	}
 
-	var sendN, downSinkN, downNonsinkN float64
+	var send, downSink, downNonsink, up, down pooledMean
 	for _, ri := range m.RIs {
-		if n := ri.SendDelay.Count(); n > 0 {
-			r.RISendDelay += ri.SendDelay.Mean() * float64(n)
-			sendN += float64(n)
-		}
-		if n := ri.DownSink.Count(); n > 0 {
-			r.RIDownSink += ri.DownSink.Mean() * float64(n)
-			downSinkN += float64(n)
-		}
-		if n := ri.DownNonsink.Count(); n > 0 {
-			r.RIDownNonsink += ri.DownNonsink.Mean() * float64(n)
-			downNonsinkN += float64(n)
-		}
+		send.add(&ri.SendDelay)
+		downSink.add(&ri.DownSink)
+		downNonsink.add(&ri.DownNonsink)
+		r.Fault.Drops += ri.Drops
+		r.Fault.Dups += ri.Dups
 	}
-	if sendN > 0 {
-		r.RISendDelay /= sendN
-	}
-	if downSinkN > 0 {
-		r.RIDownSink /= downSinkN
-	}
-	if downNonsinkN > 0 {
-		r.RIDownNonsink /= downNonsinkN
-	}
-	var upN, downN float64
 	for _, iri := range m.IRIs {
-		if n := iri.UpDelay.Count(); n > 0 {
-			r.IRIUpDelay += iri.UpDelay.Mean() * float64(n)
-			upN += float64(n)
-		}
-		if n := iri.DownDelay.Count(); n > 0 {
-			r.IRIDownDelay += iri.DownDelay.Mean() * float64(n)
-			downN += float64(n)
-		}
+		up.add(&iri.UpDelay)
+		down.add(&iri.DownDelay)
+		r.Fault.Drops += iri.Drops
 	}
-	if upN > 0 {
-		r.IRIUpDelay /= upN
-	}
-	if downN > 0 {
-		r.IRIDownDelay /= downN
-	}
+	r.RISendDelay, r.RIDownSink, r.RIDownNonsink = send.mean(), downSink.mean(), downNonsink.mean()
+	r.IRIUpDelay, r.IRIDownDelay = up.mean(), down.mean()
 
 	for _, nc := range m.NCs {
-		s := &nc.Stats
-		r.NC.Requests += s.Requests.Value()
-		r.NC.HitsMigration += s.HitsMigration.Value()
-		r.NC.HitsCaching += s.HitsCaching.Value()
-		r.NC.LocalInterv += s.LocalInterv.Value()
-		r.NC.Combined += s.Combined.Value()
-		r.NC.Conflicts += s.Conflicts.Value()
-		r.NC.RemoteFetches += s.RemoteFetches.Value()
-		r.NC.Retries += s.Retries.Value()
-		r.NC.FalseRemotes += s.FalseRemotes.Value()
-		r.NC.SpecialWrReqs += s.SpecialWrReqs.Value()
-		r.NC.Ejections += s.Ejections.Value()
-		r.NC.EjectWrBacks += s.EjectWrBacks.Value()
-		r.NC.EjectLISilent += s.EjectLISilent.Value()
+		addCounters(&r.NC, &nc.Stats)
+		r.Fault.NCDownCycles += nc.Fault.DownCycles(m.now - 1)
 	}
+	r.Fault.TimeoutReissues = r.NC.TimeoutReissues
 	for _, mem := range m.Mems {
-		s := &mem.Stats
-		r.Mem.Transactions += s.Transactions.Value()
-		r.Mem.NAKs += s.NAKs.Value()
-		r.Mem.InvalidatesSent += s.InvalidatesSent.Value()
-		r.Mem.Interventions += s.Interventions.Value()
-		r.Mem.OptimisticAcks += s.OptimisticAcks.Value()
-		r.Mem.UpgradeDataSends += s.UpgradeDataSends.Value()
-		r.Mem.SpecialWrServed += s.SpecialWrServed.Value()
-		r.Mem.FalseRemotes += s.FalseRemotes.Value()
+		addCounters(&r.Mem, &mem.Stats)
+		r.Fault.MemDownCycles += mem.Fault.DownCycles(m.now - 1)
 	}
 	for _, c := range m.CPUs {
-		s := &c.Stats
-		r.Proc.Reads += s.Reads.Value()
-		r.Proc.Writes += s.Writes.Value()
-		r.Proc.L1Hits += s.L1Hits.Value()
-		r.Proc.L2Hits += s.L2Hits.Value()
-		r.Proc.Misses += s.Misses.Value()
-		r.Proc.Upgrades += s.Upgrades.Value()
-		r.Proc.WriteBacks += s.WriteBacks.Value()
-		r.Proc.NAKRetries += s.NAKRetries.Value()
-		r.Proc.StallCycles += s.StallCycles.Value()
-		r.Proc.BarrierCycles += s.BarrierCycles.Value()
-		if s.RetryLatency != nil {
-			r.Proc.RetryLatency.Merge(s.RetryLatency)
+		addCounters(&r.Proc.Stats, &c.Stats)
+		if c.RetryLatency != nil {
+			r.Proc.RetryLatency.Merge(c.RetryLatency)
 		}
-		var streakSum float64
-		if n := s.RetryStreak.Count(); n > 0 {
-			streakSum = r.Proc.RetryStreakMean*float64(r.Proc.RetryStreaks) + s.RetryStreak.Mean()*float64(n)
+		if n := c.RetryStreak.Count(); n > 0 {
+			sum := r.Proc.RetryStreakMean*float64(r.Proc.RetryStreaks) + c.RetryStreak.Mean()*float64(n)
 			r.Proc.RetryStreaks += n
-			r.Proc.RetryStreakMean = streakSum / float64(r.Proc.RetryStreaks)
+			r.Proc.RetryStreakMean = sum / float64(r.Proc.RetryStreaks)
 		}
-		if mx := s.RetryStreak.Max(); mx > r.Proc.RetryStreakMax {
+		if mx := c.RetryStreak.Max(); mx > r.Proc.RetryStreakMax {
 			r.Proc.RetryStreakMax = mx
 		}
 	}
-
-	for _, ri := range m.RIs {
-		r.Fault.Drops += ri.Drops.Value()
-		r.Fault.Dups += ri.Dups.Value()
-	}
-	for _, iri := range m.IRIs {
-		r.Fault.Drops += iri.Drops.Value()
-	}
-	for _, nc := range m.NCs {
-		r.Fault.TimeoutReissues += nc.Stats.TimeoutReissues.Value()
-		r.Fault.NCDownCycles += nc.Fault.DownCycles(m.now - 1)
-	}
-	for _, mem := range m.Mems {
-		r.Fault.MemDownCycles += mem.Fault.DownCycles(m.now - 1)
-	}
-	for _, lr := range m.Locals {
-		r.Fault.RingFaultStalls += lr.FaultStalls.Value()
-	}
-	if m.Central != nil {
-		r.Fault.RingFaultStalls += m.Central.FaultStalls.Value()
-	}
 	return r
+}
+
+// addCounters adds every int64 field of src into dst. A component's stats
+// struct is its Results section, so this one sum is the whole copy from
+// monitors to report.
+func addCounters[T any](dst, src *T) {
+	d, s := reflect.ValueOf(dst).Elem(), reflect.ValueOf(src).Elem()
+	for i := range d.NumField() {
+		if f := d.Field(i); f.Kind() == reflect.Int64 {
+			f.SetInt(f.Int() + s.Field(i).Int())
+		}
+	}
+}
+
+// pooledMean is the mean over every sample of several samplers (a delay
+// section averaged across ring interfaces); 0 with no samples.
+type pooledMean struct{ sum, n float64 }
+
+func (p *pooledMean) add(s *monitor.Sampler) {
+	if n := s.Count(); n > 0 {
+		p.sum += s.Mean() * float64(n)
+		p.n += float64(n)
+	}
+}
+
+func (p *pooledMean) mean() float64 {
+	if p.n == 0 {
+		return 0
+	}
+	return p.sum / p.n
+}
+
+// WriteReport renders the statistics block of a run report from r alone:
+// numasim prints it after its run header and the telemetry page serves it
+// live. faults is the run's Config.FaultLabel; the fault line appears only
+// when it is non-empty, the NAK-retry line only when a reference was
+// retried, and the serving report only for a serving run.
+func (r *Results) WriteReport(w io.Writer, faults string) {
+	p, nc := &r.Proc, &r.NC
+	fmt.Fprintf(w, "references       %d reads, %d writes (L1 %d, L2 %d, misses %d, upgrades %d)\n",
+		p.Reads, p.Writes, p.L1Hits, p.L2Hits, p.Misses, p.Upgrades)
+	fmt.Fprintf(w, "stalls           %d memory, %d barrier cycles (all processors)\n",
+		p.StallCycles, p.BarrierCycles)
+	fmt.Fprintf(w, "network cache    hit %.1f%% (migration %.1f%%, caching %.1f%%), combining %.1f%%, false remote %.3f%%\n",
+		100*nc.HitRate(), 100*nc.MigrationRate(), 100*nc.CachingRate(),
+		100*nc.CombiningRate(), 100*nc.FalseRemoteRate())
+	fmt.Fprintf(w, "utilization      bus %.1f%%, local rings %.1f%%, central ring %.1f%%\n",
+		100*r.BusUtil, 100*r.LocalRingUtil, 100*r.CentralRingUtil)
+	fmt.Fprintf(w, "ring delays      send %.1f, down sink %.1f, down nonsink %.1f, IRI up %.1f cycles\n",
+		r.RISendDelay, r.RIDownSink, r.RIDownNonsink, r.IRIUpDelay)
+	fmt.Fprintf(w, "memory           %d transactions, %d invalidation multicasts, %d NAKs, %d optimistic acks\n",
+		r.Mem.Transactions, r.Mem.InvalidatesSent, r.Mem.NAKs, r.Mem.OptimisticAcks)
+	if faults != "" {
+		f := &r.Fault
+		fmt.Fprintf(w, "faults           %s: %d drops, %d dups, %d timeout re-issues, %d ring stall edges, mem down %d / nc down %d cycles\n",
+			faults, f.Drops, f.Dups, f.TimeoutReissues, f.RingFaultStalls, f.MemDownCycles, f.NCDownCycles)
+	}
+	if p.RetryStreaks > 0 {
+		h := &p.RetryLatency
+		fmt.Fprintf(w, "NAK retries      %d references retried (streak mean %.1f, max %d); latency p50/p95/p99 %d/%d/%d max %d cycles\n",
+			p.RetryStreaks, p.RetryStreakMean, p.RetryStreakMax,
+			h.Percentile(0.50), h.Percentile(0.95), h.Percentile(0.99), h.Max())
+	}
+	if r.Serve != nil {
+		r.Serve.WriteReport(w)
+	}
+}
+
+// WriteReport renders the human-readable serving report. The output is a
+// deterministic function of s alone — the equivalence tests compare these
+// bytes across cycle loops. The resilience lines appear only when the run
+// carried a resilience section, so zero-resilience reports keep their
+// exact historical bytes.
+func (s *ServeResults) WriteReport(w io.Writer) {
+	fmt.Fprintf(w, "serve            policy=%s discipline=%s seed=%d\n", s.Policy, s.Discipline, s.Seed)
+	fmt.Fprintf(w, "window           %d cycles, %d arrived, %d completed, %d dropped, throughput %.3f req/kcycle\n",
+		s.Cycles, s.Total.Arrived, s.Total.Completed, s.Total.Dropped, s.Throughput())
+	if s.Resilience != nil {
+		t := &s.Total
+		fmt.Fprintf(w, "resilience       %d timeouts, %d retries, %d failed, %d hedges (%d wins), %d shed, %d ejections, goodput %.3f req/kcycle\n",
+			t.Timeouts, t.Retries, t.Failed, t.Hedges, t.HedgeWins, t.Shed, s.Resilience.Ejections, s.GoodputPerKCycle())
+	}
+	writeServeGroups(w, "class", s.Classes)
+	writeServeGroups(w, "tenant", s.Tenants)
+	if s.Resilience != nil {
+		writeResilienceGroups(w, "class", s.Classes)
+		writeResilienceGroups(w, "tenant", s.Tenants)
+	}
+}
+
+func writeServeGroups(w io.Writer, kind string, groups []ServeGroup) {
+	fmt.Fprintf(w, "%-16s %8s %8s %8s %6s %8s %8s %8s %8s %8s\n",
+		kind, "arrived", "done", "dropped", "viol%", "q-p95", "p50", "p95", "p99", "max")
+	for i := range groups {
+		g := &groups[i]
+		fmt.Fprintf(w, "  %-14s %8d %8d %8d %5.1f%% %8d %8d %8d %8d %8d\n",
+			g.Name, g.Arrived, g.Completed, g.Dropped, 100*g.ViolationRate(),
+			g.Queued.Percentile(0.95), g.Latency.Percentile(0.50), g.Latency.Percentile(0.95),
+			g.Latency.Percentile(0.99), g.Latency.Max())
+	}
+}
+
+// writeResilienceGroups renders the per-group resilience counters; only
+// emitted for runs with a resilience section.
+func writeResilienceGroups(w io.Writer, kind string, groups []ServeGroup) {
+	fmt.Fprintf(w, "%-16s %8s %8s %8s %8s %8s %8s %8s\n",
+		kind, "timeout", "retry", "failed", "hedge", "wins", "shed", "goodput")
+	for i := range groups {
+		g := &groups[i]
+		fmt.Fprintf(w, "  %-14s %8d %8d %8d %8d %8d %8d %8d\n",
+			g.Name, g.Timeouts, g.Retries, g.Failed, g.Hedges, g.HedgeWins, g.Shed, g.Goodput())
+	}
 }

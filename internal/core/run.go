@@ -176,7 +176,7 @@ func (m *Machine) Run() int64 {
 			// no-progress check above did not fire).
 			if m.p.StarvationWindows > 0 {
 				for i, c := range m.CPUs {
-					r := c.Stats.Reads.Value() + c.Stats.Writes.Value()
+					r := c.Stats.Reads + c.Stats.Writes
 					if c.Stalled() && r == starveRefs[i] {
 						starveWins[i]++
 						if starveWins[i] >= m.p.StarvationWindows {
@@ -267,10 +267,10 @@ func (m *Machine) SampleStationHealth(dst []StationHealth) []StationHealth {
 		dst[i] = StationHealth{}
 	}
 	for i, c := range m.CPUs {
-		dst[m.g.StationOfProc(i)].NAKRetries += c.Stats.NAKRetries.Value()
+		dst[m.g.StationOfProc(i)].NAKRetries += c.Stats.NAKRetries
 	}
 	for s, nc := range m.NCs {
-		dst[s].TimeoutReissues += nc.Stats.TimeoutReissues.Value()
+		dst[s].TimeoutReissues += nc.Stats.TimeoutReissues
 	}
 	return dst
 }
@@ -365,7 +365,7 @@ func (m *Machine) quiescedThisCycle() bool {
 func (m *Machine) totalRefs() int64 {
 	var n int64
 	for _, c := range m.CPUs {
-		n += c.Stats.Reads.Value() + c.Stats.Writes.Value()
+		n += c.Stats.Reads + c.Stats.Writes
 	}
 	return n
 }

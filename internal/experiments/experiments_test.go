@@ -61,10 +61,11 @@ func TestSpeedupMonotoneOnKernel(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long")
 	}
-	pts, err := Speedup(core.DefaultConfig(), "lu-contig", 96, []int{1, 4, 16}, 1)
+	curves, err := SweepSpeedups(core.DefaultConfig(), []string{"lu-contig"}, map[string]int{"lu-contig": 96}, []int{1, 4, 16}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
+	pts := curves[0].Points
 	for i := 1; i < len(pts); i++ {
 		if pts[i].Speedup < pts[i-1].Speedup*0.9 {
 			t.Errorf("speedup dropped: P=%d %.2fx after P=%d %.2fx",

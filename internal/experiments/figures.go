@@ -105,28 +105,6 @@ func runOne(cfg core.Config, name string, nprocs, size, workers int) (RunResult,
 	return RunResult{Workload: name, Procs: nprocs, Cycles: cycles, Results: m.Results()}, nil
 }
 
-// Speedup measures the parallel speedup of one workload over the given
-// processor counts (Figures 13 and 14): T(1)/T(P) over the parallel
-// section, as in §4.3. The points are independent simulations and run on
-// up to workers goroutines (see parMap; 1 means serial, 0 GOMAXPROCS).
-func Speedup(cfg core.Config, name string, size int, procs []int, workers int) ([]SpeedupPoint, error) {
-	if len(procs) == 0 || procs[0] != 1 {
-		return nil, fmt.Errorf("speedup: processor counts must start at 1, got %v", procs)
-	}
-	runs, err := parMap(workers, len(procs), func(i int) (RunResult, error) {
-		return runOne(cfg, name, procs[i], size, workers)
-	})
-	if err != nil {
-		return nil, err
-	}
-	t1 := runs[0].Cycles
-	var out []SpeedupPoint
-	for i, p := range procs {
-		out = append(out, SpeedupPoint{Procs: p, Cycles: runs[i].Cycles, Speedup: float64(t1) / float64(runs[i].Cycles)})
-	}
-	return out, nil
-}
-
 // SpeedupSizes returns the default problem size for each workload in the
 // speedup sweeps: large enough for the curves to be meaningful, small
 // enough for single-host simulation (the scaling vs the paper's Table 2 is

@@ -37,21 +37,7 @@ func SweepServe(cfg core.Config, base string, seed uint64, policies, disciplines
 	}
 	out, err := parMap(workers, len(pts), func(i int) (*core.ServeResults, error) {
 		pt := pts[i]
-		spec := fmt.Sprintf("%s,open=%d,policy=%s,discipline=%s", base, pt.Load, pt.Policy, pt.Discipline)
-		sp, err := serve.ParseSpec(spec)
-		if err != nil {
-			return nil, err
-		}
-		m, err := core.New(cfg)
-		if err != nil {
-			return nil, err
-		}
-		ctl, err := serve.New(m, sp, seed)
-		if err != nil {
-			return nil, err
-		}
-		ctl.Run()
-		return m.Results().Serve, nil
+		return serveOnce(cfg, fmt.Sprintf("%s,open=%d,policy=%s,discipline=%s", base, pt.Load, pt.Policy, pt.Discipline), seed)
 	})
 	if err != nil {
 		return nil, err
@@ -60,6 +46,25 @@ func SweepServe(cfg core.Config, base string, seed uint64, policies, disciplines
 		pts[i].Report = out[i]
 	}
 	return pts, nil
+}
+
+// serveOnce runs one serving scenario on a fresh machine and returns its
+// serving report.
+func serveOnce(cfg core.Config, spec string, seed uint64) (*core.ServeResults, error) {
+	sp, err := serve.ParseSpec(spec)
+	if err != nil {
+		return nil, err
+	}
+	m, err := core.New(cfg)
+	if err != nil {
+		return nil, err
+	}
+	ctl, err := serve.New(m, sp, seed)
+	if err != nil {
+		return nil, err
+	}
+	ctl.Run()
+	return m.Results().Serve, nil
 }
 
 // FaultSchedule names one injected-fault scenario for the resilience
@@ -110,10 +115,6 @@ func SweepResilience(cfg core.Config, base, resilience string, seed, faultSeed u
 		if pt.Resilient {
 			spec += "," + resilience
 		}
-		sp, err := serve.ParseSpec(spec)
-		if err != nil {
-			return nil, err
-		}
 		pcfg := cfg
 		pcfg.FaultSpec = specOf[pt.Fault]
 		pcfg.FaultSeed = faultSeed
@@ -121,16 +122,7 @@ func SweepResilience(cfg core.Config, base, resilience string, seed, faultSeed u
 			pcfg.Params.RetryBackoff = true
 			pcfg.Params.RetryJitterSeed = faultSeed
 		}
-		m, err := core.New(pcfg)
-		if err != nil {
-			return nil, err
-		}
-		ctl, err := serve.New(m, sp, seed)
-		if err != nil {
-			return nil, err
-		}
-		ctl.Run()
-		return m.Results().Serve, nil
+		return serveOnce(pcfg, spec, seed)
 	})
 	if err != nil {
 		return nil, err

@@ -11,12 +11,12 @@ func TestSpeedupShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long")
 	}
-	cfg := core.DefaultConfig()
-	for _, wl := range []string{"barnes", "ocean", "lu-contig", "radix"} {
-		pts, err := Speedup(cfg, wl, SpeedupSizes()[wl], []int{1, 16, 64}, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		PrintSpeedup(os.Stdout, wl, pts)
+	curves, err := SweepSpeedups(core.DefaultConfig(), []string{"barnes", "ocean", "lu-contig", "radix"},
+		SpeedupSizes(), []int{1, 16, 64}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range curves {
+		PrintSpeedup(os.Stdout, c.Name, c.Points)
 	}
 }

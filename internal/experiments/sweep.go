@@ -64,7 +64,8 @@ type SpeedupCurve struct {
 	Points []SpeedupPoint
 }
 
-// SweepSpeedups measures the speedup curves of several workloads at once,
+// SweepSpeedups measures the speedup curves of several workloads
+// (Figures 13 and 14: T(1)/T(P) over the parallel section, as in §4.3),
 // fanning every (workload, P) point out across the worker pool — the unit
 // of parallelism is the simulation point, not the curve, so a figure's
 // sweep saturates the workers even when individual curves are short.

@@ -124,17 +124,18 @@ type txn struct {
 	ownerStation int
 }
 
-// Stats aggregates the memory module's monitoring hardware.
+// Stats is the memory module's dedicated counters (§3.3.1) and, summed
+// over stations field by field, the Mem section of core.Results: a counter
+// added here is reported with no other edit.
 type Stats struct {
-	Transactions     monitor.Counter
-	NAKs             monitor.Counter
-	InvalidatesSent  monitor.Counter // network invalidation multicasts
-	Interventions    monitor.Counter // bus + network interventions issued
-	OptimisticAcks   monitor.Counter // upgrades answered without data (§2.3)
-	UpgradeDataSends monitor.Counter // upgrades that had to carry data
-	SpecialWrServed  monitor.Counter // misfired optimistic upgrades (§4.6)
-	FalseRemotes     monitor.Counter // false remote requests bounced (Table 3)
-	Hist             *monitor.Table  // coherence histogram (§3.3.3)
+	Transactions     int64
+	NAKs             int64
+	InvalidatesSent  int64 // network invalidation multicasts
+	Interventions    int64 // bus + network interventions issued
+	OptimisticAcks   int64 // upgrades answered without data (§2.3)
+	UpgradeDataSends int64 // upgrades that had to carry data
+	SpecialWrServed  int64 // misfired optimistic upgrades (§4.6)
+	FalseRemotes     int64 // false remote requests bounced (Table 3)
 }
 
 // Module is one station's memory module.
@@ -178,6 +179,7 @@ type Module struct {
 	Msgs *msg.Pool[msg.Message]
 
 	Stats Stats
+	Hist  *monitor.Table // coherence histogram (§3.3.3)
 }
 
 // New builds the memory module for a station.
@@ -189,7 +191,7 @@ func New(g topo.Geometry, p sim.Params, station int) *Module {
 		dir:     make(map[uint64]*entry),
 		inQ:     sim.NewQueue[*msg.Message](0),
 		outQ:    sim.NewQueue[*msg.Message](0),
-		Stats:   Stats{Hist: monitor.NewTable(fmt.Sprintf("memory[%d] coherence histogram", station), HistRows, HistCols)},
+		Hist:    monitor.NewTable(fmt.Sprintf("memory[%d] coherence histogram", station), HistRows, HistCols),
 	}
 	return m
 }
@@ -320,7 +322,7 @@ func (m *Module) recordHist(t msg.Type, e *entry) {
 		if e.locked {
 			c += 4
 		}
-		m.Stats.Hist.Add(r, c)
+		m.Hist.Add(r, c)
 	}
 }
 
@@ -380,7 +382,7 @@ func (m *Module) busInval(now int64, line uint64, procs uint16) {
 // busInterv queues an intervention asking local owner to supply its dirty
 // copy; alsoProc (when >= 0) snarfs the response off the bus.
 func (m *Module) busInterv(now int64, line uint64, owner, alsoProc int, ex bool) {
-	m.Stats.Interventions.Inc()
+	m.Stats.Interventions++
 	out := m.Msgs.Get()
 	*out = msg.Message{
 		Type: msg.BusIntervention, Line: line, Home: m.Station,
@@ -399,7 +401,7 @@ func (m *Module) netInval(now int64, line uint64, mask topo.RoutingMask, id uint
 	if m.Mut == MutSkipNetInval {
 		return
 	}
-	m.Stats.InvalidatesSent.Inc()
+	m.Stats.InvalidatesSent++
 	out := m.Msgs.Get()
 	*out = msg.Message{
 		Type: msg.Invalidate, Line: line, Home: m.Station,
@@ -411,7 +413,7 @@ func (m *Module) netInval(now int64, line uint64, mask topo.RoutingMask, id uint
 }
 
 func (m *Module) nak(now int64, x *msg.Message) {
-	m.Stats.NAKs.Inc()
+	m.Stats.NAKs++
 	if x.SrcStation == m.Station && m.g.IsProcMod(x.SrcMod) {
 		m.toProc(now, msg.ProcNAK, x.SrcMod, x.Line, 0, x.Type)
 		return
@@ -435,7 +437,7 @@ func (m *Module) bounceOwnFalseRemote(e *entry, x *msg.Message, now int64) bool 
 	if !ok || owner != x.SrcStation {
 		return false
 	}
-	m.Stats.FalseRemotes.Inc()
+	m.Stats.FalseRemotes++
 	fr := m.toStation(now, msg.FalseRemoteResp, owner, x.Line, x)
 	fr.NakOf = x.Type
 	return true
@@ -478,7 +480,7 @@ func (m *Module) remoteSharers(mask topo.RoutingMask) bool {
 func (m *Module) handle(x *msg.Message, now int64) {
 	e := m.entry(x.Line)
 	m.recordHist(x.Type, e)
-	m.Stats.Transactions.Inc()
+	m.Stats.Transactions++
 	if m.Tr != nil {
 		st := int32(e.state)
 		if e.locked {
@@ -753,7 +755,7 @@ func (m *Module) remUpgd(e *entry, x *msg.Message, now int64) {
 	if e.state == GV && e.mask.Contains(m.g, src) && m.p.OptimisticUpgrades {
 		// Optimistic: the (possibly inexact) mask says the requester still
 		// has a valid copy, so answer with an acknowledgement only (§2.3).
-		m.Stats.OptimisticAcks.Inc()
+		m.Stats.OptimisticAcks++
 		t := m.txns.Get()
 		*t = txn{kind: msg.RemUpgd, requester: -1, reqStation: src, id: m.nextTxn(), waitInval: true, granted: true}
 		a := m.toStation(now, msg.NetUpgdAck, src, x.Line, x)
@@ -767,7 +769,7 @@ func (m *Module) remUpgd(e *entry, x *msg.Message, now int64) {
 	}
 	// The requester's copy was invalidated before the upgrade arrived (or
 	// the line is not shared): data must travel.
-	m.Stats.UpgradeDataSends.Inc()
+	m.Stats.UpgradeDataSends++
 	m.remReadEx(e, x, now, msg.RemUpgd)
 }
 
@@ -776,7 +778,7 @@ func (m *Module) specialWr(e *entry, x *msg.Message, now int64) {
 		m.nak(now, x)
 		return
 	}
-	m.Stats.SpecialWrServed.Inc()
+	m.Stats.SpecialWrServed++
 	if e.state == GI {
 		if owner, _ := e.mask.Exact(m.g); owner == x.SrcStation {
 			// Ownership was already granted by the optimistic ack; DRAM
@@ -1062,7 +1064,7 @@ func (m *Module) netNAKArrival(e *entry, x *msg.Message, now int64) {
 		n := m.toStation(now, msg.NetNAK, t.reqStation, x.Line, nil)
 		n.NakOf = t.kind
 	}
-	m.Stats.NAKs.Inc()
+	m.Stats.NAKs++
 	m.unlock(e)
 }
 

@@ -213,7 +213,7 @@ func TestOptimisticUpgrade(t *testing.T) {
 	h.remote(0x200, msg.RemRead, 2) // station 2 becomes a sharer
 	out := h.remote(0x200, msg.RemUpgd, 2)
 	expectTypes(t, out, msg.NetUpgdAck, msg.Invalidate)
-	if h.m.Stats.OptimisticAcks.Value() != 1 {
+	if h.m.Stats.OptimisticAcks != 1 {
 		t.Error("optimistic ack not counted")
 	}
 	h.deliver(&msg.Message{Type: msg.Invalidate, Line: 0x200, Home: 0,
@@ -229,7 +229,7 @@ func TestNonSharerUpgradeGetsData(t *testing.T) {
 	// one): the directory cannot confirm it, so data must travel.
 	out := h.remote(0x200, msg.RemUpgd, 3)
 	expectTypes(t, out, msg.NetDataEx, msg.Invalidate)
-	if h.m.Stats.UpgradeDataSends.Value() != 1 {
+	if h.m.Stats.UpgradeDataSends != 1 {
 		t.Error("upgrade-with-data not counted")
 	}
 }
@@ -262,7 +262,7 @@ func TestFalseRemoteBounce(t *testing.T) {
 	// The owner itself asks again (its NC ejected the entry): bounce.
 	out := h.remote(0x200, msg.RemRead, 2)
 	expectTypes(t, out, msg.FalseRemoteResp)
-	if h.m.Stats.FalseRemotes.Value() != 1 {
+	if h.m.Stats.FalseRemotes != 1 {
 		t.Error("false remote not counted")
 	}
 	if h.state(0x200) != GI {
@@ -294,8 +294,8 @@ func TestLockedLineNAKsAllRequests(t *testing.T) {
 	expectTypes(t, out, msg.ProcNAK)
 	out = h.remote(0x100, msg.RemRead, 3)
 	expectTypes(t, out, msg.NetNAK)
-	if h.m.Stats.NAKs.Value() != 2 {
-		t.Errorf("NAKs = %d, want 2", h.m.Stats.NAKs.Value())
+	if h.m.Stats.NAKs != 2 {
+		t.Errorf("NAKs = %d, want 2", h.m.Stats.NAKs)
 	}
 }
 
@@ -334,7 +334,7 @@ func TestCoherenceHistogramRecords(t *testing.T) {
 	h := newHarness(t)
 	h.localRead(0x100, 0)
 	h.localWrite(0x100, 0, msg.LocalUpgd)
-	hist := h.m.Stats.Hist
+	hist := h.m.Hist
 	if hist.Cell(0, 0) != 1 { // LocalRead at LV
 		t.Errorf("LocalRead@LV = %d, want 1", hist.Cell(0, 0))
 	}

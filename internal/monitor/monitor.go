@@ -1,15 +1,19 @@
 // Package monitor reproduces NUMAchine's non-intrusive performance
-// monitoring hardware (§3.3): dedicated counters for critical resources,
-// SRAM-based histogram tables that categorize events (such as the cache
-// coherence histogram of transaction type × line state), utilization
-// trackers for buses and ring links, and the per-processor phase identifier
-// that lets measurements be correlated with program phases.
+// monitoring hardware (§3.3) beyond its dedicated counters: SRAM-based
+// histogram tables that categorize events (such as the cache coherence
+// histogram of transaction type × line state), utilization trackers for
+// buses and ring links, latency samplers, and the per-processor phase
+// identifier that lets measurements be correlated with program phases.
+// The dedicated counters themselves are plain int64 fields of each
+// component's Stats struct, which is also that component's section of
+// core.Results — registers read in place, as the host reads the
+// hardware's.
 //
 // The monitoring is "non-intrusive" in the simulator too: components feed
 // the monitor, and nothing in the timing model depends on it.
 //
-// Concurrency contract: counters, utilization trackers, samplers and
-// tables are unsynchronized; each instance is owned by exactly one
+// Concurrency contract: utilization trackers, samplers and tables are
+// unsynchronized; each instance is owned by exactly one
 // component and inherits that component's phase under the
 // station-parallel cycle loop. The shared PhaseIDs register file is
 // written via Set from phase-1 workers — safe because each processor
@@ -22,12 +26,10 @@ import (
 	"strings"
 )
 
-// Counter is a simple event counter, the model of the dedicated hardware
-// counters (total transactions, invalidations sent, ...).
+// Counter is a simulator-side event counter with no hardware counterpart:
+// core.Machine.FastForwarded, the cycles quiescence fast-forwarding
+// skipped. Component counters are plain int64 Stats fields instead.
 type Counter struct{ n int64 }
-
-// Inc adds one event.
-func (c *Counter) Inc() { c.n++ }
 
 // Add adds n events.
 func (c *Counter) Add(n int64) { c.n += n }

@@ -7,7 +7,7 @@ import (
 
 func TestCounter(t *testing.T) {
 	var c Counter
-	c.Inc()
+	c.Add(1)
 	c.Add(4)
 	if c.Value() != 5 {
 		t.Errorf("counter = %d, want 5", c.Value())

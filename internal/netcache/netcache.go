@@ -96,26 +96,55 @@ type entry struct {
 // all NotIn, shared machine-wide, never written (see sim.Paged).
 var noEntries sim.Page[entry]
 
-// Stats aggregates the NC monitoring hardware, feeding Figures 15 and 16
-// and Table 3.
+// Stats is the NC's monitoring counters and, summed over stations field by
+// field, the NC section of core.Results (Figures 15 and 16, Table 3): a
+// counter added here is reported with no other edit. The json:"-" fields
+// were never part of that section's JSON and stay out of it, so every
+// recorded Results digest holds: NetNAKRetries feeds the stuck report and
+// TimeoutReissues is reported under Results.Fault.
 type Stats struct {
-	Requests        monitor.Counter // non-retry processor requests
-	HitsMigration   monitor.Counter // hits by a processor other than the fetcher
-	HitsCaching     monitor.Counter // hits by the fetching processor (L2 victim reuse)
-	LocalInterv     monitor.Counter // requests served by a local dirty copy
-	Combined        monitor.Counter // requests masked out by a pending same-line fetch
-	Conflicts       monitor.Counter // NAKs due to set conflicts with a locked entry
-	RemoteFetches   monitor.Counter // requests that had to go to the home memory
-	Retries         monitor.Counter // re-issued processor requests (excluded from rates)
-	NetNAKRetries   monitor.Counter // our remote requests NAK'ed by a locked home line
-	TimeoutReissues monitor.Counter // fetch requests re-issued after a loss timeout
-	FalseRemotes    monitor.Counter // recoveries after ejection lost directory info
-	SpecialWrReqs   monitor.Counter // optimistic upgrade misfires (§4.6)
-	Prefetches      monitor.Counter // background fetch hints (§3.1.4)
-	Ejections       monitor.Counter
-	EjectWrBacks    monitor.Counter // LV ejections written back to home
-	EjectLISilent   monitor.Counter // LI ejections dropping directory info (Table 3 source)
-	Hist            *monitor.Table
+	Requests        int64 // non-retry processor requests
+	HitsMigration   int64 // hits by a processor other than the fetcher
+	HitsCaching     int64 // hits by the fetching processor (L2 victim reuse)
+	LocalInterv     int64 // requests served by a local dirty copy
+	Combined        int64 // requests masked out by a pending same-line fetch
+	Conflicts       int64 // NAKs due to set conflicts with a locked entry
+	RemoteFetches   int64 // requests that had to go to the home memory
+	Retries         int64 // re-issued processor requests (excluded from rates)
+	NetNAKRetries   int64 `json:"-"` // our remote requests NAK'ed by a locked home line
+	TimeoutReissues int64 `json:"-"` // fetch requests re-issued after a loss timeout
+	FalseRemotes    int64 // recoveries after ejection lost directory info
+	SpecialWrReqs   int64 // optimistic upgrade misfires (§4.6)
+	Prefetches      int64 `json:"-"` // background fetch hints (§3.1.4)
+	Ejections       int64
+	EjectWrBacks    int64 // LV ejections written back to home
+	EjectLISilent   int64 // LI ejections dropping directory info (Table 3 source)
+}
+
+// HitRate is Figure 15's metric: requests satisfied locally (NC hits plus
+// local interventions) over total non-retry requests.
+func (s Stats) HitRate() float64 { return s.rate(s.HitsMigration + s.HitsCaching + s.LocalInterv) }
+
+// MigrationRate and CachingRate decompose the hit rate (Figure 15).
+func (s Stats) MigrationRate() float64 { return s.rate(s.HitsMigration) }
+
+// CachingRate is the caching-effect share of the hit rate.
+func (s Stats) CachingRate() float64 { return s.rate(s.HitsCaching + s.LocalInterv) }
+
+// CombiningRate is Figure 16's metric: concurrent same-line requests
+// masked out by a pending fetch, relative to all non-retry requests.
+func (s Stats) CombiningRate() float64 { return s.rate(s.Combined) }
+
+// FalseRemoteRate is Table 3's metric: the fraction of local requests to
+// the NC that caused a false remote request to the home memory.
+func (s Stats) FalseRemoteRate() float64 { return s.rate(s.FalseRemotes) }
+
+// rate divides n by the non-retry request count, 0 when there were none.
+func (s Stats) rate(n int64) float64 {
+	if s.Requests == 0 {
+		return 0
+	}
+	return float64(n) / float64(s.Requests)
 }
 
 // HistRows and HistCols label the NC coherence histogram.
@@ -197,6 +226,7 @@ type Module struct {
 	Msgs *msg.Pool[msg.Message]
 
 	Stats Stats
+	Hist  *monitor.Table // coherence histogram (§3.3.3)
 }
 
 // New builds the network cache for a station.
@@ -209,7 +239,7 @@ func New(g topo.Geometry, p sim.Params, station int) *Module {
 		sideTxns: make(map[uint64]*txn),
 		inQ:      sim.NewQueue[*msg.Message](0),
 		outQ:     sim.NewQueue[*msg.Message](0),
-		Stats:    Stats{Hist: monitor.NewTable(fmt.Sprintf("netcache[%d] coherence histogram", station), HistRows, HistCols)},
+		Hist:     monitor.NewTable(fmt.Sprintf("netcache[%d] coherence histogram", station), HistRows, HistCols),
 	}
 	// Seed unconditionally: the zero xorshift state would be degenerate.
 	// The constant tags the stream so NC jitter never collides with the
@@ -297,7 +327,7 @@ func (n *Module) recordHist(t msg.Type, e *entry) {
 			c += 4
 		}
 	}
-	n.Stats.Hist.Add(r, c)
+	n.Hist.Add(r, c)
 }
 
 // NextWork reports the earliest cycle at or after now at which Tick has
@@ -388,9 +418,9 @@ func (n *Module) fireRetries(now int64) {
 		t.retryAt = 0
 		if t.retryIsTimeout {
 			t.retryIsTimeout = false
-			n.Stats.TimeoutReissues.Inc()
+			n.Stats.TimeoutReissues++
 		} else {
-			n.Stats.NetNAKRetries.Inc()
+			n.Stats.NetNAKRetries++
 		}
 		n.sendHome(now, t.retryType, line, t)
 	}
@@ -509,19 +539,19 @@ func (n *Module) allocate(line uint64, home int, now int64) *entry {
 }
 
 func (n *Module) evict(e *entry, now int64) {
-	n.Stats.Ejections.Inc()
+	n.Stats.Ejections++
 	switch e.state {
 	case LV:
 		// The NC holds the only valid data in the system: it must travel
 		// home. Local processors may retain shared copies (no inclusion).
-		n.Stats.EjectWrBacks.Inc()
+		n.Stats.EjectWrBacks++
 		wb := n.toNet(now, msg.RemWrBack, int(e.home), int(e.home), e.line)
 		wb.Data, wb.HasData = e.data, true
 	case LI:
 		// The dirty copy lives in a local secondary cache; dropping the
 		// entry silently loses the directory information and later causes
 		// a false remote request (§4.6, Table 3).
-		n.Stats.EjectLISilent.Inc()
+		n.Stats.EjectLISilent++
 	}
 	e.valid = false
 }

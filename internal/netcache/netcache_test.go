@@ -91,12 +91,12 @@ func TestHitServedLocally(t *testing.T) {
 	h.fill(0x40, 7)
 	out := h.localReq(msg.LocalRead, 0x40, 2, false)
 	expectTypes(t, out, msg.ProcData)
-	if h.n.Stats.HitsMigration.Value() != 1 {
+	if h.n.Stats.HitsMigration != 1 {
 		t.Error("hit by another processor must count as migration effect")
 	}
 	out = h.localReq(msg.LocalRead, 0x40, 0, false)
 	expectTypes(t, out, msg.ProcData)
-	if h.n.Stats.HitsCaching.Value() != 1 {
+	if h.n.Stats.HitsCaching != 1 {
 		t.Error("re-read by the fetcher must count as caching effect")
 	}
 }
@@ -106,17 +106,17 @@ func TestCombiningNAKsConcurrentFetch(t *testing.T) {
 	h.localReq(msg.LocalRead, 0x40, 0, false) // fetch outstanding
 	out := h.localReq(msg.LocalRead, 0x40, 1, false)
 	expectTypes(t, out, msg.ProcNAK)
-	if h.n.Stats.Combined.Value() != 1 {
+	if h.n.Stats.Combined != 1 {
 		t.Error("concurrent same-line request must count as combining")
 	}
 	// Retries are excluded from the rates.
 	out = h.localReq(msg.LocalRead, 0x40, 1, true)
 	expectTypes(t, out, msg.ProcNAK)
-	if h.n.Stats.Combined.Value() != 1 {
+	if h.n.Stats.Combined != 1 {
 		t.Error("retry must not be double counted")
 	}
-	if h.n.Stats.Requests.Value() != 2 {
-		t.Errorf("requests = %d, want 2 non-retry", h.n.Stats.Requests.Value())
+	if h.n.Stats.Requests != 2 {
+		t.Errorf("requests = %d, want 2 non-retry", h.n.Stats.Requests)
 	}
 }
 
@@ -139,8 +139,8 @@ func TestCoherenceLocalizationLVWrite(t *testing.T) {
 	if st != LI || procs != 0b0100 {
 		t.Errorf("state %v procs %04b, want LI owned by proc 2", st, procs)
 	}
-	if h.n.Stats.RemoteFetches.Value() != 1 {
-		t.Errorf("remote fetches = %d; the LV write must not go home", h.n.Stats.RemoteFetches.Value())
+	if h.n.Stats.RemoteFetches != 1 {
+		t.Errorf("remote fetches = %d; the LV write must not go home", h.n.Stats.RemoteFetches)
 	}
 }
 
@@ -162,7 +162,7 @@ func TestLILocalIntervention(t *testing.T) {
 	if st != LV || procs != 0b0011 || data != 12 {
 		t.Errorf("state %v procs %04b data %d after local intervention", st, procs, data)
 	}
-	if h.n.Stats.LocalInterv.Value() != 1 {
+	if h.n.Stats.LocalInterv != 1 {
 		t.Error("local intervention not counted")
 	}
 }
@@ -213,7 +213,7 @@ func TestNetNAKSchedulesRetry(t *testing.T) {
 		SrcStation: 0, NakOf: msg.RemRead})
 	// After the retry delay the request is re-issued.
 	expectTypes(t, out, msg.RemRead)
-	if h.n.Stats.NetNAKRetries.Value() != 1 {
+	if h.n.Stats.NetNAKRetries != 1 {
 		t.Error("network retry not counted")
 	}
 }
@@ -229,7 +229,7 @@ func TestFalseRemoteRecovery(t *testing.T) {
 	if out[0].BusProcs != 0b1110 {
 		t.Errorf("recovery broadcast %04b, want all but requester", out[0].BusProcs)
 	}
-	if h.n.Stats.FalseRemotes.Value() != 1 {
+	if h.n.Stats.FalseRemotes != 1 {
 		t.Error("false remote not counted")
 	}
 	// Proc 2 had the dirty copy.
@@ -334,7 +334,7 @@ func TestEjectionWritesBackLV(t *testing.T) {
 	if out[0].Data != 10 || out[0].DstStation != 0 {
 		t.Fatalf("ejection write-back %+v", out[0])
 	}
-	if h.n.Stats.EjectWrBacks.Value() != 1 {
+	if h.n.Stats.EjectWrBacks != 1 {
 		t.Error("LV ejection write-back not counted")
 	}
 }
@@ -348,7 +348,7 @@ func TestEjectionDropsLISilently(t *testing.T) {
 	conflict := uint64(0x40 + 16*64)
 	out := h.localReq(msg.LocalRead, conflict, 1, false)
 	expectTypes(t, out, msg.RemRead) // no write-back: directory info lost
-	if h.n.Stats.EjectLISilent.Value() != 1 {
+	if h.n.Stats.EjectLISilent != 1 {
 		t.Error("silent LI ejection not counted (the Table 3 mechanism)")
 	}
 	if _, _, _, _, ok := h.n.Peek(0x40); ok {
@@ -410,7 +410,7 @@ func TestUpgradeMisfireSendsSpecialWriteRequest(t *testing.T) {
 	out = h.deliver(&msg.Message{Type: msg.NetUpgdAck, Line: 0x40, Home: 0,
 		SrcStation: 0, InvalFollows: true, TxnID: 6})
 	expectTypes(t, out, msg.SpecialWrReq)
-	if h.n.Stats.SpecialWrReqs.Value() != 1 {
+	if h.n.Stats.SpecialWrReqs != 1 {
 		t.Error("special write request not counted")
 	}
 	out = h.deliver(&msg.Message{Type: msg.NetDataEx, Line: 0x40, Home: 0,
@@ -446,7 +446,7 @@ func TestPrefetchFillsWithoutGranting(t *testing.T) {
 	// A later read hits the prefetched line.
 	out = h.localReq(msg.LocalRead, 0x40, 2, false)
 	expectTypes(t, out, msg.ProcData)
-	if h.n.Stats.Prefetches.Value() != 1 {
+	if h.n.Stats.Prefetches != 1 {
 		t.Error("prefetch not counted")
 	}
 }

@@ -64,9 +64,9 @@ func (n *Module) countHit(e *entry, req int, retry bool) {
 		return
 	}
 	if e.broughtBy >= 0 && int(e.broughtBy) != req {
-		n.Stats.HitsMigration.Inc()
+		n.Stats.HitsMigration++
 	} else {
-		n.Stats.HitsCaching.Inc()
+		n.Stats.HitsCaching++
 	}
 }
 
@@ -77,16 +77,16 @@ func (n *Module) localReq(x *msg.Message, now int64) {
 	e := n.lookup(x.Line)
 	n.recordHist(x.Type, e)
 	if !x.Retry {
-		n.Stats.Requests.Inc()
+		n.Stats.Requests++
 	} else {
-		n.Stats.Retries.Inc()
+		n.Stats.Retries++
 	}
 
 	if e == nil {
 		e = n.allocate(x.Line, x.Home, now)
 		if e == nil {
 			if !x.Retry {
-				n.Stats.Conflicts.Inc()
+				n.Stats.Conflicts++
 			}
 			n.toProc(now, msg.ProcNAK, req, x.Line, 0, x.Type)
 			return
@@ -100,9 +100,9 @@ func (n *Module) localReq(x *msg.Message, now int64) {
 			if e.txn != nil && e.txn.kind == txnFetch {
 				// A fetch for the same line is already outstanding: this
 				// request is combined with it (§4.5's combining effect).
-				n.Stats.Combined.Inc()
+				n.Stats.Combined++
 			} else {
-				n.Stats.Conflicts.Inc()
+				n.Stats.Conflicts++
 			}
 		}
 		n.toProc(now, msg.ProcNAK, req, x.Line, 0, x.Type)
@@ -134,7 +134,7 @@ func (n *Module) localReq(x *msg.Message, now int64) {
 			// GV: the NC holds valid data but ownership must come from the
 			// home memory; an acknowledgement-only upgrade suffices.
 			if !x.Retry {
-				n.Stats.RemoteFetches.Inc()
+				n.Stats.RemoteFetches++
 			}
 			t := n.txns.Get()
 			*t = txn{kind: txnFetch, origType: msg.RemUpgd, reqProc: req,
@@ -146,7 +146,7 @@ func (n *Module) localReq(x *msg.Message, now int64) {
 		// A local secondary cache holds the line dirty: local intervention,
 		// no home traffic (§4.5).
 		if !x.Retry {
-			n.Stats.LocalInterv.Inc()
+			n.Stats.LocalInterv++
 		}
 		owner := onlyBit(e.procs)
 		if owner == req {
@@ -174,7 +174,7 @@ func (n *Module) localReq(x *msg.Message, now int64) {
 // fetch with no waiting processor. Hits, locked entries and conflicts are
 // silently dropped — prefetching is only a hint.
 func (n *Module) prefetch(x *msg.Message, now int64) {
-	n.Stats.Prefetches.Inc()
+	n.Stats.Prefetches++
 	if e := n.lookup(x.Line); e != nil && (e.locked || e.state == LV || e.state == LI || e.state == GV) {
 		return // present or being fetched
 	}
@@ -192,7 +192,7 @@ func (n *Module) prefetch(x *msg.Message, now int64) {
 // startFetch locks the entry and sends the appropriate request home.
 func (n *Module) startFetch(e *entry, x *msg.Message, now int64) {
 	if !x.Retry {
-		n.Stats.RemoteFetches.Inc()
+		n.Stats.RemoteFetches++
 	}
 	req := x.SrcMod
 	var rt msg.Type
@@ -225,11 +225,6 @@ func (n *Module) localWrBack(x *msg.Message, now int64) {
 	e := n.lookup(x.Line)
 	n.recordHist(msg.LocalWrBack, e)
 	if e == nil {
-		if !n.p.NCEnabled {
-			wb := n.toNet(now, msg.RemWrBack, x.Home, x.Home, x.Line)
-			wb.Data, wb.HasData = x.Data, true
-			return
-		}
 		e = n.allocate(x.Line, x.Home, now)
 		if e == nil {
 			// Slot held by a locked entry: the dirty data must not be lost,
@@ -482,7 +477,7 @@ func (n *Module) netUpgdAck(x *msg.Message, now int64) {
 		// §4.6: the directory's inexact mask said we still held a copy, but
 		// it was invalidated before the acknowledgement arrived. Ownership
 		// is ours yet the data is gone: issue the special write request.
-		n.Stats.SpecialWrReqs.Inc()
+		n.Stats.SpecialWrReqs++
 		t.upgdAck = false
 		t.expectInvalID = x.TxnID
 		t.needInval = n.p.SCLocking
@@ -535,7 +530,7 @@ func (n *Module) falseRemote(x *msg.Message, now int64) {
 	}
 	// The home memory says this station already owns the line: recover by
 	// intervening locally (the directory information was lost to ejection).
-	n.Stats.FalseRemotes.Inc()
+	n.Stats.FalseRemotes++
 	t.kind = txnRecover
 	t.retryAt = 0 // cancel any scheduled re-issue of the bounced request
 	t.ex = x.NakOf != msg.RemRead
@@ -566,9 +561,6 @@ func (n *Module) maybeCompleteFetch(e *entry, now int64) {
 	}
 	if t.granted && (t.expectInvalID == 0 || t.invalSeen) {
 		n.clearTxn(e)
-		if !n.p.NCEnabled && e.state == GV {
-			e.valid = false // ablation: the NC retains nothing it need not
-		}
 	}
 }
 

@@ -24,28 +24,23 @@ const (
 	sDone
 )
 
-// Stats collects the processor-module monitoring counters.
+// Stats is the processor module's counters and, summed over processors
+// field by field, the counter half of core.Results' Proc section: a
+// counter added here is reported with no other edit. The json:"-" fields
+// were never part of that section's JSON and stay out of it, so every
+// recorded Results digest holds.
 type Stats struct {
-	Reads, Writes  monitor.Counter
-	L1Hits         monitor.Counter
-	L2Hits         monitor.Counter
-	Misses         monitor.Counter
-	Upgrades       monitor.Counter
-	WriteBacks     monitor.Counter
-	NAKRetries     monitor.Counter
-	UpgradeRefetch monitor.Counter // upgrade acked after our copy died; refetched
-	Interventions  monitor.Counter // served from our dirty L2
-	StallCycles    monitor.Counter // cycles blocked on the memory system
-	BarrierCycles  monitor.Counter
-
-	// RetryLatency histograms the issue-to-completion latency of
-	// references that were NAK'ed at least once; RetryStreak samples how
-	// many consecutive NAKs each such reference absorbed. Together they
-	// make retry convoys visible in the results and telemetry. The
-	// histogram is 3.9 KB and most CPUs of most runs never retry, so it is
-	// allocated by the first such completion (nil until then).
-	RetryLatency *hist.Hist
-	RetryStreak  monitor.Sampler
+	Reads, Writes  int64
+	L1Hits         int64
+	L2Hits         int64
+	Misses         int64
+	Upgrades       int64
+	WriteBacks     int64
+	NAKRetries     int64
+	UpgradeRefetch int64 `json:"-"` // upgrade acked after our copy died; refetched
+	Interventions  int64 `json:"-"` // served from our dirty L2
+	StallCycles    int64 // cycles blocked on the memory system
+	BarrierCycles  int64
 }
 
 // CPU is one processor module: R4400-like core + primary cache model +
@@ -138,6 +133,15 @@ type CPU struct {
 	phaseTxns *[256]int64
 
 	Stats Stats
+
+	// RetryLatency histograms the issue-to-completion latency of
+	// references that were NAK'ed at least once; RetryStreak samples how
+	// many consecutive NAKs each such reference absorbed. Together they
+	// make retry convoys visible in the results and telemetry. The
+	// histogram is 3.9 KB and most CPUs of most runs never retry, so it is
+	// allocated by the first such completion (nil until then).
+	RetryLatency *hist.Hist
+	RetryStreak  monitor.Sampler
 }
 
 // New builds a processor module. l1Lines of 0 disables the primary-cache
@@ -252,9 +256,9 @@ func (c *CPU) syncStats(limit int64) {
 	d := limit - c.statsAt + 1
 	switch c.st {
 	case sWaitMem, sWaitInterrupt, sWaitRetry:
-		c.Stats.StallCycles.Add(d)
+		c.Stats.StallCycles += d
 	case sWaitBarrier:
-		c.Stats.BarrierCycles.Add(d)
+		c.Stats.BarrierCycles += d
 	}
 	c.statsAt = limit + 1
 }
@@ -271,14 +275,14 @@ func (c *CPU) Tick(now int64) {
 	case sDone:
 		return
 	case sWaitMem, sWaitInterrupt:
-		c.Stats.StallCycles.Inc()
+		c.Stats.StallCycles++
 		return
 	case sWaitBarrier:
-		c.Stats.BarrierCycles.Inc()
+		c.Stats.BarrierCycles++
 		return
 	case sWaitRetry:
 		if now < c.retryAt {
-			c.Stats.StallCycles.Inc()
+			c.Stats.StallCycles++
 			return
 		}
 		c.issue(now, true)
@@ -369,11 +373,11 @@ func (c *CPU) process(ref Ref, now int64) {
 		c.st = sWaitInterrupt
 		c.sendKill(now)
 	case RefRead:
-		c.Stats.Reads.Inc()
+		c.Stats.Reads++
 		c.curLine = c.l2.Align(ref.Addr)
 		c.startRead(now)
 	case RefWrite, RefTAS, RefFetchAdd:
-		c.Stats.Writes.Inc()
+		c.Stats.Writes++
 		c.curLine = c.l2.Align(ref.Addr)
 		c.startWrite(now)
 	default:
@@ -388,10 +392,10 @@ func (c *CPU) process(ref Ref, now int64) {
 // classify through it, so a hit costs the same whichever side resolves it.
 func (c *CPU) hitCost(line uint64) int64 {
 	if c.l1 != nil && c.l1.Probe(line) != nil {
-		c.Stats.L1Hits.Inc()
+		c.Stats.L1Hits++
 		return 1
 	}
-	c.Stats.L2Hits.Inc()
+	c.Stats.L2Hits++
 	c.l1Fill(line)
 	return int64(c.p.L2HitCycles)
 }
@@ -402,7 +406,7 @@ func (c *CPU) startRead(now int64) {
 		c.thinkUntil = now + c.hitCost(c.curLine)
 		return
 	}
-	c.Stats.Misses.Inc()
+	c.Stats.Misses++
 	c.issue(now, false)
 }
 
@@ -414,9 +418,9 @@ func (c *CPU) startWrite(now int64) {
 		return
 	}
 	if l := c.l2.Probe(c.curLine); l != nil && l.State == cache.Shared {
-		c.Stats.Upgrades.Inc()
+		c.Stats.Upgrades++
 	} else {
-		c.Stats.Misses.Inc()
+		c.Stats.Misses++
 	}
 	c.issue(now, false)
 }
@@ -437,7 +441,7 @@ func (c *CPU) newValue(old uint64) uint64 {
 // it after a NAK when retry is set).
 func (c *CPU) issue(now int64, retry bool) {
 	if retry {
-		c.Stats.NAKRetries.Inc()
+		c.Stats.NAKRetries++
 	} else {
 		c.firstIssueAt = now
 	}
@@ -555,7 +559,7 @@ func (c *CPU) fill(st cache.State, data uint64, now int64) {
 }
 
 func (c *CPU) writeBack(victim cache.Line, now int64) {
-	c.Stats.WriteBacks.Inc()
+	c.Stats.WriteBacks++
 	c.Tr.Emit(now, trace.KindWriteBack, victim.Addr, 0, 0, 0)
 	home := c.HomeOf(victim.Addr)
 	dst := c.g.ModNC()
@@ -598,11 +602,11 @@ func (c *CPU) retryDone(now int64) {
 	if c.nakStreak == 0 {
 		return
 	}
-	c.Stats.RetryStreak.Sample(int64(c.nakStreak))
-	if c.Stats.RetryLatency == nil {
-		c.Stats.RetryLatency = new(hist.Hist)
+	c.RetryStreak.Sample(int64(c.nakStreak))
+	if c.RetryLatency == nil {
+		c.RetryLatency = new(hist.Hist)
 	}
-	c.Stats.RetryLatency.Add(now - c.firstIssueAt)
+	c.RetryLatency.Add(now - c.firstIssueAt)
 	c.nakStreak = 0
 }
 
@@ -647,7 +651,7 @@ func (c *CPU) BusDeliver(m *msg.Message, now int64) {
 		if l == nil {
 			// Our shared copy died while the upgrade was in flight; the ack
 			// grants ownership of data we no longer hold. Fetch it.
-			c.Stats.UpgradeRefetch.Inc()
+			c.Stats.UpgradeRefetch++
 			c.send(msg.LocalReadEx, now, false)
 			return
 		}
@@ -717,7 +721,7 @@ func (c *CPU) serveIntervention(m *msg.Message, now int64) {
 		ex = 1
 	}
 	if l != nil && l.State == cache.Dirty {
-		c.Stats.Interventions.Inc()
+		c.Stats.Interventions++
 		c.Tr.Emit(now, trace.KindInterv, m.Line, m.TxnID, 1, ex)
 		resp.Type = msg.IntervResp
 		resp.Data, resp.HasData = l.Data, true

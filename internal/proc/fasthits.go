@@ -121,7 +121,7 @@ func (c *Ctx) fastRead(addr uint64) (uint64, bool) {
 		f.missState++
 		return 0, false
 	}
-	f.cpu.Stats.Reads.Inc()
+	f.cpu.Stats.Reads++
 	c.pending += f.cpu.hitCost(line)
 	f.lastProbe = u
 	f.resolved++
@@ -148,7 +148,7 @@ func (c *Ctx) fastWrite(addr, v uint64) bool {
 		f.missState++
 		return false
 	}
-	f.cpu.Stats.Writes.Inc()
+	f.cpu.Stats.Writes++
 	l.Data = v
 	c.pending += f.cpu.hitCost(line)
 	f.lastProbe = u

@@ -184,7 +184,7 @@ func TestUpgradeAckAfterInvalRefetches(t *testing.T) {
 	if len(out) != 1 || out[0].Type != msg.LocalReadEx {
 		t.Fatalf("misfired ack must refetch exclusively, got %v", out)
 	}
-	if c.Stats.UpgradeRefetch.Value() != 1 {
+	if c.Stats.UpgradeRefetch != 1 {
 		t.Error("refetch not counted")
 	}
 	c.BusDeliver(&msg.Message{Type: msg.ProcDataEx, Line: 0x1000, Data: 1}, now)
@@ -202,7 +202,7 @@ func TestNAKRetries(t *testing.T) {
 	if len(out) != 1 || out[0].Type != msg.LocalRead || !out[0].Retry {
 		t.Fatalf("retry issued %v, want marked LocalRead", out)
 	}
-	if c.Stats.NAKRetries.Value() != 1 {
+	if c.Stats.NAKRetries != 1 {
 		t.Error("retry not counted")
 	}
 }
@@ -224,12 +224,12 @@ func TestMonitoringTablesAllocateOnFirstUse(t *testing.T) {
 	c := newCPU(func(ctx *Ctx) { ctx.Read(0x1000) })
 	txns := map[uint8]int64{}
 	c.AddPhaseTransactions(txns)
-	if c.phaseTxns != nil || c.Stats.RetryLatency != nil || len(txns) != 0 {
+	if c.phaseTxns != nil || c.RetryLatency != nil || len(txns) != 0 {
 		t.Fatalf("idle CPU holds monitoring state: phaseTxns=%v RetryLatency=%v txns=%v",
-			c.phaseTxns != nil, c.Stats.RetryLatency != nil, txns)
+			c.phaseTxns != nil, c.RetryLatency != nil, txns)
 	}
 	now, _ := runCPU(c, 0, 10) // the miss is issued: one transaction in phase 0
-	if c.Stats.RetryLatency != nil {
+	if c.RetryLatency != nil {
 		t.Error("retry-latency histogram allocated before any retried reference completed")
 	}
 	c.BusDeliver(&msg.Message{Type: msg.ProcNAK, Line: 0x1000, NakOf: msg.LocalRead}, now)
@@ -243,7 +243,7 @@ func TestMonitoringTablesAllocateOnFirstUse(t *testing.T) {
 	if txns[0] != 2 || len(txns) != 1 {
 		t.Errorf("phase transactions %v, want the request and its retry in phase 0", txns)
 	}
-	if h := c.Stats.RetryLatency; h == nil || h.Count() != 1 || h.Count() != c.Stats.RetryStreak.Count() {
+	if h := c.RetryLatency; h == nil || h.Count() != 1 || h.Count() != c.RetryStreak.Count() {
 		t.Errorf("retry-latency histogram %+v, want the one retried reference", h)
 	}
 }
@@ -335,11 +335,11 @@ func TestL1FilterCountsHits(t *testing.T) {
 	now, _ := runCPU(c, 0, 10)
 	c.BusDeliver(&msg.Message{Type: msg.ProcData, Line: 0x1000, Data: 5}, now)
 	runCPU(c, now, 100)
-	if c.Stats.L1Hits.Value() != 2 {
-		t.Errorf("L1 hits = %d, want 2", c.Stats.L1Hits.Value())
+	if c.Stats.L1Hits != 2 {
+		t.Errorf("L1 hits = %d, want 2", c.Stats.L1Hits)
 	}
-	if c.Stats.Misses.Value() != 1 {
-		t.Errorf("misses = %d, want 1", c.Stats.Misses.Value())
+	if c.Stats.Misses != 1 {
+		t.Errorf("misses = %d, want 1", c.Stats.Misses)
 	}
 }
 

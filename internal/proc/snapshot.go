@@ -8,8 +8,8 @@ import (
 // Encode appends the CPU's behaviorally relevant state to a canonical
 // encoding (see internal/snap and DESIGN.md "Verification").
 //
-// Excluded as monitoring-only: Stats, finishAt, statsAt, firstIssueAt,
-// phase/phaseTxns. Excluded because the model checker runs with the
+// Excluded as monitoring-only: Stats, RetryLatency/RetryStreak, finishAt,
+// statsAt, firstIssueAt, phase/phaseTxns. Excluded because the model checker runs with the
 // front-end fast path off: epoch, fastGuard. Excluded because the checker
 // runs with RetryBackoff off or RetryChoice installed (the jitter stream is
 // never drawn): retryRNG. The workload coroutine itself carries no hidden

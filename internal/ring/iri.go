@@ -40,7 +40,7 @@ type IRI struct {
 	// the drop cannot wedge the sender's nonsinkable budget. Drops counts
 	// the injected losses.
 	Fault *fault.Comp
-	Drops monitor.Counter
+	Drops int64
 
 	// Tr is the structured-event trace sink (nil when tracing is off).
 	// Switch events fire only on pushes into the up/down FIFOs, which
@@ -116,7 +116,7 @@ func (l localPort) HandleSlot(pkt *msg.Packet, now int64) *msg.Packet {
 			// happens only for droppable types on an occupied-slot
 			// edge, which every cycle loop ticks.
 			if pkt.Msg.Type.Droppable() && i.Fault.Drop() {
-				i.Drops.Inc()
+				i.Drops++
 				i.Tr.Emit(now, trace.KindFaultDrop, pkt.Msg.Line, pkt.Msg.TxnID,
 					int32(pkt.Msg.Type), 1)
 				if i.credits != nil {
@@ -176,7 +176,7 @@ func (c centralPort) HandleSlot(pkt *msg.Packet, now int64) *msg.Packet {
 			// requests are unicast, so clearing this ring's bit
 			// normally consumes the packet and frees its credit.
 			if pkt.Msg.Type.Droppable() && i.Fault.Drop() {
-				i.Drops.Inc()
+				i.Drops++
 				i.Tr.Emit(now, trace.KindFaultDrop, pkt.Msg.Line, pkt.Msg.TxnID,
 					int32(pkt.Msg.Type), 2)
 				pkt.Mask.Rings &^= 1 << uint(i.RingID)

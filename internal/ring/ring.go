@@ -72,13 +72,13 @@ type Ring struct {
 	// the ring utilization of Figure 17.
 	Util monitor.Utilization
 	// Stalls counts ring-halt ticks due to flow control.
-	Stalls monitor.Counter
+	Stalls int64
 
 	// Fault, when non-nil, degrades the ring: edges inside the injector's
 	// outage windows are halted like flow-control stalls. FaultStalls
 	// counts the edges lost to degradation.
 	Fault       *fault.Comp
-	FaultStalls monitor.Counter
+	FaultStalls int64
 
 	// Tr is the structured-event trace sink (nil when tracing is off).
 	// Ring events are emitted only from edges every cycle loop ticks —
@@ -181,7 +181,7 @@ func (r *Ring) Tick(now int64) {
 	r.edgeAt = now + r.hop()
 	for _, n := range r.nodes {
 		if n.InputFull() {
-			r.Stalls.Inc()
+			r.Stalls++
 			r.Tr.Emit(now, trace.KindRingStall, 0, 0, int32(r.Occupied()), 0)
 			return
 		}
@@ -192,7 +192,7 @@ func (r *Ring) Tick(now int64) {
 	// same set of edges and stall counts and traces stay loop-invariant;
 	// a workless edge inside an outage window moves nothing anyway.
 	if r.Fault.Stalled(now) && r.hasWork(now) {
-		r.FaultStalls.Inc()
+		r.FaultStalls++
 		r.Tr.Emit(now, trace.KindFaultStall, 0, 0, int32(r.Occupied()), 0)
 		return
 	}

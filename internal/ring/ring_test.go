@@ -82,11 +82,11 @@ func TestDataMessageUsesMultiplePackets(t *testing.T) {
 	m := &msg.Message{Type: msg.NetData, Home: 1, SrcStation: 0, DstStation: 1, HasData: true}
 	ris[0].BusDeliver(m, 0)
 	runRing(r, ris, 0, 60)
-	if got := ris[0].Injected.Value(); got != int64(1+p.PacketsPerLine) {
+	if got := ris[0].Injected; got != int64(1+p.PacketsPerLine) {
 		t.Errorf("injected %d packets, want %d", got, 1+p.PacketsPerLine)
 	}
-	if ris[1].Delivered.Value() != 1 {
-		t.Errorf("delivered %d messages, want 1 (reassembled)", ris[1].Delivered.Value())
+	if ris[1].Delivered != 1 {
+		t.Errorf("delivered %d messages, want 1 (reassembled)", ris[1].Delivered)
 	}
 }
 

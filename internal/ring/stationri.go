@@ -100,16 +100,16 @@ type StationRI struct {
 	DownNonsink monitor.Sampler // arrival->bus-handoff, nonsinkable
 	// Delivered counts messages handed to the bus; Injected counts packets
 	// placed on the ring.
-	Delivered monitor.Counter
-	Injected  monitor.Counter
+	Delivered int64
+	Injected  int64
 
 	// Fault, when non-nil, injects transient packet faults at this
 	// interface: droppable requests vanish at injection time, and
 	// dup-safe responses are packetized twice. Drops and Dups count the
 	// injected faults.
 	Fault *fault.Comp
-	Drops monitor.Counter
-	Dups  monitor.Counter
+	Drops int64
+	Dups  int64
 
 	// Tr is the structured-event trace sink (nil when tracing is off).
 	// BusDeliver emits from the owning station's phase-1 worker; the
@@ -175,7 +175,7 @@ func (r *StationRI) BusDeliver(m *msg.Message, now int64) {
 	copies := 1
 	if m.Type.DupSafe() && r.Fault.Dup() {
 		copies = 2
-		r.Dups.Inc()
+		r.Dups++
 		r.Tr.Emit(now, trace.KindFaultDup, m.Line, m.TxnID, int32(m.Type), int32(n))
 	}
 	// Seed the reference count with the packets created below; copies made
@@ -233,7 +233,7 @@ func (r *StationRI) HandleSlot(pkt *msg.Packet, now int64) *msg.Packet {
 	if pk, ok := r.sinkQ.Peek(); ok && pk.ReadyAt <= now {
 		r.sinkQ.Pop()
 		r.SendDelay.Sample(now - pk.EnqueuedAt)
-		r.Injected.Inc()
+		r.Injected++
 		r.Tr.Emit(now, trace.KindFlitInject, pk.Msg.Line, pk.Msg.TxnID,
 			int32(pk.Msg.Type), int32(pk.Seq))
 		return pk
@@ -251,7 +251,7 @@ func (r *StationRI) HandleSlot(pkt *msg.Packet, now int64) *msg.Packet {
 				if r.credits != nil {
 					r.credits.Release(pk.Msg.SrcStation)
 				}
-				r.Drops.Inc()
+				r.Drops++
 				r.Tr.Emit(now, trace.KindFaultDrop, pk.Msg.Line, pk.Msg.TxnID,
 					int32(pk.Msg.Type), 0)
 				mm := pk.Msg
@@ -262,7 +262,7 @@ func (r *StationRI) HandleSlot(pkt *msg.Packet, now int64) *msg.Packet {
 				return nil
 			}
 			r.SendDelay.Sample(now - pk.EnqueuedAt)
-			r.Injected.Inc()
+			r.Injected++
 			r.Tr.Emit(now, trace.KindFlitInject, pk.Msg.Line, pk.Msg.TxnID,
 				int32(pk.Msg.Type), int32(pk.Seq))
 			return pk
@@ -346,7 +346,7 @@ func (r *StationRI) Tick(now int64) {
 			r.credits.Release(m.SrcStation)
 		}
 		r.busOutQ.Push(cp)
-		r.Delivered.Inc()
+		r.Delivered++
 		r.Tr.Emit(now, trace.KindFlitDeliver, m.Line, m.TxnID,
 			int32(m.Type), int32(now-first))
 		r.unpackBusy = now + int64(r.p.RIUnpackCycles)

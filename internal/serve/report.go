@@ -2,10 +2,8 @@ package serve
 
 import (
 	"fmt"
-	"io"
 
 	"numachine/internal/core"
-	"numachine/internal/hist"
 )
 
 // Report builds the serving-layer results section. It is safe at any
@@ -88,51 +86,3 @@ func (sp Spec) String() string {
 	}
 	return string(b)
 }
-
-// WriteReport renders the human-readable serving report. The output is a
-// deterministic function of r alone — the equivalence tests compare
-// these bytes across cycle loops. The resilience lines appear only when
-// the run carried a resilience section, so zero-resilience reports keep
-// their exact historical bytes.
-func WriteReport(w io.Writer, r *core.ServeResults) {
-	fmt.Fprintf(w, "serve            policy=%s discipline=%s seed=%d\n", r.Policy, r.Discipline, r.Seed)
-	fmt.Fprintf(w, "window           %d cycles, %d arrived, %d completed, %d dropped, throughput %.3f req/kcycle\n",
-		r.Cycles, r.Total.Arrived, r.Total.Completed, r.Total.Dropped, r.Throughput())
-	if r.Resilience != nil {
-		t := &r.Total
-		fmt.Fprintf(w, "resilience       %d timeouts, %d retries, %d failed, %d hedges (%d wins), %d shed, %d ejections, goodput %.3f req/kcycle\n",
-			t.Timeouts, t.Retries, t.Failed, t.Hedges, t.HedgeWins, t.Shed, r.Resilience.Ejections, r.GoodputPerKCycle())
-	}
-	writeGroups(w, "class", r.Classes)
-	writeGroups(w, "tenant", r.Tenants)
-	if r.Resilience != nil {
-		writeResilienceGroups(w, "class", r.Classes)
-		writeResilienceGroups(w, "tenant", r.Tenants)
-	}
-}
-
-func writeGroups(w io.Writer, kind string, groups []core.ServeGroup) {
-	fmt.Fprintf(w, "%-16s %8s %8s %8s %6s %8s %8s %8s %8s %8s\n",
-		kind, "arrived", "done", "dropped", "viol%", "q-p95", "p50", "p95", "p99", "max")
-	for i := range groups {
-		g := &groups[i]
-		fmt.Fprintf(w, "  %-14s %8d %8d %8d %5.1f%% %8d %8d %8d %8d %8d\n",
-			g.Name, g.Arrived, g.Completed, g.Dropped, 100*g.ViolationRate(),
-			g.Queued.Percentile(0.95), pct(&g.Latency, 0.50), pct(&g.Latency, 0.95),
-			pct(&g.Latency, 0.99), g.Latency.Max())
-	}
-}
-
-// writeResilienceGroups renders the per-group resilience counters; only
-// emitted for runs with a resilience section.
-func writeResilienceGroups(w io.Writer, kind string, groups []core.ServeGroup) {
-	fmt.Fprintf(w, "%-16s %8s %8s %8s %8s %8s %8s %8s\n",
-		kind, "timeout", "retry", "failed", "hedge", "wins", "shed", "goodput")
-	for i := range groups {
-		g := &groups[i]
-		fmt.Fprintf(w, "  %-14s %8d %8d %8d %8d %8d %8d %8d\n",
-			g.Name, g.Timeouts, g.Retries, g.Failed, g.Hedges, g.HedgeWins, g.Shed, g.Goodput())
-	}
-}
-
-func pct(h *hist.Hist, p float64) int64 { return h.Percentile(p) }

@@ -49,7 +49,7 @@ func runServe(t *testing.T, cfg core.Config, specStr string, seed uint64) (strin
 		t.Fatal("Results.Serve missing after a serve run")
 	}
 	var b bytes.Buffer
-	WriteReport(&b, r.Serve)
+	r.Serve.WriteReport(&b)
 	return b.String(), r
 }
 

@@ -69,7 +69,6 @@ type Params struct {
 	// ablation experiments).
 	SCLocking          bool // hold write data until the invalidation returns (§2.3)
 	OptimisticUpgrades bool // ack-only upgrades when the directory is ambiguous
-	NCEnabled          bool // network cache present (off = all remote refs go home)
 
 	// Watchdog: abort the simulation if no processor makes progress for this
 	// many cycles (0 disables). Catches protocol deadlocks in development.
@@ -122,7 +121,6 @@ func DefaultParams() Params {
 
 		SCLocking:          true,
 		OptimisticUpgrades: true,
-		NCEnabled:          true,
 
 		DeadlockCycles:    3_000_000,
 		StarvationWindows: 8,

@@ -6,14 +6,16 @@
 // machine — the simulation never blocks on a slow client.
 //
 // Routes: /metrics.json returns the snapshot as JSON; / returns a small
-// self-refreshing HTML view of the headline numbers.
+// self-refreshing HTML page of the same statistics block numasim prints.
 package telemetry
 
 import (
 	"encoding/json"
 	"fmt"
+	"html"
 	"net"
 	"net/http"
+	"strings"
 	"sync/atomic"
 
 	"numachine/internal/core"
@@ -27,6 +29,9 @@ type Snapshot struct {
 	Loop     string `json:"loop,omitempty"`
 	Cycle    int64  `json:"cycle"`
 	Done     bool   `json:"done"`
+	// Faults labels the run's fault schedule (core.Config.FaultLabel);
+	// empty for a fault-free run.
+	Faults string `json:"faults,omitempty"`
 	// FastForwarded counts cycles skipped by quiescence fast-forwarding.
 	FastForwarded int64 `json:"fast_forwarded"`
 
@@ -66,6 +71,7 @@ func SnapshotOf(m *core.Machine, workload, loop string, done bool) *Snapshot {
 		Loop:          loop,
 		Cycle:         m.Now(),
 		Done:          done,
+		Faults:        m.Cfg.FaultLabel(),
 		FastForwarded: m.FastForwarded.Value(),
 		Results:       r,
 		NCRates: NCRates{
@@ -143,75 +149,23 @@ func (s *Server) serveHTML(w http.ResponseWriter, r *http.Request) {
 	if snap.Done {
 		state = "done"
 	}
+	var b strings.Builder
+	fmt.Fprintf(&b, "cycle            %d (%d fast-forwarded)\n", snap.Cycle, snap.FastForwarded)
+	snap.Results.WriteReport(&b, snap.Faults)
 	w.Header().Set("Content-Type", "text/html; charset=utf-8")
-	fmt.Fprintf(w, htmlPage,
-		snap.Workload, state, snap.Cycle, snap.FastForwarded,
-		100*snap.Results.BusUtil, 100*snap.Results.LocalRingUtil,
-		100*snap.Results.CentralRingUtil,
-		100*snap.NCRates.Hit, 100*snap.NCRates.Migration,
-		100*snap.NCRates.Caching, 100*snap.NCRates.Combining,
-		snap.Results.NC.Requests, snap.Results.Mem.Transactions,
-		snap.Results.Proc.NAKRetries, snap.Results.Proc.RetryStreaks,
-		snap.Results.Fault.Drops, snap.Results.Fault.Dups,
-		snap.Results.Fault.TimeoutReissues,
-		serveRows(snap.Results.Serve))
+	fmt.Fprintf(w, htmlPage, html.EscapeString(snap.Workload), state, html.EscapeString(b.String()))
 }
 
-// serveRows renders the serving-layer table rows, empty when the run has
-// no serving layer attached.
-func serveRows(sv *core.ServeResults) string {
-	if sv == nil {
-		return ""
-	}
-	t := &sv.Total
-	rows := fmt.Sprintf(`<tr><td>serve policy / discipline</td><td>%s / %s</td></tr>
-<tr><td>serve requests</td><td>%d arrived, %d done, %d dropped</td></tr>
-<tr><td>serve throughput</td><td>%.3f req/kcycle</td></tr>
-<tr><td>serve latency p50/p95/p99</td><td>%d / %d / %d cycles</td></tr>
-<tr><td>serve SLA violations</td><td>%.1f%%</td></tr>
-`,
-		sv.Policy, sv.Discipline,
-		t.Arrived, t.Completed, t.Dropped,
-		sv.Throughput(),
-		t.Latency.Percentile(0.50), t.Latency.Percentile(0.95), t.Latency.Percentile(0.99),
-		100*t.ViolationRate())
-	// Resilience rows appear only for runs carrying a resilience section,
-	// keeping zero-resilience pages unchanged.
-	if sv.Resilience != nil {
-		rows += fmt.Sprintf(`<tr><td>serve goodput</td><td>%.3f req/kcycle (%d SLA-met)</td></tr>
-<tr><td>serve resilience</td><td>%d timeouts, %d retries, %d failed, %d shed</td></tr>
-<tr><td>serve hedging / breaker</td><td>%d hedges (%d wins), %d ejections</td></tr>
-`,
-			sv.GoodputPerKCycle(), t.Goodput(),
-			t.Timeouts, t.Retries, t.Failed, t.Shed,
-			t.Hedges, t.HedgeWins, sv.Resilience.Ejections)
-	}
-	return rows
-}
-
-// htmlPage self-refreshes so a browser left open follows the run live.
+// htmlPage self-refreshes so a browser left open follows the run live. Its
+// body is the statistics block numasim prints (core.Results.WriteReport).
 const htmlPage = `<!DOCTYPE html>
 <html><head><title>numasim live metrics</title>
 <meta http-equiv="refresh" content="1">
-<style>body{font-family:monospace;margin:2em}td{padding:0 1em 0 0}</style>
+<style>body{font-family:monospace;margin:2em}</style>
 </head><body>
 <h2>numasim: %s (%s)</h2>
-<table>
-<tr><td>cycle</td><td>%d</td></tr>
-<tr><td>fast-forwarded cycles</td><td>%d</td></tr>
-<tr><td>bus utilization</td><td>%.1f%%</td></tr>
-<tr><td>local ring utilization</td><td>%.1f%%</td></tr>
-<tr><td>central ring utilization</td><td>%.1f%%</td></tr>
-<tr><td>NC hit rate</td><td>%.1f%%</td></tr>
-<tr><td>NC migration rate</td><td>%.1f%%</td></tr>
-<tr><td>NC caching rate</td><td>%.1f%%</td></tr>
-<tr><td>NC combining rate</td><td>%.1f%%</td></tr>
-<tr><td>NC requests</td><td>%d</td></tr>
-<tr><td>memory transactions</td><td>%d</td></tr>
-<tr><td>NAK retries</td><td>%d (%d refs retried)</td></tr>
-<tr><td>fault drops / dups</td><td>%d / %d</td></tr>
-<tr><td>timeout re-issues</td><td>%d</td></tr>
-%s</table>
+<pre>
+%s</pre>
 <p><a href="/metrics.json">metrics.json</a></p>
 </body></html>
 `

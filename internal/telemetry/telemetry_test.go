@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"encoding/json"
+	"html"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -118,8 +119,8 @@ func TestHTMLView(t *testing.T) {
 	}
 }
 
-// TestHTMLServeRows checks the serving-layer rows appear exactly when a
-// run has a serving report attached.
+// TestHTMLServeRows checks the page serves the statistics block numasim
+// prints, the serving report included exactly when a run has one.
 func TestHTMLServeRows(t *testing.T) {
 	srv := NewServer()
 	snap := &Snapshot{Workload: "serve", Cycle: 99}
@@ -133,7 +134,9 @@ func TestHTMLServeRows(t *testing.T) {
 	rec := httptest.NewRecorder()
 	srv.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/", nil))
 	body := rec.Body.String()
-	for _, want := range []string{"locality / edf", "42 arrived, 40 done", "serve throughput"} {
+	var report strings.Builder
+	snap.Results.WriteReport(&report, "")
+	for _, want := range []string{html.EscapeString(report.String()), "policy=locality discipline=edf", "42 arrived, 40 completed"} {
 		if !strings.Contains(body, want) {
 			t.Errorf("HTML view missing %q:\n%s", want, body)
 		}
@@ -142,7 +145,7 @@ func TestHTMLServeRows(t *testing.T) {
 	srv.Publish(&Snapshot{Workload: "radix"})
 	rec = httptest.NewRecorder()
 	srv.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/", nil))
-	if strings.Contains(rec.Body.String(), "serve throughput") {
+	if strings.Contains(rec.Body.String(), "policy=") {
 		t.Error("serve rows rendered for a run without a serving layer")
 	}
 }

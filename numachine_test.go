@@ -86,7 +86,7 @@ func TestDefaultConfigIsPrototype(t *testing.T) {
 	if p.LineSize != 64 || p.CPUClockMHz != 150 {
 		t.Errorf("prototype line/clock = %d/%d, want 64/150", p.LineSize, p.CPUClockMHz)
 	}
-	if !p.SCLocking || !p.OptimisticUpgrades || !p.NCEnabled {
+	if !p.SCLocking || !p.OptimisticUpgrades {
 		t.Error("paper protocol options must default on")
 	}
 }
