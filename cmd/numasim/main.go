@@ -43,7 +43,6 @@ func main() {
 		firstT   = flag.Bool("first-touch", false, "first-touch page placement (default round robin)")
 		noSC     = flag.Bool("no-sc-locking", false, "disable sequential-consistency locking (§2.3 ablation)")
 		par      = flag.Bool("parallel", false, "station-parallel cycle loop (bit-identical; needs multiple cores to pay off)")
-		naive    = flag.Bool("naive", false, "reference per-cycle loop instead of the event-aware scheduler")
 		fastHits = flag.Bool("fast-hits", true, "resolve cache hits in the workload front end (bit-identical; disable to A/B against the lock-step handshake)")
 		list     = flag.Bool("list", false, "list available workloads and exit")
 
@@ -85,7 +84,6 @@ func main() {
 		cfg.Placement = core.FirstTouch
 	}
 	cfg.ParallelStations = *par
-	cfg.NaiveLoop = *naive
 	cfg.FastHits = *fastHits
 	cfg.FaultSpec = *faultSpec
 	cfg.FaultSeed = *faultSeed

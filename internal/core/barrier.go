@@ -60,11 +60,9 @@ func (m *Machine) fireBarriers() {
 	for _, r := range m.barrier.releases {
 		if r.at <= m.now {
 			r.cpu.FinishBarrier(m.now)
-			if m.gated {
-				m.pollCPU[r.cpu.GlobalID] = m.now
-				if s := r.cpu.Station; m.stationNext[s] > m.now {
-					m.stationNext[s] = m.now
-				}
+			m.pollCPU[r.cpu.GlobalID] = m.now
+			if s := r.cpu.Station; m.stationNext[s] > m.now {
+				m.stationNext[s] = m.now
 			}
 		} else {
 			kept = append(kept, r)

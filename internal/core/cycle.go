@@ -6,45 +6,21 @@ import (
 	"numachine/internal/sim"
 )
 
-// Step advances the machine one cycle. The reference order (stepNaive) is
-// component-major: processors, buses, memory modules, network caches, ring
-// interfaces, local rings, central ring. The gated cycle (stepGated) ticks
-// only components whose activity gate fires and walks the station phase
-// station-major; DESIGN.md "Gated cycle loop" argues why no component can
-// tell the two orders apart, and the equivalence suites check it.
+// Step advances the machine one cycle through the gated cycle (stepGated),
+// which ticks only components whose activity gate fires and walks the
+// station phase station-major; under Config.CheckInvariants it then audits
+// the poll caches. The equivalence suites compare it against a test-only
+// reference order that ticks every component every cycle, component-major
+// (processors, buses, memory modules, network caches, ring interfaces,
+// local rings, central ring); DESIGN.md "Gated cycle loop" argues why no
+// component can tell the two orders apart.
 func (m *Machine) Step() {
-	if !m.gated {
-		m.stepNaive()
+	if m.oracle != nil {
+		m.oracle()
 		return
 	}
 	m.stepGated()
-}
-
-func (m *Machine) stepNaive() {
-	now := m.now
-	m.fireBarriers()
-	for _, c := range m.CPUs {
-		c.Tick(now)
-	}
-	for _, b := range m.Buses {
-		b.Tick(now)
-	}
-	for _, mem := range m.Mems {
-		mem.Tick(now)
-	}
-	for _, nc := range m.NCs {
-		nc.Tick(now)
-	}
-	for _, ri := range m.RIs {
-		ri.Tick(now)
-	}
-	for _, lr := range m.Locals {
-		lr.Tick(now)
-	}
-	if m.Central != nil {
-		m.Central.Tick(now)
-	}
-	m.now++
+	m.checkGates()
 }
 
 // stepGated is the gated cycle; it returns how many components ticked (0
@@ -392,6 +368,8 @@ func (m *Machine) cachedWake() int64 {
 // be lost, reported here at that cycle instead of as a digest mismatch
 // thousands of cycles later. A barrier release due now needs no exception:
 // until fireBarriers applies it, the waiting CPU itself reports Never.
+// Only entries > now are asked for NextWork: an entry <= now re-polls at
+// its next slot anyway.
 func (m *Machine) auditGates() error {
 	now := m.now
 	cyc := func(at int64) string {
@@ -401,12 +379,18 @@ func (m *Machine) auditGates() error {
 		return fmt.Sprint(at)
 	}
 	var err error
-	check := func(kind string, i int, cached, agg, reported int64) {
-		if err == nil && cached > now && reported <= now {
-			err = fmt.Errorf("gate audit at cycle %d: %s %d cached %s but NextWork %s",
-				now, kind, i, cyc(cached), cyc(reported))
+	check := func(kind string, i int, cached, agg int64, c interface{ NextWork(int64) int64 }) {
+		if err != nil {
+			return
 		}
-		if err == nil && agg > cached {
+		if cached > now {
+			if reported := c.NextWork(now); reported <= now {
+				err = fmt.Errorf("gate audit at cycle %d: %s %d cached %s but NextWork %s",
+					now, kind, i, cyc(cached), cyc(reported))
+				return
+			}
+		}
+		if agg > cached {
 			err = fmt.Errorf("gate audit at cycle %d: %s %d cached %s below its aggregate %s",
 				now, kind, i, cyc(cached), cyc(agg))
 		}
@@ -415,29 +399,37 @@ func (m *Machine) auditGates() error {
 		next := m.stationNext[s]
 		first := m.g.ProcAt(s, 0)
 		for i := first; i < first+m.g.ProcsPerStation; i++ {
-			check("cpu", i, m.pollCPU[i], next, m.CPUs[i].NextWork(now))
+			check("cpu", i, m.pollCPU[i], next, m.CPUs[i])
 		}
-		check("bus", s, m.pollBus[s], next, m.Buses[s].NextWork(now))
-		check("mem", s, m.pollMem[s], next, m.Mems[s].NextWork(now))
-		check("nc", s, m.pollNC[s], next, m.NCs[s].NextWork(now))
-		check("ri", s, m.pollRI[s], m.ringNext[m.ringOf[s]], m.RIs[s].NextWork(now))
+		check("bus", s, m.pollBus[s], next, m.Buses[s])
+		check("mem", s, m.pollMem[s], next, m.Mems[s])
+		check("nc", s, m.pollNC[s], next, m.NCs[s])
+		check("ri", s, m.pollRI[s], m.ringNext[m.ringOf[s]], m.RIs[s])
 	}
 	for r, lr := range m.Locals {
-		check("local ring", r, m.pollLocal[r], m.ringNext[r], lr.NextWork(now))
+		check("local ring", r, m.pollLocal[r], m.ringNext[r], lr)
 	}
 	if m.Central != nil {
-		check("central ring", 0, m.pollCentral, m.pollCentral, m.Central.NextWork(now))
+		check("central ring", 0, m.pollCentral, m.pollCentral, m.Central)
 	}
 	return err
+}
+
+// checkGates runs auditGates under Config.CheckInvariants and panics on a
+// stale entry.
+func (m *Machine) checkGates() {
+	if !m.Cfg.CheckInvariants {
+		return
+	}
+	if err := m.auditGates(); err != nil {
+		panic("core: " + err.Error())
+	}
 }
 
 // resetPolls discards every poll cache so the next gated cycle gates every
 // component afresh. Load calls it (new runners change CPU state outside the
 // loop) and Run calls it on entry.
 func (m *Machine) resetPolls() {
-	if !m.gated {
-		return
-	}
 	for i := range m.pollCPU {
 		m.pollCPU[i] = m.now
 	}
@@ -471,11 +463,11 @@ func (m *Machine) resetPolls() {
 // ticked, so no state can change until the earliest reported wake-up, and
 // every per-cycle statistic is reconciled lazily. Jumps never pass the
 // watchdog deadline, so the no-progress check in Run samples at exactly
-// the cycles the naive loop samples — including a sim.Never wake on a
-// fully wedged machine, which must land on the deadline rather than spin.
+// the cycles a cycle-by-cycle walk samples — including a sim.Never wake on
+// a fully wedged machine, which must land on the deadline rather than spin.
 func (m *Machine) step() {
-	if !m.gated {
-		m.stepNaive()
+	if m.oracle != nil {
+		m.oracle()
 		return
 	}
 	if m.stepGated() == 0 {
@@ -496,9 +488,5 @@ func (m *Machine) step() {
 			m.now = wake
 		}
 	}
-	if m.Cfg.CheckInvariants {
-		if err := m.auditGates(); err != nil {
-			panic("core: " + err.Error())
-		}
-	}
+	m.checkGates()
 }

@@ -340,8 +340,7 @@ func equivScenarioNamed(t *testing.T, name string) equivScenario {
 func TestFirstTouchTiesScenario(t *testing.T) {
 	sc := equivScenarioNamed(t, "first-touch-ties")
 	cfg := sc.cfg()
-	cfg.NaiveLoop = true
-	m, err := New(cfg)
+	m, err := newLoop(cfg, "naive")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -407,8 +406,7 @@ func TestFirstTouchTiesScenario(t *testing.T) {
 func TestCreditCapScenario(t *testing.T) {
 	sc := equivScenarioNamed(t, "credit-cap")
 	cfg := sc.cfg()
-	cfg.NaiveLoop = true
-	m, err := New(cfg)
+	m, err := newLoop(cfg, "naive")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -430,7 +428,8 @@ func TestCreditCapScenario(t *testing.T) {
 	t.Logf("%d cycles, some station at its credit cap on %d", cycles, atCap)
 }
 
-// equivLoops are the cycle-loop variants every scenario must agree across.
+// equivLoops are the cycle-loop variants every scenario must agree across:
+// the test-only reference order (oracle_test.go) and both executors.
 // "parallel" requests ParallelStations; on FirstTouch scenarios the machine
 // falls back to the scheduled loop, which this harness deliberately still
 // runs (the fallback must be equivalent too).
@@ -442,13 +441,7 @@ func runEquiv(t *testing.T, sc equivScenario, loop string) (*Machine, int64) {
 	t.Helper()
 	cfg := sc.cfg()
 	cfg.CheckInvariants = true // coherence re-checked at every quiescence
-	switch loop {
-	case "naive":
-		cfg.NaiveLoop = true
-	case "parallel":
-		cfg.ParallelStations = true
-	}
-	m, err := New(cfg)
+	m, err := newLoop(cfg, loop)
 	if err != nil {
 		t.Fatalf("%s: %v", sc.name, err)
 	}
@@ -526,9 +519,9 @@ func compareRuns(t *testing.T, aName, bName string, ma, mb *Machine, cyclesA, cy
 	}
 }
 
-// TestSchedulerEquivalence is the harness the optimized cycle loops are
-// judged by: for every scenario, the naive tick-everything loop, the
-// event-aware scheduled loop, and the station-parallel loop must produce
+// TestSchedulerEquivalence is the harness the gated cycle is judged by:
+// for every scenario, the test-only tick-everything reference order and
+// both executors of the gated cycle must produce
 // bit-identical cycle counts, per-CPU completion times, and every
 // monitored statistic.
 func TestSchedulerEquivalence(t *testing.T) {

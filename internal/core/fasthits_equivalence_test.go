@@ -20,13 +20,7 @@ func runFastEquiv(t *testing.T, sc equivScenario, loop string, fast bool, fs *fa
 		cfg.Params.RetryBackoff = true
 		cfg.Params.RetryJitterSeed = fs.seed
 	}
-	switch loop {
-	case "naive":
-		cfg.NaiveLoop = true
-	case "parallel":
-		cfg.ParallelStations = true
-	}
-	m, err := New(cfg)
+	m, err := newLoop(cfg, loop)
 	if err != nil {
 		t.Fatalf("%s: %v", sc.name, err)
 	}
@@ -47,7 +41,7 @@ func runFastEquiv(t *testing.T, sc equivScenario, loop string, fast bool, fs *fa
 // hit fast path: with Config.FastHits on, every scenario must produce a
 // bit-identical Results snapshot and a byte-identical text trace to the
 // FastHits-off run — under all three cycle loops. The off-baseline runs
-// once under the naive loop; cross-loop identity of the baseline itself
+// once in the test-only reference order; cross-loop identity of the baseline itself
 // is covered by the scheduler/trace equivalence harnesses, so comparing
 // each fast(loop) run against off(naive) spans the full on/off × loop
 // matrix.

@@ -51,13 +51,7 @@ func runFaulted(t *testing.T, sc equivScenario, loop string, fs faultSchedule, t
 	cfg.FaultSeed = fs.seed
 	cfg.Params.RetryBackoff = true
 	cfg.Params.RetryJitterSeed = fs.seed
-	switch loop {
-	case "naive":
-		cfg.NaiveLoop = true
-	case "parallel":
-		cfg.ParallelStations = true
-	}
-	m, err := New(cfg)
+	m, err := newLoop(cfg, loop)
 	if err != nil {
 		t.Fatalf("%s/%s: %v", sc.name, fs.name, err)
 	}
@@ -189,13 +183,7 @@ func TestStuckTransactionReport(t *testing.T) {
 			cfg.Params.DeadlockCycles = 25_000
 			cfg.FaultSpec = "wedge-mem=0:2000"
 			cfg.FaultSeed = 1
-			switch loop {
-			case "naive":
-				cfg.NaiveLoop = true
-			case "parallel":
-				cfg.ParallelStations = true
-			}
-			m, err := New(cfg)
+			m, err := newLoop(cfg, loop)
 			if err != nil {
 				t.Fatal(err)
 			}

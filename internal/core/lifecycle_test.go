@@ -24,12 +24,29 @@ func waitGoroutines(t *testing.T, what string, base int) {
 	}
 }
 
+// settledGoroutines returns the goroutine count once it has held still
+// for 10 ms (or after 2 s): goroutines an earlier test stopped, or the
+// testing framework is winding down, may still be counted for an instant,
+// and an exact comparison must not see them on one side only.
+func settledGoroutines() int {
+	n := runtime.NumGoroutine()
+	for deadline := time.Now().Add(2 * time.Second); time.Now().Before(deadline); {
+		time.Sleep(10 * time.Millisecond)
+		now := runtime.NumGoroutine()
+		if now == n {
+			break
+		}
+		n = now
+	}
+	return n
+}
+
 // TestNoGoroutineLeak: a machine abandoned mid-program must not leave its
 // workloads parked for ever — after a watchdog abort (Run closes the
 // machine on its way out), when Load replaces unfinished programs, and
 // when a machine driven by Step is closed.
 func TestNoGoroutineLeak(t *testing.T) {
-	base := runtime.NumGoroutine()
+	base := settledGoroutines()
 
 	for _, loop := range []string{"naive", "scheduled", "parallel"} {
 		if runWatchdog(t, loop) == "" {
@@ -55,7 +72,7 @@ func TestNoGoroutineLeak(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		m.Step()
 	}
-	if n := runtime.NumGoroutine(); n != base+4 {
+	if n := settledGoroutines(); n != base+4 {
 		t.Fatalf("4 parked programs, %d goroutines over the baseline", n-base)
 	}
 	// Two programs replace four: all four old ones unwind, and the two
@@ -84,10 +101,7 @@ func TestProgramPanicReport(t *testing.T) {
 	base := runtime.NumGoroutine()
 	var want string
 	for _, loop := range []string{"naive", "scheduled", "parallel"} {
-		cfg := tinyConfig(2, 2, 1)
-		cfg.NaiveLoop = loop == "naive"
-		cfg.ParallelStations = loop == "parallel"
-		m, err := New(cfg)
+		m, err := newLoop(tinyConfig(2, 2, 1), loop)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -116,7 +130,7 @@ func TestProgramPanicReport(t *testing.T) {
 		if want == "" {
 			want = got
 		} else if got != want {
-			t.Errorf("%s loop reports %q, naive %q", loop, got, want)
+			t.Errorf("%s loop reports %q, reference order %q", loop, got, want)
 		}
 		waitGoroutines(t, "program panic, "+loop+" loop", base)
 	}

@@ -40,19 +40,13 @@ type Config struct {
 	L1Lines   int // primary-cache timing filter size (0 disables)
 	Placement Placement
 
-	// NaiveLoop disables the activity gates and the quiescence fast-forward
-	// and ticks every component every cycle, component-major. Results are
-	// bit-identical either way (the equivalence test suite enforces it); the
-	// naive loop exists as the reference implementation and for debugging.
-	NaiveLoop bool
-
 	// ParallelStations runs the station phase of the gated cycle on a
 	// worker pool instead of inline: the same per-station tick function,
 	// one shard per station (see parallel.go); the interconnect stays on
 	// the caller's goroutine. Results stay bit-identical. Ignored under
-	// NaiveLoop, and under FirstTouch placement (same-cycle first touches
-	// from different stations need the inline executor's ascending CPU
-	// order), where the gated cycle runs inline.
+	// FirstTouch placement (same-cycle first touches from different
+	// stations need the inline executor's ascending CPU order), where the
+	// gated cycle runs inline.
 	ParallelStations bool
 
 	// StationWorkers bounds the worker pool for ParallelStations;
@@ -64,8 +58,9 @@ type Config struct {
 	// cycles into Ref.Pre like compute coalescing — no coroutine switch
 	// per hit (see internal/proc/fasthits.go and DESIGN.md "Front-end hit
 	// filtering"). Results and traces are bit-identical with it on or off;
-	// the equivalence suites enforce this across the naive loop and both
-	// executors, and faulted schedules. DefaultConfig enables it.
+	// the equivalence suites enforce this across the test-only reference
+	// order and both executors, and faulted schedules. DefaultConfig
+	// enables it.
 	FastHits bool
 
 	// FaultSpec selects the deterministic fault-injection schedule (see
@@ -73,7 +68,7 @@ type Config struct {
 	// reproduces the fault-free machine byte for byte. FaultSeed seeds
 	// every injector PRNG stream: a fixed (seed, spec) pair yields the
 	// same faults — at the same cycles, on the same packets — under the
-	// naive loop and both executors.
+	// test-only reference order and both executors.
 	FaultSpec string
 	FaultSeed uint64
 
@@ -81,28 +76,24 @@ type Config struct {
 	// check to an every-quiescence invariant: whenever the machine enters
 	// a quiescent state during Run (and again after the final Drain), the
 	// full coherence check runs and any violation panics with the line,
-	// cycle and rule. It also arms the gate audit: after every step of Run
-	// the gated cycle's poll caches are checked against the components'
-	// own NextWork (auditGates), so a missed influence mark fails at the
-	// cycle the tick would be lost. Off by default (a full-machine pass per
-	// quiescent period, and per stepped cycle); the equivalence suites
-	// enable it.
+	// cycle and rule. It also arms the gate audit: after every Step, and
+	// every step of Run, the gated cycle's poll caches are checked against
+	// the components' own NextWork (auditGates), so a missed influence mark
+	// fails at the cycle the tick would be lost. Off by default (a
+	// full-machine pass per quiescent period, and per stepped cycle); the
+	// equivalence suites and the model checker enable it.
 	CheckInvariants bool
 }
 
-// LoopName names the cycle loop this configuration selects: "naive", or
-// the gated cycle under its pooled ("parallel") or inline ("scheduled", the
-// default) executor. Error messages and sweep drivers use it so any run is
-// reproducible from its label.
+// LoopName names the executor of the gated cycle this configuration
+// selects: pooled ("parallel") or inline ("scheduled", the default). Error
+// messages and sweep drivers use it so any run is reproducible from its
+// label.
 func (cfg Config) LoopName() string {
-	switch {
-	case cfg.NaiveLoop:
-		return "naive"
-	case cfg.ParallelStations && cfg.Placement != FirstTouch:
+	if cfg.ParallelStations && cfg.Placement != FirstTouch {
 		return "parallel"
-	default:
-		return "scheduled"
 	}
+	return "scheduled"
 }
 
 // FaultLabel names the run's fault schedule in reports: "seed=N" when one
@@ -188,10 +179,10 @@ type Machine struct {
 	quiescedAt int64
 	quiescedOK bool
 
-	// gated is set for everything but NaiveLoop: components tick only when
-	// their activity gate fires (stepGated), with the poll caches below
-	// amortizing the gate itself.
-	gated bool
+	// oracle, when set, replaces the gated cycle in Step and step. Only the
+	// equivalence suites set it, to the test-only reference order they
+	// compare both executors against.
+	oracle func()
 
 	// Poll caches for the gated cycle (see stepGated): the cycle at which
 	// each component's activity gate must next be consulted. A cached entry
@@ -326,22 +317,19 @@ func New(cfg Config) (*Machine, error) {
 		m.pktPools = append(m.pktPools, iri.PacketPool())
 	}
 	m.liveCPU = make([]bool, g.Procs())
-	if !cfg.NaiveLoop {
-		m.gated = true
-		m.pollCPU = make([]int64, g.Procs())
-		m.pollBus = make([]int64, g.Stations())
-		m.pollMem = make([]int64, g.Stations())
-		m.pollNC = make([]int64, g.Stations())
-		m.pollRI = make([]int64, g.Stations())
-		m.pollLocal = make([]int64, g.Rings)
-		m.ringOf = make([]int, g.Stations())
-		for s := range m.ringOf {
-			m.ringOf[s] = g.RingOf(s)
-		}
-		m.busFedRing = make([]bool, g.Stations())
-		m.stationNext = make([]int64, g.Stations())
-		m.ringNext = make([]int64, g.Rings)
+	m.pollCPU = make([]int64, g.Procs())
+	m.pollBus = make([]int64, g.Stations())
+	m.pollMem = make([]int64, g.Stations())
+	m.pollNC = make([]int64, g.Stations())
+	m.pollRI = make([]int64, g.Stations())
+	m.pollLocal = make([]int64, g.Rings)
+	m.ringOf = make([]int, g.Stations())
+	for s := range m.ringOf {
+		m.ringOf[s] = g.RingOf(s)
 	}
+	m.busFedRing = make([]bool, g.Stations())
+	m.stationNext = make([]int64, g.Stations())
+	m.ringNext = make([]int64, g.Rings)
 	if cfg.LoopName() == "parallel" {
 		m.pool = sim.NewShardPool(cfg.StationWorkers, g.Stations(), m.runShard)
 		m.barrier.parArrived = make([][]*proc.CPU, g.Stations())

@@ -13,8 +13,8 @@ import (
 // run must complete (no starvation or retry-budget abort), the counter
 // must show every update applied exactly once, retries must be bounded
 // by the budget, and — because the backoff jitter is drawn from seeded
-// per-requester streams — the naive loop and both executors must stay
-// bit-identical.
+// per-requester streams — both executors must stay bit-identical to the
+// test-only reference order.
 func TestNAKContentionBackoff(t *testing.T) {
 	const perProc = 25
 	build := func(loop string) (*Machine, int64, uint64) {
@@ -25,13 +25,7 @@ func TestNAKContentionBackoff(t *testing.T) {
 		cfg.Params.RetryBackoff = true
 		cfg.Params.RetryJitterSeed = 7
 		cfg.Params.MaxRetries = 500
-		switch loop {
-		case "naive":
-			cfg.NaiveLoop = true
-		case "parallel":
-			cfg.ParallelStations = true
-		}
-		m, err := New(cfg)
+		m, err := newLoop(cfg, loop)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -59,7 +59,8 @@ func (m *Machine) rebalancePools() {
 // under every cycle loop (the quiescence fast-forward clamps to the next
 // drive), so a driver that mutates state visible to workload goroutines —
 // the serving layer's dispatcher — keeps the machine bit-identical across
-// naive/scheduled/parallel. Pass fn == nil to detach.
+// the test-only reference order and both executors. Pass fn == nil to
+// detach.
 func (m *Machine) SetDriver(every int64, fn func(*Machine)) {
 	if every <= 0 {
 		every = 1
@@ -129,7 +130,7 @@ func (m *Machine) Run() int64 {
 		if m.onDrive != nil && m.now >= m.driveAt {
 			// Drive before the cycle's step: the driver sees the machine at
 			// the top of cycle now, before any component ticks, exactly as
-			// it would under the naive loop.
+			// it would in a cycle-by-cycle walk.
 			m.onDrive(m)
 			m.driveAt = m.now + m.driveEvery
 		}
@@ -221,8 +222,8 @@ func (m *Machine) Drain() {
 }
 
 // SyncStats reconciles every lazily-accounted statistic (stall counters,
-// utilization) through the last completed cycle. Idempotent; a no-op on
-// the naive loop. Results() calls it before snapshotting.
+// utilization) through the last completed cycle. Idempotent. Results()
+// calls it before snapshotting.
 func (m *Machine) SyncStats() {
 	limit := m.now - 1
 	if limit < 0 {

@@ -11,8 +11,8 @@ import (
 // machine's fixed tick order — CPUs, buses, memory modules, network
 // caches, ring interfaces, local rings, central ring, IRIs — so the
 // tracer's merge rank reproduces the deterministic component order and
-// the exported trace is byte-identical across the naive, scheduled and
-// station-parallel cycle loops.
+// the exported trace is byte-identical across the test-only reference
+// order and both executors of the gated cycle.
 func (m *Machine) EnableTrace(perSinkEvents int) *trace.Tracer {
 	tr := trace.NewTracer(perSinkEvents)
 	tr.CyclesToNS = m.p.CyclesToNS

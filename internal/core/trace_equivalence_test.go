@@ -14,13 +14,7 @@ func runTraced(t *testing.T, sc equivScenario, loop string) (*Machine, int64, []
 	t.Helper()
 	cfg := sc.cfg()
 	cfg.CheckInvariants = true // coherence re-checked at every quiescence
-	switch loop {
-	case "naive":
-		cfg.NaiveLoop = true
-	case "parallel":
-		cfg.ParallelStations = true
-	}
-	m, err := New(cfg)
+	m, err := newLoop(cfg, loop)
 	if err != nil {
 		t.Fatalf("%s: %v", sc.name, err)
 	}
@@ -39,8 +33,8 @@ func runTraced(t *testing.T, sc equivScenario, loop string) (*Machine, int64, []
 
 // TestTraceEquivalence is the tracing analogue of the scheduler
 // equivalence harness: for every scenario the merged trace must be
-// byte-identical across the naive, scheduled and station-parallel cycle
-// loops. This holds only if events are emitted exclusively on real work
+// byte-identical across the test-only reference order and both executors.
+// This holds only if events are emitted exclusively on real work
 // (never from idle ticks the scheduler skips) and the merge key is
 // loop-invariant — the two properties the trace package documents.
 func TestTraceEquivalence(t *testing.T) {

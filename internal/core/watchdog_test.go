@@ -17,13 +17,7 @@ func runWatchdog(t *testing.T, loop string) (panicMsg string) {
 	cfg.Geom = topo.Geometry{ProcsPerStation: 1, StationsPerRing: 2, Rings: 1}
 	cfg.Params.L2Lines = 64
 	cfg.Params.DeadlockCycles = 2000
-	switch loop {
-	case "naive":
-		cfg.NaiveLoop = true
-	case "parallel":
-		cfg.ParallelStations = true
-	}
-	m, err := New(cfg)
+	m, err := newLoop(cfg, loop)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,8 +37,9 @@ func runWatchdog(t *testing.T, loop string) (panicMsg string) {
 // TestWatchdogTripsIdentically is the regression test for the PR 1 "known
 // divergence": quiescence fast-forwards used to jump past the no-progress
 // window, so the scheduled loop sampled the watchdog at different cycles
-// than the naive loop. Jumps now clamp to the watchdog deadline, so all
-// three loops must panic at the same cycle with the same message.
+// than the reference order. Jumps now clamp to the watchdog deadline, so
+// both executors must panic at the reference order's cycle with its
+// message.
 func TestWatchdogTripsIdentically(t *testing.T) {
 	ref := runWatchdog(t, "naive")
 	if ref == "" {

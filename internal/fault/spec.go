@@ -5,8 +5,9 @@
 // a lazily generated schedule of freeze/degrade windows. Every decision
 // is a pure function of (seed, component name, event sequence) or of the
 // simulated cycle alone, so a faulted run is bit-identical across the
-// naive, scheduled, and station-parallel cycle loops, and the zero-fault
-// configuration (nil Injector, nil Comps) leaves every hook inert.
+// test-only reference order and both executors of the gated cycle, and the
+// zero-fault configuration (nil Injector, nil Comps) leaves every hook
+// inert.
 package fault
 
 import (

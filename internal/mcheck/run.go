@@ -60,12 +60,15 @@ type run struct {
 	pruned      bool
 }
 
-// newRun builds the machine for one path replay. The configuration is
-// deliberately constrained so every source of nondeterminism is either
-// removed or routed through the choice oracle: naive cycle loop, no
-// front-end fast path, fixed NAK retry delay (RetryBackoff off) overridden
-// by the retry-choice hook, and — when fault choices are on — the
-// injector's PRNG replaced by the oracle via SetChooser.
+// newRun builds the machine for one path replay. It steps the production
+// cycle body (Machine.Step: the gated cycle, inline executor) with the gate
+// audit armed, so every explored path also checks the poll caches against
+// lost influence marks. The configuration is deliberately constrained so
+// every source of nondeterminism is either removed or routed through the
+// choice oracle: no front-end fast path, fixed NAK retry delay
+// (RetryBackoff off) overridden by the retry-choice hook, and — when fault
+// choices are on — the injector's PRNG replaced by the oracle via
+// SetChooser.
 func newRun(spec Spec, mut memory.Mutation, seq []int, traceEvents int) *run {
 	p := sim.DefaultParams()
 	p.L2Lines = spec.L2Lines
@@ -78,7 +81,8 @@ func newRun(spec Spec, mut memory.Mutation, seq []int, traceEvents int) *run {
 		Geom:      topo.Geometry{ProcsPerStation: spec.Procs, StationsPerRing: spec.Stations, Rings: 1},
 		Params:    p,
 		Placement: core.RoundRobin,
-		NaiveLoop: true,
+
+		CheckInvariants: true,
 	}
 	if spec.FaultChoices {
 		// The probabilities only arm the Drop/Dup sites; the oracle

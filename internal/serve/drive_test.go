@@ -38,34 +38,30 @@ func driveTrace(t *testing.T, loop string) []int64 {
 }
 
 // TestDriveCyclesLoopInvariant pins the SetDriver contract directly: the
-// dispatcher fires at exactly the same cycles under every loop. This is
+// dispatcher fires at exactly the cycles a cycle-by-cycle walk would, one
+// every Quantum cycles from the first, under both executors. This is
 // sharper than comparing end-of-run reports — it catches a quiescence
 // fast-forward jumping over a due drive (the clamp's >= boundary: a jump
 // computed after m.now has already advanced onto driveAt must be
 // suppressed, not taken) even when the perturbed schedule happens to
 // produce similar results.
 func TestDriveCyclesLoopInvariant(t *testing.T) {
-	ref := driveTrace(t, "naive")
-	if len(ref) < 10 {
-		t.Fatalf("scenario produced only %d drives; test is vacuous", len(ref))
-	}
+	sp, _ := ParseSpec(serveSpecs[0])
+	var traces [][]int64
 	for _, loop := range []string{"scheduled", "parallel"} {
 		got := driveTrace(t, loop)
-		if len(got) != len(ref) {
-			t.Errorf("%s: %d drives, naive %d", loop, len(got), len(ref))
+		if len(got) < 10 {
+			t.Fatalf("%s: scenario produced only %d drives; test is vacuous", loop, len(got))
 		}
-		for i := 0; i < len(ref) && i < len(got); i++ {
-			if ref[i] != got[i] {
-				t.Fatalf("drive %d: naive at cycle %d, %s at %d", i, ref[i], loop, got[i])
+		for i := range got {
+			if want := got[0] + int64(i)*sp.Quantum; got[i] != want {
+				t.Fatalf("%s: drive %d at cycle %d, want %d (every %d cycles from %d)",
+					loop, i, got[i], want, sp.Quantum, got[0])
 			}
 		}
+		traces = append(traces, got)
 	}
-	// Drives land on the quantum grid: the machine walks or jumps onto
-	// every due drive cycle, never past it.
-	sp, _ := ParseSpec(serveSpecs[0])
-	for i := 1; i < len(ref); i++ {
-		if (ref[i]-ref[0])%sp.Quantum != 0 {
-			t.Fatalf("drive %d at cycle %d is off the %d-cycle quantum grid", i, ref[i], sp.Quantum)
-		}
+	if s, p := traces[0], traces[1]; len(s) != len(p) || s[0] != p[0] {
+		t.Errorf("drives: scheduled %d from cycle %d, parallel %d from cycle %d", len(s), s[0], len(p), p[0])
 	}
 }

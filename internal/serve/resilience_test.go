@@ -90,33 +90,6 @@ func TestServeResilienceGoodput(t *testing.T) {
 	}
 }
 
-// TestServeResilienceEquivalence extends the tentpole determinism
-// contract to the resilience layer: kills, retries, hedges, breaker
-// decisions and sheds must land identically — byte-identical reports and
-// DeepEqual results — across all three cycle loops with the fast path on
-// or off, under injected faults.
-func TestServeResilienceEquivalence(t *testing.T) {
-	refReport, refRes := runServe(t, faultConfig("naive", true), chaosResilSpec, chaosServeSeed)
-	if refRes.Serve.Total.Timeouts == 0 || refRes.Serve.Total.Retries == 0 {
-		t.Fatal("resilience scenario fired no timeouts/retries; equivalence test is vacuous")
-	}
-	for _, loop := range []string{"naive", "scheduled", "parallel"} {
-		for _, fast := range []bool{true, false} {
-			if loop == "naive" && fast {
-				continue // the reference run
-			}
-			report, res := runServe(t, faultConfig(loop, fast), chaosResilSpec, chaosServeSeed)
-			if report != refReport {
-				t.Errorf("%s/fast=%v resilient report diverges:\n--- naive/fast=true\n%s--- %s/fast=%v\n%s",
-					loop, fast, refReport, loop, fast, report)
-			}
-			if !reflect.DeepEqual(res, refRes) {
-				t.Errorf("%s/fast=%v full results diverge", loop, fast)
-			}
-		}
-	}
-}
-
 // TestServeResilienceConservation checks the terminal-state ledger:
 // every arrival resolves as exactly one of completed, dropped, failed or
 // shed, in the total and in every class/tenant breakdown.

@@ -481,19 +481,7 @@ func (ctl *Controller) collect(now int64) {
 				ctl.svcCnt[s]++
 			}
 			if r.job == nil {
-				// Pre-resilience path, bit for bit.
-				ctl.account(r, func(g *core.ServeGroup) {
-					g.Completed++
-					g.Queued.Add(r.started - r.arrived)
-					g.Service.Add(r.done - r.started)
-					g.Latency.Add(r.done - r.arrived)
-					if r.done > r.deadline {
-						g.Violations++
-					}
-				})
-				if ctl.spec.Closed > 0 && ctl.generated < ctl.spec.Requests {
-					ctl.arriving = append(ctl.arriving, ctl.newRequest(ctl.m.Now()))
-				}
+				ctl.complete(r, now) // pre-resilience: every copy completes
 				continue
 			}
 			ctl.resolve(r, now)
@@ -517,18 +505,7 @@ func (ctl *Controller) resolve(r *request, now int64) {
 		// Completed after its sibling already won; drop silently.
 	default:
 		j.done = true
-		ctl.account(r, func(g *core.ServeGroup) {
-			g.Completed++
-			g.Queued.Add(r.started - r.arrived)
-			g.Service.Add(r.done - r.started)
-			g.Latency.Add(r.done - r.arrived)
-			if r.done > r.deadline {
-				g.Violations++
-			}
-			if r.hedge {
-				g.HedgeWins++
-			}
-		})
+		ctl.complete(r, now)
 		if ctl.spec.Shed {
 			// The shed estimate tracks full arrival-to-completion latency:
 			// queue backlog, not just service time, is what dooms a
@@ -540,11 +517,29 @@ func (ctl *Controller) resolve(r *request, now int64) {
 				ctl.classEst[r.class] = est + healthAlpha*(lat-est)
 			}
 		}
-		ctl.replace(now)
 	}
 	if j.inFlight == 0 && !j.done && !j.failed {
 		ctl.retryOrFail(r, now)
 	}
+}
+
+// complete accounts the copy that completes a request — queueing, service
+// and end-to-end latency, the SLA verdict, a hedge win — and spawns its
+// closed-loop replacement.
+func (ctl *Controller) complete(r *request, now int64) {
+	ctl.account(r, func(g *core.ServeGroup) {
+		g.Completed++
+		g.Queued.Add(r.started - r.arrived)
+		g.Service.Add(r.done - r.started)
+		g.Latency.Add(r.done - r.arrived)
+		if r.done > r.deadline {
+			g.Violations++
+		}
+		if r.hedge {
+			g.HedgeWins++
+		}
+	})
+	ctl.replace(now)
 }
 
 // retryOrFail re-issues a killed job with bounded-exponential backoff

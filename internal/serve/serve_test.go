@@ -18,12 +18,7 @@ func testConfig(loop string, fastHits bool) core.Config {
 	cfg.Params.NCLines = 128
 	cfg.Params.DeadlockCycles = 2_000_000
 	cfg.FastHits = fastHits
-	switch loop {
-	case "naive":
-		cfg.NaiveLoop = true
-	case "parallel":
-		cfg.ParallelStations = true
-	}
+	cfg.ParallelStations = loop == "parallel"
 	return cfg
 }
 
@@ -53,8 +48,9 @@ func runServe(t *testing.T, cfg core.Config, specStr string, seed uint64) (strin
 	return b.String(), r
 }
 
-// serveSpecs are the scenario shapes the determinism suite sweeps: both
-// loop disciplines, every placement policy, open and closed arrivals.
+// serveSpecs are the scenario shapes the suite runs: both disciplines,
+// every placement policy, open and closed arrivals. The cross-loop
+// equivalence of each is TestServeEquivalence in internal/core.
 var serveSpecs = []string{
 	"open=3,duration=20000,procs=8,tenants=3,span=256,qcap=8,discipline=fifo,policy=static," +
 		"class=interactive:3:8:20:25:4000,class=batch:1:48:60:50:0",
@@ -62,37 +58,6 @@ var serveSpecs = []string{
 		"class=interactive:3:8:20:25:4000,class=batch:1:48:60:50:0",
 	"closed=6,requests=60,procs=8,tenants=2,span=256,depth=2,discipline=fifo,policy=least-load," +
 		"class=mix:1:24:30:40:8000",
-}
-
-// TestServeEquivalence pins the tentpole determinism contract: the same
-// spec+seed produces byte-identical serve reports — and fully identical
-// machine results — across the naive, scheduled and station-parallel
-// loops, with the front-end hit fast path on or off.
-func TestServeEquivalence(t *testing.T) {
-	for _, specStr := range serveSpecs {
-		sp, _ := ParseSpec(specStr)
-		t.Run(sp.Policy+"/"+sp.Discipline, func(t *testing.T) {
-			refReport, refRes := runServe(t, testConfig("naive", true), specStr, 42)
-			if refRes.Serve.Total.Completed == 0 {
-				t.Fatal("scenario completed no requests; test is vacuous")
-			}
-			for _, loop := range []string{"naive", "scheduled", "parallel"} {
-				for _, fast := range []bool{true, false} {
-					if loop == "naive" && fast {
-						continue // the reference run
-					}
-					report, res := runServe(t, testConfig(loop, fast), specStr, 42)
-					if report != refReport {
-						t.Errorf("%s/fast=%v report diverges:\n--- naive/fast=true\n%s--- %s/fast=%v\n%s",
-							loop, fast, refReport, loop, fast, report)
-					}
-					if !reflect.DeepEqual(res, refRes) {
-						t.Errorf("%s/fast=%v full results diverge", loop, fast)
-					}
-				}
-			}
-		})
-	}
 }
 
 // TestServeSeedSensitivity guards against a generator wired to a constant

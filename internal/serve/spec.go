@@ -14,9 +14,9 @@
 // runs only at Machine.SetDriver serial points (exactly the same cycles
 // under every cycle loop), and workers exchange work with the dispatcher
 // only around proc.Ctx.Sync handshakes — so the same spec+seed produces
-// byte-identical reports across the naive, scheduled and parallel loops,
-// with the front-end hit fast path on or off. The equivalence tests pin
-// this.
+// byte-identical reports across the test-only reference order and both
+// executors, with the front-end hit fast path on or off. The equivalence
+// tests in internal/core pin this.
 package serve
 
 import (

@@ -15,8 +15,8 @@
 // Determinism across cycle loops. Events are emitted only on real work —
 // state transitions, bus grants, queue pushes/pops, ring slot activity —
 // never from the per-cycle idle ticks the quiescence scheduler skips, so
-// each sink records the identical sequence under the naive, scheduled and
-// station-parallel loops. Under the parallel loop every sink is written
+// each sink records the identical sequence under the test-only reference
+// order and both executors. Under the pooled executor every sink is written
 // by exactly one station's phase-1 worker or by the serial phase-2 code,
 // never both in the same phase. The merge orders events by
 // (cycle, component rank, intra-sink sequence), where ranks follow the
