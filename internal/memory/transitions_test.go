@@ -6,13 +6,17 @@ import (
 	"numachine/internal/msg"
 )
 
-// TestDirectoryTransitionTable walks the full Figure 5 matrix: every
-// directory state crossed with every incoming request kind, asserting the
-// immediate response kinds, the next directory state, the lock bit, and
-// the processor-mask/routing-mask updates. Cells the protocol cannot
-// reach (e.g. a network write-back against a line in LI) are listed with
-// the module's defensive behavior, so a refactor that changes it is
-// flagged rather than silently absorbed.
+// TestDirectoryTransitionTable walks the Figure 5 matrix: every setup
+// below crossed with the request kinds that reach it — the local and
+// remote reads, exclusive reads, upgrades and write-backs, the special
+// write that follows a misfired optimistic upgrade, and the kill special
+// function — plus the no-SC-locking grants of the GV exclusive path. Each
+// row asserts the immediate response kinds, the next directory state, the
+// lock bit, the processor-mask/routing-mask updates, and that
+// Stats.Interventions counts exactly the bus interventions issued. Cells
+// the protocol cannot reach (e.g. a network write-back against a line in
+// LI) are listed with the module's defensive behavior, so a refactor that
+// changes it is flagged rather than silently absorbed.
 //
 // Setups (the line under test is 0x100, home station 0):
 //
@@ -66,10 +70,16 @@ func TestDirectoryTransitionTable(t *testing.T) {
 				SrcMod: h.g.ModRI(), SrcStation: st, Data: data, HasData: true})
 		}
 	}
+	// kill is the purge special function issued by local processor 2.
+	kill := func(h *harness) []*msg.Message {
+		return h.deliver(&msg.Message{Type: msg.KillReq, Line: line, Home: 0,
+			SrcMod: 2, SrcStation: 0, Requester: 2, ReqStation: 0})
+	}
 
 	cases := []struct {
 		name       string
 		setup      string
+		noSC       bool // probe with Params.SCLocking off
 		probe      func(h *harness) []*msg.Message
 		out        []msg.Type
 		wantState  DirState
@@ -99,6 +109,12 @@ func TestDirectoryTransitionTable(t *testing.T) {
 		{name: "lv-fresh/rem-wrback", setup: "lv-fresh", probe: remoteWB(2, 66),
 			// Defensive: treat as an ejection write-back of a shared copy.
 			out: nil, wantState: GV, wantMask: []int{0, 2}},
+		{name: "lv-fresh/special-wr", setup: "lv-fresh", probe: remote(msg.SpecialWrReq, 3),
+			// No owner to confirm: served as a remote exclusive read.
+			out: []msg.Type{msg.NetDataEx, msg.Invalidate}, wantState: LV, wantLocked: true, wantProcs: 0},
+		{name: "lv-fresh/kill", setup: "lv-fresh", probe: kill,
+			// Nothing cached: the completion interrupt goes out at once.
+			out: []msg.Type{msg.NetInterrupt}, wantState: LV, wantProcs: 0},
 
 		// ---- LV, local sharers 0 and 1 ----
 		{name: "lv-shared/local-read", setup: "lv-shared", probe: localRead(2),
@@ -116,6 +132,8 @@ func TestDirectoryTransitionTable(t *testing.T) {
 			// Local sharers die on the bus while the data travels.
 			out:       []msg.Type{msg.NetDataEx, msg.BusInval, msg.Invalidate},
 			wantState: LV, wantLocked: true, wantProcs: 0},
+		{name: "lv-shared/kill", setup: "lv-shared", probe: kill,
+			out: []msg.Type{msg.BusInval, msg.NetInterrupt}, wantState: LV, wantProcs: 0},
 
 		// ---- LI, proc 1 owns ----
 		{name: "li/local-read", setup: "li", probe: localRead(0),
@@ -132,6 +150,8 @@ func TestDirectoryTransitionTable(t *testing.T) {
 		{name: "li/rem-read", setup: "li", probe: remote(msg.RemRead, 2),
 			out: []msg.Type{msg.BusIntervention}, wantState: LI, wantLocked: true, wantProcs: 0b0010},
 		{name: "li/rem-readex", setup: "li", probe: remote(msg.RemReadEx, 2),
+			out: []msg.Type{msg.BusIntervention}, wantState: LI, wantLocked: true, wantProcs: 0},
+		{name: "li/kill", setup: "li", probe: kill,
 			out: []msg.Type{msg.BusIntervention}, wantState: LI, wantLocked: true, wantProcs: 0},
 
 		// ---- GV, proc 0 and station 2 share ----
@@ -160,6 +180,18 @@ func TestDirectoryTransitionTable(t *testing.T) {
 			wantState: GV, wantLocked: true, wantProcs: 0},
 		{name: "gv/rem-wrback", setup: "gv", probe: remoteWB(2, 66),
 			out: nil, wantState: GV, wantProcs: 0b0001, wantMask: []int{0, 2}},
+		{name: "gv/local-readex-no-sc", setup: "gv", noSC: true, probe: localWrite(1, msg.LocalReadEx),
+			// Without SC locking the writer is granted before the
+			// multicast returns; the line still waits for it.
+			out:       []msg.Type{msg.BusInval, msg.Invalidate, msg.ProcDataEx},
+			wantState: GV, wantLocked: true, wantProcs: 0b0010},
+		{name: "gv/local-upgd-sharer-no-sc", setup: "gv", noSC: true, probe: localWrite(0, msg.LocalUpgd),
+			out:       []msg.Type{msg.Invalidate, msg.ProcUpgdAck},
+			wantState: GV, wantLocked: true, wantProcs: 0b0001},
+		{name: "gv/kill", setup: "gv", probe: kill,
+			// Remote sharers: the kill waits for its multicast to return.
+			out:       []msg.Type{msg.BusInval, msg.Invalidate},
+			wantState: GV, wantLocked: true, wantProcs: 0},
 
 		// ---- GI, station 2 owns ----
 		{name: "gi/local-read", setup: "gi", probe: localRead(0),
@@ -181,6 +213,14 @@ func TestDirectoryTransitionTable(t *testing.T) {
 		{name: "gi/rem-wrback", setup: "gi", probe: remoteWB(2, 66),
 			// Figure 5: GI -> GV on the owner's ejection write-back.
 			out: nil, wantState: GV, wantMask: []int{0, 2}},
+		{name: "gi/special-wr-owner", setup: "gi", probe: remote(msg.SpecialWrReq, 2),
+			// The optimistic ack already made station 2 the owner: DRAM's
+			// value travels and the line stays unlocked (§4.6).
+			out: []msg.Type{msg.NetDataEx}, wantState: GI},
+		{name: "gi/special-wr", setup: "gi", probe: remote(msg.SpecialWrReq, 3),
+			out: []msg.Type{msg.NetIntervEx}, wantState: GI, wantLocked: true},
+		{name: "gi/kill", setup: "gi", probe: kill,
+			out: []msg.Type{msg.NetIntervEx}, wantState: GI, wantLocked: true},
 
 		// ---- locked: every request NAKs ----
 		{name: "locked/local-read", setup: "locked", probe: localRead(2),
@@ -195,6 +235,10 @@ func TestDirectoryTransitionTable(t *testing.T) {
 			out: []msg.Type{msg.NetNAK}, wantState: LI, wantLocked: true, wantProcs: 0b0010},
 		{name: "locked/rem-upgd", setup: "locked", probe: remote(msg.RemUpgd, 2),
 			out: []msg.Type{msg.NetNAK}, wantState: LI, wantLocked: true, wantProcs: 0b0010},
+		{name: "locked/special-wr", setup: "locked", probe: remote(msg.SpecialWrReq, 2),
+			out: []msg.Type{msg.NetNAK}, wantState: LI, wantLocked: true, wantProcs: 0b0010},
+		{name: "locked/kill", setup: "locked", probe: kill,
+			out: []msg.Type{msg.ProcNAK}, wantState: LI, wantLocked: true, wantProcs: 0b0010},
 	}
 
 	for _, tc := range cases {
@@ -202,8 +246,15 @@ func TestDirectoryTransitionTable(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			h := newHarness(t)
 			setups[tc.setup](h)
+			h.m.p.SCLocking = !tc.noSC
+			interv := h.m.Stats.Interventions
 			out := tc.probe(h)
 			expectTypes(t, out, tc.out...)
+			// Interventions counts bus interventions only: a network
+			// intervention (NetIntervShared/Ex) adds nothing.
+			if got, want := h.m.Stats.Interventions-interv, int64(countType(out, msg.BusIntervention)); got != want {
+				t.Errorf("Interventions +%d, want +%d", got, want)
+			}
 			st, locked, mask, procs, _ := h.m.Peek(line)
 			if st != tc.wantState {
 				t.Errorf("state %v, want %v", st, tc.wantState)
@@ -221,4 +272,14 @@ func TestDirectoryTransitionTable(t *testing.T) {
 			}
 		})
 	}
+}
+
+func countType(out []*msg.Message, t msg.Type) int {
+	n := 0
+	for _, m := range out {
+		if m.Type == t {
+			n++
+		}
+	}
+	return n
 }
