@@ -10,7 +10,7 @@ import (
 // Encode appends the module's behaviorally relevant state to a canonical
 // encoding (see internal/snap). Directory entries are visited in line
 // order; entries indistinguishable from a never-touched line (unlocked LV,
-// no sharers, home mask, initial data) are skipped so that lazily created
+// no sharers, home mask, data 0) are skipped so that lazily created
 // baseline entries do not split otherwise identical states. txnSeq is
 // excluded: transaction ids are only compared for equality and freshly
 // drawn ids never collide with live ones, so the encoder's first-appearance
@@ -19,7 +19,7 @@ func (m *Module) Encode(e *snap.Enc) {
 	lines := make([]uint64, 0, len(m.dir))
 	for line, en := range m.dir {
 		if en.state == LV && !en.locked && en.procs == 0 &&
-			en.mask == m.homeMask() && en.data == m.InitData && en.txn == nil {
+			en.mask == m.homeMask() && en.data == 0 && en.txn == nil {
 			continue
 		}
 		lines = append(lines, line)
