@@ -116,14 +116,17 @@ func (b *Bus) syncUtil(limit int64) {
 func (b *Bus) SyncStats(limit int64) { b.syncUtil(limit) }
 
 // Tick advances the bus one cycle: finish an in-flight transfer, then
-// arbitrate among modules with pending output.
-func (b *Bus) Tick(now int64) {
+// arbitrate among modules with pending output. It returns the set of bus
+// module indices the finished transfer was delivered to (bit i: module i),
+// empty on a tick that only arbitrates; BusDeliver is the only way a
+// transfer changes a module, so the gated cycle re-polls exactly these.
+func (b *Bus) Tick(now int64) (delivered uint32) {
 	b.syncUtil(now)
 	if now < b.busyUntil {
-		return
+		return 0
 	}
 	if b.inFlight != nil {
-		b.deliver(b.inFlight, now)
+		delivered = b.deliver(b.inFlight, now)
 		b.inFlight = nil
 	}
 	// Round-robin arbitration.
@@ -147,18 +150,20 @@ func (b *Bus) Tick(now int64) {
 		b.rr = (idx + 1) % n
 		b.Transfers++
 		b.Tr.Emit(now, trace.KindBusGrant, m.Line, m.TxnID, int32(m.Type), int32(cost))
-		return
+		return delivered
 	}
+	return delivered
 }
 
-// deliver routes a completed transfer to its destination module(s).
-func (b *Bus) deliver(m *msg.Message, now int64) {
+// deliver routes a completed transfer to its destination module(s) and
+// returns the set it reached.
+func (b *Bus) deliver(m *msg.Message, now int64) (to uint32) {
 	b.Tr.Emit(now, trace.KindBusDeliver, m.Line, m.TxnID, int32(m.Type), int32(m.DstMod))
 	if m.DstMod == b.g.ModRI() {
 		// Network-bound: hand to the ring interface untouched; the
 		// processor multicasts below apply only at the final station.
 		b.modules[m.DstMod].BusDeliver(m, now)
-		return
+		return 1 << uint(m.DstMod)
 	}
 	switch m.Type {
 	case msg.BusInval, msg.BusIntervention, msg.NetInterrupt:
@@ -169,20 +174,23 @@ func (b *Bus) deliver(m *msg.Message, now int64) {
 		for i := 0; i < b.g.ProcsPerStation; i++ {
 			if m.BusProcs&(1<<uint(i)) != 0 {
 				b.modules[b.g.ModProc(i)].BusDeliver(m, now)
+				to |= 1 << uint(b.g.ModProc(i))
 			}
 		}
 		b.Msgs.Put(m)
-		return
+		return to
 	case msg.IntervResp:
 		// A single transfer observed by the memory/NC and, when AlsoProc is
 		// set, by the requesting processor (§2.3: the owner "forwards a copy
 		// of the cache line to the requesting processor and to the memory").
 		if m.AlsoProc >= 0 && m.AlsoProc < b.g.ProcsPerStation {
 			b.modules[b.g.ModProc(m.AlsoProc)].BusDeliver(m, now)
+			to |= 1 << uint(b.g.ModProc(m.AlsoProc))
 		}
 	}
 	if tgt := b.modules[m.DstMod]; tgt != nil {
 		tgt.BusDeliver(m, now)
+		to |= 1 << uint(m.DstMod)
 		if b.g.IsProcMod(m.DstMod) && m.Type != msg.IntervResp {
 			// Processor deliveries are terminal (the CPU copies data into
 			// its cache); IntervResp is excluded — its DstMod is always the
@@ -190,6 +198,7 @@ func (b *Bus) deliver(m *msg.Message, now int64) {
 			b.Msgs.Put(m)
 		}
 	}
+	return to
 }
 
 // HitHorizon returns a sound lower bound on the earliest cycle at which a

@@ -147,3 +147,47 @@ func TestIdleAccountsForInFlight(t *testing.T) {
 		t.Error("drained bus not idle")
 	}
 }
+
+// TestDeliverySet pins Tick's return value to deliver's routing. The gated
+// cycle re-polls exactly the modules in the set, so a module a transfer
+// reaches but the set omits would keep a stale gate entry and lose a tick.
+func TestDeliverySet(t *testing.T) {
+	g := topo.Geometry{ProcsPerStation: 4, StationsPerRing: 4, Rings: 1}
+	mem, nc, ri := g.ModMem(), g.ModNC(), g.ModRI()
+	cases := []struct {
+		name string
+		from int
+		m    msg.Message
+		want uint32
+	}{
+		{"unicast to cpu 2", mem, msg.Message{Type: msg.ProcData, DstMod: g.ModProc(2)}, 1 << 2},
+		{"inval multicast", mem, msg.Message{Type: msg.BusInval, DstMod: 0, BusProcs: 0b0101}, 1<<0 | 1<<2},
+		{"interv resp to mem, cpu 1 snarfs", 3, msg.Message{Type: msg.IntervResp, DstMod: mem, AlsoProc: 1, HasData: true}, 1<<1 | 1<<mem},
+		{"interv resp to nc, cpu 0 snarfs", 3, msg.Message{Type: msg.IntervResp, DstMod: nc, AlsoProc: 0, HasData: true}, 1<<0 | 1<<nc},
+		{"network-bound", nc, msg.Message{Type: msg.RemRead, DstMod: ri}, 1 << ri},
+		// Processor multicasts apply only at the final station.
+		{"network-bound multicast", mem, msg.Message{Type: msg.NetInterrupt, DstMod: ri, BusProcs: 0b1111}, 1 << ri},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			b, mods, _ := build(t)
+			m := c.m
+			mods[c.from].out.Push(&m)
+			if got := b.Tick(0); got != 0 {
+				t.Fatalf("grant-only tick delivered to %b", got)
+			}
+			var got uint32
+			for now := int64(1); got == 0 && now < 50; now++ {
+				got = b.Tick(now)
+			}
+			if got != c.want {
+				t.Fatalf("delivery set %b, want %b", got, c.want)
+			}
+			for i, mod := range mods {
+				if inSet := got&(1<<uint(i)) != 0; inSet != (len(mod.received) > 0) {
+					t.Errorf("module %d received %d message(s), in the delivery set: %v", i, len(mod.received), inSet)
+				}
+			}
+		})
+	}
+}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 
 	"numachine/internal/sim"
 )
@@ -49,29 +50,26 @@ func (m *Machine) Step() {
 // have fed it ticked. The phase-1 marks read and write only state of the
 // station that evaluates them (parallel.go relies on that):
 //
-//	CPU tick     -> its bus, now: always (a request in its BusOut).
-//	bus tick     -> mem and NC, now: always (their input queues); live CPUs,
-//	                now+1: always (a delivery changes CPU state, there is no
-//	                FIFO to look at).
-//	             -> its local ring, now: iff the RI's send queues are non-empty
-//	                (StationRI.OutPending — pushed only by this bus, popped
-//	                only in phase 2). Staged in busFedRing and merged between
-//	                the phases, because two stations of one ring would write
-//	                the same pollLocal entry from different shards.
+//	CPU tick     -> its bus, now: iff its BusOut is non-empty.
+//	bus tick     -> mem, NC, CPU k: iff the transfer was delivered to it (the
+//	                set Bus.Tick returns); mem and NC now, CPUs now+1.
+//	             -> its local ring, now: iff it delivered to the RI and the
+//	                RI's send queues are non-empty (StationRI.OutPending —
+//	                pushed only by this bus, popped only in phase 2). Staged
+//	                in busFedRing and merged by feedRing.
 //	                The RI itself is not marked: its NextWork reads only its
-//	                input FIFO, and BusDeliver's loop-back branch feeds the bus,
-//	                which pollBus = now+1 covers.
-//	mem/NC tick  -> its bus, now+1: always (responses in BusOut).
-//	RI tick      -> its bus, now+1: always (reassembled messages in BusOut).
+//	                input FIFO, and BusDeliver's loop-back branch fills the
+//	                RI's BusOut, which the bus's own post-tick wake reads.
+//	mem/NC tick  -> its bus, now+1: iff its BusOut is non-empty.
+//	RI tick      -> its bus, now+1: iff its BusOut is non-empty.
 //	local tick   -> a member RI, now+1: iff that RI's input FIFO is non-empty.
 //	             -> the central ring, now: iff the IRI's up FIFO is non-empty
 //	                (IRI.CentralPending); the central tick that drains it
 //	                runs in the tail of this same cycle.
-//	             -> itself, now+1: always.
 //	central tick -> local ring r, now+1: iff IRI r's down FIFO is non-empty
 //	                (IRI.DownPending — pushed by this tick, popped by ring r's
 //	                phase-2 tick).
-//	             -> itself, now+1: always.
+//	any tick     -> itself: X.NextWork(now+1), asked right after X.Tick(now).
 //	barrier fire -> the released CPU, now (fireBarriers, before phase 1).
 //
 // Marks remove polls, never ticks: a component still ticks iff its own
@@ -91,21 +89,7 @@ func (m *Machine) stepGated() int {
 		for s, next := range m.stationNext {
 			if next <= now {
 				ticked += m.tickStation(s, now)
-			}
-		}
-	}
-	if ticked > 0 { // busFedRing is set only by a bus tick, which is counted
-		for s, fed := range m.busFedRing {
-			if !fed {
-				continue
-			}
-			m.busFedRing[s] = false
-			r := m.ringOf[s]
-			if m.pollLocal[r] > now {
-				m.pollLocal[r] = now
-			}
-			if m.ringNext[r] > now {
-				m.ringNext[r] = now
+				m.feedRing(s, now)
 			}
 		}
 	}
@@ -115,6 +99,21 @@ func (m *Machine) stepGated() int {
 	ticked += m.tail(now)
 	m.now++
 	return ticked
+}
+
+// feedRing merges station s's staged bus -> local-ring mark (busFedRing)
+// into its ring group's entries. The inline executor calls it right after
+// the station's tickStation; the pooled one after the pool's barrier,
+// because two stations of one ring would write the same pollLocal entry
+// from different shards.
+func (m *Machine) feedRing(s int, now int64) {
+	if !m.busFedRing[s] {
+		return
+	}
+	m.busFedRing[s] = false
+	r := m.ringOf[s]
+	m.pollLocal[r] = min(m.pollLocal[r], now)
+	m.ringNext[r] = min(m.ringNext[r], now)
 }
 
 // anyDue reports whether any aggregate wake in next has come due.
@@ -134,88 +133,76 @@ func anyDue(next []int64, now int64) bool {
 func (m *Machine) tickStation(s int, now int64) int {
 	ticked := 0
 	first := m.g.ProcAt(s, 0)
-	for i := first; i < first+m.g.ProcsPerStation; i++ {
-		if m.pollCPU[i] > now {
-			continue
-		}
-		c := m.CPUs[i]
-		if w := c.NextWork(now); w <= now {
-			c.Tick(now)
-			ticked++
-			m.pollCPU[i] = now + 1
-			if m.pollBus[s] > now {
-				m.pollBus[s] = now
-			}
-		} else {
-			m.pollCPU[i] = w
-		}
-	}
-	if m.pollBus[s] <= now {
-		b := m.Buses[s]
-		if w := b.NextWork(now); w <= now {
-			b.Tick(now)
-			ticked++
-			m.pollBus[s] = now + 1
-			if m.pollMem[s] > now {
-				m.pollMem[s] = now
-			}
-			if m.pollNC[s] > now {
-				m.pollNC[s] = now
-			}
-			if m.RIs[s].OutPending() {
-				m.busFedRing[s] = true
-			}
-			for i := first; i < first+m.g.ProcsPerStation; i++ {
-				if m.liveCPU[i] && m.pollCPU[i] > now+1 {
-					m.pollCPU[i] = now + 1
-				}
-			}
-		} else {
-			m.pollBus[s] = w
-		}
-	}
-	if m.pollMem[s] <= now {
-		mem := m.Mems[s]
-		if w := mem.NextWork(now); w <= now {
-			mem.Tick(now)
-			ticked++
-			m.pollMem[s] = now + 1
-			if m.pollBus[s] > now+1 {
-				m.pollBus[s] = now + 1
-			}
-		} else {
-			m.pollMem[s] = w
-		}
-	}
-	if m.pollNC[s] <= now {
-		nc := m.NCs[s]
-		if w := nc.NextWork(now); w <= now {
-			nc.Tick(now)
-			ticked++
-			m.pollNC[s] = now + 1
-			if m.pollBus[s] > now+1 {
-				m.pollBus[s] = now + 1
-			}
-		} else {
-			m.pollNC[s] = w
-		}
-	}
+	cpus := m.pollCPU[first : first+m.g.ProcsPerStation]
 	// Aggregate wake: the earliest cycle any of this station's phase-1
 	// components can work again, given no outside influence (an RI tick and
 	// a barrier release lower it where they lower the entries it covers).
-	next := m.pollBus[s]
-	if m.pollMem[s] < next {
-		next = m.pollMem[s]
-	}
-	if m.pollNC[s] < next {
-		next = m.pollNC[s]
-	}
-	for i := first; i < first+m.g.ProcsPerStation; i++ {
-		if m.pollCPU[i] < next {
-			next = m.pollCPU[i]
+	next := sim.Never
+	for k, at := range cpus {
+		if at <= now {
+			c := m.CPUs[first+k]
+			if at = c.NextWork(now); at <= now {
+				c.Tick(now)
+				ticked++
+				at = c.NextWork(now + 1)
+				if m.pollBus[s] > now && !c.BusOut().Empty() {
+					m.pollBus[s] = now
+				}
+			}
+			cpus[k] = at
 		}
+		next = min(next, at)
 	}
-	m.stationNext[s] = next
+	if m.pollBus[s] <= now {
+		b := m.Buses[s]
+		w := b.NextWork(now)
+		if w <= now {
+			to := b.Tick(now)
+			ticked++
+			w = b.NextWork(now + 1)
+			for ; to != 0; to &= to - 1 {
+				switch mod := bits.TrailingZeros32(to); mod {
+				case m.g.ModMem():
+					m.pollMem[s] = min(m.pollMem[s], now)
+				case m.g.ModNC():
+					m.pollNC[s] = min(m.pollNC[s], now)
+				case m.g.ModRI():
+					m.busFedRing[s] = m.RIs[s].OutPending()
+				default:
+					cpus[mod] = min(cpus[mod], now+1)
+					next = min(next, now+1)
+				}
+			}
+		}
+		m.pollBus[s] = w
+	}
+	if m.pollMem[s] <= now {
+		mem := m.Mems[s]
+		w := mem.NextWork(now)
+		if w <= now {
+			mem.Tick(now)
+			ticked++
+			w = mem.NextWork(now + 1)
+			if !mem.BusOut().Empty() {
+				m.pollBus[s] = min(m.pollBus[s], now+1)
+			}
+		}
+		m.pollMem[s] = w
+	}
+	if m.pollNC[s] <= now {
+		nc := m.NCs[s]
+		w := nc.NextWork(now)
+		if w <= now {
+			nc.Tick(now)
+			ticked++
+			w = nc.NextWork(now + 1)
+			if !nc.BusOut().Empty() {
+				m.pollBus[s] = min(m.pollBus[s], now+1)
+			}
+		}
+		m.pollNC[s] = w
+	}
+	m.stationNext[s] = min(next, m.pollBus[s], m.pollMem[s], m.pollNC[s])
 	return ticked
 }
 
@@ -231,12 +218,10 @@ func (m *Machine) tickRI(s int, now int64) int {
 		return 0
 	}
 	ri.Tick(now)
-	m.pollRI[s] = now + 1
-	if m.pollBus[s] > now+1 {
-		m.pollBus[s] = now + 1
-	}
-	if m.stationNext[s] > now+1 {
-		m.stationNext[s] = now + 1
+	m.pollRI[s] = ri.NextWork(now + 1)
+	if !ri.BusOut().Empty() {
+		m.pollBus[s] = min(m.pollBus[s], now+1)
+		m.stationNext[s] = min(m.stationNext[s], now+1)
 	}
 	return 1
 }
@@ -253,7 +238,7 @@ func (m *Machine) tickLocal(r int, now int64) int {
 		return 0
 	}
 	lr.Tick(now)
-	m.pollLocal[r] = now + 1
+	m.pollLocal[r] = lr.NextWork(now + 1)
 	for pos := 0; pos < m.g.StationsPerRing; pos++ {
 		if s := m.g.StationAt(r, pos); m.pollRI[s] > now+1 && m.RIs[s].InFIFODepth() > 0 {
 			m.pollRI[s] = now + 1
@@ -313,17 +298,13 @@ func (m *Machine) tail(now int64) int {
 		} else {
 			m.Central.Tick(now)
 			ticked = 1
-			m.pollCentral = now + 1
+			m.pollCentral = m.Central.NextWork(now + 1)
 			for r, iri := range m.IRIs {
 				if !iri.DownPending() {
 					continue
 				}
-				if m.pollLocal[r] > now+1 {
-					m.pollLocal[r] = now + 1
-				}
-				if m.ringNext[r] > now+1 {
-					m.ringNext[r] = now + 1
-				}
+				m.pollLocal[r] = min(m.pollLocal[r], now+1)
+				m.ringNext[r] = min(m.ringNext[r], now+1)
 			}
 		}
 	}

@@ -122,9 +122,10 @@ func TestIdleStationsNeverTick(t *testing.T) {
 
 // TestGateAuditReportsStaleEntry forges the one kind of poll-cache error
 // that loses a tick — an entry later than the component's own NextWork —
-// and checks that the audit CheckInvariants arms names it: the first time a
-// ring interface holds a packet at a serial point, its entry is set to
-// sim.Never, audited, and restored so the run finishes normally.
+// and checks that the audit CheckInvariants arms names it. For a CPU, a
+// memory module and a ring interface in turn, the first time that component
+// has work at a sample point its entry is set to sim.Never, audited, and
+// restored so the run finishes normally.
 func TestGateAuditReportsStaleEntry(t *testing.T) {
 	cfg := tinyConfig(1, 2, 1)
 	cfg.CheckInvariants = true // the unforged caches pass the audit every cycle
@@ -135,36 +136,104 @@ func TestGateAuditReportsStaleEntry(t *testing.T) {
 	base := m.AllocAt(1, 8*cfg.Params.LineSize)
 	m.Load([]proc.Program{func(c *proc.Ctx) {
 		for i := 0; i < 8; i++ {
+			c.Compute(3)
 			c.Read(base + uint64(i*cfg.Params.LineSize))
 		}
 	}})
-	var forged error
-	done := false
+	type nexter interface{ NextWork(int64) int64 }
+	type target struct {
+		kind   string
+		entry  func(s int) *int64
+		of     func(s int) nexter
+		forged error
+		done   bool
+	}
+	targets := []*target{
+		{kind: "cpu", entry: func(s int) *int64 { return &m.pollCPU[s] }, of: func(s int) nexter { return m.CPUs[s] }},
+		{kind: "mem", entry: func(s int) *int64 { return &m.pollMem[s] }, of: func(s int) nexter { return m.Mems[s] }},
+		{kind: "ri", entry: func(s int) *int64 { return &m.pollRI[s] }, of: func(s int) nexter { return m.RIs[s] }},
+	}
 	m.SetSampler(1, func(m *Machine) {
-		if done {
-			return
-		}
-		for s, ri := range m.RIs {
-			if ri.InFIFODepth() == 0 {
-				continue
+		for _, tg := range targets {
+			for s := range m.Buses { // one CPU per station: index s names both
+				if tg.done || tg.of(s).NextWork(m.Now()) > m.Now() {
+					continue
+				}
+				tg.done = true
+				if err := m.auditGates(); err != nil {
+					t.Fatalf("audit fails before the forgery: %v", err)
+				}
+				e := tg.entry(s)
+				saved := *e
+				*e = sim.Never
+				tg.forged = m.auditGates()
+				*e = saved
 			}
-			done = true
-			if err := m.auditGates(); err != nil {
-				t.Fatalf("audit fails before the forgery: %v", err)
-			}
-			saved := m.pollRI[s]
-			m.pollRI[s] = sim.Never
-			forged = m.auditGates()
-			m.pollRI[s] = saved
-			return
 		}
 	})
 	m.Run()
-	if !done {
-		t.Fatal("no ring interface ever held a packet at a sample point")
+	for _, tg := range targets {
+		if !tg.done {
+			t.Errorf("no %s ever had work at a sample point", tg.kind)
+			continue
+		}
+		if tg.forged == nil || !strings.Contains(tg.forged.Error(), "cached Never but NextWork") ||
+			!strings.Contains(tg.forged.Error(), tg.kind+" ") {
+			t.Errorf("audit of a forged %s entry = %v, want a stale %s entry reported", tg.kind, tg.forged, tg.kind)
+		}
 	}
-	if forged == nil || !strings.Contains(forged.Error(), "cached Never but NextWork") ||
-		!strings.Contains(forged.Error(), "ri ") {
-		t.Fatalf("audit of a forged pollRI entry = %v, want a stale ri entry reported", forged)
+}
+
+// TestBusMarksOnlyWhatItDelivered pins the bus influence marks to the
+// delivery set: in the cycle a response reaches CPU 0, the other live CPUs
+// of its station (thinking far into the future), the memory module and the
+// network cache keep the entries they had. The memory and NC entries are
+// forged early (now+5, legal because both are idle) so that a mark followed
+// by a re-poll would show as the entry moving to sim.Never.
+func TestBusMarksOnlyWhatItDelivered(t *testing.T) {
+	cfg := tinyConfig(4, 1, 1)
+	cfg.CheckInvariants = true
+	m, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	base := m.AllocAt(0, 8*cfg.Params.LineSize)
+	think := func(c *proc.Ctx) { c.Compute(1_000_000) }
+	m.Load([]proc.Program{func(c *proc.Ctx) {
+		for i := 0; i < 8; i++ {
+			c.Read(base + uint64(i*cfg.Params.LineSize))
+		}
+	}, think, think, think})
+	checked := 0
+	for m.Now() < 20_000 && checked < 4 {
+		now := m.Now()
+		b := m.Buses[0]
+		// HitHorizon(0, now) == now iff a transfer addressed to CPU 0
+		// completes this cycle.
+		if now < 100 || b.HitHorizon(0, now) != now ||
+			m.Mems[0].NextWork(now) <= now+5 || m.NCs[0].NextWork(now) <= now+5 {
+			m.Step()
+			continue
+		}
+		m.pollMem[0], m.pollNC[0] = now+5, now+5
+		others := append([]int64(nil), m.pollCPU[1:4]...)
+		m.Step()
+		checked++
+		if m.pollCPU[0] != now+1 {
+			t.Errorf("cycle %d: cpu 0 received a response but pollCPU[0]=%d, want %d", now, m.pollCPU[0], now+1)
+		}
+		for i, at := range others {
+			if got := m.pollCPU[1+i]; got != at {
+				t.Errorf("cycle %d: the bus delivered only to cpu 0 but pollCPU[%d] moved %d -> %d", now, 1+i, at, got)
+			}
+		}
+		if m.pollMem[0] != now+5 || m.pollNC[0] != now+5 {
+			t.Errorf("cycle %d: the bus delivered only to cpu 0 but pollMem=%d pollNC=%d, want both %d",
+				now, m.pollMem[0], m.pollNC[0], now+5)
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no cycle delivered a response to cpu 0 with memory and NC idle")
 	}
 }

@@ -206,9 +206,10 @@ type Machine struct {
 	ringOf      []int
 
 	// liveCPU marks processors with a loaded program. The others sit in
-	// sDone forever, so the bus influence mark skips them and their poll
-	// cache stays at sim.Never after the first pass — a station none of
-	// whose CPUs is live costs one stationNext comparison per cycle.
+	// sDone forever, so the fast-hit horizon skips them; no transfer is
+	// addressed to them either, so their poll cache stays at sim.Never after
+	// the first pass — a station none of whose CPUs is live costs one
+	// stationNext comparison per cycle.
 	liveCPU []bool
 
 	// FastForwarded counts cycles skipped by quiescence fast-forwarding.

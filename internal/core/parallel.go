@@ -40,6 +40,11 @@ func (m *Machine) stationPhasePooled(now int64) int {
 	ticked := m.pool.Cycle(now)
 	m.parPhase = false
 	m.flushParallelArrivals(now)
+	if ticked > 0 { // busFedRing is set only by a bus tick, which is counted
+		for s := range m.busFedRing {
+			m.feedRing(s, now)
+		}
+	}
 	return ticked
 }
 

@@ -5,11 +5,13 @@ import (
 	"io"
 	"reflect"
 
+	"numachine/internal/bus"
 	"numachine/internal/hist"
 	"numachine/internal/memory"
 	"numachine/internal/monitor"
 	"numachine/internal/netcache"
 	"numachine/internal/proc"
+	"numachine/internal/ring"
 )
 
 // Results aggregates the machine's monitoring hardware into the metrics
@@ -164,15 +166,11 @@ func (m *Machine) Results() Results {
 	if m.serveReport != nil {
 		r.Serve = m.serveReport()
 	}
-	for _, b := range m.Buses {
-		r.BusUtil += b.Util.Value()
-	}
-	r.BusUtil /= float64(len(m.Buses))
+	r.BusUtil = meanUtil(m.Buses, func(b *bus.Bus) *monitor.Utilization { return &b.Util })
+	r.LocalRingUtil = meanUtil(m.Locals, func(lr *ring.Ring) *monitor.Utilization { return &lr.Util })
 	for _, lr := range m.Locals {
-		r.LocalRingUtil += lr.Util.Value()
 		r.Fault.RingFaultStalls += lr.FaultStalls
 	}
-	r.LocalRingUtil /= float64(len(m.Locals))
 	if m.Central != nil {
 		r.CentralRingUtil = m.Central.Util.Value()
 		r.Fault.RingFaultStalls += m.Central.FaultStalls
@@ -230,6 +228,16 @@ func addCounters[T any](dst, src *T) {
 			f.SetInt(f.Int() + s.Field(i).Int())
 		}
 	}
+}
+
+// meanUtil is the unweighted mean of the utilizations of xs (one bus per
+// station, one local ring per ring group).
+func meanUtil[T any](xs []T, util func(T) *monitor.Utilization) float64 {
+	var sum float64
+	for _, x := range xs {
+		sum += util(x).Value()
+	}
+	return sum / float64(len(xs))
 }
 
 // pooledMean is the mean over every sample of several samplers (a delay
