@@ -49,8 +49,9 @@ type Config struct {
 	// gated cycle runs inline.
 	ParallelStations bool
 
-	// StationWorkers bounds the worker pool for ParallelStations;
-	// 0 means GOMAXPROCS.
+	// StationWorkers bounds the worker pool for ParallelStations; the
+	// count includes the goroutine that runs the machine, so 1 runs every
+	// station on it and W starts W-1 helpers. 0 means GOMAXPROCS.
 	StationWorkers int
 
 	// FastHits resolves L1/L2 cache hits synchronously in the workload

@@ -6,8 +6,10 @@ package core
 // this file only dispatches phase 1 across workers: tickStation runs for
 // all due stations concurrently, one shard each, and barrier arrivals are
 // buffered per station and merged in station order afterwards. The
-// interconnect (phase 2 and the tail) always runs on the caller's
-// goroutine, after the pool's barrier, so nothing in it is shared.
+// machine's own goroutine is worker 0 and ticks the first block of
+// stations itself while the pool's helpers tick the rest. The interconnect
+// (phase 2 and the tail) always runs on the machine's goroutine, after the
+// pool's barrier, so nothing in it is shared.
 //
 // A phase-1 component's visible state depends only on earlier components
 // of its own station: a station shard reads and writes its own CPUs, bus,

@@ -78,7 +78,8 @@ func (p *legacyShardPool) Stop() {
 
 // The shard body is deliberately near-empty: the benchmark measures the
 // per-Cycle hand-off cost (dispatch + barrier), which is what the parallel
-// cycle loop pays twice per simulated cycle on top of the real work.
+// cycle loop pays once per simulated cycle with station work, on top of
+// the real work.
 
 func BenchmarkShardPoolHandoff(b *testing.B) {
 	p := NewShardPool(0, 16, func(shard int, now int64) int { return 1 })
