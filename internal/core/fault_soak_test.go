@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -223,5 +224,52 @@ func TestStuckTransactionReport(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestStuckTransactionReportOneBlockPerLine wedges the home of one line
+// that two CPUs on different stations keep writing: the report describes
+// the line once, naming both waiters, with its home entry and, once, the
+// NC of the remote waiter's station (here also the owner the home names).
+func TestStuckTransactionReportOneBlockPerLine(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Geom = topo.Geometry{ProcsPerStation: 2, StationsPerRing: 2, Rings: 1}
+	cfg.Params.L2Lines = 64
+	cfg.Params.DeadlockCycles = 25_000
+	cfg.FaultSpec = "wedge-mem=0:2000"
+	cfg.FaultSeed = 1
+	m, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Two pages of lines, one homed on each station: take station 0's.
+	addr := m.AllocLines(128)
+	if m.HomeOf(addr) != 0 {
+		addr += 64 * uint64(cfg.Params.LineSize)
+	}
+	if m.HomeOf(addr) != 0 {
+		t.Fatal("no line homed on the wedged station")
+	}
+	write := func(c *proc.Ctx) {
+		for i := 0; i < 100_000; i++ {
+			c.Write(addr, uint64(i))
+		}
+	}
+	idle := func(c *proc.Ctx) {}
+	m.Load([]proc.Program{write, idle, write, idle}) // cpus 0 and 2: stations 0 and 1
+	report := func() (panicMsg string) {
+		defer func() { panicMsg, _ = recover().(string) }()
+		m.Run()
+		return ""
+	}()
+	if report == "" {
+		t.Fatal("wedged memory did not trip the watchdog")
+	}
+	heading := fmt.Sprintf("line %#x: waiting cpus [0 2]\n  mem[0]: ", addr)
+	if n := strings.Count(report, fmt.Sprintf("line %#x:", addr)); n != 1 || !strings.Contains(report, heading) {
+		t.Errorf("want one %q block, found %d:\n%s", heading, n, report)
+	}
+	if n := strings.Count(report, "  nc[1]"); n != 1 {
+		t.Errorf("the remote waiter's NC is described %d times, want once:\n%s", n, report)
 	}
 }

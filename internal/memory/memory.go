@@ -3,7 +3,10 @@
 // mask and state bits per cache line, and the hardware cache coherence
 // block that implements the memory side of the two-level protocol — the
 // state machine of Figure 5 with states LV, LI, GV, GI plus locked
-// versions.
+// versions. Every request enters through request; every reply to a locked
+// line passes one staleness guard (reply), and the transition finishes in
+// answer, which sends the requester its data, and settle, which writes
+// the final directory state and unlocks.
 //
 // The directory design follows §2.3 exactly: the network level is a full
 // directory of (inexact) routing masks whose storage grows logarithmically
@@ -301,8 +304,12 @@ func (m *Module) TxnInfo(line uint64) string {
 		return "none"
 	}
 	t := e.txn
-	return fmt.Sprintf("txn{kind=%v req=%d reqSt=%d waitInval=%v granted=%v wb=%v miss=%v id=%d}",
-		t.kind, t.requester, t.reqStation, t.waitInval, t.granted, t.wbSeen, t.missSeen, t.id)
+	owner := "" // the station a network intervention targeted
+	if t.netInterv {
+		owner = fmt.Sprintf(" owner=%d", t.ownerStation)
+	}
+	return fmt.Sprintf("txn{kind=%v req=%d reqSt=%d%s waitInval=%v granted=%v wb=%v miss=%v id=%d}",
+		t.kind, t.requester, t.reqStation, owner, t.waitInval, t.granted, t.wbSeen, t.missSeen, t.id)
 }
 
 // ForEachLine visits every directory entry (invariant checker support).
@@ -471,20 +478,9 @@ func (m *Module) handle(x *msg.Message, now int64) {
 		m.localWrBack(e, x, now)
 	case msg.RemWrBack:
 		m.remWrBack(e, x, now)
-	case msg.Invalidate:
-		m.invalReturn(e, x, now)
-	case msg.IntervResp:
-		m.intervResp(e, x, now)
-	case msg.IntervMiss:
-		m.intervMiss(e, x, now)
-	case msg.NetData, msg.NetDataEx, msg.NetWBCopy:
-		m.netDataArrival(e, x, now)
-	case msg.NetXferDone:
-		m.xferDone(e, x, now)
-	case msg.NetIntervMiss:
-		m.netIntervMiss(e, x, now)
-	case msg.NetNAK:
-		m.netNAKArrival(e, x, now)
+	case msg.Invalidate, msg.IntervResp, msg.IntervMiss, msg.NetData, msg.NetDataEx,
+		msg.NetWBCopy, msg.NetXferDone, msg.NetIntervMiss, msg.NetNAK:
+		m.reply(e, x, now)
 	default:
 		panic(fmt.Sprintf("memory[%d]: unexpected message %v", m.Station, x))
 	}
@@ -498,8 +494,8 @@ func (m *Module) handle(x *msg.Message, now int64) {
 // remote owner with a network intervention, and LV and GV answer a shared
 // request from DRAM or take the exclusive grant, which invalidates every
 // other copy. The request picks only the message types and destinations.
-// A transition that must wait for a reply locks the line; the completion
-// handlers below finish it by the txn kind recorded here.
+// A transition that must wait for a reply locks the line; settle finishes
+// it by the txn kind recorded here.
 func (m *Module) request(e *entry, x *msg.Message, now int64) {
 	src, req := x.SrcStation, x.SrcMod
 	remote := x.Type == msg.RemRead || x.Type == msg.RemReadEx || x.Type == msg.RemUpgd
@@ -693,20 +689,12 @@ func (m *Module) request(e *entry, x *msg.Message, now int64) {
 }
 
 func (m *Module) localWrBack(e *entry, x *msg.Message, now int64) {
-	bit := uint16(1) << uint(x.SrcMod)
+	e.procs &^= 1 << uint(x.SrcMod)
 	if e.locked {
-		e.txn.wbSeen = true
-		e.txn.wbData = x.Data
-		e.txn.wbProc = x.SrcMod
-		e.txn.wbStation = -1
-		e.procs &^= bit
-		if e.txn.missSeen {
-			m.completeAfterMiss(e, x.Line, now)
-		}
+		m.wrBackLocked(e, x, x.SrcMod, -1, now)
 		return
 	}
 	e.data = x.Data
-	e.procs &^= bit
 	if e.state == LI {
 		e.state = LV
 	}
@@ -722,15 +710,8 @@ func (m *Module) remWrBack(e *entry, x *msg.Message, now int64) {
 		// traffic) whose data must not enter the transition.
 		fromOwner := t.netInterv && x.SrcStation == t.ownerStation
 		fromWriter := t.granted && x.SrcStation == t.reqStation
-		if (!fromOwner && !fromWriter) || t.wbSeen {
-			return
-		}
-		t.wbSeen = true
-		t.wbData = x.Data
-		t.wbProc = -1
-		t.wbStation = x.SrcStation
-		if t.missSeen {
-			m.completeAfterMiss(e, x.Line, now)
+		if (fromOwner || fromWriter) && !t.wbSeen {
+			m.wrBackLocked(e, x, -1, x.SrcStation, now)
 		}
 		return
 	}
@@ -745,125 +726,171 @@ func (m *Module) remWrBack(e *entry, x *msg.Message, now int64) {
 	e.mask = e.mask.Or(m.g.MaskFor(x.SrcStation)).Or(m.homeMask())
 }
 
-// invalReturn: our own invalidation multicast came back to the home
-// station, which unlocks the line and finalizes the transition (§2.3).
-func (m *Module) invalReturn(e *entry, x *msg.Message, now int64) {
-	if !e.locked || e.txn == nil || e.txn.id != x.TxnID {
-		// An invalidation for a line this memory no longer has locked can
-		// only be a stale duplicate; ignore it.
-		return
-	}
+// wrBackLocked records a write-back that reached a locked line, from local
+// processor proc or from station's NC (the other is -1). Once the
+// intervention target has reported its miss, the write-back completes the
+// transition.
+func (m *Module) wrBackLocked(e *entry, x *msg.Message, proc, station int, now int64) {
 	t := e.txn
-	switch t.kind {
-	case msg.LocalReadEx, msg.LocalUpgd:
-		if !t.granted {
-			if t.upgdAck {
-				m.toProc(now, msg.ProcUpgdAck, m.g.LocalProc(t.requester), x.Line, 0, 0)
-			} else {
-				m.toProc(now, msg.ProcDataEx, m.g.LocalProc(t.requester), x.Line, e.data, 0)
-			}
-		}
-		if t.granted && t.wbSeen && t.wbProc == m.g.LocalProc(t.requester) {
-			// The writer was granted early (no-SC-locking mode) and already
-			// evicted its dirty line while the invalidation was in flight:
-			// the write-back data is current and nobody holds a copy.
-			e.data = t.wbData
-			e.state = LV
-			e.mask = m.homeMask()
-			e.procs = 0
-			break
-		}
-		e.state = LI
-		e.mask = m.homeMask()
-		e.procs = 1 << uint(m.g.LocalProc(t.requester))
-	case msg.RemReadEx, msg.RemUpgd:
-		if t.granted && t.wbSeen && t.wbStation == t.reqStation {
-			// The remote writer's NC already ejected and wrote the line
-			// back while the invalidation was in flight.
-			e.data = t.wbData
-			e.state = GV
-			e.mask = m.g.MaskFor(t.reqStation).Or(m.homeMask())
-			e.procs = 0
-			break
-		}
-		e.state = GI
-		e.mask = m.g.MaskFor(t.reqStation)
-		e.procs = 0
-	case msg.KillReq:
-		e.state = LV
-		e.mask = m.homeMask()
-		e.procs = 0
-		m.killDone(t, x.Line, now)
-	default:
-		panic(fmt.Sprintf("memory[%d]: invalidation return for unexpected txn %v", m.Station, t.kind))
+	t.wbSeen, t.wbData, t.wbProc, t.wbStation = true, x.Data, proc, station
+	if t.missSeen {
+		m.completeAfterMiss(e, x.Line, now)
 	}
-	m.unlock(e)
 }
 
-// intervResp: a local secondary cache supplied its dirty copy.
-func (m *Module) intervResp(e *entry, x *msg.Message, now int64) {
-	if !e.locked || e.txn == nil {
-		// The line was already completed via a racing write-back.
-		e.data = x.Data
+// ---- completions ----
+
+// reply hands a reply to the line's locked transition. The bus orders a
+// local cache's intervention reply before the line can unlock; a network
+// reply must carry the transition's id. Anything else is stale: a
+// duplicate the fault injector replayed, or a reply for an older
+// transaction on this line (a timeout re-issue can leave two in flight).
+func (m *Module) reply(e *entry, x *msg.Message, now int64) {
+	bus := x.Type == msg.IntervResp || x.Type == msg.IntervMiss
+	if !e.locked || !bus && x.TxnID != e.txn.id {
+		if !e.locked && x.Type == msg.NetWBCopy {
+			e.data = x.Data // a copy for an already-completed transition still refreshes DRAM
+		}
 		return
 	}
-	t := e.txn
+	switch x.Type {
+	case msg.Invalidate:
+		m.invalReturn(e, x.Line, now)
+	case msg.IntervResp:
+		m.intervResp(e, x, now)
+	case msg.IntervMiss, msg.NetIntervMiss:
+		m.intervMiss(e, x.Line, now)
+	case msg.NetData, msg.NetDataEx, msg.NetWBCopy:
+		m.netDataArrival(e, x, now)
+	case msg.NetXferDone:
+		// The previous owner confirmed an exclusive ownership transfer.
+		m.settle(e, e.txn, x.Line, e.data, now)
+	case msg.NetNAK:
+		m.netNAKArrival(e, x.Line, now)
+	}
+}
+
+// answer sends the requester of t its data: ProcData or ProcDataEx (an
+// upgrade's ProcUpgdAck) on the bus to a local processor, NetData or
+// NetDataEx over the network to a remote station, carrying t.id. It
+// returns the network message. A kill has no data to answer with: its
+// completion interrupt goes out in settle.
+func (m *Module) answer(t *txn, line, data uint64, now int64) *msg.Message {
 	switch t.kind {
 	case msg.LocalRead:
-		e.data = x.Data
+		m.toProc(now, msg.ProcData, m.g.LocalProc(t.requester), line, data, 0)
+	case msg.LocalReadEx, msg.LocalUpgd:
+		if t.upgdAck {
+			m.toProc(now, msg.ProcUpgdAck, m.g.LocalProc(t.requester), line, 0, 0)
+		} else {
+			m.toProc(now, msg.ProcDataEx, m.g.LocalProc(t.requester), line, data, 0)
+		}
+	case msg.RemRead, msg.RemReadEx, msg.RemUpgd:
+		kind := msg.NetDataEx
+		if t.kind == msg.RemRead {
+			kind = msg.NetData
+		}
+		d := m.toStation(now, kind, t.reqStation, line, nil)
+		d.Data, d.HasData, d.TxnID = data, true, t.id
+		return d
+	}
+	return nil
+}
+
+// settle writes the final directory state of t and unlocks the line. A
+// shared transition or a kill takes data into DRAM; an exclusive transfer
+// leaves DRAM stale, because the new owner holds the line.
+func (m *Module) settle(e *entry, t *txn, line, data uint64, now int64) {
+	switch t.kind {
+	case msg.LocalRead:
+		e.data = data
 		e.procs |= 1 << uint(m.g.LocalProc(t.requester))
-		e.state = LV
-	case msg.LocalReadEx:
-		// Requester snarfed the data from the bus; ownership moved.
+		e.mask = e.mask.Or(m.homeMask())
+		e.state = GV
+	case msg.LocalReadEx, msg.LocalUpgd:
 		e.procs = 1 << uint(m.g.LocalProc(t.requester))
+		e.mask = m.homeMask()
 		e.state = LI
 	case msg.RemRead:
-		e.data = x.Data
-		d := m.toStation(now, msg.NetData, t.reqStation, x.Line, nil)
-		d.Data, d.HasData, d.TxnID = e.data, true, t.id
+		e.data = data
 		e.mask = e.mask.Or(m.g.MaskFor(t.reqStation)).Or(m.homeMask())
 		e.state = GV
-	case msg.RemReadEx:
-		d := m.toStation(now, msg.NetDataEx, t.reqStation, x.Line, nil)
-		d.Data, d.HasData, d.TxnID = x.Data, true, t.id
-		e.mask = m.g.MaskFor(t.reqStation)
-		if m.Mut == MutWrongOwnerMask {
-			e.mask = m.homeMask()
-		}
+	case msg.RemReadEx, msg.RemUpgd:
 		e.procs = 0
+		e.mask = m.g.MaskFor(t.reqStation)
 		e.state = GI
 	case msg.KillReq:
-		e.data = x.Data
-		e.state = LV
+		e.data = data
 		e.procs = 0
 		e.mask = m.homeMask()
-		m.killDone(t, x.Line, now)
+		e.state = LV
+		m.killDone(t, line, now)
 	default:
-		panic(fmt.Sprintf("memory[%d]: intervention response for txn %v", m.Station, t.kind))
+		panic(fmt.Sprintf("memory[%d]: settling txn %v", m.Station, t.kind))
 	}
 	m.unlock(e)
 }
 
-// intervMiss: the targeted cache no longer holds the line; its write-back
-// either already arrived (wbSeen) or is still in flight.
-func (m *Module) intervMiss(e *entry, x *msg.Message, now int64) {
-	if !e.locked || e.txn == nil {
+// invalReturn: our own invalidation multicast came back to the home
+// station, which unlocks the line and finalizes the transition (§2.3).
+func (m *Module) invalReturn(e *entry, line uint64, now int64) {
+	t := e.txn
+	local := t.kind == msg.LocalReadEx || t.kind == msg.LocalUpgd
+	remote := t.kind == msg.RemReadEx || t.kind == msg.RemUpgd
+	switch {
+	case local && t.granted && t.wbSeen && t.wbProc == m.g.LocalProc(t.requester):
+		// The writer was granted early (no-SC-locking mode) and already
+		// evicted its dirty line while the invalidation was in flight:
+		// the write-back data is current and nobody holds a copy.
+		e.data = t.wbData
+		e.state = LV
+		e.mask = m.homeMask()
+		e.procs = 0
+	case remote && t.granted && t.wbSeen && t.wbStation == t.reqStation:
+		// The remote writer's NC already ejected and wrote the line
+		// back while the invalidation was in flight.
+		e.data = t.wbData
+		e.state = GV
+		e.mask = m.g.MaskFor(t.reqStation).Or(m.homeMask())
+		e.procs = 0
+	default:
+		if !t.granted {
+			m.answer(t, line, e.data, now)
+		}
+		m.settle(e, t, line, e.data, now)
 		return
 	}
-	e.txn.missSeen = true
-	if e.txn.wbSeen {
-		m.completeAfterMiss(e, x.Line, now)
+	m.unlock(e)
+}
+
+// intervResp: a local secondary cache supplied its dirty copy. A local
+// requester snarfed it off the bus; a remote one is answered here.
+func (m *Module) intervResp(e *entry, x *msg.Message, now int64) {
+	t := e.txn
+	kind := t.kind
+	if t.requester < 0 {
+		m.answer(t, x.Line, x.Data, now)
+	}
+	m.settle(e, t, x.Line, x.Data, now)
+	switch {
+	case kind == msg.LocalRead:
+		e.state = LV // the line never left the station
+	case kind == msg.RemReadEx && m.Mut == MutWrongOwnerMask:
+		e.mask = m.homeMask()
 	}
 }
 
-// netIntervMiss: a remote NC no longer holds the line we thought it owned.
-func (m *Module) netIntervMiss(e *entry, x *msg.Message, now int64) {
-	if !e.locked || e.txn == nil || e.txn.id != x.TxnID || e.txn.missSeen {
-		return
+// intervMiss: the targeted cache (IntervMiss) or remote NC (NetIntervMiss)
+// no longer holds the line; its write-back either already arrived
+// (wbSeen) or is still in flight.
+func (m *Module) intervMiss(e *entry, line uint64, now int64) {
+	t := e.txn
+	if t.missSeen {
+		return // a duplicated miss
 	}
-	e.txn.missSeen = true
-	if e.txn.wbSeen {
-		m.completeAfterMiss(e, x.Line, now)
+	t.missSeen = true
+	if t.wbSeen {
+		m.completeAfterMiss(e, line, now)
 	}
 }
 
@@ -876,112 +903,47 @@ func (m *Module) netIntervMiss(e *entry, x *msg.Message, now int64) {
 func (m *Module) completeAfterMiss(e *entry, line uint64, now int64) {
 	t := e.txn
 	e.data = t.wbData
-	oldMask := e.mask
+	inv := e.mask.Or(m.homeMask())
 	switch t.kind {
-	case msg.LocalRead:
-		m.toProc(now, msg.ProcData, m.g.LocalProc(t.requester), line, e.data, 0)
-		e.procs |= 1 << uint(m.g.LocalProc(t.requester))
-		e.state = GV
-		e.mask = oldMask.Or(m.homeMask())
-	case msg.RemRead:
-		d := m.toStation(now, msg.NetData, t.reqStation, line, nil)
-		d.Data, d.HasData, d.TxnID = e.data, true, t.id
-		e.mask = oldMask.Or(m.g.MaskFor(t.reqStation)).Or(m.homeMask())
-		e.state = GV
+	case msg.LocalRead, msg.RemRead:
+		m.answer(t, line, e.data, now)
+		m.settle(e, t, line, e.data, now)
+		return
 	case msg.LocalReadEx:
 		if !m.p.SCLocking {
-			m.toProc(now, msg.ProcDataEx, m.g.LocalProc(t.requester), line, e.data, 0)
+			m.answer(t, line, e.data, now)
 			t.granted = true
 		}
-		t.waitInval = true
-		m.netInval(now, line, oldMask.Or(m.homeMask()), t.id)
-		return // stays locked until the invalidation returns
 	case msg.RemReadEx:
-		d := m.toStation(now, msg.NetDataEx, t.reqStation, line, nil)
-		d.Data, d.HasData, d.TxnID = e.data, true, t.id
-		d.InvalFollows = true
+		m.answer(t, line, e.data, now).InvalFollows = true
 		t.granted = true
-		t.waitInval = true
-		m.netInval(now, line, oldMask.Or(m.g.MaskFor(t.reqStation)).Or(m.homeMask()), t.id)
-		return
-	case msg.KillReq:
-		t.waitInval = true
-		m.netInval(now, line, oldMask.Or(m.homeMask()), t.id)
-		return
+		inv = inv.Or(m.g.MaskFor(t.reqStation))
+	case msg.KillReq: // the multicast alone
 	default:
 		panic(fmt.Sprintf("memory[%d]: completeAfterMiss for txn %v", m.Station, t.kind))
 	}
-	m.unlock(e)
+	t.waitInval = true
+	m.netInval(now, line, inv, t.id) // stays locked until the invalidation returns
 }
 
 // netDataArrival: data returned from a remote owner (recall to home or a
-// shared-intervention copy travelling home).
+// shared-intervention copy travelling home). A NetWBCopy follows data the
+// owner already sent the requester.
 func (m *Module) netDataArrival(e *entry, x *msg.Message, now int64) {
-	if !e.locked || e.txn == nil {
-		// A WBCopy for an already-completed transition still refreshes DRAM.
-		if x.Type == msg.NetWBCopy {
-			e.data = x.Data
-		}
-		return
+	if x.Type != msg.NetWBCopy {
+		m.answer(e.txn, x.Line, x.Data, now)
 	}
-	if e.txn.id != x.TxnID {
-		// Data for an older transaction on this line (a timeout re-issue
-		// can leave two responses in flight); the current transition must
-		// wait for its own.
-		return
-	}
-	t := e.txn
-	switch t.kind {
-	case msg.LocalRead: // NetData from owner NC (shared recall)
-		e.data = x.Data
-		m.toProc(now, msg.ProcData, m.g.LocalProc(t.requester), x.Line, e.data, 0)
-		e.procs |= 1 << uint(m.g.LocalProc(t.requester))
-		e.state = GV
-		e.mask = e.mask.Or(m.homeMask())
-	case msg.LocalReadEx: // NetDataEx from owner NC (exclusive recall)
-		m.toProc(now, msg.ProcDataEx, m.g.LocalProc(t.requester), x.Line, x.Data, 0)
-		e.procs = 1 << uint(m.g.LocalProc(t.requester))
-		e.state = LI
-		e.mask = m.homeMask()
-	case msg.RemRead: // NetWBCopy: owner served the requester; copy lands home
-		e.data = x.Data
-		e.mask = e.mask.Or(m.g.MaskFor(t.reqStation)).Or(m.homeMask())
-		e.state = GV
-	case msg.KillReq: // NetDataEx recalled from the remote owner
-		e.data = x.Data
-		e.state = LV
-		e.procs = 0
-		e.mask = m.homeMask()
-		m.killDone(t, x.Line, now)
-	default:
-		panic(fmt.Sprintf("memory[%d]: network data for txn %v", m.Station, t.kind))
-	}
-	m.unlock(e)
-}
-
-// xferDone: the previous owner confirmed an exclusive ownership transfer.
-func (m *Module) xferDone(e *entry, x *msg.Message, now int64) {
-	if !e.locked || e.txn == nil || e.txn.id != x.TxnID {
-		return
-	}
-	t := e.txn
-	e.state = GI
-	e.mask = m.g.MaskFor(t.reqStation)
-	e.procs = 0
-	m.unlock(e)
+	m.settle(e, e.txn, x.Line, x.Data, now)
 }
 
 // netNAKArrival: a remote NC refused our intervention because the line was
 // locked there; abort and NAK the original requester so it retries.
-func (m *Module) netNAKArrival(e *entry, x *msg.Message, now int64) {
-	if !e.locked || e.txn == nil || e.txn.id != x.TxnID {
-		return
-	}
+func (m *Module) netNAKArrival(e *entry, line uint64, now int64) {
 	t := e.txn
 	if t.reqStation == m.Station && t.requester >= 0 {
-		m.toProc(now, msg.ProcNAK, m.g.LocalProc(t.requester), x.Line, 0, t.kind)
+		m.toProc(now, msg.ProcNAK, m.g.LocalProc(t.requester), line, 0, t.kind)
 	} else {
-		n := m.toStation(now, msg.NetNAK, t.reqStation, x.Line, nil)
+		n := m.toStation(now, msg.NetNAK, t.reqStation, line, nil)
 		n.NakOf = t.kind
 	}
 	m.Stats.NAKs++

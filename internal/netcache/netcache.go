@@ -5,6 +5,10 @@
 // Figure 6 with states NotIn, LV, LI, GV and GI plus locked versions — and
 // the four NC effects measured in §4.5: migration, caching, combining and
 // coherence localization, plus the false-remote-request recovery of §4.6.
+// Processor requests enter through localReq. A bus intervention reply
+// finds its work through intervTxn, in the locked entry or, for a line
+// the NC no longer holds, in the side table, and checkIntervDone finishes
+// local interventions, network-intervention service and recovery alike.
 //
 // Concurrency contract: like the memory module, the NC is station-local —
 // Tick reads its own input queue and writes its own outbound bus queue
@@ -41,6 +45,10 @@ const (
 	txnNetServe                   // serving the home memory's network intervention
 	txnRecover                    // false-remote recovery: broadcast intervention
 )
+
+func (k txnKind) String() string {
+	return [...]string{"fetch", "local-interv", "net-serve", "recover"}[k]
+}
 
 // txn tracks the work a locked entry is waiting on.
 type txn struct {
@@ -295,13 +303,13 @@ func (n *Module) TxnInfo(line uint64) string {
 	e := n.lookup(line)
 	if e == nil || e.txn == nil {
 		if t := n.sideTxns[line]; t != nil {
-			return fmt.Sprintf("side{kind=%d orig=%v pending=%d wb=%v data=%v}",
+			return fmt.Sprintf("side{kind=%v orig=%v pending=%d wb=%v data=%v}",
 				t.kind, t.origType, t.pending, t.wbSeen, t.dataSeen)
 		}
 		return "none"
 	}
 	t := e.txn
-	return fmt.Sprintf("txn{kind=%d orig=%v req=%d pending=%d data=%v ack=%v inval=%v need=%v granted=%v retryAt=%d wb=%v}",
+	return fmt.Sprintf("txn{kind=%v orig=%v req=%d pending=%d data=%v ack=%v inval=%v need=%v granted=%v retryAt=%d wb=%v}",
 		t.kind, t.origType, t.reqProc, t.pending, t.dataSeen, t.ackSeen, t.invalSeen, t.needInval, t.granted, t.retryAt, t.wbSeen)
 }
 

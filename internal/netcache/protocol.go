@@ -156,9 +156,10 @@ func (n *Module) localReq(x *msg.Message, now int64) {
 			return
 		}
 		t := n.txns.Get()
-		*t = txn{kind: txnLocalInterv, origType: x.Type, reqProc: req, home: int(e.home), pending: 1}
+		*t = txn{kind: txnLocalInterv, origType: x.Type, reqProc: req, home: int(e.home),
+			ex: x.Type != msg.LocalRead, pending: 1}
 		e.locked, e.txn = true, t
-		n.busInterv(now, x.Line, 1<<uint(owner), req, x.Type != msg.LocalRead)
+		n.busInterv(now, x.Line, 1<<uint(owner), req, t.ex)
 		if x.Type == msg.LocalRead {
 			e.procs |= bit
 		} else {
@@ -217,9 +218,7 @@ func (n *Module) localWrBack(x *msg.Message, now int64) {
 	// A network intervention may be waiting on this write-back.
 	if t := n.sideTxns[x.Line]; t != nil {
 		t.wbSeen, t.wbData = true, x.Data
-		if t.pending == 0 {
-			n.finishNetServe(nil, x.Line, t, t.wbData, now)
-		}
+		n.checkIntervDone(nil, x.Line, t, now)
 		return
 	}
 	e := n.lookup(x.Line)
@@ -251,7 +250,7 @@ func (n *Module) localWrBack(x *msg.Message, now int64) {
 				e.state = LV
 			}
 		}
-		n.checkIntervDone(e, now)
+		n.checkIntervDone(e, x.Line, e.txn, now)
 		return
 	}
 	e.data = x.Data
@@ -263,169 +262,121 @@ func (n *Module) localWrBack(x *msg.Message, now int64) {
 
 // ---- bus intervention results ----
 
-func (n *Module) intervResp(x *msg.Message, now int64) {
-	if t := n.sideTxns[x.Line]; t != nil {
-		t.pending--
-		t.dataSeen, t.data = true, x.Data
-		if t.pending == 0 || t.dataSeen {
-			n.finishNetServe(nil, x.Line, t, t.data, now)
-		}
-		return
+// intervTxn returns the transaction a bus intervention reply on line
+// answers: the side table's (with e == nil) or the locked entry's.
+func (n *Module) intervTxn(line uint64) (*entry, *txn) {
+	if t := n.sideTxns[line]; t != nil {
+		return nil, t
 	}
-	e := n.lookup(x.Line)
-	if e == nil || !e.locked || e.txn == nil {
+	if e := n.lookup(line); e != nil && e.locked {
+		return e, e.txn
+	}
+	return nil, nil
+}
+
+func (n *Module) intervResp(x *msg.Message, now int64) {
+	e, t := n.intervTxn(x.Line)
+	if t == nil {
 		return // completed by a racing write-back
 	}
-	t := e.txn
 	t.pending--
 	t.dataSeen, t.data = true, x.Data
-	n.checkIntervDone(e, now)
+	n.checkIntervDone(e, x.Line, t, now)
 }
 
 func (n *Module) intervMiss(x *msg.Message, now int64) {
-	if t := n.sideTxns[x.Line]; t != nil {
-		t.pending--
-		if t.pending == 0 {
-			switch {
-			case t.dataSeen:
-				n.finishNetServe(nil, x.Line, t, t.data, now)
-			case t.wbSeen:
-				n.finishNetServe(nil, x.Line, t, t.wbData, now)
-			default:
-				// No processor had the line and no local write-back arrived.
-				// Bus FIFO order guarantees an L2 write-back would have been
-				// delivered before the last miss response, so the data must
-				// be travelling to the home memory (an NC ejection
-				// write-back): report the miss and let the home complete.
-				miss := n.toNet(now, msg.NetIntervMiss, t.home, t.home, x.Line)
-				miss.TxnID = t.netTxnID
-				n.dropSide(x.Line)
-			}
-		}
+	e, t := n.intervTxn(x.Line)
+	if t == nil {
 		return
 	}
-	e := n.lookup(x.Line)
-	if e == nil || !e.locked || e.txn == nil {
-		return
-	}
-	e.txn.pending--
-	n.checkIntervDone(e, now)
+	t.pending--
+	n.checkIntervDone(e, x.Line, t, now)
 }
 
 // checkIntervDone completes local interventions, network intervention
 // service and false-remote recovery once all responses (and any required
-// write-back) are in.
-func (n *Module) checkIntervDone(e *entry, now int64) {
-	t := e.txn
-	if t == nil || t.kind == txnFetch {
-		return
-	}
-	if t.pending > 0 && !t.dataSeen {
+// write-back) are in. e is nil when the service runs from the side table
+// (the line is NotIn).
+func (n *Module) checkIntervDone(e *entry, line uint64, t *txn, now int64) {
+	if t.kind == txnFetch || t.pending > 0 && !t.dataSeen {
 		return
 	}
 	data, have := t.data, t.dataSeen
 	if !have && t.wbSeen {
 		data, have = t.wbData, true
 	}
-	if !have {
-		switch t.kind {
-		case txnNetServe:
-			// As in the side-table case: all responses are in and no local
-			// write-back preceded them, so the data is travelling home.
-			miss := n.toNet(now, msg.NetIntervMiss, t.home, t.home, e.line)
-			miss.TxnID = t.netTxnID
-			e.state = GI
-			e.procs = 0
-			n.clearTxn(e)
-		case txnRecover:
-			// The false-remote bounce was stale: ownership moved (or the
-			// write-back reached home) while our request was in flight.
-			// Fall back to a fresh fetch — the home has settled by now.
-			t.kind = txnFetch
-			if t.ex {
-				t.origType = msg.RemReadEx
-			} else {
-				t.origType = msg.RemRead
-			}
-			t.upgdAck = false
-			t.dataInvalidated = false
-			n.sendHome(now, t.origType, e.line, t)
-		}
-		// Local intervention service: the write-back must still be in flight.
-		return
-	}
-	switch t.kind {
-	case txnLocalInterv:
+	switch {
+	case t.kind == txnNetServe:
+		n.finishNetServe(e, line, t, data, have, now)
+	case have:
+		// Local intervention or recovery: the requester gets the line.
+		bit := uint16(1) << uint(t.reqProc)
 		e.data = data
-		if t.origType == msg.LocalRead {
-			e.state = LV
-		} else {
-			e.state = LI
+		e.state, e.procs = LV, e.procs|bit
+		grant := msg.ProcData
+		if t.ex {
+			e.state, e.procs, grant = LI, bit, msg.ProcDataEx
 		}
 		if !t.dataSeen {
 			// The owner had already evicted: the requester could not snarf
 			// the response, so grant explicitly from the written-back data.
-			if t.origType == msg.LocalRead {
-				n.toProc(now, msg.ProcData, t.reqProc, e.line, data, 0)
-			} else {
-				n.toProc(now, msg.ProcDataEx, t.reqProc, e.line, data, 0)
-			}
+			n.toProc(now, grant, t.reqProc, line, data, 0)
 		}
 		n.clearTxn(e)
-	case txnNetServe:
-		n.finishNetServe(e, e.line, t, data, now)
-	case txnRecover:
-		e.data = data
+	case t.kind == txnRecover:
+		// The false-remote bounce was stale: ownership moved (or the
+		// write-back reached home) while our request was in flight.
+		// Fall back to a fresh fetch — the home has settled by now.
+		t.kind = txnFetch
+		t.origType = msg.RemRead
 		if t.ex {
-			e.state = LI
-			e.procs = 1 << uint(t.reqProc)
-		} else {
-			e.state = LV
-			e.procs |= 1 << uint(t.reqProc)
+			t.origType = msg.RemReadEx
 		}
-		if !t.dataSeen {
-			if t.ex {
-				n.toProc(now, msg.ProcDataEx, t.reqProc, e.line, data, 0)
-			} else {
-				n.toProc(now, msg.ProcData, t.reqProc, e.line, data, 0)
-			}
-		}
-		n.clearTxn(e)
+		t.upgdAck = false
+		t.dataInvalidated = false
+		n.sendHome(now, t.origType, line, t)
 	}
+	// A local intervention without data: the write-back is still in flight.
 }
 
 // finishNetServe answers the home memory's intervention with the collected
-// data. e may be nil when the service ran from the side table (NotIn).
-func (n *Module) finishNetServe(e *entry, line uint64, t *txn, data uint64, now int64) {
+// data. Without data (!have) every processor missed and no local
+// write-back preceded the last miss: bus FIFO order would have delivered
+// an L2 write-back first, so the data must be travelling to the home
+// memory (an NC ejection write-back), and the miss is reported for the
+// home to complete. e is nil when the service ran from the side table.
+func (n *Module) finishNetServe(e *entry, line uint64, t *txn, data uint64, have bool, now int64) {
 	home := t.home
-	if t.ex {
-		d := n.toNet(now, msg.NetDataEx, t.reqStation, home, line)
-		d.Data, d.HasData, d.TxnID = data, true, t.netTxnID
-		if t.reqStation != home {
-			done := n.toNet(now, msg.NetXferDone, home, home, line)
-			done.TxnID = t.netTxnID
-		}
-		if e != nil {
-			e.state = GI
-			e.procs = 0
-			n.clearTxn(e)
-		}
+	if !have {
+		miss := n.toNet(now, msg.NetIntervMiss, home, home, line)
+		miss.TxnID = t.netTxnID
 	} else {
-		d := n.toNet(now, msg.NetData, t.reqStation, home, line)
+		kind, note := msg.NetData, msg.NetWBCopy // the copy lands home
+		if t.ex {
+			kind, note = msg.NetDataEx, msg.NetXferDone
+		}
+		d := n.toNet(now, kind, t.reqStation, home, line)
 		d.Data, d.HasData, d.TxnID = data, true, t.netTxnID
 		if t.reqStation != home {
-			wb := n.toNet(now, msg.NetWBCopy, home, home, line)
-			wb.Data, wb.HasData, wb.TxnID = data, true, t.netTxnID
-		}
-		if e != nil {
-			e.data = data
-			e.state = GV
-			n.clearTxn(e)
+			c := n.toNet(now, note, home, home, line)
+			c.TxnID = t.netTxnID
+			if !t.ex {
+				c.Data, c.HasData = data, true
+			}
 		}
 	}
-	if e == nil {
+	switch {
+	case e == nil:
 		n.dropSide(line)
+		return
+	case have && !t.ex:
+		e.data = data
+		e.state = GV
+	default:
+		e.state = GI
+		e.procs = 0
 	}
+	n.clearTxn(e)
 }
 
 // ---- network responses for pending fetches ----
@@ -538,7 +489,7 @@ func (n *Module) falseRemote(x *msg.Message, now int64) {
 	t.pending = bits.OnesCount16(others)
 	if t.pending == 0 {
 		// Single-processor station: the data can only be in a write-back.
-		n.checkIntervDone(e, now)
+		n.checkIntervDone(e, x.Line, t, now)
 		return
 	}
 	n.busInterv(now, x.Line, others, t.reqProc, t.ex)
@@ -666,51 +617,36 @@ func (n *Module) invalidate(x *msg.Message, now int64) {
 func (n *Module) netInterv(x *msg.Message, now int64) {
 	e := n.lookup(x.Line)
 	n.recordHist(x.Type, e)
-	ex := x.Type == msg.NetIntervEx
 	home := x.SrcStation
-	if e == nil {
-		if _, busy := n.sideTxns[x.Line]; busy {
-			nk := n.toNet(now, msg.NetNAK, home, home, x.Line)
-			nk.TxnID, nk.NakOf = x.TxnID, x.Type
-			return
-		}
-		// The home believes we own this line but the NC ejected it: the
-		// dirty copy is in a local L2 or its write-back is in flight.
-		t := n.txns.Get()
-		*t = txn{kind: txnNetServe, origType: x.Type, reqProc: -1, home: home,
-			netTxnID: x.TxnID, reqStation: x.ReqStation, ex: ex,
-			pending: n.g.ProcsPerStation}
-		n.sideTxns[x.Line] = t
-		n.busInterv(now, x.Line, n.allProcs(), -1, ex)
-		return
-	}
-	if e.locked {
+	if _, busy := n.sideTxns[x.Line]; e == nil && busy || e != nil && e.locked {
 		nk := n.toNet(now, msg.NetNAK, home, home, x.Line)
 		nk.TxnID, nk.NakOf = x.TxnID, x.Type
 		return
 	}
-	switch e.state {
-	case LV, GV:
-		t := n.txns.Get()
-		*t = txn{kind: txnNetServe, origType: x.Type, reqProc: -1, home: home,
-			netTxnID: x.TxnID, reqStation: x.ReqStation, ex: ex}
-		if ex {
-			n.busInval(now, x.Line, e.procs)
-		}
-		// The service completes synchronously; the txn is never installed in
-		// the entry (finishNetServe's clearTxn sees e.txn == nil), so free it
-		// here.
-		n.finishNetServe(e, x.Line, t, e.data, now)
-		n.txns.Put(t)
-	case LI:
-		owner := onlyBit(e.procs)
-		t := n.txns.Get()
-		*t = txn{kind: txnNetServe, origType: x.Type, reqProc: -1, home: home,
-			netTxnID: x.TxnID, reqStation: x.ReqStation, ex: ex, pending: 1}
-		e.locked, e.txn = true, t
-		n.busInterv(now, x.Line, 1<<uint(owner), -1, ex)
-	case GI:
+	if e != nil && e.state == GI {
 		miss := n.toNet(now, msg.NetIntervMiss, home, home, x.Line)
 		miss.TxnID = x.TxnID
+		return
+	}
+	t := n.txns.Get()
+	*t = txn{kind: txnNetServe, origType: x.Type, reqProc: -1, home: home,
+		netTxnID: x.TxnID, reqStation: x.ReqStation, ex: x.Type == msg.NetIntervEx}
+	switch {
+	case e == nil:
+		// The home believes we own this line but the NC ejected it: the
+		// dirty copy is in a local L2 or its write-back is in flight.
+		t.pending = n.g.ProcsPerStation
+		n.sideTxns[x.Line] = t
+		n.busInterv(now, x.Line, n.allProcs(), -1, t.ex)
+	case e.state == LI:
+		t.pending = 1
+		e.locked, e.txn = true, t
+		n.busInterv(now, x.Line, 1<<uint(onlyBit(e.procs)), -1, t.ex)
+	default: // LV or GV: the NC holds the data and serves at once
+		if t.ex {
+			n.busInval(now, x.Line, e.procs)
+		}
+		e.locked, e.txn = true, t
+		n.finishNetServe(e, x.Line, t, e.data, true, now)
 	}
 }
