@@ -10,13 +10,13 @@ import (
 
 // stubModule records deliveries and exposes an output queue.
 type stubModule struct {
-	out      *sim.Queue[*msg.Message]
+	out      sim.Queue[*msg.Message]
 	received []*msg.Message
 }
 
-func newStub() *stubModule { return &stubModule{out: sim.NewQueue[*msg.Message](0)} }
+func newStub() *stubModule { return &stubModule{} }
 
-func (s *stubModule) BusOut() *sim.Queue[*msg.Message] { return s.out }
+func (s *stubModule) BusOut() *sim.Queue[*msg.Message] { return &s.out }
 func (s *stubModule) BusDeliver(m *msg.Message, now int64) {
 	s.received = append(s.received, m)
 }

@@ -41,12 +41,14 @@ type Line struct {
 	Data  uint64
 }
 
-// noLines is the page every never-inserted region of every cache reads:
-// all Invalid, shared machine-wide, never written (see sim.Paged).
-var noLines sim.Page[Line]
+// noLines is the page every never-inserted region of every cache reads,
+// all Invalid, and the page table every never-inserted cache reads: shared
+// process-wide, never written (see sim.Paged).
+var noLines sim.Zero[Line]
 
-// Cache is a direct-mapped tag/data store. The tag array is paged and
-// allocated on first Insert, so an untouched cache costs its page table.
+// Cache is a direct-mapped tag/data store. The tag array is paged: its
+// page table is allocated by the first Insert and each page by the first
+// Insert into it, so an untouched cache costs this header only.
 type Cache struct {
 	lines    sim.Paged[Line]
 	lineSize uint64

@@ -167,9 +167,9 @@ func TestPagedMatchesFlatReference(t *testing.T) {
 					}
 				}
 				check(steps)
-				for i := range noLines {
-					if noLines[i] != (Line{}) {
-						t.Fatalf("the shared zero page was written at %d: %+v", i, noLines[i])
+				for i := range noLines.Page {
+					if noLines.Page[i] != (Line{}) {
+						t.Fatalf("the shared zero page was written at %d: %+v", i, noLines.Page[i])
 					}
 				}
 			})

@@ -294,11 +294,19 @@ func New(cfg Config) (*Machine, error) {
 		m.RIs = append(m.RIs, ri)
 	}
 	m.runners = make([]*proc.Runner, g.Procs())
+	// Every CPU shares one function value per hook (a method value built
+	// per CPU is a heap object per CPU); only FirstTouch's home resolver
+	// needs the CPU it serves.
+	homeOf, onBarrier := m.HomeOf, m.barrierArrive
+	onPhase := func(c *proc.CPU, ph uint8) { m.Phases.Set(c.GlobalID, ph) }
 	for id := 0; id < g.Procs(); id++ {
 		cpu := proc.New(g, p, id, nil, cfg.L1Lines)
-		cpu.HomeOf = m.homeOfFor(cpu)
-		cpu.OnBarrier = m.barrierArrive
-		cpu.OnPhase = func(c *proc.CPU, ph uint8) { m.Phases.Set(c.GlobalID, ph) }
+		cpu.HomeOf = homeOf
+		if cfg.Placement == FirstTouch {
+			cpu.HomeOf = m.firstTouchHomeOf(cpu)
+		}
+		cpu.OnBarrier = onBarrier
+		cpu.OnPhase = onPhase
 		cpu.Msgs = m.Buses[cpu.Station].Msgs
 		m.CPUs = append(m.CPUs, cpu)
 	}
@@ -428,16 +436,14 @@ func (m *Machine) HomeOf(addr uint64) int {
 	return int(pg % uint64(m.g.Stations()))
 }
 
-// homeOfFor builds the per-CPU home resolver: HomeOf, except that under
-// FirstTouch a page without a home is assigned to the station of the CPU
-// asking. Under the pooled executor CPUs on different stations resolve
-// homes concurrently during phase 1; pageHome is read-only then (AllocAt
-// overrides are written before Run, and FirstTouch, which assigns, never
-// runs pooled), so the concurrent map reads are safe.
-func (m *Machine) homeOfFor(c *proc.CPU) func(uint64) int {
-	if m.Cfg.Placement != FirstTouch {
-		return m.HomeOf
-	}
+// firstTouchHomeOf builds c's home resolver under FirstTouch: HomeOf,
+// except that a page without a home is assigned to c's station. The other
+// placements share HomeOf itself. Under the pooled executor CPUs on
+// different stations resolve homes concurrently during phase 1; pageHome
+// is read-only then (AllocAt overrides are written before Run, and
+// FirstTouch, which assigns, never runs pooled), so the concurrent map
+// reads are safe.
+func (m *Machine) firstTouchHomeOf(c *proc.CPU) func(uint64) int {
 	return func(line uint64) int {
 		pg := line / uint64(m.p.PageSize)
 		if s, ok := m.pageHome[pg]; ok {

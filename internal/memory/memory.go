@@ -149,8 +149,8 @@ type Module struct {
 	p sim.Params
 
 	dir    map[uint64]*entry
-	inQ    *sim.Queue[*msg.Message]
-	outQ   *sim.Queue[*msg.Message]
+	inQ    sim.Queue[*msg.Message]
+	outQ   sim.Queue[*msg.Message]
 	busy   int64
 	staged *msg.Message // dequeued message being processed until busy
 	txnSeq uint64
@@ -188,15 +188,13 @@ func New(g topo.Geometry, p sim.Params, station int) *Module {
 		g:       g,
 		p:       p,
 		dir:     make(map[uint64]*entry),
-		inQ:     sim.NewQueue[*msg.Message](0),
-		outQ:    sim.NewQueue[*msg.Message](0),
 		Hist:    monitor.NewTable(fmt.Sprintf("memory[%d] coherence histogram", station), HistRows, HistCols),
 	}
 	return m
 }
 
 // BusOut implements bus.Module.
-func (m *Module) BusOut() *sim.Queue[*msg.Message] { return m.outQ }
+func (m *Module) BusOut() *sim.Queue[*msg.Message] { return &m.outQ }
 
 // BusDeliver implements bus.Module: enqueue for in-order processing.
 func (m *Module) BusDeliver(x *msg.Message, now int64) {

@@ -100,13 +100,15 @@ func (s *Sampler) Max() int64 { return s.max }
 // cell of the active half reaches the overflow limit the halves are
 // swapped (in hardware an interrupt lets software drain the frozen half
 // while counting continues). Cell sums both halves.
+//
+// Both halves live in one flat slice, allocated by the first Add: most
+// tables of most runs count nothing, and an empty table reads zero.
 type Table struct {
 	Name string
 	Rows []string
 	Cols []string
 
-	active [][]int64
-	frozen [][]int64
+	cells  []int64 // active half, then frozen half; nil until the first Add
 	limit  int64
 	swaps  int
 	onSwap func(*Table)
@@ -114,19 +116,7 @@ type Table struct {
 
 // NewTable builds a table with the given row and column labels.
 func NewTable(name string, rows, cols []string) *Table {
-	t := &Table{Name: name, Rows: rows, Cols: cols}
-	t.active = mkCells(len(rows), len(cols))
-	t.frozen = mkCells(len(rows), len(cols))
-	return t
-}
-
-func mkCells(r, c int) [][]int64 {
-	cells := make([][]int64, r)
-	backing := make([]int64, r*c)
-	for i := range cells {
-		cells[i], backing = backing[:c], backing[c:]
-	}
-	return cells
+	return &Table{Name: name, Rows: rows, Cols: cols}
 }
 
 // SetOverflow arms the dual-half overflow mechanism: when a cell of the
@@ -139,21 +129,32 @@ func (t *Table) SetOverflow(limit int64, fn func(*Table)) {
 
 // Add counts one event in cell (r, c).
 func (t *Table) Add(r, c int) {
-	t.active[r][c]++
-	if t.limit > 0 && t.active[r][c] >= t.limit {
+	if t.cells == nil {
+		t.cells = make([]int64, 2*len(t.Rows)*len(t.Cols))
+	}
+	i := t.index(r, c)
+	t.cells[i]++
+	if t.limit > 0 && t.cells[i] >= t.limit {
 		t.swap()
 	}
 }
 
+// index returns (r, c)'s offset in the active half.
+func (t *Table) index(r, c int) int {
+	if uint(r) >= uint(len(t.Rows)) || uint(c) >= uint(len(t.Cols)) {
+		panic("monitor: table cell out of range")
+	}
+	return r*len(t.Cols) + c
+}
+
 func (t *Table) swap() {
-	// Fold the previously frozen half into a running total by leaving it in
-	// place and accumulating: hardware software would drain it; we keep the
-	// counts so Cell() stays exact.
-	for i := range t.active {
-		for j := range t.active[i] {
-			t.frozen[i][j] += t.active[i][j]
-			t.active[i][j] = 0
-		}
+	// Fold the active half into the frozen one and keep it there: hardware
+	// software would drain the frozen half; we keep the counts so Cell()
+	// stays exact.
+	active, frozen := t.cells[:len(t.cells)/2], t.cells[len(t.cells)/2:]
+	for i, n := range active {
+		frozen[i] += n
+		active[i] = 0
 	}
 	t.swaps++
 	if t.onSwap != nil {
@@ -165,7 +166,13 @@ func (t *Table) swap() {
 func (t *Table) Swaps() int { return t.swaps }
 
 // Cell returns the total count for (r, c) across both halves.
-func (t *Table) Cell(r, c int) int64 { return t.active[r][c] + t.frozen[r][c] }
+func (t *Table) Cell(r, c int) int64 {
+	i := t.index(r, c)
+	if t.cells == nil {
+		return 0
+	}
+	return t.cells[i] + t.cells[len(t.cells)/2+i]
+}
 
 // RowTotal sums a row across both halves.
 func (t *Table) RowTotal(r int) int64 {

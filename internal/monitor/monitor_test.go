@@ -70,6 +70,70 @@ func TestTableOverflowSwaps(t *testing.T) {
 	}
 }
 
+// TestTableAllocatesOnFirstAdd: a table nothing counts into holds no
+// cells and reads zero everywhere; once allocated by an Add, the overflow
+// swap keeps every cell exact.
+func TestTableAllocatesOnFirstAdd(t *testing.T) {
+	rows, cols := []string{"r0", "r1", "r2"}, []string{"c0", "c1"}
+	var tb *Table
+	if n := testing.AllocsPerRun(10, func() {
+		tb = NewTable("t", rows, cols)
+		tb.SetOverflow(4, nil)
+		for r := range rows {
+			for c := range cols {
+				if tb.Cell(r, c) != 0 {
+					t.Fatalf("unused cell (%d, %d) = %d", r, c, tb.Cell(r, c))
+				}
+			}
+			if tb.RowTotal(r) != 0 {
+				t.Fatalf("unused row %d totals %d", r, tb.RowTotal(r))
+			}
+		}
+		if tb.Total() != 0 || tb.Swaps() != 0 {
+			t.Fatalf("unused table totals %d with %d swaps", tb.Total(), tb.Swaps())
+		}
+	}); n != 1 {
+		t.Errorf("building and reading an unused table allocates %.1f objects, want 1 (the header)", n)
+	}
+	if tb.cells != nil {
+		t.Fatal("an unused table allocated its cells")
+	}
+	zeros := 0
+	for _, f := range strings.Fields(tb.String()) {
+		if f == "0" {
+			zeros++
+		}
+	}
+	if zeros != len(rows)*len(cols) {
+		t.Errorf("an unused table renders %d zero cells, want %d:\n%s", zeros, len(rows)*len(cols), tb)
+	}
+
+	// Push the lazily allocated table over its limit: (1, 1) reaches 4 in
+	// the active half twice, and every count survives both swaps.
+	fired := 0
+	tb.SetOverflow(4, func(*Table) { fired++ })
+	tb.Add(0, 0)
+	tb.Add(2, 1)
+	tb.Add(2, 1)
+	for i := 0; i < 10; i++ {
+		tb.Add(1, 1)
+	}
+	for _, w := range []struct {
+		r, c int
+		n    int64
+	}{{0, 0, 1}, {2, 1, 2}, {1, 1, 10}, {1, 0, 0}} {
+		if got := tb.Cell(w.r, w.c); got != w.n {
+			t.Errorf("cell (%d, %d) = %d across swaps, want %d", w.r, w.c, got, w.n)
+		}
+	}
+	if tb.RowTotal(1) != 10 || tb.Total() != 13 {
+		t.Errorf("row 1 totals %d, table %d; want 10, 13", tb.RowTotal(1), tb.Total())
+	}
+	if tb.Swaps() != 2 || fired != 2 {
+		t.Errorf("swaps = %d, fired = %d; want 2", tb.Swaps(), fired)
+	}
+}
+
 func TestPhaseIDs(t *testing.T) {
 	p := NewPhaseIDs(4)
 	p.Set(2, 7)

@@ -100,9 +100,10 @@ type entry struct {
 	locked    bool
 }
 
-// noEntries is the page every never-allocated region of every NC reads:
-// all NotIn, shared machine-wide, never written (see sim.Paged).
-var noEntries sim.Page[entry]
+// noEntries is the page every never-allocated region of every NC reads,
+// all NotIn, and the page table every never-allocated NC reads: shared
+// process-wide, never written (see sim.Paged).
+var noEntries sim.Zero[entry]
 
 // Stats is the NC's monitoring counters and, summed over stations field by
 // field, the NC section of core.Results (Figures 15 and 16, Table 3): a
@@ -190,14 +191,14 @@ type Module struct {
 	p sim.Params
 
 	// entries is the direct-mapped tag store, paged and allocated on first
-	// allocate: an NC that caches nothing costs its page table.
+	// allocate: an NC that caches nothing costs nothing for it.
 	entries sim.Paged[entry]
 	// sideTxns holds intervention/recovery work for lines with no entry
 	// (the NC must still serve interventions after ejecting a line).
 	sideTxns map[uint64]*txn
 
-	inQ    *sim.Queue[*msg.Message]
-	outQ   *sim.Queue[*msg.Message]
+	inQ    sim.Queue[*msg.Message]
+	outQ   sim.Queue[*msg.Message]
 	busy   int64
 	staged *msg.Message // dequeued message being processed until busy
 
@@ -245,8 +246,6 @@ func New(g topo.Geometry, p sim.Params, station int) *Module {
 		p:        p,
 		entries:  sim.NewPaged(p.NCLines, p.LineSize, &noEntries),
 		sideTxns: make(map[uint64]*txn),
-		inQ:      sim.NewQueue[*msg.Message](0),
-		outQ:     sim.NewQueue[*msg.Message](0),
 		Hist:     monitor.NewTable(fmt.Sprintf("netcache[%d] coherence histogram", station), HistRows, HistCols),
 	}
 	// Seed unconditionally: the zero xorshift state would be degenerate.
@@ -258,7 +257,7 @@ func New(g topo.Geometry, p sim.Params, station int) *Module {
 }
 
 // BusOut implements bus.Module.
-func (n *Module) BusOut() *sim.Queue[*msg.Message] { return n.outQ }
+func (n *Module) BusOut() *sim.Queue[*msg.Message] { return &n.outQ }
 
 // BusDeliver implements bus.Module.
 func (n *Module) BusDeliver(x *msg.Message, now int64) {

@@ -99,8 +99,8 @@ func TestNotInLinesAllocateNothing(t *testing.T) {
 	if _, locked, _, _, ok := h.n.Peek(0x40); !ok || !locked {
 		t.Fatal("the fetching entry is not present and locked")
 	}
-	for i := range noEntries {
-		if noEntries[i] != (entry{}) {
+	for i := range noEntries.Page {
+		if noEntries.Page[i] != (entry{}) {
 			t.Fatalf("the shared zero page was written at %d", i)
 		}
 	}

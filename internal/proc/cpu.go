@@ -54,10 +54,10 @@ type CPU struct {
 	p sim.Params
 
 	runner *Runner
-	l2     *cache.Cache
-	l1     *cache.Cache // timing filter; data/coherence live in the L2
+	l2     cache.Cache
+	l1     *cache.Cache // timing filter; data/coherence live in the L2 (nil: no filter)
 
-	outQ *sim.Queue[*msg.Message]
+	outQ sim.Queue[*msg.Message]
 
 	// Msgs recycles the messages this station's components construct and
 	// consume (nil-safe; wired by core, shared per station). See
@@ -154,8 +154,7 @@ func New(g topo.Geometry, p sim.Params, globalID int, runner *Runner, l1Lines in
 		g:        g,
 		p:        p,
 		runner:   runner,
-		l2:       cache.New(p.L2Lines, p.LineSize),
-		outQ:     sim.NewQueue[*msg.Message](0),
+		l2:       *cache.New(p.L2Lines, p.LineSize),
 	}
 	if l1Lines > 0 {
 		c.l1 = cache.New(l1Lines, p.LineSize)
@@ -179,7 +178,7 @@ func (c *CPU) SetRunner(r *Runner) {
 }
 
 // L2 exposes the secondary cache for the invariant checker and tests.
-func (c *CPU) L2() *cache.Cache { return c.l2 }
+func (c *CPU) L2() *cache.Cache { return &c.l2 }
 
 // Phase returns the current phase-identifier register value.
 func (c *CPU) Phase() uint8 { return c.phase }
@@ -226,7 +225,7 @@ func (c *CPU) Pending() string {
 func (c *CPU) FinishedAt() int64 { return c.finishAt }
 
 // BusOut implements bus.Module.
-func (c *CPU) BusOut() *sim.Queue[*msg.Message] { return c.outQ }
+func (c *CPU) BusOut() *sim.Queue[*msg.Message] { return &c.outQ }
 
 // NextWork reports the earliest cycle at or after now at which Tick can do
 // anything beyond per-cycle stall accounting: the end of the current

@@ -19,8 +19,8 @@ type IRI struct {
 
 	p       sim.Params
 	credits *Credits
-	upQ     *sim.Queue[*msg.Packet]
-	downQ   *sim.Queue[*msg.Packet]
+	upQ     sim.Queue[*msg.Packet]
+	downQ   sim.Queue[*msg.Packet]
 
 	// pool recycles the descending copies this switch creates and the
 	// packets that die here (fully-copied multicast originals, switch-time
@@ -63,8 +63,6 @@ func NewIRI(p sim.Params, ringID int, credits *Credits) *IRI {
 		RingID:  ringID,
 		p:       p,
 		credits: credits,
-		upQ:     sim.NewQueue[*msg.Packet](0),
-		downQ:   sim.NewQueue[*msg.Packet](0),
 	}
 }
 

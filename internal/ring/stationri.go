@@ -64,10 +64,10 @@ type StationRI struct {
 	pos     int
 	credits *Credits
 
-	busOutQ  *sim.Queue[*msg.Message] // toward the station bus
-	sinkQ    *sim.Queue[*msg.Packet]
-	nonsinkQ *sim.Queue[*msg.Packet]
-	inFIFO   *sim.Queue[*msg.Packet]
+	busOutQ  sim.Queue[*msg.Message] // toward the station bus
+	sinkQ    sim.Queue[*msg.Packet]
+	nonsinkQ sim.Queue[*msg.Packet]
+	inFIFO   sim.Queue[*msg.Packet]
 
 	reasm      map[*msg.Message]int
 	firstSeen  map[*msg.Message]int64
@@ -127,10 +127,7 @@ func NewStationRI(g topo.Geometry, p sim.Params, station int, credits *Credits) 
 		ringID:    g.RingOf(station),
 		pos:       g.PosOf(station),
 		credits:   credits,
-		busOutQ:   sim.NewQueue[*msg.Message](0),
-		sinkQ:     sim.NewQueue[*msg.Packet](0),
-		nonsinkQ:  sim.NewQueue[*msg.Packet](0),
-		inFIFO:    sim.NewQueue[*msg.Packet](p.RingInputFIFO),
+		inFIFO:    sim.Queue[*msg.Packet]{Capacity: p.RingInputFIFO},
 		reasm:     make(map[*msg.Message]int),
 		firstSeen: make(map[*msg.Message]int64),
 	}
@@ -138,7 +135,7 @@ func NewStationRI(g topo.Geometry, p sim.Params, station int, credits *Credits) 
 }
 
 // BusOut implements bus.Module: messages arriving from the ring exit here.
-func (r *StationRI) BusOut() *sim.Queue[*msg.Message] { return r.busOutQ }
+func (r *StationRI) BusOut() *sim.Queue[*msg.Message] { return &r.busOutQ }
 
 // BusDeliver implements bus.Module: a station module handed us a message
 // bound for the network. The packet generator splits it into ring packets.
@@ -165,9 +162,9 @@ func (r *StationRI) BusDeliver(m *msg.Message, now int64) {
 	}
 	n := m.Packets(r.p.PacketsPerLine)
 	r.Tr.Emit(now, trace.KindFlitEnqueue, m.Line, m.TxnID, int32(m.Type), int32(n))
-	q := r.sinkQ
+	q := &r.sinkQ
 	if !m.Type.Sinkable() {
-		q = r.nonsinkQ
+		q = &r.nonsinkQ
 	}
 	// Duplication fault: packetize the whole message twice. The RNG is
 	// drawn only for dup-safe types at this real-work event, which every

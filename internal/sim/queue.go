@@ -5,7 +5,13 @@ package sim
 // monitoring subsystem reads back: items enqueued and the deepest the
 // queue has been (the paper's FIFO-depth measurement), both exact because
 // they change only on a push.
+//
+// The zero value is an empty, unbounded queue. Components hold their
+// queues by value and hand out pointers to them; a copy would silently
+// fork the FIFO, so Queue carries a noCopy marker and go vet rejects one.
 type Queue[T any] struct {
+	_ noCopy
+
 	items []T
 	head  int
 
@@ -16,10 +22,12 @@ type Queue[T any] struct {
 	maxDepth int
 }
 
-// NewQueue returns a queue with the given capacity (<=0 for unbounded).
-func NewQueue[T any](capacity int) *Queue[T] {
-	return &Queue[T]{Capacity: capacity}
-}
+// noCopy is the marker go vet's copylocks check looks for: a type with
+// Lock and Unlock methods must not be copied after first use.
+type noCopy struct{}
+
+func (*noCopy) Lock()   {}
+func (*noCopy) Unlock() {}
 
 // Len returns the number of queued items.
 func (q *Queue[T]) Len() int { return len(q.items) - q.head }

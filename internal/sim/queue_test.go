@@ -7,7 +7,7 @@ import "testing"
 // copy, then verify ordering and that freed slots hold zero values (no
 // leaked references).
 func TestQueueCompactionShift(t *testing.T) {
-	q := NewQueue[int](0)
+	q := new(Queue[int])
 	const n = 200
 	for i := 0; i < n; i++ {
 		q.Push(i + 1) // non-zero payloads, so a zeroed slot is recognisable
@@ -49,7 +49,7 @@ func TestQueueCompactionShift(t *testing.T) {
 // TestQueueStatsAccounting pins the two event-driven counters the
 // monitoring reports read: both move on a push and on nothing else.
 func TestQueueStatsAccounting(t *testing.T) {
-	q := NewQueue[int](0)
+	q := new(Queue[int])
 	if s := q.Stats(); s != (QueueStats{}) {
 		t.Errorf("fresh queue stats non-zero: %+v", s)
 	}

@@ -6,7 +6,7 @@ import (
 )
 
 func TestQueueFIFO(t *testing.T) {
-	q := NewQueue[int](0)
+	q := new(Queue[int])
 	for i := 0; i < 100; i++ {
 		if !q.Push(i) {
 			t.Fatal("unbounded push failed")
@@ -24,7 +24,7 @@ func TestQueueFIFO(t *testing.T) {
 }
 
 func TestQueueCapacity(t *testing.T) {
-	q := NewQueue[int](2)
+	q := &Queue[int]{Capacity: 2}
 	if !q.Push(1) || !q.Push(2) {
 		t.Fatal("pushes under capacity failed")
 	}
@@ -41,7 +41,7 @@ func TestQueueCapacity(t *testing.T) {
 }
 
 func TestQueueStats(t *testing.T) {
-	q := NewQueue[string](0)
+	q := new(Queue[string])
 	q.Push("a")
 	q.Push("b")
 	q.Pop()
@@ -58,7 +58,7 @@ func TestQueueStats(t *testing.T) {
 // Property: any interleaving of pushes and pops preserves FIFO order.
 func TestQueueOrderProperty(t *testing.T) {
 	f := func(ops []bool) bool {
-		q := NewQueue[int](0)
+		q := new(Queue[int])
 		next, expect := 0, 0
 		for _, push := range ops {
 			if push {
@@ -80,7 +80,7 @@ func TestQueueOrderProperty(t *testing.T) {
 
 // The queue compacts its backing storage; ordering must survive that.
 func TestQueueCompaction(t *testing.T) {
-	q := NewQueue[int](0)
+	q := new(Queue[int])
 	n := 0
 	for round := 0; round < 50; round++ {
 		for i := 0; i < 40; i++ {
