@@ -244,6 +244,23 @@ func TestDirectoryCompletionTable(t *testing.T) {
 		out:   []msg.Type{msg.Invalidate, msg.NetInterrupt},
 		state: LV, procs: 0, mask: []int{0}, data: 31})
 
+	// ---- network intervention NAKed after the owner's write-back ----
+	// The owner's NC ejected the line, then locked it again for its own
+	// refetch and NAKed the intervention. The write-back holds the only
+	// copy, so it lands as an unlocked RemWrBack would, in either order,
+	// and the requester retries.
+	for _, s := range []struct {
+		setup string
+		nak   msg.Type
+	}{
+		{"gi/local-read", msg.ProcNAK}, {"gi/local-readex", msg.ProcNAK}, {"gi/rem-read", msg.NetNAK},
+		{"gi/rem-readex", msg.NetNAK}, {"gi/kill", msg.ProcNAK},
+	} {
+		both(row{name: s.setup + "/wb-nak", setup: s.setup, replies: []reply{rwb(2), net(msg.NetNAK)},
+			out:   []msg.Type{s.nak},
+			state: GV, procs: 0, mask: []int{0, 2}, data: 31})
+	}
+
 	// ---- the invalidation multicast returns home ----
 	add(
 		row{name: "gv/local-readex/inval", setup: "gv/local-readex", replies: []reply{inval},

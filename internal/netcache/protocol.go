@@ -326,7 +326,10 @@ func (n *Module) checkIntervDone(e *entry, line uint64, t *txn, now int64) {
 	case t.kind == txnRecover:
 		// The false-remote bounce was stale: ownership moved (or the
 		// write-back reached home) while our request was in flight.
-		// Fall back to a fresh fetch — the home has settled by now.
+		// Fall back to a fresh fetch — the home has settled by now. Runs
+		// do reach this: barnes 64/256 (L2 64, NC 64), 64/1024 (L2 128,
+		// NC 128) and 64/2048 (L2 128, NC 256) all do; radix 64/32768
+		// does not.
 		t.kind = txnFetch
 		t.origType = msg.RemRead
 		if t.ex {

@@ -140,3 +140,16 @@ func TestAllWorkloadsOnPrototypeGeometry(t *testing.T) {
 		})
 	}
 }
+
+// TestBarnesOwnerWriteBackBeforeNAK is the smallest known run that reaches
+// a home whose network intervention is NAKed by an owner that had already
+// written the line back: the owner's NC ejected the line and then locked
+// it again for its own refetch. A home that drops the write-back there
+// leaves GI naming an owner that holds nothing, and the machine stops
+// making progress.
+func TestBarnesOwnerWriteBackBeforeNAK(t *testing.T) {
+	cfg := testConfig(topo.Prototype)
+	cfg.Params.L2Lines = 64
+	cfg.Params.NCLines = 64
+	runWorkloadCfg(t, "barnes", cfg, 64, 256)
+}
