@@ -3,7 +3,6 @@ package memory
 import (
 	"sort"
 
-	"numachine/internal/msg"
 	"numachine/internal/snap"
 )
 
@@ -37,12 +36,7 @@ func (m *Module) Encode(e *snap.Enc) {
 		e.U64(en.data)
 		encodeTxn(e, en.txn)
 	}
-	e.Time(m.busy)
-	m.staged.Encode(e)
-	e.Int(m.inQ.Len())
-	m.inQ.Each(func(x *msg.Message) { x.Encode(e) })
-	e.Int(m.outQ.Len())
-	m.outQ.Each(func(x *msg.Message) { x.Encode(e) })
+	m.Port.Encode(e)
 }
 
 func encodeTxn(e *snap.Enc, t *txn) {

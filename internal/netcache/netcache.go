@@ -19,13 +19,12 @@ package netcache
 import (
 	"fmt"
 
-	"numachine/internal/fault"
+	"numachine/internal/bus"
 	"numachine/internal/memory"
 	"numachine/internal/monitor"
 	"numachine/internal/msg"
 	"numachine/internal/sim"
 	"numachine/internal/topo"
-	"numachine/internal/trace"
 )
 
 // Alias the directory states; the NC uses the same four states as memory,
@@ -183,8 +182,10 @@ func histRow(t msg.Type) int {
 	return -1
 }
 
-// Module is one station's network cache.
+// Module is one station's network cache: a bus port (FIFOs, occupancy,
+// Fault, Tr, Msgs) in front of the tag store.
 type Module struct {
+	bus.Port
 	Station int
 
 	g topo.Geometry
@@ -196,11 +197,6 @@ type Module struct {
 	// sideTxns holds intervention/recovery work for lines with no entry
 	// (the NC must still serve interventions after ejecting a line).
 	sideTxns map[uint64]*txn
-
-	inQ    sim.Queue[*msg.Message]
-	outQ   sim.Queue[*msg.Message]
-	busy   int64
-	staged *msg.Message // dequeued message being processed until busy
 
 	// retryLines tracks locked lines with a scheduled retry.
 	retryLines []uint64
@@ -216,23 +212,14 @@ type Module struct {
 	// event every cycle loop executes identically), never from idle ticks.
 	retryRNG sim.RNG
 
-	// Fault, when non-nil, freezes the directory pipeline during the
-	// injector's outage windows. FetchTimeout, when > 0, re-issues an
-	// unanswered fetch request after that many cycles — the sender-side
-	// recovery for request packets the injector drops in the network.
-	Fault        *fault.Comp
+	// FetchTimeout, when > 0, re-issues an unanswered fetch request after
+	// that many cycles — the sender-side recovery for request packets the
+	// injector drops in the network.
 	FetchTimeout int64
-
-	// Tr is the structured-event trace sink (nil when tracing is off).
-	Tr *trace.Sink
 
 	// RetryChoice, when non-nil, overrides retryDelay: the model checker
 	// installs it to turn NAK retry timing into an explored choice point.
 	RetryChoice func(nakStreak int, base int64) int64
-
-	// Msgs recycles consumed and constructed messages (nil-safe; wired by
-	// core, shared per station).
-	Msgs *msg.Pool[msg.Message]
 
 	Stats Stats
 	Hist  *monitor.Table // coherence histogram (§3.3.3)
@@ -256,19 +243,9 @@ func New(g topo.Geometry, p sim.Params, station int) *Module {
 	return n
 }
 
-// BusOut implements bus.Module.
-func (n *Module) BusOut() *sim.Queue[*msg.Message] { return &n.outQ }
-
-// BusDeliver implements bus.Module.
-func (n *Module) BusDeliver(x *msg.Message, now int64) {
-	n.inQ.Push(x)
-	n.Tr.Emit(now, trace.KindQueueDepth, 0, 0, int32(n.inQ.Len()), 0)
-}
-
 // Idle reports whether the module has no queued, in-flight or pending work.
 func (n *Module) Idle() bool {
-	return n.inQ.Empty() && n.outQ.Empty() && n.staged == nil &&
-		len(n.sideTxns) == 0 && len(n.retryLines) == 0
+	return n.Port.Idle() && len(n.sideTxns) == 0 && len(n.retryLines) == 0
 }
 
 // clearTxn unlocks the entry and frees its transaction — the single death
@@ -338,68 +315,40 @@ func (n *Module) recordHist(t msg.Type, e *entry) {
 }
 
 // NextWork reports the earliest cycle at or after now at which Tick has
-// work: the earliest scheduled NAK retry, the end of the current SRAM/DRAM
-// access when a message is staged, or now when input is queued. A stale
-// retryLines entry (its transaction already completed) forces now so Tick
-// prunes it exactly when the naive loop would, keeping Idle() and drain
-// semantics identical.
+// work: the earliest scheduled NAK retry or the port's next access (see
+// bus.Port.ReadyAt). A stale retryLines entry (its transaction already
+// completed) forces now so Tick prunes it exactly when the naive loop
+// would, keeping Idle() and drain semantics identical.
 func (n *Module) NextWork(now int64) int64 {
 	wake := sim.Never
 	for _, line := range n.retryLines {
 		e := n.lookup(line)
 		if e == nil || !e.locked || e.txn == nil || e.txn.retryAt == 0 {
-			return n.Fault.NextFree(now) // stale entry: fireRetries must drop it this cycle
+			wake = now // stale entry: fireRetries must drop it this cycle
+			break
 		}
-		if e.txn.retryAt < wake {
-			wake = e.txn.retryAt
-		}
+		wake = min(wake, e.txn.retryAt)
 	}
-	if n.staged != nil || !n.inQ.Empty() {
-		if now < n.busy {
-			if n.busy < wake {
-				wake = n.busy
-			}
-		} else {
-			return n.Fault.NextFree(now)
-		}
-	}
-	return n.Fault.NextFree(wake)
+	return n.ReadyAt(now, wake)
 }
 
-// InQStats exposes the input-queue statistics (diagnostics).
-func (n *Module) InQStats() sim.QueueStats { return n.inQ.Stats() }
-
-// InQDepth returns the current input-queue depth (diagnostics).
-func (n *Module) InQDepth() int { return n.inQ.Len() }
-
-// Tick processes the input queue (a message takes effect after its
-// SRAM/DRAM access time) and fires due retries.
+// Tick fires due retries and advances the tag-store pipeline one cycle
+// unless an injected outage freezes both.
 func (n *Module) Tick(now int64) {
 	if n.Fault.Stalled(now) {
-		return // injected outage: the directory pipeline is frozen
+		return
 	}
 	n.fireRetries(now)
-	if now < n.busy {
-		return
+	n.Step(now, n.handle, n.cost)
+}
+
+// cost is the SRAM access time of a message of type t, plus a DRAM access
+// when it carries data or reads the line for a local processor.
+func (n *Module) cost(t msg.Type) int {
+	if t.CarriesData() || t == msg.LocalRead || t == msg.LocalReadEx {
+		return n.p.NCDirCycles + n.p.NCDRAMCycles
 	}
-	if n.staged != nil {
-		x := n.staged
-		n.staged = nil
-		n.handle(x, now)
-		// Single-owner after handling, as in memory.Module.Tick.
-		n.Msgs.Put(x)
-	}
-	x, ok := n.inQ.Pop()
-	if !ok {
-		return
-	}
-	n.Tr.Emit(now, trace.KindQueueDepth, 0, 0, int32(n.inQ.Len()), 0)
-	cost := n.p.NCDirCycles
-	if x.Type.CarriesData() || x.Type == msg.LocalRead || x.Type == msg.LocalReadEx {
-		cost += n.p.NCDRAMCycles
-	}
-	n.busy = now + int64(cost)
-	n.staged = x
+	return n.p.NCDirCycles
 }
 
 func (n *Module) fireRetries(now int64) {
@@ -457,27 +406,22 @@ func (n *Module) retryDelay(t *txn) int64 {
 // ---- output helpers ----
 
 func (n *Module) toProc(now int64, t msg.Type, localProc int, line uint64, data uint64, nakOf msg.Type) {
-	out := n.Msgs.Get()
-	*out = msg.Message{
+	n.Send(msg.Message{
 		Type: t, Line: line, Home: -1,
 		SrcMod: n.g.ModNC(), DstMod: n.g.ModProc(localProc),
 		SrcStation: n.Station, DstStation: n.Station,
 		Data: data, HasData: t.CarriesData(), NakOf: nakOf, IssueCycle: now,
-	}
-	n.outQ.Push(out)
+	})
 }
 
 // toNet queues a network message. home is the line's home station.
 func (n *Module) toNet(now int64, t msg.Type, dst, home int, line uint64) *msg.Message {
-	out := n.Msgs.Get()
-	*out = msg.Message{
+	return n.Send(msg.Message{
 		Type: t, Line: line, Home: home,
 		SrcMod: n.g.ModNC(), DstMod: n.g.ModRI(),
 		SrcStation: n.Station, DstStation: dst,
 		IssueCycle: now,
-	}
-	n.outQ.Push(out)
-	return out
+	})
 }
 
 // sendHome (re-)issues a request for a locked fetch txn. When a loss
@@ -503,24 +447,20 @@ func (n *Module) busInval(now int64, line uint64, procs uint16) {
 	if procs == 0 {
 		return
 	}
-	out := n.Msgs.Get()
-	*out = msg.Message{
+	n.Send(msg.Message{
 		Type: msg.BusInval, Line: line,
 		SrcMod: n.g.ModNC(), DstMod: n.g.ModProc(0), BusProcs: procs,
 		SrcStation: n.Station, DstStation: n.Station, IssueCycle: now,
-	}
-	n.outQ.Push(out)
+	})
 }
 
 func (n *Module) busInterv(now int64, line uint64, procs uint16, alsoProc int, ex bool) {
-	out := n.Msgs.Get()
-	*out = msg.Message{
+	n.Send(msg.Message{
 		Type: msg.BusIntervention, Line: line,
 		SrcMod: n.g.ModNC(), DstMod: n.g.ModProc(0),
 		BusProcs: procs, AlsoProc: alsoProc, Ex: ex,
 		SrcStation: n.Station, DstStation: n.Station, IssueCycle: now,
-	}
-	n.outQ.Push(out)
+	})
 }
 
 // ---- allocation & ejection ----

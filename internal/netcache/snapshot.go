@@ -3,7 +3,6 @@ package netcache
 import (
 	"sort"
 
-	"numachine/internal/msg"
 	"numachine/internal/snap"
 )
 
@@ -44,12 +43,7 @@ func (n *Module) Encode(e *snap.Enc) {
 	for _, line := range n.retryLines {
 		e.U64(line)
 	}
-	e.Time(n.busy)
-	n.staged.Encode(e)
-	e.Int(n.inQ.Len())
-	n.inQ.Each(func(x *msg.Message) { x.Encode(e) })
-	e.Int(n.outQ.Len())
-	n.outQ.Each(func(x *msg.Message) { x.Encode(e) })
+	n.Port.Encode(e)
 }
 
 func encodeNCTxn(e *snap.Enc, t *txn) {
