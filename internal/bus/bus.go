@@ -34,7 +34,7 @@ type Module interface {
 // Bus is one station's bus with round-robin arbitration.
 type Bus struct {
 	g       topo.Geometry
-	p       sim.Params
+	p       *sim.Params // the machine's, shared by every component; read-only
 	modules []Module
 	outs    []*sim.Queue[*msg.Message] // cached BusOut queues (hot path)
 	station int
@@ -60,14 +60,20 @@ type Bus struct {
 	Msgs *msg.Pool[msg.Message]
 }
 
-// New creates the bus for one station. Modules must be registered with
-// Attach in bus-module-index order before the first Tick.
+// New creates a standalone bus for one station over a private copy of p.
 func New(g topo.Geometry, p sim.Params, station int) *Bus {
-	return &Bus{
-		g: g, p: p, station: station,
-		modules: make([]Module, g.ModCount()),
-		outs:    make([]*sim.Queue[*msg.Message], g.ModCount()),
-	}
+	b := new(Bus)
+	b.Init(g, &p, station, make([]Module, g.ModCount()), make([]*sim.Queue[*msg.Message], g.ModCount()))
+	return b
+}
+
+// Init builds the bus for one station in place. modules and outs are its
+// module and out-queue tables, g.ModCount() entries each and all nil; p is
+// read, never written. Modules must be registered with Attach in
+// bus-module-index order before the first Tick.
+func (b *Bus) Init(g topo.Geometry, p *sim.Params, station int, modules []Module, outs []*sim.Queue[*msg.Message]) {
+	b.g, b.p, b.station = g, p, station
+	b.modules, b.outs = modules, outs
 }
 
 // Attach registers the module at bus index idx.

@@ -2,29 +2,27 @@ package core
 
 import (
 	"runtime"
+	"strings"
 	"testing"
+
+	"numachine/internal/topo"
 )
 
 // TestNewFootprint is the construction-cost gate: a paper-size machine
 // (64 CPUs x 1 MB L2, 16 stations x 4 MB NC) must cost what its
 // components cost, not what its caches could one day hold. The tag stores
 // are paged and read one shared zero page table until their first insert,
-// the coherence histograms and a CPU's monitoring tables are allocated on
-// first use, FIFOs live inside their components and the CPUs share their
-// hooks, so New pays component headers only (~127 KB in ~470 objects; the
-// flat arrays were 102 MB, and private page tables, eager histograms,
-// heap FIFOs and per-CPU hooks another 125 KB in 725 objects). Both bounds
-// are about 1.5x the measured cost.
+// the coherence histograms, a CPU's monitoring tables and the directory
+// maps are allocated on first use, and FIFOs, the L1 filter and the
+// histograms live inside their components. Each kind of component is
+// allocated once for the whole machine (one slab of CPUs, one of
+// stations) and reads the machine's one sim.Params, so New pays ~88 KB in
+// ~57 objects (the flat arrays were 102 MB; a heap object per component
+// and a private copy of the parameters in each were 127 KB in ~470
+// objects). Both bounds are about 1.5x the measured cost.
 func TestNewFootprint(t *testing.T) {
-	const budget, maxObjects = 192 << 10, 700
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	m, err := New(DefaultConfig())
-	runtime.ReadMemStats(&after)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, objects := after.TotalAlloc-before.TotalAlloc, after.Mallocs-before.Mallocs
+	const budget, maxObjects = 132 << 10, 90
+	got, objects := newCost(t, DefaultConfig())
 	t.Logf("core.New(DefaultConfig()) allocated %.2f MB in %d objects", float64(got)/(1<<20), objects)
 	if got > budget {
 		t.Errorf("core.New(DefaultConfig()) allocated %d bytes, budget %d", got, budget)
@@ -32,7 +30,69 @@ func TestNewFootprint(t *testing.T) {
 	if objects > maxObjects {
 		t.Errorf("core.New(DefaultConfig()) allocated %d objects, bound %d", objects, maxObjects)
 	}
-	runtime.KeepAlive(m)
+}
+
+// TestNewObjectsPerGeometry: the object count of New does not grow with
+// the processors per station or the stations per ring, because CPUs and
+// stations come from one slab each. Every geometry of one ring costs the
+// smallest one's objects, give or take the few the runtime makes while
+// sizing them (a heap object per component was 68 more at 4x4x1).
+func TestNewObjectsPerGeometry(t *testing.T) {
+	const slack = 4
+	cost := func(g topo.Geometry) uint64 {
+		cfg := DefaultConfig()
+		cfg.Geom = g
+		_, objects := newCost(t, cfg)
+		t.Logf("%dx%dx%d: %d objects", g.ProcsPerStation, g.StationsPerRing, g.Rings, objects)
+		return objects
+	}
+	base := cost(topo.Geometry{ProcsPerStation: 1, StationsPerRing: 2, Rings: 1})
+	for _, g := range []topo.Geometry{
+		{ProcsPerStation: 4, StationsPerRing: 2, Rings: 1},
+		{ProcsPerStation: 1, StationsPerRing: 4, Rings: 1},
+		{ProcsPerStation: 4, StationsPerRing: 4, Rings: 1},
+	} {
+		if n := cost(g); n > base+slack {
+			t.Errorf("%dx%dx%d: %d objects, want at most %d (1x2x1's %d + %d)",
+				g.ProcsPerStation, g.StationsPerRing, g.Rings, n, base+slack, base, slack)
+		}
+	}
+}
+
+// newCost returns the bytes and heap objects one New(cfg) allocates,
+// averaged over a few builds on one P (as testing.AllocsPerRun counts).
+func newCost(t *testing.T, cfg Config) (bytes, objects uint64) {
+	t.Helper()
+	const runs = 4
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		m, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runtime.KeepAlive(m)
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / runs, (after.Mallocs - before.Mallocs) / runs
+}
+
+// TestHistogramTitles: the coherence histograms live inside their modules
+// and format their titles only when printed; the station still names them.
+func TestHistogramTitles(t *testing.T) {
+	m, err := New(DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct{ got, want string }{
+		{m.Mems[3].Hist.String(), "memory[3] coherence histogram"},
+		{m.NCs[2].Hist.String(), "netcache[2] coherence histogram"},
+	} {
+		if title, _, _ := strings.Cut(c.got, "\n"); title != c.want {
+			t.Errorf("histogram title %q, want %q", title, c.want)
+		}
+	}
 }
 
 // BenchmarkNew times and counts the construction of a paper-size machine,

@@ -242,7 +242,21 @@ type Machine struct {
 	serveReport func() *ServeResults
 }
 
-// New builds a machine from cfg.
+// station is one station's bus-side components and the message pool they
+// share. New builds every station in place in one slab.
+type station struct {
+	msgs msg.Pool[msg.Message]
+	bus  bus.Bus
+	mem  memory.Module
+	nc   netcache.Module
+	ri   ring.StationRI
+}
+
+// New builds a machine from cfg. Each kind of component is allocated once
+// for the whole machine (one slab of CPUs, one of stations, one table of
+// bus attachments) and built in place, and every component reads the
+// machine's one copy of the timing parameters, so construction costs a
+// fixed number of objects however many processors and stations there are.
 func New(cfg Config) (*Machine, error) {
 	if err := cfg.Geom.Validate(); err != nil {
 		return nil, err
@@ -251,16 +265,17 @@ func New(cfg Config) (*Machine, error) {
 	if err != nil {
 		return nil, err
 	}
-	g, p := cfg.Geom, cfg.Params
+	g := cfg.Geom
 	m := &Machine{
 		Cfg:        cfg,
 		g:          g,
-		p:          p,
+		p:          cfg.Params,
 		pageHome:   make(map[uint64]int),
-		heapNext:   uint64(p.PageSize), // keep address 0 unused
+		heapNext:   uint64(cfg.Params.PageSize), // keep address 0 unused
 		Phases:     monitor.NewPhaseIDs(g.Procs()),
 		quiescedAt: -1,
 	}
+	p := &m.p // nothing writes it after New
 	// Build the injector only for a non-zero spec: a nil injector keeps
 	// every hook inert and fault-free runs byte-identical.
 	if !spec.Zero() {
@@ -268,30 +283,41 @@ func New(cfg Config) (*Machine, error) {
 	}
 	m.credits = ring.NewCredits(g.Stations(), p.MaxNonsinkable)
 
-	for s := 0; s < g.Stations(); s++ {
+	ns, nmod := g.Stations(), g.ModCount()
+	stations := make([]station, ns)
+	modules := make([]bus.Module, ns*nmod)
+	outs := make([]*sim.Queue[*msg.Message], ns*nmod)
+	m.Buses = make([]*bus.Bus, ns)
+	m.Mems = make([]*memory.Module, ns)
+	m.NCs = make([]*netcache.Module, ns)
+	m.RIs = make([]*ring.StationRI, ns)
+	m.msgPools = make([]*msg.Pool[msg.Message], ns)
+	for s := range stations {
+		st := &stations[s]
 		// One message pool per station, shared by every component of that
 		// station: all of a station's Get/Put calls happen on its phase-1
 		// worker or in the serial interconnect phase, which the pool's
 		// barrier separates, so the pool needs no locking under any cycle
 		// loop.
-		pool := new(msg.Pool[msg.Message])
-		m.msgPools = append(m.msgPools, pool)
-		b := bus.New(g, p, s)
-		b.Msgs = pool
-		m.Buses = append(m.Buses, b)
-		mem := memory.New(g, p, s)
-		mem.Fault = m.inj.Mem(s)
-		mem.Msgs = pool
-		m.Mems = append(m.Mems, mem)
-		nc := netcache.New(g, p, s)
-		nc.Fault = m.inj.NC(s)
-		nc.FetchTimeout = m.inj.FetchTimeout()
-		nc.Msgs = pool
-		m.NCs = append(m.NCs, nc)
-		ri := ring.NewStationRI(g, p, s, m.credits)
-		ri.Fault = m.inj.RI(s)
-		ri.Msgs = pool
-		m.RIs = append(m.RIs, ri)
+		pool := &st.msgs
+		m.msgPools[s] = pool
+		lo, hi := s*nmod, (s+1)*nmod
+		st.bus.Init(g, p, s, modules[lo:hi:hi], outs[lo:hi:hi])
+		st.bus.Msgs = pool
+		m.Buses[s] = &st.bus
+		st.mem.Init(g, p, s)
+		st.mem.Fault = m.inj.Mem(s)
+		st.mem.Msgs = pool
+		m.Mems[s] = &st.mem
+		st.nc.Init(g, p, s)
+		st.nc.Fault = m.inj.NC(s)
+		st.nc.FetchTimeout = m.inj.FetchTimeout()
+		st.nc.Msgs = pool
+		m.NCs[s] = &st.nc
+		st.ri.Init(g, p, s, m.credits)
+		st.ri.Fault = m.inj.RI(s)
+		st.ri.Msgs = pool
+		m.RIs[s] = &st.ri
 	}
 	m.runners = make([]*proc.Runner, g.Procs())
 	// Every CPU shares one function value per hook (a method value built
@@ -299,19 +325,21 @@ func New(cfg Config) (*Machine, error) {
 	// needs the CPU it serves.
 	homeOf, onBarrier := m.HomeOf, m.barrierArrive
 	onPhase := func(c *proc.CPU, ph uint8) { m.Phases.Set(c.GlobalID, ph) }
-	for id := 0; id < g.Procs(); id++ {
-		cpu := proc.New(g, p, id, nil, cfg.L1Lines)
+	cpus := make([]proc.CPU, g.Procs())
+	m.CPUs = make([]*proc.CPU, g.Procs())
+	for id := range cpus {
+		cpu := &cpus[id]
+		cpu.Init(g, p, id, nil, cfg.L1Lines)
 		cpu.HomeOf = homeOf
 		if cfg.Placement == FirstTouch {
 			cpu.HomeOf = m.firstTouchHomeOf(cpu)
 		}
 		cpu.OnBarrier = onBarrier
 		cpu.OnPhase = onPhase
-		cpu.Msgs = m.Buses[cpu.Station].Msgs
-		m.CPUs = append(m.CPUs, cpu)
+		cpu.Msgs = m.msgPools[cpu.Station]
+		m.CPUs[id] = cpu
 	}
-	for s := 0; s < g.Stations(); s++ {
-		b := m.Buses[s]
+	for s, b := range m.Buses {
 		for i := 0; i < g.ProcsPerStation; i++ {
 			b.Attach(g.ModProc(i), m.CPUs[g.ProcAt(s, i)])
 		}
@@ -320,6 +348,7 @@ func New(cfg Config) (*Machine, error) {
 		b.Attach(g.ModRI(), m.RIs[s])
 	}
 	m.buildRings()
+	m.pktPools = make([]*msg.Pool[msg.Packet], 0, len(m.RIs)+len(m.IRIs))
 	for _, ri := range m.RIs {
 		m.pktPools = append(m.pktPools, ri.PacketPool())
 	}
@@ -352,11 +381,16 @@ func New(cfg Config) (*Machine, error) {
 // the sequencing point of a local ring is its IRI (§2.3), or node 0 on
 // single-ring machines.
 func (m *Machine) buildRings() {
-	g, p := m.g, m.p
+	g, p := m.g, &m.p
 	multi := g.Rings > 1
+	m.Locals = make([]*ring.Ring, 0, g.Rings)
 	var centralNodes []ring.Node
+	if multi {
+		m.IRIs = make([]*ring.IRI, 0, g.Rings)
+		centralNodes = make([]ring.Node, 0, g.Rings)
+	}
 	for r := 0; r < g.Rings; r++ {
-		var nodes []ring.Node
+		nodes := make([]ring.Node, 0, g.StationsPerRing+1)
 		for pos := 0; pos < g.StationsPerRing; pos++ {
 			nodes = append(nodes, m.RIs[g.StationAt(r, pos)])
 		}

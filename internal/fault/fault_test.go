@@ -183,6 +183,19 @@ func TestDrawDeterminism(t *testing.T) {
 	}
 }
 
+// TestEmptySpecAllocatesNothing: every core.New parses its fault spec,
+// and the fault-free one, the empty spec, must add nothing to the
+// machine's construction cost.
+func TestEmptySpecAllocatesNothing(t *testing.T) {
+	if n := testing.AllocsPerRun(100, func() {
+		if _, err := ParseSpec(""); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("ParseSpec(\"\") allocates %.1f objects, want 0", n)
+	}
+}
+
 func FuzzParseSpec(f *testing.F) {
 	f.Add("")
 	f.Add("drop=0.02,dup=0.01")

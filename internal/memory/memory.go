@@ -148,9 +148,9 @@ type Module struct {
 	Station int
 
 	g topo.Geometry
-	p sim.Params
+	p *sim.Params // the machine's, shared by every component; read-only
 
-	dir    map[uint64]*entry
+	dir    map[uint64]*entry // nil until the first entry
 	txnSeq uint64
 	locks  int // currently locked lines (kept in step by lock/unlock)
 
@@ -165,19 +165,22 @@ type Module struct {
 	Mut Mutation
 
 	Stats Stats
-	Hist  *monitor.Table // coherence histogram (§3.3.3)
+	Hist  monitor.Table // coherence histogram (§3.3.3)
 }
 
-// New builds the memory module for a station.
+// New builds a standalone memory module for a station over a private copy
+// of p.
 func New(g topo.Geometry, p sim.Params, station int) *Module {
-	m := &Module{
-		Station: station,
-		g:       g,
-		p:       p,
-		dir:     make(map[uint64]*entry),
-		Hist:    monitor.NewTable(fmt.Sprintf("memory[%d] coherence histogram", station), HistRows, HistCols),
-	}
+	m := new(Module)
+	m.Init(g, &p, station)
 	return m
+}
+
+// Init builds the memory module for a station in place, in a zero Module;
+// p is read, never written.
+func (m *Module) Init(g topo.Geometry, p *sim.Params, station int) {
+	m.Station, m.g, m.p = station, g, p
+	m.Hist = monitor.Table{Owner: "memory", Index: station, Name: "coherence histogram", Rows: HistRows, Cols: HistCols}
 }
 
 // PendingLocks returns the number of locked lines. Maintained
@@ -216,6 +219,9 @@ func (m *Module) cost(t msg.Type) int {
 func (m *Module) entry(line uint64) *entry {
 	e := m.dir[line]
 	if e == nil {
+		if m.dir == nil {
+			m.dir = make(map[uint64]*entry)
+		}
 		e = &entry{state: LV, mask: m.g.MaskFor(m.Station)}
 		m.dir[line] = e
 	}

@@ -102,21 +102,23 @@ func (s *Sampler) Max() int64 { return s.max }
 // while counting continues). Cell sums both halves.
 //
 // Both halves live in one flat slice, allocated by the first Add: most
-// tables of most runs count nothing, and an empty table reads zero.
+// tables of most runs count nothing, and an empty table reads zero. A
+// table is built by filling in its exported fields; a component holds its
+// own by value.
 type Table struct {
 	Name string
-	Rows []string
-	Cols []string
+	// Owner and Index, when Owner is set, name the component instance that
+	// holds the table: its title reads "Owner[Index] Name". The title is
+	// formatted only when printed.
+	Owner string
+	Index int
+	Rows  []string
+	Cols  []string
 
 	cells  []int64 // active half, then frozen half; nil until the first Add
 	limit  int64
 	swaps  int
 	onSwap func(*Table)
-}
-
-// NewTable builds a table with the given row and column labels.
-func NewTable(name string, rows, cols []string) *Table {
-	return &Table{Name: name, Rows: rows, Cols: cols}
 }
 
 // SetOverflow arms the dual-half overflow mechanism: when a cell of the
@@ -192,10 +194,18 @@ func (t *Table) Total() int64 {
 	return s
 }
 
+// Title is the table's heading in reports.
+func (t *Table) Title() string {
+	if t.Owner == "" {
+		return t.Name
+	}
+	return fmt.Sprintf("%s[%d] %s", t.Owner, t.Index, t.Name)
+}
+
 // String renders the table for reports.
 func (t *Table) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%s\n%-22s", t.Name, "")
+	fmt.Fprintf(&b, "%s\n%-22s", t.Title(), "")
 	for _, c := range t.Cols {
 		fmt.Fprintf(&b, "%14s", c)
 	}

@@ -39,7 +39,7 @@ func TestSampler(t *testing.T) {
 }
 
 func TestTableCellsAndTotals(t *testing.T) {
-	tb := NewTable("t", []string{"r0", "r1"}, []string{"c0", "c1", "c2"})
+	tb := &Table{Name: "t", Rows: []string{"r0", "r1"}, Cols: []string{"c0", "c1", "c2"}}
 	tb.Add(0, 1)
 	tb.Add(0, 1)
 	tb.Add(1, 2)
@@ -55,7 +55,7 @@ func TestTableCellsAndTotals(t *testing.T) {
 }
 
 func TestTableOverflowSwaps(t *testing.T) {
-	tb := NewTable("t", []string{"r"}, []string{"c"})
+	tb := &Table{Name: "t", Rows: []string{"r"}, Cols: []string{"c"}}
 	fired := 0
 	tb.SetOverflow(3, func(*Table) { fired++ })
 	for i := 0; i < 10; i++ {
@@ -77,7 +77,7 @@ func TestTableAllocatesOnFirstAdd(t *testing.T) {
 	rows, cols := []string{"r0", "r1", "r2"}, []string{"c0", "c1"}
 	var tb *Table
 	if n := testing.AllocsPerRun(10, func() {
-		tb = NewTable("t", rows, cols)
+		tb = &Table{Name: "t", Rows: rows, Cols: cols}
 		tb.SetOverflow(4, nil)
 		for r := range rows {
 			for c := range cols {

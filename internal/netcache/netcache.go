@@ -189,13 +189,14 @@ type Module struct {
 	Station int
 
 	g topo.Geometry
-	p sim.Params
+	p *sim.Params // the machine's, shared by every component; read-only
 
 	// entries is the direct-mapped tag store, paged and allocated on first
 	// allocate: an NC that caches nothing costs nothing for it.
 	entries sim.Paged[entry]
 	// sideTxns holds intervention/recovery work for lines with no entry
-	// (the NC must still serve interventions after ejecting a line).
+	// (the NC must still serve interventions after ejecting a line); nil
+	// until the first.
 	sideTxns map[uint64]*txn
 
 	// retryLines tracks locked lines with a scheduled retry.
@@ -222,25 +223,28 @@ type Module struct {
 	RetryChoice func(nakStreak int, base int64) int64
 
 	Stats Stats
-	Hist  *monitor.Table // coherence histogram (§3.3.3)
+	Hist  monitor.Table // coherence histogram (§3.3.3)
 }
 
-// New builds the network cache for a station.
+// New builds a standalone network cache for a station over a private copy
+// of p.
 func New(g topo.Geometry, p sim.Params, station int) *Module {
-	n := &Module{
-		Station:  station,
-		g:        g,
-		p:        p,
-		entries:  sim.NewPaged(p.NCLines, p.LineSize, &noEntries),
-		sideTxns: make(map[uint64]*txn),
-		Hist:     monitor.NewTable(fmt.Sprintf("netcache[%d] coherence histogram", station), HistRows, HistCols),
-	}
+	n := new(Module)
+	n.Init(g, &p, station)
+	return n
+}
+
+// Init builds the network cache for a station in place, in a zero Module;
+// p is read, never written.
+func (n *Module) Init(g topo.Geometry, p *sim.Params, station int) {
+	n.Station, n.g, n.p = station, g, p
+	n.entries = sim.NewPaged(p.NCLines, p.LineSize, &noEntries)
+	n.Hist = monitor.Table{Owner: "netcache", Index: station, Name: "coherence histogram", Rows: HistRows, Cols: HistCols}
 	// Seed unconditionally: the zero xorshift state would be degenerate.
 	// The constant tags the stream so NC jitter never collides with the
 	// per-CPU streams derived from the same RetryJitterSeed.
 	n.retryRNG = *sim.NewRNG(p.RetryJitterSeed ^ 0x6e65746361636865 ^
 		(0x9e3779b97f4a7c15 * (uint64(station) + 1)))
-	return n
 }
 
 // Idle reports whether the module has no queued, in-flight or pending work.

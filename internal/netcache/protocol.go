@@ -639,6 +639,9 @@ func (n *Module) netInterv(x *msg.Message, now int64) {
 		// The home believes we own this line but the NC ejected it: the
 		// dirty copy is in a local L2 or its write-back is in flight.
 		t.pending = n.g.ProcsPerStation
+		if n.sideTxns == nil {
+			n.sideTxns = make(map[uint64]*txn)
+		}
 		n.sideTxns[x.Line] = t
 		n.busInterv(now, x.Line, n.allProcs(), -1, t.ex)
 	case e.state == LI:

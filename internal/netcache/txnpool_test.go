@@ -56,7 +56,7 @@ func TestClearTxnFreesEntryRecord(t *testing.T) {
 func TestDropSideFreesSideRecord(t *testing.T) {
 	n := newPoolModule()
 	x := n.txns.Get()
-	n.sideTxns[0x1000] = x
+	n.sideTxns = map[uint64]*txn{0x1000: x} // the table is made by its first insert
 	n.dropSide(0x1000)
 	if len(n.sideTxns) != 0 {
 		t.Fatal("dropSide left the side table populated")

@@ -51,11 +51,12 @@ type CPU struct {
 	Station  int
 
 	g topo.Geometry
-	p sim.Params
+	p *sim.Params // the machine's, shared by every component; read-only
 
 	runner *Runner
 	l2     cache.Cache
-	l1     *cache.Cache // timing filter; data/coherence live in the L2 (nil: no filter)
+	l1     *cache.Cache // timing filter, &l1Tags or nil (no filter); data/coherence live in the L2
+	l1Tags cache.Cache
 
 	outQ sim.Queue[*msg.Message]
 
@@ -144,26 +145,32 @@ type CPU struct {
 	RetryStreak  monitor.Sampler
 }
 
-// New builds a processor module. l1Lines of 0 disables the primary-cache
-// timing filter.
+// New builds a standalone processor module over a private copy of p.
 func New(g topo.Geometry, p sim.Params, globalID int, runner *Runner, l1Lines int) *CPU {
-	c := &CPU{
-		GlobalID: globalID,
-		Local:    g.LocalProc(globalID),
-		Station:  g.StationOfProc(globalID),
-		g:        g,
-		p:        p,
-		runner:   runner,
-		l2:       *cache.New(p.L2Lines, p.LineSize),
-	}
+	c := new(CPU)
+	c.Init(g, &p, globalID, runner, l1Lines)
+	return c
+}
+
+// Init builds a processor module in place, in a zero CPU that must not move
+// afterwards (the L1 pointer addresses a field of c). p is read, never
+// written, for the life of the CPU. l1Lines of 0 disables the
+// primary-cache timing filter.
+func (c *CPU) Init(g topo.Geometry, p *sim.Params, globalID int, runner *Runner, l1Lines int) {
+	c.GlobalID = globalID
+	c.Local = g.LocalProc(globalID)
+	c.Station = g.StationOfProc(globalID)
+	c.g, c.p = g, p
+	c.runner = runner
+	c.l2 = *cache.New(p.L2Lines, p.LineSize)
 	if l1Lines > 0 {
-		c.l1 = cache.New(l1Lines, p.LineSize)
+		c.l1Tags = *cache.New(l1Lines, p.LineSize)
+		c.l1 = &c.l1Tags
 	}
 	c.retryRNG = *sim.NewRNG(p.RetryJitterSeed ^ (0x9e3779b97f4a7c15 * (uint64(globalID) + 1)))
 	if runner == nil {
 		c.st = sDone // idle until a program is loaded
 	}
-	return c
 }
 
 // SetRunner loads a program into an idle CPU; nil returns the CPU to idle.

@@ -17,7 +17,7 @@ import (
 type IRI struct {
 	RingID int // the local ring this interface serves
 
-	p       sim.Params
+	p       *sim.Params // the machine's, shared by every component; read-only
 	credits *Credits
 	upQ     sim.Queue[*msg.Packet]
 	downQ   sim.Queue[*msg.Packet]
@@ -57,8 +57,8 @@ type IRI struct {
 // simulations of our prototype machine these buffers never contain more
 // than 60 packets"), and a bounded IRI buffer feeding a halted ring can
 // close a circular stall, so the model reports their observed depths
-// instead (UpStats, DownStats).
-func NewIRI(p sim.Params, ringID int, credits *Credits) *IRI {
+// instead (UpStats, DownStats). p is read, never written.
+func NewIRI(p *sim.Params, ringID int, credits *Credits) *IRI {
 	return &IRI{
 		RingID:  ringID,
 		p:       p,

@@ -50,7 +50,7 @@ type Ring struct {
 	Name    string
 	Central bool
 
-	p       sim.Params
+	p       *sim.Params // the machine's, shared by every component; read-only
 	nodes   []Node
 	slots   []*msg.Packet
 	occ     int // occupied slots (recounted at each tick; slots change nowhere else)
@@ -90,8 +90,8 @@ type Ring struct {
 
 // New builds a ring with the given attached nodes. seqNode is the index of
 // the sequencing point (the connection to the higher-level ring, or node 0
-// on the central ring / single-ring machines).
-func New(name string, p sim.Params, nodes []Node, seqNode int, central bool) *Ring {
+// on the central ring / single-ring machines). p is read, never written.
+func New(name string, p *sim.Params, nodes []Node, seqNode int, central bool) *Ring {
 	return &Ring{
 		Name:       name,
 		Central:    central,

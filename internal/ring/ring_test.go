@@ -28,7 +28,7 @@ func buildLocalRing(t *testing.T, g topo.Geometry, p sim.Params) ([]*StationRI, 
 		ris = append(ris, ri)
 		nodes = append(nodes, ri)
 	}
-	return ris, New("test", p, nodes, 0, false)
+	return ris, New("test", &p, nodes, 0, false)
 }
 
 func runRing(r *Ring, ris []*StationRI, from, cycles int64) int64 {
@@ -190,13 +190,13 @@ func TestTwoLevelHierarchyCrossRing(t *testing.T) {
 			ris = append(ris, ri)
 			nodes = append(nodes, ri)
 		}
-		iri := NewIRI(p, ringID, credits)
+		iri := NewIRI(&p, ringID, credits)
 		iris = append(iris, iri)
 		nodes = append(nodes, iri.LocalPort())
 		centralNodes = append(centralNodes, iri.CentralPort())
-		locals = append(locals, New("local", p, nodes, 2, false))
+		locals = append(locals, New("local", &p, nodes, 2, false))
 	}
-	central := New("central", p, centralNodes, 0, true)
+	central := New("central", &p, centralNodes, 0, true)
 
 	// Station 0 (ring 0) sends data to station 3 (ring 1).
 	ris[0].BusDeliver(&msg.Message{

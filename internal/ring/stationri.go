@@ -59,7 +59,7 @@ type StationRI struct {
 	Station int
 
 	g       topo.Geometry
-	p       sim.Params
+	p       *sim.Params // the machine's, shared by every component; read-only
 	ringID  int
 	pos     int
 	credits *Credits
@@ -69,8 +69,8 @@ type StationRI struct {
 	nonsinkQ sim.Queue[*msg.Packet]
 	inFIFO   sim.Queue[*msg.Packet]
 
-	reasm      map[*msg.Message]int
-	firstSeen  map[*msg.Message]int64
+	reasm      map[*msg.Message]int   // nil until the first packet arrives
+	firstSeen  map[*msg.Message]int64 // made with reasm
 	unpackBusy int64
 
 	// pool recycles the packets this interface creates (packetization and
@@ -118,20 +118,21 @@ type StationRI struct {
 	Tr *trace.Sink
 }
 
-// NewStationRI builds the ring interface for a station.
+// NewStationRI builds a standalone ring interface for a station over a
+// private copy of p.
 func NewStationRI(g topo.Geometry, p sim.Params, station int, credits *Credits) *StationRI {
-	r := &StationRI{
-		Station:   station,
-		g:         g,
-		p:         p,
-		ringID:    g.RingOf(station),
-		pos:       g.PosOf(station),
-		credits:   credits,
-		inFIFO:    sim.Queue[*msg.Packet]{Capacity: p.RingInputFIFO},
-		reasm:     make(map[*msg.Message]int),
-		firstSeen: make(map[*msg.Message]int64),
-	}
+	r := new(StationRI)
+	r.Init(g, &p, station, credits)
 	return r
+}
+
+// Init builds the ring interface for a station in place, in a zero
+// StationRI; p is read, never written.
+func (r *StationRI) Init(g topo.Geometry, p *sim.Params, station int, credits *Credits) {
+	r.Station, r.g, r.p = station, g, p
+	r.ringID, r.pos = g.RingOf(station), g.PosOf(station)
+	r.credits = credits
+	r.inFIFO.Capacity = p.RingInputFIFO
 }
 
 // BusOut implements bus.Module: messages arriving from the ring exit here.
@@ -315,6 +316,10 @@ func (r *StationRI) Tick(now int64) {
 		}
 		m := pkt.Msg
 		if _, seen := r.firstSeen[m]; !seen {
+			if r.firstSeen == nil {
+				r.firstSeen = make(map[*msg.Message]int64)
+				r.reasm = make(map[*msg.Message]int)
+			}
 			r.firstSeen[m] = pkt.EnqueuedAt
 		}
 		r.reasm[m]++
