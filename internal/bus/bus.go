@@ -16,6 +16,8 @@
 package bus
 
 import (
+	"math/bits"
+
 	"numachine/internal/monitor"
 	"numachine/internal/msg"
 	"numachine/internal/sim"
@@ -161,48 +163,45 @@ func (b *Bus) Tick(now int64) (delivered uint32) {
 	return delivered
 }
 
-// deliver routes a completed transfer to its destination module(s) and
-// returns the set it reached.
-func (b *Bus) deliver(m *msg.Message, now int64) (to uint32) {
-	b.Tr.Emit(now, trace.KindBusDeliver, m.Line, m.TxnID, int32(m.Type), int32(m.DstMod))
+// reach returns the set of bus modules a transfer of m reaches (bit i:
+// module i), the one routing rule deliver and HitHorizon share. A
+// network-bound message goes to the ring interface untouched: the
+// processor multicasts apply only at the final station. A multicast
+// reaches the processors named in BusProcs. An intervention response is a
+// single transfer observed by the memory/NC and, when AlsoProc is set, by
+// the requesting processor (§2.3: the owner "forwards a copy of the cache
+// line to the requesting processor and to the memory"). Anything else
+// reaches its DstMod.
+func (b *Bus) reach(m *msg.Message) uint32 {
 	if m.DstMod == b.g.ModRI() {
-		// Network-bound: hand to the ring interface untouched; the
-		// processor multicasts below apply only at the final station.
-		b.modules[m.DstMod].BusDeliver(m, now)
 		return 1 << uint(m.DstMod)
 	}
 	switch m.Type {
 	case msg.BusInval, msg.BusIntervention, msg.NetInterrupt:
-		// Multicast to the processors named in BusProcs. The message dies
-		// here: processors retain only field values, and a network-borne
-		// multicast reaches this bus as the ring interface's private
-		// reassembly copy, never the packet-aliased original.
-		for i := 0; i < b.g.ProcsPerStation; i++ {
-			if m.BusProcs&(1<<uint(i)) != 0 {
-				b.modules[b.g.ModProc(i)].BusDeliver(m, now)
-				to |= 1 << uint(b.g.ModProc(i))
-			}
-		}
-		b.Msgs.Put(m)
-		return to
+		procs := uint32(m.BusProcs) & (1<<uint(b.g.ProcsPerStation) - 1)
+		return procs << uint(b.g.ModProc(0))
 	case msg.IntervResp:
-		// A single transfer observed by the memory/NC and, when AlsoProc is
-		// set, by the requesting processor (§2.3: the owner "forwards a copy
-		// of the cache line to the requesting processor and to the memory").
 		if m.AlsoProc >= 0 && m.AlsoProc < b.g.ProcsPerStation {
-			b.modules[b.g.ModProc(m.AlsoProc)].BusDeliver(m, now)
-			to |= 1 << uint(b.g.ModProc(m.AlsoProc))
+			return 1<<uint(b.g.ModProc(m.AlsoProc)) | 1<<uint(m.DstMod)
 		}
 	}
-	if tgt := b.modules[m.DstMod]; tgt != nil {
-		tgt.BusDeliver(m, now)
-		to |= 1 << uint(m.DstMod)
-		if b.g.IsProcMod(m.DstMod) && m.Type != msg.IntervResp {
-			// Processor deliveries are terminal (the CPU copies data into
-			// its cache); IntervResp is excluded — its DstMod is always the
-			// memory/NC, which queues and recycles it after handling.
-			b.Msgs.Put(m)
-		}
+	return 1 << uint(m.DstMod)
+}
+
+// deliver hands a completed transfer to every module it reaches, in
+// ascending module index, and returns the set it reached. The message
+// dies here when no receiver retains it: processors copy what they need,
+// while the memory, the NC and the ring interface queue it (a
+// network-borne multicast reaches this bus as the ring interface's private
+// reassembly copy, never the packet-aliased original).
+func (b *Bus) deliver(m *msg.Message, now int64) (to uint32) {
+	b.Tr.Emit(now, trace.KindBusDeliver, m.Line, m.TxnID, int32(m.Type), int32(m.DstMod))
+	to = b.reach(m)
+	for set := to; set != 0; set &= set - 1 {
+		b.modules[bits.TrailingZeros32(set)].BusDeliver(m, now)
+	}
+	if to>>uint(b.g.ModMem()) == 0 { // processors only
+		b.Msgs.Put(m)
 	}
 	return to
 }
@@ -226,25 +225,10 @@ func (b *Bus) HitHorizon(local int, now int64) int64 {
 	if free < now {
 		free = now
 	}
-	if b.inFlight != nil && b.deliversToProc(b.inFlight, local) {
+	if b.inFlight != nil && b.reach(b.inFlight)&(1<<uint(b.g.ModProc(local))) != 0 {
 		return free
 	}
 	return free + arbcmd
-}
-
-// deliversToProc mirrors deliver's routing: does m reach the processor at
-// local bus index `local`?
-func (b *Bus) deliversToProc(m *msg.Message, local int) bool {
-	if m.DstMod == b.g.ModRI() {
-		return false
-	}
-	switch m.Type {
-	case msg.BusInval, msg.BusIntervention, msg.NetInterrupt:
-		return m.BusProcs&(1<<uint(local)) != 0
-	case msg.IntervResp:
-		return m.AlsoProc == local || m.DstMod == b.g.ModProc(local)
-	}
-	return m.DstMod == b.g.ModProc(local)
 }
 
 // Busy reports whether a transfer is occupying the bus.

@@ -108,7 +108,7 @@ func TestIntervRespSnarfing(t *testing.T) {
 	b, mods, g := build(t)
 	// Owner proc 2 responds; memory is the target, proc 1 snarfs.
 	mods[2].out.Push(&msg.Message{
-		Type: msg.IntervResp, DstMod: g.ModMem(), AlsoProc: 1, Data: 9, HasData: true,
+		Type: msg.IntervResp, DstMod: g.ModMem(), AlsoProc: 1, Data: 9,
 	})
 	run(b, 0, 30)
 	if len(mods[g.ModMem()].received) != 1 {
@@ -148,9 +148,12 @@ func TestIdleAccountsForInFlight(t *testing.T) {
 	}
 }
 
-// TestDeliverySet pins Tick's return value to deliver's routing. The gated
-// cycle re-polls exactly the modules in the set, so a module a transfer
-// reaches but the set omits would keep a stale gate entry and lose a tick.
+// TestDeliverySet pins both users of the bus routing rule to one table:
+// Tick's return value, which the gated cycle re-polls exactly (a module a
+// transfer reaches but the set omits would keep a stale gate entry and
+// lose a tick), and HitHorizon, which must bound a delivery to a processor
+// in the set by the end of the transfer in flight (a fast-resolved hit
+// past it could miss the delivery).
 func TestDeliverySet(t *testing.T) {
 	g := topo.Geometry{ProcsPerStation: 4, StationsPerRing: 4, Rings: 1}
 	mem, nc, ri := g.ModMem(), g.ModNC(), g.ModRI()
@@ -162,8 +165,8 @@ func TestDeliverySet(t *testing.T) {
 	}{
 		{"unicast to cpu 2", mem, msg.Message{Type: msg.ProcData, DstMod: g.ModProc(2)}, 1 << 2},
 		{"inval multicast", mem, msg.Message{Type: msg.BusInval, DstMod: 0, BusProcs: 0b0101}, 1<<0 | 1<<2},
-		{"interv resp to mem, cpu 1 snarfs", 3, msg.Message{Type: msg.IntervResp, DstMod: mem, AlsoProc: 1, HasData: true}, 1<<1 | 1<<mem},
-		{"interv resp to nc, cpu 0 snarfs", 3, msg.Message{Type: msg.IntervResp, DstMod: nc, AlsoProc: 0, HasData: true}, 1<<0 | 1<<nc},
+		{"interv resp to mem, cpu 1 snarfs", 3, msg.Message{Type: msg.IntervResp, DstMod: mem, AlsoProc: 1}, 1<<1 | 1<<mem},
+		{"interv resp to nc, cpu 0 snarfs", 3, msg.Message{Type: msg.IntervResp, DstMod: nc, AlsoProc: 0}, 1<<0 | 1<<nc},
 		{"network-bound", nc, msg.Message{Type: msg.RemRead, DstMod: ri}, 1 << ri},
 		// Processor multicasts apply only at the final station.
 		{"network-bound multicast", mem, msg.Message{Type: msg.NetInterrupt, DstMod: ri, BusProcs: 0b1111}, 1 << ri},
@@ -175,6 +178,16 @@ func TestDeliverySet(t *testing.T) {
 			mods[c.from].out.Push(&m)
 			if got := b.Tick(0); got != 0 {
 				t.Fatalf("grant-only tick delivered to %b", got)
+			}
+			free, arbcmd := b.busyUntil, int64(b.p.BusArbCycles+b.p.BusCmdCycles)
+			for k := 0; k < g.ProcsPerStation; k++ {
+				want := free + arbcmd
+				if c.want&(1<<uint(g.ModProc(k))) != 0 {
+					want = free
+				}
+				if h := b.HitHorizon(k, 1); h != want {
+					t.Errorf("HitHorizon(%d) = %d in flight, want %d", k, h, want)
+				}
 			}
 			var got uint32
 			for now := int64(1); got == 0 && now < 50; now++ {

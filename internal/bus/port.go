@@ -12,11 +12,13 @@ import (
 // memory module (§3.1.2) and the network cache (§3.1.4), which embed it.
 // Delivered messages wait in its input FIFO; the controller takes one,
 // stays occupied for the message's directory (and DRAM) access time, and
-// only then acts on it. Everything the controller sends waits in its
-// output FIFO for the arbiter. A Port is station-local, like its owner.
+// only then acts on it. Everything the controller sends waits in the
+// output FIFO of its Out for the arbiter. A Port is station-local, like
+// its owner.
 type Port struct {
+	Out
+
 	inQ    sim.Queue[*msg.Message]
-	outQ   sim.Queue[*msg.Message]
 	busy   int64        // first cycle after the current access
 	staged *msg.Message // the message under access until busy
 
@@ -26,14 +28,7 @@ type Port struct {
 
 	// Tr is the structured-event trace sink (nil when tracing is off).
 	Tr *trace.Sink
-
-	// Msgs recycles consumed and constructed messages (nil-safe; wired by
-	// core, shared per station).
-	Msgs *msg.Pool[msg.Message]
 }
-
-// BusOut implements Module.
-func (p *Port) BusOut() *sim.Queue[*msg.Message] { return &p.outQ }
 
 // BusDeliver implements Module: enqueue for in-order processing.
 func (p *Port) BusDeliver(x *msg.Message, now int64) {
@@ -91,13 +86,4 @@ func (p *Port) Step(now int64, handle func(*msg.Message, int64), cost func(msg.T
 	p.Tr.Emit(now, trace.KindQueueDepth, 0, 0, int32(p.inQ.Len()), 0)
 	p.busy = now + int64(cost(x.Type))
 	p.staged = x
-}
-
-// Send queues a pooled copy of x for the bus and returns it, so the caller
-// may still fill in fields before the arbiter takes it.
-func (p *Port) Send(x msg.Message) *msg.Message {
-	out := p.Msgs.Get()
-	*out = x
-	p.outQ.Push(out)
-	return out
 }

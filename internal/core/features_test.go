@@ -137,7 +137,7 @@ func TestPhaseIdentifiers(t *testing.T) {
 	}
 	m.Load([]proc.Program{prog})
 	m.Run()
-	if got := m.Phases.Phase(0); got != 3 {
+	if got := m.CPUs[0].Phase(); got != 3 {
 		t.Errorf("phase register = %d, want 3", got)
 	}
 }

@@ -152,9 +152,7 @@ type Machine struct {
 	heapNext uint64
 	pageHome map[uint64]int // AllocAt overrides and FirstTouch assignments
 
-	barrier  barrierCtl
-	Phases   *monitor.PhaseIDs
-	deadlock int64
+	barrier barrierCtl
 
 	// wasQuiesced tracks quiescence transitions for Config.CheckInvariants
 	// (the check runs once per quiescent period, not once per cycle).
@@ -272,7 +270,6 @@ func New(cfg Config) (*Machine, error) {
 		p:          cfg.Params,
 		pageHome:   make(map[uint64]int),
 		heapNext:   uint64(cfg.Params.PageSize), // keep address 0 unused
-		Phases:     monitor.NewPhaseIDs(g.Procs()),
 		quiescedAt: -1,
 	}
 	p := &m.p // nothing writes it after New
@@ -324,7 +321,6 @@ func New(cfg Config) (*Machine, error) {
 	// per CPU is a heap object per CPU); only FirstTouch's home resolver
 	// needs the CPU it serves.
 	homeOf, onBarrier := m.HomeOf, m.barrierArrive
-	onPhase := func(c *proc.CPU, ph uint8) { m.Phases.Set(c.GlobalID, ph) }
 	cpus := make([]proc.CPU, g.Procs())
 	m.CPUs = make([]*proc.CPU, g.Procs())
 	for id := range cpus {
@@ -335,7 +331,6 @@ func New(cfg Config) (*Machine, error) {
 			cpu.HomeOf = m.firstTouchHomeOf(cpu)
 		}
 		cpu.OnBarrier = onBarrier
-		cpu.OnPhase = onPhase
 		cpu.Msgs = m.msgPools[cpu.Station]
 		m.CPUs[id] = cpu
 	}

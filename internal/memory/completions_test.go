@@ -80,7 +80,7 @@ func TestDirectoryCompletionTable(t *testing.T) {
 	type reply func(h *harness, id uint64) *msg.Message
 	resp := func(h *harness, id uint64) *msg.Message {
 		return &msg.Message{Type: msg.IntervResp, Line: line, Home: 0,
-			SrcMod: 1, SrcStation: 0, Data: 55, HasData: true}
+			SrcMod: 1, SrcStation: 0, Data: 55}
 	}
 	miss := func(h *harness, id uint64) *msg.Message {
 		return &msg.Message{Type: msg.IntervMiss, Line: line, Home: 0, SrcMod: 1, SrcStation: 0}
@@ -88,13 +88,13 @@ func TestDirectoryCompletionTable(t *testing.T) {
 	lwb := func(p int) reply {
 		return func(h *harness, id uint64) *msg.Message {
 			return &msg.Message{Type: msg.LocalWrBack, Line: line, Home: 0,
-				SrcMod: p, SrcStation: 0, Data: 31, HasData: true}
+				SrcMod: p, SrcStation: 0, Data: 31}
 		}
 	}
 	rwb := func(st int) reply {
 		return func(h *harness, id uint64) *msg.Message {
 			return &msg.Message{Type: msg.RemWrBack, Line: line, Home: 0,
-				SrcMod: h.g.ModRI(), SrcStation: st, Data: 31, HasData: true}
+				SrcMod: h.g.ModRI(), SrcStation: st, Data: 31}
 		}
 	}
 	net := func(k msg.Type) reply {
@@ -102,7 +102,7 @@ func TestDirectoryCompletionTable(t *testing.T) {
 			x := &msg.Message{Type: k, Line: line, Home: 0,
 				SrcMod: h.g.ModRI(), SrcStation: 2, TxnID: id}
 			if k.CarriesData() {
-				x.Data, x.HasData = 66, true
+				x.Data = 66
 			}
 			return x
 		}
@@ -359,7 +359,7 @@ func TestDirectoryCompletionTable(t *testing.T) {
 			}
 			expectTypes(t, out, tc.out...)
 			for _, o := range out {
-				if o.HasData && o.Data != tc.sent {
+				if o.Type.CarriesData() && o.Data != tc.sent {
 					t.Errorf("%v carries %d, want %d", o.Type, o.Data, tc.sent)
 				}
 			}

@@ -142,10 +142,9 @@ type Stats struct {
 }
 
 // Module is one station's memory module: a bus port (FIFOs, occupancy,
-// Fault, Tr, Msgs) in front of the directory.
+// Fault, Tr, Msgs, Station) in front of the directory.
 type Module struct {
 	bus.Port
-	Station int
 
 	g topo.Geometry
 	p *sim.Params // the machine's, shared by every component; read-only
@@ -179,7 +178,8 @@ func New(g topo.Geometry, p sim.Params, station int) *Module {
 // Init builds the memory module for a station in place, in a zero Module;
 // p is read, never written.
 func (m *Module) Init(g topo.Geometry, p *sim.Params, station int) {
-	m.Station, m.g, m.p = station, g, p
+	m.g, m.p = g, p
+	m.Addr(g, station, g.ModMem())
 	m.Hist = monitor.Table{Owner: "memory", Index: station, Name: "coherence histogram", Rows: HistRows, Cols: HistCols}
 }
 
@@ -279,82 +279,27 @@ func (m *Module) nextTxn() uint64 {
 
 func (m *Module) homeMask() topo.RoutingMask { return m.g.MaskFor(m.Station) }
 
-// toProc queues a response to a local processor.
-func (m *Module) toProc(now int64, t msg.Type, localProc int, line uint64, data uint64, nakOf msg.Type) {
-	m.Send(msg.Message{
-		Type: t, Line: line, Home: m.Station,
-		SrcMod: m.g.ModMem(), DstMod: m.g.ModProc(localProc),
-		SrcStation: m.Station, DstStation: m.Station,
-		Data: data, HasData: t.CarriesData(), NakOf: nakOf, IssueCycle: now,
-	})
-}
-
-// toStation queues a network message via the ring interface.
-func (m *Module) toStation(now int64, t msg.Type, dst int, line uint64, x *msg.Message) *msg.Message {
-	out := m.Send(msg.Message{
-		Type: t, Line: line, Home: m.Station,
-		SrcMod: m.g.ModMem(), DstMod: m.g.ModRI(),
-		SrcStation: m.Station, DstStation: dst,
-		IssueCycle: now,
-	})
-	if x != nil {
-		out.Requester = x.Requester
-		out.ReqStation = x.ReqStation
-		out.TxnID = x.TxnID
-	}
-	return out
-}
-
-// busInval queues an invalidation of the local copies in procs.
-func (m *Module) busInval(now int64, line uint64, procs uint16) {
-	if procs == 0 || m.Mut == MutSkipBusInval {
-		return
-	}
-	m.Send(msg.Message{
-		Type: msg.BusInval, Line: line, Home: m.Station,
-		SrcMod: m.g.ModMem(), DstMod: m.g.ModProc(0), BusProcs: procs,
-		SrcStation: m.Station, DstStation: m.Station, IssueCycle: now,
-	})
-}
-
-// busInterv queues an intervention asking local owner to supply its dirty
-// copy; alsoProc (when >= 0) snarfs the response off the bus.
-func (m *Module) busInterv(now int64, line uint64, owner, alsoProc int, ex bool) {
-	m.Stats.Interventions++
-	m.Send(msg.Message{
-		Type: msg.BusIntervention, Line: line, Home: m.Station,
-		SrcMod: m.g.ModMem(), DstMod: m.g.ModProc(owner),
-		BusProcs: 1 << uint(owner), AlsoProc: alsoProc, Ex: ex,
-		SrcStation: m.Station, DstStation: m.Station, IssueCycle: now,
-	})
-}
-
 // netInval queues the single invalidation multicast of §2.3. The mask
 // always includes the requesting station and the home station; the packet
 // ascends to the sequencing point of the lowest ring level covering the
 // mask, then descends to every covered station.
-func (m *Module) netInval(now int64, line uint64, mask topo.RoutingMask, id uint64) {
+func (m *Module) netInval(line uint64, mask topo.RoutingMask, id uint64) {
 	if m.Mut == MutSkipNetInval {
 		return
 	}
 	m.Stats.InvalidatesSent++
-	m.Send(msg.Message{
-		Type: msg.Invalidate, Line: line, Home: m.Station,
-		SrcMod: m.g.ModMem(), DstMod: m.g.ModRI(),
-		SrcStation: m.Station, DstStation: -1, Mask: mask,
-		TxnID: id, IssueCycle: now,
-	})
+	inv := m.ToStation(msg.Invalidate, line, m.Station, -1)
+	inv.Mask, inv.TxnID = mask, id
 }
 
-func (m *Module) nak(now int64, x *msg.Message) {
+func (m *Module) nak(x *msg.Message) {
 	m.Stats.NAKs++
 	if x.SrcStation == m.Station && m.g.IsProcMod(x.SrcMod) {
-		m.toProc(now, msg.ProcNAK, x.SrcMod, x.Line, 0, x.Type)
+		m.ToProc(msg.ProcNAK, x.Line, m.Station, x.SrcMod, 0).NakOf = x.Type
 		return
 	}
-	n := m.toStation(now, msg.NetNAK, x.SrcStation, x.Line, x)
-	n.NakOf = x.Type
-	n.TxnID = x.TxnID
+	n := m.ToStation(msg.NetNAK, x.Line, m.Station, x.SrcStation)
+	n.Requester, n.ReqStation, n.TxnID, n.NakOf = x.Requester, x.ReqStation, x.TxnID, x.Type
 }
 
 func (m *Module) onlyBit(procs uint16, line uint64, now int64) int {
@@ -406,12 +351,12 @@ func (m *Module) handle(x *msg.Message, now int64) {
 		msg.RemUpgd, msg.SpecialWrReq, msg.KillReq:
 		m.request(e, x, now)
 	case msg.LocalWrBack:
-		m.localWrBack(e, x, now)
+		m.localWrBack(e, x)
 	case msg.RemWrBack:
-		m.remWrBack(e, x, now)
+		m.remWrBack(e, x)
 	case msg.Invalidate, msg.IntervResp, msg.IntervMiss, msg.NetData, msg.NetDataEx,
 		msg.NetWBCopy, msg.NetXferDone, msg.NetIntervMiss, msg.NetNAK:
-		m.reply(e, x, now)
+		m.reply(e, x)
 	default:
 		panic(fmt.Sprintf("memory[%d]: unexpected message %v", m.Station, x))
 	}
@@ -443,13 +388,13 @@ func (m *Module) request(e *entry, x *msg.Message, now int64) {
 		// write-back.
 		if owner, ok := e.mask.Exact(m.g); ok && owner == src {
 			m.Stats.FalseRemotes++
-			fr := m.toStation(now, msg.FalseRemoteResp, owner, x.Line, x)
-			fr.NakOf = x.Type
+			fr := m.ToStation(msg.FalseRemoteResp, x.Line, m.Station, owner)
+			fr.Requester, fr.ReqStation, fr.TxnID, fr.NakOf = x.Requester, x.ReqStation, x.TxnID, x.Type
 			return
 		}
 	}
 	if e.locked {
-		m.nak(now, x)
+		m.nak(x)
 		return
 	}
 	remote = remote || x.Type == msg.SpecialWrReq // its owner is served, not bounced
@@ -480,8 +425,8 @@ func (m *Module) request(e *entry, x *msg.Message, now int64) {
 			if owner, _ := e.mask.Exact(m.g); owner == src {
 				// Ownership was already granted by the optimistic ack; DRAM
 				// still holds the last globally-visible value (§4.6).
-				d := m.toStation(now, msg.NetDataEx, src, x.Line, x)
-				d.Data, d.HasData = e.data, true
+				d := m.ToStation(msg.NetDataEx, x.Line, m.Station, src)
+				d.Requester, d.ReqStation, d.TxnID, d.Data = x.Requester, x.ReqStation, x.TxnID, e.data
 				return
 			}
 		}
@@ -508,17 +453,18 @@ func (m *Module) request(e *entry, x *msg.Message, now int64) {
 				// it re-requested it (an upgrade ack misfired and the copy
 				// was lost): supply memory's data, which is the last
 				// globally visible value.
-				m.toProc(now, msg.ProcDataEx, req, x.Line, e.data, 0)
+				m.ToProc(msg.ProcDataEx, x.Line, m.Station, req, e.data)
 				return
 			}
 			if shared && m.Mut == MutStaleReadLI {
-				m.toProc(now, msg.ProcData, req, x.Line, e.data, 0)
+				m.ToProc(msg.ProcData, x.Line, m.Station, req, e.data)
 				return
 			}
 			also = req
 		}
 		m.lock(e, t)
-		m.busInterv(now, x.Line, owner, also, !shared)
+		m.Stats.Interventions++
+		m.BusInterv(x.Line, m.Station, owner, 1<<uint(owner), also, !shared)
 		if !shared {
 			e.procs = keep // ownership moves to the requester
 		}
@@ -535,7 +481,7 @@ func (m *Module) request(e *entry, x *msg.Message, now int64) {
 		if shared {
 			kind = msg.NetIntervShared
 		}
-		iv := m.toStation(now, kind, owner, x.Line, nil)
+		iv := m.ToStation(kind, x.Line, m.Station, owner)
 		iv.Requester, iv.ReqStation, iv.TxnID = l.requester, l.reqStation, l.id
 		if kill {
 			iv.ReqStation = m.Station // the recalled data comes home
@@ -546,12 +492,12 @@ func (m *Module) request(e *entry, x *msg.Message, now int64) {
 	// LV or GV: DRAM is current.
 	if shared {
 		if local {
-			m.toProc(now, msg.ProcData, req, x.Line, e.data, 0)
+			m.ToProc(msg.ProcData, x.Line, m.Station, req, e.data)
 			e.procs |= 1 << uint(req)
 			return
 		}
-		d := m.toStation(now, msg.NetData, src, x.Line, x)
-		d.Data, d.HasData = e.data, true
+		d := m.ToStation(msg.NetData, x.Line, m.Station, src)
+		d.Requester, d.ReqStation, d.TxnID, d.Data = x.Requester, x.ReqStation, x.TxnID, e.data
 		e.mask = e.mask.Or(m.g.MaskFor(src)).Or(m.homeMask())
 		e.state = GV
 		return
@@ -561,17 +507,17 @@ func (m *Module) request(e *entry, x *msg.Message, now int64) {
 	// station may hold one (always for a remote writer), invalidates the
 	// rest, and the line stays locked until it returns home (§2.3).
 	if remote && !optimistic && m.Mut == MutNoLockRemReadEx {
-		d := m.toStation(now, msg.NetDataEx, src, x.Line, x)
-		d.Data, d.HasData = e.data, true
+		d := m.ToStation(msg.NetDataEx, x.Line, m.Station, src)
+		d.Requester, d.ReqStation, d.TxnID, d.Data = x.Requester, x.ReqStation, x.TxnID, e.data
 		e.procs = 0
 		return
 	}
 	upgd := x.Type == msg.LocalUpgd && e.procs&keep != 0
 	grant := func() {
 		if upgd {
-			m.toProc(now, msg.ProcUpgdAck, req, x.Line, 0, 0)
+			m.ToProc(msg.ProcUpgdAck, x.Line, m.Station, req, 0)
 		} else {
-			m.toProc(now, msg.ProcDataEx, req, x.Line, e.data, 0)
+			m.ToProc(msg.ProcDataEx, x.Line, m.Station, req, e.data)
 		}
 	}
 	multicast := remote || e.state == GV && e.mask.CoversOther(m.g, m.Station)
@@ -592,17 +538,20 @@ func (m *Module) request(e *entry, x *msg.Message, now int64) {
 		if optimistic {
 			kind, data = msg.NetUpgdAck, 0
 		}
-		d := m.toStation(now, kind, src, x.Line, x)
-		d.Data, d.HasData, d.InvalFollows, d.TxnID = data, kind.CarriesData(), true, l.id
+		d := m.ToStation(kind, x.Line, m.Station, src)
+		d.Requester, d.ReqStation, d.TxnID = x.Requester, x.ReqStation, l.id
+		d.Data, d.InvalFollows = data, true
 	}
-	m.busInval(now, x.Line, e.procs&^keep)
+	if m.Mut != MutSkipBusInval {
+		m.BusInval(x.Line, m.Station, e.procs&^keep)
+	}
 	e.procs = keep
 	if multicast {
 		inv := e.mask.Or(m.homeMask())
 		if remote {
 			inv = inv.Or(m.g.MaskFor(src))
 		}
-		m.netInval(now, x.Line, inv, l.id)
+		m.netInval(x.Line, inv, l.id)
 		if local && !m.p.SCLocking {
 			grant()
 			l.granted = true
@@ -616,17 +565,17 @@ func (m *Module) request(e *entry, x *msg.Message, now int64) {
 	if kill {
 		e.state = LV
 		m.nextTxn() // a kill draws its id even when it completes at once
-		m.killDone(&t, x.Line, now)
+		m.killDone(&t, x.Line)
 		return
 	}
 	grant()
 	e.state = LI
 }
 
-func (m *Module) localWrBack(e *entry, x *msg.Message, now int64) {
+func (m *Module) localWrBack(e *entry, x *msg.Message) {
 	e.procs &^= 1 << uint(x.SrcMod)
 	if e.locked {
-		m.wrBackLocked(e, x, x.SrcMod, -1, now)
+		m.wrBackLocked(e, x, x.SrcMod, -1)
 		return
 	}
 	e.data = x.Data
@@ -635,7 +584,7 @@ func (m *Module) localWrBack(e *entry, x *msg.Message, now int64) {
 	}
 }
 
-func (m *Module) remWrBack(e *entry, x *msg.Message, now int64) {
+func (m *Module) remWrBack(e *entry, x *msg.Message) {
 	if e.locked {
 		t := e.txn
 		// While locked, a write-back can only legitimately come from the
@@ -646,7 +595,7 @@ func (m *Module) remWrBack(e *entry, x *msg.Message, now int64) {
 		fromOwner := t.netInterv && x.SrcStation == t.ownerStation
 		fromWriter := t.granted && x.SrcStation == t.reqStation
 		if (fromOwner || fromWriter) && !t.wbSeen {
-			m.wrBackLocked(e, x, -1, x.SrcStation, now)
+			m.wrBackLocked(e, x, -1, x.SrcStation)
 		}
 		return
 	}
@@ -670,11 +619,11 @@ func (m *Module) wrBackHome(e *entry, data uint64, station int) {
 // processor proc or from station's NC (the other is -1). Once the
 // intervention target has reported its miss, the write-back completes the
 // transition.
-func (m *Module) wrBackLocked(e *entry, x *msg.Message, proc, station int, now int64) {
+func (m *Module) wrBackLocked(e *entry, x *msg.Message, proc, station int) {
 	t := e.txn
 	t.wbSeen, t.wbData, t.wbProc, t.wbStation = true, x.Data, proc, station
 	if t.missSeen {
-		m.completeAfterMiss(e, x.Line, now)
+		m.completeAfterMiss(e, x.Line)
 	}
 }
 
@@ -685,7 +634,7 @@ func (m *Module) wrBackLocked(e *entry, x *msg.Message, proc, station int, now i
 // reply must carry the transition's id. Anything else is stale: a
 // duplicate the fault injector replayed, or a reply for an older
 // transaction on this line (a timeout re-issue can leave two in flight).
-func (m *Module) reply(e *entry, x *msg.Message, now int64) {
+func (m *Module) reply(e *entry, x *msg.Message) {
 	bus := x.Type == msg.IntervResp || x.Type == msg.IntervMiss
 	if !e.locked || !bus && x.TxnID != e.txn.id {
 		if !e.locked && x.Type == msg.NetWBCopy {
@@ -695,18 +644,18 @@ func (m *Module) reply(e *entry, x *msg.Message, now int64) {
 	}
 	switch x.Type {
 	case msg.Invalidate:
-		m.invalReturn(e, x.Line, now)
+		m.invalReturn(e, x.Line)
 	case msg.IntervResp:
-		m.intervResp(e, x, now)
+		m.intervResp(e, x)
 	case msg.IntervMiss, msg.NetIntervMiss:
-		m.intervMiss(e, x.Line, now)
+		m.intervMiss(e, x.Line)
 	case msg.NetData, msg.NetDataEx, msg.NetWBCopy:
-		m.netDataArrival(e, x, now)
+		m.netDataArrival(e, x)
 	case msg.NetXferDone:
 		// The previous owner confirmed an exclusive ownership transfer.
-		m.settle(e, e.txn, x.Line, e.data, now)
+		m.settle(e, e.txn, x.Line, e.data)
 	case msg.NetNAK:
-		m.netNAKArrival(e, x.Line, now)
+		m.netNAKArrival(e, x.Line)
 	}
 }
 
@@ -715,23 +664,23 @@ func (m *Module) reply(e *entry, x *msg.Message, now int64) {
 // NetDataEx over the network to a remote station, carrying t.id. It
 // returns the network message. A kill has no data to answer with: its
 // completion interrupt goes out in settle.
-func (m *Module) answer(t *txn, line, data uint64, now int64) *msg.Message {
+func (m *Module) answer(t *txn, line, data uint64) *msg.Message {
 	switch t.kind {
 	case msg.LocalRead:
-		m.toProc(now, msg.ProcData, m.g.LocalProc(t.requester), line, data, 0)
+		m.ToProc(msg.ProcData, line, m.Station, m.g.LocalProc(t.requester), data)
 	case msg.LocalReadEx, msg.LocalUpgd:
 		if t.upgdAck {
-			m.toProc(now, msg.ProcUpgdAck, m.g.LocalProc(t.requester), line, 0, 0)
+			m.ToProc(msg.ProcUpgdAck, line, m.Station, m.g.LocalProc(t.requester), 0)
 		} else {
-			m.toProc(now, msg.ProcDataEx, m.g.LocalProc(t.requester), line, data, 0)
+			m.ToProc(msg.ProcDataEx, line, m.Station, m.g.LocalProc(t.requester), data)
 		}
 	case msg.RemRead, msg.RemReadEx, msg.RemUpgd:
 		kind := msg.NetDataEx
 		if t.kind == msg.RemRead {
 			kind = msg.NetData
 		}
-		d := m.toStation(now, kind, t.reqStation, line, nil)
-		d.Data, d.HasData, d.TxnID = data, true, t.id
+		d := m.ToStation(kind, line, m.Station, t.reqStation)
+		d.Data, d.TxnID = data, t.id
 		return d
 	}
 	return nil
@@ -740,7 +689,7 @@ func (m *Module) answer(t *txn, line, data uint64, now int64) *msg.Message {
 // settle writes the final directory state of t and unlocks the line. A
 // shared transition or a kill takes data into DRAM; an exclusive transfer
 // leaves DRAM stale, because the new owner holds the line.
-func (m *Module) settle(e *entry, t *txn, line, data uint64, now int64) {
+func (m *Module) settle(e *entry, t *txn, line, data uint64) {
 	switch t.kind {
 	case msg.LocalRead:
 		e.data = data
@@ -764,7 +713,7 @@ func (m *Module) settle(e *entry, t *txn, line, data uint64, now int64) {
 		e.procs = 0
 		e.mask = m.homeMask()
 		e.state = LV
-		m.killDone(t, line, now)
+		m.killDone(t, line)
 	default:
 		panic(fmt.Sprintf("memory[%d]: settling txn %v", m.Station, t.kind))
 	}
@@ -773,7 +722,7 @@ func (m *Module) settle(e *entry, t *txn, line, data uint64, now int64) {
 
 // invalReturn: our own invalidation multicast came back to the home
 // station, which unlocks the line and finalizes the transition (§2.3).
-func (m *Module) invalReturn(e *entry, line uint64, now int64) {
+func (m *Module) invalReturn(e *entry, line uint64) {
 	t := e.txn
 	local := t.kind == msg.LocalReadEx || t.kind == msg.LocalUpgd
 	remote := t.kind == msg.RemReadEx || t.kind == msg.RemUpgd
@@ -795,9 +744,9 @@ func (m *Module) invalReturn(e *entry, line uint64, now int64) {
 		e.procs = 0
 	default:
 		if !t.granted {
-			m.answer(t, line, e.data, now)
+			m.answer(t, line, e.data)
 		}
-		m.settle(e, t, line, e.data, now)
+		m.settle(e, t, line, e.data)
 		return
 	}
 	m.unlock(e)
@@ -805,13 +754,13 @@ func (m *Module) invalReturn(e *entry, line uint64, now int64) {
 
 // intervResp: a local secondary cache supplied its dirty copy. A local
 // requester snarfed it off the bus; a remote one is answered here.
-func (m *Module) intervResp(e *entry, x *msg.Message, now int64) {
+func (m *Module) intervResp(e *entry, x *msg.Message) {
 	t := e.txn
 	kind := t.kind
 	if t.requester < 0 {
-		m.answer(t, x.Line, x.Data, now)
+		m.answer(t, x.Line, x.Data)
 	}
-	m.settle(e, t, x.Line, x.Data, now)
+	m.settle(e, t, x.Line, x.Data)
 	switch {
 	case kind == msg.LocalRead:
 		e.state = LV // the line never left the station
@@ -823,14 +772,14 @@ func (m *Module) intervResp(e *entry, x *msg.Message, now int64) {
 // intervMiss: the targeted cache (IntervMiss) or remote NC (NetIntervMiss)
 // no longer holds the line; its write-back either already arrived
 // (wbSeen) or is still in flight.
-func (m *Module) intervMiss(e *entry, line uint64, now int64) {
+func (m *Module) intervMiss(e *entry, line uint64) {
 	t := e.txn
 	if t.missSeen {
 		return // a duplicated miss
 	}
 	t.missSeen = true
 	if t.wbSeen {
-		m.completeAfterMiss(e, line, now)
+		m.completeAfterMiss(e, line)
 	}
 }
 
@@ -840,22 +789,22 @@ func (m *Module) intervMiss(e *entry, line uint64, now int64) {
 // NC ejection that does not enforce inclusion), so it must stay in the
 // sharing mask for shared grants, and exclusive grants must invalidate it
 // with a sequenced multicast before the line unlocks.
-func (m *Module) completeAfterMiss(e *entry, line uint64, now int64) {
+func (m *Module) completeAfterMiss(e *entry, line uint64) {
 	t := e.txn
 	e.data = t.wbData
 	inv := e.mask.Or(m.homeMask())
 	switch t.kind {
 	case msg.LocalRead, msg.RemRead:
-		m.answer(t, line, e.data, now)
-		m.settle(e, t, line, e.data, now)
+		m.answer(t, line, e.data)
+		m.settle(e, t, line, e.data)
 		return
 	case msg.LocalReadEx:
 		if !m.p.SCLocking {
-			m.answer(t, line, e.data, now)
+			m.answer(t, line, e.data)
 			t.granted = true
 		}
 	case msg.RemReadEx:
-		m.answer(t, line, e.data, now).InvalFollows = true
+		m.answer(t, line, e.data).InvalFollows = true
 		t.granted = true
 		inv = inv.Or(m.g.MaskFor(t.reqStation))
 	case msg.KillReq: // the multicast alone
@@ -863,17 +812,17 @@ func (m *Module) completeAfterMiss(e *entry, line uint64, now int64) {
 		panic(fmt.Sprintf("memory[%d]: completeAfterMiss for txn %v", m.Station, t.kind))
 	}
 	t.waitInval = true
-	m.netInval(now, line, inv, t.id) // stays locked until the invalidation returns
+	m.netInval(line, inv, t.id) // stays locked until the invalidation returns
 }
 
 // netDataArrival: data returned from a remote owner (recall to home or a
 // shared-intervention copy travelling home). A NetWBCopy follows data the
 // owner already sent the requester.
-func (m *Module) netDataArrival(e *entry, x *msg.Message, now int64) {
+func (m *Module) netDataArrival(e *entry, x *msg.Message) {
 	if x.Type != msg.NetWBCopy {
-		m.answer(e.txn, x.Line, x.Data, now)
+		m.answer(e.txn, x.Line, x.Data)
 	}
-	m.settle(e, e.txn, x.Line, x.Data, now)
+	m.settle(e, e.txn, x.Line, x.Data)
 }
 
 // netNAKArrival: a remote NC refused our intervention because the line was
@@ -883,35 +832,29 @@ func (m *Module) netDataArrival(e *entry, x *msg.Message, now int64) {
 // unlocked RemWrBack would before the line unlocks. Dropped, it would
 // leave the directory naming an owner that holds nothing, and every later
 // request would bounce off that owner forever.
-func (m *Module) netNAKArrival(e *entry, line uint64, now int64) {
+func (m *Module) netNAKArrival(e *entry, line uint64) {
 	t := e.txn
 	if t.wbSeen && t.wbStation >= 0 {
 		m.wrBackHome(e, t.wbData, t.wbStation)
 	}
 	if t.reqStation == m.Station && t.requester >= 0 {
-		m.toProc(now, msg.ProcNAK, m.g.LocalProc(t.requester), line, 0, t.kind)
+		m.ToProc(msg.ProcNAK, line, m.Station, m.g.LocalProc(t.requester), 0).NakOf = t.kind
 	} else {
-		n := m.toStation(now, msg.NetNAK, t.reqStation, line, nil)
-		n.NakOf = t.kind
+		m.ToStation(msg.NetNAK, line, m.Station, t.reqStation).NakOf = t.kind
 	}
 	m.Stats.NAKs++
 	m.unlock(e)
 }
 
 // killDone sends the completion interrupt for a kill special function.
-func (m *Module) killDone(t *txn, line uint64, now int64) {
+func (m *Module) killDone(t *txn, line uint64) {
 	if t.requester < 0 {
 		return
 	}
+	proc := m.g.LocalProc(t.requester)
 	if t.reqStation == m.Station {
-		m.Send(msg.Message{
-			Type: msg.NetInterrupt, Line: line, Home: m.Station,
-			SrcMod: m.g.ModMem(), DstMod: m.g.ModProc(m.g.LocalProc(t.requester)),
-			BusProcs:   1 << uint(m.g.LocalProc(t.requester)),
-			SrcStation: m.Station, DstStation: m.Station, IssueCycle: now,
-		})
+		m.ToProc(msg.NetInterrupt, line, m.Station, proc, 0).BusProcs = 1 << uint(proc)
 		return
 	}
-	it := m.toStation(now, msg.NetInterrupt, t.reqStation, line, nil)
-	it.BusProcs = 1 << uint(m.g.LocalProc(t.requester))
+	m.ToStation(msg.NetInterrupt, line, m.Station, t.reqStation).BusProcs = 1 << uint(proc)
 }

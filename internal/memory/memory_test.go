@@ -137,7 +137,7 @@ func TestLIIntervention(t *testing.T) {
 	}
 	// Owner responds with the dirty data.
 	out = h.deliver(&msg.Message{Type: msg.IntervResp, Line: 0x100, Home: 0,
-		SrcMod: 0, SrcStation: 0, Data: 55, HasData: true, AlsoProc: 1})
+		SrcMod: 0, SrcStation: 0, Data: 55, AlsoProc: 1})
 	expectTypes(t, out) // requester snarfed from the bus; no further messages
 	if h.state(0x100) != LV {
 		t.Errorf("state %v, want LV after shared intervention", h.state(0x100))
@@ -151,7 +151,7 @@ func TestLIWriteBackGoesLV(t *testing.T) {
 	h := newHarness(t)
 	h.localWrite(0x100, 2, msg.LocalReadEx)
 	out := h.deliver(&msg.Message{Type: msg.LocalWrBack, Line: 0x100, Home: 0,
-		SrcMod: 2, SrcStation: 0, Data: 99, HasData: true})
+		SrcMod: 2, SrcStation: 0, Data: 99})
 	expectTypes(t, out)
 	if h.state(0x100) != LV {
 		t.Errorf("state %v, want LV", h.state(0x100))
@@ -247,7 +247,7 @@ func TestGIRemoteReadForwardsIntervention(t *testing.T) {
 	}
 	// Owner's data copy lands home: GV covering all three parties.
 	done := h.deliver(&msg.Message{Type: msg.NetWBCopy, Line: 0x200, Home: 0,
-		SrcStation: 2, Data: 5, HasData: true, TxnID: out[0].TxnID})
+		SrcStation: 2, Data: 5, TxnID: out[0].TxnID})
 	expectTypes(t, done)
 	if h.state(0x200) != GV {
 		t.Errorf("state %v, want GV", h.state(0x200))
@@ -276,7 +276,7 @@ func TestRemWrBackFromOwnerGoesGV(t *testing.T) {
 	h.deliver(&msg.Message{Type: msg.Invalidate, Line: 0x200, Home: 0,
 		SrcStation: 0, TxnID: ex[1].TxnID})
 	out := h.deliver(&msg.Message{Type: msg.RemWrBack, Line: 0x200, Home: 0,
-		SrcStation: 2, Data: 123, HasData: true})
+		SrcStation: 2, Data: 123})
 	expectTypes(t, out)
 	if h.state(0x200) != GV {
 		t.Errorf("state %v, want GV (fig. 5 GI->GV on RemWrBack)", h.state(0x200))
@@ -305,7 +305,7 @@ func TestInterventionMissCompletesFromWriteBack(t *testing.T) {
 	h.localRead(0x100, 1) // intervention to proc 0 outstanding
 	// Proc 0's eviction write-back races past the intervention.
 	h.deliver(&msg.Message{Type: msg.LocalWrBack, Line: 0x100, Home: 0,
-		SrcMod: 0, SrcStation: 0, Data: 31, HasData: true})
+		SrcMod: 0, SrcStation: 0, Data: 31})
 	out := h.deliver(&msg.Message{Type: msg.IntervMiss, Line: 0x100, Home: 0,
 		SrcMod: 0, SrcStation: 0})
 	// Home completes the read from the written-back data.

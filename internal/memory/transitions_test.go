@@ -58,7 +58,7 @@ func TestDirectoryTransitionTable(t *testing.T) {
 	localWB := func(p int, data uint64) func(h *harness) []*msg.Message {
 		return func(h *harness) []*msg.Message {
 			return h.deliver(&msg.Message{Type: msg.LocalWrBack, Line: line, Home: 0,
-				SrcMod: p, SrcStation: 0, Data: data, HasData: true})
+				SrcMod: p, SrcStation: 0, Data: data})
 		}
 	}
 	remote := func(k msg.Type, st int) func(h *harness) []*msg.Message {
@@ -67,7 +67,7 @@ func TestDirectoryTransitionTable(t *testing.T) {
 	remoteWB := func(st int, data uint64) func(h *harness) []*msg.Message {
 		return func(h *harness) []*msg.Message {
 			return h.deliver(&msg.Message{Type: msg.RemWrBack, Line: line, Home: 0,
-				SrcMod: h.g.ModRI(), SrcStation: st, Data: data, HasData: true})
+				SrcMod: h.g.ModRI(), SrcStation: st, Data: data})
 		}
 	}
 	// kill is the purge special function issued by local processor 2.

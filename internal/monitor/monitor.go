@@ -2,9 +2,9 @@
 // monitoring hardware (§3.3) beyond its dedicated counters: SRAM-based
 // histogram tables that categorize events (such as the cache coherence
 // histogram of transaction type × line state), utilization trackers for
-// buses and ring links, latency samplers, and the per-processor phase
-// identifier that lets measurements be correlated with program phases.
-// The dedicated counters themselves are plain int64 fields of each
+// buses and ring links, and latency samplers. The per-processor phase
+// identifier, which lets measurements be correlated with program phases,
+// is a register of each processor (proc.CPU.Phase). The dedicated counters themselves are plain int64 fields of each
 // component's Stats struct, which is also that component's section of
 // core.Results — registers read in place, as the host reads the
 // hardware's.
@@ -13,12 +13,8 @@
 // the monitor, and nothing in the timing model depends on it.
 //
 // Concurrency contract: utilization trackers, samplers and tables are
-// unsynchronized; each instance is owned by exactly one
-// component and inherits that component's phase under the
-// station-parallel cycle loop. The shared PhaseIDs register file is
-// written via Set from phase-1 workers — safe because each processor
-// writes only its own slot — while Snapshot reads across slots and must
-// run serially.
+// unsynchronized; each instance is owned by exactly one component and
+// inherits that component's phase under the station-parallel cycle loop.
 package monitor
 
 import (
@@ -219,27 +215,3 @@ func (t *Table) String() string {
 	}
 	return b.String()
 }
-
-// PhaseIDs models the per-processor phase identifier registers: software
-// writes a small integer naming the code region it is entering, and every
-// subsequent transaction from that processor is attributed to the phase
-// (counted by the issuing processor, see proc.CPU.AddPhaseTransactions).
-type PhaseIDs struct {
-	cur []uint8
-}
-
-// NewPhaseIDs creates registers for n processors, all in phase 0.
-func NewPhaseIDs(n int) *PhaseIDs {
-	return &PhaseIDs{cur: make([]uint8, n)}
-}
-
-// Set records processor proc entering the given phase.
-func (p *PhaseIDs) Set(proc int, phase uint8) { p.cur[proc] = phase }
-
-// Phase returns processor proc's current phase.
-func (p *PhaseIDs) Phase(proc int) uint8 { return p.cur[proc] }
-
-// Snapshot returns a copy of every processor's current phase register,
-// indexed by processor. Safe to call from any serial point; the telemetry
-// endpoint publishes it as the live phase view.
-func (p *PhaseIDs) Snapshot() []uint8 { return append([]uint8(nil), p.cur...) }

@@ -133,16 +133,3 @@ func TestTableAllocatesOnFirstAdd(t *testing.T) {
 		t.Errorf("swaps = %d, fired = %d; want 2", tb.Swaps(), fired)
 	}
 }
-
-func TestPhaseIDs(t *testing.T) {
-	p := NewPhaseIDs(4)
-	p.Set(2, 7)
-	if p.Phase(2) != 7 || p.Phase(0) != 0 {
-		t.Error("phase registers wrong")
-	}
-	snap := p.Snapshot()
-	p.Set(2, 9)
-	if len(snap) != 4 || snap[2] != 7 {
-		t.Errorf("snapshot %v is not a copy of the registers at the time it was taken", snap)
-	}
-}

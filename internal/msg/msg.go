@@ -195,9 +195,9 @@ type Message struct {
 	ReqStation int
 
 	// Payload: the simulator carries one 64-bit value per line so that a
-	// machine-checked coherence oracle can validate the protocol.
-	Data    uint64
-	HasData bool
+	// machine-checked coherence oracle can validate the protocol. Only the
+	// types whose CarriesData holds carry it.
+	Data uint64
 
 	// TxnID ties responses, retries and invalidation returns to the pending
 	// transaction that produced them.
@@ -220,14 +220,6 @@ type Message struct {
 	// write; under sequential-consistency locking the NC holds the data
 	// until that invalidation arrives (§2.3, Figure 7).
 	InvalFollows bool
-
-	// Sequenced is set once an Invalidate has passed its sequencing point;
-	// ring nodes refuse to deliver unsequenced invalidations (§2.3).
-	Sequenced bool
-
-	// IssueCycle is stamped when the message first enters a queue, feeding
-	// the monitoring subsystem's latency histograms.
-	IssueCycle int64
 
 	// refs counts the live Packet structs aliasing this message while it is
 	// in the ring network: the sending interface initializes it to the
@@ -287,8 +279,9 @@ type Packet struct {
 	Of   int              // total packets in the message
 	Mask topo.RoutingMask // remaining destinations (mutated during routing)
 
-	// Sequenced mirrors Message.Sequenced per copy; it is set when the copy
-	// passes the sequencing point of the highest ring level it visits.
+	// Sequenced is set when the copy passes the sequencing point of the
+	// highest ring level it visits; ring nodes refuse to deliver an
+	// unsequenced invalidation (§2.3). Every other type starts sequenced.
 	Sequenced bool
 
 	// EnqueuedAt supports the ring-delay measurements of Figure 18.

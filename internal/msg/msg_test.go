@@ -1,6 +1,17 @@
 package msg
 
-import "testing"
+import (
+	"testing"
+	"unsafe"
+)
+
+// TestMessageSize pins the message to the fields some receiver reads: every
+// bus transfer and ring packet moves one, and the pools hold thousands.
+func TestMessageSize(t *testing.T) {
+	if s := unsafe.Sizeof(Message{}); s > 120 {
+		t.Fatalf("Message is %d bytes, want <= 120", s)
+	}
+}
 
 func TestSinkableClassification(t *testing.T) {
 	// §2.4: nonsinkable messages are those that elicit responses — all

@@ -38,7 +38,7 @@ func TestPacketPoolNilPut(t *testing.T) {
 func TestMessagePoolRecycles(t *testing.T) {
 	var p Pool[Message]
 	a := p.Get()
-	a.Type, a.Line, a.Data, a.HasData = LocalRead, 0x40, 7, true
+	a.Type, a.Line, a.Data, a.Retry = LocalRead, 0x40, 7, true
 	p.Put(a)
 	if *a != (Message{}) {
 		t.Fatalf("Put did not zero the message: %+v", a)

@@ -3,11 +3,10 @@ package msg
 import "numachine/internal/snap"
 
 // Encode appends the message's behaviorally relevant fields to a canonical
-// state encoding (see internal/snap). IssueCycle is monitoring-only and
-// excluded; TxnID is renamed by the encoder so encodings are independent of
-// transaction-id history. The encoder's pointer-instance id ties together
-// every appearance of this message (queued copies, packets in flight,
-// reassembly entries).
+// state encoding (see internal/snap). TxnID is renamed by the encoder so
+// encodings are independent of transaction-id history. The encoder's
+// pointer-instance id ties together every appearance of this message
+// (queued copies, packets in flight, reassembly entries).
 func (m *Message) Encode(e *snap.Enc) {
 	if m == nil {
 		e.Byte(0)
@@ -29,13 +28,11 @@ func (m *Message) Encode(e *snap.Enc) {
 	e.Int(m.Requester)
 	e.Int(m.ReqStation)
 	e.U64(m.Data)
-	e.Bool(m.HasData)
 	e.Txn(m.TxnID)
 	e.Byte(byte(m.NakOf))
 	e.Bool(m.Retry)
 	e.Bool(m.Ex)
 	e.Bool(m.InvalFollows)
-	e.Bool(m.Sequenced)
 }
 
 // Encode appends the packet's state to a canonical encoding. EnqueuedAt is

@@ -29,7 +29,7 @@ func TestInterventionCompletionTable(t *testing.T) {
 	li := func(h *harness) {
 		h.localReq(msg.LocalReadEx, line, 0, false)
 		h.deliver(&msg.Message{Type: msg.NetDataEx, Line: line, Home: 0,
-			SrcStation: 0, Data: 9, HasData: true})
+			SrcStation: 0, Data: 9})
 	}
 	interv := func(k msg.Type) func(h *harness) {
 		return func(h *harness) {
@@ -57,14 +57,14 @@ func TestInterventionCompletionTable(t *testing.T) {
 	}
 
 	resp := func(p int) *msg.Message {
-		return &msg.Message{Type: msg.IntervResp, Line: line, SrcMod: p, SrcStation: 1, Data: 55, HasData: true}
+		return &msg.Message{Type: msg.IntervResp, Line: line, SrcMod: p, SrcStation: 1, Data: 55}
 	}
 	miss := func(p int) *msg.Message {
 		return &msg.Message{Type: msg.IntervMiss, Line: line, SrcMod: p, SrcStation: 1}
 	}
 	wb := func(p int) *msg.Message {
 		return &msg.Message{Type: msg.LocalWrBack, Line: line, Home: 0,
-			SrcMod: p, SrcStation: 1, Data: 31, HasData: true}
+			SrcMod: p, SrcStation: 1, Data: 31}
 	}
 	misses := func(ps ...int) []*msg.Message {
 		var out []*msg.Message
@@ -183,7 +183,7 @@ func TestInterventionCompletionTable(t *testing.T) {
 			}
 			expectTypes(t, out, tc.out...)
 			for _, o := range out {
-				if o.HasData && o.Data != tc.sent {
+				if o.Type.CarriesData() && o.Data != tc.sent {
 					t.Errorf("%v carries %d, want %d", o.Type, o.Data, tc.sent)
 				}
 				switch o.Type {

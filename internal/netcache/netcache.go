@@ -183,10 +183,9 @@ func histRow(t msg.Type) int {
 }
 
 // Module is one station's network cache: a bus port (FIFOs, occupancy,
-// Fault, Tr, Msgs) in front of the tag store.
+// Fault, Tr, Msgs, Station) in front of the tag store.
 type Module struct {
 	bus.Port
-	Station int
 
 	g topo.Geometry
 	p *sim.Params // the machine's, shared by every component; read-only
@@ -237,7 +236,8 @@ func New(g topo.Geometry, p sim.Params, station int) *Module {
 // Init builds the network cache for a station in place, in a zero Module;
 // p is read, never written.
 func (n *Module) Init(g topo.Geometry, p *sim.Params, station int) {
-	n.Station, n.g, n.p = station, g, p
+	n.g, n.p = g, p
+	n.Addr(g, station, g.ModNC())
 	n.entries = sim.NewPaged(p.NCLines, p.LineSize, &noEntries)
 	n.Hist = monitor.Table{Owner: "netcache", Index: station, Name: "coherence histogram", Rows: HistRows, Cols: HistCols}
 	// Seed unconditionally: the zero xorshift state would be degenerate.
@@ -409,32 +409,13 @@ func (n *Module) retryDelay(t *txn) int64 {
 
 // ---- output helpers ----
 
-func (n *Module) toProc(now int64, t msg.Type, localProc int, line uint64, data uint64, nakOf msg.Type) {
-	n.Send(msg.Message{
-		Type: t, Line: line, Home: -1,
-		SrcMod: n.g.ModNC(), DstMod: n.g.ModProc(localProc),
-		SrcStation: n.Station, DstStation: n.Station,
-		Data: data, HasData: t.CarriesData(), NakOf: nakOf, IssueCycle: now,
-	})
-}
-
-// toNet queues a network message. home is the line's home station.
-func (n *Module) toNet(now int64, t msg.Type, dst, home int, line uint64) *msg.Message {
-	return n.Send(msg.Message{
-		Type: t, Line: line, Home: home,
-		SrcMod: n.g.ModNC(), DstMod: n.g.ModRI(),
-		SrcStation: n.Station, DstStation: dst,
-		IssueCycle: now,
-	})
-}
-
 // sendHome (re-)issues a request for a locked fetch txn. When a loss
 // timeout is configured, every outbound fetch request arms (or re-arms) a
 // re-issue: if the request is dropped in the network, the timeout fires
 // and the request goes out again; if an answer arrives first, the handler
 // cancels the timeout.
 func (n *Module) sendHome(now int64, t msg.Type, line uint64, tx *txn) {
-	m := n.toNet(now, t, tx.home, tx.home, line)
+	m := n.ToStation(t, line, tx.home, tx.home)
 	m.Requester = tx.reqProc
 	m.ReqStation = n.Station
 	// Arm only for the types the injector can drop: a spurious re-issue
@@ -447,26 +428,6 @@ func (n *Module) sendHome(now int64, t msg.Type, line uint64, tx *txn) {
 	}
 }
 
-func (n *Module) busInval(now int64, line uint64, procs uint16) {
-	if procs == 0 {
-		return
-	}
-	n.Send(msg.Message{
-		Type: msg.BusInval, Line: line,
-		SrcMod: n.g.ModNC(), DstMod: n.g.ModProc(0), BusProcs: procs,
-		SrcStation: n.Station, DstStation: n.Station, IssueCycle: now,
-	})
-}
-
-func (n *Module) busInterv(now int64, line uint64, procs uint16, alsoProc int, ex bool) {
-	n.Send(msg.Message{
-		Type: msg.BusIntervention, Line: line,
-		SrcMod: n.g.ModNC(), DstMod: n.g.ModProc(0),
-		BusProcs: procs, AlsoProc: alsoProc, Ex: ex,
-		SrcStation: n.Station, DstStation: n.Station, IssueCycle: now,
-	})
-}
-
 // ---- allocation & ejection ----
 
 // allocate claims the slot for line, ejecting a victim if necessary per
@@ -474,7 +435,7 @@ func (n *Module) busInterv(now int64, line uint64, procs uint16, alsoProc int, e
 // written back to their home; LI victims are dropped silently, losing the
 // station-level directory — the source of false remote requests; GV/GI
 // victims are dropped. Returns nil when the slot is held by a locked entry.
-func (n *Module) allocate(line uint64, home int, now int64) *entry {
+func (n *Module) allocate(line uint64, home int) *entry {
 	e := n.entries.Touch(line)
 	if e.valid && e.line == line {
 		return e
@@ -483,21 +444,20 @@ func (n *Module) allocate(line uint64, home int, now int64) *entry {
 		if e.locked {
 			return nil
 		}
-		n.evict(e, now)
+		n.evict(e)
 	}
 	*e = entry{valid: true, line: line, home: int16(home), state: GI, broughtBy: -1}
 	return e
 }
 
-func (n *Module) evict(e *entry, now int64) {
+func (n *Module) evict(e *entry) {
 	n.Stats.Ejections++
 	switch e.state {
 	case LV:
 		// The NC holds the only valid data in the system: it must travel
 		// home. Local processors may retain shared copies (no inclusion).
 		n.Stats.EjectWrBacks++
-		wb := n.toNet(now, msg.RemWrBack, int(e.home), int(e.home), e.line)
-		wb.Data, wb.HasData = e.data, true
+		n.ToStation(msg.RemWrBack, e.line, int(e.home), int(e.home)).Data = e.data
 	case LI:
 		// The dirty copy lives in a local secondary cache; dropping the
 		// entry silently loses the directory information and later causes

@@ -50,7 +50,7 @@ func (h *harness) localReq(t msg.Type, line uint64, proc int, retry bool) []*msg
 // fill completes a pending shared fetch with data from home.
 func (h *harness) fill(line uint64, data uint64) []*msg.Message {
 	return h.deliver(&msg.Message{Type: msg.NetData, Line: line, Home: 0,
-		SrcStation: 0, SrcMod: h.g.ModRI(), Data: data, HasData: true})
+		SrcStation: 0, SrcMod: h.g.ModRI(), Data: data})
 }
 
 func expectTypes(t *testing.T, out []*msg.Message, want ...msg.Type) {
@@ -125,9 +125,9 @@ func TestCoherenceLocalizationLVWrite(t *testing.T) {
 	// Make the entry LV: exclusive grant, then write-back from the owner.
 	h.localReq(msg.LocalReadEx, 0x40, 0, false)
 	h.deliver(&msg.Message{Type: msg.NetDataEx, Line: 0x40, Home: 0,
-		SrcStation: 0, Data: 9, HasData: true})
+		SrcStation: 0, Data: 9})
 	h.deliver(&msg.Message{Type: msg.LocalWrBack, Line: 0x40, Home: 0,
-		SrcMod: 0, SrcStation: 1, Data: 10, HasData: true})
+		SrcMod: 0, SrcStation: 1, Data: 10})
 	st, _, _, _, _ := h.n.Peek(0x40)
 	if st != LV {
 		t.Fatalf("state %v, want LV after local write-back", st)
@@ -148,7 +148,7 @@ func TestLILocalIntervention(t *testing.T) {
 	h := newHarness(t)
 	h.localReq(msg.LocalReadEx, 0x40, 0, false)
 	h.deliver(&msg.Message{Type: msg.NetDataEx, Line: 0x40, Home: 0,
-		SrcStation: 0, Data: 9, HasData: true})
+		SrcStation: 0, Data: 9})
 	// Proc 1 reads: intervention to owner proc 0 with bus snarfing.
 	out := h.localReq(msg.LocalRead, 0x40, 1, false)
 	expectTypes(t, out, msg.BusIntervention)
@@ -156,7 +156,7 @@ func TestLILocalIntervention(t *testing.T) {
 		t.Fatalf("intervention %+v, want shared with AlsoProc=1", out[0])
 	}
 	out = h.deliver(&msg.Message{Type: msg.IntervResp, Line: 0x40,
-		SrcMod: 0, SrcStation: 1, Data: 12, HasData: true, AlsoProc: 1})
+		SrcMod: 0, SrcStation: 1, Data: 12, AlsoProc: 1})
 	expectTypes(t, out)
 	st, _, procs, data, _ := h.n.Peek(0x40)
 	if st != LV || procs != 0b0011 || data != 12 {
@@ -173,7 +173,7 @@ func TestSCLockingHoldsDataUntilInval(t *testing.T) {
 	expectTypes(t, out, msg.RemReadEx)
 	// Data arrives announcing a following invalidation: the grant waits.
 	out = h.deliver(&msg.Message{Type: msg.NetDataEx, Line: 0x40, Home: 0,
-		SrcStation: 0, Data: 9, HasData: true, InvalFollows: true, TxnID: 42})
+		SrcStation: 0, Data: 9, InvalFollows: true, TxnID: 42})
 	expectTypes(t, out)
 	// The sequenced invalidation releases the data (fig. 7). Stale sharers
 	// are broadcast-invalidated (the writer itself excluded).
@@ -194,7 +194,7 @@ func TestNoSCLockingGrantsOnData(t *testing.T) {
 	h.n.p.SCLocking = false
 	h.localReq(msg.LocalReadEx, 0x40, 0, false)
 	out := h.deliver(&msg.Message{Type: msg.NetDataEx, Line: 0x40, Home: 0,
-		SrcStation: 0, Data: 9, HasData: true, InvalFollows: true, TxnID: 42})
+		SrcStation: 0, Data: 9, InvalFollows: true, TxnID: 42})
 	expectTypes(t, out, msg.ProcDataEx) // granted immediately
 	// The entry remains locked until the invalidation is absorbed.
 	out = h.localReq(msg.LocalRead, 0x40, 1, false)
@@ -235,7 +235,7 @@ func TestFalseRemoteRecovery(t *testing.T) {
 	// Proc 2 had the dirty copy.
 	h.deliver(&msg.Message{Type: msg.IntervMiss, Line: 0x40, SrcMod: 1, SrcStation: 1})
 	out = h.deliver(&msg.Message{Type: msg.IntervResp, Line: 0x40, SrcMod: 2,
-		SrcStation: 1, Data: 88, HasData: true, AlsoProc: 0})
+		SrcStation: 1, Data: 88, AlsoProc: 0})
 	expectTypes(t, out)
 	st, _, _, data, _ := h.n.Peek(0x40)
 	if st != LV || data != 88 {
@@ -247,9 +247,9 @@ func TestNetIntervSharedFromLV(t *testing.T) {
 	h := newHarness(t)
 	h.localReq(msg.LocalReadEx, 0x40, 0, false)
 	h.deliver(&msg.Message{Type: msg.NetDataEx, Line: 0x40, Home: 0,
-		SrcStation: 0, Data: 9, HasData: true})
+		SrcStation: 0, Data: 9})
 	h.deliver(&msg.Message{Type: msg.LocalWrBack, Line: 0x40, Home: 0,
-		SrcMod: 0, SrcStation: 1, Data: 10, HasData: true}) // now LV
+		SrcMod: 0, SrcStation: 1, Data: 10}) // now LV
 	// Home forwards a shared intervention for station 3's read.
 	out := h.deliver(&msg.Message{Type: msg.NetIntervShared, Line: 0x40, Home: 0,
 		SrcStation: 0, ReqStation: 3, TxnID: 77})
@@ -270,9 +270,9 @@ func TestNetIntervExTransfersOwnership(t *testing.T) {
 	h := newHarness(t)
 	h.localReq(msg.LocalReadEx, 0x40, 0, false)
 	h.deliver(&msg.Message{Type: msg.NetDataEx, Line: 0x40, Home: 0,
-		SrcStation: 0, Data: 9, HasData: true})
+		SrcStation: 0, Data: 9})
 	h.deliver(&msg.Message{Type: msg.LocalWrBack, Line: 0x40, Home: 0,
-		SrcMod: 0, SrcStation: 1, Data: 10, HasData: true})
+		SrcMod: 0, SrcStation: 1, Data: 10})
 	out := h.deliver(&msg.Message{Type: msg.NetIntervEx, Line: 0x40, Home: 0,
 		SrcStation: 0, ReqStation: 3, TxnID: 78})
 	expectTypes(t, out, msg.NetDataEx, msg.NetXferDone)
@@ -299,7 +299,7 @@ func TestNetIntervWhenNotInBroadcasts(t *testing.T) {
 		h.deliver(&msg.Message{Type: msg.IntervMiss, Line: 0x80, SrcMod: p, SrcStation: 1})
 	}
 	out = h.deliver(&msg.Message{Type: msg.IntervResp, Line: 0x80, SrcMod: 3,
-		SrcStation: 1, Data: 66, HasData: true})
+		SrcStation: 1, Data: 66})
 	expectTypes(t, out, msg.NetData, msg.NetWBCopy)
 }
 
@@ -324,9 +324,9 @@ func TestEjectionWritesBackLV(t *testing.T) {
 	// Line 0x40 becomes LV.
 	h.localReq(msg.LocalReadEx, 0x40, 0, false)
 	h.deliver(&msg.Message{Type: msg.NetDataEx, Line: 0x40, Home: 0,
-		SrcStation: 0, Data: 9, HasData: true})
+		SrcStation: 0, Data: 9})
 	h.deliver(&msg.Message{Type: msg.LocalWrBack, Line: 0x40, Home: 0,
-		SrcMod: 0, SrcStation: 1, Data: 10, HasData: true})
+		SrcMod: 0, SrcStation: 1, Data: 10})
 	// A conflicting line (16 lines * 64 B apart) evicts it.
 	conflict := uint64(0x40 + 16*64)
 	out := h.localReq(msg.LocalRead, conflict, 1, false)
@@ -344,7 +344,7 @@ func TestEjectionDropsLISilently(t *testing.T) {
 	// Line 0x40 LI: proc 0 owns it dirty.
 	h.localReq(msg.LocalReadEx, 0x40, 0, false)
 	h.deliver(&msg.Message{Type: msg.NetDataEx, Line: 0x40, Home: 0,
-		SrcStation: 0, Data: 9, HasData: true})
+		SrcStation: 0, Data: 9})
 	conflict := uint64(0x40 + 16*64)
 	out := h.localReq(msg.LocalRead, conflict, 1, false)
 	expectTypes(t, out, msg.RemRead) // no write-back: directory info lost
@@ -414,7 +414,7 @@ func TestUpgradeMisfireSendsSpecialWriteRequest(t *testing.T) {
 		t.Error("special write request not counted")
 	}
 	out = h.deliver(&msg.Message{Type: msg.NetDataEx, Line: 0x40, Home: 0,
-		SrcStation: 0, Data: 31, HasData: true})
+		SrcStation: 0, Data: 31})
 	// Grant waits for our own write's invalidation (TxnID 6).
 	out = append(out, h.deliver(&msg.Message{Type: msg.Invalidate, Line: 0x40, Home: 0,
 		SrcStation: 0, TxnID: 6})...)
@@ -486,11 +486,11 @@ func TestWriteBackDuringInvalDrainGoesLV(t *testing.T) {
 	h.n.p.SCLocking = false
 	h.localReq(msg.LocalReadEx, 0x40, 0, false)
 	out := h.deliver(&msg.Message{Type: msg.NetDataEx, Line: 0x40, Home: 0,
-		SrcStation: 0, Data: 9, HasData: true, InvalFollows: true, TxnID: 42})
+		SrcStation: 0, Data: 9, InvalFollows: true, TxnID: 42})
 	expectTypes(t, out, msg.ProcDataEx) // granted immediately
 	// The owner evicts before the invalidation arrives.
 	h.deliver(&msg.Message{Type: msg.LocalWrBack, Line: 0x40, Home: 0,
-		SrcMod: 0, SrcStation: 1, Data: 10, HasData: true})
+		SrcMod: 0, SrcStation: 1, Data: 10})
 	h.deliver(&msg.Message{Type: msg.Invalidate, Line: 0x40, Home: 0,
 		SrcStation: 0, TxnID: 42})
 	st, locked, procs, data, ok := h.n.Peek(0x40)

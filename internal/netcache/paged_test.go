@@ -45,7 +45,7 @@ func TestLineToSlotSharedWithCache(t *testing.T) {
 			t.Fatalf("cache: line %#x displaced %#x, want slot %d's %#x", line, v.Addr, want, resident)
 		}
 		c.Insert(resident, cache.Shared, 0)
-		if e := h.n.allocate(line, 0, 0); e == nil || e != h.n.entries.At(int(want)) {
+		if e := h.n.allocate(line, 0); e == nil || e != h.n.entries.At(int(want)) {
 			t.Fatalf("netcache: line %#x not allocated in slot %d", line, want)
 		}
 	}
@@ -117,9 +117,9 @@ func TestLastPartialPage(t *testing.T) {
 
 	h.localReq(msg.LocalReadEx, line, 0, false)
 	h.deliver(&msg.Message{Type: msg.NetDataEx, Line: line, Home: 0,
-		SrcStation: 0, Data: 9, HasData: true})
+		SrcStation: 0, Data: 9})
 	h.deliver(&msg.Message{Type: msg.LocalWrBack, Line: line, Home: 0,
-		SrcMod: 0, SrcStation: 1, Data: 10, HasData: true})
+		SrcMod: 0, SrcStation: 1, Data: 10})
 	if st, _, _, data, ok := h.n.Peek(line); !ok || st != LV || data != 10 {
 		t.Fatalf("entry = %v data=%d ok=%v, want LV/10", st, data, ok)
 	}

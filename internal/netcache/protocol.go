@@ -40,7 +40,7 @@ func (n *Module) handle(x *msg.Message, now int64) {
 	case msg.IntervMiss:
 		n.intervMiss(x, now)
 	case msg.NetData, msg.NetDataEx:
-		n.netData(x, now)
+		n.netData(x)
 	case msg.NetUpgdAck:
 		n.netUpgdAck(x, now)
 	case msg.NetNAK:
@@ -48,9 +48,9 @@ func (n *Module) handle(x *msg.Message, now int64) {
 	case msg.FalseRemoteResp:
 		n.falseRemote(x, now)
 	case msg.Invalidate:
-		n.invalidate(x, now)
+		n.invalidate(x)
 	case msg.NetIntervShared, msg.NetIntervEx:
-		n.netInterv(x, now)
+		n.netInterv(x)
 	default:
 		panic(fmt.Sprintf("netcache[%d]: unexpected message %v", n.Station, x))
 	}
@@ -83,12 +83,12 @@ func (n *Module) localReq(x *msg.Message, now int64) {
 	}
 
 	if e == nil {
-		e = n.allocate(x.Line, x.Home, now)
+		e = n.allocate(x.Line, x.Home)
 		if e == nil {
 			if !x.Retry {
 				n.Stats.Conflicts++
 			}
-			n.toProc(now, msg.ProcNAK, req, x.Line, 0, x.Type)
+			n.ToProc(msg.ProcNAK, x.Line, -1, req, 0).NakOf = x.Type
 			return
 		}
 		e.broughtBy = int8(req)
@@ -105,7 +105,7 @@ func (n *Module) localReq(x *msg.Message, now int64) {
 				n.Stats.Conflicts++
 			}
 		}
-		n.toProc(now, msg.ProcNAK, req, x.Line, 0, x.Type)
+		n.ToProc(msg.ProcNAK, x.Line, -1, req, 0).NakOf = x.Type
 		return
 	}
 
@@ -114,18 +114,18 @@ func (n *Module) localReq(x *msg.Message, now int64) {
 		switch x.Type {
 		case msg.LocalRead:
 			n.countHit(e, req, x.Retry)
-			n.toProc(now, msg.ProcData, req, x.Line, e.data, 0)
+			n.ToProc(msg.ProcData, x.Line, -1, req, e.data)
 			e.procs |= bit
 		default: // LocalReadEx / LocalUpgd
 			if e.state == LV {
 				// Coherence localization (§4.5): valid copies exist only on
 				// this station, so ownership changes hands locally.
 				n.countHit(e, req, x.Retry)
-				n.busInval(now, x.Line, e.procs&^bit)
+				n.BusInval(x.Line, 0, e.procs&^bit)
 				if x.Type == msg.LocalUpgd && e.procs&bit != 0 {
-					n.toProc(now, msg.ProcUpgdAck, req, x.Line, 0, 0)
+					n.ToProc(msg.ProcUpgdAck, x.Line, -1, req, 0)
 				} else {
-					n.toProc(now, msg.ProcDataEx, req, x.Line, e.data, 0)
+					n.ToProc(msg.ProcDataEx, x.Line, -1, req, e.data)
 				}
 				e.procs = bit
 				e.state = LI
@@ -152,14 +152,14 @@ func (n *Module) localReq(x *msg.Message, now int64) {
 		if owner == req {
 			// The requester is the recorded owner but lost its copy (a
 			// misfired upgrade ack): re-supply from the NC.
-			n.toProc(now, msg.ProcDataEx, req, x.Line, e.data, 0)
+			n.ToProc(msg.ProcDataEx, x.Line, -1, req, e.data)
 			return
 		}
 		t := n.txns.Get()
 		*t = txn{kind: txnLocalInterv, origType: x.Type, reqProc: req, home: int(e.home),
 			ex: x.Type != msg.LocalRead, pending: 1}
 		e.locked, e.txn = true, t
-		n.busInterv(now, x.Line, 1<<uint(owner), req, t.ex)
+		n.BusInterv(x.Line, 0, 0, 1<<uint(owner), req, t.ex)
 		if x.Type == msg.LocalRead {
 			e.procs |= bit
 		} else {
@@ -179,7 +179,7 @@ func (n *Module) prefetch(x *msg.Message, now int64) {
 	if e := n.lookup(x.Line); e != nil && (e.locked || e.state == LV || e.state == LI || e.state == GV) {
 		return // present or being fetched
 	}
-	e := n.allocate(x.Line, x.Home, now)
+	e := n.allocate(x.Line, x.Home)
 	if e == nil {
 		return // conflict with a locked entry: drop the hint
 	}
@@ -224,12 +224,11 @@ func (n *Module) localWrBack(x *msg.Message, now int64) {
 	e := n.lookup(x.Line)
 	n.recordHist(msg.LocalWrBack, e)
 	if e == nil {
-		e = n.allocate(x.Line, x.Home, now)
+		e = n.allocate(x.Line, x.Home)
 		if e == nil {
 			// Slot held by a locked entry: the dirty data must not be lost,
 			// so it bypasses the NC and travels home.
-			wb := n.toNet(now, msg.RemWrBack, x.Home, x.Home, x.Line)
-			wb.Data, wb.HasData = x.Data, true
+			n.ToStation(msg.RemWrBack, x.Line, x.Home, x.Home).Data = x.Data
 			return
 		}
 		e.broughtBy = int8(x.SrcMod)
@@ -307,7 +306,7 @@ func (n *Module) checkIntervDone(e *entry, line uint64, t *txn, now int64) {
 	}
 	switch {
 	case t.kind == txnNetServe:
-		n.finishNetServe(e, line, t, data, have, now)
+		n.finishNetServe(e, line, t, data, have)
 	case have:
 		// Local intervention or recovery: the requester gets the line.
 		bit := uint16(1) << uint(t.reqProc)
@@ -320,7 +319,7 @@ func (n *Module) checkIntervDone(e *entry, line uint64, t *txn, now int64) {
 		if !t.dataSeen {
 			// The owner had already evicted: the requester could not snarf
 			// the response, so grant explicitly from the written-back data.
-			n.toProc(now, grant, t.reqProc, line, data, 0)
+			n.ToProc(grant, line, -1, t.reqProc, data)
 		}
 		n.clearTxn(e)
 	case t.kind == txnRecover:
@@ -348,23 +347,23 @@ func (n *Module) checkIntervDone(e *entry, line uint64, t *txn, now int64) {
 // an L2 write-back first, so the data must be travelling to the home
 // memory (an NC ejection write-back), and the miss is reported for the
 // home to complete. e is nil when the service ran from the side table.
-func (n *Module) finishNetServe(e *entry, line uint64, t *txn, data uint64, have bool, now int64) {
+func (n *Module) finishNetServe(e *entry, line uint64, t *txn, data uint64, have bool) {
 	home := t.home
 	if !have {
-		miss := n.toNet(now, msg.NetIntervMiss, home, home, line)
+		miss := n.ToStation(msg.NetIntervMiss, line, home, home)
 		miss.TxnID = t.netTxnID
 	} else {
 		kind, note := msg.NetData, msg.NetWBCopy // the copy lands home
 		if t.ex {
 			kind, note = msg.NetDataEx, msg.NetXferDone
 		}
-		d := n.toNet(now, kind, t.reqStation, home, line)
-		d.Data, d.HasData, d.TxnID = data, true, t.netTxnID
+		d := n.ToStation(kind, line, home, t.reqStation)
+		d.Data, d.TxnID = data, t.netTxnID
 		if t.reqStation != home {
-			c := n.toNet(now, note, home, home, line)
+			c := n.ToStation(note, line, home, home)
 			c.TxnID = t.netTxnID
 			if !t.ex {
-				c.Data, c.HasData = data, true
+				c.Data = data
 			}
 		}
 	}
@@ -392,7 +391,7 @@ func (n *Module) fetchTxn(line uint64) (*entry, *txn) {
 	return e, e.txn
 }
 
-func (n *Module) netData(x *msg.Message, now int64) {
+func (n *Module) netData(x *msg.Message) {
 	e, t := n.fetchTxn(x.Line)
 	if t == nil {
 		// No fetch is pending. An exclusive response can still arrive
@@ -406,8 +405,7 @@ func (n *Module) netData(x *msg.Message, now int64) {
 		// Never allocate for it: this path must not evict live entries.
 		if x.Type == msg.NetDataEx {
 			if e := n.lookup(x.Line); e == nil || (!e.locked && e.state != LV && e.state != LI) {
-				wb := n.toNet(now, msg.RemWrBack, x.Home, x.Home, x.Line)
-				wb.Data, wb.HasData = x.Data, true
+				n.ToStation(msg.RemWrBack, x.Line, x.Home, x.Home).Data = x.Data
 			}
 		}
 		return // stale response
@@ -418,7 +416,7 @@ func (n *Module) netData(x *msg.Message, now int64) {
 		t.expectInvalID = x.TxnID
 		t.needInval = n.p.SCLocking
 	}
-	n.maybeCompleteFetch(e, now)
+	n.maybeCompleteFetch(e)
 }
 
 func (n *Module) netUpgdAck(x *msg.Message, now int64) {
@@ -442,7 +440,7 @@ func (n *Module) netUpgdAck(x *msg.Message, now int64) {
 	t.ackSeen = true
 	t.expectInvalID = x.TxnID
 	t.needInval = n.p.SCLocking && x.InvalFollows
-	n.maybeCompleteFetch(e, now)
+	n.maybeCompleteFetch(e)
 }
 
 func (n *Module) netNAK(x *msg.Message, now int64) {
@@ -452,7 +450,7 @@ func (n *Module) netNAK(x *msg.Message, now int64) {
 		// a locked home line. Forward it so the issuing processor backs
 		// off and re-sends the kill instead of waiting forever.
 		if x.NakOf == msg.KillReq && x.Requester >= 0 {
-			n.toProc(now, msg.ProcNAK, n.g.LocalProc(x.Requester), x.Line, 0, msg.KillReq)
+			n.ToProc(msg.ProcNAK, x.Line, -1, n.g.LocalProc(x.Requester), 0).NakOf = msg.KillReq
 		}
 		return
 	}
@@ -495,7 +493,7 @@ func (n *Module) falseRemote(x *msg.Message, now int64) {
 		n.checkIntervDone(e, x.Line, t, now)
 		return
 	}
-	n.busInterv(now, x.Line, others, t.reqProc, t.ex)
+	n.BusInterv(x.Line, 0, 0, others, t.reqProc, t.ex)
 }
 
 // maybeCompleteFetch grants the waiting processor and unlocks the entry
@@ -503,14 +501,14 @@ func (n *Module) falseRemote(x *msg.Message, now int64) {
 // the data (or ack) is held until the write's invalidation arrives; without
 // it the grant is immediate but the entry stays locked until the
 // invalidation has been absorbed.
-func (n *Module) maybeCompleteFetch(e *entry, now int64) {
+func (n *Module) maybeCompleteFetch(e *entry) {
 	t := e.txn
 	dataReady := t.dataSeen || t.ackSeen
 	if !dataReady {
 		return
 	}
 	if !t.granted && (!t.needInval || t.invalSeen) {
-		n.grant(e, now)
+		n.grant(e)
 		t.granted = true
 	}
 	if t.granted && (t.expectInvalID == 0 || t.invalSeen) {
@@ -518,7 +516,7 @@ func (n *Module) maybeCompleteFetch(e *entry, now int64) {
 	}
 }
 
-func (n *Module) grant(e *entry, now int64) {
+func (n *Module) grant(e *entry) {
 	t := e.txn
 	data := e.data
 	if t.dataSeen {
@@ -537,14 +535,14 @@ func (n *Module) grant(e *entry, now int64) {
 	}
 	bit := uint16(1) << uint(t.reqProc)
 	if t.origType == msg.RemRead {
-		n.toProc(now, msg.ProcData, t.reqProc, e.line, data, 0)
+		n.ToProc(msg.ProcData, e.line, -1, t.reqProc, data)
 		if t.dataInvalidated {
 			// A foreign invalidation arrived while the fetch was in flight
 			// (the data travelled via a third station and lost the race).
 			// The read itself is ordered before the invalidating write, so
 			// the value stands — but no copy may be retained: deliver, then
 			// invalidate in the same breath.
-			n.busInval(now, e.line, bit)
+			n.BusInval(e.line, 0, bit)
 			e.procs = 0
 			e.state = GI
 			return
@@ -554,11 +552,11 @@ func (n *Module) grant(e *entry, now int64) {
 		return
 	}
 	// Exclusive grant.
-	n.busInval(now, e.line, e.procs&^bit)
+	n.BusInval(e.line, 0, e.procs&^bit)
 	if t.upgdAck && !t.dataInvalidated {
-		n.toProc(now, msg.ProcUpgdAck, t.reqProc, e.line, 0, 0)
+		n.ToProc(msg.ProcUpgdAck, e.line, -1, t.reqProc, 0)
 	} else {
-		n.toProc(now, msg.ProcDataEx, t.reqProc, e.line, data, 0)
+		n.ToProc(msg.ProcDataEx, e.line, -1, t.reqProc, data)
 	}
 	e.procs = bit
 	e.state = LI
@@ -566,12 +564,12 @@ func (n *Module) grant(e *entry, now int64) {
 
 // ---- invalidations ----
 
-func (n *Module) invalidate(x *msg.Message, now int64) {
+func (n *Module) invalidate(x *msg.Message) {
 	e := n.lookup(x.Line)
 	n.recordHist(msg.Invalidate, e)
 	if e == nil {
 		// Ejected from the NC: broadcast to all processors (§2.3).
-		n.busInval(now, x.Line, n.allProcs())
+		n.BusInval(x.Line, 0, n.allProcs())
 		return
 	}
 	if e.locked && e.txn != nil && e.txn.kind == txnFetch &&
@@ -582,9 +580,9 @@ func (n *Module) invalidate(x *msg.Message, now int64) {
 		// processor except the writer.
 		t := e.txn
 		t.invalSeen = true
-		n.busInval(now, x.Line, n.allProcs()&^(1<<uint(t.reqProc)))
+		n.BusInval(x.Line, 0, n.allProcs()&^(1<<uint(t.reqProc)))
 		e.procs &= 1 << uint(t.reqProc)
-		n.maybeCompleteFetch(e, now)
+		n.maybeCompleteFetch(e)
 		return
 	}
 	if e.locked {
@@ -592,7 +590,7 @@ func (n *Module) invalidate(x *msg.Message, now int64) {
 		if t.kind == txnFetch {
 			// The NC's processor mask may understate stale sharers during a
 			// fetch (the requester's own copy is not tracked), so broadcast.
-			n.busInval(now, x.Line, n.allProcs())
+			n.BusInval(x.Line, 0, n.allProcs())
 			e.procs = 0
 			t.dataInvalidated = true
 			t.upgdAck = false
@@ -610,24 +608,24 @@ func (n *Module) invalidate(x *msg.Message, now int64) {
 	// Broadcast: the entry may have been ejected and re-allocated since a
 	// processor obtained its copy, in which case the mask understates the
 	// sharers (inclusion is not enforced, §2.3's broadcast rule).
-	n.busInval(now, x.Line, n.allProcs())
+	n.BusInval(x.Line, 0, n.allProcs())
 	e.procs = 0
 	e.state = GI
 }
 
 // ---- network interventions (this station is the owner) ----
 
-func (n *Module) netInterv(x *msg.Message, now int64) {
+func (n *Module) netInterv(x *msg.Message) {
 	e := n.lookup(x.Line)
 	n.recordHist(x.Type, e)
 	home := x.SrcStation
 	if _, busy := n.sideTxns[x.Line]; e == nil && busy || e != nil && e.locked {
-		nk := n.toNet(now, msg.NetNAK, home, home, x.Line)
+		nk := n.ToStation(msg.NetNAK, x.Line, home, home)
 		nk.TxnID, nk.NakOf = x.TxnID, x.Type
 		return
 	}
 	if e != nil && e.state == GI {
-		miss := n.toNet(now, msg.NetIntervMiss, home, home, x.Line)
+		miss := n.ToStation(msg.NetIntervMiss, x.Line, home, home)
 		miss.TxnID = x.TxnID
 		return
 	}
@@ -643,16 +641,16 @@ func (n *Module) netInterv(x *msg.Message, now int64) {
 			n.sideTxns = make(map[uint64]*txn)
 		}
 		n.sideTxns[x.Line] = t
-		n.busInterv(now, x.Line, n.allProcs(), -1, t.ex)
+		n.BusInterv(x.Line, 0, 0, n.allProcs(), -1, t.ex)
 	case e.state == LI:
 		t.pending = 1
 		e.locked, e.txn = true, t
-		n.busInterv(now, x.Line, 1<<uint(onlyBit(e.procs)), -1, t.ex)
+		n.BusInterv(x.Line, 0, 0, 1<<uint(onlyBit(e.procs)), -1, t.ex)
 	default: // LV or GV: the NC holds the data and serves at once
 		if t.ex {
-			n.busInval(now, x.Line, e.procs)
+			n.BusInval(x.Line, 0, e.procs)
 		}
 		e.locked, e.txn = true, t
-		n.finishNetServe(e, x.Line, t, e.data, true, now)
+		n.finishNetServe(e, x.Line, t, e.data, true)
 	}
 }

@@ -37,7 +37,7 @@ func TestClearTxnFreesEntryRecord(t *testing.T) {
 	defer msg.SetPoolDebug(msg.SetPoolDebug(true))
 	n := newPoolModule()
 	x := n.txns.Get()
-	e := n.allocate(0, 0, 0)
+	e := n.allocate(0, 0)
 	e.locked, e.txn = true, x
 	n.clearTxn(e)
 	if e.locked || e.txn != nil {

@@ -3,6 +3,7 @@ package proc
 import (
 	"fmt"
 
+	"numachine/internal/bus"
 	"numachine/internal/cache"
 	"numachine/internal/hist"
 	"numachine/internal/monitor"
@@ -48,7 +49,6 @@ type Stats struct {
 type CPU struct {
 	GlobalID int
 	Local    int // index within the station
-	Station  int
 
 	g topo.Geometry
 	p *sim.Params // the machine's, shared by every component; read-only
@@ -58,12 +58,9 @@ type CPU struct {
 	l1     *cache.Cache // timing filter, &l1Tags or nil (no filter); data/coherence live in the L2
 	l1Tags cache.Cache
 
-	outQ sim.Queue[*msg.Message]
-
-	// Msgs recycles the messages this station's components construct and
-	// consume (nil-safe; wired by core, shared per station). See
-	// msg.Pool for the ownership discipline.
-	Msgs *msg.Pool[msg.Message]
+	// Out is the CPU's send side on the station bus: its output FIFO, the
+	// station's message pool (Msgs, wired by core) and its Station.
+	bus.Out
 
 	st         state
 	thinkUntil int64
@@ -115,8 +112,6 @@ type CPU struct {
 	// OnBarrier is invoked when the CPU arrives at a barrier; core releases
 	// it later via FinishBarrier.
 	OnBarrier func(cpu *CPU, now int64)
-	// OnPhase propagates phase-identifier writes to the monitor.
-	OnPhase func(cpu *CPU, phase uint8)
 
 	// Interrupt register (§3.1.1).
 	InterruptReg uint64
@@ -124,12 +119,10 @@ type CPU struct {
 	// Tr is the structured-event trace sink (nil when tracing is off).
 	Tr *trace.Sink
 
-	// phase mirrors the monitor's phase-identifier register so the CPU
-	// can attribute transactions without touching shared monitor state
-	// from a phase-1 worker; phaseTxns counts issued transactions per
-	// phase (§3.3.4), aggregated serially by core. The 2 KB table is
-	// allocated by the first counted transaction (countTxn): an idle CPU
-	// holds none.
+	// phase is the processor's phase-identifier register (§3.3.4), read
+	// through Phase; phaseTxns counts issued transactions per phase,
+	// aggregated serially by core. The 2 KB table is allocated by the
+	// first counted transaction (countTxn): an idle CPU holds none.
 	phase     uint8
 	phaseTxns *[256]int64
 
@@ -159,7 +152,7 @@ func New(g topo.Geometry, p sim.Params, globalID int, runner *Runner, l1Lines in
 func (c *CPU) Init(g topo.Geometry, p *sim.Params, globalID int, runner *Runner, l1Lines int) {
 	c.GlobalID = globalID
 	c.Local = g.LocalProc(globalID)
-	c.Station = g.StationOfProc(globalID)
+	c.Addr(g, g.StationOfProc(globalID), g.ModProc(c.Local))
 	c.g, c.p = g, p
 	c.runner = runner
 	c.l2 = *cache.New(p.L2Lines, p.LineSize)
@@ -230,9 +223,6 @@ func (c *CPU) Pending() string {
 
 // FinishedAt returns the cycle the workload completed (valid once Done).
 func (c *CPU) FinishedAt() int64 { return c.finishAt }
-
-// BusOut implements bus.Module.
-func (c *CPU) BusOut() *sim.Queue[*msg.Message] { return &c.outQ }
 
 // NextWork reports the earliest cycle at or after now at which Tick can do
 // anything beyond per-cycle stall accounting: the end of the current
@@ -348,23 +338,18 @@ func (c *CPU) process(ref Ref, now int64) {
 	case RefPrefetch:
 		line := c.l2.Align(ref.Addr)
 		if c.HomeOf(line) != c.Station && c.l2.Probe(line) == nil {
-			out := c.Msgs.Get()
-			*out = msg.Message{
+			c.Send(msg.Message{
 				Type: msg.PrefetchReq, Line: line, Home: c.HomeOf(line),
 				SrcMod: c.Local, DstMod: c.g.ModNC(),
 				SrcStation: c.Station, DstStation: c.Station,
-				Requester: c.GlobalID, IssueCycle: now,
-			}
-			c.outQ.Push(out)
+				Requester: c.GlobalID,
+			})
 		}
 		c.lastResult = 0
 		c.thinkUntil = now + 1
 	case RefPhase:
 		c.phase = ref.Phase
 		c.Tr.Emit(now, trace.KindPhase, 0, 0, int32(ref.Phase), 0)
-		if c.OnPhase != nil {
-			c.OnPhase(c, ref.Phase)
-		}
 		c.lastResult = 0
 		c.thinkUntil = now + 1
 	case RefBarrier:
@@ -498,39 +483,43 @@ func (c *CPU) countTxn() {
 	c.phaseTxns[c.phase]++
 }
 
-func (c *CPU) send(t msg.Type, now int64, retry bool) {
-	home := c.HomeOf(c.curLine)
-	dst := c.g.ModNC()
+// homeMod returns line's home station and the station-bus module that
+// serves it: the memory module when this station is the home, else the
+// network cache.
+func (c *CPU) homeMod(line uint64) (home, mod int) {
+	home = c.HomeOf(line)
 	if home == c.Station {
-		dst = c.g.ModMem()
+		return home, c.g.ModMem()
 	}
+	return home, c.g.ModNC()
+}
+
+func (c *CPU) send(t msg.Type, now int64, retry bool) {
+	home, dst := c.homeMod(c.curLine)
 	c.countTxn()
 	rb := int32(0)
 	if retry {
 		rb = 1
 	}
 	c.Tr.Emit(now, trace.KindTxnBegin, c.curLine, 0, int32(t), int32(c.phase)<<1|rb)
-	out := c.Msgs.Get()
-	*out = msg.Message{
+	c.Send(msg.Message{
 		Type: t, Line: c.curLine, Home: home,
 		SrcMod: c.Local, DstMod: dst,
 		SrcStation: c.Station, DstStation: c.Station,
 		Requester: c.GlobalID, ReqStation: c.Station,
-		Retry: retry, IssueCycle: now,
-	}
-	c.outQ.Push(out)
+		Retry: retry,
+	})
 }
 
 func (c *CPU) sendKill(now int64) {
 	home := c.HomeOf(c.curLine)
 	c.countTxn()
 	c.Tr.Emit(now, trace.KindTxnBegin, c.curLine, 0, int32(msg.KillReq), int32(c.phase)<<1)
-	m := c.Msgs.Get()
-	*m = msg.Message{
+	m := c.Send(msg.Message{
 		Type: msg.KillReq, Line: c.curLine, Home: home,
 		SrcMod: c.Local, SrcStation: c.Station,
-		Requester: c.GlobalID, ReqStation: c.Station, IssueCycle: now,
-	}
+		Requester: c.GlobalID, ReqStation: c.Station,
+	})
 	if home == c.Station {
 		m.DstMod = c.g.ModMem()
 		m.DstStation = c.Station
@@ -538,7 +527,6 @@ func (c *CPU) sendKill(now int64) {
 		m.DstMod = c.g.ModRI()
 		m.DstStation = home
 	}
-	c.outQ.Push(m)
 }
 
 // l1Fill records the line in the primary-cache timing filter.
@@ -567,19 +555,13 @@ func (c *CPU) fill(st cache.State, data uint64, now int64) {
 func (c *CPU) writeBack(victim cache.Line, now int64) {
 	c.Stats.WriteBacks++
 	c.Tr.Emit(now, trace.KindWriteBack, victim.Addr, 0, 0, 0)
-	home := c.HomeOf(victim.Addr)
-	dst := c.g.ModNC()
-	if home == c.Station {
-		dst = c.g.ModMem()
-	}
-	out := c.Msgs.Get()
-	*out = msg.Message{
+	home, dst := c.homeMod(victim.Addr)
+	c.Send(msg.Message{
 		Type: msg.LocalWrBack, Line: victim.Addr, Home: home,
 		SrcMod: c.Local, DstMod: dst,
 		SrcStation: c.Station, DstStation: c.Station,
-		Data: victim.Data, HasData: true, IssueCycle: now,
-	}
-	c.outQ.Push(out)
+		Data: victim.Data,
+	})
 }
 
 // complete finishes the current reference after a fill.
@@ -715,13 +697,12 @@ func (c *CPU) BusDeliver(m *msg.Message, now int64) {
 // interventions also invalidate any copy we keep.
 func (c *CPU) serveIntervention(m *msg.Message, now int64) {
 	l := c.l2.Probe(m.Line)
-	resp := c.Msgs.Get()
-	*resp = msg.Message{
-		Line: m.Line, Home: m.Home,
+	resp := c.Send(msg.Message{
+		Type: msg.IntervMiss, Line: m.Line, Home: m.Home,
 		SrcMod: c.Local, DstMod: m.SrcMod,
 		SrcStation: c.Station, DstStation: c.Station,
-		AlsoProc: m.AlsoProc, IssueCycle: now,
-	}
+		AlsoProc: m.AlsoProc,
+	})
 	ex := int32(0)
 	if m.Ex {
 		ex = 1
@@ -729,8 +710,7 @@ func (c *CPU) serveIntervention(m *msg.Message, now int64) {
 	if l != nil && l.State == cache.Dirty {
 		c.Stats.Interventions++
 		c.Tr.Emit(now, trace.KindInterv, m.Line, m.TxnID, 1, ex)
-		resp.Type = msg.IntervResp
-		resp.Data, resp.HasData = l.Data, true
+		resp.Type, resp.Data = msg.IntervResp, l.Data
 		if m.Ex {
 			c.l2.Invalidate(m.Line)
 			if c.l1 != nil {
@@ -740,7 +720,6 @@ func (c *CPU) serveIntervention(m *msg.Message, now int64) {
 			l.State = cache.Shared
 		}
 	} else {
-		resp.Type = msg.IntervMiss
 		c.Tr.Emit(now, trace.KindInterv, m.Line, m.TxnID, 0, ex)
 		if m.Ex && l != nil {
 			c.l2.Invalidate(m.Line)
@@ -749,5 +728,4 @@ func (c *CPU) serveIntervention(m *msg.Message, now int64) {
 			}
 		}
 	}
-	c.outQ.Push(resp)
 }

@@ -40,7 +40,7 @@ func TestEpochBumpCompleteness(t *testing.T) {
 				c.curLine = line
 			},
 			act: func(c *CPU) {
-				c.BusDeliver(&msg.Message{Type: msg.ProcData, Line: line, Data: 7, HasData: true}, 10)
+				c.BusDeliver(&msg.Message{Type: msg.ProcData, Line: line, Data: 7}, 10)
 			},
 		},
 		{
@@ -56,7 +56,7 @@ func TestEpochBumpCompleteness(t *testing.T) {
 				c.curLine = line
 			},
 			act: func(c *CPU) {
-				c.BusDeliver(&msg.Message{Type: msg.ProcDataEx, Line: line, Data: 7, HasData: true}, 10)
+				c.BusDeliver(&msg.Message{Type: msg.ProcDataEx, Line: line, Data: 7}, 10)
 			},
 		},
 		{

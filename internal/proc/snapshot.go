@@ -37,8 +37,8 @@ func (c *CPU) Encode(e *snap.Enc) {
 		e.Byte(0)
 	}
 	c.l2.Encode(e)
-	e.Int(c.outQ.Len())
-	c.outQ.Each(func(m *msg.Message) { m.Encode(e) })
+	e.Int(c.BusOut().Len())
+	c.BusOut().Each(func(m *msg.Message) { m.Encode(e) })
 }
 
 func encodeRef(e *snap.Enc, r Ref) {

@@ -50,7 +50,7 @@ func TestPointToPointDelivery(t *testing.T) {
 
 	m := &msg.Message{
 		Type: msg.NetData, Line: 0x1000, Home: 2, // home = destination: memory-bound
-		SrcStation: 0, DstStation: 2, Data: 42, HasData: true,
+		SrcStation: 0, DstStation: 2, Data: 42,
 	}
 	ris[0].BusDeliver(m, 0)
 	runRing(r, ris, 0, 40)
@@ -79,7 +79,7 @@ func TestDataMessageUsesMultiplePackets(t *testing.T) {
 	g := topo.Geometry{ProcsPerStation: 2, StationsPerRing: 4, Rings: 1}
 	p := testParams()
 	ris, r := buildLocalRing(t, g, p)
-	m := &msg.Message{Type: msg.NetData, Home: 1, SrcStation: 0, DstStation: 1, HasData: true}
+	m := &msg.Message{Type: msg.NetData, Home: 1, SrcStation: 0, DstStation: 1}
 	ris[0].BusDeliver(m, 0)
 	runRing(r, ris, 0, 60)
 	if got := ris[0].Injected; got != int64(1+p.PacketsPerLine) {
@@ -105,18 +105,29 @@ func TestInvalidateMulticastAndSequencing(t *testing.T) {
 	runRing(r, ris, 0, 60)
 
 	for _, s := range []int{0, 1, 2} {
-		got, ok := ris[s].BusOut().Pop()
-		if !ok {
+		if _, ok := ris[s].BusOut().Pop(); !ok {
 			t.Fatalf("station %d missed the invalidation", s)
-		}
-		if !got.Sequenced && got.Type == msg.Invalidate {
-			// Sequenced is per-packet; the delivered copy passed the
-			// sequencing point by construction of the ring rules.
-			_ = got
 		}
 	}
 	if !ris[3].BusOut().Empty() {
 		t.Error("station 3 wrongly received the invalidation")
+	}
+
+	// A station refuses an invalidation that has not passed its
+	// sequencing point (§2.3): the packet stays in the slot and the input
+	// FIFO stays empty. The sequenced copy is consumed.
+	for _, sequenced := range []bool{false, true} {
+		ri := NewStationRI(g, p, 2, nil)
+		inv := &msg.Message{Type: msg.Invalidate, Line: 0x40, Home: 1, SrcStation: 1, DstStation: -1}
+		inv.InitRefs(1)
+		pkt := &msg.Packet{Msg: inv, Of: 1, Mask: topo.RoutingMask{Stations: 1 << uint(g.PosOf(2))}, Sequenced: sequenced}
+		back := ri.HandleSlot(pkt, 0)
+		if !sequenced && (back != pkt || ri.InFIFODepth() != 0) {
+			t.Errorf("unsequenced invalidation: slot holds %v, input FIFO depth %d; want the packet back and 0", back, ri.InFIFODepth())
+		}
+		if sequenced && (back != nil || ri.InFIFODepth() != 1) {
+			t.Errorf("sequenced invalidation: slot holds %v, input FIFO depth %d; want nil and 1", back, ri.InFIFODepth())
+		}
 	}
 }
 
@@ -127,7 +138,7 @@ func TestSequencingPointOrdersInvalidateAfterData(t *testing.T) {
 	p := testParams()
 	ris, r := buildLocalRing(t, g, p)
 
-	data := &msg.Message{Type: msg.NetData, Home: 1, SrcStation: 1, DstStation: 3, HasData: true}
+	data := &msg.Message{Type: msg.NetData, Home: 1, SrcStation: 1, DstStation: 3}
 	inval := &msg.Message{Type: msg.Invalidate, Home: 1, SrcStation: 1, DstStation: -1,
 		Mask: g.MaskForStations(1, 3)}
 	ris[1].BusDeliver(data, 0)
@@ -200,7 +211,7 @@ func TestTwoLevelHierarchyCrossRing(t *testing.T) {
 
 	// Station 0 (ring 0) sends data to station 3 (ring 1).
 	ris[0].BusDeliver(&msg.Message{
-		Type: msg.NetData, Home: 3, SrcStation: 0, DstStation: 3, HasData: true,
+		Type: msg.NetData, Home: 3, SrcStation: 0, DstStation: 3,
 	}, 0)
 	now := int64(0)
 	for i := 0; i < 300; i++ {

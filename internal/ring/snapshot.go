@@ -33,8 +33,8 @@ func (c *Credits) Encode(e *snap.Enc) {
 // stable field tuple (ties broken by count) so the iteration order — and
 // with it the encoder's first-appearance pointer renaming — is canonical.
 func (r *StationRI) Encode(e *snap.Enc) {
-	e.Int(r.busOutQ.Len())
-	r.busOutQ.Each(func(m *msg.Message) { m.Encode(e) })
+	e.Int(r.BusOut().Len())
+	r.BusOut().Each(func(m *msg.Message) { m.Encode(e) })
 	e.Int(r.sinkQ.Len())
 	r.sinkQ.Each(func(p *msg.Packet) { p.Encode(e) })
 	e.Int(r.nonsinkQ.Len())

@@ -1,6 +1,7 @@
 package ring
 
 import (
+	"numachine/internal/bus"
 	"numachine/internal/fault"
 	"numachine/internal/monitor"
 	"numachine/internal/msg"
@@ -56,15 +57,12 @@ func (c *Credits) InFlight(st int) int { return int(c.inFlight[st]) }
 // the downward path it reassembles packets from its input FIFO into
 // messages and forwards them onto the station bus.
 type StationRI struct {
-	Station int
-
 	g       topo.Geometry
 	p       *sim.Params // the machine's, shared by every component; read-only
 	ringID  int
 	pos     int
 	credits *Credits
 
-	busOutQ  sim.Queue[*msg.Message] // toward the station bus
 	sinkQ    sim.Queue[*msg.Packet]
 	nonsinkQ sim.Queue[*msg.Packet]
 	inFIFO   sim.Queue[*msg.Packet]
@@ -79,20 +77,22 @@ type StationRI struct {
 	// msg.Pool for why reuse cannot change simulated behaviour.
 	pool msg.Pool[msg.Packet]
 
-	// Msgs recycles messages whose last stop is this interface (nil-safe;
-	// wired by core, shared with the station's other components): loopback
-	// originals superseded by their private copy, and network originals
-	// once the last aliasing packet has died. Aliasing is tracked by the
-	// message's packet reference count: BusDeliver seeds it with the number
-	// of packets created (including duplicate-fault chains), every copy —
-	// the per-station consume copy here, the per-ring descend copy in the
-	// IRI — adds one, and every packet death releases one. The releaser
-	// that drops the count to zero owns the message and recycles it to its
-	// own station's pool, so multicast and dup-faulted originals now
-	// recycle too instead of leaking to the GC. The pool is touched from
-	// the station's phase-1 worker (BusDeliver) and from the serial phase 2
-	// (HandleSlot/Tick), which the pool's barrier separates.
-	Msgs *msg.Pool[msg.Message]
+	// Out is the interface's send side toward the station bus, with its
+	// Station. Its Msgs pool (nil-safe; wired by core, shared with the
+	// station's other components) also recycles messages whose last stop
+	// is this interface: loopback originals superseded by their private
+	// copy, and network originals once the last aliasing packet has died.
+	// Aliasing is tracked by the message's packet reference count:
+	// BusDeliver seeds it with the number of packets created (including
+	// duplicate-fault chains), every copy — the per-station consume copy
+	// here, the per-ring descend copy in the IRI — adds one, and every
+	// packet death releases one. The releaser that drops the count to zero
+	// owns the message and recycles it to its own station's pool, so
+	// multicast and dup-faulted originals now recycle too instead of
+	// leaking to the GC. The pool is touched from the station's phase-1
+	// worker (BusDeliver) and from the serial phase 2 (HandleSlot/Tick),
+	// which the pool's barrier separates.
+	bus.Out
 
 	// Figure 18a measurements.
 	SendDelay   monitor.Sampler // output-queue wait, upward path
@@ -129,14 +129,12 @@ func NewStationRI(g topo.Geometry, p sim.Params, station int, credits *Credits) 
 // Init builds the ring interface for a station in place, in a zero
 // StationRI; p is read, never written.
 func (r *StationRI) Init(g topo.Geometry, p *sim.Params, station int, credits *Credits) {
-	r.Station, r.g, r.p = station, g, p
+	r.g, r.p = g, p
+	r.Addr(g, station, g.ModRI())
 	r.ringID, r.pos = g.RingOf(station), g.PosOf(station)
 	r.credits = credits
 	r.inFIFO.Capacity = p.RingInputFIFO
 }
-
-// BusOut implements bus.Module: messages arriving from the ring exit here.
-func (r *StationRI) BusOut() *sim.Queue[*msg.Message] { return &r.busOutQ }
 
 // BusDeliver implements bus.Module: a station module handed us a message
 // bound for the network. The packet generator splits it into ring packets.
@@ -144,10 +142,7 @@ func (r *StationRI) BusDeliver(m *msg.Message, now int64) {
 	// Degenerate but legal: a message addressed to this very station loops
 	// back locally (single-station machines).
 	if m.DstStation == r.Station && m.Type != msg.Invalidate {
-		cp := r.Msgs.Get()
-		*cp = *m
-		r.route(cp)
-		r.busOutQ.Push(cp)
+		r.route(r.Send(*m))
 		r.Msgs.Put(m) // superseded by the private copy
 		return
 	}
@@ -336,9 +331,7 @@ func (r *StationRI) Tick(now int64) {
 		delete(r.reasm, m)
 		first := r.firstSeen[m]
 		delete(r.firstSeen, m)
-		cp := r.Msgs.Get()
-		*cp = *m
-		r.route(cp)
+		r.route(r.Send(*m))
 		if m.Type.Sinkable() {
 			r.DownSink.Sample(now - first)
 		} else {
@@ -347,7 +340,6 @@ func (r *StationRI) Tick(now int64) {
 		if !m.Type.Sinkable() && r.credits != nil {
 			r.credits.Release(m.SrcStation)
 		}
-		r.busOutQ.Push(cp)
 		r.Delivered++
 		r.Tr.Emit(now, trace.KindFlitDeliver, m.Line, m.TxnID,
 			int32(m.Type), int32(now-first))
@@ -397,5 +389,5 @@ func (r *StationRI) QueueStats() (sendSink, sendNonsink, input sim.QueueStats) {
 // Idle reports whether the interface holds no packets or messages.
 func (r *StationRI) Idle() bool {
 	return r.sinkQ.Empty() && r.nonsinkQ.Empty() && r.inFIFO.Empty() &&
-		r.busOutQ.Empty() && len(r.reasm) == 0
+		r.BusOut().Empty() && len(r.reasm) == 0
 }

@@ -27,7 +27,6 @@ type Params struct {
 
 	// Processor / secondary cache timing.
 	L2HitCycles      int // load-to-use for an L2 hit (L1 miss)
-	L2TagCycles      int // tag probe cost paid on the miss path
 	ProcMissOverhead int // external-agent + FIFO overhead on any miss
 	L2FillCycles     int // writing a fetched line into the L2
 	RetryDelay       int // back-off before re-issuing a NAK'ed request
@@ -95,7 +94,6 @@ func DefaultParams() Params {
 		CPUClockMHz: 150,
 
 		L2HitCycles:      4,
-		L2TagCycles:      3,
 		ProcMissOverhead: 20,
 		L2FillCycles:     8,
 		RetryDelay:       24,

@@ -82,8 +82,18 @@ func SnapshotOf(m *core.Machine, workload, loop string, done bool) *Snapshot {
 			FalseRemote: r.NC.FalseRemoteRate(),
 		},
 		PhaseTransactions: m.PhaseTransactions(),
-		CurrentPhases:     m.Phases.Snapshot(),
+		CurrentPhases:     currentPhases(m),
 	}
+}
+
+// currentPhases reads every processor's phase register, indexed by
+// processor.
+func currentPhases(m *core.Machine) []uint8 {
+	phases := make([]uint8, len(m.CPUs))
+	for i, c := range m.CPUs {
+		phases[i] = c.Phase()
+	}
+	return phases
 }
 
 // Server publishes snapshots to HTTP clients.

@@ -89,6 +89,12 @@ func TestMetricsEndpoint(t *testing.T) {
 	if got := len(snap.CurrentPhases); got != m.Geometry().Procs() {
 		t.Errorf("CurrentPhases has %d entries, want %d", got, m.Geometry().Procs())
 	}
+	// Every processor's last SetPhase (i = 49) wrote phase 2.
+	for i, ph := range snap.CurrentPhases {
+		if ph != 2 {
+			t.Errorf("CurrentPhases[%d] = %d, want 2", i, ph)
+		}
+	}
 	if r := snap.NCRates; r.Hit != snap.Results.NC.HitRate() {
 		t.Errorf("precomputed hit rate %v != %v", r.Hit, snap.Results.NC.HitRate())
 	}
