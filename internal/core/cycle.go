@@ -33,7 +33,7 @@ func (m *Machine) Step() {
 //	         (tickStation) — inline in ascending station order, or one pool
 //	         shard per station under ParallelStations (parallel.go);
 //	phase 2  the interconnect, on the caller's goroutine: every RI, then
-//	         every local ring (tickRingsSerial, the reference order);
+//	         every local ring (tickRIs, tickLocals: the reference order);
 //	tail     the central ring.
 //
 // The poll caches make the gate pass cost proportional to the components
@@ -47,28 +47,28 @@ func (m *Machine) Step() {
 // The caches are invalidated where work is handed over, and marks follow
 // the data: a mark fires when the FIFO the receiver's NextWork reads holds
 // something after the feeder's tick, not because a component that could
-// have fed it ticked. The phase-1 marks read and write only state of the
-// station that evaluates them (parallel.go relies on that):
+// have fed it ticked. A mark into the interconnect is the receiver's own
+// wake, read from the FIFO just fed, so after the first cycle no RI or
+// ring poll finds nothing to do. The phase-1 marks read and write only
+// state of the station that evaluates them (parallel.go relies on that):
 //
 //	CPU tick     -> its bus, now: iff its BusOut is non-empty.
 //	bus tick     -> mem, NC, CPU k: iff the transfer was delivered to it (the
 //	                set Bus.Tick returns); mem and NC now, CPUs now+1.
-//	             -> its local ring, now: iff it delivered to the RI and the
-//	                RI's send queues are non-empty (StationRI.OutPending —
-//	                pushed only by this bus, popped only in phase 2). Staged
-//	                in busFedRing and merged by feedRing.
+//	             -> its local ring, at the ring's edge of the RI's
+//	                NextInject: iff it delivered to the RI. Staged in
+//	                busFedRing and merged by feedRing.
 //	                The RI itself is not marked: its NextWork reads only its
 //	                input FIFO, and BusDeliver's loop-back branch fills the
 //	                RI's BusOut, which the bus's own post-tick wake reads.
 //	mem/NC tick  -> its bus, now+1: iff its BusOut is non-empty.
 //	RI tick      -> its bus, now+1: iff its BusOut is non-empty.
-//	local tick   -> a member RI, now+1: iff that RI's input FIFO is non-empty.
-//	             -> the central ring, now: iff the IRI's up FIFO is non-empty
-//	                (IRI.CentralPending); the central tick that drains it
-//	                runs in the tail of this same cycle.
-//	central tick -> local ring r, now+1: iff IRI r's down FIFO is non-empty
-//	                (IRI.DownPending — pushed by this tick, popped by ring r's
-//	                phase-2 tick).
+//	local tick   -> each member RI, at its NextWork(now+1).
+//	             -> the central ring, at its edge of the IRI's up-FIFO head
+//	                (IRI.UpReadyAt), which may be now: the tail of this
+//	                cycle ticks it.
+//	central tick -> each local ring r, at its edge of IRI r's down-FIFO head
+//	                (IRI.DownReadyAt), no earlier than now+1.
 //	any tick     -> itself: X.NextWork(now+1), asked right after X.Tick(now).
 //	barrier fire -> the released CPU, now (fireBarriers, before phase 1).
 //
@@ -82,38 +82,46 @@ func (m *Machine) Step() {
 func (m *Machine) stepGated() int {
 	now := m.now
 	m.fireBarriers()
-	ticked := 0
-	if m.pool != nil {
-		ticked += m.stationPhasePooled(now)
-	} else {
-		for s, next := range m.stationNext {
-			if next <= now {
-				ticked += m.tickStation(s, now)
-				m.feedRing(s, now)
-			}
-		}
-	}
+	ticked := m.stationPhase(now)
 	if anyDue(m.ringNext, now) {
-		ticked += m.tickRingsSerial(now)
+		ticked += m.tickRIs(now) + m.tickLocals(now)
 	}
 	ticked += m.tail(now)
 	m.now++
 	return ticked
 }
 
+// stationPhase is phase 1: every due station's tickStation, inline in
+// ascending station order or on the pool.
+func (m *Machine) stationPhase(now int64) int {
+	if m.pool != nil {
+		return m.stationPhasePooled(now)
+	}
+	ticked := 0
+	for s, next := range m.stationNext {
+		if next <= now {
+			ticked += m.tickStation(s, now)
+			m.feedRing(s, now)
+		}
+	}
+	return ticked
+}
+
 // feedRing merges station s's staged bus -> local-ring mark (busFedRing)
-// into its ring group's entries. The inline executor calls it right after
-// the station's tickStation; the pooled one after the pool's barrier,
-// because two stations of one ring would write the same pollLocal entry
-// from different shards.
+// into its ring group's entries: the ring's edge at which the RI's send
+// queues can next inject. The inline executor calls it right after the
+// station's tickStation; the pooled one after the pool's barrier, because
+// two stations of one ring would write the same pollLocal entry from
+// different shards.
 func (m *Machine) feedRing(s int, now int64) {
 	if !m.busFedRing[s] {
 		return
 	}
 	m.busFedRing[s] = false
 	r := m.ringOf[s]
-	m.pollLocal[r] = min(m.pollLocal[r], now)
-	m.ringNext[r] = min(m.ringNext[r], now)
+	at := m.Locals[r].NextEdge(max(m.RIs[s].NextInject(), now))
+	m.pollLocal[r] = min(m.pollLocal[r], at)
+	m.ringNext[r] = min(m.ringNext[r], at)
 }
 
 // anyDue reports whether any aggregate wake in next has come due.
@@ -167,7 +175,7 @@ func (m *Machine) tickStation(s int, now int64) int {
 				case m.g.ModNC():
 					m.pollNC[s] = min(m.pollNC[s], now)
 				case m.g.ModRI():
-					m.busFedRing[s] = m.RIs[s].OutPending()
+					m.busFedRing[s] = true
 				default:
 					cpus[mod] = min(cpus[mod], now+1)
 					next = min(next, now+1)
@@ -240,12 +248,12 @@ func (m *Machine) tickLocal(r int, now int64) int {
 	lr.Tick(now)
 	m.pollLocal[r] = lr.NextWork(now + 1)
 	for pos := 0; pos < m.g.StationsPerRing; pos++ {
-		if s := m.g.StationAt(r, pos); m.pollRI[s] > now+1 && m.RIs[s].InFIFODepth() > 0 {
-			m.pollRI[s] = now + 1
-		}
+		s := m.g.StationAt(r, pos)
+		m.pollRI[s] = min(m.pollRI[s], m.RIs[s].NextWork(now+1))
 	}
-	if m.Central != nil && m.pollCentral > now && m.IRIs[r].CentralPending() {
-		m.pollCentral = now
+	if m.Central != nil {
+		at := m.Central.NextEdge(max(m.IRIs[r].UpReadyAt(), now))
+		m.pollCentral = min(m.pollCentral, at)
 	}
 	return 1
 }
@@ -262,14 +270,15 @@ func (m *Machine) setRingNext(r int) {
 	m.ringNext[r] = next
 }
 
-// tickRingsSerial is the interconnect phase in the reference order: every
-// RI, then every local ring — of the ring groups that are due; a group with
-// ringNext[r] > now has every entry > now and is skipped in both passes
-// (station ids are ring-major, so the RI pass stays in ascending station
-// order). The order is part of the model, not a convenience: with some
-// station at its flow-control credit cap a TryAcquire outcome depends on
-// the releases other ring groups made earlier in the same cycle.
-func (m *Machine) tickRingsSerial(now int64) int {
+// tickRIs and tickLocals are phase 2, the interconnect in the reference
+// order: every RI, then every local ring — of the ring groups that are due;
+// a group with ringNext[r] > now has every entry > now and is skipped in
+// both passes (station ids are ring-major, so the RI pass stays in
+// ascending station order). The order is part of the model, not a
+// convenience: with some station at its flow-control credit cap a
+// TryAcquire outcome depends on the releases other ring groups made earlier
+// in the same cycle.
+func (m *Machine) tickRIs(now int64) int {
 	ticked := 0
 	for r, next := range m.ringNext {
 		if next > now {
@@ -279,6 +288,11 @@ func (m *Machine) tickRingsSerial(now int64) int {
 			ticked += m.tickRI(m.g.StationAt(r, pos), now)
 		}
 	}
+	return ticked
+}
+
+func (m *Machine) tickLocals(now int64) int {
+	ticked := 0
 	for r, next := range m.ringNext {
 		if next > now {
 			continue
@@ -300,11 +314,9 @@ func (m *Machine) tail(now int64) int {
 			ticked = 1
 			m.pollCentral = m.Central.NextWork(now + 1)
 			for r, iri := range m.IRIs {
-				if !iri.DownPending() {
-					continue
-				}
-				m.pollLocal[r] = min(m.pollLocal[r], now+1)
-				m.ringNext[r] = min(m.ringNext[r], now+1)
+				at := m.Locals[r].NextEdge(max(iri.DownReadyAt(), now+1))
+				m.pollLocal[r] = min(m.pollLocal[r], at)
+				m.ringNext[r] = min(m.ringNext[r], at)
 			}
 		}
 	}

@@ -16,12 +16,14 @@ import (
 // maps are allocated on first use, and FIFOs, the L1 filter and the
 // histograms live inside their components. Each kind of component is
 // allocated once for the whole machine (one slab of CPUs, one of
-// stations) and reads the machine's one sim.Params, so New pays ~88 KB in
-// ~57 objects (the flat arrays were 102 MB; a heap object per component
-// and a private copy of the parameters in each were 127 KB in ~470
-// objects). Both bounds are about 1.5x the measured cost.
+// stations, one of ring groups, one of ring slots) and reads the
+// machine's one sim.Params, so New pays ~88 KB in ~33 objects (the flat
+// arrays were 102 MB; a heap object per component and a private copy of
+// the parameters in each were 127 KB in ~470 objects; a heap object per
+// ring and IRI and a member list per ring were ~55 objects). Both bounds
+// are about 1.5x the measured cost.
 func TestNewFootprint(t *testing.T) {
-	const budget, maxObjects = 132 << 10, 90
+	const budget, maxObjects = 132 << 10, 50
 	got, objects := newCost(t, DefaultConfig())
 	t.Logf("core.New(DefaultConfig()) allocated %.2f MB in %d objects", float64(got)/(1<<20), objects)
 	if got > budget {
@@ -33,10 +35,12 @@ func TestNewFootprint(t *testing.T) {
 }
 
 // TestNewObjectsPerGeometry: the object count of New does not grow with
-// the processors per station or the stations per ring, because CPUs and
-// stations come from one slab each. Every geometry of one ring costs the
-// smallest one's objects, give or take the few the runtime makes while
-// sizing them (a heap object per component was 68 more at 4x4x1).
+// the processors per station, the stations per ring or the rings, because
+// CPUs, stations, ring groups and ring slots come from one slab each. Each
+// geometry costs the objects of the smaller one of its row, give or take
+// the few the runtime makes while sizing them (a heap object per component
+// was 68 more at 4x4x1; a heap object per ring and IRI, 10 more at 1x2x4
+// than at 1x2x2).
 func TestNewObjectsPerGeometry(t *testing.T) {
 	const slack = 4
 	cost := func(g topo.Geometry) uint64 {
@@ -46,15 +50,19 @@ func TestNewObjectsPerGeometry(t *testing.T) {
 		t.Logf("%dx%dx%d: %d objects", g.ProcsPerStation, g.StationsPerRing, g.Rings, objects)
 		return objects
 	}
-	base := cost(topo.Geometry{ProcsPerStation: 1, StationsPerRing: 2, Rings: 1})
-	for _, g := range []topo.Geometry{
-		{ProcsPerStation: 4, StationsPerRing: 2, Rings: 1},
-		{ProcsPerStation: 1, StationsPerRing: 4, Rings: 1},
-		{ProcsPerStation: 4, StationsPerRing: 4, Rings: 1},
+	small := topo.Geometry{ProcsPerStation: 1, StationsPerRing: 2, Rings: 1}
+	twoRings := topo.Geometry{ProcsPerStation: 1, StationsPerRing: 2, Rings: 2}
+	for _, row := range []struct{ base, g topo.Geometry }{
+		{small, topo.Geometry{ProcsPerStation: 4, StationsPerRing: 2, Rings: 1}},
+		{small, topo.Geometry{ProcsPerStation: 1, StationsPerRing: 4, Rings: 1}},
+		{small, topo.Geometry{ProcsPerStation: 4, StationsPerRing: 4, Rings: 1}},
+		{twoRings, topo.Geometry{ProcsPerStation: 1, StationsPerRing: 2, Rings: 4}},
 	} {
+		base, g := cost(row.base), row.g
 		if n := cost(g); n > base+slack {
-			t.Errorf("%dx%dx%d: %d objects, want at most %d (1x2x1's %d + %d)",
-				g.ProcsPerStation, g.StationsPerRing, g.Rings, n, base+slack, base, slack)
+			t.Errorf("%dx%dx%d: %d objects, want at most %d (%dx%dx%d's %d + %d)",
+				g.ProcsPerStation, g.StationsPerRing, g.Rings, n, base+slack,
+				row.base.ProcsPerStation, row.base.StationsPerRing, row.base.Rings, base, slack)
 		}
 	}
 }

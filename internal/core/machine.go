@@ -131,7 +131,9 @@ type Machine struct {
 	RIs     []*ring.StationRI
 	IRIs    []*ring.IRI
 	Locals  []*ring.Ring
-	Central *ring.Ring
+	Central *ring.Ring // &central on a machine of more than one ring, else nil
+
+	central ring.Ring
 
 	credits *ring.Credits
 	runners []*proc.Runner
@@ -250,11 +252,20 @@ type station struct {
 	ri   ring.StationRI
 }
 
+// ringGroup is one local ring and the inter-ring interface that joins it to
+// the central ring; a machine of one ring leaves the IRI unused. New builds
+// every group in place in one slab.
+type ringGroup struct {
+	ring ring.Ring
+	iri  ring.IRI
+}
+
 // New builds a machine from cfg. Each kind of component is allocated once
-// for the whole machine (one slab of CPUs, one of stations, one table of
-// bus attachments) and built in place, and every component reads the
-// machine's one copy of the timing parameters, so construction costs a
-// fixed number of objects however many processors and stations there are.
+// for the whole machine (one slab of CPUs, one of stations, one of ring
+// groups, one table of bus attachments) and built in place, and every
+// component reads the machine's one copy of the timing parameters, so
+// construction costs a fixed number of objects however many processors,
+// stations and rings there are.
 func New(cfg Config) (*Machine, error) {
 	if err := cfg.Geom.Validate(); err != nil {
 		return nil, err
@@ -371,41 +382,42 @@ func New(cfg Config) (*Machine, error) {
 	return m, nil
 }
 
-// buildRings wires the ring hierarchy: each local ring carries its
-// stations (plus an inter-ring interface when there is a central ring);
-// the sequencing point of a local ring is its IRI (§2.3), or node 0 on
-// single-ring machines.
+// buildRings wires the ring hierarchy in place: each local ring carries its
+// stations' RIs (station ids are ring-major) and, when there is a central
+// ring, its IRI, the ring's sequencing point (§2.3); the central ring
+// carries every IRI. All rings share one slab of slots.
 func (m *Machine) buildRings() {
 	g, p := m.g, &m.p
-	multi := g.Rings > 1
-	m.Locals = make([]*ring.Ring, 0, g.Rings)
-	var centralNodes []ring.Node
-	if multi {
-		m.IRIs = make([]*ring.IRI, 0, g.Rings)
-		centralNodes = make([]ring.Node, 0, g.Rings)
-	}
-	for r := 0; r < g.Rings; r++ {
-		nodes := make([]ring.Node, 0, g.StationsPerRing+1)
-		for pos := 0; pos < g.StationsPerRing; pos++ {
-			nodes = append(nodes, m.RIs[g.StationAt(r, pos)])
-		}
-		seq := 0
-		if multi {
-			iri := ring.NewIRI(p, r, m.credits)
+	n, spr := g.Rings, g.StationsPerRing
+	groups := make([]ringGroup, n)
+	m.Locals = make([]*ring.Ring, n)
+	members := spr // slots per local ring: its RIs, then its IRI
+	if n > 1 {
+		members++
+		m.IRIs = make([]*ring.IRI, n)
+		for r := range groups {
+			iri := &groups[r].iri
+			iri.Init(p, r, m.credits)
 			iri.Fault = m.inj.IRI(r)
-			m.IRIs = append(m.IRIs, iri)
-			nodes = append(nodes, iri.LocalPort())
-			centralNodes = append(centralNodes, iri.CentralPort())
-			seq = len(nodes) - 1
+			m.IRIs[r] = iri
 		}
-		name := fmt.Sprintf("local-%d", r)
-		lr := ring.New(name, p, nodes, seq, false)
-		lr.Fault = m.inj.Ring(name)
-		m.Locals = append(m.Locals, lr)
 	}
-	if multi {
-		m.Central = ring.New("central", p, centralNodes, 0, true)
-		m.Central.Fault = m.inj.Ring("central")
+	slots := make([]*msg.Packet, n*members+len(m.IRIs))
+	for r := range groups {
+		lr := &groups[r].ring
+		var iri []*ring.IRI
+		if n > 1 {
+			iri = m.IRIs[r : r+1]
+		}
+		first, lo, hi := g.StationAt(r, 0), r*members, (r+1)*members
+		lr.Init(p, m.RIs[first:first+spr], iri, slots[lo:hi:hi])
+		lr.Fault = m.inj.Ring(r)
+		m.Locals[r] = lr
+	}
+	if n > 1 {
+		m.central.Init(p, nil, m.IRIs, slots[n*members:])
+		m.central.Fault = m.inj.Ring(-1)
+		m.Central = &m.central
 	}
 }
 

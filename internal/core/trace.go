@@ -32,11 +32,11 @@ func (m *Machine) EnableTrace(perSinkEvents int) *trace.Tracer {
 		ri.Tr = tr.Register(fmt.Sprintf("ri[%d]", i), i, trace.ClassRI)
 	}
 	interconnect := m.g.Stations()
-	for _, lr := range m.Locals {
-		lr.Tr = tr.Register(lr.Name, interconnect, trace.ClassRing)
+	for i, lr := range m.Locals {
+		lr.Tr = tr.Register(fmt.Sprintf("local-%d", i), interconnect, trace.ClassRing)
 	}
 	if m.Central != nil {
-		m.Central.Tr = tr.Register(m.Central.Name, interconnect, trace.ClassRing)
+		m.Central.Tr = tr.Register("central", interconnect, trace.ClassRing)
 	}
 	for i, iri := range m.IRIs {
 		iri.Tr = tr.Register(fmt.Sprintf("iri[%d]", i), interconnect, trace.ClassIRI)

@@ -98,13 +98,17 @@ func (in *Injector) IRI(ring int) *Comp {
 	return in.newComp(fmt.Sprintf("iri/%d", ring), in.spec.Drop, 0, Window{}, -1)
 }
 
-// Ring returns the fault state for one ring: degrade windows during
-// which ring-clock edges are lost.
-func (in *Injector) Ring(name string) *Comp {
+// Ring returns the fault state for local ring r, or for the central ring
+// when r is -1: degrade windows during which ring-clock edges are lost.
+func (in *Injector) Ring(r int) *Comp {
 	if in == nil || !in.spec.DegradeRing.active() {
 		return nil
 	}
-	return in.newComp("ring/"+name, 0, 0, in.spec.DegradeRing, -1)
+	name := "ring/central"
+	if r >= 0 {
+		name = fmt.Sprintf("ring/local-%d", r)
+	}
+	return in.newComp(name, 0, 0, in.spec.DegradeRing, -1)
 }
 
 func (in *Injector) newComp(name string, drop, dup float64, win Window, wedgeAt int64) *Comp {

@@ -34,7 +34,7 @@ func TestParseSpec(t *testing.T) {
 		"drop", "drop=2", "drop=-0.5", "drop=x", "dup=NaN",
 		"freeze-mem=100", "freeze-mem=0:10", "freeze-mem=10:0", "freeze-mem=a:b",
 		"wedge-mem=5", "wedge-mem=-1:0", "wedge-mem=0:-3", "timeout=0", "timeout=-4",
-		"nope=1", "=-",
+		"nope=1", "=-", "drop=0.5,drop=0.1", "timeout=5,timeout=9",
 	} {
 		sp, err := ParseSpec(bad)
 		if err == nil {
@@ -51,7 +51,7 @@ func TestNilInjectorInert(t *testing.T) {
 	if in.FetchTimeout() != 0 {
 		t.Fatal("nil injector must disable the fetch timeout")
 	}
-	comps := []*Comp{in.Mem(0), in.NC(0), in.RI(0), in.IRI(0), in.Ring("local/0")}
+	comps := []*Comp{in.Mem(0), in.NC(0), in.RI(0), in.IRI(0), in.Ring(0)}
 	for i, c := range comps {
 		if c != nil {
 			t.Fatalf("comp %d non-nil from nil injector", i)
@@ -68,7 +68,7 @@ func TestNilInjectorInert(t *testing.T) {
 
 func TestInjectorGating(t *testing.T) {
 	in := New(1, Spec{Drop: 0.1, WedgeMemStation: -1})
-	if in.Mem(0) != nil || in.NC(0) != nil || in.Ring("x") != nil {
+	if in.Mem(0) != nil || in.NC(0) != nil || in.Ring(-1) != nil {
 		t.Fatal("drop-only spec must not build freeze comps")
 	}
 	if in.RI(0) == nil || in.IRI(0) == nil {
@@ -233,7 +233,7 @@ func FuzzParseSpec(f *testing.F) {
 			_ = c.DownCycles(10_000)
 			in.RI(0).Drop()
 			in.RI(0).Dup()
-			in.Ring("local/0").Stalled(10_000)
+			in.Ring(0).Stalled(10_000)
 		}
 	})
 }

@@ -12,6 +12,7 @@ package fault
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 
 	"numachine/internal/sim"
@@ -82,10 +83,15 @@ func (s Spec) Zero() bool {
 //	wedge-mem=S:C     permanently freeze station S's memory from cycle C
 //	timeout=N         NC fetch re-issue timeout in cycles
 //
-// The empty string parses to the zero spec.
+// Each key may appear once. The empty string parses to the zero spec.
 func ParseSpec(s string) (Spec, error) {
 	sp := Spec{WedgeMemStation: -1}
+	var seen []string
 	err := sim.ParseClauses("fault", s, func(key, val string) (err error) {
+		if slices.Contains(seen, key) {
+			return fmt.Errorf("key %q repeated", key)
+		}
+		seen = append(seen, key)
 		switch key {
 		case "drop":
 			sp.Drop, err = sim.ParseProb(val)

@@ -49,28 +49,19 @@ type IRI struct {
 	Tr *trace.Sink
 }
 
-// NewIRI builds the interface for local ring ringID. credits is the
-// station flow-control accounting (may be nil in unit tests); the IRI
-// needs it to return the credit of a packet the fault injector loses.
+// Init builds the interface for local ring ringID in place, in a zero
+// IRI. credits is the station flow-control accounting (may be nil in unit
+// tests); the IRI needs it to return the credit of a packet the fault
+// injector loses. p is read, never written.
 //
 // The FIFOs are unbounded: the paper sizes them so they never fill ("in
 // simulations of our prototype machine these buffers never contain more
 // than 60 packets"), and a bounded IRI buffer feeding a halted ring can
-// close a circular stall, so the model reports their observed depths
-// instead (UpStats, DownStats). p is read, never written.
-func NewIRI(p *sim.Params, ringID int, credits *Credits) *IRI {
-	return &IRI{
-		RingID:  ringID,
-		p:       p,
-		credits: credits,
-	}
+// close a circular stall, so an IRI never halts a ring and the model
+// reports the FIFOs' observed depths instead (UpStats, DownStats).
+func (i *IRI) Init(p *sim.Params, ringID int, credits *Credits) {
+	i.p, i.RingID, i.credits = p, ringID, credits
 }
-
-// LocalPort returns the IRI's attachment to its local ring.
-func (i *IRI) LocalPort() Node { return localPort{i} }
-
-// CentralPort returns the IRI's attachment to the central ring.
-func (i *IRI) CentralPort() Node { return centralPort{i} }
 
 // UpStats and DownStats expose queue statistics.
 func (i *IRI) UpStats() sim.QueueStats   { return i.upQ.Stats() }
@@ -79,32 +70,27 @@ func (i *IRI) DownStats() sim.QueueStats { return i.downQ.Stats() }
 // Idle reports whether both FIFOs are empty.
 func (i *IRI) Idle() bool { return i.upQ.Empty() && i.downQ.Empty() }
 
-// CentralPending reports whether a local-ring tick may have left the
-// central ring something to do: an ascending packet in the up FIFO. The
-// cycle loop re-gates the central ring after a local tick only then.
-func (i *IRI) CentralPending() bool { return !i.upQ.Empty() }
+// UpReadyAt reports when the IRI could next place a packet into a free
+// central-ring slot: the ReadyAt of the up FIFO's head (sim.Never when the
+// FIFO is empty).
+func (i *IRI) UpReadyAt() int64 { return readyAt(&i.upQ) }
 
-// DownPending reports whether the down FIFO holds a packet for the local
-// ring: the cycle loop re-gates that ring after a central tick only then.
-func (i *IRI) DownPending() bool { return !i.downQ.Empty() }
+// DownReadyAt reports when the IRI could next place a packet into a free
+// local-ring slot: the ReadyAt of the down FIFO's head (sim.Never when the
+// FIFO is empty).
+func (i *IRI) DownReadyAt() int64 { return readyAt(&i.downQ) }
 
-type localPort struct{ i *IRI }
-
-// InputFull is never true: the FIFOs are unbounded (see NewIRI), so an IRI
-// never halts the ring it sits on.
-func (l localPort) InputFull() bool { return false }
-
-// NextInject reports when the port could next place a packet into a free
-// local-ring slot: the head of the down FIFO becomes ready at its ReadyAt.
-func (l localPort) NextInject(now int64) int64 {
-	if pk, ok := l.i.downQ.Peek(); ok {
+func readyAt(q *sim.Queue[*msg.Packet]) int64 {
+	if pk, ok := q.Peek(); ok {
 		return pk.ReadyAt
 	}
 	return sim.Never
 }
 
-func (l localPort) HandleSlot(pkt *msg.Packet, now int64) *msg.Packet {
-	i := l.i
+// localSlot is the IRI's member of its local ring: it switches ascending
+// packets into the up FIFO, absorbs unsequenced invalidations at their
+// top level, and injects the down FIFO's head into a free slot.
+func (i *IRI) localSlot(pkt *msg.Packet, now int64) *msg.Packet {
 	if pkt != nil {
 		if pkt.Mask.Rings != 0 {
 			// Ascending packet: ring interfaces to higher-level rings always
@@ -153,21 +139,10 @@ func (l localPort) HandleSlot(pkt *msg.Packet, now int64) *msg.Packet {
 	return nil
 }
 
-type centralPort struct{ i *IRI }
-
-func (c centralPort) InputFull() bool { return false }
-
-// NextInject reports when the port could next place a packet into a free
-// central-ring slot: the head of the up FIFO becomes ready at its ReadyAt.
-func (c centralPort) NextInject(now int64) int64 {
-	if pk, ok := c.i.upQ.Peek(); ok {
-		return pk.ReadyAt
-	}
-	return sim.Never
-}
-
-func (c centralPort) HandleSlot(pkt *msg.Packet, now int64) *msg.Packet {
-	i := c.i
+// centralSlot is the IRI's member of the central ring: it copies packets
+// bound for its local ring into the down FIFO and injects the up FIFO's
+// head into a free slot.
+func (i *IRI) centralSlot(pkt *msg.Packet, now int64) *msg.Packet {
 	if pkt != nil {
 		if pkt.Mask.Rings&(1<<uint(i.RingID)) != 0 && pkt.Sequenced {
 			// Drop fault: the descending copy is lost. Droppable

@@ -10,6 +10,11 @@
 // unique path property and per-ring sequencing points give the global
 // ordering of invalidations that the coherence protocol relies on (§2.3).
 //
+// A ring's members are concrete: station ring interfaces, and the local or
+// central side of an inter-ring interface. Ring, IRI and StationRI are each
+// built by one Init that fills a value the caller owns, so a machine builds
+// its whole interconnect in place.
+//
 // Concurrency contract: ring interfaces, rings and IRIs are the
 // cross-station layer, so under every cycle loop they tick on one
 // goroutine, after the station phase (core.stepGated's phase 2 and tail).
@@ -17,8 +22,10 @@
 // phase; it touches only the RI's own packetization queues and a message no
 // other station can see yet. Everything else crosses stations: HandleSlot
 // acquires — and Tick releases — the flow-control credits of the packet's
-// *source* station, and ring Ticks move slots between nodes of different
-// stations. Nothing in this package is synchronized.
+// *source* station, ring Ticks move slots between members of different
+// stations, and the cycle loop reads the wakes that re-arm a ring
+// (StationRI.NextInject, IRI.UpReadyAt and DownReadyAt) only at serial
+// points. Nothing in this package is synchronized.
 package ring
 
 import (
@@ -29,43 +36,23 @@ import (
 	"numachine/internal/trace"
 )
 
-// Node is an attachment point on a ring. Each ring tick the ring presents
-// the node its current slot; the node returns the packet to leave in the
-// slot (nil consumes it; when given nil it may inject).
-type Node interface {
-	HandleSlot(pkt *msg.Packet, now int64) *msg.Packet
-	// InputFull reports whether this node's input buffer is close to
-	// capacity, in which case the ring feeding it is halted (§2.4).
-	InputFull() bool
-	// NextInject reports the earliest cycle at or after which the node
-	// could place a packet into a free slot (sim.Never when it has no
-	// pending output). The ring's activity gate uses it; a conservative
-	// (too early) answer costs a no-op tick, never correctness.
-	NextInject(now int64) int64
-}
-
 // Ring is one slotted ring. Slots advance every Params.RingHopCycles CPU
-// cycles; each slot carries at most one packet.
+// cycles; each slot carries at most one packet. Its members are concrete: a
+// local ring holds its stations' ring interfaces in position order and, on
+// a machine with a central ring, then its IRI, the ring's sequencing point
+// (§2.3); the central ring holds one IRI per local ring. Slot i belongs to
+// member i in that order.
 type Ring struct {
-	Name    string
-	Central bool
-
-	p       *sim.Params // the machine's, shared by every component; read-only
-	nodes   []Node
-	slots   []*msg.Packet
-	occ     int // occupied slots (recounted at each tick; slots change nowhere else)
-	seqNode int // sequencing point for invalidation ordering
-
-	// markInSlot sequences invalidations as they pass the sequencing node
-	// without absorbing them (central ring and single-ring machines). On
-	// local rings of a hierarchy the IRI absorbs and re-injects them,
-	// modelling the ordering queue at the connection to the higher level.
-	markInSlot bool
+	p     *sim.Params // the machine's, shared by every component; read-only
+	ris   []*StationRI
+	iris  []*IRI
+	slots []*msg.Packet
+	occ   int // occupied slots (recounted at each tick; slots change nowhere else)
 
 	// edgeAt is the first ring-clock edge not yet accounted in Util. Edges
 	// the scheduler skipped were provably empty and unhalted (only this
-	// ring's own ticks occupy its slots or fill its nodes' input buffers),
-	// so each contributes one idle observation per node.
+	// ring's own ticks occupy its slots or fill its members' input buffers),
+	// so each contributes one idle observation per member.
 	edgeAt int64
 
 	// Util reports the fraction of slot-observations that were occupied —
@@ -88,20 +75,17 @@ type Ring struct {
 	Tr *trace.Sink
 }
 
-// New builds a ring with the given attached nodes. seqNode is the index of
-// the sequencing point (the connection to the higher-level ring, or node 0
-// on the central ring / single-ring machines). p is read, never written.
-func New(name string, p *sim.Params, nodes []Node, seqNode int, central bool) *Ring {
-	return &Ring{
-		Name:       name,
-		Central:    central,
-		p:          p,
-		nodes:      nodes,
-		slots:      make([]*msg.Packet, len(nodes)),
-		seqNode:    seqNode,
-		markInSlot: central || seqNode == 0,
-	}
+// Init builds a ring in place, in a zero Ring, over slots, one per member,
+// which the caller owns. A local ring has its stations' ris in position
+// order and iris empty (single-ring machines) or holding its IRI; a ring
+// without ris is the central ring over one IRI per local ring. p is read,
+// never written.
+func (r *Ring) Init(p *sim.Params, ris []*StationRI, iris []*IRI, slots []*msg.Packet) {
+	r.p, r.ris, r.iris, r.slots = p, ris, iris, slots
 }
+
+// central reports whether this is the central ring.
+func (r *Ring) central() bool { return len(r.ris) == 0 }
 
 // hop returns the ring-clock period in CPU cycles (at least 1).
 func (r *Ring) hop() int64 {
@@ -111,10 +95,11 @@ func (r *Ring) hop() int64 {
 	return 1
 }
 
-// nextEdge returns the first ring-clock edge at or after t.
-func (r *Ring) nextEdge(t int64) int64 {
+// NextEdge returns the first ring-clock edge at or after t (sim.Never for
+// sim.Never).
+func (r *Ring) NextEdge(t int64) int64 {
 	h := r.hop()
-	if rem := t % h; rem != 0 {
+	if rem := t % h; rem != 0 && t != sim.Never {
 		t += h - rem
 	}
 	return t
@@ -123,42 +108,48 @@ func (r *Ring) nextEdge(t int64) int64 {
 // NextWork reports the earliest ring-clock edge at which Tick can do more
 // than rotate empty slots: immediately while packets are in flight or the
 // ring is halted (halted edges count flow-control stalls), else the edge
-// after some node's pending output becomes injectable.
+// after some member's pending output becomes injectable.
 func (r *Ring) NextWork(now int64) int64 {
-	if len(r.nodes) == 0 {
-		return sim.Never
-	}
-	if r.occ > 0 {
-		return r.nextEdge(now)
+	if r.occ > 0 || r.halted() {
+		return r.NextEdge(now)
 	}
 	wake := sim.Never
-	for _, n := range r.nodes {
-		if n.InputFull() {
-			return r.nextEdge(now)
+	for _, ri := range r.ris {
+		wake = min(wake, ri.NextInject())
+	}
+	for _, iri := range r.iris {
+		if r.central() {
+			wake = min(wake, iri.UpReadyAt())
+		} else {
+			wake = min(wake, iri.DownReadyAt())
 		}
-		if w := n.NextInject(now); w < wake {
-			wake = w
+	}
+	return r.NextEdge(max(wake, now))
+}
+
+// halted reports whether some member's input buffer is close to capacity,
+// in which case the whole ring halts (§2.4; the paper halts the feeding
+// ring, and with one slot per member this is the same granularity). Only
+// station interfaces can fill: the IRI FIFOs are unbounded (see IRI).
+func (r *Ring) halted() bool {
+	for _, ri := range r.ris {
+		if ri.InputFull() {
+			return true
 		}
 	}
-	if wake == sim.Never {
-		return sim.Never
-	}
-	if wake < now {
-		wake = now
-	}
-	return r.nextEdge(wake)
+	return false
 }
 
 // syncUtil accounts the utilization of every edge in [edgeAt, limit]. Only
 // edges the scheduler skipped can be pending here, and those were empty
-// and unhalted, so each contributes one idle observation per node —
+// and unhalted, so each contributes one idle observation per member —
 // exactly what the naive per-edge Util loop would have recorded.
 func (r *Ring) syncUtil(limit int64) {
-	if r.edgeAt > limit || len(r.nodes) == 0 {
+	if r.edgeAt > limit {
 		return
 	}
 	k := (limit-r.edgeAt)/r.hop() + 1
-	r.Util.AddTotal(k * int64(len(r.nodes)))
+	r.Util.AddTotal(k * int64(len(r.slots)))
 	r.edgeAt += k * r.hop()
 }
 
@@ -166,77 +157,65 @@ func (r *Ring) syncUtil(limit int64) {
 // without advancing the ring (called before snapshotting results).
 func (r *Ring) SyncStats(limit int64) { r.syncUtil(limit) }
 
-// Tick advances the ring if this cycle is a ring-clock edge. Flow control:
-// when any attached node's input buffer is near-full the whole ring halts
-// (the paper halts the feeding ring; with one slot per node this is the
-// same granularity).
+// Tick advances the ring if this cycle is a ring-clock edge and no member's
+// input buffer halts it.
 func (r *Ring) Tick(now int64) {
 	if r.p.RingHopCycles > 1 && now%int64(r.p.RingHopCycles) != 0 {
 		return
 	}
-	if len(r.nodes) == 0 {
-		return
-	}
 	r.syncUtil(now - 1)
 	r.edgeAt = now + r.hop()
-	for _, n := range r.nodes {
-		if n.InputFull() {
-			r.Stalls++
-			r.Tr.Emit(now, trace.KindRingStall, 0, 0, int32(r.Occupied()), 0)
-			return
-		}
+	if r.halted() {
+		r.Stalls++
+		r.Tr.Emit(now, trace.KindRingStall, 0, 0, int32(r.Occupied()), 0)
+		return
 	}
 	// Degraded-link fault: halt the edge — but only when the edge has work
-	// (occupied slots or an injection ready now). The condition matches
-	// NextWork's wake predicate exactly, so every loop evaluates it on the
-	// same set of edges and stall counts and traces stay loop-invariant;
-	// a workless edge inside an outage window moves nothing anyway.
-	if r.Fault.Stalled(now) && r.hasWork(now) {
+	// (occupied slots or an injection ready now). The condition is
+	// NextWork's wake predicate, so every loop evaluates it on the same set
+	// of edges and stall counts and traces stay loop-invariant; a workless
+	// edge inside an outage window moves nothing anyway.
+	if r.Fault.Stalled(now) && r.NextWork(now) <= now {
 		r.FaultStalls++
 		r.Tr.Emit(now, trace.KindFaultStall, 0, 0, int32(r.Occupied()), 0)
 		return
 	}
-	// Let every node examine/replace its current slot.
+	// Invalidations become "sequenced" when they pass the sequencing point
+	// of the highest ring level they visit. On the central ring and on a
+	// single-ring machine that is the member in slot 0, which marks them in
+	// its slot: on a local ring only descend-mode packets (Rings field
+	// cleared) are at their top level; on the central ring every packet is.
+	// On local rings of a hierarchy the IRI absorbs and re-injects them
+	// instead, modelling the ordering queue at the connection to the higher
+	// level.
+	if pkt := r.slots[0]; pkt != nil && !pkt.Sequenced &&
+		(r.central() || len(r.iris) == 0 && pkt.Mask.Rings == 0) {
+		pkt.Sequenced = true
+	}
+	// Let every member examine/replace its current slot.
 	occ := 0
-	for i, n := range r.nodes {
-		pkt := r.slots[i]
-		if r.markInSlot && pkt != nil && i == r.seqNode && !pkt.Sequenced {
-			// Invalidations become "sequenced" when they pass the
-			// sequencing point of the highest ring level they visit. On a
-			// local ring only descend-mode packets (Rings field cleared)
-			// are at their top level; on the central ring every packet is.
-			if r.Central || pkt.Mask.Rings == 0 {
-				pkt.Sequenced = true
-			}
+	for i, pkt := range r.slots {
+		if i < len(r.ris) {
+			pkt = r.ris[i].HandleSlot(pkt, now)
+		} else if iri := r.iris[i-len(r.ris)]; r.central() {
+			pkt = iri.centralSlot(pkt, now)
+		} else {
+			pkt = iri.localSlot(pkt, now)
 		}
-		r.slots[i] = n.HandleSlot(pkt, now)
-		if r.slots[i] != nil {
+		r.slots[i] = pkt
+		if pkt != nil {
 			occ++
 		}
-		r.Util.Tick(r.slots[i] != nil)
+		r.Util.Tick(pkt != nil)
 	}
 	r.occ = occ
-	// Advance: slot i moves to node i+1.
+	// Advance: slot i moves to member i+1.
 	last := r.slots[len(r.slots)-1]
 	copy(r.slots[1:], r.slots[:len(r.slots)-1])
 	r.slots[0] = last
-	if occ := r.Occupied(); occ > 0 {
+	if occ > 0 {
 		r.Tr.Emit(now, trace.KindRingOccupancy, 0, 0, int32(occ), 0)
 	}
-}
-
-// hasWork reports whether this edge could move a packet: a slot is
-// occupied, or some node has output ready to inject now.
-func (r *Ring) hasWork(now int64) bool {
-	if r.occ > 0 {
-		return true
-	}
-	for _, n := range r.nodes {
-		if n.NextInject(now) <= now {
-			return true
-		}
-	}
-	return false
 }
 
 // Occupied returns the number of full slots.

@@ -22,13 +22,12 @@ func buildLocalRing(t *testing.T, g topo.Geometry, p sim.Params) ([]*StationRI, 
 	t.Helper()
 	credits := NewCredits(g.Stations(), p.MaxNonsinkable)
 	var ris []*StationRI
-	var nodes []Node
 	for s := 0; s < g.Stations(); s++ {
-		ri := NewStationRI(g, p, s, credits)
-		ris = append(ris, ri)
-		nodes = append(nodes, ri)
+		ris = append(ris, NewStationRI(g, p, s, credits))
 	}
-	return ris, New("test", &p, nodes, 0, false)
+	r := new(Ring)
+	r.Init(&p, ris, nil, make([]*msg.Packet, len(ris)))
+	return ris, r
 }
 
 func runRing(r *Ring, ris []*StationRI, from, cycles int64) int64 {
@@ -191,23 +190,17 @@ func TestTwoLevelHierarchyCrossRing(t *testing.T) {
 	p := testParams()
 	credits := NewCredits(g.Stations(), p.MaxNonsinkable)
 	var ris []*StationRI
-	var locals []*Ring
-	var iris []*IRI
-	var centralNodes []Node
-	for ringID := 0; ringID < 2; ringID++ {
-		var nodes []Node
-		for pos := 0; pos < 2; pos++ {
-			ri := NewStationRI(g, p, g.StationAt(ringID, pos), credits)
-			ris = append(ris, ri)
-			nodes = append(nodes, ri)
-		}
-		iri := NewIRI(&p, ringID, credits)
-		iris = append(iris, iri)
-		nodes = append(nodes, iri.LocalPort())
-		centralNodes = append(centralNodes, iri.CentralPort())
-		locals = append(locals, New("local", &p, nodes, 2, false))
+	for s := 0; s < g.Stations(); s++ {
+		ris = append(ris, NewStationRI(g, p, s, credits))
 	}
-	central := New("central", &p, centralNodes, 0, true)
+	iris := []*IRI{new(IRI), new(IRI)}
+	locals := []*Ring{new(Ring), new(Ring)}
+	for ringID, lr := range locals {
+		iris[ringID].Init(&p, ringID, credits)
+		lr.Init(&p, ris[2*ringID:2*ringID+2], iris[ringID:ringID+1], make([]*msg.Packet, 3))
+	}
+	central := new(Ring)
+	central.Init(&p, nil, iris, make([]*msg.Packet, 2))
 
 	// Station 0 (ring 0) sends data to station 3 (ring 1).
 	ris[0].BusDeliver(&msg.Message{

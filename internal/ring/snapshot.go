@@ -1,6 +1,7 @@
 package ring
 
 import (
+	"slices"
 	"sort"
 
 	"numachine/internal/msg"
@@ -9,7 +10,7 @@ import (
 
 // This file holds the canonical state encoders the model checker's
 // snapshot hooks use (see internal/snap). Statistics, trace sinks, packet
-// pools and first-seen stamps are excluded everywhere: they cannot affect
+// pools and reassembly start stamps are excluded everywhere: they cannot affect
 // future protocol behavior.
 
 // Encode appends the ring's slot contents in positional order. Slot
@@ -29,9 +30,9 @@ func (c *Credits) Encode(e *snap.Enc) {
 }
 
 // Encode appends the station ring interface's queues and reassembly state.
-// Reassembly entries are keyed by message pointer; they are sorted by a
-// stable field tuple (ties broken by count) so the iteration order — and
-// with it the encoder's first-appearance pointer renaming — is canonical.
+// Reassembly entries are in arrival order; they are sorted by a stable
+// field tuple (ties broken by count) so the order — and with it the
+// encoder's first-appearance pointer renaming — is canonical.
 func (r *StationRI) Encode(e *snap.Enc) {
 	e.Int(r.BusOut().Len())
 	r.BusOut().Each(func(m *msg.Message) { m.Encode(e) })
@@ -42,14 +43,7 @@ func (r *StationRI) Encode(e *snap.Enc) {
 	e.Int(r.inFIFO.Len())
 	r.inFIFO.Each(func(p *msg.Packet) { p.Encode(e) })
 
-	type reasmEntry struct {
-		m     *msg.Message
-		count int
-	}
-	entries := make([]reasmEntry, 0, len(r.reasm))
-	for m, count := range r.reasm {
-		entries = append(entries, reasmEntry{m, count})
-	}
+	entries := slices.Clone(r.reasm)
 	sort.Slice(entries, func(i, j int) bool {
 		a, b := entries[i].m, entries[j].m
 		switch {

@@ -1,6 +1,8 @@
 package ring
 
 import (
+	"slices"
+
 	"numachine/internal/bus"
 	"numachine/internal/fault"
 	"numachine/internal/monitor"
@@ -59,7 +61,6 @@ func (c *Credits) InFlight(st int) int { return int(c.inFlight[st]) }
 type StationRI struct {
 	g       topo.Geometry
 	p       *sim.Params // the machine's, shared by every component; read-only
-	ringID  int
 	pos     int
 	credits *Credits
 
@@ -67,8 +68,7 @@ type StationRI struct {
 	nonsinkQ sim.Queue[*msg.Packet]
 	inFIFO   sim.Queue[*msg.Packet]
 
-	reasm      map[*msg.Message]int   // nil until the first packet arrives
-	firstSeen  map[*msg.Message]int64 // made with reasm
+	reasm      []reassembly // messages whose packets are arriving
 	unpackBusy int64
 
 	// pool recycles the packets this interface creates (packetization and
@@ -131,7 +131,7 @@ func NewStationRI(g topo.Geometry, p sim.Params, station int, credits *Credits) 
 func (r *StationRI) Init(g topo.Geometry, p *sim.Params, station int, credits *Credits) {
 	r.g, r.p = g, p
 	r.Addr(g, station, g.ModRI())
-	r.ringID, r.pos = g.RingOf(station), g.PosOf(station)
+	r.pos = g.PosOf(station)
 	r.credits = credits
 	r.inFIFO.Capacity = p.RingInputFIFO
 }
@@ -153,7 +153,7 @@ func (r *StationRI) BusDeliver(m *msg.Message, now int64) {
 	}
 	// A mask confined to this ring is already at its highest level: clear
 	// the rings field so the packet travels in descend mode.
-	if mask.Rings == 1<<uint(r.ringID) {
+	if mask.Rings == 1<<uint(r.g.RingOf(r.Station)) {
 		mask.Rings = 0
 	}
 	n := m.Packets(r.p.PacketsPerLine)
@@ -191,14 +191,16 @@ func (r *StationRI) BusDeliver(m *msg.Message, now int64) {
 	}
 }
 
-// InputFull implements Node flow control: halt the ring when the input
-// FIFO can no longer absorb one packet per tick safely.
+// InputFull reports whether the input FIFO can no longer absorb one packet
+// per tick safely, in which case the ring halts (§2.4).
 func (r *StationRI) InputFull() bool {
 	return r.inFIFO.Capacity > 0 && r.inFIFO.Len() >= r.inFIFO.Capacity-1
 }
 
-// HandleSlot implements Node: consume packets addressed to this station,
-// inject pending output into free slots.
+// HandleSlot is the interface's member of its local ring: each ring tick
+// presents it its current slot, and it returns the packet to leave there
+// (nil frees the slot). It consumes packets addressed to this station and
+// injects pending output into free slots.
 func (r *StationRI) HandleSlot(pkt *msg.Packet, now int64) *msg.Packet {
 	if pkt != nil {
 		if pkt.Mask.Rings == 0 && pkt.Mask.Stations&(1<<uint(r.pos)) != 0 && pkt.Sequenced {
@@ -278,25 +280,14 @@ func (r *StationRI) NextWork(now int64) int64 {
 	return now
 }
 
-// NextInject implements the Node activity probe: the earliest cycle at
-// which a queued output packet becomes ready for a free slot. A
+// NextInject reports the earliest cycle at which a queued output packet
+// becomes ready for a free slot (sim.Never when none is queued). A
 // credit-blocked nonsinkable head still reports its ReadyAt — waking the
-// ring for a tick that injects nothing is harmless (the naive loop ticks
-// it every edge regardless), only missing work would not be.
-func (r *StationRI) NextInject(now int64) int64 {
-	wake := sim.Never
-	if pk, ok := r.sinkQ.Peek(); ok {
-		wake = pk.ReadyAt
-	}
-	if pk, ok := r.nonsinkQ.Peek(); ok && pk.ReadyAt < wake {
-		wake = pk.ReadyAt
-	}
-	return wake
+// ring for a tick that injects nothing is harmless (the reference order
+// ticks it every edge regardless), only missing work would not be.
+func (r *StationRI) NextInject() int64 {
+	return min(readyAt(&r.sinkQ), readyAt(&r.nonsinkQ))
 }
-
-// OutPending reports whether packets wait in the send queues for a ring
-// slot: the cycle loop re-gates the local ring after a bus tick only then.
-func (r *StationRI) OutPending() bool { return !r.sinkQ.Empty() || !r.nonsinkQ.Empty() }
 
 // InFIFODepth returns the current input-FIFO depth (diagnostics).
 func (r *StationRI) InFIFODepth() int { return r.inFIFO.Len() }
@@ -310,27 +301,26 @@ func (r *StationRI) Tick(now int64) {
 			return
 		}
 		m := pkt.Msg
-		if _, seen := r.firstSeen[m]; !seen {
-			if r.firstSeen == nil {
-				r.firstSeen = make(map[*msg.Message]int64)
-				r.reasm = make(map[*msg.Message]int)
-			}
-			r.firstSeen[m] = pkt.EnqueuedAt
+		k := 0
+		for k < len(r.reasm) && r.reasm[k].m != m {
+			k++
 		}
-		r.reasm[m]++
-		of := pkt.Of
+		if k == len(r.reasm) {
+			r.reasm = append(r.reasm, reassembly{m: m, first: pkt.EnqueuedAt})
+		}
+		r.reasm[k].count++
+		done := r.reasm[k].count >= pkt.Of
 		r.pool.Put(pkt) // reassembly is keyed by m; the packet is done
-		if r.reasm[m] < of {
+		if !done {
 			// Mid-chain packet: the chain's remaining packets hold further
-			// references, so this release cannot recycle m while the reasm
-			// maps still key on it.
+			// references, so this release cannot recycle m while reasm
+			// still holds it.
 			m.Release()
 			continue
 		}
 		// Message complete: deliver a private copy to the bus.
-		delete(r.reasm, m)
-		first := r.firstSeen[m]
-		delete(r.firstSeen, m)
+		first := r.reasm[k].first
+		r.reasm = slices.Delete(r.reasm, k, k+1)
 		r.route(r.Send(*m))
 		if m.Type.Sinkable() {
 			r.DownSink.Sample(now - first)
@@ -353,6 +343,15 @@ func (r *StationRI) Tick(now int64) {
 			r.Msgs.Put(m)
 		}
 	}
+}
+
+// reassembly is one message whose packets are arriving: how many have
+// arrived, and the first one's EnqueuedAt, which the Figure 18a downward
+// delays are measured from.
+type reassembly struct {
+	m     *msg.Message
+	count int
+	first int64
 }
 
 // route assigns the station-bus destination of an incoming network
