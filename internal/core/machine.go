@@ -139,17 +139,6 @@ type Machine struct {
 	runners []*proc.Runner
 	inj     *fault.Injector // nil in fault-free runs
 
-	// msgPools/pktPools are every message and packet free list in the
-	// machine, collected once so rebalancePools can level them: structs
-	// are allocated by the sending side's pool but recycled into the pool
-	// where they die, so asymmetric traffic steadily drains some free
-	// lists while growing others. Leveling runs only at serial points
-	// (Load, and the Run loop every rebalanceEvery cycles) and is invisible
-	// to simulated behaviour.
-	msgPools    []*msg.Pool[msg.Message]
-	pktPools    []*msg.Pool[msg.Packet]
-	rebalanceAt int64
-
 	now      int64
 	heapNext uint64
 	pageHome map[uint64]int // AllocAt overrides and FirstTouch assignments
@@ -299,16 +288,17 @@ func New(cfg Config) (*Machine, error) {
 	m.Mems = make([]*memory.Module, ns)
 	m.NCs = make([]*netcache.Module, ns)
 	m.RIs = make([]*ring.StationRI, ns)
-	m.msgPools = make([]*msg.Pool[msg.Message], ns)
+	// One message pool per station, shared by every component of that
+	// station; births indexes them by station, and every record dies into
+	// the pool that built it (see msg.Pool). No pool needs a lock under any
+	// cycle loop: a station's components use its pool on its phase-1 worker
+	// or in the serial interconnect phase, which the shard pool's barrier
+	// separates, and ring originals go home only in that serial phase.
+	births := make([]*msg.Pool[msg.Message], ns)
 	for s := range stations {
 		st := &stations[s]
-		// One message pool per station, shared by every component of that
-		// station: all of a station's Get/Put calls happen on its phase-1
-		// worker or in the serial interconnect phase, which the pool's
-		// barrier separates, so the pool needs no locking under any cycle
-		// loop.
 		pool := &st.msgs
-		m.msgPools[s] = pool
+		births[s] = pool
 		lo, hi := s*nmod, (s+1)*nmod
 		st.bus.Init(g, p, s, modules[lo:hi:hi], outs[lo:hi:hi])
 		st.bus.Msgs = pool
@@ -325,6 +315,7 @@ func New(cfg Config) (*Machine, error) {
 		st.ri.Init(g, p, s, m.credits)
 		st.ri.Fault = m.inj.RI(s)
 		st.ri.Msgs = pool
+		st.ri.Births = births
 		m.RIs[s] = &st.ri
 	}
 	m.runners = make([]*proc.Runner, g.Procs())
@@ -342,7 +333,7 @@ func New(cfg Config) (*Machine, error) {
 			cpu.HomeOf = m.firstTouchHomeOf(cpu)
 		}
 		cpu.OnBarrier = onBarrier
-		cpu.Msgs = m.msgPools[cpu.Station]
+		cpu.Msgs = births[cpu.Station]
 		m.CPUs[id] = cpu
 	}
 	for s, b := range m.Buses {
@@ -353,14 +344,7 @@ func New(cfg Config) (*Machine, error) {
 		b.Attach(g.ModNC(), m.NCs[s])
 		b.Attach(g.ModRI(), m.RIs[s])
 	}
-	m.buildRings()
-	m.pktPools = make([]*msg.Pool[msg.Packet], 0, len(m.RIs)+len(m.IRIs))
-	for _, ri := range m.RIs {
-		m.pktPools = append(m.pktPools, ri.PacketPool())
-	}
-	for _, iri := range m.IRIs {
-		m.pktPools = append(m.pktPools, iri.PacketPool())
-	}
+	m.buildRings(births)
 	m.liveCPU = make([]bool, g.Procs())
 	m.pollCPU = make([]int64, g.Procs())
 	m.pollBus = make([]int64, g.Stations())
@@ -385,8 +369,10 @@ func New(cfg Config) (*Machine, error) {
 // buildRings wires the ring hierarchy in place: each local ring carries its
 // stations' RIs (station ids are ring-major) and, when there is a central
 // ring, its IRI, the ring's sequencing point (§2.3); the central ring
-// carries every IRI. All rings share one slab of slots.
-func (m *Machine) buildRings() {
+// carries every IRI. All rings share one slab of slots. births is every
+// station's message pool, where the IRIs return the ring originals whose
+// last packet dies in them.
+func (m *Machine) buildRings(births []*msg.Pool[msg.Message]) {
 	g, p := m.g, &m.p
 	n, spr := g.Rings, g.StationsPerRing
 	groups := make([]ringGroup, n)
@@ -399,10 +385,11 @@ func (m *Machine) buildRings() {
 			iri := &groups[r].iri
 			iri.Init(p, r, m.credits)
 			iri.Fault = m.inj.IRI(r)
+			iri.Births = births
 			m.IRIs[r] = iri
 		}
 	}
-	slots := make([]*msg.Packet, n*members+len(m.IRIs))
+	slots := make([]msg.Packet, n*members+len(m.IRIs))
 	for r := range groups {
 		lr := &groups[r].ring
 		var iri []*ring.IRI

@@ -12,11 +12,13 @@ import (
 
 // TestPoolDoubleFreeSoak runs representative scenarios — fault-free and
 // faulted, under both optimized cycle loops — with the pools' double-free
-// guard armed. A Put site that releases a message or packet still owned
-// elsewhere (a multicast original, a dup-faulted chain, a forwarded
-// response) panics at the second Put instead of silently aliasing two
-// owners; combined with -race in CI this covers both lifetime bugs the
-// recycling discipline could introduce.
+// guard armed. A Put site that releases a message or directory record
+// still owned elsewhere (a multicast original, a dup-faulted chain, a
+// forwarded response) panics at the second Put into its birth pool
+// instead of silently aliasing two owners; combined with -race in CI this
+// covers both lifetime bugs the recycling discipline could introduce, and
+// the race detector also sees any ring-side Put into another station's
+// pool that escaped the serial interconnect phase.
 func TestPoolDoubleFreeSoak(t *testing.T) {
 	defer msg.SetPoolDebug(msg.SetPoolDebug(true))
 	scenarios := equivScenarios()
@@ -103,13 +105,14 @@ func TestMulticastRefcountReleaseOrder(t *testing.T) {
 // TestAllocsPerRef pins the pooled hot paths: steady-state heap
 // allocations per completed reference on a dense, invalidation-heavy
 // sharing run. An identical warm-up phase runs first so every free list
-// (messages, packets, directory txns), reassembly map and queue backing
-// array reaches its working-set size; the measured phase then exercises
-// only the recycling paths. With message, packet, txn and multicast-
-// original recycling wired the measured phase allocates essentially
-// nothing — the budget is a hard zero-alloc gate with only enough slack
-// for runtime-internal noise, and trips immediately if any recycling
-// path is lost.
+// (each station's messages, the directory txns), reassembly list and
+// queue backing array — the ring FIFOs of packet values included —
+// reaches its working-set size; the measured phase then exercises only
+// the recycling paths. With message, txn and multicast-original
+// recycling wired, every record going home to the pool that built it,
+// the measured phase allocates essentially nothing — the budget is a
+// hard zero-alloc gate with only enough slack for runtime-internal
+// noise, and trips immediately if any recycling path is lost.
 func TestAllocsPerRef(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Geom = topo.Geometry{ProcsPerStation: 2, StationsPerRing: 2, Rings: 2}
@@ -159,4 +162,67 @@ func TestAllocsPerRef(t *testing.T) {
 		t.Errorf("allocs per reference = %.3f, budget %.2f: a zero-alloc hot path regressed", perRef, budget)
 	}
 	t.Logf("allocs per reference: %.4f (%d refs)", perRef, refs)
+}
+
+// TestFreeListsStayHome pins the rule that every record dies into the pool
+// that built it (see msg.Pool) under the traffic that would expose a
+// breach: every hot line is homed on station 0, so requests and
+// write-backs flow into that one station and responses and invalidations
+// flow out of it. A message that died into its receiver's pool would grow
+// station 0's free list while the senders kept allocating, and with
+// nothing to level the pools the senders' fresh allocations would grow
+// with the run. After an identical warm-up every pool holds its own
+// station's working set, so the measured run may allocate only the
+// handful of messages a slightly different interleaving needs at a peak.
+func TestFreeListsStayHome(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Geom = topo.Geometry{ProcsPerStation: 2, StationsPerRing: 2, Rings: 2}
+	cfg.Params.L2Lines = 64
+	cfg.Params.NCLines = 128
+	cfg.Params.DeadlockCycles = 2_000_000
+	m, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// More hot lines than a station's caches hold, so remote stations
+	// write back evicted dirty lines to the home as well as fetching them.
+	const lines, perProc = 256, 3000
+	base := m.AllocAt(0, lines*m.Params().LineSize)
+	prog := func(c *proc.Ctx) {
+		rng := sim.NewRNG(uint64(c.ID)*131 + 7)
+		for i := 0; i < perProc; i++ {
+			line := base + uint64(rng.Intn(lines))*64
+			if rng.Intn(4) == 0 {
+				c.Write(line, uint64(c.ID)<<32|uint64(i))
+			} else {
+				c.Read(line)
+			}
+		}
+		c.Barrier()
+	}
+	progs := make([]proc.Program, m.Geometry().Procs())
+	for i := range progs {
+		progs[i] = prog
+	}
+	fresh := func() []int64 {
+		news := make([]int64, len(m.Buses))
+		for s, b := range m.Buses {
+			news[s], _ = b.Msgs.Stats()
+		}
+		return news
+	}
+	m.Load(progs)
+	m.Run()
+	warm := fresh()
+	m.Load(progs)
+	m.Run()
+	const slack = 16
+	for s, n := range fresh() {
+		if d := n - warm[s]; d > slack {
+			t.Errorf("station %d's message pool made %d fresh allocations in the measured run (warm-up %d), want at most %d",
+				s, d, warm[s], slack)
+		} else {
+			t.Logf("station %d: %d fresh in the measured run (warm-up %d)", s, d, warm[s])
+		}
+	}
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"numachine/internal/msg"
 	"numachine/internal/proc"
 )
 
@@ -33,23 +32,7 @@ func (m *Machine) Load(progs []proc.Program) {
 	for i := range m.liveCPU {
 		m.liveCPU[i] = m.runners[i] != nil
 	}
-	m.rebalancePools() // start the phase with leveled free lists
 	m.resetPolls()
-}
-
-// rebalanceEvery is the cycle cadence of the free-list leveling in Run.
-// The interval only has to bound how far a free list can drain between
-// levelings: cross-pool drift is a few structs per thousand cycles even
-// under the most asymmetric workloads, far below the working-set-sized
-// free lists a warmed-up machine carries.
-const rebalanceEvery = 1 << 13
-
-// rebalancePools levels every message and packet free list across the
-// machine (see msg.Rebalance). Callers must hold the serial point:
-// no shard may be running.
-func (m *Machine) rebalancePools() {
-	msg.Rebalance(m.msgPools)
-	msg.Rebalance(m.pktPools)
 }
 
 // SetDriver arranges for fn to run at a serial point of the run loop
@@ -113,7 +96,6 @@ func (m *Machine) Run() int64 {
 		return false
 	}
 	lastRefs, lastAt := int64(-1), m.now
-	m.rebalanceAt = m.now + rebalanceEvery
 	if m.p.DeadlockCycles > 0 {
 		m.watchdogAt = lastAt + m.p.DeadlockCycles
 	}
@@ -147,12 +129,6 @@ func (m *Machine) Run() int64 {
 		if m.onSample != nil && m.now >= m.sampleAt {
 			m.onSample(m)
 			m.sampleAt = m.now + m.sampleEvery
-		}
-		if m.now >= m.rebalanceAt {
-			// Level the free lists so cross-pool migration cannot drain any
-			// pool below its steady-state working set mid-run.
-			m.rebalancePools()
-			m.rebalanceAt = m.now + rebalanceEvery
 		}
 		if m.p.DeadlockCycles > 0 && m.now-lastAt >= m.p.DeadlockCycles {
 			refs := m.totalRefs()

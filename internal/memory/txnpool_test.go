@@ -63,7 +63,7 @@ func TestTxnPoolLeakFree(t *testing.T) {
 
 // TestTxnPoolDoubleFreePanics arms the shared pool-debug switch and frees
 // the same record twice — the guard must trip at the second free, exactly
-// like the message and packet pools' discipline.
+// like the message pools' discipline.
 func TestTxnPoolDoubleFreePanics(t *testing.T) {
 	defer msg.SetPoolDebug(msg.SetPoolDebug(true))
 	g := topo.Geometry{ProcsPerStation: 4, StationsPerRing: 4, Rings: 2}

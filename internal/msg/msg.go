@@ -221,17 +221,17 @@ type Message struct {
 	// until that invalidation arrives (§2.3, Figure 7).
 	InvalFollows bool
 
-	// refs counts the live Packet structs aliasing this message while it is
-	// in the ring network: the sending interface initializes it to the
+	// refs counts the live packets aliasing this message while it is in the
+	// ring network: the sending interface initializes it to the
 	// packetization count, every per-station consume copy and inter-ring
 	// descend copy adds one, and every packet death releases one. The site
-	// that observes the count hit zero owns the message and may recycle it —
-	// including multicast originals, which before refcounting always leaked
-	// to the GC. A plain counter: InitRefs runs in the sending station's
-	// phase (on a message no other station can see yet), everything after
-	// it in the serial interconnect phase. The private copy a ring
-	// interface delivers to its bus (`*cp = *m`) inherits a count that means
-	// nothing: InitRefs overwrites it if the copy is ever packetized.
+	// that observes the count hit zero owns the message and returns it to
+	// the pool of its SrcStation, the station that built it (see Pool). A
+	// plain counter: InitRefs runs in the sending station's phase (on a
+	// message no other station can see yet), everything after it in the
+	// serial interconnect phase. The private copy a ring interface delivers
+	// to its bus inherits a count that means nothing: InitRefs overwrites
+	// it if the copy is ever packetized.
 	refs int32
 }
 
@@ -269,14 +269,15 @@ func (m *Message) String() string {
 		m.Type, m.Line, m.Home, m.SrcStation, m.DstStation, m.Requester, m.TxnID)
 }
 
-// Packet is one ring slot's worth of a message. All packets of a message
-// carry the same Msg pointer; Seq/Of let the receiving ring interface
-// reassemble interleaved transfers (§3.1.3). Each multicast copy gets its
-// own Packet values but shares Msg.
+// Packet is one ring slot's worth of a message: a value, copied from slot
+// to FIFO to slot like the slot contents of §3.1.3, and an empty slot holds
+// the zero Packet (Msg == nil). All packets of a message carry the same Msg
+// pointer; Seq orders a message's packets, and the receiving ring interface
+// reassembles interleaved transfers by counting them up to Msg.Packets.
+// Each multicast copy is its own Packet value but shares Msg.
 type Packet struct {
 	Msg  *Message
-	Seq  int              // 0-based packet index within the message
-	Of   int              // total packets in the message
+	Seq  uint16           // 0-based packet index within the message
 	Mask topo.RoutingMask // remaining destinations (mutated during routing)
 
 	// Sequenced is set when the copy passes the sequencing point of the

@@ -13,6 +13,15 @@ func TestMessageSize(t *testing.T) {
 	}
 }
 
+// TestPacketSize pins the packet, a value copied from ring slot to FIFO to
+// slot, at four words: the message pointer, the index, mask and sequenced
+// flag packed into one, and the two timestamps.
+func TestPacketSize(t *testing.T) {
+	if s := unsafe.Sizeof(Packet{}); s != 32 {
+		t.Fatalf("Packet is %d bytes, want 32", s)
+	}
+}
+
 func TestSinkableClassification(t *testing.T) {
 	// §2.4: nonsinkable messages are those that elicit responses — all
 	// request and intervention types; everything else can always be sunk.

@@ -3,36 +3,38 @@ package msg
 import "fmt"
 
 // Pool is the deterministic free list behind every recycled record in the
-// machine: ring packets, bus/network messages and the directory
-// transaction records of internal/memory and internal/netcache.
+// machine: bus/network messages and the directory transaction records of
+// internal/memory and internal/netcache. Ring packets are values in slots
+// and FIFOs and need no pool.
 //
-// Packets churn fastest — every bus message bound for the network is split
-// into packets at the sending ring interface, copied at every consuming
-// station and at each inter-ring descent, and discarded after reassembly.
-// Messages are the other steady-state allocation: every bus transaction,
-// coherence action and network response constructs one, and almost all of
-// them die at a well-defined point — consumed by a memory module or
-// network cache after handling, delivered to a processor, or superseded by
-// the private copy a ring interface hands to its bus. Messages whose
-// lifetime is genuinely shared (multicast originals whose packets alias
-// one Message across stations, duplicate-faulted packet chains) are simply
-// never Put and die to the garbage collector.
+// The one rule: a record dies into the pool that built it. Every station
+// owns one message pool, shared by its processors, bus, memory module,
+// network cache and ring interface. A message on a station bus was built
+// on that station — the ring interface hands its bus a private copy of
+// every arriving message — so it dies there, in the same pool. A message
+// sent into the ring network was built by its SrcStation and is aliased by
+// its packets; the packet death that drops its reference count to zero
+// (Message.Release) owns it and puts it into the pool of its SrcStation,
+// whether that death is the last reassembly at a receiving interface, a
+// drop at injection, or a fault drop in an inter-ring interface. Multicast
+// originals and duplicate-fault chains recycle the same way. So no free
+// list grows at one station while another allocates: under any traffic,
+// skewed or not, each pool settles at its own station's working set.
 //
 // Determinism: recycling cannot perturb simulated behaviour. A recycled
 // record is zeroed at release and fully overwritten at reuse, the free
 // list is plain LIFO with no time- or scheduling-dependent state, and
 // pooled pointers are never compared or used as map keys while free
-// (Message identity keys the reassembly maps while packets are in flight,
-// but every Put site runs strictly after the message has left them, or
-// never entered them).
+// (Message identity keys reassembly while packets are in flight, but every
+// Put site runs strictly after the message has left it, or never entered
+// it).
 //
-// Concurrency: a pool is single-owner, like the component that holds it.
-// A StationRI's packet pool is touched from its own station's phase-1
-// worker (BusDeliver) and from the serial interconnect phase
-// (HandleSlot/Tick), which never overlap; IRI pools are touched in the
-// interconnect phase only. Records may die at a different component than
-// the one that allocated them — cross-pool migration is harmless because
-// every pool of one type recycles the same struct.
+// Concurrency: a pool is single-owner, like the component or station that
+// holds it. A station's components touch its message pool from that
+// station's phase-1 worker; ring interfaces and inter-ring interfaces put
+// ring originals into any station's pool, but only in the serial
+// interconnect phase, which the shard pool's barrier separates from every
+// phase-1 worker.
 //
 // All methods tolerate a nil receiver (Get falls back to the heap, Put
 // drops the record) so components constructed directly in tests work
@@ -99,42 +101,4 @@ func (p *Pool[T]) Stats() (news, hits int64) {
 		return 0, 0
 	}
 	return p.news, p.hits
-}
-
-// Rebalance levels the free lists across pools: every pool below the mean
-// free count is topped up from pools above it. Records routinely die at a
-// different component than the one that allocated them — packets at the
-// consuming interface, messages in the consuming station's pool — so under
-// asymmetric traffic (all hot lines homed on one station, say) free
-// records pile up at the busy destinations while the busy sources allocate
-// fresh ones forever; periodic leveling at a serial point turns that
-// steady drift into a one-time warm-up cost. Moving free entries between
-// pools is invisible to the simulation — recycled structs are zeroed and
-// fully overwritten, and pointers are never compared — so leveling cannot
-// perturb bit-identical runs.
-func Rebalance[T any](pools []*Pool[T]) {
-	if len(pools) < 2 {
-		return
-	}
-	total := 0
-	for _, p := range pools {
-		total += len(p.free)
-	}
-	target := total / len(pools)
-	d := 0 // donor scan index; donors (above target) and receivers (below) are disjoint
-	for _, p := range pools {
-		for len(p.free) < target {
-			for d < len(pools) && len(pools[d].free) <= target {
-				d++
-			}
-			if d == len(pools) {
-				return
-			}
-			q := pools[d]
-			n := len(q.free) - 1
-			p.free = append(p.free, q.free[n])
-			q.free[n] = nil
-			q.free = q.free[:n]
-		}
-	}
 }

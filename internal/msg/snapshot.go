@@ -35,17 +35,16 @@ func (m *Message) Encode(e *snap.Enc) {
 	e.Bool(m.InvalFollows)
 }
 
-// Encode appends the packet's state to a canonical encoding. EnqueuedAt is
+// Encode appends the packet's state to a canonical encoding; an empty
+// slot (Msg == nil) encodes as a nil message alone. EnqueuedAt is
 // monitoring-only and excluded; ReadyAt is a future deadline and encoded
 // relative to the snapshot cycle.
 func (p *Packet) Encode(e *snap.Enc) {
-	if p == nil {
-		e.Byte(0)
+	p.Msg.Encode(e)
+	if p.Msg == nil {
 		return
 	}
-	p.Msg.Encode(e)
-	e.Int(p.Seq)
-	e.Int(p.Of)
+	e.Int(int(p.Seq))
 	e.U16(p.Mask.Rings)
 	e.U16(p.Mask.Stations)
 	e.Bool(p.Sequenced)

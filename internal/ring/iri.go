@@ -19,16 +19,14 @@ type IRI struct {
 
 	p       *sim.Params // the machine's, shared by every component; read-only
 	credits *Credits
-	upQ     sim.Queue[*msg.Packet]
-	downQ   sim.Queue[*msg.Packet]
+	upQ     sim.Queue[msg.Packet]
+	downQ   sim.Queue[msg.Packet]
 
-	// pool recycles the descending copies this switch creates and the
-	// packets that die here (fully-copied multicast originals, switch-time
-	// drops). Packet deaths here release their message reference but never
-	// recycle the message even on the last release: the IRI owns no message
-	// pool, so a zero-hit — possible only for fault-dropped requests — falls
-	// back to the GC.
-	pool msg.Pool[msg.Packet]
+	// Births is every station's message pool, by station id (nil-safe;
+	// wired by core). A packet death here that leaves no packet aliasing
+	// its message — possible only for a fault-dropped request — returns
+	// the message to Births[SrcStation], the pool that built it.
+	Births []*msg.Pool[msg.Message]
 
 	// UpDelay feeds Figure 18b (average delay in the upward path of the
 	// central ring interface).
@@ -80,122 +78,115 @@ func (i *IRI) UpReadyAt() int64 { return readyAt(&i.upQ) }
 // FIFO is empty).
 func (i *IRI) DownReadyAt() int64 { return readyAt(&i.downQ) }
 
-func readyAt(q *sim.Queue[*msg.Packet]) int64 {
+func readyAt(q *sim.Queue[msg.Packet]) int64 {
 	if pk, ok := q.Peek(); ok {
 		return pk.ReadyAt
 	}
 	return sim.Never
 }
 
-// localSlot is the IRI's member of its local ring: it switches ascending
-// packets into the up FIFO, absorbs unsequenced invalidations at their
-// top level, and injects the down FIFO's head into a free slot.
-func (i *IRI) localSlot(pkt *msg.Packet, now int64) *msg.Packet {
-	if pkt != nil {
-		if pkt.Mask.Rings != 0 {
-			// Ascending packet: ring interfaces to higher-level rings always
-			// switch these up (§2.2).
-			//
-			// Drop fault: the request is lost in the switch. The draw
-			// happens only for droppable types on an occupied-slot
-			// edge, which every cycle loop ticks.
-			if pkt.Msg.Type.Droppable() && i.Fault.Drop() {
-				i.Drops++
-				i.Tr.Emit(now, trace.KindFaultDrop, pkt.Msg.Line, pkt.Msg.TxnID,
-					int32(pkt.Msg.Type), 1)
-				if i.credits != nil {
-					i.credits.Release(pkt.Msg.SrcStation)
-				}
-				mm := pkt.Msg
-				i.pool.Put(pkt)
-				mm.Release()
-				return nil
-			}
-			pkt.ReadyAt = now + int64(i.p.IRICycles)
-			i.upQ.Push(pkt)
-			i.Tr.Emit(now, trace.KindFlitSwitch, pkt.Msg.Line, pkt.Msg.TxnID,
-				0, int32(pkt.Msg.Type))
-			return nil
+// localSlot is the IRI's member of its local ring, editing its slot in
+// place: it switches ascending packets into the up FIFO, absorbs
+// unsequenced invalidations at their top level, and injects the down
+// FIFO's head into a free slot.
+func (i *IRI) localSlot(pkt *msg.Packet, now int64) {
+	if pkt.Msg == nil {
+		if pk, ok := i.downQ.Peek(); ok && pk.ReadyAt <= now {
+			i.downQ.Pop()
+			i.DownDelay.Sample(now - pk.EnqueuedAt)
+			*pkt = pk
 		}
-		if !pkt.Sequenced {
-			// This ring is the packet's highest level: the IRI is its
-			// sequencing point (§2.3). Absorb the invalidation into the
-			// ordering queue and re-inject it sequenced.
-			pkt.Sequenced = true
-			pkt.ReadyAt = now + int64(i.p.IRICycles)
-			pkt.EnqueuedAt = now
-			i.downQ.Push(pkt)
-			i.Tr.Emit(now, trace.KindFlitSwitch, pkt.Msg.Line, pkt.Msg.TxnID,
-				1, int32(pkt.Msg.Type))
-			return nil
+		return
+	}
+	if pkt.Mask.Rings != 0 {
+		// Ascending packet: ring interfaces to higher-level rings always
+		// switch these up (§2.2).
+		//
+		// Drop fault: the request is lost in the switch. The draw
+		// happens only for droppable types on an occupied-slot
+		// edge, which every cycle loop ticks.
+		if pkt.Msg.Type.Droppable() && i.Fault.Drop() {
+			i.Drops++
+			i.Tr.Emit(now, trace.KindFaultDrop, pkt.Msg.Line, pkt.Msg.TxnID,
+				int32(pkt.Msg.Type), 1)
+			i.lose(pkt)
+			return
 		}
-		return pkt
+		pkt.ReadyAt = now + int64(i.p.IRICycles)
+		i.upQ.Push(*pkt)
+		i.Tr.Emit(now, trace.KindFlitSwitch, pkt.Msg.Line, pkt.Msg.TxnID,
+			0, int32(pkt.Msg.Type))
+		*pkt = msg.Packet{}
+		return
 	}
-	if pk, ok := i.downQ.Peek(); ok && pk.ReadyAt <= now {
-		i.downQ.Pop()
-		i.DownDelay.Sample(now - pk.EnqueuedAt)
-		return pk
+	if !pkt.Sequenced {
+		// This ring is the packet's highest level: the IRI is its
+		// sequencing point (§2.3). Absorb the invalidation into the
+		// ordering queue and re-inject it sequenced.
+		pkt.Sequenced = true
+		pkt.ReadyAt = now + int64(i.p.IRICycles)
+		pkt.EnqueuedAt = now
+		i.downQ.Push(*pkt)
+		i.Tr.Emit(now, trace.KindFlitSwitch, pkt.Msg.Line, pkt.Msg.TxnID,
+			1, int32(pkt.Msg.Type))
+		*pkt = msg.Packet{}
 	}
-	return nil
 }
 
-// centralSlot is the IRI's member of the central ring: it copies packets
-// bound for its local ring into the down FIFO and injects the up FIFO's
-// head into a free slot.
-func (i *IRI) centralSlot(pkt *msg.Packet, now int64) *msg.Packet {
-	if pkt != nil {
-		if pkt.Mask.Rings&(1<<uint(i.RingID)) != 0 && pkt.Sequenced {
-			// Drop fault: the descending copy is lost. Droppable
-			// requests are unicast, so clearing this ring's bit
-			// normally consumes the packet and frees its credit.
-			if pkt.Msg.Type.Droppable() && i.Fault.Drop() {
-				i.Drops++
-				i.Tr.Emit(now, trace.KindFaultDrop, pkt.Msg.Line, pkt.Msg.TxnID,
-					int32(pkt.Msg.Type), 2)
-				pkt.Mask.Rings &^= 1 << uint(i.RingID)
-				if pkt.Mask.Rings == 0 {
-					if i.credits != nil {
-						i.credits.Release(pkt.Msg.SrcStation)
-					}
-					mm := pkt.Msg
-					i.pool.Put(pkt)
-					mm.Release()
-					return nil
-				}
-				return pkt
-			}
-			// Copy the packet downward, clearing the higher-level field.
-			cp := i.pool.Get()
-			*cp = *pkt
-			cp.Msg.AddRef() // the descend copy aliases the message too
-			cp.Mask.Rings = 0
-			cp.ReadyAt = now + int64(i.p.IRICycles)
-			cp.EnqueuedAt = now
-			i.downQ.Push(cp)
-			i.Tr.Emit(now, trace.KindFlitSwitch, cp.Msg.Line, cp.Msg.TxnID,
-				1, int32(cp.Msg.Type))
-			pkt.Mask.Rings &^= 1 << uint(i.RingID)
-			if pkt.Mask.Rings == 0 {
-				// Fully copied: the descend copies hold references, so
-				// this release cannot be the last.
-				mm := pkt.Msg
-				i.pool.Put(pkt)
-				mm.Release()
-				return nil
-			}
+// centralSlot is the IRI's member of the central ring, editing its slot
+// in place: it copies packets bound for its local ring into the down FIFO
+// and injects the up FIFO's head into a free slot.
+func (i *IRI) centralSlot(pkt *msg.Packet, now int64) {
+	if pkt.Msg == nil {
+		if pk, ok := i.upQ.Peek(); ok && pk.ReadyAt <= now {
+			i.upQ.Pop()
+			i.UpDelay.Sample(now - pk.EnqueuedAt)
+			*pkt = pk
 		}
-		return pkt
+		return
 	}
-	if pk, ok := i.upQ.Peek(); ok && pk.ReadyAt <= now {
-		i.upQ.Pop()
-		i.UpDelay.Sample(now - pk.EnqueuedAt)
-		return pk
+	bit := uint16(1) << uint(i.RingID)
+	if pkt.Mask.Rings&bit == 0 || !pkt.Sequenced {
+		return
 	}
-	return nil
+	// Drop fault: the descending copy is lost. Droppable requests are
+	// unicast, so clearing this ring's bit normally consumes the packet and
+	// frees its credit.
+	if pkt.Msg.Type.Droppable() && i.Fault.Drop() {
+		i.Drops++
+		i.Tr.Emit(now, trace.KindFaultDrop, pkt.Msg.Line, pkt.Msg.TxnID,
+			int32(pkt.Msg.Type), 2)
+		pkt.Mask.Rings &^= bit
+		if pkt.Mask.Rings == 0 {
+			i.lose(pkt)
+		}
+		return
+	}
+	// Copy the packet downward, clearing the higher-level field.
+	cp := *pkt
+	cp.Msg.AddRef() // the descend copy aliases the message too
+	cp.Mask.Rings = 0
+	cp.ReadyAt = now + int64(i.p.IRICycles)
+	cp.EnqueuedAt = now
+	i.downQ.Push(cp)
+	i.Tr.Emit(now, trace.KindFlitSwitch, cp.Msg.Line, cp.Msg.TxnID,
+		1, int32(cp.Msg.Type))
+	pkt.Mask.Rings &^= bit
+	if pkt.Mask.Rings == 0 {
+		// Fully copied: the descend copies hold references, so this
+		// release cannot be the last.
+		release(i.Births, pkt.Msg)
+		*pkt = msg.Packet{}
+	}
 }
 
-// PacketPool exposes the free list so the machine can level it against the
-// other interfaces' pools at serial points (see msg.Rebalance): the
-// IRI allocates every descend copy but the copies die at stations, so its
-// free list only ever drains.
-func (i *IRI) PacketPool() *msg.Pool[msg.Packet] { return &i.pool }
+// lose ends a fault-dropped packet whose last copy dies here: its
+// flow-control credit goes back, its message reference dies, and its slot
+// is freed.
+func (i *IRI) lose(pkt *msg.Packet) {
+	if i.credits != nil {
+		i.credits.Release(pkt.Msg.SrcStation)
+	}
+	release(i.Births, pkt.Msg)
+	*pkt = msg.Packet{}
+}

@@ -15,6 +15,13 @@
 // built by one Init that fills a value the caller owns, so a machine builds
 // its whole interconnect in place.
 //
+// Packets are values (§3.1.3: a packet is the contents of a slot): slots
+// and FIFOs hold msg.Packet, a member edits its slot in place, and a
+// consume or descend copy is an assignment. Only the message a packet
+// aliases lives on the heap. Its reference count tracks the packets, and
+// the packet death that leaves none returns it to the message pool of its
+// SrcStation, the station that built it (see msg.Pool).
+//
 // Concurrency contract: ring interfaces, rings and IRIs are the
 // cross-station layer, so under every cycle loop they tick on one
 // goroutine, after the station phase (core.stepGated's phase 2 and tail).
@@ -22,7 +29,8 @@
 // phase; it touches only the RI's own packetization queues and a message no
 // other station can see yet. Everything else crosses stations: HandleSlot
 // acquires — and Tick releases — the flow-control credits of the packet's
-// *source* station, ring Ticks move slots between members of different
+// *source* station, a packet death returns its message to the source
+// station's pool, ring Ticks move slots between members of different
 // stations, and the cycle loop reads the wakes that re-arm a ring
 // (StationRI.NextInject, IRI.UpReadyAt and DownReadyAt) only at serial
 // points. Nothing in this package is synchronized.
@@ -46,8 +54,8 @@ type Ring struct {
 	p     *sim.Params // the machine's, shared by every component; read-only
 	ris   []*StationRI
 	iris  []*IRI
-	slots []*msg.Packet
-	occ   int // occupied slots (recounted at each tick; slots change nowhere else)
+	slots []msg.Packet // an empty slot holds the zero Packet
+	occ   int          // occupied slots (recounted at each tick; slots change nowhere else)
 
 	// edgeAt is the first ring-clock edge not yet accounted in Util. Edges
 	// the scheduler skipped were provably empty and unhalted (only this
@@ -80,7 +88,7 @@ type Ring struct {
 // order and iris empty (single-ring machines) or holding its IRI; a ring
 // without ris is the central ring over one IRI per local ring. p is read,
 // never written.
-func (r *Ring) Init(p *sim.Params, ris []*StationRI, iris []*IRI, slots []*msg.Packet) {
+func (r *Ring) Init(p *sim.Params, ris []*StationRI, iris []*IRI, slots []msg.Packet) {
 	r.p, r.ris, r.iris, r.slots = p, ris, iris, slots
 }
 
@@ -188,25 +196,25 @@ func (r *Ring) Tick(now int64) {
 	// On local rings of a hierarchy the IRI absorbs and re-injects them
 	// instead, modelling the ordering queue at the connection to the higher
 	// level.
-	if pkt := r.slots[0]; pkt != nil && !pkt.Sequenced &&
+	if pkt := &r.slots[0]; pkt.Msg != nil && !pkt.Sequenced &&
 		(r.central() || len(r.iris) == 0 && pkt.Mask.Rings == 0) {
 		pkt.Sequenced = true
 	}
-	// Let every member examine/replace its current slot.
+	// Let every member examine and edit its current slot.
 	occ := 0
-	for i, pkt := range r.slots {
+	for i := range r.slots {
+		pkt := &r.slots[i]
 		if i < len(r.ris) {
-			pkt = r.ris[i].HandleSlot(pkt, now)
+			r.ris[i].HandleSlot(pkt, now)
 		} else if iri := r.iris[i-len(r.ris)]; r.central() {
-			pkt = iri.centralSlot(pkt, now)
+			iri.centralSlot(pkt, now)
 		} else {
-			pkt = iri.localSlot(pkt, now)
+			iri.localSlot(pkt, now)
 		}
-		r.slots[i] = pkt
-		if pkt != nil {
+		if pkt.Msg != nil {
 			occ++
 		}
-		r.Util.Tick(pkt != nil)
+		r.Util.Tick(pkt.Msg != nil)
 	}
 	r.occ = occ
 	// Advance: slot i moves to member i+1.

@@ -26,7 +26,7 @@ func buildLocalRing(t *testing.T, g topo.Geometry, p sim.Params) ([]*StationRI, 
 		ris = append(ris, NewStationRI(g, p, s, credits))
 	}
 	r := new(Ring)
-	r.Init(&p, ris, nil, make([]*msg.Packet, len(ris)))
+	r.Init(&p, ris, nil, make([]msg.Packet, len(ris)))
 	return ris, r
 }
 
@@ -119,13 +119,14 @@ func TestInvalidateMulticastAndSequencing(t *testing.T) {
 		ri := NewStationRI(g, p, 2, nil)
 		inv := &msg.Message{Type: msg.Invalidate, Line: 0x40, Home: 1, SrcStation: 1, DstStation: -1}
 		inv.InitRefs(1)
-		pkt := &msg.Packet{Msg: inv, Of: 1, Mask: topo.RoutingMask{Stations: 1 << uint(g.PosOf(2))}, Sequenced: sequenced}
-		back := ri.HandleSlot(pkt, 0)
-		if !sequenced && (back != pkt || ri.InFIFODepth() != 0) {
-			t.Errorf("unsequenced invalidation: slot holds %v, input FIFO depth %d; want the packet back and 0", back, ri.InFIFODepth())
+		pkt := msg.Packet{Msg: inv, Mask: topo.RoutingMask{Stations: 1 << uint(g.PosOf(2))}, Sequenced: sequenced}
+		slot := pkt
+		ri.HandleSlot(&slot, 0)
+		if !sequenced && (slot != pkt || ri.InFIFODepth() != 0) {
+			t.Errorf("unsequenced invalidation: slot holds %+v, input FIFO depth %d; want the packet back and 0", slot, ri.InFIFODepth())
 		}
-		if sequenced && (back != nil || ri.InFIFODepth() != 1) {
-			t.Errorf("sequenced invalidation: slot holds %v, input FIFO depth %d; want nil and 1", back, ri.InFIFODepth())
+		if sequenced && (slot.Msg != nil || ri.InFIFODepth() != 1) {
+			t.Errorf("sequenced invalidation: slot holds %+v, input FIFO depth %d; want it free and 1", slot, ri.InFIFODepth())
 		}
 	}
 }
@@ -197,10 +198,10 @@ func TestTwoLevelHierarchyCrossRing(t *testing.T) {
 	locals := []*Ring{new(Ring), new(Ring)}
 	for ringID, lr := range locals {
 		iris[ringID].Init(&p, ringID, credits)
-		lr.Init(&p, ris[2*ringID:2*ringID+2], iris[ringID:ringID+1], make([]*msg.Packet, 3))
+		lr.Init(&p, ris[2*ringID:2*ringID+2], iris[ringID:ringID+1], make([]msg.Packet, 3))
 	}
 	central := new(Ring)
-	central.Init(&p, nil, iris, make([]*msg.Packet, 2))
+	central.Init(&p, nil, iris, make([]msg.Packet, 2))
 
 	// Station 0 (ring 0) sends data to station 3 (ring 1).
 	ris[0].BusDeliver(&msg.Message{

@@ -9,16 +9,16 @@ import (
 )
 
 // This file holds the canonical state encoders the model checker's
-// snapshot hooks use (see internal/snap). Statistics, trace sinks, packet
-// pools and reassembly start stamps are excluded everywhere: they cannot affect
+// snapshot hooks use (see internal/snap). Statistics, trace sinks and
+// reassembly start stamps are excluded everywhere: they cannot affect
 // future protocol behavior.
 
 // Encode appends the ring's slot contents in positional order. Slot
 // position matters (it determines which node a packet reaches when), so no
 // rotation canonicalization is possible or wanted.
 func (r *Ring) Encode(e *snap.Enc) {
-	for _, pk := range r.slots {
-		pk.Encode(e)
+	for i := range r.slots {
+		r.slots[i].Encode(e)
 	}
 }
 
@@ -37,11 +37,11 @@ func (r *StationRI) Encode(e *snap.Enc) {
 	e.Int(r.BusOut().Len())
 	r.BusOut().Each(func(m *msg.Message) { m.Encode(e) })
 	e.Int(r.sinkQ.Len())
-	r.sinkQ.Each(func(p *msg.Packet) { p.Encode(e) })
+	r.sinkQ.Each(func(p msg.Packet) { p.Encode(e) })
 	e.Int(r.nonsinkQ.Len())
-	r.nonsinkQ.Each(func(p *msg.Packet) { p.Encode(e) })
+	r.nonsinkQ.Each(func(p msg.Packet) { p.Encode(e) })
 	e.Int(r.inFIFO.Len())
-	r.inFIFO.Each(func(p *msg.Packet) { p.Encode(e) })
+	r.inFIFO.Each(func(p msg.Packet) { p.Encode(e) })
 
 	entries := slices.Clone(r.reasm)
 	sort.Slice(entries, func(i, j int) bool {
@@ -72,7 +72,7 @@ func (r *StationRI) Encode(e *snap.Enc) {
 // Encode appends the inter-ring interface's queues.
 func (ir *IRI) Encode(e *snap.Enc) {
 	e.Int(ir.upQ.Len())
-	ir.upQ.Each(func(p *msg.Packet) { p.Encode(e) })
+	ir.upQ.Each(func(p msg.Packet) { p.Encode(e) })
 	e.Int(ir.downQ.Len())
-	ir.downQ.Each(func(p *msg.Packet) { p.Encode(e) })
+	ir.downQ.Each(func(p msg.Packet) { p.Encode(e) })
 }

@@ -64,35 +64,28 @@ type StationRI struct {
 	pos     int
 	credits *Credits
 
-	sinkQ    sim.Queue[*msg.Packet]
-	nonsinkQ sim.Queue[*msg.Packet]
-	inFIFO   sim.Queue[*msg.Packet]
+	sinkQ    sim.Queue[msg.Packet]
+	nonsinkQ sim.Queue[msg.Packet]
+	inFIFO   sim.Queue[msg.Packet]
 
 	reasm      []reassembly // messages whose packets are arriving
 	unpackBusy int64
 
-	// pool recycles the packets this interface creates (packetization and
-	// the per-station consume copy) and the ones that die here (last
-	// multicast destination, injection-time drops, reassembled input). See
-	// msg.Pool for why reuse cannot change simulated behaviour.
-	pool msg.Pool[msg.Packet]
-
 	// Out is the interface's send side toward the station bus, with its
 	// Station. Its Msgs pool (nil-safe; wired by core, shared with the
-	// station's other components) also recycles messages whose last stop
-	// is this interface: loopback originals superseded by their private
-	// copy, and network originals once the last aliasing packet has died.
-	// Aliasing is tracked by the message's packet reference count:
-	// BusDeliver seeds it with the number of packets created (including
-	// duplicate-fault chains), every copy — the per-station consume copy
-	// here, the per-ring descend copy in the IRI — adds one, and every
-	// packet death releases one. The releaser that drops the count to zero
-	// owns the message and recycles it to its own station's pool, so
-	// multicast and dup-faulted originals now recycle too instead of
-	// leaking to the GC. The pool is touched from the station's phase-1
-	// worker (BusDeliver) and from the serial phase 2 (HandleSlot/Tick),
-	// which the pool's barrier separates.
+	// station's other components) builds the private copy of every arriving
+	// message that the interface hands to its bus, and takes back loopback
+	// originals that copy supersedes. The pool is touched from the
+	// station's phase-1 worker (BusDeliver) and from the serial phase 2
+	// (Tick), which the shard pool's barrier separates.
 	bus.Out
+
+	// Births is every station's message pool, by station id (nil-safe;
+	// wired by core, shared by every interface). A network original is
+	// aliased by its packets (see msg.Message.Release); the packet death
+	// that leaves none returns it to Births[SrcStation], the pool that
+	// built it.
+	Births []*msg.Pool[msg.Message]
 
 	// Figure 18a measurements.
 	SendDelay   monitor.Sampler // output-queue wait, upward path
@@ -176,17 +169,14 @@ func (r *StationRI) BusDeliver(m *msg.Message, now int64) {
 	m.InitRefs(copies * n)
 	for c := 0; c < copies; c++ {
 		for i := 0; i < n; i++ {
-			pk := r.pool.Get()
-			*pk = msg.Packet{
+			q.Push(msg.Packet{
 				Msg:        m,
-				Seq:        i,
-				Of:         n,
+				Seq:        uint16(i),
 				Mask:       mask,
 				Sequenced:  m.Type != msg.Invalidate,
 				EnqueuedAt: now,
 				ReadyAt:    now + int64(r.p.RIPackCycles),
-			}
-			q.Push(pk)
+			})
 		}
 	}
 }
@@ -198,40 +188,32 @@ func (r *StationRI) InputFull() bool {
 }
 
 // HandleSlot is the interface's member of its local ring: each ring tick
-// presents it its current slot, and it returns the packet to leave there
-// (nil frees the slot). It consumes packets addressed to this station and
+// presents it its current slot, which it edits in place (the zero Packet
+// is a free slot). It consumes packets addressed to this station and
 // injects pending output into free slots.
-func (r *StationRI) HandleSlot(pkt *msg.Packet, now int64) *msg.Packet {
-	if pkt != nil {
-		if pkt.Mask.Rings == 0 && pkt.Mask.Stations&(1<<uint(r.pos)) != 0 && pkt.Sequenced {
-			if !r.inFIFO.Full() {
-				cp := r.pool.Get()
-				*cp = *pkt
-				cp.Msg.AddRef() // one more live packet aliases the message
-				r.inFIFO.Push(cp)
-				r.Tr.Emit(now, trace.KindFlitArrive, pkt.Msg.Line, pkt.Msg.TxnID,
-					int32(pkt.Msg.Type), int32(pkt.Seq))
-				pkt.Mask.Stations &^= 1 << uint(r.pos)
-				if pkt.Mask.Stations == 0 {
-					// Last destination: free the slot. The copy above holds a
-					// reference, so the release cannot be the message's last.
-					mm := pkt.Msg
-					r.pool.Put(pkt)
-					mm.Release()
-					return nil
-				}
+func (r *StationRI) HandleSlot(pkt *msg.Packet, now int64) {
+	if pkt.Msg != nil {
+		if pkt.Mask.Rings == 0 && pkt.Mask.Stations&(1<<uint(r.pos)) != 0 && pkt.Sequenced &&
+			!r.inFIFO.Full() {
+			pkt.Msg.AddRef() // the consume copy aliases the message too
+			r.inFIFO.Push(*pkt)
+			r.Tr.Emit(now, trace.KindFlitArrive, pkt.Msg.Line, pkt.Msg.TxnID,
+				int32(pkt.Msg.Type), int32(pkt.Seq))
+			pkt.Mask.Stations &^= 1 << uint(r.pos)
+			if pkt.Mask.Stations == 0 {
+				// Last destination: free the slot. The copy above holds a
+				// reference, so the release cannot be the message's last.
+				release(r.Births, pkt.Msg)
+				*pkt = msg.Packet{}
 			}
 		}
-		return pkt
+		return
 	}
 	// Free slot: sinkable output has priority (§2.4).
 	if pk, ok := r.sinkQ.Peek(); ok && pk.ReadyAt <= now {
 		r.sinkQ.Pop()
-		r.SendDelay.Sample(now - pk.EnqueuedAt)
-		r.Injected++
-		r.Tr.Emit(now, trace.KindFlitInject, pk.Msg.Line, pk.Msg.TxnID,
-			int32(pk.Msg.Type), int32(pk.Seq))
-		return pk
+		r.inject(pkt, pk, now)
+		return
 	}
 	if pk, ok := r.nonsinkQ.Peek(); ok && pk.ReadyAt <= now {
 		// Nonsinkable messages are single packets; each consumes a credit.
@@ -249,21 +231,21 @@ func (r *StationRI) HandleSlot(pkt *msg.Packet, now int64) *msg.Packet {
 				r.Drops++
 				r.Tr.Emit(now, trace.KindFaultDrop, pk.Msg.Line, pk.Msg.TxnID,
 					int32(pk.Msg.Type), 0)
-				mm := pk.Msg
-				r.pool.Put(pk)
-				if mm.Release() {
-					r.Msgs.Put(mm)
-				}
-				return nil
+				release(r.Births, pk.Msg)
+				return
 			}
-			r.SendDelay.Sample(now - pk.EnqueuedAt)
-			r.Injected++
-			r.Tr.Emit(now, trace.KindFlitInject, pk.Msg.Line, pk.Msg.TxnID,
-				int32(pk.Msg.Type), int32(pk.Seq))
-			return pk
+			r.inject(pkt, pk, now)
 		}
 	}
-	return nil
+}
+
+// inject places output packet pk into the free slot.
+func (r *StationRI) inject(slot *msg.Packet, pk msg.Packet, now int64) {
+	r.SendDelay.Sample(now - pk.EnqueuedAt)
+	r.Injected++
+	r.Tr.Emit(now, trace.KindFlitInject, pk.Msg.Line, pk.Msg.TxnID,
+		int32(pk.Msg.Type), int32(pk.Seq))
+	*slot = pk
 }
 
 // NextWork reports the earliest cycle at or after now at which Tick has
@@ -309,13 +291,11 @@ func (r *StationRI) Tick(now int64) {
 			r.reasm = append(r.reasm, reassembly{m: m, first: pkt.EnqueuedAt})
 		}
 		r.reasm[k].count++
-		done := r.reasm[k].count >= pkt.Of
-		r.pool.Put(pkt) // reassembly is keyed by m; the packet is done
-		if !done {
+		if r.reasm[k].count < m.Packets(r.p.PacketsPerLine) {
 			// Mid-chain packet: the chain's remaining packets hold further
 			// references, so this release cannot recycle m while reasm
 			// still holds it.
-			m.Release()
+			release(r.Births, m)
 			continue
 		}
 		// Message complete: deliver a private copy to the bus.
@@ -336,12 +316,20 @@ func (r *StationRI) Tick(now int64) {
 		r.unpackBusy = now + int64(r.p.RIUnpackCycles)
 		// The bus sees only the private copy above, so the original dies
 		// with its packets: release this one's reference last (Put zeroes m,
-		// so every read of m above must precede this) and recycle when no
+		// so every read of m above must precede this); it goes home when no
 		// packet anywhere — another station's consume copies, a duplicate
 		// fault chain, an IRI descend copy — still aliases it.
-		if m.Release() {
-			r.Msgs.Put(m)
-		}
+		release(r.Births, m)
+	}
+}
+
+// release records the death of one packet of m. The death that leaves no
+// packet aliasing m owns it and returns it to births[m.SrcStation], the
+// pool of the station that built it (see msg.Pool); with no births table,
+// as in unit tests, m falls to the garbage collector.
+func release(births []*msg.Pool[msg.Message], m *msg.Message) {
+	if m.Release() && births != nil {
+		births[m.SrcStation].Put(m)
 	}
 }
 
@@ -360,7 +348,6 @@ type reassembly struct {
 func (r *StationRI) route(m *msg.Message) {
 	switch m.Type {
 	case msg.NetInterrupt:
-		m.DstMod = -1 // bus multicasts to BusProcs
 		if m.BusProcs == 0 {
 			m.BusProcs = 1<<uint(r.g.ProcsPerStation) - 1
 		}
@@ -375,10 +362,6 @@ func (r *StationRI) route(m *msg.Message) {
 	m.SrcMod = r.g.ModRI()
 	m.DstStation = r.Station
 }
-
-// PacketPool exposes the free list so the machine can level it against the
-// other interfaces' pools at serial points (see msg.Rebalance).
-func (r *StationRI) PacketPool() *msg.Pool[msg.Packet] { return &r.pool }
 
 // QueueStats exposes queue statistics for the monitoring reports.
 func (r *StationRI) QueueStats() (sendSink, sendNonsink, input sim.QueueStats) {

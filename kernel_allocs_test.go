@@ -21,9 +21,9 @@ func TestKernelAllocsPerRef(t *testing.T) {
 		procs, size int
 		measured    float64
 	}{
-		{"radix", 4, 8192, 0.0463},
-		{"lu-contig", 4, 96, 0.0296},
-		{"fft", 4, 4096, 0.0939},
+		{"radix", 4, 8192, 0.0280},
+		{"lu-contig", 4, 96, 0.0172},
+		{"fft", 4, 4096, 0.0567},
 	} {
 		var perRef float64
 		for rep := 0; rep < 2; rep++ {
