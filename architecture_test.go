@@ -1,0 +1,268 @@
+package numachine_test
+
+import (
+	"bufio"
+	"bytes"
+	"fmt"
+	"io/fs"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"regexp"
+	"strings"
+	"testing"
+)
+
+// An architecture rule names a shape of code that a past simplification
+// deleted. Each rule searches a set of files for its pattern; any line that
+// matches is a hit, and a hit means the deleted design came back. The
+// patterns are ERE as grep -E reads them (Go's regexp accepts each as
+// written).
+type archRule struct {
+	name string
+	// pattern is the forbidden shape; fixed marks a literal string.
+	pattern string
+	fixed   bool
+	// roots are the files and directories searched, relative to the
+	// repository root; "." is the whole tree.
+	roots []string
+	// goOnly limits the search to .go files, noTests to non-test files.
+	goOnly, noTests bool
+	// skip lists directories whose files are not searched.
+	skip []string
+	// allow, when set, exempts the lines it matches.
+	allow string
+}
+
+// archRules is the table of structural rules. Each comment says what the
+// rule keeps out and why.
+var archRules = []archRule{
+	// One goroutine at a time touches the interconnect, the flow-control
+	// credits and the packet reference counts (the pool shards the station
+	// phase only), so these packages hold plain counters; an atomic here
+	// means a second goroutine came back. The race steps of CI are what
+	// guards the plain counters.
+	{name: "no atomics in the cycle loop or the interconnect",
+		pattern: `"sync/atomic"`, fixed: true,
+		roots: []string{"internal/core", "internal/ring", "internal/msg"}},
+	// The tag stores are direct-mapped (one store, sim.Paged) and the
+	// inter-ring FIFOs unbounded: associativity, LRU state or a bounded IRI
+	// buffer coming back means a second cache or a second ring path.
+	{name: "no associativity, LRU or bounded IRI FIFO",
+		pattern: `L2Assoc|IRIFIFO|lastUse`,
+		roots:   []string{"."}, goOnly: true},
+	// A component's stats struct is its Results section: plain int64
+	// fields summed field by field (core.addCounters), so a counter is
+	// declared once. monitor.Counter survives only as
+	// Machine.FastForwarded's type, which bench/ reads; anywhere else it
+	// means a counter that needs a copy line again.
+	{name: "one definition per counter",
+		pattern: `monitor\.Counter`, allow: `FastForwarded monitor\.Counter`,
+		roots: []string{"."}, goOnly: true},
+	// Production has one cycle body. The tick-everything reference order
+	// the equivalence suites compare it against lives in
+	// internal/core/oracle_test.go; a Config field, a flag or a loop name
+	// for it anywhere else means a second production path came back.
+	{name: "reference order stays test-only",
+		pattern: `NaiveLoop|stepNaive|"naive"`,
+		roots:   []string{"."}, goOnly: true, noTests: true},
+	// The home directory serves all eight request types from one request
+	// path (memory.Module.request); a per-request handler coming back
+	// means a second copy of the locked-line NAK and of the owner
+	// intervention.
+	{name: "one request path in the home directory",
+		pattern: `func \(m \*Module\) (localRead|localWrite|remRead|remReadEx|remUpgd|specialWr|kill)\(`,
+		roots:   []string{"internal/memory"}},
+	// Each directory finishes its transitions in one place: the home
+	// through answer and settle behind one staleness guard, the netcache
+	// through checkIntervDone, side-table services included. A per-reply
+	// handler or a side-table-only finish coming back means a second copy
+	// of a completion.
+	{name: "one completion path in the home directory",
+		pattern: `func \(m \*Module\) (xferDone|netIntervMiss)\(`,
+		roots:   []string{"internal/memory"}},
+	{name: "one completion path in the network cache",
+		pattern: `finishNetServe(nil`, fixed: true,
+		roots: []string{"internal/netcache"}},
+	// The memory module and the network cache are one kind of bus
+	// controller and share one implementation of it, bus.Port: its FIFOs,
+	// its staged-message occupancy pipeline and its Send. A staged message,
+	// a direct output push or a hand-filled pooled message in either
+	// package means a second copy of that controller.
+	{name: "one bus port for memory and the network cache",
+		pattern: `staged|outQ\.Push|Msgs\.Get\(\)`,
+		roots:   []string{"internal/memory", "internal/netcache"}, goOnly: true, noTests: true},
+	// Every station bus module sends through one bus.Out: its output FIFO,
+	// its message pool and the addressing builders the home and the NC
+	// share. A pooled message filled by hand outside the bus, the ring and
+	// msg, a message literal in either directory, or a message field no
+	// receiver reads coming back means a second send side.
+	{name: "one send side: pooled messages are filled in bus, ring and msg only",
+		pattern: `Msgs\.Get\(`,
+		roots:   []string{"."}, goOnly: true, noTests: true,
+		skip: []string{"internal/bus", "internal/ring", "internal/msg"}},
+	{name: "one send side: no message literal in the directories",
+		pattern: `msg.Message{`, fixed: true,
+		roots: []string{"internal/memory", "internal/netcache"}, goOnly: true, noTests: true},
+	{name: "one send side: no unread message fields",
+		pattern: `IssueCycle|HasData`,
+		roots:   []string{"."}, goOnly: true},
+	// core.New allocates each kind of component once for the whole machine
+	// and builds every component in place with its Init, and all
+	// components read the machine's one sim.Params through a pointer. A
+	// per-component constructor call in core, or a component holding its
+	// own copy of the parameters, brings back one allocation (and one
+	// 240-byte copy) per component.
+	{name: "components are built in place",
+		pattern: `\b(proc|bus|memory|netcache)\.New\(|\bring\.NewStationRI\(`,
+		roots:   []string{"internal/core"}, goOnly: true, noTests: true},
+	{name: "components share the machine's parameters",
+		pattern: `^\s+(\w+(, \w+)*\s+)?sim\.Params\s*(//.*)?$`,
+		roots:   []string{"internal/proc", "internal/bus", "internal/memory", "internal/netcache", "internal/ring"},
+		goOnly:  true, noTests: true},
+	// A bus tick re-arms only the modules its transfer reached (the set
+	// Bus.Tick returns); re-arming every live CPU of the station brings
+	// back the polls that find no work.
+	{name: "bus marks follow its deliveries",
+		pattern: `liveCPU\[[a-z]+\] && m\.pollCPU\[[a-z]+\] > now\+1`,
+		roots:   []string{"internal/core/cycle.go"}},
+	// A ring holds its members concretely (its stations' RIs, then the
+	// IRI's local side; the central ring, every IRI's central side), and
+	// every interconnect mark is the receiver's own wake. A member
+	// interface, the IRI's ports with their always-false InputFull, a
+	// pending flag or the reassembly maps coming back means ring polls
+	// that find no work again.
+	{name: "ring members are concrete",
+		pattern: `type Node interface|localPort|centralPort|hasWork|OutPending|CentralPending|DownPending|firstSeen`,
+		roots:   []string{"internal/ring", "internal/core"}, goOnly: true, noTests: true},
+	// Every record dies into the pool that built it: a ring original goes
+	// home to its SrcStation's message pool, and ring packets are values in
+	// slots and FIFOs with no pool at all. A packet pool or the free-list
+	// leveling coming back means records die away from home again and
+	// some free list drains while another grows.
+	{name: "records go home",
+		pattern: `Rebalance|rebalancePools|rebalanceEvery|pktPools|PacketPool|Pool\[msg\.Packet\]`,
+		roots:   []string{"."}, goOnly: true, noTests: true, skip: []string{"bench"}},
+	// Every poll-cache entry is its component's own NextWork, and a barrier
+	// release is the waiting CPU's own wake (its release cycle, set by the
+	// last arrival). A separate release list with its pre-phase, or a gate
+	// block that asks NextWork(now) into a local before it ticks, brings
+	// back the blind marks and the polls that find no work.
+	{name: "barrier releases are CPU wakes",
+		pattern: `fireBarriers|barrierRelease|barrier\.releases`,
+		roots:   []string{"internal/core"}, goOnly: true, noTests: true},
+	{name: "no pre-tick poll in a gate block",
+		pattern: `^\s*(if )?\w+ :?= .*\.NextWork\(now\)`,
+		roots:   []string{"internal/core/cycle.go"}},
+}
+
+// archRuleFile is this file: it spells every pattern, so no rule searches
+// it.
+const archRuleFile = "architecture_test.go"
+
+// TestArchitecture checks every rule of archRules against the tree, then
+// the two structural properties that are not a pattern: the tag-store read
+// path stays inlinable, and the examples print what they printed.
+func TestArchitecture(t *testing.T) {
+	for _, r := range archRules {
+		hits, err := r.search()
+		if err != nil {
+			t.Fatalf("%s: %v", r.name, err)
+		}
+		if len(hits) > 0 {
+			t.Errorf("architecture rule %q broken by %d line(s):\n%s", r.name, len(hits), strings.Join(hits, "\n"))
+		}
+	}
+	goTool, err := exec.LookPath("go")
+	if err != nil {
+		t.Fatalf("the go tool is not on PATH: %v", err)
+	}
+
+	// The tag-store read path (cache.Probe and the NC's lookup, both
+	// through sim.Paged's line→slot map) sits under every reference and
+	// every NC message; it must stay inside the inliner's budget. The Go
+	// version is pinned by go.mod, so the budget is too.
+	out, err := exec.Command(goTool, "build", "-gcflags=-m", "./internal/cache", "./internal/netcache").CombinedOutput()
+	if err != nil {
+		t.Fatalf("go build -gcflags=-m: %v\n%s", err, out)
+	}
+	for _, fn := range []string{"(*Cache).Probe", "(*Module).lookup"} {
+		if !bytes.Contains(out, []byte("can inline "+fn)) {
+			t.Errorf("tag-store read path: %s is no longer inlinable", fn)
+		}
+	}
+
+	// The three small examples are deterministic and each runs in well
+	// under a second; their outputs are pinned byte for byte (the histogram
+	// titles of examples/monitoring included).
+	for _, e := range []string{"quickstart", "monitoring", "coherence"} {
+		got, err := exec.Command(goTool, "run", "./examples/"+e).Output()
+		if err != nil {
+			t.Fatalf("go run ./examples/%s: %v", e, err)
+		}
+		want, err := os.ReadFile(filepath.Join("examples", e, "want.txt"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("examples/%s printed something other than its want.txt", e)
+		}
+	}
+}
+
+// search returns every line the rule forbids, as path:line: text.
+func (r archRule) search() ([]string, error) {
+	pattern := r.pattern
+	if r.fixed {
+		pattern = regexp.QuoteMeta(pattern)
+	}
+	re, err := regexp.Compile(pattern)
+	if err != nil {
+		return nil, err
+	}
+	var allow *regexp.Regexp
+	if r.allow != "" {
+		allow = regexp.MustCompile(r.allow)
+	}
+	var hits []string
+	visit := func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if d.Name() == ".git" {
+				return filepath.SkipDir
+			}
+			for _, p := range r.skip {
+				if path == p {
+					return filepath.SkipDir
+				}
+			}
+			return nil
+		}
+		if path == archRuleFile ||
+			r.goOnly && !strings.HasSuffix(path, ".go") ||
+			r.noTests && strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := os.Open(path)
+		if err != nil {
+			return err
+		}
+		defer f.Close()
+		sc := bufio.NewScanner(f)
+		sc.Buffer(nil, 1<<20)
+		for n := 1; sc.Scan(); n++ {
+			if line := sc.Text(); re.MatchString(line) && (allow == nil || !allow.MatchString(line)) {
+				hits = append(hits, fmt.Sprintf("%s:%d: %s", path, n, strings.TrimSpace(line)))
+			}
+		}
+		return sc.Err()
+	}
+	for _, root := range r.roots {
+		if err := filepath.WalkDir(root, visit); err != nil {
+			return nil, err
+		}
+	}
+	return hits, nil
+}

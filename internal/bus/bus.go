@@ -127,7 +127,7 @@ func (b *Bus) SyncStats(limit int64) { b.syncUtil(limit) }
 // arbitrate among modules with pending output. It returns the set of bus
 // module indices the finished transfer was delivered to (bit i: module i),
 // empty on a tick that only arbitrates; BusDeliver is the only way a
-// transfer changes a module, so the gated cycle re-polls exactly these.
+// transfer changes a module, so the gated cycle marks exactly these.
 func (b *Bus) Tick(now int64) (delivered uint32) {
 	b.syncUtil(now)
 	if now < b.busyUntil {

@@ -149,7 +149,7 @@ func TestIdleAccountsForInFlight(t *testing.T) {
 }
 
 // TestDeliverySet pins both users of the bus routing rule to one table:
-// Tick's return value, which the gated cycle re-polls exactly (a module a
+// Tick's return value, which the gated cycle marks exactly (a module a
 // transfer reaches but the set omits would keep a stale gate entry and
 // lose a tick), and HitHorizon, which must bound a delivery to a processor
 // in the set by the end of the transfer in flight (a fast-resolved hit

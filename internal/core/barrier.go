@@ -9,12 +9,6 @@ type barrierCtl struct {
 	participants int
 	arrived      []*proc.CPU
 	parArrived   [][]*proc.CPU // phase-1 arrival buffers, one per station
-	releases     []barrierRelease
-}
-
-type barrierRelease struct {
-	cpu *proc.CPU
-	at  int64
 }
 
 // barrierArrive records a CPU's arrival. During a pooled station phase
@@ -34,10 +28,13 @@ func (m *Machine) arriveSerial(c *proc.CPU, now int64) {
 	if len(m.barrier.arrived) < m.barrier.participants {
 		return
 	}
-	// All arrived: release everyone after a multicast traversal delay.
-	delay := m.barrierLatency()
+	// All arrived: release everyone after a multicast traversal delay. The
+	// release cycle is each CPU's own wake, so it is marked like one.
+	at := now + m.barrierLatency()
 	for _, cpu := range m.barrier.arrived {
-		m.barrier.releases = append(m.barrier.releases, barrierRelease{cpu: cpu, at: now + delay})
+		cpu.FinishBarrier(at)
+		m.pollCPU[cpu.GlobalID] = at
+		m.stationNext[cpu.Station] = min(m.stationNext[cpu.Station], at)
 	}
 	m.barrier.arrived = m.barrier.arrived[:0]
 }
@@ -50,23 +47,4 @@ func (m *Machine) barrierLatency() int64 {
 		hops += m.g.Rings + m.g.StationsPerRing + 1
 	}
 	return int64(hops*m.p.RingHopCycles + 2*m.p.BusArbCycles + 2*m.p.BusCmdCycles)
-}
-
-func (m *Machine) fireBarriers() {
-	if len(m.barrier.releases) == 0 {
-		return
-	}
-	kept := m.barrier.releases[:0]
-	for _, r := range m.barrier.releases {
-		if r.at <= m.now {
-			r.cpu.FinishBarrier(m.now)
-			m.pollCPU[r.cpu.GlobalID] = m.now
-			if s := r.cpu.Station; m.stationNext[s] > m.now {
-				m.stationNext[s] = m.now
-			}
-		} else {
-			kept = append(kept, r)
-		}
-	}
-	m.barrier.releases = kept
 }

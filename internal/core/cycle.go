@@ -38,31 +38,33 @@ func (m *Machine) Step() {
 //
 // The poll caches make the gate pass cost proportional to the components
 // that are due and the FIFOs that were filled rather than to the machine
-// size. A cached entry pollX[i] > now means component i's last NextWork
-// report (or an influence mark, below) proved it cannot do work this cycle,
-// so the gate is one comparison; stationNext[s] / ringNext[r] are the
-// minimum over one station's / one ring group's entries, so an idle station
-// or ring group costs one comparison in all, in either phase.
+// size. Every entry pollX[i] is component i's own wake, the NextWork it
+// reported after its last tick or that a mark read for it, so the gate is
+// one comparison and a due component ticks without being asked again:
+// every gate block is "if poll <= now { X.Tick(now); poll =
+// X.NextWork(now+1); marks }". stationNext[s] / ringNext[r] are the minimum
+// over one station's / one ring group's entries, so an idle station or ring
+// group costs one comparison in all, in either phase.
 //
-// The caches are invalidated where work is handed over, and marks follow
-// the data: a mark fires when the FIFO the receiver's NextWork reads holds
-// something after the feeder's tick, not because a component that could
-// have fed it ticked. A mark into the interconnect is the receiver's own
-// wake, read from the FIFO just fed, so after the first cycle no RI or
-// ring poll finds nothing to do. The phase-1 marks read and write only
-// state of the station that evaluates them (parallel.go relies on that):
+// Marks follow the data: a mark fires when the FIFO the receiver's NextWork
+// reads holds something after the feeder's tick, and it writes the
+// receiver's own wake, read from the state just fed. The phase-1 marks read
+// and write only state of the station that evaluates them (parallel.go
+// relies on that):
 //
-//	CPU tick     -> its bus, now: iff its BusOut is non-empty.
+//	CPU tick     -> its bus, at b.NextWork(now): iff its BusOut is non-empty.
 //	bus tick     -> mem, NC, CPU k: iff the transfer was delivered to it (the
-//	                set Bus.Tick returns); mem and NC now, CPUs now+1.
+//	                set Bus.Tick returns); mem and NC at their NextWork(now)
+//	                (they tick later this cycle), CPU k at its
+//	                NextWork(now+1).
 //	             -> its local ring, at the ring's edge of the RI's
 //	                NextInject: iff it delivered to the RI. Staged in
 //	                busFedRing and merged by feedRing.
 //	                The RI itself is not marked: its NextWork reads only its
 //	                input FIFO, and BusDeliver's loop-back branch fills the
 //	                RI's BusOut, which the bus's own post-tick wake reads.
-//	mem/NC tick  -> its bus, now+1: iff its BusOut is non-empty.
-//	RI tick      -> its bus, now+1: iff its BusOut is non-empty.
+//	mem/NC tick  -> its bus, at b.NextWork(now+1): iff its BusOut is non-empty.
+//	RI tick      -> its bus, at b.NextWork(now+1): iff its BusOut is non-empty.
 //	local tick   -> each member RI, at its NextWork(now+1).
 //	             -> the central ring, at its edge of the IRI's up-FIFO head
 //	                (IRI.UpReadyAt), which may be now: the tail of this
@@ -70,18 +72,17 @@ func (m *Machine) Step() {
 //	central tick -> each local ring r, at its edge of IRI r's down-FIFO head
 //	                (IRI.DownReadyAt), no earlier than now+1.
 //	any tick     -> itself: X.NextWork(now+1), asked right after X.Tick(now).
-//	barrier fire -> the released CPU, now (fireBarriers, before phase 1).
+//	last barrier -> each arrived CPU, at its release cycle (arriveSerial).
+//	  arrival
 //
-// Marks remove polls, never ticks: a component still ticks iff its own
-// NextWork(now) <= now at its slot in the cycle, so the set of (component,
-// cycle) ticks is the reference loop's. A mark that does not fire leaves an
-// entry the component's own state confirms — auditGates checks exactly that
-// under Config.CheckInvariants. Everything else a tick does is invisible to
-// NextWork (credit releases and FIFO pops can only remove work, so a
-// stale-early cache merely costs a re-poll).
+// So at the top of every cycle each entry agrees with its component's own
+// NextWork on whether it is due: entry <= now iff NextWork(now) <= now.
+// Under Config.CheckInvariants auditGates proves exactly that, in both
+// directions, at every cycle a run stops at. A component therefore ticks
+// iff its NextWork(now) <= now at its slot in the cycle, and the set of
+// (component, cycle) ticks is the reference loop's.
 func (m *Machine) stepGated() int {
 	now := m.now
-	m.fireBarriers()
 	ticked := m.stationPhase(now)
 	if anyDue(m.ringNext, now) {
 		ticked += m.tickRIs(now) + m.tickLocals(now)
@@ -142,76 +143,68 @@ func (m *Machine) tickStation(s int, now int64) int {
 	ticked := 0
 	first := m.g.ProcAt(s, 0)
 	cpus := m.pollCPU[first : first+m.g.ProcsPerStation]
-	// Aggregate wake: the earliest cycle any of this station's phase-1
-	// components can work again, given no outside influence (an RI tick and
-	// a barrier release lower it where they lower the entries it covers).
-	next := sim.Never
+	b := m.Buses[s]
 	for k, at := range cpus {
 		if at <= now {
 			c := m.CPUs[first+k]
-			if at = c.NextWork(now); at <= now {
-				c.Tick(now)
-				ticked++
-				at = c.NextWork(now + 1)
-				if m.pollBus[s] > now && !c.BusOut().Empty() {
-					m.pollBus[s] = now
-				}
+			c.Tick(now)
+			ticked++
+			cpus[k] = c.NextWork(now + 1)
+			if !c.BusOut().Empty() {
+				m.pollBus[s] = b.NextWork(now)
 			}
-			cpus[k] = at
 		}
-		next = min(next, at)
 	}
 	if m.pollBus[s] <= now {
-		b := m.Buses[s]
-		w := b.NextWork(now)
-		if w <= now {
-			to := b.Tick(now)
-			ticked++
-			w = b.NextWork(now + 1)
-			for ; to != 0; to &= to - 1 {
-				switch mod := bits.TrailingZeros32(to); mod {
-				case m.g.ModMem():
-					m.pollMem[s] = min(m.pollMem[s], now)
-				case m.g.ModNC():
-					m.pollNC[s] = min(m.pollNC[s], now)
-				case m.g.ModRI():
-					m.busFedRing[s] = true
-				default:
-					cpus[mod] = min(cpus[mod], now+1)
-					next = min(next, now+1)
-				}
+		to := b.Tick(now)
+		ticked++
+		m.pollBus[s] = b.NextWork(now + 1)
+		for ; to != 0; to &= to - 1 {
+			switch mod := bits.TrailingZeros32(to); mod {
+			case m.g.ModMem():
+				m.pollMem[s] = m.Mems[s].NextWork(now)
+			case m.g.ModNC():
+				m.pollNC[s] = m.NCs[s].NextWork(now)
+			case m.g.ModRI():
+				m.busFedRing[s] = true
+			default:
+				cpus[mod] = m.CPUs[first+mod].NextWork(now + 1)
 			}
 		}
-		m.pollBus[s] = w
 	}
 	if m.pollMem[s] <= now {
 		mem := m.Mems[s]
-		w := mem.NextWork(now)
-		if w <= now {
-			mem.Tick(now)
-			ticked++
-			w = mem.NextWork(now + 1)
-			if !mem.BusOut().Empty() {
-				m.pollBus[s] = min(m.pollBus[s], now+1)
-			}
+		mem.Tick(now)
+		ticked++
+		m.pollMem[s] = mem.NextWork(now + 1)
+		if !mem.BusOut().Empty() {
+			m.pollBus[s] = b.NextWork(now + 1)
 		}
-		m.pollMem[s] = w
 	}
 	if m.pollNC[s] <= now {
 		nc := m.NCs[s]
-		w := nc.NextWork(now)
-		if w <= now {
-			nc.Tick(now)
-			ticked++
-			w = nc.NextWork(now + 1)
-			if !nc.BusOut().Empty() {
-				m.pollBus[s] = min(m.pollBus[s], now+1)
-			}
+		nc.Tick(now)
+		ticked++
+		m.pollNC[s] = nc.NextWork(now + 1)
+		if !nc.BusOut().Empty() {
+			m.pollBus[s] = b.NextWork(now + 1)
 		}
-		m.pollNC[s] = w
 	}
-	m.stationNext[s] = min(next, m.pollBus[s], m.pollMem[s], m.pollNC[s])
+	// A barrier arrival during the ticks may have marked any CPU entry, so
+	// the aggregate is read back from the entries rather than tracked.
+	m.stationNext[s] = m.stationMin(s)
 	return ticked
+}
+
+// stationMin is station s's aggregate wake: the minimum over the entries of
+// its CPUs, bus, memory module and NC.
+func (m *Machine) stationMin(s int) int64 {
+	next := min(m.pollBus[s], m.pollMem[s], m.pollNC[s])
+	first := m.g.ProcAt(s, 0)
+	for _, at := range m.pollCPU[first : first+m.g.ProcsPerStation] {
+		next = min(next, at)
+	}
+	return next
 }
 
 // tickRI is the gate-and-tick block of station s's ring interface.
@@ -220,16 +213,11 @@ func (m *Machine) tickRI(s int, now int64) int {
 		return 0
 	}
 	ri := m.RIs[s]
-	w := ri.NextWork(now)
-	if w > now {
-		m.pollRI[s] = w
-		return 0
-	}
 	ri.Tick(now)
 	m.pollRI[s] = ri.NextWork(now + 1)
 	if !ri.BusOut().Empty() {
-		m.pollBus[s] = min(m.pollBus[s], now+1)
-		m.stationNext[s] = min(m.stationNext[s], now+1)
+		m.pollBus[s] = m.Buses[s].NextWork(now + 1)
+		m.stationNext[s] = min(m.stationNext[s], m.pollBus[s])
 	}
 	return 1
 }
@@ -240,11 +228,6 @@ func (m *Machine) tickLocal(r int, now int64) int {
 		return 0
 	}
 	lr := m.Locals[r]
-	w := lr.NextWork(now)
-	if w > now {
-		m.pollLocal[r] = w
-		return 0
-	}
 	lr.Tick(now)
 	m.pollLocal[r] = lr.NextWork(now + 1)
 	for pos := 0; pos < m.g.StationsPerRing; pos++ {
@@ -258,16 +241,14 @@ func (m *Machine) tickLocal(r int, now int64) int {
 	return 1
 }
 
-// setRingNext recomputes ring group r's aggregate wake after its phase-2
-// ticks: the minimum over the local ring and its member RIs.
-func (m *Machine) setRingNext(r int) {
+// ringMin is ring group r's aggregate wake: the minimum over the entries of
+// the local ring and its member RIs.
+func (m *Machine) ringMin(r int) int64 {
 	next := m.pollLocal[r]
 	for pos := 0; pos < m.g.StationsPerRing; pos++ {
-		if s := m.g.StationAt(r, pos); m.pollRI[s] < next {
-			next = m.pollRI[s]
-		}
+		next = min(next, m.pollRI[m.g.StationAt(r, pos)])
 	}
-	m.ringNext[r] = next
+	return next
 }
 
 // tickRIs and tickLocals are phase 2, the interconnect in the reference
@@ -298,40 +279,32 @@ func (m *Machine) tickLocals(now int64) int {
 			continue
 		}
 		ticked += m.tickLocal(r, now)
-		m.setRingNext(r)
+		m.ringNext[r] = m.ringMin(r)
 	}
 	return ticked
 }
 
 // tail finishes cycle now: the gate-and-tick block of the central ring.
 func (m *Machine) tail(now int64) int {
-	ticked := 0
-	if m.Central != nil && m.pollCentral <= now {
-		if w := m.Central.NextWork(now); w > now {
-			m.pollCentral = w
-		} else {
-			m.Central.Tick(now)
-			ticked = 1
-			m.pollCentral = m.Central.NextWork(now + 1)
-			for r, iri := range m.IRIs {
-				at := m.Locals[r].NextEdge(max(iri.DownReadyAt(), now+1))
-				m.pollLocal[r] = min(m.pollLocal[r], at)
-				m.ringNext[r] = min(m.ringNext[r], at)
-			}
-		}
+	if m.Central == nil || m.pollCentral > now {
+		return 0
 	}
-	return ticked
+	m.Central.Tick(now)
+	m.pollCentral = m.Central.NextWork(now + 1)
+	for r, iri := range m.IRIs {
+		at := m.Locals[r].NextEdge(max(iri.DownReadyAt(), now+1))
+		m.pollLocal[r] = min(m.pollLocal[r], at)
+		m.ringNext[r] = min(m.ringNext[r], at)
+	}
+	return 1
 }
 
-// cachedWake returns the earliest future cycle at which any component or
-// pending barrier release can do work, read from the aggregate wakes (each
-// is the minimum of the poll caches it covers, see stepGated). It is only
-// meaningful immediately after a fully quiescent stepGated pass: nothing
-// ticked, so every cache entry was either freshly polled or already proved
-// future, and their minimum is a sound floor on the next event. (A floor,
-// not an exact time — influence marks may be one cycle early — so a jump
-// may land short and re-step; that costs one gated pass, never
-// correctness.)
+// cachedWake returns the earliest future cycle at which any component can
+// do work, read from the aggregate wakes (each the minimum of the poll
+// caches it covers, see stepGated). It is meant for right after a fully
+// quiescent stepGated pass: every entry is then its component's own wake,
+// so the minimum is the next event exactly, and a jump to it lands on a
+// cycle where some component ticks.
 func (m *Machine) cachedWake() int64 {
 	wake := m.pollCentral
 	for _, at := range m.stationNext {
@@ -344,25 +317,18 @@ func (m *Machine) cachedWake() int64 {
 			wake = at
 		}
 	}
-	for _, r := range m.barrier.releases {
-		if r.at < wake {
-			wake = r.at
-		}
-	}
 	return wake
 }
 
 // auditGates is the poll caches' self-check, armed by Config.CheckInvariants
 // and run at the top of cycle m.now (after a step, before the next drive):
-// every cached entry > now must be confirmed by the component's own
-// NextWork, and every aggregate must be <= each entry it covers, because
-// cachedWake and the phase skips read only the aggregates. A stale-early
-// entry is legal (it costs a re-poll); a stale-late one is a tick about to
-// be lost, reported here at that cycle instead of as a digest mismatch
-// thousands of cycles later. A barrier release due now needs no exception:
-// until fireBarriers applies it, the waiting CPU itself reports Never.
-// Only entries > now are asked for NextWork: an entry <= now re-polls at
-// its next slot anyway.
+// every cached entry must agree with the component's own NextWork on
+// whether it is due (entry <= now iff NextWork(now) <= now), and every
+// aggregate must be the minimum of the entries it covers, because
+// cachedWake and the phase skips read only the aggregates. A stale-late
+// entry is a tick about to be lost, a stale-early one a tick of a component
+// with nothing to do; either is reported here at that cycle instead of as a
+// digest mismatch thousands of cycles later.
 func (m *Machine) auditGates() error {
 	now := m.now
 	cyc := func(at int64) string {
@@ -372,38 +338,35 @@ func (m *Machine) auditGates() error {
 		return fmt.Sprint(at)
 	}
 	var err error
-	check := func(kind string, i int, cached, agg int64, c interface{ NextWork(int64) int64 }) {
-		if err != nil {
-			return
+	check := func(kind string, i int, cached int64, c interface{ NextWork(int64) int64 }) {
+		if err == nil && (cached <= now) != (c.NextWork(now) <= now) {
+			err = fmt.Errorf("gate audit at cycle %d: %s %d cached %s but NextWork %s",
+				now, kind, i, cyc(cached), cyc(c.NextWork(now)))
 		}
-		if cached > now {
-			if reported := c.NextWork(now); reported <= now {
-				err = fmt.Errorf("gate audit at cycle %d: %s %d cached %s but NextWork %s",
-					now, kind, i, cyc(cached), cyc(reported))
-				return
-			}
-		}
-		if agg > cached {
-			err = fmt.Errorf("gate audit at cycle %d: %s %d cached %s below its aggregate %s",
-				now, kind, i, cyc(cached), cyc(agg))
+	}
+	aggregate := func(kind string, i int, agg, least int64) {
+		if err == nil && agg != least {
+			err = fmt.Errorf("gate audit at cycle %d: %s %d aggregate %s but its entries' minimum %s",
+				now, kind, i, cyc(agg), cyc(least))
 		}
 	}
 	for s := range m.Buses {
-		next := m.stationNext[s]
 		first := m.g.ProcAt(s, 0)
 		for i := first; i < first+m.g.ProcsPerStation; i++ {
-			check("cpu", i, m.pollCPU[i], next, m.CPUs[i])
+			check("cpu", i, m.pollCPU[i], m.CPUs[i])
 		}
-		check("bus", s, m.pollBus[s], next, m.Buses[s])
-		check("mem", s, m.pollMem[s], next, m.Mems[s])
-		check("nc", s, m.pollNC[s], next, m.NCs[s])
-		check("ri", s, m.pollRI[s], m.ringNext[m.ringOf[s]], m.RIs[s])
+		check("bus", s, m.pollBus[s], m.Buses[s])
+		check("mem", s, m.pollMem[s], m.Mems[s])
+		check("nc", s, m.pollNC[s], m.NCs[s])
+		check("ri", s, m.pollRI[s], m.RIs[s])
+		aggregate("station", s, m.stationNext[s], m.stationMin(s))
 	}
 	for r, lr := range m.Locals {
-		check("local ring", r, m.pollLocal[r], m.ringNext[r], lr)
+		check("local ring", r, m.pollLocal[r], lr)
+		aggregate("ring group", r, m.ringNext[r], m.ringMin(r))
 	}
 	if m.Central != nil {
-		check("central ring", 0, m.pollCentral, m.pollCentral, m.Central)
+		check("central ring", 0, m.pollCentral, m.Central)
 	}
 	return err
 }
@@ -419,34 +382,31 @@ func (m *Machine) checkGates() {
 	}
 }
 
-// resetPolls discards every poll cache so the next gated cycle gates every
-// component afresh. Load calls it (new runners change CPU state outside the
-// loop) and Run calls it on entry.
+// resetPolls seeds every poll cache with its component's own NextWork, so
+// the next gated cycle starts from exact entries. Load calls it (new
+// runners change CPU state outside the loop) and Run calls it on entry.
 func (m *Machine) resetPolls() {
-	for i := range m.pollCPU {
-		m.pollCPU[i] = m.now
+	now := m.now
+	for i, c := range m.CPUs {
+		m.pollCPU[i] = c.NextWork(now)
 	}
 	for s := range m.pollBus {
-		m.pollBus[s] = m.now
-		m.pollMem[s] = m.now
-		m.pollNC[s] = m.now
-		m.pollRI[s] = m.now
-	}
-	for r := range m.pollLocal {
-		m.pollLocal[r] = m.now
-	}
-	// A machine without a central ring must not keep re-gating it: the
-	// entry is folded into cachedWake unconditionally.
-	m.pollCentral = m.now
-	if m.Central == nil {
-		m.pollCentral = sim.Never
-	}
-	for s := range m.stationNext {
-		m.stationNext[s] = m.now
+		m.pollBus[s] = m.Buses[s].NextWork(now)
+		m.pollMem[s] = m.Mems[s].NextWork(now)
+		m.pollNC[s] = m.NCs[s].NextWork(now)
+		m.pollRI[s] = m.RIs[s].NextWork(now)
+		m.stationNext[s] = m.stationMin(s)
 		m.busFedRing[s] = false
 	}
-	for r := range m.ringNext {
-		m.ringNext[r] = m.now
+	for r, lr := range m.Locals {
+		m.pollLocal[r] = lr.NextWork(now)
+		m.ringNext[r] = m.ringMin(r)
+	}
+	// A machine without a central ring keeps a Never entry: it is folded
+	// into cachedWake unconditionally.
+	m.pollCentral = sim.Never
+	if m.Central != nil {
+		m.pollCentral = m.Central.NextWork(now)
 	}
 }
 

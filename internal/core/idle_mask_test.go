@@ -120,20 +120,23 @@ func TestIdleStationsNeverTick(t *testing.T) {
 	}
 }
 
-// TestGateAuditReportsStaleEntry forges the one kind of poll-cache error
-// that loses a tick — an entry later than the component's own NextWork —
-// and checks that the audit CheckInvariants arms names it. For a CPU, a
-// memory module and a ring interface in turn, the first time that component
-// has work at a sample point its entry is set to sim.Never, audited, and
-// restored so the run finishes normally.
+// TestGateAuditReportsStaleEntry forges both kinds of poll-cache error and
+// checks that the audit CheckInvariants arms names each, for all seven
+// component kinds: a stale-late entry (sim.Never while the component's own
+// NextWork is due, a tick about to be lost) and a stale-early one (due now
+// while NextWork is in the future, a tick of a component with nothing to
+// do). The first time a component of the kind is due, and the first time
+// one is not, at a sample point, its entry is forged, audited and restored,
+// so the run finishes normally. One CPU on station 0 reads lines homed on
+// the other ring, so every kind carries traffic.
 func TestGateAuditReportsStaleEntry(t *testing.T) {
-	cfg := tinyConfig(1, 2, 1)
+	cfg := tinyConfig(1, 2, 2)
 	cfg.CheckInvariants = true // the unforged caches pass the audit every cycle
 	m, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := m.AllocAt(1, 8*cfg.Params.LineSize)
+	base := m.AllocAt(3, 8*cfg.Params.LineSize)
 	m.Load([]proc.Program{func(c *proc.Ctx) {
 		for i := 0; i < 8; i++ {
 			c.Compute(3)
@@ -142,54 +145,77 @@ func TestGateAuditReportsStaleEntry(t *testing.T) {
 	}})
 	type nexter interface{ NextWork(int64) int64 }
 	type target struct {
-		kind   string
-		entry  func(s int) *int64
-		of     func(s int) nexter
-		forged error
-		done   bool
+		kind        string
+		n           int // components of the kind
+		entry       func(i int) *int64
+		of          func(i int) nexter
+		late, early error // audit of each forgery
+		sawLate     bool
+		sawEarly    bool
 	}
+	stations, rings := m.g.Stations(), m.g.Rings
 	targets := []*target{
-		{kind: "cpu", entry: func(s int) *int64 { return &m.pollCPU[s] }, of: func(s int) nexter { return m.CPUs[s] }},
-		{kind: "mem", entry: func(s int) *int64 { return &m.pollMem[s] }, of: func(s int) nexter { return m.Mems[s] }},
-		{kind: "ri", entry: func(s int) *int64 { return &m.pollRI[s] }, of: func(s int) nexter { return m.RIs[s] }},
+		{kind: "cpu", n: stations, entry: func(i int) *int64 { return &m.pollCPU[i] }, of: func(i int) nexter { return m.CPUs[i] }},
+		{kind: "bus", n: stations, entry: func(i int) *int64 { return &m.pollBus[i] }, of: func(i int) nexter { return m.Buses[i] }},
+		{kind: "mem", n: stations, entry: func(i int) *int64 { return &m.pollMem[i] }, of: func(i int) nexter { return m.Mems[i] }},
+		{kind: "nc", n: stations, entry: func(i int) *int64 { return &m.pollNC[i] }, of: func(i int) nexter { return m.NCs[i] }},
+		{kind: "ri", n: stations, entry: func(i int) *int64 { return &m.pollRI[i] }, of: func(i int) nexter { return m.RIs[i] }},
+		{kind: "local ring", n: rings, entry: func(i int) *int64 { return &m.pollLocal[i] }, of: func(i int) nexter { return m.Locals[i] }},
+		{kind: "central ring", n: 1, entry: func(int) *int64 { return &m.pollCentral }, of: func(int) nexter { return m.Central }},
+	}
+	forge := func(e *int64, at int64) error {
+		saved := *e
+		*e = at
+		err := m.auditGates()
+		*e = saved
+		return err
 	}
 	m.SetSampler(1, func(m *Machine) {
+		now := m.Now()
 		for _, tg := range targets {
-			for s := range m.Buses { // one CPU per station: index s names both
-				if tg.done || tg.of(s).NextWork(m.Now()) > m.Now() {
+			for i := 0; i < tg.n; i++ {
+				due := tg.of(i).NextWork(now) <= now
+				if due && tg.sawLate || !due && tg.sawEarly {
 					continue
 				}
-				tg.done = true
 				if err := m.auditGates(); err != nil {
 					t.Fatalf("audit fails before the forgery: %v", err)
 				}
-				e := tg.entry(s)
-				saved := *e
-				*e = sim.Never
-				tg.forged = m.auditGates()
-				*e = saved
+				if due {
+					tg.sawLate, tg.late = true, forge(tg.entry(i), sim.Never)
+				} else {
+					tg.sawEarly, tg.early = true, forge(tg.entry(i), now)
+				}
 			}
 		}
 	})
 	m.Run()
 	for _, tg := range targets {
-		if !tg.done {
-			t.Errorf("no %s ever had work at a sample point", tg.kind)
-			continue
-		}
-		if tg.forged == nil || !strings.Contains(tg.forged.Error(), "cached Never but NextWork") ||
-			!strings.Contains(tg.forged.Error(), tg.kind+" ") {
-			t.Errorf("audit of a forged %s entry = %v, want a stale %s entry reported", tg.kind, tg.forged, tg.kind)
+		for _, f := range []struct {
+			name string
+			saw  bool
+			err  error
+			want string
+		}{
+			{"stale-late", tg.sawLate, tg.late, "cached Never but NextWork"},
+			{"stale-early", tg.sawEarly, tg.early, "but NextWork"},
+		} {
+			switch {
+			case !f.saw:
+				t.Errorf("%s: no %s was ever in the forgeable state at a sample point", f.name, tg.kind)
+			case f.err == nil || !strings.Contains(f.err.Error(), f.want) || !strings.Contains(f.err.Error(), ": "+tg.kind+" "):
+				t.Errorf("%s: audit of a forged %s entry = %v, want %q for a %s", f.name, tg.kind, f.err, f.want, tg.kind)
+			}
 		}
 	}
 }
 
 // TestBusMarksOnlyWhatItDelivered pins the bus influence marks to the
-// delivery set: in the cycle a response reaches CPU 0, the other live CPUs
+// delivery set and to the receiver's own wake: in the cycle a response
+// reaches CPU 0, its entry becomes its NextWork after the fill (the end of
+// the fill's compute burst, not the next cycle), while the other live CPUs
 // of its station (thinking far into the future), the memory module and the
-// network cache keep the entries they had. The memory and NC entries are
-// forged early (now+5, legal because both are idle) so that a mark followed
-// by a re-poll would show as the entry moving to sim.Never.
+// network cache keep the entries they had.
 func TestBusMarksOnlyWhatItDelivered(t *testing.T) {
 	cfg := tinyConfig(4, 1, 1)
 	cfg.CheckInvariants = true
@@ -212,25 +238,29 @@ func TestBusMarksOnlyWhatItDelivered(t *testing.T) {
 		// HitHorizon(0, now) == now iff a transfer addressed to CPU 0
 		// completes this cycle.
 		if now < 100 || b.HitHorizon(0, now) != now ||
-			m.Mems[0].NextWork(now) <= now+5 || m.NCs[0].NextWork(now) <= now+5 {
+			m.Mems[0].NextWork(now) <= now || m.NCs[0].NextWork(now) <= now {
 			m.Step()
 			continue
 		}
-		m.pollMem[0], m.pollNC[0] = now+5, now+5
+		mem, nc := m.pollMem[0], m.pollNC[0]
 		others := append([]int64(nil), m.pollCPU[1:4]...)
 		m.Step()
 		checked++
-		if m.pollCPU[0] != now+1 {
-			t.Errorf("cycle %d: cpu 0 received a response but pollCPU[0]=%d, want %d", now, m.pollCPU[0], now+1)
+		want := m.CPUs[0].NextWork(now + 1)
+		if want <= now+1 {
+			t.Fatalf("cycle %d: cpu 0 is due at %d after the fill; a blind now+1 mark would pass unseen", now, want)
+		}
+		if m.pollCPU[0] != want {
+			t.Errorf("cycle %d: cpu 0 received a response but pollCPU[0]=%d, want its NextWork %d", now, m.pollCPU[0], want)
 		}
 		for i, at := range others {
 			if got := m.pollCPU[1+i]; got != at {
 				t.Errorf("cycle %d: the bus delivered only to cpu 0 but pollCPU[%d] moved %d -> %d", now, 1+i, at, got)
 			}
 		}
-		if m.pollMem[0] != now+5 || m.pollNC[0] != now+5 {
-			t.Errorf("cycle %d: the bus delivered only to cpu 0 but pollMem=%d pollNC=%d, want both %d",
-				now, m.pollMem[0], m.pollNC[0], now+5)
+		if m.pollMem[0] != mem || m.pollNC[0] != nc {
+			t.Errorf("cycle %d: the bus delivered only to cpu 0 but pollMem %d -> %d, pollNC %d -> %d",
+				now, mem, m.pollMem[0], nc, m.pollNC[0])
 		}
 	}
 	if checked == 0 {

@@ -1,7 +1,6 @@
 package core_test
 
 import (
-	"reflect"
 	"testing"
 
 	"numachine/internal/core"
@@ -9,46 +8,55 @@ import (
 	"numachine/internal/workloads"
 )
 
-// TestInterconnectPollsFindWork pins that the interconnect's wakes are
-// exact. Every mark into a ring interface, a local ring or the central ring
-// is the receiver's own wake: an RI's NextWork after the local ring filled
-// its input FIFO, and a ring's edge at which the RI, or the IRI FIFO, that
-// was just fed can inject. So after the first cycle, which polls every
-// component, a poll of the interconnect never finds that its component has
-// nothing to do. The audited run must also be the production run: same
-// cycles, same results.
+// TestInterconnectPollsFindWork pins that every wake is exact, for every
+// component kind. Each poll-cache entry is its component's own NextWork and
+// every mark is the receiver's own wake, so the gate audit that
+// Config.CheckInvariants arms requires, at every cycle a run stops at,
+// entry <= now iff NextWork(now) <= now: a due entry is a poll that finds
+// work, and a future one hides none. The gate blocks tick without asking
+// NextWork first, so a wrong mark is either a lost tick or a tick with
+// nothing to do, and the audit stops the run at that cycle either way.
+//
+// Two machines exercise the marks: a 3-ring radix run, where every CPU,
+// bus, memory, NC, RI, local ring and the central ring carries traffic, and
+// a 1-CPU ocean run on the paper-size machine, where the processor's own
+// barrier arrival releases it and nearly every cycle is fast-forwarded to
+// the wake the entries report.
 func TestInterconnectPollsFindWork(t *testing.T) {
-	run := func(audit bool) (int64, core.Results, *[]string) {
-		cfg := core.DefaultConfig()
-		cfg.Geom = topo.Geometry{ProcsPerStation: 2, StationsPerRing: 2, Rings: 3}
-		cfg.Params.L2Lines, cfg.Params.NCLines = 64, 128
-		cfg.CheckInvariants = true
-		m, err := core.New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var idle *[]string
-		if audit {
-			idle = core.AuditInterconnectPolls(m)
-		}
-		inst, err := workloads.Build("radix", m, cfg.Geom.Procs(), 1024)
-		if err != nil {
-			t.Fatal(err)
-		}
-		m.Load(inst.Progs)
-		cycles := m.Run()
-		if err := inst.Check(); err != nil {
-			t.Fatal(err)
-		}
-		return cycles, m.Results(), idle
+	cases := []struct {
+		name        string
+		geom        topo.Geometry
+		l2, nc      int
+		workload    string
+		procs, size int
+	}{
+		{"radix-3-rings", topo.Geometry{ProcsPerStation: 2, StationsPerRing: 2, Rings: 3}, 64, 128, "radix", 12, 1024},
+		{"ocean-1-cpu", core.DefaultConfig().Geom, 0, 0, "ocean", 1, 32},
 	}
-	cycles, res, idle := run(true)
-	if n := len(*idle); n > 0 {
-		t.Errorf("%d interconnect polls found no work after the first cycle; first: %s", n, (*idle)[0])
-	}
-	refCycles, ref, _ := run(false)
-	if cycles != refCycles || !reflect.DeepEqual(res, ref) {
-		t.Errorf("audited run took %d cycles, production %d; results equal: %v",
-			cycles, refCycles, reflect.DeepEqual(res, ref))
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := core.DefaultConfig()
+			cfg.Geom = tc.geom
+			if tc.l2 > 0 {
+				cfg.Params.L2Lines, cfg.Params.NCLines = tc.l2, tc.nc
+			}
+			cfg.CheckInvariants = true
+			m, err := core.New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			inst, err := workloads.Build(tc.workload, m, tc.procs, tc.size)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m.Load(inst.Progs)
+			m.Run()
+			if err := inst.Check(); err != nil {
+				t.Fatal(err)
+			}
+			if m.FastForwarded.Value() == 0 {
+				t.Error("no cycle fast-forwarded: the audit never checked a landing on cachedWake")
+			}
+		})
 	}
 }

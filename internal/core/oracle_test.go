@@ -11,7 +11,6 @@ package core
 // stepNaive advances the machine one cycle in the reference order.
 func (m *Machine) stepNaive() {
 	now := m.now
-	m.fireBarriers()
 	for _, c := range m.CPUs {
 		c.Tick(now)
 	}

@@ -52,11 +52,6 @@ func (m *Machine) EncodeState(e *snap.Enc) {
 	for _, c := range m.barrier.arrived {
 		e.Int(c.GlobalID)
 	}
-	e.Int(len(m.barrier.releases))
-	for _, r := range m.barrier.releases {
-		e.Int(r.cpu.GlobalID)
-		e.Time(r.at)
-	}
 }
 
 // Injector exposes the machine's fault injector (nil in fault-free runs)

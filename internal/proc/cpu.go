@@ -20,7 +20,7 @@ const (
 	sThink         state = iota // executing; fetch the next reference at thinkUntil
 	sWaitMem                    // one outstanding miss at the memory system
 	sWaitRetry                  // NAK'ed; re-issue at retryAt
-	sWaitBarrier                // parked at a barrier, released by the machine
+	sWaitBarrier                // parked at a barrier; released at thinkUntil, set by the last arrival
 	sWaitInterrupt              // waiting for a special-function completion interrupt
 	sDone
 )
@@ -109,8 +109,9 @@ type CPU struct {
 	// installs it to turn NAK retry timing into an explored choice point.
 	// It receives the consecutive-NAK count and the fixed base delay.
 	RetryChoice func(nakStreak int, base int64) int64
-	// OnBarrier is invoked when the CPU arrives at a barrier; core releases
-	// it later via FinishBarrier.
+	// OnBarrier is invoked when the CPU arrives at a barrier; once every
+	// participant has arrived, core sets each one's release cycle with
+	// FinishBarrier, and Tick releases the CPU at that cycle.
 	OnBarrier func(cpu *CPU, now int64)
 
 	// Interrupt register (§3.1.1).
@@ -226,17 +227,18 @@ func (c *CPU) FinishedAt() int64 { return c.finishAt }
 
 // NextWork reports the earliest cycle at or after now at which Tick can do
 // anything beyond per-cycle stall accounting: the end of the current
-// compute burst, the scheduled NAK retry, or sim.Never while the CPU can
-// only be revived by a bus delivery or barrier release. The cycle loop
-// uses it to skip quiescent ticks; syncStats reconciles the counters the
-// skipped ticks would have incremented.
+// compute burst, the scheduled NAK retry, the barrier release (sim.Never
+// until the last participant arrives), or sim.Never while the CPU can only
+// be revived by a bus delivery. The cycle loop uses it to skip quiescent
+// ticks; syncStats reconciles the counters the skipped ticks would have
+// incremented.
 func (c *CPU) NextWork(now int64) int64 {
 	switch c.st {
-	case sThink:
+	case sThink, sWaitBarrier:
 		return c.thinkUntil
 	case sWaitRetry:
 		return c.retryAt
-	default: // sWaitMem, sWaitInterrupt, sWaitBarrier, sDone
+	default: // sWaitMem, sWaitInterrupt, sDone
 		return sim.Never
 	}
 }
@@ -273,9 +275,6 @@ func (c *CPU) Tick(now int64) {
 	case sWaitMem, sWaitInterrupt:
 		c.Stats.StallCycles++
 		return
-	case sWaitBarrier:
-		c.Stats.BarrierCycles++
-		return
 	case sWaitRetry:
 		if now < c.retryAt {
 			c.Stats.StallCycles++
@@ -283,6 +282,16 @@ func (c *CPU) Tick(now int64) {
 		}
 		c.issue(now, true)
 		return
+	case sWaitBarrier:
+		if now < c.thinkUntil {
+			c.Stats.BarrierCycles++
+			return
+		}
+		c.bumpEpoch() // synchronization boundary: close any open fast window
+		c.Tr.Emit(now, trace.KindBarrierRelease, 0, 0, int32(c.phase), 0)
+		c.lastResult = 0
+		c.st = sThink
+		fallthrough
 	case sThink:
 		if now < c.thinkUntil {
 			return
@@ -354,6 +363,7 @@ func (c *CPU) process(ref Ref, now int64) {
 		c.thinkUntil = now + 1
 	case RefBarrier:
 		c.st = sWaitBarrier
+		c.thinkUntil = sim.Never
 		if c.OnBarrier == nil {
 			panic("proc: barrier used without a barrier controller")
 		}
@@ -598,20 +608,14 @@ func (c *CPU) retryDone(now int64) {
 	c.nakStreak = 0
 }
 
-// FinishBarrier releases the CPU from a barrier at the given cycle.
-// Barriers fire before the CPU phase of the cycle, so the naive loop never
-// charges a barrier cycle at now for a CPU released at now: account only
-// through now-1 before the state changes.
-func (c *CPU) FinishBarrier(now int64) {
+// FinishBarrier sets the cycle at which the CPU leaves its barrier. The
+// release is the CPU's own wake (NextWork): Tick at that cycle charges no
+// barrier cycle, emits the release and fetches the next reference.
+func (c *CPU) FinishBarrier(at int64) {
 	if c.st != sWaitBarrier {
 		panic("proc: FinishBarrier on a CPU not at a barrier")
 	}
-	c.syncStats(now - 1)
-	c.bumpEpoch() // synchronization boundary: close any open fast window
-	c.Tr.Emit(now, trace.KindBarrierRelease, 0, 0, int32(c.phase), 0)
-	c.lastResult = 0
-	c.st = sThink
-	c.thinkUntil = now
+	c.thinkUntil = at
 }
 
 // BusDeliver implements bus.Module: responses, invalidations and

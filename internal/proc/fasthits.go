@@ -215,8 +215,9 @@ func (c *CPU) assertHitWindow(now int64) {
 // receive a bus delivery (memory response, completion interrupt) before it
 // can act at all — on a quiet station that first delivery is itself
 // bounded by the ring-borne arrival path, so such CPUs impose no tighter
-// bound. A parked barrier waiter can be released by the machine as early
-// as the next cycle, hence now+1.
+// bound. A parked barrier waiter whose release cycle has come acts in its
+// own tick later this cycle, hence its release cycle; any other waiter is
+// counted from the next cycle, without reading how far off its release is.
 func (c *CPU) HorizonWake(now int64) (wake int64, needsDelivery bool) {
 	switch c.st {
 	case sThink:
@@ -224,7 +225,7 @@ func (c *CPU) HorizonWake(now int64) (wake int64, needsDelivery bool) {
 	case sWaitRetry:
 		return c.retryAt, false
 	case sWaitBarrier:
-		return now + 1, false
+		return min(c.thinkUntil, now+1), false
 	case sWaitMem, sWaitInterrupt:
 		return 0, true
 	default: // sDone: can never initiate anything again

@@ -22,7 +22,7 @@ func newIdleCPU() *CPU {
 // and from the bump sites it pins down — would let the front end serve a
 // stale hit. The cases mirror the bump sites in cpu.go: fill (including a
 // forced eviction), complete via upgrade ack, BusInval, BusIntervention,
-// NetInterrupt, and FinishBarrier.
+// NetInterrupt, and the barrier release Tick performs at the release cycle.
 func TestEpochBumpCompleteness(t *testing.T) {
 	const line = 0x400
 	cases := []struct {
@@ -101,10 +101,14 @@ func TestEpochBumpCompleteness(t *testing.T) {
 		},
 		{
 			// A barrier release is a synchronization boundary: everything
-			// other processors did before the barrier is now visible.
+			// other processors did before the barrier is now visible. The
+			// CPU releases itself when it ticks at its release cycle.
 			name: "barrier-release",
-			prep: func(c *CPU) { c.st = sWaitBarrier },
-			act:  func(c *CPU) { c.FinishBarrier(10) },
+			prep: func(c *CPU) {
+				c.st = sWaitBarrier
+				c.FinishBarrier(10)
+			},
+			act: func(c *CPU) { c.Tick(10) },
 		},
 	}
 	for _, tc := range cases {

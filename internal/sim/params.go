@@ -10,7 +10,7 @@ package sim
 import "math"
 
 // Never is the wake-up time of a component that cannot do any work until an
-// external event (a bus delivery, a ring slot, a barrier release) reaches
+// external event (a bus delivery, a ring slot, a barrier's last arrival) reaches
 // it. It compares greater than every real cycle number.
 const Never = int64(math.MaxInt64)
 

@@ -173,9 +173,9 @@ type Sink struct {
 }
 
 // Emit appends one event, overwriting the oldest when the buffer is full.
-// Safe (and free) on a nil receiver.
+// Safe (and free) on a nil receiver; a zero-capacity sink drops the event.
 func (s *Sink) Emit(cycle int64, k Kind, line, txn uint64, a, b int32) {
-	if s == nil {
+	if s == nil || len(s.buf) == 0 {
 		return
 	}
 	s.buf[s.n%int64(len(s.buf))] = Event{

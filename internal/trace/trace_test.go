@@ -18,6 +18,17 @@ func TestNilSink(t *testing.T) {
 	}
 }
 
+// TestZeroCapacitySink checks the other inert sink: a zero Sink has no
+// buffer, so Emit drops the event instead of indexing an empty ring.
+func TestZeroCapacitySink(t *testing.T) {
+	var s Sink
+	s.Emit(1, KindTxnBegin, 0x40, 0, 1, 2) // must not panic
+	if s.Len() != 0 || s.Dropped() != 0 || s.Events() != nil {
+		t.Fatalf("zero-capacity sink not inert: len=%d dropped=%d events=%v",
+			s.Len(), s.Dropped(), s.Events())
+	}
+}
+
 // TestNilSinkNoAlloc pins the hot-path cost of a disabled sink at zero
 // allocations, backing the cycle-loop benchmark requirement.
 func TestNilSinkNoAlloc(t *testing.T) {
