@@ -151,6 +151,12 @@ var archRules = []archRule{
 	{name: "barrier releases are CPU wakes",
 		pattern: `fireBarriers|barrierRelease|barrier\.releases`,
 		roots:   []string{"internal/core"}, goOnly: true, noTests: true},
+	// The fast-hit machine-quiet scan reads other stations, which only a
+	// pool round makes unsafe (parPhase). Keying it on the pool's existence
+	// takes the tier from every inline cycle of the pooled executor too.
+	{name: "the machine-quiet tier is off only inside a pool round",
+		pattern: `m\.pool`,
+		roots:   []string{"internal/core/fasthits.go"}},
 	{name: "no pre-tick poll in a gate block",
 		pattern: `^\s*(if )?\w+ :?= .*\.NextWork\(now\)`,
 		roots:   []string{"internal/core/cycle.go"}},

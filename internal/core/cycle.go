@@ -30,8 +30,9 @@ func (m *Machine) Step() {
 // differ in phase 1 only:
 //
 //	phase 1  every station with work ticks its CPUs, bus, memory and NC
-//	         (tickStation) — inline in ascending station order, or one pool
-//	         shard per station under ParallelStations (parallel.go);
+//	         (tickStation) — inline in ascending station order, or, under
+//	         ParallelStations on a cycle with poolMinDue due stations, one
+//	         pool shard per station (parallel.go);
 //	phase 2  the interconnect, on the caller's goroutine: every RI, then
 //	         every local ring (tickRIs, tickLocals: the reference order);
 //	tail     the central ring.
@@ -84,7 +85,7 @@ func (m *Machine) Step() {
 func (m *Machine) stepGated() int {
 	now := m.now
 	ticked := m.stationPhase(now)
-	if anyDue(m.ringNext, now) {
+	if dueAtLeast(m.ringNext, now, 1) {
 		ticked += m.tickRIs(now) + m.tickLocals(now)
 	}
 	ticked += m.tail(now)
@@ -93,9 +94,10 @@ func (m *Machine) stepGated() int {
 }
 
 // stationPhase is phase 1: every due station's tickStation, inline in
-// ascending station order or on the pool.
+// ascending station order or, on a cycle with at least poolMinDue due
+// stations, on the pool.
 func (m *Machine) stationPhase(now int64) int {
-	if m.pool != nil {
+	if m.pool != nil && dueAtLeast(m.stationNext, now, poolMinDue) {
 		return m.stationPhasePooled(now)
 	}
 	ticked := 0
@@ -125,11 +127,14 @@ func (m *Machine) feedRing(s int, now int64) {
 	m.ringNext[r] = min(m.ringNext[r], at)
 }
 
-// anyDue reports whether any aggregate wake in next has come due.
-func anyDue(next []int64, now int64) bool {
+// dueAtLeast reports whether at least n (>= 1) of the aggregate wakes in
+// next have come due.
+func dueAtLeast(next []int64, now int64, n int) bool {
 	for _, at := range next {
 		if at <= now {
-			return true
+			if n--; n == 0 {
+				return true
+			}
 		}
 	}
 	return false

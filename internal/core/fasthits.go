@@ -14,8 +14,9 @@ package core
 //	               cycle order ticks before the station's CPUs.
 //	machine quiet  no message anywhere (deliveryQuiet; held memory locks
 //	               are passive state, not message sources) and no pool
-//	               running (the scan reads other stations, which a pooled
-//	               station worker must not): only CPUs can create traffic,
+//	               round running (parPhase: the scan reads other stations,
+//	               which a pool worker must not; the pooled executor's
+//	               inline cycles may scan): only CPUs can create traffic,
 //	               and a CPU's first push goes to memory/NC/RI, never to
 //	               another processor's cache, so the horizon is the
 //	               earliest other-CPU wake plus its threat chain —
@@ -63,7 +64,7 @@ func (m *Machine) hitHorizonFor(c *proc.CPU) func(now int64) int64 {
 	// deadlock monitor even though the workload is merely far ahead.
 	maxBurst := m.p.DeadlockCycles / 2
 	return func(now int64) int64 {
-		if m.pool != nil || !m.quiescedThisCycle() {
+		if m.parPhase || !m.quiescedThisCycle() {
 			return b.HitHorizon(local, now)
 		}
 		deep := sim.Never

@@ -11,8 +11,9 @@ import (
 // CPU 0 computes throughout; CPU 2, on the other station, takes one miss
 // and finishes. While that miss is in flight CPU 0's horizon is exactly
 // its bus floor; once the machine is quiet again and CPU 0 is the only CPU
-// that can still act, it is the burst cap, now + DeadlockCycles/2. With a
-// pool running the machine-quiet bound is off and both states read the bus
+// that can still act, it is the burst cap, now + DeadlockCycles/2. The
+// pooled executor reads the same bounds outside a pool round; inside one
+// (parPhase) the machine-quiet bound is off and both states read the bus
 // floor.
 func TestHitHorizonRegimes(t *testing.T) {
 	for _, pooled := range []bool{false, true} {
@@ -40,16 +41,27 @@ func TestHitHorizonRegimes(t *testing.T) {
 		if got := cpu.Horizon(m.now); got != busFloor() {
 			t.Errorf("pooled=%v, miss in flight at cycle %d: horizon %d, want the bus floor %d", pooled, m.now, got, busFloor())
 		}
+		if pooled {
+			m.parPhase = true
+			if got := cpu.Horizon(m.now); got != busFloor() {
+				t.Errorf("miss in flight at cycle %d, pool round: horizon %d, want the bus floor %d", m.now, got, busFloor())
+			}
+			m.parPhase = false
+		}
 
 		for !m.CPUs[2].Done() || !m.deliveryQuiet() {
 			m.Step()
 		}
 		want := m.now + cfg.Params.DeadlockCycles/2
-		if pooled {
-			want = busFloor()
-		}
 		if got := cpu.Horizon(m.now); got != want {
 			t.Errorf("pooled=%v, quiet machine at cycle %d: horizon %d, want %d (bus floor %d)", pooled, m.now, got, want, busFloor())
+		}
+		if pooled {
+			m.parPhase = true
+			if got := cpu.Horizon(m.now); got != busFloor() {
+				t.Errorf("quiet machine at cycle %d, pool round: horizon %d, want the bus floor %d", m.now, got, busFloor())
+			}
+			m.parPhase = false
 		}
 	}
 }

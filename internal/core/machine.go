@@ -41,9 +41,10 @@ type Config struct {
 	Placement Placement
 
 	// ParallelStations runs the station phase of the gated cycle on a
-	// worker pool instead of inline: the same per-station tick function,
-	// one shard per station (see parallel.go); the interconnect stays on
-	// the caller's goroutine. Results stay bit-identical. Ignored under
+	// worker pool instead of inline on cycles with enough due stations to
+	// pay for a round: the same per-station tick function, one shard per
+	// station (see parallel.go); the interconnect stays on the caller's
+	// goroutine. Results stay bit-identical. Ignored under
 	// FirstTouch placement (same-cycle first touches from different
 	// stations need the inline executor's ascending CPU order), where the
 	// gated cycle runs inline.
@@ -150,8 +151,8 @@ type Machine struct {
 	wasQuiesced bool
 
 	// Pooled executor of the gated cycle (ParallelStations; nil pool means
-	// the cycle runs inline — see parallel.go). parPhase is set while a
-	// pooled station phase is running, and written only at serial points:
+	// every cycle runs inline — see parallel.go). parPhase is set while a
+	// pool round is running, and written only at serial points:
 	// the barrier then buffers arrivals per station instead of mutating
 	// global state from worker goroutines.
 	pool     *sim.ShardPool

@@ -8,6 +8,8 @@ package core
 // seam, Machine.oracle, which Step and step call instead of the gated
 // cycle when it is set.
 
+import "numachine/internal/sim"
+
 // stepNaive advances the machine one cycle in the reference order.
 func (m *Machine) stepNaive() {
 	now := m.now
@@ -35,9 +37,14 @@ func (m *Machine) stepNaive() {
 	m.now++
 }
 
+// pooledRounds counts the pool rounds run by the machines newLoop builds.
+// Shard 0 belongs to block 0, which the machine's own goroutine runs, so
+// counting there needs no atomic.
+var pooledRounds int64
+
 // newLoop builds cfg's machine under the named loop: "naive" steps in the
-// reference order, "parallel" requests the pooled executor, anything else
-// runs the inline one.
+// reference order, "parallel" requests the pooled executor (its rounds
+// counted in pooledRounds), anything else runs the inline one.
 func newLoop(cfg Config, loop string) (*Machine, error) {
 	if loop == "parallel" {
 		cfg.ParallelStations = true
@@ -45,6 +52,14 @@ func newLoop(cfg Config, loop string) (*Machine, error) {
 	m, err := New(cfg)
 	if err == nil && loop == "naive" {
 		m.oracle = m.stepNaive
+	}
+	if err == nil && m.pool != nil {
+		m.pool = sim.NewShardPool(m.pool.Workers(), m.g.Stations(), func(s int, now int64) int {
+			if s == 0 {
+				pooledRounds++
+			}
+			return m.runShard(s, now)
+		})
 	}
 	return m, err
 }

@@ -21,9 +21,17 @@ package core
 // hands its RI in cycle N cannot reach another station before the ring
 // phase of cycle N has moved it.
 //
-// The dispatch is skipped on cycles where no station has work
-// (stationNext), so a machine with traffic only on its rings does not pay a
-// barrier round for sixteen idle stations.
+// Because the two orders are value-identical, the executor may pick either
+// one cycle by cycle. A pool round costs more than a whole inline station
+// phase unless many stations are due, so stationPhase dispatches only on
+// cycles with at least poolMinDue due stations (counted from stationNext)
+// and runs every other cycle inline, with parPhase false. DESIGN.md "Gated
+// cycle loop" has the traffic histogram and the sweep the value comes from.
+
+// poolMinDue is the fewest due stations for which phase 1 goes to the
+// pool. The test suites lower it to 1 so that their pooled axis dispatches
+// on every cycle with station work.
+var poolMinDue = 8
 
 // runShard is the pool's shard function: station s's phase-1 ticks.
 func (m *Machine) runShard(s int, now int64) int {
@@ -35,9 +43,6 @@ func (m *Machine) runShard(s int, now int64) int {
 
 // stationPhasePooled is phase 1 on the pool.
 func (m *Machine) stationPhasePooled(now int64) int {
-	if !anyDue(m.stationNext, now) {
-		return 0
-	}
 	m.parPhase = true
 	ticked := m.pool.Cycle(now)
 	m.parPhase = false

@@ -13,7 +13,16 @@ func (m *Machine) Load(progs []proc.Program) {
 	if len(progs) > len(m.CPUs) {
 		panic(fmt.Sprintf("core: %d programs for %d processors", len(progs), len(m.CPUs)))
 	}
+	// A new phase starts with no barrier arrivals: a CPU parked at a
+	// barrier of the previous phase is not an arrival at this phase's
+	// first one. A pool round that panicked (Cycle re-raises a shard's
+	// panic) leaves its buffered arrivals and parPhase behind as well.
 	m.barrier.participants = len(progs)
+	m.barrier.arrived = m.barrier.arrived[:0]
+	for s, buf := range m.barrier.parArrived {
+		m.barrier.parArrived[s] = buf[:0]
+	}
+	m.parPhase = false
 	m.Close()
 	for i := range m.runners {
 		m.runners[i] = nil // drop runners from a previous phase

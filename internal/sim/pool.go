@@ -29,12 +29,14 @@ import (
 //     decrement/load pair carries the happens-before edge that makes
 //     every shard's writes visible to the caller.
 //
-// The pool dispatches once per simulated cycle that has station work, so
-// what one round costs matters (BenchmarkShardPoolHandoff: 16 empty
-// shards). When the caller only waited beside W helpers, W+1 runnable
-// goroutines shared W Ps and every round paid a scheduler hand-off: at
-// GOMAXPROCS=2 on a 2-vCPU host a round read 1988–2298 ns, and with the
-// caller as worker 0 it reads 470–652 ns.
+// The pooled executor dispatches a round only on a simulated cycle with
+// enough due stations to pay for it (core's poolMinDue) and runs every
+// other cycle inline, so what one round costs sets that cutoff
+// (BenchmarkShardPoolHandoff: 16 empty shards). When the caller only
+// waited beside W helpers, W+1 runnable goroutines shared W Ps and every
+// round paid a scheduler hand-off: at GOMAXPROCS=2 on a 2-vCPU host a
+// round read 1988–2298 ns, and with the caller as worker 0 it reads
+// 470–652 ns.
 //
 // The shard-to-worker assignment is a fixed block partition, so a shard is
 // always ticked by the same goroutine while the pool is running. Helpers
