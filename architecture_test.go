@@ -121,10 +121,10 @@ var archRules = []archRule{
 		roots:   []string{"internal/proc", "internal/bus", "internal/memory", "internal/netcache", "internal/ring"},
 		goOnly:  true, noTests: true},
 	// A bus tick re-arms only the modules its transfer reached (the set
-	// Bus.Tick returns); re-arming every live CPU of the station brings
-	// back the polls that find no work.
+	// Bus.Tick returns); re-arming every live CPU of the station (one with
+	// a runner) brings back the polls that find no work.
 	{name: "bus marks follow its deliveries",
-		pattern: `liveCPU\[[a-z]+\] && m\.pollCPU\[[a-z]+\] > now\+1`,
+		pattern: `(liveCPU\[[a-z]+\]|runners\[[a-z]+\] != nil) && m\.pollCPU\[[a-z]+\] > now\+1`,
 		roots:   []string{"internal/core/cycle.go"}},
 	// A ring holds its members concretely (its stations' RIs, then the
 	// IRI's local side; the central ring, every IRI's central side), and
@@ -160,6 +160,13 @@ var archRules = []archRule{
 	{name: "no pre-tick poll in a gate block",
 		pattern: `^\s*(if )?\w+ :?= .*\.NextWork\(now\)`,
 		roots:   []string{"internal/core/cycle.go"}},
+	// Every serving request opens a job, and every copy runs the one
+	// preemptible traversal (a zero KillEvery never preempts). A nil-job
+	// branch or the non-preemptible traversal coming back means a second,
+	// pre-resilience request path beside the resilient one.
+	{name: "one request path in the serving controller",
+		pattern: `job [!=]= nil|RunRequest\(`,
+		roots:   []string{"internal/serve", "internal/workloads"}, goOnly: true, noTests: true},
 }
 
 // archRuleFile is this file: it spells every pattern, so no rule searches

@@ -42,7 +42,6 @@ func main() {
 		nc       = flag.Int("nc-lines", 65536, "network cache lines per station")
 		firstT   = flag.Bool("first-touch", false, "first-touch page placement (default round robin)")
 		noSC     = flag.Bool("no-sc-locking", false, "disable sequential-consistency locking (§2.3 ablation)")
-		par      = flag.Bool("parallel", false, "station-parallel cycle loop (bit-identical; needs multiple cores to pay off)")
 		fastHits = flag.Bool("fast-hits", true, "resolve cache hits in the workload front end (bit-identical; disable to A/B against the lock-step handshake)")
 		list     = flag.Bool("list", false, "list available workloads and exit")
 
@@ -83,7 +82,6 @@ func main() {
 	if *firstT {
 		cfg.Placement = core.FirstTouch
 	}
-	cfg.ParallelStations = *par
 	cfg.FastHits = *fastHits
 	cfg.FaultSpec = *faultSpec
 	cfg.FaultSeed = *faultSeed

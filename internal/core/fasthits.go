@@ -69,7 +69,7 @@ func (m *Machine) hitHorizonFor(c *proc.CPU) func(now int64) int64 {
 		}
 		deep := sim.Never
 		for i, o := range m.CPUs {
-			if o == c || !m.liveCPU[i] {
+			if o == c || m.runners[i] == nil {
 				continue
 			}
 			w, needsDelivery := o.HorizonWake(now)

@@ -137,6 +137,9 @@ type Machine struct {
 	central ring.Ring
 
 	credits *ring.Credits
+	// runners holds each processor's program of the current phase. A
+	// processor without one (nil) sits in sDone, so the fast-hit horizon
+	// skips it and its poll cache stays at sim.Never after the first pass.
 	runners []*proc.Runner
 	inj     *fault.Injector // nil in fault-free runs
 
@@ -195,13 +198,6 @@ type Machine struct {
 	ringNext    []int64
 	busFedRing  []bool
 	ringOf      []int
-
-	// liveCPU marks processors with a loaded program. The others sit in
-	// sDone forever, so the fast-hit horizon skips them; no transfer is
-	// addressed to them either, so their poll cache stays at sim.Never after
-	// the first pass — a station none of whose CPUs is live costs one
-	// stationNext comparison per cycle.
-	liveCPU []bool
 
 	// FastForwarded counts cycles skipped by quiescence fast-forwarding.
 	FastForwarded monitor.Counter
@@ -346,7 +342,6 @@ func New(cfg Config) (*Machine, error) {
 		b.Attach(g.ModRI(), m.RIs[s])
 	}
 	m.buildRings(births)
-	m.liveCPU = make([]bool, g.Procs())
 	m.pollCPU = make([]int64, g.Procs())
 	m.pollBus = make([]int64, g.Stations())
 	m.pollMem = make([]int64, g.Stations())

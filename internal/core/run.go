@@ -38,9 +38,6 @@ func (m *Machine) Load(progs []proc.Program) {
 			m.CPUs[i].EnableFastHits()
 		}
 	}
-	for i := range m.liveCPU {
-		m.liveCPU[i] = m.runners[i] != nil
-	}
 	m.resetPolls()
 }
 
@@ -226,39 +223,6 @@ func (m *Machine) SyncStats() {
 	if m.Central != nil {
 		m.Central.SyncStats(limit)
 	}
-}
-
-// StationHealth is one station's cumulative retry-pressure counters, the
-// raw material for the serving layer's health monitor: CPU NAK retries
-// (hot/locked lines, frozen directories) plus NC loss-timeout re-issues
-// (dropped packets, degraded rings).
-type StationHealth struct {
-	NAKRetries      int64
-	TimeoutReissues int64
-}
-
-// SampleStationHealth fills dst (grown as needed) with per-station
-// cumulative health counters. It reconciles lazy statistics first, so
-// when called at a SetDriver serial point — which fires at identical
-// cycles under every loop — the sample is loop-invariant and safe to
-// feed back into simulated decisions (the serving circuit breaker).
-func (m *Machine) SampleStationHealth(dst []StationHealth) []StationHealth {
-	m.SyncStats()
-	n := m.g.Stations()
-	if cap(dst) < n {
-		dst = make([]StationHealth, n)
-	}
-	dst = dst[:n]
-	for i := range dst {
-		dst[i] = StationHealth{}
-	}
-	for i, c := range m.CPUs {
-		dst[m.g.StationOfProc(i)].NAKRetries += c.Stats.NAKRetries
-	}
-	for s, nc := range m.NCs {
-		dst[s].TimeoutReissues += nc.Stats.TimeoutReissues
-	}
-	return dst
 }
 
 // Quiesced reports whether no messages remain anywhere in the machine and

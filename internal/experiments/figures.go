@@ -139,8 +139,8 @@ func PrintFig15(w io.Writer, runs []RunResult) {
 		nc := r.Results.NC
 		fmt.Fprintf(w, "%-14s %9.1f%% %11.1f%% %11.1f%% %11.1f%%\n",
 			r.Workload, 100*nc.HitRate(), 100*nc.MigrationRate(),
-			100*float64(nc.HitsCaching)/float64(max64(nc.Requests, 1)),
-			100*float64(nc.LocalInterv)/float64(max64(nc.Requests, 1)))
+			100*float64(nc.HitsCaching)/float64(max(nc.Requests, 1)),
+			100*float64(nc.LocalInterv)/float64(max(nc.Requests, 1)))
 	}
 }
 
@@ -262,11 +262,4 @@ func PrintSpeedup(w io.Writer, name string, pts []SpeedupPoint) {
 		fmt.Fprintf(w, "  P=%-3d %6.2fx", p.Procs, p.Speedup)
 	}
 	fmt.Fprintln(w)
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -126,21 +126,10 @@ func (in *Injector) newComp(name string, drop, dup float64, win Window, wedgeAt 
 	// Independent streams per decision site so that, e.g., duplication
 	// draws made in the bus phase can never shift the drop draws made in
 	// the ring phase of the same component.
-	c.dropRNG = *sim.NewRNG(substream(in.seed, name+"/drop"))
-	c.dupRNG = *sim.NewRNG(substream(in.seed, name+"/dup"))
-	c.winRNG = *sim.NewRNG(substream(in.seed, name+"/win"))
+	c.dropRNG = *sim.NewRNG(sim.Substream(in.seed, name+"/drop"))
+	c.dupRNG = *sim.NewRNG(sim.Substream(in.seed, name+"/dup"))
+	c.winRNG = *sim.NewRNG(sim.Substream(in.seed, name+"/win"))
 	return c
-}
-
-// substream derives a component-and-site-specific seed by folding an
-// FNV-1a hash of the name into the global seed.
-func substream(seed uint64, name string) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(name); i++ {
-		h ^= uint64(name[i])
-		h *= 1099511628211
-	}
-	return seed ^ h
 }
 
 // Comp is one component's private fault state. All methods are safe on

@@ -218,8 +218,7 @@ func (c *CPU) PendingLine() uint64 { return c.curLine }
 
 // Pending describes what the CPU is blocked on (diagnostics).
 func (c *CPU) Pending() string {
-	names := [...]string{"think", "waitMem", "waitRetry", "waitBarrier", "waitIntr", "done"}
-	return fmt.Sprintf("%s line=%#x kind=%d", names[c.st], c.curLine, c.cur.Kind)
+	return fmt.Sprintf("%s line=%#x kind=%d", c.StateName(), c.curLine, c.cur.Kind)
 }
 
 // FinishedAt returns the cycle the workload completed (valid once Done).

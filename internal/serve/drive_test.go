@@ -9,13 +9,13 @@ import (
 
 // driveTrace runs one scenario recording the cycle of every dispatcher
 // drive.
-func driveTrace(t *testing.T, loop string) []int64 {
+func driveTrace(t *testing.T, fastHits bool) []int64 {
 	t.Helper()
 	sp, err := ParseSpec(serveSpecs[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := core.New(testConfig(loop, true))
+	m, err := core.New(testConfig(fastHits))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,29 +39,30 @@ func driveTrace(t *testing.T, loop string) []int64 {
 
 // TestDriveCyclesLoopInvariant pins the SetDriver contract directly: the
 // dispatcher fires at exactly the cycles a cycle-by-cycle walk would, one
-// every Quantum cycles from the first, under both executors. This is
-// sharper than comparing end-of-run reports — it catches a quiescence
-// fast-forward jumping over a due drive (the clamp's >= boundary: a jump
-// computed after m.now has already advanced onto driveAt must be
-// suppressed, not taken) even when the perturbed schedule happens to
-// produce similar results.
+// every Quantum cycles from the first, with the front-end hit fast path
+// on or off. This is sharper than comparing end-of-run reports — it
+// catches a quiescence fast-forward jumping over a due drive (the clamp's
+// >= boundary: a jump computed after m.now has already advanced onto
+// driveAt must be suppressed, not taken) even when the perturbed schedule
+// happens to produce similar results. The pooled executor's drives are
+// pinned by internal/core's serving equivalence suites.
 func TestDriveCyclesLoopInvariant(t *testing.T) {
 	sp, _ := ParseSpec(serveSpecs[0])
 	var traces [][]int64
-	for _, loop := range []string{"scheduled", "parallel"} {
-		got := driveTrace(t, loop)
+	for _, fast := range []bool{true, false} {
+		got := driveTrace(t, fast)
 		if len(got) < 10 {
-			t.Fatalf("%s: scenario produced only %d drives; test is vacuous", loop, len(got))
+			t.Fatalf("fast=%v: scenario produced only %d drives; test is vacuous", fast, len(got))
 		}
 		for i := range got {
 			if want := got[0] + int64(i)*sp.Quantum; got[i] != want {
-				t.Fatalf("%s: drive %d at cycle %d, want %d (every %d cycles from %d)",
-					loop, i, got[i], want, sp.Quantum, got[0])
+				t.Fatalf("fast=%v: drive %d at cycle %d, want %d (every %d cycles from %d)",
+					fast, i, got[i], want, sp.Quantum, got[0])
 			}
 		}
 		traces = append(traces, got)
 	}
-	if s, p := traces[0], traces[1]; len(s) != len(p) || s[0] != p[0] {
-		t.Errorf("drives: scheduled %d from cycle %d, parallel %d from cycle %d", len(s), s[0], len(p), p[0])
+	if on, off := traces[0], traces[1]; len(on) != len(off) || on[0] != off[0] {
+		t.Errorf("drives: fast hits on %d from cycle %d, off %d from cycle %d", len(on), on[0], len(off), off[0])
 	}
 }

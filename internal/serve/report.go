@@ -23,7 +23,7 @@ func (ctl *Controller) Report() *core.ServeResults {
 	if ctl.start >= 0 && ctl.lastDone > ctl.start {
 		r.Cycles = ctl.lastDone - ctl.start
 	}
-	if ctl.resilient {
+	if ctl.spec.resilient() {
 		r.Resilience = &core.ServeResilience{Ejections: ctl.ejections}
 	}
 	return r

@@ -28,8 +28,8 @@ const (
 
 // faultConfig is testConfig with the chaos fault schedule injected (and
 // the adaptive NAK backoff it implies).
-func faultConfig(loop string, fastHits bool) core.Config {
-	cfg := testConfig(loop, fastHits)
+func faultConfig(fastHits bool) core.Config {
+	cfg := testConfig(fastHits)
 	cfg.FaultSpec = chaosFaultSpec
 	cfg.FaultSeed = chaosFaultSeed
 	cfg.Params.RetryBackoff = true
@@ -46,7 +46,7 @@ func TestServeZeroResilienceGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	report, res := runServe(t, testConfig("scheduled", true), serveSpecs[1], 42)
+	report, res := runServe(t, testConfig(true), serveSpecs[1], 42)
 	if report != string(want) {
 		t.Errorf("zero-resilience report drifted from the pre-resilience golden:\n--- golden\n%s--- now\n%s",
 			want, report)
@@ -65,8 +65,8 @@ func TestServeZeroResilienceGolden(t *testing.T) {
 // deliver strictly more SLA-met completions per kilocycle than the
 // no-resilience baseline under identical faults.
 func TestServeResilienceGoodput(t *testing.T) {
-	_, base := runServe(t, faultConfig("scheduled", true), chaosBaseSpec, chaosServeSeed)
-	_, resil := runServe(t, faultConfig("scheduled", true), chaosResilSpec, chaosServeSeed)
+	_, base := runServe(t, faultConfig(true), chaosBaseSpec, chaosServeSeed)
+	_, resil := runServe(t, faultConfig(true), chaosResilSpec, chaosServeSeed)
 	b, r := base.Serve, resil.Serve
 	if b.Resilience != nil {
 		t.Error("baseline arm unexpectedly carries a Resilience section")
@@ -94,7 +94,7 @@ func TestServeResilienceGoodput(t *testing.T) {
 // every arrival resolves as exactly one of completed, dropped, failed or
 // shed, in the total and in every class/tenant breakdown.
 func TestServeResilienceConservation(t *testing.T) {
-	_, res := runServe(t, faultConfig("scheduled", true), chaosResilSpec, chaosServeSeed)
+	_, res := runServe(t, faultConfig(true), chaosResilSpec, chaosServeSeed)
 	check := func(name string, g *core.ServeGroup) {
 		if g.Arrived != g.Completed+g.Dropped+g.Failed+g.Shed {
 			t.Errorf("%s: arrived=%d != completed=%d + dropped=%d + failed=%d + shed=%d",
@@ -129,14 +129,13 @@ func TestEDFTieBreakBySeq(t *testing.T) {
 	for _, want := range wantOrder {
 		tenant, idx := ctl.pick(0)
 		if tenant < 0 {
-			t.Fatalf("pick found nothing with %d requests queued", ctl.queued)
+			t.Fatalf("pick found nothing with seq %d still queued", want)
 		}
 		r := ctl.queues[tenant][idx]
 		if r.seq != want {
 			t.Fatalf("equal-deadline pick order: got seq %d, want %d", r.seq, want)
 		}
 		ctl.queues[tenant] = append(ctl.queues[tenant][:idx], ctl.queues[tenant][idx+1:]...)
-		ctl.queued--
 	}
 }
 

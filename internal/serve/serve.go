@@ -27,7 +27,7 @@ const (
 // (mutated only at serial drive points).
 type job struct {
 	retries     int   // re-issues so far
-	inFlight    int   // dispatched copies not yet collected
+	copies      int   // dispatched copies not yet collected
 	hedged      bool  // current attempt already has a hedge copy
 	done        bool  // a copy completed; siblings are stragglers
 	failed      bool  // abandoned (retries/budget/queue exhausted)
@@ -47,16 +47,20 @@ type request struct {
 	deadline int64 // absolute SLA deadline for this attempt (sim.Never when none)
 	shape    workloads.RequestShape
 
-	job       *job  // nil unless the spec enables resilience
-	hedge     bool  // this copy is the hedged re-issue
-	eligible  int64 // earliest dispatch cycle (retry backoff)
-	cancel    bool  // dispatcher: sibling won, abandon at next Sync check
-	killed    bool  // worker: traversal preempted (deadline or cancel)
-	worker    int   // box index the copy was dispatched to
-	collected bool  // drained from its worker's out list
+	// job is the job this copy serves. The request that opens a job holds
+	// it in opened, and every reissued copy points there.
+	job      *job
+	opened   job
+	eligible int64 // earliest dispatch cycle (retry backoff)
+	worker   int   // box index the copy was dispatched to
 
 	started int64 // worker's dispatch-observation cycle (Ctx.Sync)
 	done    int64 // worker's completion/kill cycle (Ctx.Sync)
+
+	hedge     bool // this copy is the hedged re-issue
+	cancel    bool // dispatcher: sibling won, abandon at next Sync check
+	killed    bool // worker: traversal preempted (deadline or cancel)
+	collected bool // drained from its worker's out list
 }
 
 // box is one worker's mailbox. The dispatcher appends to in and drains
@@ -93,8 +97,9 @@ type Controller struct {
 	// Substream PRNGs, one per decision site, drawn in arrival order only
 	// (inside the drive hook), as internal/fault does per component.
 	// retryRNG draws in collect order and hedgeRNG in arrival order; both
-	// exist only when their mechanism is enabled, so zero-resilience runs
-	// consume exactly the historical draw sequence.
+	// exist only when their mechanism is enabled, so a zero-resilience spec
+	// draws what it drew before resilience existed and renders the same
+	// report (TestServeZeroResilienceGolden pins it).
 	gapRNG    *sim.RNG // open-loop inter-arrival gaps
 	classRNG  *sim.RNG // class picks
 	tenantRNG *sim.RNG // tenant picks
@@ -107,21 +112,16 @@ type Controller struct {
 	boxes  []*box
 	queues [][]*request // per tenant, service order decided at dispatch
 
-	seq       int64
-	generated int
-	queued    int
-	inFlight  int
-	arriving  []*request // admitted this drive, pending queue insert
-	nextAt    int64      // next open-loop arrival cycle
-	openDone  bool
-	rrCursor  int // static policy round-robin position
+	seq      int64      // requests generated so far
+	arriving []*request // admitted this drive, pending queue insert
+	nextAt   int64      // next open-loop arrival cycle
+	openDone bool
+	rrCursor int // static policy round-robin position
 
-	resilient      bool
 	flight         []*request // dispatched, uncollected copies (hedging only)
 	tenantRetries  []int      // per tenant, against spec.RetryBudget
 	classEst       []float64  // per class service-time EWMA (shedder)
 	health         []stationHealth
-	hscratch       []core.StationHealth
 	svcSum, svcCnt []int64 // per station, this drive's latency evidence
 	workerStations int
 	ejections      int64
@@ -146,22 +146,21 @@ func New(m *core.Machine, sp Spec, seed uint64) (*Controller, error) {
 		spec:      sp,
 		seed:      seed,
 		m:         m,
-		gapRNG:    sim.NewRNG(substream(seed, "serve/gap")),
-		classRNG:  sim.NewRNG(substream(seed, "serve/class")),
-		tenantRNG: sim.NewRNG(substream(seed, "serve/tenant")),
-		shapeRNG:  sim.NewRNG(substream(seed, "serve/shape")),
+		gapRNG:    sim.NewRNG(sim.Substream(seed, "serve/gap")),
+		classRNG:  sim.NewRNG(sim.Substream(seed, "serve/class")),
+		tenantRNG: sim.NewRNG(sim.Substream(seed, "serve/tenant")),
+		shapeRNG:  sim.NewRNG(sim.Substream(seed, "serve/shape")),
 		start:     -1,
-		resilient: sp.resilient(),
 		classes:   make([]core.ServeGroup, len(sp.Classes)),
 		tenants:   make([]core.ServeGroup, sp.Tenants),
 		queues:    make([][]*request, sp.Tenants),
 	}
 	if sp.Retries > 0 {
-		ctl.retryRNG = sim.NewRNG(substream(seed, "serve/retry"))
+		ctl.retryRNG = sim.NewRNG(sim.Substream(seed, "serve/retry"))
 		ctl.tenantRetries = make([]int, sp.Tenants)
 	}
 	if sp.Hedge > 0 {
-		ctl.hedgeRNG = sim.NewRNG(substream(seed, "serve/hedge"))
+		ctl.hedgeRNG = sim.NewRNG(sim.Substream(seed, "serve/hedge"))
 	}
 	if sp.Shed {
 		ctl.classEst = make([]float64, len(sp.Classes))
@@ -188,17 +187,6 @@ func New(m *core.Machine, sp Spec, seed uint64) (*Controller, error) {
 		ctl.boxes = append(ctl.boxes, b)
 	}
 	return ctl, nil
-}
-
-// substream derives a site-specific seed by folding an FNV-1a hash of the
-// name into the global seed (the internal/fault idiom).
-func substream(seed uint64, name string) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(name); i++ {
-		h ^= uint64(name[i])
-		h *= 1099511628211
-	}
-	return seed ^ h
 }
 
 // Run loads the worker programs, attaches the dispatcher to the run
@@ -230,7 +218,8 @@ func (ctl *Controller) Run() int64 {
 // passed or the dispatcher cancelled it (a hedge sibling won). The kill
 // decision depends only on the pinned Sync cycle and on dispatcher state
 // published at serial points, so kills land at identical cycles under
-// every loop.
+// every loop. Without kill= (KillEvery 0) the traversal never syncs
+// mid-request and always completes.
 func (ctl *Controller) worker(w int) proc.Program {
 	sp := ctl.spec
 	return func(c *proc.Ctx) {
@@ -241,13 +230,8 @@ func (ctl *Controller) worker(w int) proc.Program {
 				r := b.in[b.head]
 				b.head++
 				r.started = t
-				if sp.KillEvery > 0 {
-					ok := workloads.RunRequestPreempt(c, ctl.spans[r.tenant], r.shape, sp.KillEvery,
-						func(at int64) bool { return r.cancel || at > r.deadline })
-					r.killed = !ok
-				} else {
-					workloads.RunRequest(c, ctl.spans[r.tenant], r.shape)
-				}
+				r.killed = !workloads.RunRequestPreempt(c, ctl.spans[r.tenant], r.shape, sp.KillEvery,
+					func(at int64) bool { return r.cancel || at > r.deadline })
 				r.done = c.Sync()
 				b.out = append(b.out, r)
 				continue
@@ -287,11 +271,27 @@ func (ctl *Controller) drive(m *core.Machine) {
 	ctl.generate(now)
 	ctl.admit(now)
 	ctl.dispatch(now)
-	if ctl.genDone() && ctl.queued == 0 && ctl.inFlight == 0 {
+	if ctl.genDone() && ctl.drained() {
 		for _, b := range ctl.boxes {
 			b.stop = true
 		}
 	}
+}
+
+// drained reports whether no request waits in a tenant queue and no copy
+// is dispatched but uncollected.
+func (ctl *Controller) drained() bool {
+	for _, q := range ctl.queues {
+		if len(q) > 0 {
+			return false
+		}
+	}
+	for _, b := range ctl.boxes {
+		if b.load > 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // prime seeds the arrival process at the first drive.
@@ -301,7 +301,7 @@ func (ctl *Controller) prime(now int64) {
 		return
 	}
 	// Closed loop: fill the concurrency window.
-	for i := 0; i < ctl.spec.Closed && ctl.generated < ctl.spec.Requests; i++ {
+	for i := 0; i < ctl.spec.Closed && ctl.seq < int64(ctl.spec.Requests); i++ {
 		ctl.arriving = append(ctl.arriving, ctl.newRequest(now))
 	}
 }
@@ -334,7 +334,7 @@ func (ctl *Controller) checkOpenDone() {
 	if ctl.spec.Duration > 0 && ctl.nextAt > ctl.start+ctl.spec.Duration {
 		ctl.openDone = true
 	}
-	if ctl.spec.Requests > 0 && ctl.generated >= ctl.spec.Requests {
+	if ctl.spec.Requests > 0 && ctl.seq >= int64(ctl.spec.Requests) {
 		ctl.openDone = true
 	}
 }
@@ -344,12 +344,13 @@ func (ctl *Controller) genDone() bool {
 	if ctl.spec.OpenRate > 0 {
 		return ctl.openDone
 	}
-	return ctl.generated >= ctl.spec.Requests
+	return ctl.seq >= int64(ctl.spec.Requests)
 }
 
-// newRequest draws one request: tenant, class and traversal offset each
-// come from their own substream, consumed strictly in arrival order (as
-// is the hedge jitter, whose stream only exists when hedging is on).
+// newRequest draws one request, which opens its job: tenant, class and
+// traversal offset each come from their own substream, consumed strictly
+// in arrival order (as is the hedge jitter, whose stream only exists when
+// hedging is on).
 func (ctl *Controller) newRequest(arrived int64) *request {
 	sp := ctl.spec
 	tenant := ctl.tenantRNG.Intn(sp.Tenants)
@@ -383,19 +384,16 @@ func (ctl *Controller) newRequest(arrived int64) *request {
 			Think:    cl.Think,
 		},
 	}
-	if ctl.resilient {
-		r.job = &job{}
-		if sp.Hedge > 0 {
-			r.job.hedgeJitter = int64(ctl.hedgeRNG.Intn(int(sp.Hedge)))
-		}
+	r.job = &r.opened
+	if sp.Hedge > 0 {
+		r.opened.hedgeJitter = int64(ctl.hedgeRNG.Intn(int(sp.Hedge)))
 	}
 	ctl.seq++
-	ctl.generated++
 	return r
 }
 
 // reissue clones a copy of r's job for a fresh dispatch (retry or hedge):
-// same seq, tenant, class, arrival and shape, clean per-copy state.
+// same seq, tenant, class, arrival, shape and job, clean per-copy state.
 func (r *request) reissue() *request {
 	c := *r
 	c.cancel, c.killed, c.collected, c.hedge = false, false, false, false
@@ -430,16 +428,15 @@ func (ctl *Controller) admit(now int64) {
 			}
 		})
 		if full {
-			// Pre-resilience closed-loop runs did not replace admission
-			// drops; resilient ones must, or a chaos schedule could bleed
-			// the concurrency window down to a hang.
-			if ctl.resilient {
+			// A resilient closed loop replaces admission drops, or a chaos
+			// schedule could bleed the concurrency window down to a hang;
+			// a zero-resilience one does not (its golden report pins it).
+			if ctl.spec.resilient() {
 				ctl.replace(now)
 			}
 			continue
 		}
 		ctl.queues[r.tenant] = append(ctl.queues[r.tenant], r)
-		ctl.queued++
 	}
 	ctl.arriving = ctl.arriving[:0]
 }
@@ -448,7 +445,7 @@ func (ctl *Controller) admit(now int64) {
 // resolved job (completed, failed, dropped or shed). No-op in open loop
 // or once the request budget is exhausted.
 func (ctl *Controller) replace(now int64) {
-	if ctl.spec.Closed > 0 && ctl.generated < ctl.spec.Requests {
+	if ctl.spec.Closed > 0 && ctl.seq < int64(ctl.spec.Requests) {
 		ctl.arriving = append(ctl.arriving, ctl.newRequest(now))
 	}
 }
@@ -469,7 +466,6 @@ func (ctl *Controller) account(r *request, f func(*core.ServeGroup)) {
 func (ctl *Controller) collect(now int64) {
 	for _, b := range ctl.boxes {
 		for _, r := range b.out {
-			ctl.inFlight--
 			b.load--
 			r.collected = true
 			if r.done > ctl.lastDone {
@@ -480,22 +476,19 @@ func (ctl *Controller) collect(now int64) {
 				ctl.svcSum[s] += r.done - r.started
 				ctl.svcCnt[s]++
 			}
-			if r.job == nil {
-				ctl.complete(r, now) // pre-resilience: every copy completes
-				continue
-			}
 			ctl.resolve(r, now)
 		}
 		b.out = b.out[:0]
 	}
 }
 
-// resolve accounts one collected copy of a resilient job and, when it was
-// the job's last outstanding copy without a completion, decides retry vs
-// failure.
+// resolve accounts one collected copy of its job and, when it was the
+// job's last outstanding copy without a completion, decides retry vs
+// failure. Without kills every copy completes, and without retries or
+// hedges every job has one copy.
 func (ctl *Controller) resolve(r *request, now int64) {
 	j := r.job
-	j.inFlight--
+	j.copies--
 	switch {
 	case r.killed && r.cancel:
 		// Cancelled straggler (its sibling won); nothing to account.
@@ -504,8 +497,23 @@ func (ctl *Controller) resolve(r *request, now int64) {
 	case j.done:
 		// Completed after its sibling already won; drop silently.
 	default:
+		// The copy that completes its job: queueing, service and
+		// end-to-end latency, the SLA verdict, a hedge win, and the
+		// closed-loop replacement.
 		j.done = true
-		ctl.complete(r, now)
+		ctl.account(r, func(g *core.ServeGroup) {
+			g.Completed++
+			g.Queued.Add(r.started - r.arrived)
+			g.Service.Add(r.done - r.started)
+			g.Latency.Add(r.done - r.arrived)
+			if r.done > r.deadline {
+				g.Violations++
+			}
+			if r.hedge {
+				g.HedgeWins++
+			}
+		})
+		ctl.replace(now)
 		if ctl.spec.Shed {
 			// The shed estimate tracks full arrival-to-completion latency:
 			// queue backlog, not just service time, is what dooms a
@@ -518,28 +526,9 @@ func (ctl *Controller) resolve(r *request, now int64) {
 			}
 		}
 	}
-	if j.inFlight == 0 && !j.done && !j.failed {
+	if j.copies == 0 && !j.done && !j.failed {
 		ctl.retryOrFail(r, now)
 	}
-}
-
-// complete accounts the copy that completes a request — queueing, service
-// and end-to-end latency, the SLA verdict, a hedge win — and spawns its
-// closed-loop replacement.
-func (ctl *Controller) complete(r *request, now int64) {
-	ctl.account(r, func(g *core.ServeGroup) {
-		g.Completed++
-		g.Queued.Add(r.started - r.arrived)
-		g.Service.Add(r.done - r.started)
-		g.Latency.Add(r.done - r.arrived)
-		if r.done > r.deadline {
-			g.Violations++
-		}
-		if r.hedge {
-			g.HedgeWins++
-		}
-	})
-	ctl.replace(now)
 }
 
 // retryOrFail re-issues a killed job with bounded-exponential backoff
@@ -562,9 +551,7 @@ func (ctl *Controller) retryOrFail(r *request, now int64) {
 	}
 	j.retries++
 	j.hedged = false
-	if ctl.tenantRetries != nil {
-		ctl.tenantRetries[r.tenant]++
-	}
+	ctl.tenantRetries[r.tenant]++
 	delay := sp.RetryBase << (j.retries - 1)
 	if delay > sp.RetryMax {
 		delay = sp.RetryMax
@@ -580,23 +567,28 @@ func (ctl *Controller) retryOrFail(r *request, now int64) {
 		c.deadline = c.eligible + cl.Deadline
 	}
 	ctl.queues[r.tenant] = append(ctl.queues[r.tenant], c)
-	ctl.queued++
 }
 
 // updateHealth folds this drive's evidence — mean collected service
-// latency per worker station plus newly accumulated NAK retries and
-// timeout re-issues from Machine.SampleStationHealth — into each
+// latency per worker station plus newly accumulated NAK retries of the
+// station's CPUs and loss-timeout re-issues of its NC — into each
 // station's EWMA score, then runs the circuit breaker: a station whose
 // score exceeds BreakerPct percent of the fleet mean is ejected from
 // placement for BreakerCool cycles, and re-enters at the fleet mean
-// (a half-open fresh start) when the cooldown expires. All arithmetic
-// runs in a fixed order over loop-invariant inputs, so the breaker's
-// decisions are identical under every cycle loop.
+// (a half-open fresh start) when the cooldown expires. Both counters
+// count events as they happen (no lazy reconciliation), and a drive runs
+// at the same serial points under every cycle loop, so all arithmetic
+// runs in a fixed order over loop-invariant inputs and the breaker's
+// decisions are identical under every loop.
 func (ctl *Controller) updateHealth(now int64) {
-	ctl.hscratch = ctl.m.SampleStationHealth(ctl.hscratch)
+	m := ctl.m
+	pps := m.Geometry().ProcsPerStation
 	for s := 0; s < ctl.workerStations; s++ {
 		h := &ctl.health[s]
-		cum := ctl.hscratch[s].NAKRetries + ctl.hscratch[s].TimeoutReissues
+		cum := m.NCs[s].Stats.TimeoutReissues
+		for _, c := range m.CPUs[s*pps : (s+1)*pps] {
+			cum += c.Stats.NAKRetries
+		}
 		delta := cum - h.lastCum
 		h.lastCum = cum
 		if ctl.svcCnt[s] == 0 && delta == 0 {
@@ -687,8 +679,7 @@ func (ctl *Controller) flightSweep(now int64) {
 		h := r.reissue()
 		h.hedge = true
 		j.hedged = true
-		j.inFlight++
-		ctl.inFlight++
+		j.copies++
 		ctl.account(r, func(g *core.ServeGroup) { g.Hedges++ })
 		ctl.send(h, w)
 		issued = append(issued, h)
@@ -709,10 +700,10 @@ func (ctl *Controller) send(r *request, w int) {
 // retry whose backoff has not elapsed is invisible to the discipline
 // until it becomes eligible.
 func (ctl *Controller) dispatch(now int64) {
-	for ctl.queued > 0 {
+	for {
 		tenant, idx := ctl.pick(now)
 		if tenant < 0 {
-			return // nothing eligible yet (retries still backing off)
+			return // queues empty, or retries still backing off
 		}
 		r := ctl.queues[tenant][idx]
 		w := ctl.place(r, now)
@@ -720,13 +711,9 @@ func (ctl *Controller) dispatch(now int64) {
 			return // every worker at depth; try again next drive
 		}
 		ctl.queues[tenant] = append(ctl.queues[tenant][:idx], ctl.queues[tenant][idx+1:]...)
-		ctl.queued--
-		ctl.inFlight++
-		if r.job != nil {
-			r.job.inFlight++
-			if ctl.spec.Hedge > 0 {
-				ctl.flight = append(ctl.flight, r)
-			}
+		r.job.copies++
+		if ctl.spec.Hedge > 0 {
+			ctl.flight = append(ctl.flight, r)
 		}
 		ctl.send(r, w)
 	}

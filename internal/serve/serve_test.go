@@ -10,15 +10,17 @@ import (
 	"numachine/internal/topo"
 )
 
-// testConfig is a small machine the serve scenarios run fast on.
-func testConfig(loop string, fastHits bool) core.Config {
+// testConfig is a small machine the serve scenarios run fast on. It has
+// four stations, fewer than the pooled executor needs before it dispatches
+// a cycle, so every run here is inline; internal/core's
+// TestServeEquivalence and TestServeResilienceEquivalence cover the pool.
+func testConfig(fastHits bool) core.Config {
 	cfg := core.DefaultConfig()
 	cfg.Geom = topo.Geometry{ProcsPerStation: 2, StationsPerRing: 2, Rings: 2}
 	cfg.Params.L2Lines = 64
 	cfg.Params.NCLines = 128
 	cfg.Params.DeadlockCycles = 2_000_000
 	cfg.FastHits = fastHits
-	cfg.ParallelStations = loop == "parallel"
 	return cfg
 }
 
@@ -63,8 +65,8 @@ var serveSpecs = []string{
 // TestServeSeedSensitivity guards against a generator wired to a constant
 // stream: different seeds must yield different arrival patterns.
 func TestServeSeedSensitivity(t *testing.T) {
-	a, _ := runServe(t, testConfig("scheduled", true), serveSpecs[0], 1)
-	b, _ := runServe(t, testConfig("scheduled", true), serveSpecs[0], 2)
+	a, _ := runServe(t, testConfig(true), serveSpecs[0], 1)
+	b, _ := runServe(t, testConfig(true), serveSpecs[0], 2)
 	if a == b {
 		t.Error("seeds 1 and 2 produced identical reports; generator ignores the seed")
 	}
@@ -74,7 +76,7 @@ func TestServeSeedSensitivity(t *testing.T) {
 // Requests requests are generated and all of them complete (closed loops
 // cannot drop — arrivals replace completions, bounded by concurrency).
 func TestServeClosedLoopCompletes(t *testing.T) {
-	_, res := runServe(t, testConfig("scheduled", true), serveSpecs[2], 7)
+	_, res := runServe(t, testConfig(true), serveSpecs[2], 7)
 	s := res.Serve
 	if s.Total.Arrived != 60 || s.Total.Completed != 60 || s.Total.Dropped != 0 {
 		t.Errorf("closed loop: arrived=%d completed=%d dropped=%d, want 60/60/0",
@@ -101,7 +103,7 @@ func TestServeClosedLoopCompletes(t *testing.T) {
 func TestServeAdmissionDrops(t *testing.T) {
 	spec := "open=200,duration=4000,requests=120,procs=2,tenants=1,span=128,qcap=1,depth=1," +
 		"class=slow:1:64:200:50:0"
-	_, res := runServe(t, testConfig("scheduled", true), spec, 3)
+	_, res := runServe(t, testConfig(true), spec, 3)
 	s := res.Serve
 	if s.Total.Dropped == 0 {
 		t.Fatalf("no admission drops despite a saturating burst: %+v", s.Total)
@@ -119,13 +121,13 @@ func TestServeAdmissionDrops(t *testing.T) {
 // time must flag every completion as a violation; a generous one, none.
 func TestServeSLAViolations(t *testing.T) {
 	tight := "closed=4,requests=24,procs=4,tenants=2,span=128,class=c:1:32:50:25:10"
-	_, res := runServe(t, testConfig("scheduled", true), tight, 5)
+	_, res := runServe(t, testConfig(true), tight, 5)
 	if s := res.Serve; s.Total.Violations != s.Total.Completed {
 		t.Errorf("10-cycle deadline: %d violations of %d completions, want all",
 			s.Total.Violations, s.Total.Completed)
 	}
 	loose := "closed=4,requests=24,procs=4,tenants=2,span=128,class=c:1:32:50:25:100000000"
-	_, res = runServe(t, testConfig("scheduled", true), loose, 5)
+	_, res = runServe(t, testConfig(true), loose, 5)
 	if s := res.Serve; s.Total.Violations != 0 {
 		t.Errorf("10^8-cycle deadline: %d violations, want 0", s.Total.Violations)
 	}
@@ -139,7 +141,7 @@ func newIdleController(t *testing.T, specStr string) *Controller {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := core.New(testConfig("scheduled", true))
+	m, err := core.New(testConfig(true))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +155,6 @@ func newIdleController(t *testing.T, specStr string) *Controller {
 func enqueue(ctl *Controller, tenant int, seq, deadline int64) *request {
 	r := &request{seq: seq, tenant: tenant, deadline: deadline}
 	ctl.queues[tenant] = append(ctl.queues[tenant], r)
-	ctl.queued++
 	return r
 }
 
@@ -180,7 +181,6 @@ func TestDisciplineEDF(t *testing.T) {
 	}
 	// Remove it; next pick is the 900-deadline request, then the free one.
 	ctl.queues[1] = ctl.queues[1][:1]
-	ctl.queued--
 	if tenant, idx = ctl.pick(0); tenant != 1 || idx != 0 {
 		t.Errorf("EDF second pick tenant=%d idx=%d, want tenant=1 idx=0", tenant, idx)
 	}

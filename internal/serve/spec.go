@@ -5,7 +5,7 @@
 // drawn from weighted classes; an admission layer queues them per tenant
 // (FIFO or EDF service order); a placement policy maps each dispatched
 // request onto a station CPU, where it runs as a short memory-traversal
-// job over its tenant's span (workloads.RunRequest); and the results
+// job over its tenant's span (workloads.RunRequestPreempt); and the results
 // layer reports per-tenant/per-class latency percentiles, SLA violation
 // rates, admission drops and saturation throughput.
 //
@@ -56,8 +56,8 @@ type Spec struct {
 	Discipline string // fifo | edf
 	Policy     string // static | locality | least-load
 
-	// Resilience knobs (all zero = off; the zero-resilience spec renders
-	// and behaves bit-identically to the pre-resilience serving layer).
+	// Resilience knobs (all zero = off; a zero-resilience spec renders
+	// and behaves as the serving layer did before they existed).
 	KillEvery   int   // preemption check period, touches (0 = never kill)
 	Retries     int   // max re-issues per job after a deadline kill
 	RetryBase   int64 // backoff base delay, cycles (bounded exponential)
@@ -71,9 +71,12 @@ type Spec struct {
 	Classes []Class
 }
 
-// resilient reports whether any resilience mechanism is enabled; when
-// false the controller runs the exact pre-resilience code paths (same
-// PRNG draws, same report bytes).
+// resilient reports whether any resilience mechanism is enabled. Every
+// spec runs the same request path; a zero-resilience one draws, renders
+// and behaves as the serving layer did before resilience existed
+// (TestServeZeroResilienceGolden pins it). Two rules depend on this:
+// only a resilient closed loop replaces admission drops, and only a
+// resilient report carries the Resilience section.
 func (sp Spec) resilient() bool {
 	return sp.KillEvery > 0 || sp.Retries > 0 || sp.Hedge > 0 ||
 		sp.BreakerPct > 0 || sp.Shed

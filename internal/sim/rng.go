@@ -36,3 +36,15 @@ func (r *RNG) Intn(n int) int {
 func (r *RNG) Float64() float64 {
 	return float64(r.Uint64()>>11) / float64(1<<53)
 }
+
+// Substream derives a decision site's seed from a run's seed by folding an
+// FNV-1a hash of the site's name into it, so every site draws from its own
+// stream and adding a site shifts no other site's draws.
+func Substream(seed uint64, name string) uint64 {
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(name); i++ {
+		h ^= uint64(name[i])
+		h *= 1099511628211
+	}
+	return seed ^ h
+}

@@ -12,7 +12,8 @@ import (
 // simulated memory system through proc.Ctx.
 
 // Span is a line-granular window of simulated shared memory homed on one
-// station — a tenant's working set. Requests traverse it with RunRequest.
+// station — a tenant's working set. Requests traverse it with
+// RunRequestPreempt.
 type Span struct {
 	Base  uint64
 	Lines int
@@ -50,19 +51,13 @@ type RequestShape struct {
 	Think    int64
 }
 
-// RunRequest executes one request job: the memory-traversal loop every
-// admitted request runs on its assigned CPU.
-func RunRequest(c *proc.Ctx, sp Span, sh RequestShape) {
-	RunRequestPreempt(c, sp, sh, 0, nil)
-}
-
-// RunRequestPreempt is RunRequest with a preemption contract: when every
-// is positive, the traversal forces a Ctx.Sync handshake after each
-// `every` touches and calls stop with the pinned cycle; a true return
-// abandons the remaining touches immediately. It reports whether the
-// traversal ran to completion. With every <= 0 it performs the exact
-// reference sequence of RunRequest — no extra Syncs, no extra cycles —
-// so non-preemptible requests stay bit-identical to the historical path.
+// RunRequestPreempt executes one request job — the memory-traversal loop
+// every admitted request runs on its assigned CPU — under a preemption
+// contract: when every is positive, the traversal forces a Ctx.Sync
+// handshake after each `every` touches and calls stop with the pinned
+// cycle; a true return abandons the remaining touches immediately. It
+// reports whether the traversal ran to completion. With every <= 0 it
+// never syncs mid-request, never calls stop and always completes.
 //
 // The Sync is what makes kills deterministic: the stop predicate only
 // ever observes dispatcher state published at serial drive points at or

@@ -93,13 +93,6 @@ func blockRange(n, nprocs, id int) (lo, hi int) {
 	return lo, hi
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // region is a shared vector of fixed-size elements living in simulated
 // memory. Element values are kept on the host; reads and writes mirror the
 // accesses onto the simulated lines so the memory system sees the true
