@@ -26,8 +26,9 @@ type archRule struct {
 	// roots are the files and directories searched, relative to the
 	// repository root; "." is the whole tree.
 	roots []string
-	// goOnly limits the search to .go files, noTests to non-test files.
-	goOnly, noTests bool
+	// goOnly limits the search to .go files, noTests to non-test files
+	// and testsOnly to test files.
+	goOnly, noTests, testsOnly bool
 	// skip lists directories whose files are not searched.
 	skip []string
 	// allow, when set, exempts the lines it matches.
@@ -167,6 +168,14 @@ var archRules = []archRule{
 	{name: "one request path in the serving controller",
 		pattern: `job [!=]= nil|RunRequest\(`,
 		roots:   []string{"internal/serve", "internal/workloads"}, goOnly: true, noTests: true},
+	// Every cycle-loop axis of internal/core's tests ranges over
+	// equivLoops (or its executors, equivLoops[1:]), and only newLoop
+	// reads the pooled executor's name. A loop list spelled again leaves a
+	// suite behind when an executor is added or retired.
+	{name: "the loop axis is spelled once",
+		pattern: `"parallel"`, fixed: true,
+		roots: []string{"internal/core"}, testsOnly: true,
+		allow: `^var equivLoops = |^\tif loop == "parallel" \{$`},
 }
 
 // archRuleFile is this file: it spells every pattern, so no rule searches
@@ -255,7 +264,8 @@ func (r archRule) search() ([]string, error) {
 		}
 		if path == archRuleFile ||
 			r.goOnly && !strings.HasSuffix(path, ".go") ||
-			r.noTests && strings.HasSuffix(path, "_test.go") {
+			r.noTests && strings.HasSuffix(path, "_test.go") ||
+			r.testsOnly && !strings.HasSuffix(path, "_test.go") {
 			return nil
 		}
 		f, err := os.Open(path)

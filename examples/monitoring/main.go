@@ -1,6 +1,6 @@
 // Monitoring: demonstrates the non-intrusive performance monitoring
 // hardware of §3.3 — the cache coherence histogram tables (transaction
-// type × line state, with the dual-half overflow mechanism) and the
+// type × line state) and the
 // per-processor phase identifier registers that attribute transactions to
 // program phases.
 package main

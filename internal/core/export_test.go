@@ -1,8 +1,12 @@
 package core
 
 // NewLoop re-exports newLoop, the one place that installs the reference
-// order, for the package core_test suites.
-var NewLoop = newLoop
+// order, and EquivLoops the loop names it takes, for the package core_test
+// suites.
+var (
+	NewLoop    = newLoop
+	EquivLoops = equivLoops
+)
 
 // shippedPoolMinDue is poolMinDue as the program ships it. Every suite of
 // this package runs at poolMinDue 1, so the pooled executor sends phase 1

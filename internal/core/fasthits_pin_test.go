@@ -26,7 +26,7 @@ func TestMachineQuietBoundResolvesHits(t *testing.T) {
 	m.Run()
 	var resolved, window int64
 	for _, c := range m.CPUs {
-		r, w, _, _ := c.FastHitStats()
+		r, w := c.FastHitStats()
 		resolved += r
 		window += w
 	}

@@ -10,8 +10,8 @@ import (
 	"numachine/internal/topo"
 )
 
-// faultSchedule is one (seed, spec) pair for the soak and fault
-// equivalence harnesses.
+// faultSchedule is one (seed, spec) pair for the soak and the faulted
+// cells of the equivalence matrix.
 type faultSchedule struct {
 	name string
 	seed uint64
@@ -33,46 +33,13 @@ func faultSchedules() []faultSchedule {
 	}
 }
 
-// faultScenarios picks the equivalence scenarios the fault harnesses run:
+// faultScenarios picks the equivalence scenarios run under faults:
 // hierarchical mixed traffic (remote fetches to drop, invalidations to
 // duplicate) and the kill/lock scenario (special functions whose NAKs
 // take the interrupt-wait recovery path).
 func faultScenarios() []equivScenario {
 	all := equivScenarios()
 	return []equivScenario{all[1], all[7]}
-}
-
-// runFaulted executes one scenario under the named loop with the given
-// fault schedule (and the adaptive backoff it implies) and returns the
-// machine, its cycle count, and — when traced — the canonical text trace.
-func runFaulted(t *testing.T, sc equivScenario, loop string, fs faultSchedule, traced bool) (*Machine, int64, []byte) {
-	t.Helper()
-	cfg := sc.cfg()
-	cfg.FaultSpec = fs.spec
-	cfg.FaultSeed = fs.seed
-	cfg.Params.RetryBackoff = true
-	cfg.Params.RetryJitterSeed = fs.seed
-	m, err := newLoop(cfg, loop)
-	if err != nil {
-		t.Fatalf("%s/%s: %v", sc.name, fs.name, err)
-	}
-	if traced {
-		m.EnableTrace(1 << 14)
-	}
-	m.Load(sc.load(m))
-	cycles := m.Run()
-	if err := m.CheckCoherence(); err != nil {
-		t.Fatalf("%s/%s (%s): coherence: %v", sc.name, fs.name, loop, err)
-	}
-	var tr []byte
-	if traced {
-		var buf bytes.Buffer
-		if err := m.Tracer().WriteText(&buf); err != nil {
-			t.Fatalf("%s/%s (%s): WriteText: %v", sc.name, fs.name, loop, err)
-		}
-		tr = buf.Bytes()
-	}
-	return m, cycles, tr
 }
 
 // TestFaultSoak is the robustness acceptance harness: every fault
@@ -86,7 +53,7 @@ func TestFaultSoak(t *testing.T) {
 		fs := fs
 		t.Run(fs.name, func(t *testing.T) {
 			for _, sc := range faultScenarios() {
-				m, _, _ := runFaulted(t, sc, "scheduled", fs, false)
+				m, _, _ := runCase(t, sc, equivRun{loop: "scheduled", fast: true, fault: &fs})
 				r := m.Results()
 				total.Drops += r.Fault.Drops
 				total.Dups += r.Fault.Dups
@@ -106,35 +73,6 @@ func TestFaultSoak(t *testing.T) {
 	}
 }
 
-// TestFaultTraceEquivalence extends the trace-equivalence harness to
-// faulted runs: with a fixed (seed, spec), the faults land on the same
-// packets at the same cycles under all three cycle loops, so the merged
-// text trace must stay byte-identical and every monitored statistic must
-// match bit for bit.
-func TestFaultTraceEquivalence(t *testing.T) {
-	schedules := faultSchedules()
-	for _, fs := range []faultSchedule{schedules[2], schedules[5]} {
-		fs := fs
-		for _, sc := range faultScenarios() {
-			sc := sc
-			t.Run(fs.name+"/"+sc.name, func(t *testing.T) {
-				mn, cyclesN, traceN := runFaulted(t, sc, "naive", fs, true)
-				if len(traceN) == 0 {
-					t.Fatal("naive faulted run produced an empty trace")
-				}
-				for _, loop := range equivLoops[1:] {
-					m, cycles, tr := runFaulted(t, sc, loop, fs, true)
-					compareRuns(t, "naive", loop, mn, m, cyclesN, cycles)
-					if !bytes.Equal(traceN, tr) {
-						t.Errorf("faulted trace diverges from naive under %s: %s",
-							loop, firstTraceDiff(traceN, tr))
-					}
-				}
-			})
-		}
-	}
-}
-
 // TestZeroFaultSpecIsInert pins the zero-fault contract: a config whose
 // spec parses to the zero schedule (explicit zero rates) builds the same
 // machine as the empty spec — no injector, no new code paths — so traces
@@ -142,21 +80,9 @@ func TestFaultTraceEquivalence(t *testing.T) {
 func TestZeroFaultSpecIsInert(t *testing.T) {
 	sc := equivScenarios()[1]
 	run := func(spec string) (*Machine, int64, []byte) {
-		cfg := sc.cfg()
-		cfg.FaultSpec = spec
-		cfg.FaultSeed = 99 // must be irrelevant for a zero spec
-		m, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		m.EnableTrace(1 << 14)
-		m.Load(sc.load(m))
-		cycles := m.Run()
-		var buf bytes.Buffer
-		if err := m.Tracer().WriteText(&buf); err != nil {
-			t.Fatal(err)
-		}
-		return m, cycles, buf.Bytes()
+		// The seed must be irrelevant for a zero spec.
+		return runCase(t, sc, equivRun{loop: "scheduled", fast: true, traced: true,
+			fault: &faultSchedule{seed: 99, spec: spec}})
 	}
 	ma, cyclesA, trA := run("")
 	mb, cyclesB, trB := run("drop=0,dup=0")

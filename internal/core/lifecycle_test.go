@@ -48,7 +48,7 @@ func settledGoroutines() int {
 func TestNoGoroutineLeak(t *testing.T) {
 	base := settledGoroutines()
 
-	for _, loop := range []string{"naive", "scheduled", "parallel"} {
+	for _, loop := range equivLoops {
 		if runWatchdog(t, loop) == "" {
 			t.Fatalf("%s loop did not trip the watchdog", loop)
 		}
@@ -100,7 +100,7 @@ func TestNoGoroutineLeak(t *testing.T) {
 func TestProgramPanicReport(t *testing.T) {
 	base := runtime.NumGoroutine()
 	var want string
-	for _, loop := range []string{"naive", "scheduled", "parallel"} {
+	for _, loop := range equivLoops {
 		m, err := newLoop(tinyConfig(2, 2, 1), loop)
 		if err != nil {
 			t.Fatal(err)

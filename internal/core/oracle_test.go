@@ -42,9 +42,10 @@ func (m *Machine) stepNaive() {
 // counting there needs no atomic.
 var pooledRounds int64
 
-// newLoop builds cfg's machine under the named loop: "naive" steps in the
-// reference order, "parallel" requests the pooled executor (its rounds
-// counted in pooledRounds), anything else runs the inline one.
+// newLoop builds cfg's machine under the named loop of equivLoops: the
+// first steps in the reference order, the last requests the pooled
+// executor (its rounds counted in pooledRounds), anything else runs the
+// inline one.
 func newLoop(cfg Config, loop string) (*Machine, error) {
 	if loop == "parallel" {
 		cfg.ParallelStations = true

@@ -13,7 +13,7 @@ import (
 // 0's arrival alone, CPU 1 arrives at a barrier nobody else will reach, and
 // the run ends in the no-progress watchdog.
 func TestLoadClearsStaleBarrierArrivals(t *testing.T) {
-	for _, loop := range []string{"scheduled", "parallel"} {
+	for _, loop := range equivLoops[1:] {
 		cfg := tinyConfig(1, 2, 1)
 		cfg.Params.DeadlockCycles = 20_000
 		m, err := newLoop(cfg, loop)
@@ -54,7 +54,7 @@ func TestLoadClearsStaleBarrierArrivals(t *testing.T) {
 func TestLoadAfterPooledPanic(t *testing.T) {
 	poolMinDue = shippedPoolMinDue
 	defer func() { poolMinDue = 1 }()
-	m, err := newLoop(tinyConfig(1, 16, 1), "parallel")
+	m, err := newLoop(tinyConfig(1, 16, 1), equivLoops[2])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,11 +104,15 @@ func TestPoolDispatchCutoff(t *testing.T) {
 	poolMinDue = shippedPoolMinDue
 	defer func() { poolMinDue = 1 }()
 
+	// inlinePooled runs sc under both executors and compares the runs.
+	inlinePooled := func(sc equivScenario) {
+		mi, ci, _ := runCase(t, sc, equivRun{loop: equivLoops[1], fast: true})
+		mp, cp, _ := runCase(t, sc, equivRun{loop: equivLoops[2], fast: true})
+		compareRuns(t, sc.name+" inline", sc.name+" pooled", mi, mp, ci, cp)
+	}
 	for _, sc := range equivScenarios() {
 		before := pooledRounds
-		mi, ci := runEquiv(t, sc, "scheduled")
-		mp, cp := runEquiv(t, sc, "parallel")
-		compareRuns(t, sc.name+" inline", sc.name+" pooled", mi, mp, ci, cp)
+		inlinePooled(sc)
 		if n := sc.cfg().Geom.Stations(); n < poolMinDue && pooledRounds != before {
 			t.Errorf("%s: %d stations, below the cutoff %d, yet %d pool rounds ran",
 				sc.name, n, poolMinDue, pooledRounds-before)
@@ -143,9 +147,7 @@ func TestPoolDispatchCutoff(t *testing.T) {
 		},
 	}
 	before := pooledRounds
-	mi, ci := runEquiv(t, release, "scheduled")
-	mp, cp := runEquiv(t, release, "parallel")
-	compareRuns(t, "inline", "pooled", mi, mp, ci, cp)
+	inlinePooled(release)
 	if pooledRounds == before {
 		t.Errorf("barrier releases on 16 stations ran no pool round at cutoff %d", poolMinDue)
 	}

@@ -24,9 +24,9 @@ func TestPoolDoubleFreeSoak(t *testing.T) {
 	scenarios := equivScenarios()
 	picks := []equivScenario{scenarios[1], scenarios[3], scenarios[7]}
 	for _, sc := range picks {
-		for _, loop := range []string{"scheduled", "parallel"} {
+		for _, loop := range equivLoops[1:] {
 			t.Run(sc.name+"/"+loop, func(t *testing.T) {
-				runEquiv(t, sc, loop)
+				runCase(t, sc, equivRun{loop: loop, fast: true})
 			})
 		}
 	}
@@ -34,8 +34,8 @@ func TestPoolDoubleFreeSoak(t *testing.T) {
 	// packet chains — exactly the lifetimes the Put guards must respect.
 	for _, fs := range faultSchedules() {
 		for _, sc := range faultScenarios() {
-			t.Run(sc.name+"/"+fs.name+"/parallel", func(t *testing.T) {
-				runFaulted(t, sc, "parallel", fs, false)
+			t.Run(sc.name+"/"+fs.name+"/"+equivLoops[2], func(t *testing.T) {
+				runCase(t, sc, equivRun{loop: equivLoops[2], fast: true, fault: &fs})
 			})
 		}
 	}
@@ -48,7 +48,7 @@ func TestPoolDoubleFreeSoak(t *testing.T) {
 // regression in the benchmark manifest.
 func TestMessagePoolRecyclesInSteadyState(t *testing.T) {
 	sc := equivScenarios()[2] // 4x2x2 mixed traffic
-	m, _ := runEquiv(t, sc, "scheduled")
+	m, _, _ := runCase(t, sc, equivRun{loop: "scheduled", fast: true})
 	var news, hits int64
 	for _, b := range m.Buses {
 		n, h := b.Msgs.Stats()
@@ -82,9 +82,9 @@ func TestMulticastRefcountReleaseOrder(t *testing.T) {
 		if fs.name != "dup" && fs.name != "drop-dup" {
 			continue
 		}
-		for _, loop := range []string{"scheduled", "parallel"} {
+		for _, loop := range equivLoops[1:] {
 			t.Run(fs.name+"/"+loop, func(t *testing.T) {
-				m, _, _ := runFaulted(t, sc, loop, fs, false)
+				m, _, _ := runCase(t, sc, equivRun{loop: loop, fast: true, fault: &fs})
 				if m.Results().Fault.Dups == 0 {
 					t.Fatal("schedule injected no duplicate packets")
 				}

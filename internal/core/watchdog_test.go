@@ -48,7 +48,7 @@ func TestWatchdogTripsIdentically(t *testing.T) {
 	if !strings.Contains(ref, "no progress for 2000 cycles") {
 		t.Fatalf("unexpected watchdog message: %q", ref)
 	}
-	for _, loop := range []string{"scheduled", "parallel"} {
+	for _, loop := range equivLoops[1:] {
 		got := runWatchdog(t, loop)
 		if got == "" {
 			t.Errorf("%s loop did not trip the watchdog", loop)

@@ -92,12 +92,11 @@ func (s *Sampler) Mean() float64 {
 func (s *Sampler) Max() int64 { return s.max }
 
 // Table is the reconfigurable SRAM histogram table of §3.3.2: events are
-// categorized by (row, column); each table has two halves, and when any
-// cell of the active half reaches the overflow limit the halves are
-// swapped (in hardware an interrupt lets software drain the frozen half
-// while counting continues). Cell sums both halves.
+// categorized by (row, column). The hardware splits each table into two
+// halves and swaps them on overflow so software can drain one while the
+// other counts; a simulated count cannot overflow, so one half is kept.
 //
-// Both halves live in one flat slice, allocated by the first Add: most
+// The cells live in one flat slice, allocated by the first Add: most
 // tables of most runs count nothing, and an empty table reads zero. A
 // table is built by filling in its exported fields; a component holds its
 // own by value.
@@ -111,33 +110,18 @@ type Table struct {
 	Rows  []string
 	Cols  []string
 
-	cells  []int64 // active half, then frozen half; nil until the first Add
-	limit  int64
-	swaps  int
-	onSwap func(*Table)
-}
-
-// SetOverflow arms the dual-half overflow mechanism: when a cell of the
-// active half reaches limit, the halves swap and fn (may be nil) runs —
-// the model of the overflow interrupt.
-func (t *Table) SetOverflow(limit int64, fn func(*Table)) {
-	t.limit = limit
-	t.onSwap = fn
+	cells []int64 // nil until the first Add
 }
 
 // Add counts one event in cell (r, c).
 func (t *Table) Add(r, c int) {
 	if t.cells == nil {
-		t.cells = make([]int64, 2*len(t.Rows)*len(t.Cols))
+		t.cells = make([]int64, len(t.Rows)*len(t.Cols))
 	}
-	i := t.index(r, c)
-	t.cells[i]++
-	if t.limit > 0 && t.cells[i] >= t.limit {
-		t.swap()
-	}
+	t.cells[t.index(r, c)]++
 }
 
-// index returns (r, c)'s offset in the active half.
+// index returns (r, c)'s offset in cells.
 func (t *Table) index(r, c int) int {
 	if uint(r) >= uint(len(t.Rows)) || uint(c) >= uint(len(t.Cols)) {
 		panic("monitor: table cell out of range")
@@ -145,34 +129,16 @@ func (t *Table) index(r, c int) int {
 	return r*len(t.Cols) + c
 }
 
-func (t *Table) swap() {
-	// Fold the active half into the frozen one and keep it there: hardware
-	// software would drain the frozen half; we keep the counts so Cell()
-	// stays exact.
-	active, frozen := t.cells[:len(t.cells)/2], t.cells[len(t.cells)/2:]
-	for i, n := range active {
-		frozen[i] += n
-		active[i] = 0
-	}
-	t.swaps++
-	if t.onSwap != nil {
-		t.onSwap(t)
-	}
-}
-
-// Swaps returns how many overflow swaps occurred.
-func (t *Table) Swaps() int { return t.swaps }
-
-// Cell returns the total count for (r, c) across both halves.
+// Cell returns the count for (r, c).
 func (t *Table) Cell(r, c int) int64 {
 	i := t.index(r, c)
 	if t.cells == nil {
 		return 0
 	}
-	return t.cells[i] + t.cells[len(t.cells)/2+i]
+	return t.cells[i]
 }
 
-// RowTotal sums a row across both halves.
+// RowTotal sums a row.
 func (t *Table) RowTotal(r int) int64 {
 	var s int64
 	for c := range t.Cols {

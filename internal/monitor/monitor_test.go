@@ -54,31 +54,14 @@ func TestTableCellsAndTotals(t *testing.T) {
 	}
 }
 
-func TestTableOverflowSwaps(t *testing.T) {
-	tb := &Table{Name: "t", Rows: []string{"r"}, Cols: []string{"c"}}
-	fired := 0
-	tb.SetOverflow(3, func(*Table) { fired++ })
-	for i := 0; i < 10; i++ {
-		tb.Add(0, 0)
-	}
-	// Counts stay exact across half swaps (the §3.3.2 mechanism).
-	if tb.Cell(0, 0) != 10 {
-		t.Errorf("cell = %d, want 10 across swaps", tb.Cell(0, 0))
-	}
-	if tb.Swaps() != 3 || fired != 3 {
-		t.Errorf("swaps = %d fired = %d, want 3", tb.Swaps(), fired)
-	}
-}
-
 // TestTableAllocatesOnFirstAdd: a table nothing counts into holds no
-// cells and reads zero everywhere; once allocated by an Add, the overflow
-// swap keeps every cell exact.
+// cells and reads zero everywhere; once allocated by an Add, every cell
+// counts exactly.
 func TestTableAllocatesOnFirstAdd(t *testing.T) {
 	rows, cols := []string{"r0", "r1", "r2"}, []string{"c0", "c1"}
 	var tb *Table
 	if n := testing.AllocsPerRun(10, func() {
 		tb = &Table{Name: "t", Rows: rows, Cols: cols}
-		tb.SetOverflow(4, nil)
 		for r := range rows {
 			for c := range cols {
 				if tb.Cell(r, c) != 0 {
@@ -89,8 +72,8 @@ func TestTableAllocatesOnFirstAdd(t *testing.T) {
 				t.Fatalf("unused row %d totals %d", r, tb.RowTotal(r))
 			}
 		}
-		if tb.Total() != 0 || tb.Swaps() != 0 {
-			t.Fatalf("unused table totals %d with %d swaps", tb.Total(), tb.Swaps())
+		if tb.Total() != 0 {
+			t.Fatalf("unused table totals %d", tb.Total())
 		}
 	}); n != 1 {
 		t.Errorf("building and reading an unused table allocates %.1f objects, want 1 (the header)", n)
@@ -108,10 +91,7 @@ func TestTableAllocatesOnFirstAdd(t *testing.T) {
 		t.Errorf("an unused table renders %d zero cells, want %d:\n%s", zeros, len(rows)*len(cols), tb)
 	}
 
-	// Push the lazily allocated table over its limit: (1, 1) reaches 4 in
-	// the active half twice, and every count survives both swaps.
-	fired := 0
-	tb.SetOverflow(4, func(*Table) { fired++ })
+	// Count into the lazily allocated table: every cell holds its own.
 	tb.Add(0, 0)
 	tb.Add(2, 1)
 	tb.Add(2, 1)
@@ -123,13 +103,10 @@ func TestTableAllocatesOnFirstAdd(t *testing.T) {
 		n    int64
 	}{{0, 0, 1}, {2, 1, 2}, {1, 1, 10}, {1, 0, 0}} {
 		if got := tb.Cell(w.r, w.c); got != w.n {
-			t.Errorf("cell (%d, %d) = %d across swaps, want %d", w.r, w.c, got, w.n)
+			t.Errorf("cell (%d, %d) = %d, want %d", w.r, w.c, got, w.n)
 		}
 	}
 	if tb.RowTotal(1) != 10 || tb.Total() != 13 {
 		t.Errorf("row 1 totals %d, table %d; want 10, 13", tb.RowTotal(1), tb.Total())
-	}
-	if tb.Swaps() != 2 || fired != 2 {
-		t.Errorf("swaps = %d, fired = %d; want 2", tb.Swaps(), fired)
 	}
 }

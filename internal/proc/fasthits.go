@@ -73,22 +73,20 @@ type fastHits struct {
 
 	// Front-end-only diagnostics (never part of Stats, so Results stay
 	// identical with the fast path on or off): references resolved fast,
-	// and hit references that fell back to the handshake split by cause.
+	// and references that fell back because the window was exhausted
+	// (virtual time past the horizon).
 	resolved   int64
-	missWindow int64 // window exhausted (virtual time past the horizon)
-	missEpoch  int64 // epoch moved since the window opened
-	missState  int64 // probe missed or write needed ownership
+	missWindow int64
 }
 
-// FastHitStats reports the front end's resolution diagnostics: fast-resolved
-// references, window-exhausted fallbacks, stale-epoch fallbacks, and
-// cache-state fallbacks (miss or non-Dirty write).
-func (c *CPU) FastHitStats() (resolved, window, epoch, state int64) {
+// FastHitStats reports the front end's resolution diagnostics:
+// fast-resolved references and window-exhausted fallbacks.
+func (c *CPU) FastHitStats() (resolved, window int64) {
 	if c.runner == nil {
 		return
 	}
 	f := &c.runner.ctx.fast
-	return f.resolved, f.missWindow, f.missEpoch, f.missState
+	return f.resolved, f.missWindow
 }
 
 // window opens a new burst window; the back end calls this (via
@@ -112,13 +110,11 @@ func (c *Ctx) fastRead(addr uint64) (uint64, bool) {
 		return 0, false
 	}
 	if f.cpu.epoch != f.epochAt {
-		f.missEpoch++
 		return 0, false
 	}
 	line := f.cpu.l2.Align(addr)
 	l := f.cpu.l2.Probe(line)
 	if l == nil {
-		f.missState++
 		return 0, false
 	}
 	f.cpu.Stats.Reads++
@@ -139,13 +135,11 @@ func (c *Ctx) fastWrite(addr, v uint64) bool {
 		return false
 	}
 	if f.cpu.epoch != f.epochAt {
-		f.missEpoch++
 		return false
 	}
 	line := f.cpu.l2.Align(addr)
 	l := f.cpu.l2.Probe(line)
 	if l == nil || l.State != cache.Dirty {
-		f.missState++
 		return false
 	}
 	f.cpu.Stats.Writes++

@@ -67,8 +67,9 @@ type request struct {
 // out; the worker goroutine reads in[head:] and appends to out. The two
 // sides never run concurrently: the worker only executes nested inside
 // its CPU's tick (the front-end alternation invariant), and the
-// dispatcher only at SetDriver serial points; in-slots are consumed by
-// head index, never resliced, so both sides' slice headers stay valid.
+// dispatcher only at SetDriver serial points. The worker consumes
+// in-slots by advancing head; the dispatcher drops the consumed prefix
+// at each collect, so in holds at most Depth entries.
 type box struct {
 	in   []*request
 	head int
@@ -479,6 +480,8 @@ func (ctl *Controller) collect(now int64) {
 			ctl.resolve(r, now)
 		}
 		b.out = b.out[:0]
+		b.in = append(b.in[:0], b.in[b.head:]...)
+		b.head = 0
 	}
 }
 

@@ -133,6 +133,34 @@ func TestServeSLAViolations(t *testing.T) {
 	}
 }
 
+// TestMailboxesStayBounded: the dispatcher drops each mailbox's consumed
+// prefix at every collect, so a long run leaves no box holding more than
+// Depth requests or a backing array grown past a few slots.
+func TestMailboxesStayBounded(t *testing.T) {
+	sp, err := ParseSpec("closed=8,requests=2000,procs=8,tenants=2,span=128,depth=2,class=c:1:4:10:25:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := core.New(testConfig(true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctl, err := New(m, sp, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctl.Run()
+	if got := m.Results().Serve.Total.Completed; got != 2000 {
+		t.Fatalf("%d of 2000 requests completed", got)
+	}
+	for w, b := range ctl.boxes {
+		if len(b.in) > sp.Depth || cap(b.in) > 8 {
+			t.Errorf("box %d ends holding %d requests, %d consumed (depth %d), capacity %d",
+				w, len(b.in), b.head, sp.Depth, cap(b.in))
+		}
+	}
+}
+
 // ---- dispatcher unit tests (no machine run) ----
 
 func newIdleController(t *testing.T, specStr string) *Controller {
