@@ -161,6 +161,19 @@ var archRules = []archRule{
 	{name: "no pre-tick poll in a gate block",
 		pattern: `^\s*(if )?\w+ :?= .*\.NextWork\(now\)`,
 		roots:   []string{"internal/core/cycle.go"}},
+	// The front-end hit fast path rests on two legs: alternation (the
+	// iter.Pull switch, which the race steps check) and the delivery
+	// horizon (core.hitHorizonFor, backed by CPU.assertHitWindow). A
+	// coherence epoch coming back means a third check that no run can trip.
+	{name: "the fast path has two legs",
+		pattern: `[Ee]poch`,
+		roots:   []string{"internal/proc", "internal/core"}, goOnly: true, noTests: true},
+	// A reference's consecutive NAKs are bounded by the model checker's
+	// per-cycle budget (mcheck.Spec) alone. A machine parameter for it
+	// coming back means a second, off-by-default budget in the cycle loop.
+	{name: "one retry budget",
+		pattern: `MaxRetries`,
+		roots:   []string{"internal/sim", "internal/core"}, goOnly: true, noTests: true},
 	// Every serving request opens a job, and every copy runs the one
 	// preemptible traversal (a zero KillEvery never preempts). A nil-job
 	// branch or the non-preemptible traversal coming back means a second,

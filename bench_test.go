@@ -1,5 +1,6 @@
 // Benchmarks regenerating the paper's evaluation, one per table and
-// figure (§4). Each benchmark iteration runs the complete experiment on a
+// figure (§4; Figures 15-18 share one, since they read the same runs).
+// Each benchmark iteration runs the complete experiment on a
 // scaled-down input (full-size record runs live in EXPERIMENTS.md and are
 // produced by cmd/experiments). The interesting output is the custom
 // metrics — cycles, rates, utilizations — rather than ns/op.
@@ -76,89 +77,40 @@ func BenchmarkFig14AppSpeedup(b *testing.B) {
 	}
 }
 
-// ncFigureBench runs one of the six Figure 15-18 workloads at 64
-// processors and reports the NC and interconnect metrics.
-func ncFigureBench(b *testing.B, name string, metric func(core.Results) (string, float64)) {
-	for i := 0; i < b.N; i++ {
-		cfg := benchConfig()
-		m, err := core.New(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		inst, err := workloads.Build(name, m, 64, benchSizes[name])
-		if err != nil {
-			b.Fatal(err)
-		}
-		m.Load(inst.Progs)
-		m.Run()
-		if err := inst.Check(); err != nil {
-			b.Fatal(err)
-		}
-		r := m.Results()
-		label, v := metric(r)
-		b.ReportMetric(v, label)
+// runFigureWorkload builds cfg's machine, runs one workload on 64
+// processors at its bench size, checks its result and returns the
+// machine's results.
+func runFigureWorkload(b *testing.B, cfg core.Config, name string) core.Results {
+	m, err := core.New(cfg)
+	if err != nil {
+		b.Fatal(err)
 	}
+	inst, err := workloads.Build(name, m, 64, benchSizes[name])
+	if err != nil {
+		b.Fatal(err)
+	}
+	m.Load(inst.Progs)
+	m.Run()
+	if err := inst.Check(); err != nil {
+		b.Fatal(err)
+	}
+	return m.Results()
 }
 
-// BenchmarkFig15NCHitRate regenerates Figure 15: NC total hit rate.
-func BenchmarkFig15NCHitRate(b *testing.B) {
-	for _, name := range workloads.NCWorkloads() {
-		b.Run(name, func(b *testing.B) {
-			ncFigureBench(b, name, func(r core.Results) (string, float64) {
-				return "hit_pct", 100 * r.NC.HitRate()
-			})
-		})
-	}
-}
-
-// BenchmarkFig16NCCombining regenerates Figure 16: NC combining rate.
-func BenchmarkFig16NCCombining(b *testing.B) {
-	for _, name := range workloads.NCWorkloads() {
-		b.Run(name, func(b *testing.B) {
-			ncFigureBench(b, name, func(r core.Results) (string, float64) {
-				return "combining_pct", 100 * r.NC.CombiningRate()
-			})
-		})
-	}
-}
-
-// BenchmarkFig17Utilization regenerates Figure 17: bus and ring
-// utilizations.
-func BenchmarkFig17Utilization(b *testing.B) {
+// BenchmarkFig15to18NCWorkloads regenerates Figures 15-18 from one run of
+// each of the six workloads at 64 processors: the NC total hit rate
+// (Fig 15), the NC combining rate (Fig 16), bus and ring utilizations
+// (Fig 17) and the ring interface delays (Fig 18).
+func BenchmarkFig15to18NCWorkloads(b *testing.B) {
 	for _, name := range workloads.NCWorkloads() {
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				cfg := benchConfig()
-				m, _ := core.New(cfg)
-				inst, err := workloads.Build(name, m, 64, benchSizes[name])
-				if err != nil {
-					b.Fatal(err)
-				}
-				m.Load(inst.Progs)
-				m.Run()
-				r := m.Results()
+				r := runFigureWorkload(b, benchConfig(), name)
+				b.ReportMetric(100*r.NC.HitRate(), "hit_pct")
+				b.ReportMetric(100*r.NC.CombiningRate(), "combining_pct")
 				b.ReportMetric(100*r.BusUtil, "bus_pct")
 				b.ReportMetric(100*r.LocalRingUtil, "lring_pct")
 				b.ReportMetric(100*r.CentralRingUtil, "cring_pct")
-			}
-		})
-	}
-}
-
-// BenchmarkFig18RingDelays regenerates Figure 18: ring interface delays.
-func BenchmarkFig18RingDelays(b *testing.B) {
-	for _, name := range workloads.NCWorkloads() {
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				cfg := benchConfig()
-				m, _ := core.New(cfg)
-				inst, err := workloads.Build(name, m, 64, benchSizes[name])
-				if err != nil {
-					b.Fatal(err)
-				}
-				m.Load(inst.Progs)
-				m.Run()
-				r := m.Results()
 				b.ReportMetric(r.RISendDelay, "send_cyc")
 				b.ReportMetric(r.RIDownSink, "down_sink_cyc")
 				b.ReportMetric(r.RIDownNonsink, "down_nonsink_cyc")
@@ -175,14 +127,7 @@ func BenchmarkTable3FalseRemotes(b *testing.B) {
 		cfg := benchConfig()
 		cfg.Params.NCLines = 512
 		for _, name := range []string{"cholesky", "ocean", "radix"} {
-			m, _ := core.New(cfg)
-			inst, err := workloads.Build(name, m, 64, benchSizes[name])
-			if err != nil {
-				b.Fatal(err)
-			}
-			m.Load(inst.Progs)
-			m.Run()
-			r := m.Results()
+			r := runFigureWorkload(b, cfg, name)
 			b.ReportMetric(100*r.NC.FalseRemoteRate(), name+"_false_pct")
 		}
 	}

@@ -39,7 +39,6 @@ type Bus struct {
 	p       *sim.Params // the machine's, shared by every component; read-only
 	modules []Module
 	outs    []*sim.Queue[*msg.Message] // cached BusOut queues (hot path)
-	station int
 
 	busyUntil int64
 	inFlight  *msg.Message
@@ -63,9 +62,9 @@ type Bus struct {
 }
 
 // New creates a standalone bus for one station over a private copy of p.
-func New(g topo.Geometry, p sim.Params, station int) *Bus {
+func New(g topo.Geometry, p sim.Params) *Bus {
 	b := new(Bus)
-	b.Init(g, &p, station, make([]Module, g.ModCount()), make([]*sim.Queue[*msg.Message], g.ModCount()))
+	b.Init(g, &p, make([]Module, g.ModCount()), make([]*sim.Queue[*msg.Message], g.ModCount()))
 	return b
 }
 
@@ -73,8 +72,8 @@ func New(g topo.Geometry, p sim.Params, station int) *Bus {
 // module and out-queue tables, g.ModCount() entries each and all nil; p is
 // read, never written. Modules must be registered with Attach in
 // bus-module-index order before the first Tick.
-func (b *Bus) Init(g topo.Geometry, p *sim.Params, station int, modules []Module, outs []*sim.Queue[*msg.Message]) {
-	b.g, b.p, b.station = g, p, station
+func (b *Bus) Init(g topo.Geometry, p *sim.Params, modules []Module, outs []*sim.Queue[*msg.Message]) {
+	b.g, b.p = g, p
 	b.modules, b.outs = modules, outs
 }
 

@@ -25,7 +25,7 @@ func build(t *testing.T) (*Bus, []*stubModule, topo.Geometry) {
 	t.Helper()
 	g := topo.Geometry{ProcsPerStation: 4, StationsPerRing: 4, Rings: 1}
 	p := sim.DefaultParams()
-	b := New(g, p, 0)
+	b := New(g, p)
 	mods := make([]*stubModule, g.ModCount())
 	for i := range mods {
 		mods[i] = newStub()

@@ -70,21 +70,19 @@ func (m *Machine) checkLine(line uint64) error {
 	}
 	// NC states per station.
 	type ncRec struct {
-		state  memory.DirState
-		locked bool
-		procs  uint16
-		data   uint64
+		state memory.DirState
+		data  uint64
 	}
 	ncs := map[int]ncRec{}
 	for s := 0; s < m.g.Stations(); s++ {
 		if s == home {
 			continue
 		}
-		if state, lk, pr, d, ok := m.NCs[s].Peek(line); ok {
+		if state, lk, _, d, ok := m.NCs[s].Peek(line); ok {
 			if lk {
 				return fail("NC[%d] still locked", s)
 			}
-			ncs[s] = ncRec{state, lk, pr, d}
+			ncs[s] = ncRec{state, d}
 		}
 	}
 

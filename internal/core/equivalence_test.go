@@ -718,8 +718,7 @@ func TestFastHitsEquivalence(t *testing.T) {
 // TestFastHitsFaultedEquivalence holds the fast path to the reference on
 // every faulted row: dropped and duplicated packets, module freezes and
 // ring degradation reshuffle when invalidations and interventions land,
-// which is exactly the traffic the epoch counter and delivery horizon
-// must fence.
+// which is exactly the traffic the delivery horizon must fence.
 func TestFastHitsFaultedEquivalence(t *testing.T) {
 	matrixSlice(t, faultedCases(), fastHitRuns)
 }

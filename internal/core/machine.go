@@ -297,7 +297,7 @@ func New(cfg Config) (*Machine, error) {
 		pool := &st.msgs
 		births[s] = pool
 		lo, hi := s*nmod, (s+1)*nmod
-		st.bus.Init(g, p, s, modules[lo:hi:hi], outs[lo:hi:hi])
+		st.bus.Init(g, p, modules[lo:hi:hi], outs[lo:hi:hi])
 		st.bus.Msgs = pool
 		m.Buses[s] = &st.bus
 		st.mem.Init(g, p, s)

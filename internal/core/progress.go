@@ -18,10 +18,9 @@ type StuckCPU struct {
 }
 
 // ProgressReport is the structured stuck-transaction dump that the
-// watchdog, the starvation detector and the retry-budget monitor attach
-// to their aborts. Building it reconciles every lazily-accounted
-// statistic first, so the rendered report is identical whichever cycle
-// loop tripped the abort.
+// watchdog and the starvation detector attach to their aborts. Building it
+// reconciles every lazily-accounted statistic first, so the rendered
+// report is identical whichever cycle loop tripped the abort.
 type ProgressReport struct {
 	Cycle     int64
 	TotalRefs int64      // completed references machine-wide

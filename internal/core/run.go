@@ -142,17 +142,6 @@ func (m *Machine) Run() int64 {
 				panic(fmt.Sprintf("core: no progress for %d cycles at cycle %d\n%s",
 					m.p.DeadlockCycles, m.now, m.dumpState()))
 			}
-			// Retry budget: one reference accumulating this many
-			// consecutive NAKs is wedged even if the rest of the machine
-			// moves (a permanently locked home line, a retry convoy).
-			if m.p.MaxRetries > 0 {
-				for i, c := range m.CPUs {
-					if c.Retries() > m.p.MaxRetries {
-						panic(fmt.Sprintf("core: cpu[%d] exceeded the retry budget (%d consecutive NAKs > %d) at cycle %d\n%s",
-							i, c.Retries(), m.p.MaxRetries, m.now, m.dumpState()))
-					}
-				}
-			}
 			// Starvation: a processor parked in a memory-wait state with
 			// no completed reference for StarvationWindows consecutive
 			// windows while the machine as a whole progressed (the global

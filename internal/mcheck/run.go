@@ -43,7 +43,6 @@ func (v *Violation) String() string {
 // simulator is deterministic given the oracle's answers.
 type run struct {
 	spec Spec
-	mut  memory.Mutation
 	seq  []int
 
 	m     *core.Machine
@@ -76,7 +75,6 @@ func newRun(spec Spec, mut memory.Mutation, seq []int, traceEvents int) *run {
 	p.RetryBackoff = false
 	p.DeadlockCycles = 0
 	p.StarvationWindows = 0
-	p.MaxRetries = 0
 	cfg := core.Config{
 		Geom:      topo.Geometry{ProcsPerStation: spec.Procs, StationsPerRing: spec.Stations, Rings: 1},
 		Params:    p,
@@ -96,7 +94,7 @@ func newRun(spec Spec, mut memory.Mutation, seq []int, traceEvents int) *run {
 		panic(fmt.Sprintf("mcheck: internal: machine build failed for validated spec: %v", err))
 	}
 	nprocs := spec.Stations * spec.Procs
-	r := &run{spec: spec, mut: mut, seq: seq, m: m, pos: make([]int, nprocs)}
+	r := &run{spec: spec, seq: seq, m: m, pos: make([]int, nprocs)}
 	base := m.AllocLines(spec.Lines)
 	for k := 0; k < spec.Lines; k++ {
 		r.lines = append(r.lines, base+uint64(k*p.LineSize))

@@ -71,7 +71,7 @@ type CPU struct {
 
 	// NAK-retry tracking: nakStreak counts consecutive NAKs of the
 	// current reference (the exponential back-off exponent and the
-	// forward-progress monitor's retry budget), firstIssueAt stamps the
+	// model checker's retry budget), firstIssueAt stamps the
 	// reference's first issue for the retry-latency histogram. retryRNG
 	// is the per-CPU jitter stream; seeded from (RetryJitterSeed,
 	// GlobalID) so draws are identical under every cycle loop.
@@ -82,19 +82,15 @@ type CPU struct {
 	// The single outstanding reference.
 	cur     Ref
 	curLine uint64
-	started bool
 
 	// A fetched reference whose coalesced compute prefix (Ref.Pre) is
 	// still being burned; executed when thinkUntil arrives.
 	stash    Ref
 	hasStash bool
 
-	// Front-end hit fast path (see fasthits.go). epoch is the coherence
-	// epoch: bumped on every event that can change this CPU's hit/miss
-	// outcomes; the fast path validates its snapshot against it. fastGuard
-	// is the virtual cycle of the last fast-resolved probe — no
-	// cache-affecting delivery may land before it (assertHitWindow).
-	epoch     uint64
+	// fastGuard is the virtual cycle of the last probe the front-end hit
+	// fast path (fasthits.go) resolved: no cache-affecting delivery may
+	// land before it (assertHitWindow).
 	fastGuard int64
 
 	// Horizon, when non-nil, returns a sound lower bound on the earliest
@@ -113,9 +109,6 @@ type CPU struct {
 	// participant has arrived, core sets each one's release cycle with
 	// FinishBarrier, and Tick releases the CPU at that cycle.
 	OnBarrier func(cpu *CPU, now int64)
-
-	// Interrupt register (§3.1.1).
-	InterruptReg uint64
 
 	// Tr is the structured-event trace sink (nil when tracing is off).
 	Tr *trace.Sink
@@ -286,7 +279,6 @@ func (c *CPU) Tick(now int64) {
 			c.Stats.BarrierCycles++
 			return
 		}
-		c.bumpEpoch() // synchronization boundary: close any open fast window
 		c.Tr.Emit(now, trace.KindBarrierRelease, 0, 0, int32(c.phase), 0)
 		c.lastResult = 0
 		c.st = sThink
@@ -549,7 +541,6 @@ func (c *CPU) l1Fill(line uint64) {
 // fill installs a line in the L2 (write-back of the victim included) and
 // completes the current reference.
 func (c *CPU) fill(st cache.State, data uint64, now int64) {
-	c.bumpEpoch() // a fill (and any eviction it forces) changes hit outcomes
 	victim := c.l2.Insert(c.curLine, st, data)
 	if victim.State == cache.Dirty {
 		c.writeBack(victim, now)
@@ -575,7 +566,6 @@ func (c *CPU) writeBack(victim cache.Line, now int64) {
 
 // complete finishes the current reference after a fill.
 func (c *CPU) complete(now int64) {
-	c.bumpEpoch() // state promotion and/or data mutation below
 	l := c.l2.Probe(c.curLine)
 	if l == nil {
 		panic("proc: complete without a filled line")
@@ -659,7 +649,6 @@ func (c *CPU) BusDeliver(m *msg.Message, now int64) {
 		}
 	case msg.BusInval:
 		c.assertHitWindow(now)
-		c.bumpEpoch()
 		if _, ok := c.l2.Invalidate(m.Line); ok {
 			c.Tr.Emit(now, trace.KindInval, m.Line, m.TxnID, 0, 0)
 			if c.l1 != nil {
@@ -668,7 +657,6 @@ func (c *CPU) BusDeliver(m *msg.Message, now int64) {
 		}
 	case msg.BusIntervention:
 		c.assertHitWindow(now)
-		c.bumpEpoch() // may invalidate or downgrade our dirty copy
 		c.serveIntervention(m, now)
 	case msg.IntervResp:
 		// Snarfed off the bus (AlsoProc): our pending miss is satisfied by
@@ -681,8 +669,7 @@ func (c *CPU) BusDeliver(m *msg.Message, now int64) {
 			}
 		}
 	case msg.NetInterrupt:
-		c.bumpEpoch() // kill completion: a synchronization boundary
-		c.InterruptReg |= 1 << uint(m.SrcStation)
+		// The kill's completion interrupt resumes the waiting CPU.
 		if c.st == sWaitInterrupt {
 			c.Tr.Emit(now, trace.KindTxnEnd, c.curLine, m.TxnID, int32(c.cur.Kind), int32(c.phase))
 			c.retryDone(now)

@@ -1,7 +1,7 @@
 // Package proc models a NUMAchine processor module (§3.1.1): an in-order
 // CPU with a primary cache, an external secondary cache, an external agent
-// issuing at most one outstanding miss (R4400-like), interrupt and barrier
-// registers, and retry-on-NAK behaviour.
+// issuing at most one outstanding miss (R4400-like), completion interrupts
+// for the kill special function, and retry-on-NAK behaviour.
 //
 // Workloads drive processors through an execution-driven front end in the
 // style of MINT: the workload is a real Go function running against a

@@ -18,7 +18,7 @@ import (
 // genuinely needs the handshake — exactly the mechanism Ctx.Compute
 // already uses for compute bursts.
 //
-// Safety rests on two invariants:
+// Two things make it sound:
 //
 //  1. Alternation. The workload is a coroutine of its CPU (iter.Pull): it
 //     runs only while the goroutine ticking the CPU is switched out
@@ -30,10 +30,7 @@ import (
 //     pool's barrier. The workload may therefore read and mutate
 //     the CPU's live L1/L2 state with no data race, and nothing —
 //     invalidation, intervention, fill — can change that state while a
-//     burst of fast hits is being resolved. The coherence epoch snapshot
-//     (see CPU.epoch) documents and double-checks this: the back end bumps
-//     it on every event that can change this CPU's hit/miss outcomes, and
-//     the fast path revalidates it before each resolution.
+//     burst of fast hits is being resolved. CI's race steps check it.
 //
 //  2. The delivery horizon. A hit resolved while the goroutine runs at
 //     resume cycle t executes *virtually* at u = t + pending (after the
@@ -59,13 +56,12 @@ import (
 // references ahead); final counters are identical.
 type fastHits struct {
 	enabled bool
-	cpu     *CPU // whose live caches, epoch and counters the front end uses
+	cpu     *CPU // whose live caches and counters the front end uses
 
 	// Per-resume window, published by the back end immediately before the
 	// workload goroutine resumes.
-	resumeAt int64  // cycle of this Runner.Next call
-	horizon  int64  // no delivery reaches this CPU strictly before any probe at or below it
-	epochAt  uint64 // coherence epoch snapshot at resumeAt
+	resumeAt int64 // cycle of this Runner.Next call
+	horizon  int64 // no delivery reaches this CPU strictly before any probe at or below it
 
 	// lastProbe is the virtual cycle of the burst's latest fast-resolved
 	// probe (-1 when none); the back end adopts it as the delivery guard.
@@ -89,17 +85,8 @@ func (c *CPU) FastHitStats() (resolved, window int64) {
 	return f.resolved, f.missWindow
 }
 
-// window opens a new burst window; the back end calls this (via
-// CPU.openFastWindow) while the goroutine is parked, right before Next.
-func (f *fastHits) window(now, horizon int64, epoch uint64) {
-	f.resumeAt = now
-	f.horizon = horizon
-	f.epochAt = epoch
-	f.lastProbe = -1
-}
-
 // fastRead resolves a read hit in the workload goroutine. It mirrors the
-// hit half of CPU.startRead; anything else (miss, stale window) reports
+// hit half of CPU.startRead; anything else (miss, exhausted window) reports
 // !ok and takes the slow handshake, which is always safe because the back
 // end re-classifies the reference at its real execution cycle.
 func (c *Ctx) fastRead(addr uint64) (uint64, bool) {
@@ -107,9 +94,6 @@ func (c *Ctx) fastRead(addr uint64) (uint64, bool) {
 	u := f.resumeAt + c.pending
 	if u > f.horizon {
 		f.missWindow++
-		return 0, false
-	}
-	if f.cpu.epoch != f.epochAt {
 		return 0, false
 	}
 	line := f.cpu.l2.Align(addr)
@@ -134,9 +118,6 @@ func (c *Ctx) fastWrite(addr, v uint64) bool {
 		f.missWindow++
 		return false
 	}
-	if f.cpu.epoch != f.epochAt {
-		return false
-	}
 	line := f.cpu.l2.Align(addr)
 	l := f.cpu.l2.Probe(line)
 	if l == nil || l.State != cache.Dirty {
@@ -152,14 +133,6 @@ func (c *Ctx) fastWrite(addr, v uint64) bool {
 
 // ---- back-end (CPU) side ----
 
-// CoherenceEpoch returns the CPU's monotonic coherence epoch: it advances
-// whenever an event lands that could change this CPU's hit/miss outcomes
-// or cached values (invalidation, intervention, fill/eviction, upgrade
-// ack, kill completion, barrier release). Exposed for tests.
-func (c *CPU) CoherenceEpoch() uint64 { return c.epoch }
-
-func (c *CPU) bumpEpoch() { c.epoch++ }
-
 // EnableFastHits wires the current runner's Ctx to resolve cache hits in
 // the workload goroutine. Must be called after SetRunner; core calls it
 // when Config.FastHits is set.
@@ -170,18 +143,19 @@ func (c *CPU) EnableFastHits() {
 	c.runner.ctx.fast = fastHits{enabled: true, cpu: c, lastProbe: -1}
 }
 
-// openFastWindow publishes the burst window for the upcoming Next call and
-// adoptFastGuard turns the burst's last probe into the delivery guard.
+// openFastWindow publishes the burst window for the upcoming Next call,
+// while the program is parked, and adoptFastGuard turns the burst's last
+// probe into the delivery guard.
 func (c *CPU) openFastWindow(now int64) {
 	f := &c.runner.ctx.fast
 	if !f.enabled {
 		return
 	}
-	horizon := now // always sound: a delivery at cycle t lands after the CPU phase of t
+	// now is always sound: a delivery at cycle t lands after the CPU phase of t.
+	f.resumeAt, f.horizon, f.lastProbe = now, now, -1
 	if c.Horizon != nil {
-		horizon = c.Horizon(now)
+		f.horizon = c.Horizon(now)
 	}
-	f.window(now, horizon, c.epoch)
 }
 
 func (c *CPU) adoptFastGuard() {

@@ -343,14 +343,6 @@ func TestL1FilterCountsHits(t *testing.T) {
 	}
 }
 
-func TestInterruptRegister(t *testing.T) {
-	c := newCPU(func(ctx *Ctx) { ctx.Compute(5) })
-	c.BusDeliver(&msg.Message{Type: msg.NetInterrupt, SrcStation: 3, BusProcs: 1}, 0)
-	if c.InterruptReg != 1<<3 {
-		t.Errorf("interrupt register %b, want bit 3", c.InterruptReg)
-	}
-}
-
 // TestRunnerNextAcrossGoroutines calls Next from a rotation of goroutines,
 // as the pool's workers do (a CPU's station can be ticked by a different
 // worker after every relaunch): every Next resumes the program, references

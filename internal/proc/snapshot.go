@@ -10,7 +10,7 @@ import (
 //
 // Excluded as monitoring-only: Stats, RetryLatency/RetryStreak, finishAt,
 // statsAt, firstIssueAt, phase/phaseTxns. Excluded because the model checker runs with the
-// front-end fast path off: epoch, fastGuard. Excluded because the checker
+// front-end fast path off: fastGuard. Excluded because the checker
 // runs with RetryBackoff off or RetryChoice installed (the jitter stream is
 // never drawn): retryRNG. The workload coroutine itself carries no hidden
 // state the checker needs: between references it is parked in Ctx.do,
@@ -24,12 +24,10 @@ func (c *CPU) Encode(e *snap.Enc) {
 	e.Int(c.nakStreak)
 	encodeRef(e, c.cur)
 	e.U64(c.curLine)
-	e.Bool(c.started)
 	e.Bool(c.hasStash)
 	if c.hasStash {
 		encodeRef(e, c.stash)
 	}
-	e.U64(c.InterruptReg)
 	if c.l1 != nil {
 		e.Byte(1)
 		c.l1.Encode(e)

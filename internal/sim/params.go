@@ -73,15 +73,13 @@ type Params struct {
 	// many cycles (0 disables). Catches protocol deadlocks in development.
 	DeadlockCycles int64
 
-	// Forward-progress monitor (sampled on the same watchdog schedule, so
-	// detection cycles are identical under every cycle loop).
-	// StarvationWindows aborts when one processor sits in a memory-wait
-	// state with no completed reference for that many consecutive
-	// watchdog windows while the rest of the machine progresses
-	// (0 disables). MaxRetries aborts when a single reference accumulates
-	// more than this many consecutive NAKs (0 disables).
+	// Starvation detector (sampled on the watchdog schedule, so detection
+	// cycles are identical under every cycle loop): abort when one
+	// processor sits in a memory-wait state with no completed reference for
+	// this many consecutive watchdog windows while the rest of the machine
+	// progresses (0 disables). A reference's consecutive NAKs are bounded
+	// by the model checker's own per-reference budget, not here.
 	StarvationWindows int
-	MaxRetries        int
 }
 
 // DefaultParams returns the calibrated prototype parameter set.

@@ -30,7 +30,7 @@ func TestZeroCapacitySink(t *testing.T) {
 }
 
 // TestNilSinkNoAlloc pins the hot-path cost of a disabled sink at zero
-// allocations, backing the cycle-loop benchmark requirement.
+// allocations.
 func TestNilSinkNoAlloc(t *testing.T) {
 	var s *Sink
 	allocs := testing.AllocsPerRun(100, func() {

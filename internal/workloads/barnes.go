@@ -20,7 +20,6 @@ type bhNode struct {
 	body   int  // body index for leaves, -1 otherwise
 	child  [8]int
 	leaf   bool
-	used   bool
 }
 
 // buildBarnes implements the SPLASH-2 Barnes application: a Barnes-Hut
@@ -99,7 +98,7 @@ func buildBarnes(m *core.Machine, nprocs, size int) (*Instance, error) {
 	}
 	initNode := func(idx int, center vec3, half float64) *bhNode {
 		nd := &nodes[idx]
-		*nd = bhNode{center: center, half: half, body: -1, used: true}
+		*nd = bhNode{center: center, half: half, body: -1}
 		for i := range nd.child {
 			nd.child[i] = -1
 		}
@@ -262,9 +261,6 @@ func buildBarnes(m *core.Machine, nprocs, size int) (*Instance, error) {
 		for step := 0; step < steps; step++ {
 			// Reset the tree (processor 0), then load bodies in parallel.
 			if id == 0 {
-				for i := range nodes {
-					nodes[i].used = false
-				}
 				initNode(0, vec3{box / 2, box / 2, box / 2}, box/2)
 				c.Write(allocCtr, 1) // node 0 is the root
 				simNode.write(c, 0)

@@ -100,12 +100,11 @@ func blockRange(n, nprocs, id int) (lo, hi int) {
 type region struct {
 	base uint64
 	elem uint64 // element size in bytes
-	n    int
 }
 
 // newRegion allocates n elements of elem bytes in simulated shared memory.
 func newRegion(m *core.Machine, n, elem int) region {
-	return region{base: m.Alloc(n * elem), elem: uint64(elem), n: n}
+	return region{base: m.Alloc(n * elem), elem: uint64(elem)}
 }
 
 // newArray allocates n 8-byte elements.
