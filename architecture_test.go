@@ -189,6 +189,28 @@ var archRules = []archRule{
 		pattern: `"parallel"`, fixed: true,
 		roots: []string{"internal/core"}, testsOnly: true,
 		allow: `^var equivLoops = |^\tif loop == "parallel" \{$`},
+	// A trace file is written by one method, trace.Tracer.WriteChromeFile:
+	// a temp file and an atomic rename. A WriteChrome call outside
+	// internal/trace means a second file writer, one that can leave a torn
+	// file behind.
+	{name: "one trace writer",
+		pattern: `WriteChrome(`, fixed: true,
+		roots: []string{"."}, goOnly: true, noTests: true, skip: []string{"internal/trace"}},
+	// Machine.Step and the run loop's step run the machine's one invariant
+	// loop (checkInvariants): the gate audit and the coherence check on
+	// every entry into quiescence. Quiescence tracking outside internal/core
+	// means a driver, the model checker say, runs a second copy of it.
+	{name: "one invariant loop",
+		pattern: `wasQuiesced`,
+		roots:   []string{"."}, goOnly: true, skip: []string{"internal/core"}},
+	// The home memory and the network cache lay out and record their
+	// coherence histograms through one type (memory.CoherenceHist), whose
+	// rows come from one ordered list of message types per directory kind.
+	// A type-to-row switch coming back means a second histogram whose rows
+	// can drift from their names.
+	{name: "one coherence histogram",
+		pattern: `func histRow`, fixed: true,
+		roots: []string{"."}, goOnly: true},
 }
 
 // archRuleFile is this file: it spells every pattern, so no rule searches

@@ -124,7 +124,7 @@ func main() {
 	run("fig14", func() error { return speedups(workloads.Applications(), "fig14") })
 
 	run("fig15-18", func() error {
-		runs, err := experiments.NCFigures(cfg, cfg.Geom.Procs(), *workers)
+		runs, err := experiments.NCFigures(cfg, cfg.Geom.Procs(), experiments.SpeedupSizes(), *workers)
 		if err != nil {
 			return err
 		}
@@ -144,14 +144,14 @@ func main() {
 		// that makes the recovery mechanism visible.
 		small := cfg
 		small.Params.NCLines = 512
-		rows, err := experiments.Table3(small, small.Geom.Procs(), *workers)
+		rows, err := experiments.Table3(small, small.Geom.Procs(), experiments.SpeedupSizes(), *workers)
 		if err != nil {
 			return err
 		}
 		fmt.Println("(512-line network cache, forcing ejections)")
 		experiments.PrintTable3(os.Stdout, rows)
 		big := cfg
-		rows, err = experiments.Table3(big, big.Geom.Procs(), *workers)
+		rows, err = experiments.Table3(big, big.Geom.Procs(), experiments.SpeedupSizes(), *workers)
 		if err != nil {
 			return err
 		}
@@ -194,7 +194,7 @@ func main() {
 
 	run("ablation", func() error {
 		names := []string{"radix", "lu-contig", "ocean", "water-nsq"}
-		res, err := experiments.AblationSCLocking(cfg, cfg.Geom.Procs(), names, *workers)
+		res, err := experiments.AblationSCLocking(cfg, cfg.Geom.Procs(), names, experiments.SpeedupSizes(), *workers)
 		if err != nil {
 			return err
 		}

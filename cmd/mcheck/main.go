@@ -9,7 +9,10 @@
 //
 // Inject a deliberate protocol defect and find its counterexample:
 //
-//	mcheck -mutation skip-net-inval -ops r0,w0 -procs 1 -stop-first
+//	mcheck -mutation skip-net-inval -ops r0,w0 -procs 1 -delays 0,160 -retry-deltas 0 -stop-first
+//
+// A liveness counterexample is followed by the machine's stuck-transaction
+// report.
 //
 // Replay a counterexample into a Perfetto trace:
 //
@@ -88,8 +91,13 @@ func main() {
 	}
 	c.StopAtFirst = *stopFirst
 	if *mutation != "" {
-		mu, ok := mutationByName(*mutation)
-		if !ok {
+		mu := memory.MutNone // -mutation takes the names -list-mutations prints
+		for _, mc := range mcheck.MutationTable() {
+			if mc.Name == *mutation {
+				mu = mc.Mut
+			}
+		}
+		if mu == memory.MutNone {
 			fatal("unknown mutation %q (see -list-mutations)", *mutation)
 		}
 		c.SetMutation(mu)
@@ -106,14 +114,7 @@ func main() {
 		}
 		tr, vio := c.Replay(choices, events)
 		if *traceFile != "" && tr != nil {
-			f, err := os.Create(*traceFile)
-			if err != nil {
-				fatal("%v", err)
-			}
-			if err := tr.WriteChrome(f); err != nil {
-				fatal("writing trace: %v", err)
-			}
-			if err := f.Close(); err != nil {
+			if err := tr.WriteChromeFile(*traceFile); err != nil {
 				fatal("writing trace: %v", err)
 			}
 			fmt.Printf("trace written to %s (%d events, %d dropped)\n", *traceFile, len(tr.Events()), tr.Dropped())
@@ -134,18 +135,6 @@ func main() {
 	case !res.Complete:
 		fmt.Fprintln(os.Stderr, "mcheck: exploration incomplete: a budget was exhausted before the fixpoint")
 		os.Exit(2)
-	}
-}
-
-func mutationByName(name string) (memory.Mutation, bool) {
-	for mu := memory.MutNone + 1; ; mu++ {
-		s := mu.String()
-		if s == "unknown" { // past the last known mutation
-			return memory.MutNone, false
-		}
-		if s == name {
-			return mu, true
-		}
 	}
 }
 

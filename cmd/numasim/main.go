@@ -206,14 +206,7 @@ func runOrAbort(run func() int64) (cycles int64, abort string) {
 // writeTrace writes the machine's trace buffers as a Chrome/Perfetto file.
 func writeTrace(m *core.Machine, path string) {
 	tr := m.Tracer()
-	f, err := os.Create(path)
-	if err != nil {
-		fatal(err)
-	}
-	if err := tr.WriteChrome(f); err != nil {
-		fatal(err)
-	}
-	if err := f.Close(); err != nil {
+	if err := tr.WriteChromeFile(path); err != nil {
 		fatal(err)
 	}
 	fmt.Printf("trace            %s: %d events (%d dropped to ring-buffer wrap)\n",

@@ -9,19 +9,20 @@ import (
 
 // Step advances the machine one cycle through the gated cycle (stepGated),
 // which ticks only components whose activity gate fires and walks the
-// station phase station-major; under Config.CheckInvariants it then audits
-// the poll caches. The equivalence suites compare it against a test-only
-// reference order that ticks every component every cycle, component-major
-// (processors, buses, memory modules, network caches, ring interfaces,
-// local rings, central ring); DESIGN.md "Gated cycle loop" argues why no
-// component can tell the two orders apart.
+// station phase station-major; under Config.CheckInvariants it then runs
+// the invariant loop (checkInvariants). The equivalence suites compare it
+// against a test-only reference order that ticks every component every
+// cycle, component-major (processors, buses, memory modules, network
+// caches, ring interfaces, local rings, central ring); DESIGN.md "Gated
+// cycle loop" argues why no component can tell the two orders apart.
 func (m *Machine) Step() {
 	if m.oracle != nil {
 		m.oracle()
+		m.checkInvariants(false)
 		return
 	}
 	m.stepGated()
-	m.checkGates()
+	m.checkInvariants(true)
 }
 
 // stepGated is the gated cycle; it returns how many components ticked (0
@@ -376,15 +377,27 @@ func (m *Machine) auditGates() error {
 	return err
 }
 
-// checkGates runs auditGates under Config.CheckInvariants and panics on a
-// stale entry.
-func (m *Machine) checkGates() {
+// checkInvariants is the machine's invariant loop, run under
+// Config.CheckInvariants after every Step and every step of Run and Drain:
+// the gate audit after a gated cycle (the reference order has no poll
+// caches), and CheckCoherence on each entry into quiescence. A violation
+// panics with its cycle and rule.
+func (m *Machine) checkInvariants(gated bool) {
 	if !m.Cfg.CheckInvariants {
 		return
 	}
-	if err := m.auditGates(); err != nil {
-		panic("core: " + err.Error())
+	if gated {
+		if err := m.auditGates(); err != nil {
+			panic("core: " + err.Error())
+		}
 	}
+	q := m.Quiesced()
+	if q && !m.wasQuiesced {
+		if err := m.CheckCoherence(); err != nil {
+			panic(fmt.Sprintf("core: invariant violation at cycle %d: %v", m.now, err))
+		}
+	}
+	m.wasQuiesced = q
 }
 
 // resetPolls seeds every poll cache with its component's own NextWork, so
@@ -416,8 +429,8 @@ func (m *Machine) resetPolls() {
 }
 
 // step advances one cycle and, when the machine proved quiescent, jumps
-// m.now to the next scheduled event (and, under CheckInvariants, audits the
-// poll caches at the cycle it lands on). The jump is exact: no component
+// m.now to the next scheduled event (and, under CheckInvariants, runs the
+// invariant checks at the cycle it lands on). The jump is exact: no component
 // ticked, so no state can change until the earliest reported wake-up, and
 // every per-cycle statistic is reconciled lazily. Jumps never pass the
 // watchdog deadline, so the no-progress check in Run samples at exactly
@@ -426,6 +439,7 @@ func (m *Machine) resetPolls() {
 func (m *Machine) step() {
 	if m.oracle != nil {
 		m.oracle()
+		m.checkInvariants(false)
 		return
 	}
 	if m.stepGated() == 0 {
@@ -446,5 +460,5 @@ func (m *Machine) step() {
 			m.now = wake
 		}
 	}
-	m.checkGates()
+	m.checkInvariants(true)
 }

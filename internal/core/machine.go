@@ -74,14 +74,11 @@ type Config struct {
 	FaultSpec string
 	FaultSeed uint64
 
-	// CheckInvariants promotes CheckCoherence from an end-of-run spot
-	// check to an every-quiescence invariant: whenever the machine enters
-	// a quiescent state during Run (and again after the final Drain), the
-	// full coherence check runs and any violation panics with the line,
-	// cycle and rule. It also arms the gate audit: after every Step, and
-	// every step of Run, the gated cycle's poll caches are checked against
-	// the components' own NextWork (auditGates), so a missed influence mark
-	// fails at the cycle the tick would be lost. Off by default (a
+	// CheckInvariants arms the machine's invariant loop (checkInvariants)
+	// after every step: the full coherence check on each entry into
+	// quiescence, and the gate audit of the poll caches after every gated
+	// step, so a missed influence mark fails at the cycle the tick would be
+	// lost. A violation panics with its cycle and rule. Off by default (a
 	// full-machine pass per quiescent period, and per stepped cycle); the
 	// equivalence suites and the model checker enable it.
 	CheckInvariants bool
@@ -149,8 +146,8 @@ type Machine struct {
 
 	barrier barrierCtl
 
-	// wasQuiesced tracks quiescence transitions for Config.CheckInvariants
-	// (the check runs once per quiescent period, not once per cycle).
+	// wasQuiesced tracks quiescence transitions for checkInvariants (the
+	// coherence check runs once per quiescent period, not once per cycle).
 	wasQuiesced bool
 
 	// Pooled executor of the gated cycle (ParallelStations; nil pool means

@@ -123,15 +123,6 @@ func (m *Machine) Run() int64 {
 			m.driveAt = m.now + m.driveEvery
 		}
 		m.step()
-		if m.Cfg.CheckInvariants {
-			q := m.Quiesced()
-			if q && !m.wasQuiesced {
-				if err := m.CheckCoherence(); err != nil {
-					panic(fmt.Sprintf("core: invariant violation at cycle %d: %v", m.now, err))
-				}
-			}
-			m.wasQuiesced = q
-		}
 		if m.onSample != nil && m.now >= m.sampleAt {
 			m.onSample(m)
 			m.sampleAt = m.now + m.sampleEvery
@@ -140,7 +131,7 @@ func (m *Machine) Run() int64 {
 			refs := m.totalRefs()
 			if refs == lastRefs {
 				panic(fmt.Sprintf("core: no progress for %d cycles at cycle %d\n%s",
-					m.p.DeadlockCycles, m.now, m.dumpState()))
+					m.p.DeadlockCycles, m.now, m.Progress()))
 			}
 			// Starvation: a processor parked in a memory-wait state with
 			// no completed reference for StarvationWindows consecutive
@@ -153,7 +144,7 @@ func (m *Machine) Run() int64 {
 						starveWins[i]++
 						if starveWins[i] >= m.p.StarvationWindows {
 							panic(fmt.Sprintf("core: cpu[%d] starved for %d watchdog windows (%d cycles) at cycle %d\n%s",
-								i, starveWins[i], int64(starveWins[i])*m.p.DeadlockCycles, m.now, m.dumpState()))
+								i, starveWins[i], int64(starveWins[i])*m.p.DeadlockCycles, m.now, m.Progress()))
 						}
 					} else {
 						starveWins[i] = 0
@@ -172,11 +163,6 @@ func (m *Machine) Run() int64 {
 		}
 	}
 	m.Drain()
-	if m.Cfg.CheckInvariants {
-		if err := m.CheckCoherence(); err != nil {
-			panic(fmt.Sprintf("core: invariant violation after drain at cycle %d: %v", m.now, err))
-		}
-	}
 	return end - start
 }
 
@@ -187,7 +173,7 @@ func (m *Machine) Drain() {
 	for !m.Quiesced() {
 		m.step()
 		if m.now > limit {
-			panic("core: machine failed to drain\n" + m.dumpState())
+			panic("core: machine failed to drain\n" + m.Progress().String())
 		}
 	}
 }
@@ -308,7 +294,3 @@ func (m *Machine) totalRefs() int64 {
 	}
 	return n
 }
-
-// dumpState renders the structured stuck-transaction report for abort
-// messages (see progress.go).
-func (m *Machine) dumpState() string { return m.Progress().String() }

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"os"
 	"path/filepath"
 
 	"numachine/internal/core"
@@ -30,30 +29,6 @@ func SetTraceCapture(dir string, perComponent int) {
 	traceEvents = perComponent
 }
 
-// captureTrace writes the run's trace; capture failures are returned so a
-// misconfigured trace directory fails the sweep loudly rather than
-// silently producing no files. The write goes through a temp file and an
-// atomic rename: sweep points sharing a coordinate can finish
-// concurrently under -workers, and last-writer-wins must never leave a
-// torn file.
-func captureTrace(m *core.Machine, name string, nprocs int) error {
-	path := filepath.Join(traceDir, fmt.Sprintf("%s-p%d.json", name, nprocs))
-	f, err := os.CreateTemp(traceDir, filepath.Base(path)+".tmp-*")
-	if err != nil {
-		return err
-	}
-	if err := m.Tracer().WriteChrome(f); err != nil {
-		f.Close()
-		os.Remove(f.Name())
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(f.Name())
-		return err
-	}
-	return os.Rename(f.Name(), path)
-}
-
 // SpeedupPoint is one point of a Figure 13/14 speedup curve.
 type SpeedupPoint struct {
 	Procs   int
@@ -64,7 +39,6 @@ type SpeedupPoint struct {
 // RunResult bundles one workload execution.
 type RunResult struct {
 	Workload string
-	Procs    int
 	Cycles   int64
 	Results  core.Results
 }
@@ -98,11 +72,12 @@ func runOne(cfg core.Config, name string, nprocs, size, workers int) (RunResult,
 		return fail(err)
 	}
 	if traceDir != "" {
-		if err := captureTrace(m, name, nprocs); err != nil {
+		path := filepath.Join(traceDir, fmt.Sprintf("%s-p%d.json", name, nprocs))
+		if err := m.Tracer().WriteChromeFile(path); err != nil {
 			return fail(err)
 		}
 	}
-	return RunResult{Workload: name, Procs: nprocs, Cycles: cycles, Results: m.Results()}, nil
+	return RunResult{Workload: name, Cycles: cycles, Results: m.Results()}, nil
 }
 
 // SpeedupSizes returns the default problem size for each workload in the
@@ -119,12 +94,12 @@ func SpeedupSizes() map[string]int {
 	}
 }
 
-// NCFigures runs the six workloads of Figures 15-18 on the full machine
-// and returns their results; the NC hit/combining rates, path utilizations
+// NCFigures runs the six workloads of Figures 15-18 on nprocs processors
+// at the problem sizes of sizes (SpeedupSizes for the paper's runs) and
+// returns their results; the NC hit/combining rates, path utilizations
 // and ring interface delays all derive from these runs. The workloads run
 // concurrently on up to workers goroutines, in deterministic order.
-func NCFigures(cfg core.Config, nprocs, workers int) ([]RunResult, error) {
-	sizes := SpeedupSizes()
+func NCFigures(cfg core.Config, nprocs int, sizes map[string]int, workers int) ([]RunResult, error) {
 	names := workloads.NCWorkloads()
 	return parMap(workers, len(names), func(i int) (RunResult, error) {
 		return runOne(cfg, names[i], nprocs, sizes[names[i]], workers)
@@ -193,9 +168,8 @@ type Table3Row struct {
 // remote request (§4.6). The effect needs NC ejections to occur, so the
 // caller should pass a configuration with a small network cache relative
 // to the working set (the paper's rates are per its 4 MB NC; EXPERIMENTS.md
-// records both settings).
-func Table3(cfg core.Config, nprocs, workers int) ([]Table3Row, error) {
-	sizes := SpeedupSizes()
+// records both settings). sizes maps workload name to problem size.
+func Table3(cfg core.Config, nprocs int, sizes map[string]int, workers int) ([]Table3Row, error) {
 	names := []string{"cholesky", "fmm", "ocean", "radiosity", "radix", "lu-contig", "water-nsq"}
 	return parMap(workers, len(names), func(i int) (Table3Row, error) {
 		r, err := runOne(cfg, names[i], nprocs, sizes[names[i]], workers)
@@ -236,10 +210,10 @@ func (a AblationResult) Delta() float64 {
 }
 
 // AblationSCLocking measures the cost of the sequential-consistency
-// locking mechanism (§2.3 reports only a 2% overall difference). The
-// 2*len(names) on/off points fan out across the worker pool.
-func AblationSCLocking(cfg core.Config, nprocs int, names []string, workers int) ([]AblationResult, error) {
-	sizes := SpeedupSizes()
+// locking mechanism (§2.3 reports only a 2% overall difference) at the
+// problem sizes of sizes. The 2*len(names) on/off points fan out across
+// the worker pool.
+func AblationSCLocking(cfg core.Config, nprocs int, names []string, sizes map[string]int, workers int) ([]AblationResult, error) {
 	runs, err := parMap(workers, 2*len(names), func(i int) (RunResult, error) {
 		c := cfg
 		c.Params.SCLocking = i%2 == 0

@@ -144,9 +144,11 @@ func (c *Checker) Run() *Result {
 }
 
 // replay runs one path to its end: terminal quiescence, a pruned
-// duplicate state, a violation, or the cycle budget. Component panics
-// (protocol assertions like the GI exact-owner check) are converted into
-// violations with the path's counterexample attached.
+// duplicate state, a violation, or the cycle budget. Machine.Step runs
+// the machine's own invariant loop (the gate audit, and CheckCoherence on
+// every entry into quiescence); its panics and the components' (protocol
+// assertions like the GI exact-owner check) are converted into violations
+// with the path's counterexample attached.
 func (c *Checker) replay(seq []int, traceEvents int) (r *run, vio *Violation) {
 	r = newRun(c.spec, c.mut, seq, traceEvents)
 	defer r.m.Close() // pruned, violating and over-budget paths leave programs parked
@@ -154,7 +156,7 @@ func (c *Checker) replay(seq []int, traceEvents int) (r *run, vio *Violation) {
 	step := func() (err error) {
 		defer func() {
 			if p := recover(); p != nil {
-				err = fmt.Errorf("component panic: %v", p)
+				err = fmt.Errorf("%v", p) // every panic string names its source
 			}
 		}()
 		r.m.Step()
@@ -162,15 +164,13 @@ func (c *Checker) replay(seq []int, traceEvents int) (r *run, vio *Violation) {
 	}
 	for {
 		if r.allDone() && r.m.Quiesced() {
-			if err := r.m.CheckCoherence(); err != nil {
-				return r, r.vio(fmt.Errorf("terminal coherence: %v", err))
-			}
 			r.terminal = true
 			return r, nil
 		}
 		if r.m.Now()-start >= c.spec.MaxCycles {
-			return r, r.vio(fmt.Errorf("liveness: path exceeded %d cycles without completing (%s)",
-				c.spec.MaxCycles, r.stuck()))
+			v := r.vio(fmt.Errorf("liveness: path exceeded %d cycles without completing", c.spec.MaxCycles))
+			v.Report = r.m.Progress()
+			return r, v
 		}
 		r.cycleHadChoice = false
 		if err := step(); err != nil {
@@ -179,13 +179,6 @@ func (c *Checker) replay(seq []int, traceEvents int) (r *run, vio *Violation) {
 		if err := r.alwaysInvariants(); err != nil {
 			return r, r.vio(err)
 		}
-		q := r.m.Quiesced()
-		if q && !r.wasQuiesced {
-			if err := r.m.CheckCoherence(); err != nil {
-				return r, r.vio(fmt.Errorf("quiescent coherence: %v", err))
-			}
-		}
-		r.wasQuiesced = q
 		if r.cycleHadChoice && len(r.taken) >= len(seq) {
 			k := r.key()
 			if _, seen := c.visited[k]; seen {
@@ -201,7 +194,7 @@ func (c *Checker) replay(seq []int, traceEvents int) (r *run, vio *Violation) {
 // fresh visited set (no pruning against past exploration) and returns the
 // violation it reproduces, nil if the path completes cleanly. With
 // traceEvents > 0 the machine records a structured event trace; the
-// returned tracer can write a Perfetto file (trace.Tracer.WriteChrome).
+// returned tracer can write a Perfetto file (trace.Tracer.WriteChromeFile).
 func (c *Checker) Replay(choices []int, traceEvents int) (*trace.Tracer, *Violation) {
 	saved := c.visited
 	c.visited = make(map[string]struct{})

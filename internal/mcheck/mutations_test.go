@@ -2,6 +2,7 @@ package mcheck
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"numachine/internal/trace"
@@ -26,6 +27,21 @@ func TestMutationsCaught(t *testing.T) {
 			}
 			v := res.Violations[0]
 			t.Logf("caught: %s", v.String())
+			switch mc.Name {
+			case "skip-bus-inval", "stale-read-li":
+				// A stale copy at quiescence is the machine's own
+				// invariant loop's catch (Machine.Step under CheckInvariants).
+				if !strings.HasPrefix(v.Err.Error(), "core: invariant violation") {
+					t.Errorf("caught by %q, want the machine's quiescence check", v.Err)
+				}
+			case "skip-net-inval":
+				// A liveness counterexample carries the stuck-transaction
+				// report: the home still holds the line locked for the
+				// invalidation that never returns.
+				if v.Report == nil || !strings.Contains(v.String(), "locked=true") {
+					t.Errorf("liveness violation without a stuck report naming the locked line:\n%s", v.String())
+				}
+			}
 
 			tr, rv := c.Replay(v.Choices, 8192)
 			if rv == nil {

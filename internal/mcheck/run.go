@@ -26,10 +26,19 @@ type Violation struct {
 	Err     error
 	Choices []int
 	Cycle   int64
+	// Report is the machine's stuck-transaction report for a liveness
+	// violation (the one the watchdog attaches to its aborts), else nil.
+	Report *core.ProgressReport
 }
 
+// String renders the violation on one line, followed by its
+// stuck-transaction report, indented, when it has one.
 func (v *Violation) String() string {
-	return fmt.Sprintf("cycle %d: %v (counterexample %s)", v.Cycle, v.Err, FormatChoices(v.Choices))
+	s := fmt.Sprintf("cycle %d: %v (counterexample %s)", v.Cycle, v.Err, FormatChoices(v.Choices))
+	if v.Report != nil {
+		s += "\n    " + strings.ReplaceAll(strings.TrimRight(v.Report.String(), "\n"), "\n", "\n    ")
+	}
+	return s
 }
 
 // run replays one path: a fresh machine driven from reset, with every
@@ -54,9 +63,8 @@ type run struct {
 	cycleHadChoice bool
 	truncated      bool
 
-	wasQuiesced bool
-	terminal    bool
-	pruned      bool
+	terminal bool
+	pruned   bool
 }
 
 // newRun builds the machine for one path replay. It steps the production
@@ -254,18 +262,4 @@ func (r *run) alwaysInvariants() error {
 		}
 	}
 	return nil
-}
-
-// stuck describes where each processor is parked (liveness diagnostics).
-func (r *run) stuck() string {
-	var b strings.Builder
-	for i, c := range r.m.CPUs {
-		fmt.Fprintf(&b, "cpu%d=%s/op%d ", i, c.StateName(), r.pos[i])
-	}
-	for _, mem := range r.m.Mems {
-		if mem.PendingLocks() > 0 {
-			fmt.Fprintf(&b, "mem%d-locks=%d ", mem.Station, mem.PendingLocks())
-		}
-	}
-	return strings.TrimSpace(b.String())
 }

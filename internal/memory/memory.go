@@ -57,41 +57,6 @@ const (
 // String returns the paper's mnemonic.
 func (s DirState) String() string { return [...]string{"LV", "LI", "GV", "GI"}[s] }
 
-// HistRows and HistCols label the cache coherence histogram table (§3.3.3):
-// one row per memory transaction type, one column per line state crossed
-// with the lock bit.
-var (
-	HistRows = []string{"LocalRead", "LocalReadEx", "LocalUpgd", "LocalWrBack",
-		"RemRead", "RemReadEx", "RemUpgd", "RemWrBack", "SpecialWrReq", "KillReq"}
-	HistCols = []string{"LV", "LI", "GV", "GI", "LV*", "LI*", "GV*", "GI*"}
-)
-
-func histRow(t msg.Type) int {
-	switch t {
-	case msg.LocalRead:
-		return 0
-	case msg.LocalReadEx:
-		return 1
-	case msg.LocalUpgd:
-		return 2
-	case msg.LocalWrBack:
-		return 3
-	case msg.RemRead:
-		return 4
-	case msg.RemReadEx:
-		return 5
-	case msg.RemUpgd:
-		return 6
-	case msg.RemWrBack:
-		return 7
-	case msg.SpecialWrReq:
-		return 8
-	case msg.KillReq:
-		return 9
-	}
-	return -1
-}
-
 // entry is one directory entry plus the line's DRAM contents.
 type entry struct {
 	state  DirState
@@ -164,7 +129,7 @@ type Module struct {
 	Mut Mutation
 
 	Stats Stats
-	Hist  monitor.Table // coherence histogram (§3.3.3)
+	Hist  monitor.Table // coherence histogram (§3.3.3), laid out by HomeHist
 }
 
 // New builds a standalone memory module for a station over a private copy
@@ -180,7 +145,7 @@ func New(g topo.Geometry, p sim.Params, station int) *Module {
 func (m *Module) Init(g topo.Geometry, p *sim.Params, station int) {
 	m.g, m.p = g, p
 	m.Addr(g, station, g.ModMem())
-	m.Hist = monitor.Table{Owner: "memory", Index: station, Name: "coherence histogram", Rows: HistRows, Cols: HistCols}
+	m.Hist = HomeHist.Table("memory", station)
 }
 
 // PendingLocks returns the number of locked lines. Maintained
@@ -260,16 +225,6 @@ func (m *Module) ForEachLine(fn func(line uint64, state DirState, locked bool, p
 	}
 }
 
-func (m *Module) recordHist(t msg.Type, e *entry) {
-	if r := histRow(t); r >= 0 {
-		c := int(e.state)
-		if e.locked {
-			c += 4
-		}
-		m.Hist.Add(r, c)
-	}
-}
-
 func (m *Module) nextTxn() uint64 {
 	m.txnSeq++
 	return uint64(m.Station)<<40 | m.txnSeq
@@ -337,7 +292,7 @@ func (m *Module) unlock(e *entry) {
 
 func (m *Module) handle(x *msg.Message, now int64) {
 	e := m.entry(x.Line)
-	m.recordHist(x.Type, e)
+	HomeHist.Record(&m.Hist, x.Type, HistCol(e.state, e.locked))
 	m.Stats.Transactions++
 	if m.Tr != nil {
 		st := int32(e.state)

@@ -155,33 +155,6 @@ func (s Stats) rate(n int64) float64 {
 	return float64(n) / float64(s.Requests)
 }
 
-// HistRows and HistCols label the NC coherence histogram.
-var (
-	HistRows = []string{"LocalRead", "LocalReadEx", "LocalUpgd", "LocalWrBack",
-		"NetIntervShared", "NetIntervEx", "Invalidate"}
-	HistCols = []string{"NotIn", "LV", "LI", "GV", "GI", "LV*", "LI*", "GV*", "GI*"}
-)
-
-func histRow(t msg.Type) int {
-	switch t {
-	case msg.LocalRead:
-		return 0
-	case msg.LocalReadEx:
-		return 1
-	case msg.LocalUpgd:
-		return 2
-	case msg.LocalWrBack:
-		return 3
-	case msg.NetIntervShared:
-		return 4
-	case msg.NetIntervEx:
-		return 5
-	case msg.Invalidate:
-		return 6
-	}
-	return -1
-}
-
 // Module is one station's network cache: a bus port (FIFOs, occupancy,
 // Fault, Tr, Msgs, Station) in front of the tag store.
 type Module struct {
@@ -222,7 +195,7 @@ type Module struct {
 	RetryChoice func(nakStreak int, base int64) int64
 
 	Stats Stats
-	Hist  monitor.Table // coherence histogram (§3.3.3)
+	Hist  monitor.Table // coherence histogram (§3.3.3), laid out by memory.NCHist
 }
 
 // New builds a standalone network cache for a station over a private copy
@@ -239,7 +212,7 @@ func (n *Module) Init(g topo.Geometry, p *sim.Params, station int) {
 	n.g, n.p = g, p
 	n.Addr(g, station, g.ModNC())
 	n.entries = sim.NewPaged(p.NCLines, p.LineSize, &noEntries)
-	n.Hist = monitor.Table{Owner: "netcache", Index: station, Name: "coherence histogram", Rows: HistRows, Cols: HistCols}
+	n.Hist = memory.NCHist.Table("netcache", station)
 	// Seed unconditionally: the zero xorshift state would be degenerate.
 	// The constant tags the stream so NC jitter never collides with the
 	// per-CPU streams derived from the same RetryJitterSeed.
@@ -303,19 +276,13 @@ func (n *Module) Peek(line uint64) (state memory.DirState, locked bool, procs ui
 	return e.state, e.locked, e.procs, e.data, true
 }
 
-func (n *Module) recordHist(t msg.Type, e *entry) {
-	r := histRow(t)
-	if r < 0 {
-		return
+// histCol is the line's coherence-histogram column: NotIn (0) for a nil
+// entry.
+func (e *entry) histCol() int {
+	if e == nil {
+		return 0
 	}
-	c := 0
-	if e != nil {
-		c = 1 + int(e.state)
-		if e.locked {
-			c += 4
-		}
-	}
-	n.Hist.Add(r, c)
+	return 1 + memory.HistCol(e.state, e.locked)
 }
 
 // NextWork reports the earliest cycle at or after now at which Tick has

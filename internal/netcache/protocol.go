@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/bits"
 
+	"numachine/internal/memory"
 	"numachine/internal/msg"
 	"numachine/internal/trace"
 )
@@ -75,7 +76,7 @@ func (n *Module) localReq(x *msg.Message, now int64) {
 	req := x.SrcMod
 	bit := uint16(1) << uint(req)
 	e := n.lookup(x.Line)
-	n.recordHist(x.Type, e)
+	memory.NCHist.Record(&n.Hist, x.Type, e.histCol())
 	if !x.Retry {
 		n.Stats.Requests++
 	} else {
@@ -222,7 +223,7 @@ func (n *Module) localWrBack(x *msg.Message, now int64) {
 		return
 	}
 	e := n.lookup(x.Line)
-	n.recordHist(msg.LocalWrBack, e)
+	memory.NCHist.Record(&n.Hist, msg.LocalWrBack, e.histCol())
 	if e == nil {
 		e = n.allocate(x.Line, x.Home)
 		if e == nil {
@@ -566,7 +567,7 @@ func (n *Module) grant(e *entry) {
 
 func (n *Module) invalidate(x *msg.Message) {
 	e := n.lookup(x.Line)
-	n.recordHist(msg.Invalidate, e)
+	memory.NCHist.Record(&n.Hist, msg.Invalidate, e.histCol())
 	if e == nil {
 		// Ejected from the NC: broadcast to all processors (§2.3).
 		n.BusInval(x.Line, 0, n.allProcs())
@@ -617,7 +618,7 @@ func (n *Module) invalidate(x *msg.Message) {
 
 func (n *Module) netInterv(x *msg.Message) {
 	e := n.lookup(x.Line)
-	n.recordHist(x.Type, e)
+	memory.NCHist.Record(&n.Hist, x.Type, e.histCol())
 	home := x.SrcStation
 	if _, busy := n.sideTxns[x.Line]; e == nil && busy || e != nil && e.locked {
 		nk := n.ToStation(msg.NetNAK, x.Line, home, home)

@@ -49,7 +49,8 @@ import (
 // never simulated behaviour: each hit is resolved at its exact virtual
 // cycle against the exact cache state, so Results and traces are
 // byte-identical with the fast path on or off (the equivalence suite
-// enforces this across all three cycle loops, fault schedules included).
+// enforces this across the test-only reference order and both executors,
+// fault schedules included).
 // Hits emit no trace events in the slow path either, so traces cannot
 // diverge. The only observable difference is when the monitoring counters
 // are incremented mid-run (a telemetry sample taken mid-burst may be a few

@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"os"
+	"path/filepath"
 )
 
 // chromeEvent is one record of the Chrome trace-event format (the JSON
@@ -25,6 +27,29 @@ type chromeEvent struct {
 
 type chromeTrace struct {
 	TraceEvents []chromeEvent `json:"traceEvents"`
+}
+
+// WriteChromeFile writes the trace (WriteChrome) to path, the one writer
+// of trace files: through a temp file in path's directory and an atomic
+// rename, so writers racing on one path leave the last complete file,
+// never a torn one.
+func (t *Tracer) WriteChromeFile(path string) error {
+	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp-*")
+	if err != nil {
+		return err
+	}
+	defer os.Remove(f.Name()) // fails harmlessly once renamed
+	err = t.WriteChrome(f)
+	if err == nil {
+		err = f.Chmod(0o644) // CreateTemp's 0600 would hide the file from viewers
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return err
+	}
+	return os.Rename(f.Name(), path)
 }
 
 // WriteChrome exports the merged trace as Chrome trace-event JSON:
