@@ -211,6 +211,28 @@ var archRules = []archRule{
 	{name: "one coherence histogram",
 		pattern: `func histRow`, fixed: true,
 		roots: []string{"."}, goOnly: true},
+	// The run loop's sampler, watchdog and driver are one type
+	// (core.serialPoint), and the quiescence fast-forward clamps to the
+	// watchdog and the driver through one rule (serialPoint.clamp). A
+	// per-point schedule field coming back means a second hand-written
+	// clamp, one that can drift from the first and let a jump pass a check.
+	{name: "one fast-forward clamp",
+		pattern: `watchdogAt|driveAt|sampleAt|onDrive|onSample`,
+		roots:   []string{"internal/core"}, goOnly: true, noTests: true},
+	// A program reads the cycle through one probe, Ctx.Cycle, which always
+	// hands off to the back end. A forced-handshake twin coming back means
+	// two probes again, one of which answers from the fast path's run-ahead
+	// window, for a driver of the serving layer's mailboxes to pick wrong.
+	{name: "one cycle probe",
+		pattern: `func \(c \*Ctx\) Sync|\.Sync\(\)`,
+		roots:   []string{"."}, goOnly: true, noTests: true},
+	// Every requester that re-issues after a NAK times it with one type,
+	// sim.Backoff (jitter stream plus the model checker's Choice). A
+	// per-requester hook or delay method coming back means a second copy
+	// of the back-off for a fairness change to miss.
+	{name: "one NAK back-off",
+		pattern: `RetryChoice|retryDelay`,
+		roots:   []string{"internal/proc", "internal/netcache", "internal/mcheck"}, goOnly: true, noTests: true},
 }
 
 // archRuleFile is this file: it spells every pattern, so no rule searches

@@ -154,20 +154,19 @@ func (m *Machine) checkLine(line uint64) error {
 		if ownerSt == home {
 			return fail("GI names home as owner")
 		}
-		// Determine the current value at the owner station.
-		var cur uint64
+		// The owner station must hold the current copy.
 		found := false
 		if nc, ok := ncs[ownerSt]; ok {
 			switch nc.state {
 			case memory.LV:
-				cur, found = nc.data, true
+				found = true
 				if dirty != 0 {
 					return fail("NC[%d] LV with a dirty processor copy", ownerSt)
 				}
 			case memory.LI:
 				for _, cp := range copies {
 					if cp.station == ownerSt && cp.state == cache.Dirty {
-						cur, found = cp.data, true
+						found = true
 					}
 				}
 				if !found {
@@ -183,14 +182,13 @@ func (m *Machine) checkLine(line uint64) error {
 			// NotIn (or stale GI): the dirty data must be in an owner L2.
 			for _, cp := range copies {
 				if cp.station == ownerSt && cp.state == cache.Dirty {
-					cur, found = cp.data, true
+					found = true
 				}
 			}
 			if !found {
 				return fail("owner station %d holds no current copy", ownerSt)
 			}
 		}
-		_ = cur
 		for _, cp := range copies {
 			if cp.station != ownerSt {
 				return fail("GI but proc %d on station %d holds a copy", cp.proc, cp.station)

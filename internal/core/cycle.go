@@ -432,10 +432,11 @@ func (m *Machine) resetPolls() {
 // m.now to the next scheduled event (and, under CheckInvariants, runs the
 // invariant checks at the cycle it lands on). The jump is exact: no component
 // ticked, so no state can change until the earliest reported wake-up, and
-// every per-cycle statistic is reconciled lazily. Jumps never pass the
-// watchdog deadline, so the no-progress check in Run samples at exactly
-// the cycles a cycle-by-cycle walk samples — including a sim.Never wake on
-// a fully wedged machine, which must land on the deadline rather than spin.
+// every per-cycle statistic is reconciled lazily. The watchdog and the
+// driver clamp it (serialPoint.clamp), so Run fires both at exactly the
+// cycles a cycle-by-cycle walk fires them — including on a fully wedged
+// machine, whose sim.Never wake must land on the watchdog's next check
+// rather than spin.
 func (m *Machine) step() {
 	if m.oracle != nil {
 		m.oracle()
@@ -443,18 +444,7 @@ func (m *Machine) step() {
 		return
 	}
 	if m.stepGated() == 0 {
-		wake := m.cachedWake()
-		if m.watchdogAt > m.now && wake > m.watchdogAt {
-			wake = m.watchdogAt
-		}
-		// The external driver must observe every scheduled drive cycle:
-		// clamp like the watchdog so the fast-forward lands on driveAt
-		// instead of jumping over it. >= because stepGated has already
-		// advanced m.now — a drive due exactly now must suppress the jump
-		// entirely (wake becomes m.now) so Run fires it before moving on.
-		if m.onDrive != nil && m.driveAt >= m.now && wake > m.driveAt {
-			wake = m.driveAt
-		}
+		wake := m.driver.clamp(m.now, m.watchdog.clamp(m.now, m.cachedWake()))
 		if wake > m.now && wake != sim.Never {
 			m.FastForwarded.Add(wake - m.now)
 			m.now = wake

@@ -49,7 +49,7 @@ func TestNoGoroutineLeak(t *testing.T) {
 	base := settledGoroutines()
 
 	for _, loop := range equivLoops {
-		if runWatchdog(t, loop) == "" {
+		if runWatchdog(t, loop, 0) == "" {
 			t.Fatalf("%s loop did not trip the watchdog", loop)
 		}
 		waitGoroutines(t, "watchdog abort, "+loop+" loop", base)

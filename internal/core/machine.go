@@ -158,11 +158,6 @@ type Machine struct {
 	pool     *sim.ShardPool
 	parPhase bool
 
-	// watchdogAt is the cycle at which the deadlock watchdog next samples
-	// progress; quiescence fast-forwards clamp to it so the watchdog trips
-	// at the same cycle in every loop.
-	watchdogAt int64
-
 	// Per-cycle memo of deliveryQuiet() for the fast-hit machine-quiet
 	// horizon: every deep-idle window open on the same cycle shares one
 	// machine scan. quiescedAt is the cycle the memo was taken (-1 = none
@@ -203,22 +198,12 @@ type Machine struct {
 	// EnableTrace in trace.go).
 	tracer *trace.Tracer
 
-	// Live-metrics sampler (SetSampler): onSample runs at a serial point
-	// of the run loop every sampleEvery cycles.
-	sampleEvery int64
-	sampleAt    int64
-	onSample    func(*Machine)
-
-	// External driver (SetDriver): onDrive runs at a serial point of the
-	// run loop every driveEvery cycles, *before* the cycle's step, and —
-	// unlike the sampler — at exactly the same cycles under every loop:
-	// the quiescence fast-forward clamps to driveAt (see step), so a drive
-	// lands on its scheduled cycle whether the machine walked or jumped
-	// there. The serving layer injects arrivals and dispatches requests
-	// from here.
-	driveEvery int64
-	driveAt    int64
-	onDrive    func(*Machine)
+	// The run loop's serial points, fired at the top of each cycle in this
+	// order: the live-metrics sampler (SetSampler), the deadlock watchdog
+	// (armed by Run) and the external driver (SetDriver). The watchdog and
+	// the driver clamp the quiescence fast-forward (see step); the sampler
+	// only observes.
+	sampler, watchdog, driver serialPoint
 
 	// serveReport, when set, contributes the serving-layer section of
 	// Results (see SetServeReport).

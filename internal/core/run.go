@@ -43,20 +43,13 @@ func (m *Machine) Load(progs []proc.Program) {
 
 // SetDriver arranges for fn to run at a serial point of the run loop
 // every `every` cycles, starting at the next step, before that cycle's
-// components tick. Drives are part of the simulated experiment, not
-// observation: unlike the sampler, they fire at *exactly* the same cycles
-// under every cycle loop (the quiescence fast-forward clamps to the next
-// drive), so a driver that mutates state visible to workload goroutines —
-// the serving layer's dispatcher — keeps the machine bit-identical across
-// the test-only reference order and both executors. Pass fn == nil to
-// detach.
+// components tick. Drives are part of the simulated experiment: the
+// fast-forward clamps to them, so they fire at exactly the same cycles
+// under every cycle loop, and a driver that mutates state the workload
+// goroutines read — the serving layer's dispatcher — keeps the loops
+// bit-identical. Pass fn == nil to detach.
 func (m *Machine) SetDriver(every int64, fn func(*Machine)) {
-	if every <= 0 {
-		every = 1
-	}
-	m.driveEvery = every
-	m.driveAt = m.now
-	m.onDrive = fn
+	m.driver = serialPoint{every: max(every, 1), at: m.now, fn: fn}
 }
 
 // SetServeReport registers the serving layer's results provider; Results
@@ -81,6 +74,33 @@ func (m *Machine) Close() {
 	}
 }
 
+// serialPoint is a callback the run loop fires at the top of a cycle,
+// before any component ticks, first at cycle at and then every `every`
+// cycles after each firing. A point with a nil fn is detached.
+type serialPoint struct {
+	every, at int64
+	fn        func(*Machine)
+}
+
+// fire runs the point if it is due and schedules its next firing.
+func (p *serialPoint) fire(m *Machine) {
+	if p.fn != nil && m.now >= p.at {
+		p.fn(m)
+		p.at = m.now + p.every
+	}
+}
+
+// clamp returns wake, pulled back to the point's next firing when the
+// point is attached and due at or after now: a quiescence jump may land on
+// a firing but never pass it, and a point due exactly now suppresses the
+// jump, so the run loop fires it before the machine moves on.
+func (p *serialPoint) clamp(now, wake int64) int64 {
+	if p.fn != nil && p.at >= now && wake > p.at {
+		return p.at
+	}
+	return wake
+}
+
 // Run executes until every loaded program finishes, returning the cycle
 // count of the parallel section (max completion time). It panics if the
 // deadlock watchdog trips, a component assertion fails or a program
@@ -101,60 +121,14 @@ func (m *Machine) Run() int64 {
 		}
 		return false
 	}
-	lastRefs, lastAt := int64(-1), m.now
-	if m.p.DeadlockCycles > 0 {
-		m.watchdogAt = lastAt + m.p.DeadlockCycles
-	}
-	// Per-transaction forward-progress monitor state, sampled on the same
-	// watchdog schedule (the quiescence fast-forward clamps to watchdogAt,
-	// so every loop samples at identical cycles and aborts identically).
-	var starveRefs []int64
-	var starveWins []int
-	if m.p.StarvationWindows > 0 {
-		starveRefs = make([]int64, len(m.CPUs))
-		starveWins = make([]int, len(m.CPUs))
-	}
+	m.watchdog = serialPoint{every: m.p.DeadlockCycles, at: m.now + m.p.DeadlockCycles, fn: m.progressCheck()}
 	for active() {
-		if m.onDrive != nil && m.now >= m.driveAt {
-			// Drive before the cycle's step: the driver sees the machine at
-			// the top of cycle now, before any component ticks, exactly as
-			// it would in a cycle-by-cycle walk.
-			m.onDrive(m)
-			m.driveAt = m.now + m.driveEvery
-		}
+		m.sampler.fire(m)
+		m.watchdog.fire(m)
+		// The driver sees the machine at the top of cycle now, before any
+		// component ticks, exactly as it would in a cycle-by-cycle walk.
+		m.driver.fire(m)
 		m.step()
-		if m.onSample != nil && m.now >= m.sampleAt {
-			m.onSample(m)
-			m.sampleAt = m.now + m.sampleEvery
-		}
-		if m.p.DeadlockCycles > 0 && m.now-lastAt >= m.p.DeadlockCycles {
-			refs := m.totalRefs()
-			if refs == lastRefs {
-				panic(fmt.Sprintf("core: no progress for %d cycles at cycle %d\n%s",
-					m.p.DeadlockCycles, m.now, m.Progress()))
-			}
-			// Starvation: a processor parked in a memory-wait state with
-			// no completed reference for StarvationWindows consecutive
-			// windows while the machine as a whole progressed (the global
-			// no-progress check above did not fire).
-			if m.p.StarvationWindows > 0 {
-				for i, c := range m.CPUs {
-					r := c.Stats.Reads + c.Stats.Writes
-					if c.Stalled() && r == starveRefs[i] {
-						starveWins[i]++
-						if starveWins[i] >= m.p.StarvationWindows {
-							panic(fmt.Sprintf("core: cpu[%d] starved for %d watchdog windows (%d cycles) at cycle %d\n%s",
-								i, starveWins[i], int64(starveWins[i])*m.p.DeadlockCycles, m.now, m.Progress()))
-						}
-					} else {
-						starveWins[i] = 0
-					}
-					starveRefs[i] = r
-				}
-			}
-			lastRefs, lastAt = refs, m.now
-			m.watchdogAt = lastAt + m.p.DeadlockCycles
-		}
 	}
 	end := int64(0)
 	for i, r := range m.runners {
@@ -164,6 +138,47 @@ func (m *Machine) Run() int64 {
 	}
 	m.Drain()
 	return end - start
+}
+
+// progressCheck returns the deadlock watchdog's callback, fired every
+// DeadlockCycles cycles, or nil when the watchdog is off. It panics when no
+// reference completed machine-wide since the last check, or — the
+// starvation detector — when one processor parked in a memory-wait state
+// completed none for StarvationWindows consecutive checks while the
+// machine as a whole progressed.
+func (m *Machine) progressCheck() func(*Machine) {
+	if m.p.DeadlockCycles <= 0 {
+		return nil
+	}
+	lastRefs := int64(-1)
+	type window struct {
+		refs int64
+		wins int
+	}
+	var starve []window
+	if m.p.StarvationWindows > 0 {
+		starve = make([]window, len(m.CPUs))
+	}
+	return func(m *Machine) {
+		refs := m.totalRefs()
+		if refs == lastRefs {
+			panic(fmt.Sprintf("core: no progress for %d cycles at cycle %d\n%s",
+				m.p.DeadlockCycles, m.now, m.Progress()))
+		}
+		lastRefs = refs
+		for i := range starve { // empty with the detector off
+			c, w := m.CPUs[i], &starve[i]
+			r := c.Stats.Reads + c.Stats.Writes
+			if !c.Stalled() || r != w.refs {
+				*w = window{refs: r}
+				continue
+			}
+			if w.wins++; w.wins >= m.p.StarvationWindows {
+				panic(fmt.Sprintf("core: cpu[%d] starved for %d watchdog windows (%d cycles) at cycle %d\n%s",
+					i, w.wins, int64(w.wins)*m.p.DeadlockCycles, m.now, m.Progress()))
+			}
+		}
+	}
 }
 
 // Drain runs the machine until all queues, rings and controllers are

@@ -63,15 +63,11 @@ func (m *Machine) PhaseTransactions() map[uint8]int64 {
 }
 
 // SetSampler arranges for fn to run at a serial point of the run loop
-// every `every` cycles (first at the next step). The machine state fn
-// observes is consistent — no component is mid-tick — and the lazily
-// reconciled statistics are idempotent, so sampling never perturbs the
-// simulation. The live telemetry endpoint publishes snapshots from here.
+// every `every` cycles (first at the next step). fn observes a consistent
+// machine — no component is mid-tick, and the lazily reconciled statistics
+// are idempotent — so sampling never perturbs the simulation. A sample
+// does not clamp the fast-forward, so its cycles may differ between cycle
+// loops. The live telemetry endpoint publishes snapshots from here.
 func (m *Machine) SetSampler(every int64, fn func(*Machine)) {
-	if every <= 0 {
-		every = 1
-	}
-	m.sampleEvery = every
-	m.sampleAt = m.now
-	m.onSample = fn
+	m.sampler = serialPoint{every: max(every, 1), at: m.now, fn: fn}
 }

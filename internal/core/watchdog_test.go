@@ -8,10 +8,11 @@ import (
 	"numachine/internal/topo"
 )
 
-// runWatchdog drives a machine into the no-progress window — one reference,
-// then a compute burst many times longer than DeadlockCycles — and returns
-// the watchdog panic message ("" if it never tripped).
-func runWatchdog(t *testing.T, loop string) (panicMsg string) {
+// runWatchdog drives a machine into the no-progress window — a reference,
+// a compute gap, a second reference, then a compute burst many times longer
+// than DeadlockCycles — and returns the watchdog panic message ("" if it
+// never tripped).
+func runWatchdog(t *testing.T, loop string, gap int64) (panicMsg string) {
 	t.Helper()
 	cfg := DefaultConfig()
 	cfg.Geom = topo.Geometry{ProcsPerStation: 1, StationsPerRing: 2, Rings: 1}
@@ -24,6 +25,8 @@ func runWatchdog(t *testing.T, loop string) (panicMsg string) {
 	addr := m.AllocLines(1)
 	m.Load([]proc.Program{func(c *proc.Ctx) {
 		c.Read(addr)
+		c.Compute(gap)
+		c.Read(addr)
 		c.Compute(50 * cfg.Params.DeadlockCycles)
 		c.Read(addr)
 	}})
@@ -34,28 +37,23 @@ func runWatchdog(t *testing.T, loop string) (panicMsg string) {
 	return ""
 }
 
-// TestWatchdogTripsIdentically is the regression test for the PR 1 "known
-// divergence": quiescence fast-forwards used to jump past the no-progress
-// window, so the scheduled loop sampled the watchdog at different cycles
-// than the reference order. Jumps now clamp to the watchdog deadline, so
-// both executors must panic at the reference order's cycle with its
-// message.
+// TestWatchdogTripsIdentically requires both executors to panic at the
+// reference order's cycle with its message. A quiescence jump may land on
+// the watchdog's next check but never pass it; the sweep moves the second
+// reference across the first deadline, so on some gap the cycle before the
+// deadline ticks nothing and the gated step itself lands on the deadline,
+// where a jump that ignores a check due exactly now would skip it and see
+// progress at its first check after the burst.
 func TestWatchdogTripsIdentically(t *testing.T) {
-	ref := runWatchdog(t, "naive")
-	if ref == "" {
-		t.Fatal("naive loop did not trip the watchdog")
-	}
-	if !strings.Contains(ref, "no progress for 2000 cycles") {
-		t.Fatalf("unexpected watchdog message: %q", ref)
-	}
-	for _, loop := range equivLoops[1:] {
-		got := runWatchdog(t, loop)
-		if got == "" {
-			t.Errorf("%s loop did not trip the watchdog", loop)
-			continue
+	for gap := int64(1500); gap < 2100; gap++ {
+		ref := runWatchdog(t, "naive", gap)
+		if !strings.Contains(ref, "no progress for 2000 cycles") {
+			t.Fatalf("gap %d: naive loop did not trip the watchdog: %q", gap, ref)
 		}
-		if got != ref {
-			t.Errorf("%s loop watchdog diverges from naive:\n%s\n--- naive ---\n%s", loop, got, ref)
+		for _, loop := range equivLoops[1:] {
+			if got := runWatchdog(t, loop, gap); got != ref {
+				t.Errorf("gap %d: %s loop watchdog diverges from naive:\n%s\n--- naive ---\n%s", gap, loop, got, ref)
+			}
 		}
 	}
 }

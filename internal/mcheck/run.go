@@ -141,10 +141,10 @@ func newRun(spec Spec, mut memory.Mutation, seq []int, traceEvents int) *run {
 		mem.Mut = mut
 	}
 	for _, c := range m.CPUs {
-		c.RetryChoice = r.retryChoice
+		c.Backoff.Choice = r.retryChoice
 	}
 	for _, nc := range m.NCs {
-		nc.RetryChoice = r.retryChoice
+		nc.Backoff.Choice = r.retryChoice
 	}
 	if inj := m.Injector(); inj != nil {
 		inj.SetChooser(r.faultChoice)
@@ -179,8 +179,8 @@ func (r *run) choose(arity int) int {
 	return v
 }
 
-// retryChoice implements the CPU and NC retry-delay hook: the delta menu
-// turns every NAK retry into a choice point (retry orderings).
+// retryChoice is the CPU and NC back-off hook (sim.Backoff.Choice): the
+// delta menu turns every NAK retry into a choice point (retry orderings).
 func (r *run) retryChoice(_ int, base int64) int64 {
 	if len(r.spec.RetryDeltas) <= 1 {
 		return base + r.spec.RetryDeltas[0]

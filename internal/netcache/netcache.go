@@ -180,19 +180,16 @@ type Module struct {
 	// record wholesale (`*t = txn{...}`).
 	txns msg.Pool[txn]
 
-	// retryRNG draws the deterministic back-off jitter for this NC's
-	// re-issues; it is consumed only while handling a NetNAK (a real-work
-	// event every cycle loop executes identically), never from idle ticks.
-	retryRNG sim.RNG
+	// Backoff times this NC's re-issues after a NetNAK. Its jitter is
+	// drawn only while handling a NetNAK (a real-work event every cycle
+	// loop executes identically), never from idle ticks; the model checker
+	// installs its Choice.
+	Backoff sim.Backoff
 
 	// FetchTimeout, when > 0, re-issues an unanswered fetch request after
 	// that many cycles — the sender-side recovery for request packets the
 	// injector drops in the network.
 	FetchTimeout int64
-
-	// RetryChoice, when non-nil, overrides retryDelay: the model checker
-	// installs it to turn NAK retry timing into an explored choice point.
-	RetryChoice func(nakStreak int, base int64) int64
 
 	Stats Stats
 	Hist  monitor.Table // coherence histogram (§3.3.3), laid out by memory.NCHist
@@ -216,7 +213,7 @@ func (n *Module) Init(g topo.Geometry, p *sim.Params, station int) {
 	// Seed unconditionally: the zero xorshift state would be degenerate.
 	// The constant tags the stream so NC jitter never collides with the
 	// per-CPU streams derived from the same RetryJitterSeed.
-	n.retryRNG = *sim.NewRNG(p.RetryJitterSeed ^ 0x6e65746361636865 ^
+	n.Backoff = sim.NewBackoff(p.RetryJitterSeed ^ 0x6e65746361636865 ^
 		(0x9e3779b97f4a7c15 * (uint64(station) + 1)))
 }
 
@@ -364,14 +361,6 @@ func (n *Module) armRetry(line uint64, t *txn, at int64, timeout bool) {
 	}
 	t.retryAt = at
 	t.retryIsTimeout = timeout
-}
-
-// retryDelay computes the back-off before re-issuing a NAK'ed request.
-func (n *Module) retryDelay(t *txn) int64 {
-	if n.RetryChoice != nil {
-		return n.RetryChoice(t.nakStreak, int64(n.p.RetryDelay))
-	}
-	return n.p.NAKDelay(t.nakStreak, &n.retryRNG)
 }
 
 // ---- output helpers ----

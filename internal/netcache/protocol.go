@@ -462,7 +462,7 @@ func (n *Module) netNAK(x *msg.Message, now int64) {
 		t.upgdAck = false
 	}
 	t.retryType = rt
-	d := n.retryDelay(t)
+	d := n.Backoff.Delay(n.p, t.nakStreak)
 	t.nakStreak++
 	n.armRetry(e.line, t, now+d, false)
 }

@@ -10,9 +10,9 @@ import (
 // encoding (see internal/snap). Entries are visited in slot order (the
 // slot index is behavioral: it is the conflict/ejection structure), side
 // transactions in line order, retryLines in FIFO order (fireRetries scans
-// them in order). Excluded: broughtBy (hit classification only), retryRNG
-// (the model checker runs with RetryBackoff off, so the jitter stream is
-// never drawn), statistics.
+// them in order). Excluded: broughtBy (hit classification only), Backoff
+// (the model checker installs its Choice, so the jitter stream is never
+// drawn), statistics.
 func (n *Module) Encode(e *snap.Enc) {
 	for i := 0; i < n.entries.Slots(); i++ {
 		en := n.entries.At(i) // a never-allocated slot encodes as NotIn

@@ -72,12 +72,9 @@ type CPU struct {
 	// NAK-retry tracking: nakStreak counts consecutive NAKs of the
 	// current reference (the exponential back-off exponent and the
 	// model checker's retry budget), firstIssueAt stamps the
-	// reference's first issue for the retry-latency histogram. retryRNG
-	// is the per-CPU jitter stream; seeded from (RetryJitterSeed,
-	// GlobalID) so draws are identical under every cycle loop.
+	// reference's first issue for the retry-latency histogram.
 	nakStreak    int
 	firstIssueAt int64
-	retryRNG     sim.RNG
 
 	// The single outstanding reference.
 	cur     Ref
@@ -101,10 +98,10 @@ type CPU struct {
 
 	// HomeOf maps a line to its home station (page placement); wired by core.
 	HomeOf func(line uint64) int
-	// RetryChoice, when non-nil, overrides retryDelay: the model checker
-	// installs it to turn NAK retry timing into an explored choice point.
-	// It receives the consecutive-NAK count and the fixed base delay.
-	RetryChoice func(nakStreak int, base int64) int64
+	// Backoff times the re-issue after a NAK. Its jitter stream is seeded
+	// from (RetryJitterSeed, GlobalID), so draws are identical under every
+	// cycle loop; the model checker installs its Choice.
+	Backoff sim.Backoff
 	// OnBarrier is invoked when the CPU arrives at a barrier; once every
 	// participant has arrived, core sets each one's release cycle with
 	// FinishBarrier, and Tick releases the CPU at that cycle.
@@ -154,7 +151,7 @@ func (c *CPU) Init(g topo.Geometry, p *sim.Params, globalID int, runner *Runner,
 		c.l1Tags = *cache.New(l1Lines, p.LineSize)
 		c.l1 = &c.l1Tags
 	}
-	c.retryRNG = *sim.NewRNG(p.RetryJitterSeed ^ (0x9e3779b97f4a7c15 * (uint64(globalID) + 1)))
+	c.Backoff = sim.NewBackoff(p.RetryJitterSeed ^ (0x9e3779b97f4a7c15 * (uint64(globalID) + 1)))
 	if runner == nil {
 		c.st = sDone // idle until a program is loaded
 	}
@@ -458,18 +455,9 @@ func (c *CPU) issue(now int64, retry bool) {
 	c.send(t, now, retry)
 }
 
-// retryDelay computes the back-off before re-issuing after a NAK, with
-// nakStreak NAKs already absorbed by the current reference.
-func (c *CPU) retryDelay() int64 {
-	if c.RetryChoice != nil {
-		return c.RetryChoice(c.nakStreak, int64(c.p.RetryDelay))
-	}
-	return c.p.NAKDelay(c.nakStreak, &c.retryRNG)
-}
-
 // nak moves the CPU to the retry state after a ProcNAK.
 func (c *CPU) nak(m *msg.Message, now int64) {
-	d := c.retryDelay()
+	d := c.Backoff.Delay(c.p, c.nakStreak)
 	c.Tr.Emit(now, trace.KindNAK, m.Line, m.TxnID, int32(m.NakOf), int32(d))
 	c.nakStreak++
 	c.st = sWaitRetry

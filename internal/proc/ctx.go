@@ -157,30 +157,12 @@ func (c *Ctx) Barrier() { c.do(Ref{Kind: RefBarrier}) }
 func (c *Ctx) SetPhase(p uint8) { c.do(Ref{Kind: RefPhase, Phase: p}) }
 
 // Cycle returns the current simulation cycle. The call itself consumes one
-// cycle; latency probes subtract accordingly. With the fast path enabled
-// the value is computed in the front end — the virtual cycle is exact
-// (resume cycle plus banked burst cycles) and the call touches no cache or
-// memory state, so no horizon check is needed.
-func (c *Ctx) Cycle() int64 {
-	if c.fast.enabled {
-		v := c.fast.resumeAt + c.pending
-		c.pending++
-		return v
-	}
-	return int64(c.do(Ref{Kind: RefCycle}))
-}
-
-// Sync is Cycle with a forced handshake: it always hands the probe to the
-// back end and parks the program until the back end executes it,
-// even when the hit fast path could answer from the front end. Drivers
-// that exchange work with the simulation loop through shared memory (the
-// serving layer's dispatch mailboxes) call Sync instead of Cycle so the
-// program observes exactly the state published at or before the
-// returned cycle: the handshake pins the program's execution point to
-// its CPU's tick, closing the run-ahead window in which a fast-path
-// Cycle would let it read the mailbox "early". Timing is identical to
-// Cycle — the probe costs the same one cycle either way.
-func (c *Ctx) Sync() int64 { return int64(c.do(Ref{Kind: RefCycle})) }
+// cycle; latency probes subtract accordingly. The probe is always a
+// handshake, fast path or not: it pins the program's execution point to its
+// CPU's tick, so a program that exchanges work with the simulation loop
+// through shared memory (the serving layer's mailboxes) observes exactly
+// the state published at or before the returned cycle.
+func (c *Ctx) Cycle() int64 { return int64(c.do(Ref{Kind: RefCycle})) }
 
 // Prefetch asks the station's network cache to fetch the line containing
 // addr from its remote home in the background (§3.1.4). The processor

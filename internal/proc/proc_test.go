@@ -440,14 +440,14 @@ func TestRunnerStop(t *testing.T) {
 	fin.Stop()
 }
 
-// BenchmarkHandshake prices one forced handshake (Ctx.Sync: park the
+// BenchmarkHandshake prices one handshake (Ctx.Cycle: park the
 // program, resume it with the result): ns per Next. Run with -cpu 1,4 to
 // see what a second P costs — the coroutine switch keeps the program on the
 // caller's thread, so the two lines should read alike.
 func BenchmarkHandshake(b *testing.B) {
 	r := NewRunner(0, 1, func(c *Ctx) {
 		for {
-			c.Sync()
+			c.Cycle()
 		}
 	})
 	defer r.Stop()

@@ -11,11 +11,11 @@ import (
 // Excluded as monitoring-only: Stats, RetryLatency/RetryStreak, finishAt,
 // statsAt, firstIssueAt, phase/phaseTxns. Excluded because the model checker runs with the
 // front-end fast path off: fastGuard. Excluded because the checker
-// runs with RetryBackoff off or RetryChoice installed (the jitter stream is
-// never drawn): retryRNG. The workload coroutine itself carries no hidden
-// state the checker needs: between references it is parked in Ctx.do,
-// and the checker's driver programs are straight-line, so the per-CPU
-// program counter the checker encodes separately fully determines it.
+// installs its Backoff.Choice (the jitter stream is never drawn): Backoff.
+// The workload coroutine itself carries no hidden state the checker needs:
+// between references it is parked in Ctx.do, and the checker's driver
+// programs are straight-line, so the per-CPU program counter the checker
+// encodes separately fully determines it.
 func (c *CPU) Encode(e *snap.Enc) {
 	e.Byte(byte(c.st))
 	e.Time(c.thinkUntil)

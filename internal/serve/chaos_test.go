@@ -12,7 +12,7 @@ import (
 // and the front-end hit fast path on, cross-checked byte-for-byte with it
 // off. This is the configuration CI runs under -race: dispatcher-side
 // cancellation flags and worker-side killed flags cross the mailbox
-// protocol constantly here, so any hole in the Sync-pinned alternation
+// protocol constantly here, so any hole in the handshake-pinned alternation
 // contract shows up as a race or a divergence. Skipped under -short.
 func TestServeChaosSoak(t *testing.T) {
 	if testing.Short() {
@@ -30,7 +30,7 @@ func TestServeChaosSoak(t *testing.T) {
 		{"drop-dup", "drop=0.02,dup=0.01,timeout=1500", 7},
 		{"freeze-degrade", "freeze-mem=3000:500,degrade-ring=5000:300,timeout=1500", 21},
 		// wedge-mem is deliberately absent: a permanently wedged memory
-		// wedges its waiters in waitMem, where no Sync point can land the
+		// wedges its waiters in waitMem, where no cycle probe can land the
 		// kill — the deadlock detector, not the serving layer, owns that.
 		{"freeze-nc", "freeze-nc=4000:600,drop=0.03,timeout=1200", 13},
 	}

@@ -42,8 +42,8 @@ func driveTrace(t *testing.T, fastHits bool) []int64 {
 // every Quantum cycles from the first, with the front-end hit fast path
 // on or off. This is sharper than comparing end-of-run reports — it
 // catches a quiescence fast-forward jumping over a due drive (the clamp's
-// >= boundary: a jump computed after m.now has already advanced onto
-// driveAt must be suppressed, not taken) even when the perturbed schedule
+// >= boundary: a jump computed after m.now has already advanced onto a
+// due drive must be suppressed, not taken) even when the perturbed schedule
 // happens to produce similar results. The pooled executor's drives are
 // pinned by internal/core's serving equivalence suites.
 func TestDriveCyclesLoopInvariant(t *testing.T) {

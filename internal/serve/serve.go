@@ -37,7 +37,7 @@ type job struct {
 // request is one issued copy of a job flowing generator -> tenant queue ->
 // worker mailbox -> completion accounting. All cycle stamps are absolute.
 // The dispatcher writes cancel only at serial drive points and the worker
-// reads it only at Ctx.Sync handshakes (and vice versa for killed), the
+// reads it only at Ctx.Cycle handshakes (and vice versa for killed), the
 // same alternation contract that makes the mailboxes race-free.
 type request struct {
 	seq      int64
@@ -54,11 +54,11 @@ type request struct {
 	eligible int64 // earliest dispatch cycle (retry backoff)
 	worker   int   // box index the copy was dispatched to
 
-	started int64 // worker's dispatch-observation cycle (Ctx.Sync)
-	done    int64 // worker's completion/kill cycle (Ctx.Sync)
+	started int64 // worker's dispatch-observation cycle (Ctx.Cycle)
+	done    int64 // worker's completion/kill cycle (Ctx.Cycle)
 
 	hedge     bool // this copy is the hedged re-issue
-	cancel    bool // dispatcher: sibling won, abandon at next Sync check
+	cancel    bool // dispatcher: sibling won, abandon at next Cycle check
 	killed    bool // worker: traversal preempted (deadline or cancel)
 	collected bool // drained from its worker's out list
 }
@@ -210,30 +210,30 @@ func (ctl *Controller) Run() int64 {
 // worker builds worker w's program: poll the mailbox at handshake-pinned
 // cycles, run each dispatched request as a span traversal, stamp its
 // start/completion cycles, and park on the idle poll otherwise. Every
-// mailbox access sits next to a Ctx.Sync handshake, so the goroutine
+// mailbox access sits next to a Ctx.Cycle handshake, so the goroutine
 // observes exactly the dispatcher state published at or before the
 // returned cycle under every cycle loop and fast-hits setting.
 //
 // With kill= enabled the traversal is preemptible: every KillEvery
-// touches it forces a Sync and abandons the request if its deadline has
+// touches it probes the cycle and abandons the request if its deadline has
 // passed or the dispatcher cancelled it (a hedge sibling won). The kill
-// decision depends only on the pinned Sync cycle and on dispatcher state
+// decision depends only on the pinned probe cycle and on dispatcher state
 // published at serial points, so kills land at identical cycles under
-// every loop. Without kill= (KillEvery 0) the traversal never syncs
+// every loop. Without kill= (KillEvery 0) the traversal never probes
 // mid-request and always completes.
 func (ctl *Controller) worker(w int) proc.Program {
 	sp := ctl.spec
 	return func(c *proc.Ctx) {
 		b := ctl.boxes[w]
 		for {
-			t := c.Sync()
+			t := c.Cycle()
 			if b.head < len(b.in) {
 				r := b.in[b.head]
 				b.head++
 				r.started = t
 				r.killed = !workloads.RunRequestPreempt(c, ctl.spans[r.tenant], r.shape, sp.KillEvery,
 					func(at int64) bool { return r.cancel || at > r.deadline })
-				r.done = c.Sync()
+				r.done = c.Cycle()
 				b.out = append(b.out, r)
 				continue
 			}

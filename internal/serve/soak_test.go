@@ -4,7 +4,7 @@ import "testing"
 
 // TestServeSoak is the serving-layer robustness pass for CI's race jobs:
 // a longer closed-loop scenario whose dispatcher/worker mailbox handoffs
-// would race if the Sync-pinned protocol were wrong, run with the
+// would race if the handshake-pinned protocol were wrong, run with the
 // front-end hit fast path on and cross-checked request-for-request with
 // it off. Skipped under -short; the equivalence suite already covers the
 // small scenarios there, under the pooled executor too.

@@ -13,7 +13,7 @@
 // generator draws from substream PRNGs in arrival order, the dispatcher
 // runs only at Machine.SetDriver serial points (exactly the same cycles
 // under every cycle loop), and workers exchange work with the dispatcher
-// only around proc.Ctx.Sync handshakes — so the same spec+seed produces
+// only around proc.Ctx.Cycle handshakes — so the same spec+seed produces
 // byte-identical reports across the test-only reference order and both
 // executors, with the front-end hit fast path on or off. The equivalence
 // tests in internal/core pin this.
@@ -132,7 +132,7 @@ func defaultClasses() []Class {
 //
 // Resilience clauses (all optional; absent = off):
 //
-//	kill=N            deadline preemption: check the deadline at a Sync
+//	kill=N            deadline preemption: check the deadline at a probe
 //	                  every N touches and kill the request if passed
 //	retries=N         re-issue a killed job up to N times (requires kill=)
 //	backoff=B:M       retry backoff base B and cap M, cycles (bounded
@@ -254,7 +254,7 @@ func (sp Spec) validate() error {
 	case sp.RetryBudget > 0 && sp.Retries == 0:
 		return fmt.Errorf("serve: retry-budget= needs retries=")
 	case sp.Hedge > 0 && sp.KillEvery == 0:
-		return fmt.Errorf("serve: hedge= needs kill= (loser cancellation preempts at Sync points)")
+		return fmt.Errorf("serve: hedge= needs kill= (loser cancellation preempts at cycle probes)")
 	case sp.BreakerPct > 0 && sp.BreakerPct < 100:
 		return fmt.Errorf("serve: breaker threshold %d%% below 100%% of the fleet mean", sp.BreakerPct)
 	case sp.BreakerPct > 0 && sp.BreakerCool == 0:

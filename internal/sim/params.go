@@ -128,14 +128,31 @@ func (p Params) CyclesToNS(cycles int64) float64 {
 	return float64(cycles) * 1000.0 / float64(p.CPUClockMHz)
 }
 
-// NAKDelay returns the back-off before re-issuing a request that has
-// absorbed streak consecutive NAKs. With RetryBackoff off it is the fixed
-// RetryDelay of the prototype; otherwise the delay doubles per NAK up to
-// RetryMaxDelay and gains a jitter in [0, delay/2] drawn from rng, the
-// requester's own stream, so colliding requesters spread out instead of
-// re-colliding in lockstep.
-func (p Params) NAKDelay(streak int, rng *RNG) int64 {
+// Backoff is one requester's NAK back-off: the jitter stream it draws
+// from and, when Choice is set, the model checker's override. Every
+// requester that re-issues after a NAK — a processor, a network cache —
+// holds one.
+type Backoff struct {
+	rng RNG
+	// Choice, when non-nil, replaces the computed delay: the model checker
+	// installs it to turn NAK retry timing into an explored choice point.
+	// It receives the consecutive-NAK count and the fixed RetryDelay.
+	Choice func(streak int, base int64) int64
+}
+
+// NewBackoff returns a back-off whose jitter stream is seeded with seed.
+func NewBackoff(seed uint64) Backoff { return Backoff{rng: *NewRNG(seed)} }
+
+// Delay returns the back-off before re-issuing a request that has absorbed
+// streak consecutive NAKs. With RetryBackoff off it is the fixed RetryDelay
+// of the prototype; otherwise the delay doubles per NAK up to RetryMaxDelay
+// and gains a jitter in [0, delay/2] drawn from the requester's own stream,
+// so colliding requesters spread out instead of re-colliding in lockstep.
+func (b *Backoff) Delay(p *Params, streak int) int64 {
 	d := int64(p.RetryDelay)
+	if b.Choice != nil {
+		return b.Choice(streak, d)
+	}
 	if !p.RetryBackoff {
 		return d
 	}
@@ -144,7 +161,7 @@ func (p Params) NAKDelay(streak int, rng *RNG) int64 {
 		d = limit
 	}
 	if d > 1 {
-		d += int64(rng.Intn(int(d/2) + 1))
+		d += int64(b.rng.Intn(int(d/2) + 1))
 	}
 	return d
 }

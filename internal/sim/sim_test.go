@@ -134,35 +134,43 @@ func TestParamsConversions(t *testing.T) {
 	}
 }
 
-// TestNAKDelay: the fixed prototype delay with back-off off (no draw from
-// the stream); with it on, doubling per NAK from RetryDelay, capped at
+// TestBackoffDelay: the fixed prototype delay with back-off off (no draw
+// from the stream); with it on, doubling per NAK from RetryDelay, capped at
 // RetryMaxDelay, plus a jitter in [0, delay/2] that is a pure function of
-// the requester's stream.
-func TestNAKDelay(t *testing.T) {
+// the requester's stream; an installed Choice replaces the delay.
+func TestBackoffDelay(t *testing.T) {
 	p := DefaultParams()
-	rng := NewRNG(5)
-	before := *rng
+	bo := NewBackoff(5)
+	before := bo
 	for _, streak := range []int{0, 3, 40} {
-		if d := p.NAKDelay(streak, rng); d != int64(p.RetryDelay) {
+		if d := bo.Delay(&p, streak); d != int64(p.RetryDelay) {
 			t.Errorf("fixed delay after %d NAKs = %d, want %d", streak, d, p.RetryDelay)
 		}
 	}
-	if *rng != before {
+	if bo.rng != before.rng {
 		t.Error("the fixed delay drew from the jitter stream")
 	}
 	p.RetryBackoff = true
-	a, b := NewRNG(5), NewRNG(5)
+	a, b := NewBackoff(5), NewBackoff(5)
 	for streak := 0; streak < 40; streak++ {
 		base := int64(p.RetryDelay) << uint(min(streak, 16))
 		if base > int64(p.RetryMaxDelay) {
 			base = int64(p.RetryMaxDelay)
 		}
-		d := p.NAKDelay(streak, a)
+		d := a.Delay(&p, streak)
 		if d < base || d > base+base/2 {
 			t.Errorf("streak %d: delay %d outside [%d, %d]", streak, d, base, base+base/2)
 		}
-		if d2 := p.NAKDelay(streak, b); d2 != d {
+		if d2 := b.Delay(&p, streak); d2 != d {
 			t.Errorf("streak %d: same stream gave %d then %d", streak, d, d2)
 		}
+	}
+	a.Choice = func(streak int, base int64) int64 { return base + int64(streak) }
+	rng := a.rng
+	if d := a.Delay(&p, 7); d != int64(p.RetryDelay)+7 {
+		t.Errorf("Choice delay = %d, want RetryDelay+7 = %d", d, int64(p.RetryDelay)+7)
+	}
+	if a.rng != rng {
+		t.Error("an installed Choice drew from the jitter stream")
 	}
 }

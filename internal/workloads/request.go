@@ -53,13 +53,13 @@ type RequestShape struct {
 
 // RunRequestPreempt executes one request job — the memory-traversal loop
 // every admitted request runs on its assigned CPU — under a preemption
-// contract: when every is positive, the traversal forces a Ctx.Sync
-// handshake after each `every` touches and calls stop with the pinned
+// contract: when every is positive, the traversal probes Ctx.Cycle (a
+// handshake) after each `every` touches and calls stop with the pinned
 // cycle; a true return abandons the remaining touches immediately. It
 // reports whether the traversal ran to completion. With every <= 0 it
-// never syncs mid-request, never calls stop and always completes.
+// never probes mid-request, never calls stop and always completes.
 //
-// The Sync is what makes kills deterministic: the stop predicate only
+// The handshake is what makes kills deterministic: the stop predicate only
 // ever observes dispatcher state published at serial drive points at or
 // before the returned cycle, under every cycle loop and fast-hits
 // setting (the same alternation argument as the serving mailboxes).
@@ -83,7 +83,7 @@ func RunRequestPreempt(c *proc.Ctx, sp Span, sh RequestShape, every int, stop fu
 			c.Compute(sh.Think)
 		}
 		if every > 0 && (i+1)%every == 0 && i+1 < sh.Touches {
-			if stop(c.Sync()) {
+			if stop(c.Cycle()) {
 				return false
 			}
 		}
