@@ -12,7 +12,7 @@
 //	experiments table3                 # false remote requests
 //	experiments ablation               # SC locking on/off (§2.3's 2% claim)
 //	experiments serve                  # serving-layer policy x load sweep
-//	experiments resilience             # fault schedule x policy x discipline, baseline vs resilient
+//	experiments resilience             # fault schedule x policy x discipline, baseline, all-on and leave-one-out arms
 //	experiments all
 //
 // The -procs flag trims the speedup sweeps (default 1,2,4,8,16,32,64) and
@@ -47,7 +47,7 @@ func main() {
 	serveBase := flag.String("serve-base", "duration=60000,tenants=4", "base -serve-spec for the serving sweep (coordinates appended per point)")
 	serveSeed := flag.Uint64("serve-seed", 1, "load-generator seed for the serving sweep")
 	resilBase := flag.String("resil-base", "open=4,duration=20000,procs=16,tenants=4,qcap=8,span=256,class=urgent:2:6:10:25:1000,class=interactive:3:8:20:25:4000,class=batch:1:48:60:50:0", "base -serve-spec for the resilience sweep")
-	resilClauses := flag.String("resil-clauses", "kill=2,retries=2,backoff=200:1600,retry-budget=32,hedge=1500,breaker=180:2500,shed=on", "resilience clauses appended to the resilient arm of each point")
+	resilClauses := flag.String("resil-clauses", "kill=2,retries=2,backoff=200:1600,retry-budget=32,hedge=1500,breaker=180:2500,shed=on", "resilience clauses of each point's all-on arm; each leave-one-out arm drops one mechanism's")
 	faultSeed := flag.Uint64("fault-seed", 21, "fault-injector seed for the resilience sweep")
 	traceDir := flag.String("trace-dir", "", "capture a Perfetto trace per sweep point into this directory")
 	traceEvt := flag.Int("trace-events", 0, "per-component trace ring-buffer capacity (0 = default)")
@@ -175,7 +175,7 @@ func main() {
 	})
 
 	run("resilience", func() error {
-		fmt.Println("serving resilience: fault schedule x policy x discipline, baseline vs resilient arm")
+		fmt.Println("serving resilience: fault schedule x policy x discipline, baseline, all-on and leave-one-out arms")
 		fmt.Printf("(base spec %q, resilience %q, serve seed %d, fault seed %d)\n",
 			*resilBase, *resilClauses, *serveSeed, *faultSeed)
 		pts, err := experiments.SweepResilience(cfg, *resilBase, *resilClauses, *serveSeed, *faultSeed,

@@ -55,7 +55,7 @@ type ServeGroup struct {
 
 	// Resilience counters; all zero (and omitted from JSON) unless the
 	// spec enables the corresponding mechanism.
-	Timeouts  int64 `json:",omitempty"` // attempts killed at a Sync point past their deadline
+	Timeouts  int64 `json:",omitempty"` // attempts killed at a Ctx.Cycle probe past their deadline
 	Retries   int64 `json:",omitempty"` // re-issues after a deadline kill
 	Failed    int64 `json:",omitempty"` // jobs abandoned after exhausting retries/budget
 	Hedges    int64 `json:",omitempty"` // hedged second copies issued

@@ -82,12 +82,14 @@ func TestEntryPoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res) != 4 {
-		t.Errorf("SweepResilience: %d points, want 4", len(res))
+	// Two fault schedules, each with the baseline, all-on and all but
+	// retries arms.
+	if len(res) != 6 {
+		t.Errorf("SweepResilience: %d points, want 6", len(res))
 	}
 	for _, p := range res {
-		if p.Fault == "" || p.Policy == "" || p.Discipline == "" || p.Report == nil || p.Report.Total.Completed == 0 {
-			t.Errorf("SweepResilience: unfilled point %s/%s/%s resilient=%v", p.Fault, p.Policy, p.Discipline, p.Resilient)
+		if p.Fault == "" || p.Policy == "" || p.Discipline == "" || p.Arm == "" || p.Report == nil || p.Report.Total.Completed == 0 {
+			t.Errorf("SweepResilience: unfilled point %s/%s/%s arm %s", p.Fault, p.Policy, p.Discipline, p.Arm)
 		}
 	}
 }

@@ -1,10 +1,37 @@
 package experiments
 
 import (
+	"slices"
 	"testing"
 
 	"numachine/internal/core"
+	"numachine/internal/serve"
 )
+
+// TestResilienceArms: the arms come from the clause keys of the resilience
+// clauses — the bare spec, all of them, and all but each mechanism they
+// name, retries leaving with their back-off and budget — and every arm
+// parses as a serving spec.
+func TestResilienceArms(t *testing.T) {
+	const all = "kill=2,retries=2,backoff=200:1600,retry-budget=32,hedge=1500,breaker=180:2500,shed=on"
+	want := []resilienceArm{
+		{"baseline", ""},
+		{"all", all},
+		{"-hedge", "kill=2,retries=2,backoff=200:1600,retry-budget=32,breaker=180:2500,shed=on"},
+		{"-breaker", "kill=2,retries=2,backoff=200:1600,retry-budget=32,hedge=1500,shed=on"},
+		{"-shed", "kill=2,retries=2,backoff=200:1600,retry-budget=32,hedge=1500,breaker=180:2500"},
+		{"-retries", "kill=2,hedge=1500,breaker=180:2500,shed=on"},
+	}
+	got := resilienceArms(all)
+	if !slices.Equal(got, want) {
+		t.Fatalf("arms of %q:\n got %q\nwant %q", all, got, want)
+	}
+	for _, arm := range got {
+		if _, err := serve.ParseSpec("open=1,duration=100," + arm.clauses); err != nil {
+			t.Errorf("arm %s: %v", arm.name, err)
+		}
+	}
+}
 
 // TestTable1ReproducesPaperShape verifies the calibration against the
 // paper's Table 1: each measured latency within a documented tolerance of

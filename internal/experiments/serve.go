@@ -3,6 +3,8 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"slices"
+	"strings"
 
 	"numachine/internal/core"
 	"numachine/internal/serve"
@@ -75,32 +77,70 @@ type FaultSchedule struct {
 }
 
 // ResiliencePoint is one (fault schedule, policy, discipline, arm) cell
-// of the resilience sweep; the baseline arm runs the bare spec, the
-// resilient arm appends the resilience clauses.
+// of the resilience sweep. Arm names the clauses appended to the bare
+// spec: "baseline" none, "all" every resilience clause, and "-hedge",
+// "-breaker", "-shed" or "-retries" all but one mechanism's.
 type ResiliencePoint struct {
 	Fault      string
 	Policy     string
 	Discipline string
-	Resilient  bool
+	Arm        string
 	Report     *core.ServeResults
 }
 
+// resilienceMechanisms are the mechanisms a leave-one-out arm drops, each
+// with the clause keys that make it up. Kills have no arm of their own:
+// retries= and hedge= need kill=.
+var resilienceMechanisms = []struct {
+	name string
+	keys []string
+}{
+	{"hedge", []string{"hedge"}},
+	{"breaker", []string{"breaker"}},
+	{"shed", []string{"shed"}},
+	{"retries", []string{"retries", "backoff", "retry-budget"}},
+}
+
+// resilienceArm is one arm of the sweep: its name and the clauses it
+// appends to the bare spec.
+type resilienceArm struct{ name, clauses string }
+
+// resilienceArms derives the arms from the resilience clauses: the bare
+// spec, all of them, and all but each mechanism they name.
+func resilienceArms(clauses string) []resilienceArm {
+	arms := []resilienceArm{{"baseline", ""}, {"all", clauses}}
+	all := strings.Split(clauses, ",")
+	for _, mech := range resilienceMechanisms {
+		var kept []string
+		for _, c := range all {
+			if key, _, _ := strings.Cut(strings.TrimSpace(c), "="); !slices.Contains(mech.keys, key) {
+				kept = append(kept, c)
+			}
+		}
+		if len(kept) < len(all) {
+			arms = append(arms, resilienceArm{"-" + mech.name, strings.Join(kept, ",")})
+		}
+	}
+	return arms
+}
+
 // SweepResilience crosses fault schedules with placement policies and
-// queue disciplines, running each coordinate twice — without and with the
-// resilience clauses — so every row pairs a no-resilience baseline with
-// its resilient counterpart under identical faults. Deterministic and
-// byte-identical for any worker count, like SweepServe.
+// queue disciplines, running each coordinate once per arm of
+// resilienceArms, so every row of a coordinate runs under identical faults
+// and the leave-one-out arms give each mechanism a number of its own.
+// Deterministic and byte-identical for any worker count, like SweepServe.
 func SweepResilience(cfg core.Config, base, resilience string, seed, faultSeed uint64,
 	faults []FaultSchedule, policies, disciplines []string, workers int) ([]ResiliencePoint, error) {
 	if base == "" {
 		base = serve.DefaultSpec
 	}
+	arms := resilienceArms(resilience)
 	var pts []ResiliencePoint
 	for _, fs := range faults {
 		for _, pol := range policies {
 			for _, dis := range disciplines {
-				for _, arm := range []bool{false, true} {
-					pts = append(pts, ResiliencePoint{Fault: fs.Name, Policy: pol, Discipline: dis, Resilient: arm})
+				for _, arm := range arms {
+					pts = append(pts, ResiliencePoint{Fault: fs.Name, Policy: pol, Discipline: dis, Arm: arm.name})
 				}
 			}
 		}
@@ -109,11 +149,15 @@ func SweepResilience(cfg core.Config, base, resilience string, seed, faultSeed u
 	for _, fs := range faults {
 		specOf[fs.Name] = fs.Spec
 	}
+	clausesOf := make(map[string]string, len(arms))
+	for _, arm := range arms {
+		clausesOf[arm.name] = arm.clauses
+	}
 	out, err := parMap(workers, len(pts), func(i int) (*core.ServeResults, error) {
 		pt := pts[i]
 		spec := fmt.Sprintf("%s,policy=%s,discipline=%s", base, pt.Policy, pt.Discipline)
-		if pt.Resilient {
-			spec += "," + resilience
+		if c := clausesOf[pt.Arm]; c != "" {
+			spec += "," + c
 		}
 		pcfg := cfg
 		pcfg.FaultSpec = specOf[pt.Fault]
@@ -133,23 +177,23 @@ func SweepResilience(cfg core.Config, base, resilience string, seed, faultSeed u
 	return pts, nil
 }
 
-// PrintResilienceSweep renders the resilience sweep: each coordinate's
-// baseline and resilient arms side by side, goodput being the number that
-// should move.
+// PrintResilienceSweep renders the resilience sweep, one row per arm of
+// each coordinate: goodput is the number that should move, and the last
+// column is each class's p99 latency in cycles, in spec order.
 func PrintResilienceSweep(w io.Writer, pts []ResiliencePoint) {
-	fmt.Fprintf(w, "%-18s %-12s %-6s %-9s %8s %8s %8s %7s %7s %7s %10s %7s\n",
-		"fault", "policy", "disc", "arm", "arrived", "done", "timeout", "retry", "shed", "failed", "good/kcyc", "viol%")
+	fmt.Fprintf(w, "%-18s %-12s %-6s %-9s %8s %8s %8s %7s %7s %7s %10s %7s  %s\n",
+		"fault", "policy", "disc", "arm", "arrived", "done", "timeout", "retry", "shed", "failed", "good/kcyc", "viol%", "p99/class")
 	for _, pt := range pts {
 		r := pt.Report
 		t := &r.Total
-		arm := "baseline"
-		if pt.Resilient {
-			arm = "resilient"
+		p99 := make([]string, len(r.Classes))
+		for i := range r.Classes {
+			p99[i] = fmt.Sprint(r.Classes[i].Latency.Percentile(0.99))
 		}
-		fmt.Fprintf(w, "%-18s %-12s %-6s %-9s %8d %8d %8d %7d %7d %7d %10.3f %6.1f%%\n",
-			pt.Fault, pt.Policy, pt.Discipline, arm, t.Arrived, t.Completed,
+		fmt.Fprintf(w, "%-18s %-12s %-6s %-9s %8d %8d %8d %7d %7d %7d %10.3f %6.1f%%  %s\n",
+			pt.Fault, pt.Policy, pt.Discipline, pt.Arm, t.Arrived, t.Completed,
 			t.Timeouts, t.Retries, t.Shed, t.Failed,
-			r.GoodputPerKCycle(), 100*t.ViolationRate())
+			r.GoodputPerKCycle(), 100*t.ViolationRate(), strings.Join(p99, "/"))
 	}
 }
 

@@ -34,12 +34,11 @@ type Params struct {
 	// Adaptive NAK retry. With RetryBackoff off (the default), every NAK
 	// re-issues after exactly RetryDelay cycles, reproducing the
 	// prototype's fixed back-off. With it on, consecutive NAKs of the
-	// same reference double the delay up to RetryMaxDelay and add a
+	// same reference double the delay up to the RetryMaxDelay cap and add a
 	// deterministic per-requester jitter in [0, delay/2) drawn from a
 	// PRNG seeded with RetryJitterSeed, breaking up retry convoys while
 	// keeping all cycle loops bit-identical.
 	RetryBackoff    bool
-	RetryMaxDelay   int    // exponential back-off ceiling in cycles
 	RetryJitterSeed uint64 // base seed for the per-requester jitter PRNGs
 
 	// Station bus timing.
@@ -95,7 +94,6 @@ func DefaultParams() Params {
 		ProcMissOverhead: 20,
 		L2FillCycles:     8,
 		RetryDelay:       24,
-		RetryMaxDelay:    1024,
 
 		BusArbCycles:  2,
 		BusCmdCycles:  3,
@@ -140,6 +138,10 @@ type Backoff struct {
 	Choice func(streak int, base int64) int64
 }
 
+// RetryMaxDelay caps the adaptive back-off's doubling, in cycles, before
+// the jitter is added.
+const RetryMaxDelay = 1024
+
 // NewBackoff returns a back-off whose jitter stream is seeded with seed.
 func NewBackoff(seed uint64) Backoff { return Backoff{rng: *NewRNG(seed)} }
 
@@ -156,10 +158,7 @@ func (b *Backoff) Delay(p *Params, streak int) int64 {
 	if !p.RetryBackoff {
 		return d
 	}
-	d <<= uint(min(streak, 16))
-	if limit := int64(p.RetryMaxDelay); limit > 0 && d > limit {
-		d = limit
-	}
+	d = min(d<<uint(min(streak, 16)), RetryMaxDelay)
 	if d > 1 {
 		d += int64(b.rng.Intn(int(d/2) + 1))
 	}

@@ -153,10 +153,7 @@ func TestBackoffDelay(t *testing.T) {
 	p.RetryBackoff = true
 	a, b := NewBackoff(5), NewBackoff(5)
 	for streak := 0; streak < 40; streak++ {
-		base := int64(p.RetryDelay) << uint(min(streak, 16))
-		if base > int64(p.RetryMaxDelay) {
-			base = int64(p.RetryMaxDelay)
-		}
+		base := min(int64(p.RetryDelay)<<uint(min(streak, 16)), RetryMaxDelay)
 		d := a.Delay(&p, streak)
 		if d < base || d > base+base/2 {
 			t.Errorf("streak %d: delay %d outside [%d, %d]", streak, d, base, base+base/2)
