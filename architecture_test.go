@@ -236,6 +236,16 @@ var archRules = []archRule{
 	{name: "one NAK back-off",
 		pattern: `RetryChoice|retryDelay`,
 		roots:   []string{"internal/proc", "internal/netcache", "internal/mcheck"}, goOnly: true, noTests: true},
+	// A page is homed round robin unless core.AllocAt placed it, and
+	// AllocAt runs before Run, so HomeOf only reads during a run under both
+	// executors. A pageHome write anywhere else (a first-touch resolver in
+	// a CPU hook, say) means a home decided by a station tick and read by
+	// other stations in the same cycle, outside the ring hierarchy and the
+	// barrier controller.
+	{name: "page homes are fixed before a run",
+		pattern: `pageHome\[[^]]*\] *=[^=]|delete\([^,]*pageHome`,
+		roots:   []string{"internal/core"}, goOnly: true, noTests: true,
+		allow: `^\t\tm\.pageHome\[pg\] = station$`},
 }
 
 // archRuleFile is this file: it spells every pattern, so no rule searches

@@ -40,7 +40,6 @@ func main() {
 		rings    = flag.Int("rings", 4, "local rings on the central ring")
 		l2       = flag.Int("l2-lines", 16384, "secondary cache lines per processor")
 		nc       = flag.Int("nc-lines", 65536, "network cache lines per station")
-		firstT   = flag.Bool("first-touch", false, "first-touch page placement (default round robin)")
 		noSC     = flag.Bool("no-sc-locking", false, "disable sequential-consistency locking (§2.3 ablation)")
 		fastHits = flag.Bool("fast-hits", true, "resolve cache hits in the workload front end (bit-identical; disable to A/B against the lock-step handshake)")
 		list     = flag.Bool("list", false, "list available workloads and exit")
@@ -79,9 +78,6 @@ func main() {
 	cfg.Params.L2Lines = *l2
 	cfg.Params.NCLines = *nc
 	cfg.Params.SCLocking = !*noSC
-	if *firstT {
-		cfg.Placement = core.FirstTouch
-	}
 	cfg.FastHits = *fastHits
 	cfg.FaultSpec = *faultSpec
 	cfg.FaultSeed = *faultSeed

@@ -37,9 +37,6 @@ func equivScenarios() []equivScenario {
 				cfg.Params.NCLines = 128
 				cfg.Params.SCLocking = opts&1 != 0
 				cfg.Params.OptimisticUpgrades = opts&2 != 0
-				if opts&4 != 0 {
-					cfg.Placement = FirstTouch
-				}
 				cfg.Params.DeadlockCycles = 2_000_000
 				return cfg
 			},
@@ -202,23 +199,21 @@ func equivScenarios() []equivScenario {
 		},
 	}
 
-	// FirstTouch placement on a multi-ring machine with the fast-hit path
-	// on (DefaultConfig), built so that ties are the rule: every round
-	// opens with all CPUs released from a barrier in the same cycle, the
-	// CPUs with id >= round then touch one fresh page in the same cycle
-	// (the lowest of them, a different station as the rounds go, must win
-	// the page), re-read their line (hits the fast path resolves under the
-	// machine-quiet horizon, which reads other stations mid-cycle), and all
-	// arrive at the closing barrier in the same cycle. The gated cycle is
-	// station-major, the naive one component-major: this is the scenario
-	// where only ascending CPU order keeps the two identical.
-	// TestFirstTouchTiesScenario checks the ties really occur.
-	firstTouchTies := equivScenario{
-		name: "first-touch-ties",
+	// A multi-ring machine with the fast-hit path on (DefaultConfig),
+	// built so that ties are the rule: every round opens with all CPUs
+	// released from a barrier in the same cycle, each CPU writes its own
+	// line of one fresh page, re-reads it (hits the fast path resolves
+	// under the machine-quiet horizon, which reads other stations
+	// mid-cycle), and after a fixed compute all arrive at the closing
+	// barrier in the same cycle. The gated cycle is station-major, the
+	// naive one component-major: this is the scenario where only ascending
+	// CPU order of the barrier arrival list keeps the two identical.
+	// TestBarrierTiesScenario checks the ties really occur.
+	barrierTies := equivScenario{
+		name: "barrier-ties",
 		cfg: func() Config {
 			cfg := DefaultConfig()
 			cfg.Geom = topo.Geometry{ProcsPerStation: 2, StationsPerRing: 2, Rings: 2}
-			cfg.Placement = FirstTouch
 			cfg.Params.L2Lines = 64
 			cfg.Params.DeadlockCycles = 2_000_000
 			return cfg
@@ -229,9 +224,6 @@ func equivScenarios() []equivScenario {
 			base := (m.Alloc((procs+1)*int(ps)) + ps - 1) &^ (ps - 1)
 			prog := func(c *proc.Ctx) {
 				for round := 0; round < procs; round++ {
-					if c.ID < round {
-						c.Compute(9) // touch after the page has its home
-					}
 					line := base + uint64(round)*ps + uint64(c.ID)*64
 					c.Write(line, uint64(round)<<8|uint64(c.ID))
 					for i := 0; i < 4; i++ {
@@ -309,12 +301,12 @@ func equivScenarios() []equivScenario {
 		mixed(topo.Geometry{ProcsPerStation: 2, StationsPerRing: 2, Rings: 2}, 1, 12),
 		mixed(topo.Geometry{ProcsPerStation: 4, StationsPerRing: 2, Rings: 2}, 2, 13),
 		mixed(topo.Geometry{ProcsPerStation: 2, StationsPerRing: 3, Rings: 3}, 3, 14),
-		mixed(topo.Geometry{ProcsPerStation: 2, StationsPerRing: 2, Rings: 2}, 7, 15),
+		mixed(topo.Geometry{ProcsPerStation: 2, StationsPerRing: 2, Rings: 2}, 3, 15),
 		computeHeavy,
 		barrierPingPong,
 		special,
 		firstTouch,
-		firstTouchTies,
+		barrierTies,
 		creditCap,
 	)
 	return scenarios
@@ -332,36 +324,18 @@ func equivScenarioNamed(t *testing.T, name string) equivScenario {
 	return equivScenario{}
 }
 
-// TestFirstTouchTiesScenario checks the premise of the first-touch-ties
-// scenario on the reference loop: some page is first-touched by CPUs of
-// different stations in one cycle and goes to the lowest CPU id among
-// them, and some barrier collects arrivals from different stations in one
-// cycle. Without those ties the scenario would not tell a station-major
-// cycle from any other order.
-func TestFirstTouchTiesScenario(t *testing.T) {
-	sc := equivScenarioNamed(t, "first-touch-ties")
-	cfg := sc.cfg()
-	m, err := newLoop(cfg, "naive")
+// TestBarrierTiesScenario checks the premise of the barrier-ties scenario
+// on the reference loop: some barrier collects arrivals from different
+// stations in one cycle. Without those ties the scenario would not tell a
+// station-major cycle from any other order.
+func TestBarrierTiesScenario(t *testing.T) {
+	sc := equivScenarioNamed(t, "barrier-ties")
+	m, err := newLoop(sc.cfg(), "naive")
 	if err != nil {
 		t.Fatal(err)
 	}
-	ps := uint64(cfg.Params.PageSize)
-	firstAt := map[uint64]int64{}        // page -> cycle of its first lookup
-	touchers := map[uint64][]*proc.CPU{} // page -> CPUs looking it up in that cycle, in call order
 	arrivals := map[int64]map[int]bool{} // barrier cycle -> stations arriving
 	for _, c := range m.CPUs {
-		c := c
-		homeOf := c.HomeOf
-		c.HomeOf = func(line uint64) int {
-			pg := line / ps
-			if _, seen := firstAt[pg]; !seen {
-				firstAt[pg] = m.Now()
-			}
-			if firstAt[pg] == m.Now() {
-				touchers[pg] = append(touchers[pg], c)
-			}
-			return homeOf(line)
-		}
 		c.OnBarrier = func(c *proc.CPU, now int64) {
 			if arrivals[now] == nil {
 				arrivals[now] = map[int]bool{}
@@ -372,30 +346,14 @@ func TestFirstTouchTiesScenario(t *testing.T) {
 	}
 	m.Load(sc.load(m))
 	m.Run()
-	tiedPages := 0
-	for pg, cs := range touchers {
-		stations := map[int]bool{}
-		for _, c := range cs {
-			stations[c.Station] = true
-			if c.GlobalID < cs[0].GlobalID {
-				t.Errorf("page %#x: cpu %d looked it up after cpu %d in cycle %d", pg, c.GlobalID, cs[0].GlobalID, firstAt[pg])
-			}
-		}
-		if len(stations) > 1 {
-			tiedPages++
-			if got := m.pageHome[pg]; got != cs[0].Station {
-				t.Errorf("page %#x tied at cycle %d: home %d, want station %d of the lowest cpu", pg, firstAt[pg], got, cs[0].Station)
-			}
-		}
-	}
 	tiedBarriers := 0
 	for _, stations := range arrivals {
 		if len(stations) > 1 {
 			tiedBarriers++
 		}
 	}
-	if tiedPages < 3 || tiedBarriers < 3 {
-		t.Errorf("scenario lost its ties: %d pages first-touched and %d barriers reached from several stations in one cycle", tiedPages, tiedBarriers)
+	if tiedBarriers < 3 {
+		t.Errorf("scenario lost its ties: %d barriers reached from several stations in one cycle", tiedBarriers)
 	}
 }
 
@@ -433,9 +391,7 @@ func TestCreditCapScenario(t *testing.T) {
 // the test-only reference order (oracle_test.go) and both executors, the
 // inline one and the pooled one (Config.ParallelStations). Every loop axis
 // of this package's tests ranges over this list, or over equivLoops[1:]
-// for the two executors; on FirstTouch scenarios the pooled executor falls
-// back to the inline one, which the suites deliberately still run (the
-// fallback must be equivalent too).
+// for the two executors.
 var equivLoops = []string{"naive", "scheduled", "parallel"}
 
 // equivRun is one run of a scenario: its cycle loop, whether the
@@ -621,13 +577,13 @@ func faultFreeCases() []matrixCase {
 
 // faultedCases are the matrix rows under faults: every fault scenario
 // under the drop-dup and everything schedules.
-func faultedCases() []matrixCase {
+func faultedCases(t *testing.T) []matrixCase {
 	var cases []matrixCase
 	for _, fs := range faultSchedules() {
 		if fs.name != "drop-dup" && fs.name != "everything" {
 			continue
 		}
-		for _, sc := range faultScenarios() {
+		for _, sc := range faultScenarios(t) {
 			cases = append(cases, matrixCase{fs.name + "/" + sc.name, sc, &fs})
 		}
 	}
@@ -693,7 +649,7 @@ var fastHitRuns = []equivRun{{loop: equivLoops[0], fast: true, traced: true}}
 // TestSchedulerEquivalence holds both executors of the gated cycle,
 // untraced, to the reference order on every row of the matrix.
 func TestSchedulerEquivalence(t *testing.T) {
-	matrixSlice(t, append(faultFreeCases(), faultedCases()...), executorRuns(false))
+	matrixSlice(t, append(faultFreeCases(), faultedCases(t)...), executorRuns(false))
 }
 
 // TestTraceEquivalence holds the traces of both executors to the
@@ -705,7 +661,7 @@ func TestTraceEquivalence(t *testing.T) {
 // TestFaultTraceEquivalence holds the traces of both executors to the
 // reference order's on every faulted row.
 func TestFaultTraceEquivalence(t *testing.T) {
-	matrixSlice(t, faultedCases(), executorRuns(true))
+	matrixSlice(t, faultedCases(t), executorRuns(true))
 }
 
 // TestFastHitsEquivalence holds the front-end hit fast path to the
@@ -720,7 +676,7 @@ func TestFastHitsEquivalence(t *testing.T) {
 // ring degradation reshuffle when invalidations and interventions land,
 // which is exactly the traffic the delivery horizon must fence.
 func TestFastHitsFaultedEquivalence(t *testing.T) {
-	matrixSlice(t, faultedCases(), fastHitRuns)
+	matrixSlice(t, faultedCases(t), fastHitRuns)
 }
 
 // TestTraceNonIntrusive verifies that sampling mid-run through the

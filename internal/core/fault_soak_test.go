@@ -37,9 +37,11 @@ func faultSchedules() []faultSchedule {
 // hierarchical mixed traffic (remote fetches to drop, invalidations to
 // duplicate) and the kill/lock scenario (special functions whose NAKs
 // take the interrupt-wait recovery path).
-func faultScenarios() []equivScenario {
-	all := equivScenarios()
-	return []equivScenario{all[1], all[7]}
+func faultScenarios(t *testing.T) []equivScenario {
+	return []equivScenario{
+		equivScenarioNamed(t, "mixed/g2x2x2-opts1-s12"),
+		equivScenarioNamed(t, "kill-and-locks"),
+	}
 }
 
 // TestFaultSoak is the robustness acceptance harness: every fault
@@ -52,7 +54,7 @@ func TestFaultSoak(t *testing.T) {
 	for _, fs := range faultSchedules() {
 		fs := fs
 		t.Run(fs.name, func(t *testing.T) {
-			for _, sc := range faultScenarios() {
+			for _, sc := range faultScenarios(t) {
 				m, _, _ := runCase(t, sc, equivRun{loop: "scheduled", fast: true, fault: &fs})
 				r := m.Results()
 				total.Drops += r.Fault.Drops

@@ -58,27 +58,6 @@ func TestRoundRobinPlacement(t *testing.T) {
 	}
 }
 
-func TestFirstTouchPlacement(t *testing.T) {
-	cfg := tinyConfig(2, 2, 2)
-	cfg.Placement = FirstTouch
-	m, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := m.Alloc(cfg.Params.PageSize)
-	toucher := m.Geometry().ProcAt(3, 0) // a processor on station 3
-	progs := make([]proc.Program, toucher+1)
-	for i := range progs {
-		progs[i] = func(c *proc.Ctx) {}
-	}
-	progs[toucher] = func(c *proc.Ctx) { c.Write(addr, 1) }
-	m.Load(progs)
-	m.Run()
-	if got := m.HomeOf(addr); got != 3 {
-		t.Errorf("first-touch page homed on %d, want the toucher's station 3", got)
-	}
-}
-
 func TestAllocAtPins(t *testing.T) {
 	cfg := tinyConfig(2, 2, 2)
 	m, err := New(cfg)

@@ -1,8 +1,8 @@
 // Package core assembles the NUMAchine: stations (processors, memory,
 // network cache, ring interface, bus) joined by the two-level ring
-// hierarchy, plus the shared-memory allocator, page placement policies,
-// the barrier controller, the deterministic cycle loop, and the coherence
-// invariant checker used by the test suite.
+// hierarchy, plus the shared-memory allocator with round-robin page
+// placement, the barrier controller, the deterministic cycle loop, and the
+// coherence invariant checker used by the test suite.
 package core
 
 import (
@@ -21,33 +21,17 @@ import (
 	"numachine/internal/trace"
 )
 
-// Placement selects the physical page placement policy.
-type Placement uint8
-
-const (
-	// RoundRobin assigns page p to station p mod stations — the paper's
-	// (deliberately pessimistic) evaluation setting.
-	RoundRobin Placement = iota
-	// FirstTouch assigns a page to the station of the first processor that
-	// references it.
-	FirstTouch
-)
-
 // Config describes one machine instance.
 type Config struct {
-	Geom      topo.Geometry
-	Params    sim.Params
-	L1Lines   int // primary-cache timing filter size (0 disables)
-	Placement Placement
+	Geom    topo.Geometry
+	Params  sim.Params
+	L1Lines int // primary-cache timing filter size (0 disables)
 
 	// ParallelStations runs the station phase of the gated cycle on a
 	// worker pool instead of inline on cycles with enough due stations to
 	// pay for a round: the same per-station tick function, one shard per
 	// station (see parallel.go); the interconnect stays on the caller's
-	// goroutine. Results stay bit-identical. Ignored under
-	// FirstTouch placement (same-cycle first touches from different
-	// stations need the inline executor's ascending CPU order), where the
-	// gated cycle runs inline.
+	// goroutine. Results stay bit-identical.
 	ParallelStations bool
 
 	// StationWorkers bounds the worker pool for ParallelStations; the
@@ -89,7 +73,7 @@ type Config struct {
 // messages and sweep drivers use it so any run is reproducible from its
 // label.
 func (cfg Config) LoopName() string {
-	if cfg.ParallelStations && cfg.Placement != FirstTouch {
+	if cfg.ParallelStations {
 		return "parallel"
 	}
 	return "scheduled"
@@ -107,11 +91,10 @@ func (cfg Config) FaultLabel() string {
 // DefaultConfig returns the 64-processor prototype configuration.
 func DefaultConfig() Config {
 	return Config{
-		Geom:      topo.Prototype,
-		Params:    sim.DefaultParams(),
-		L1Lines:   256, // 16 KB / 64 B, R4400 on-chip data cache
-		Placement: RoundRobin,
-		FastHits:  true,
+		Geom:     topo.Prototype,
+		Params:   sim.DefaultParams(),
+		L1Lines:  256, // 16 KB / 64 B, R4400 on-chip data cache
+		FastHits: true,
 	}
 }
 
@@ -142,7 +125,7 @@ type Machine struct {
 
 	now      int64
 	heapNext uint64
-	pageHome map[uint64]int // AllocAt overrides and FirstTouch assignments
+	pageHome map[uint64]int // AllocAt overrides, written before Run only
 
 	barrier barrierCtl
 
@@ -299,8 +282,7 @@ func New(cfg Config) (*Machine, error) {
 	}
 	m.runners = make([]*proc.Runner, g.Procs())
 	// Every CPU shares one function value per hook (a method value built
-	// per CPU is a heap object per CPU); only FirstTouch's home resolver
-	// needs the CPU it serves.
+	// per CPU is a heap object per CPU).
 	homeOf, onBarrier := m.HomeOf, m.barrierArrive
 	cpus := make([]proc.CPU, g.Procs())
 	m.CPUs = make([]*proc.CPU, g.Procs())
@@ -308,9 +290,6 @@ func New(cfg Config) (*Machine, error) {
 		cpu := &cpus[id]
 		cpu.Init(g, p, id, nil, cfg.L1Lines)
 		cpu.HomeOf = homeOf
-		if cfg.Placement == FirstTouch {
-			cpu.HomeOf = m.firstTouchHomeOf(cpu)
-		}
 		cpu.OnBarrier = onBarrier
 		cpu.Msgs = births[cpu.Station]
 		m.CPUs[id] = cpu
@@ -401,7 +380,7 @@ func (m *Machine) Now() int64 { return m.now }
 func (m *Machine) LineOf(addr uint64) uint64 { return addr &^ (uint64(m.p.LineSize) - 1) }
 
 // Alloc reserves size bytes of shared memory and returns the base address.
-// Allocations are line-aligned; page homes follow the placement policy.
+// Allocations are line-aligned; pages are homed round robin.
 func (m *Machine) Alloc(size int) uint64 {
 	if size <= 0 {
 		panic("core: Alloc with non-positive size")
@@ -416,7 +395,8 @@ func (m *Machine) Alloc(size int) uint64 {
 func (m *Machine) AllocLines(n int) uint64 { return m.Alloc(n * m.p.LineSize) }
 
 // AllocAt reserves size bytes placed entirely on the given station,
-// overriding the placement policy (page-aligned).
+// overriding round robin (page-aligned). It is the only writer of page
+// homes and is called before Run, so homes are fixed during a run.
 func (m *Machine) AllocAt(station, size int) uint64 {
 	ps := uint64(m.p.PageSize)
 	if rem := m.heapNext % ps; rem != 0 {
@@ -431,31 +411,14 @@ func (m *Machine) AllocAt(station, size int) uint64 {
 }
 
 // HomeOf returns the home station of the line containing addr: the page's
-// AllocAt override or first-touch assignment when it has one, round robin
-// otherwise. Round-robin homes are a pure function of the page and are not
-// stored.
+// AllocAt override when it has one, round robin otherwise. Round-robin
+// homes are a pure function of the page and are not stored. HomeOf only
+// reads, so CPUs on different stations may call it concurrently under the
+// pooled executor.
 func (m *Machine) HomeOf(addr uint64) int {
 	pg := addr / uint64(m.p.PageSize)
 	if s, ok := m.pageHome[pg]; ok {
 		return s
 	}
 	return int(pg % uint64(m.g.Stations()))
-}
-
-// firstTouchHomeOf builds c's home resolver under FirstTouch: HomeOf,
-// except that a page without a home is assigned to c's station. The other
-// placements share HomeOf itself. Under the pooled executor CPUs on
-// different stations resolve homes concurrently during phase 1; pageHome
-// is read-only then (AllocAt overrides are written before Run, and
-// FirstTouch, which assigns, never runs pooled), so the concurrent map
-// reads are safe.
-func (m *Machine) firstTouchHomeOf(c *proc.CPU) func(uint64) int {
-	return func(line uint64) int {
-		pg := line / uint64(m.p.PageSize)
-		if s, ok := m.pageHome[pg]; ok {
-			return s
-		}
-		m.pageHome[pg] = c.Station
-		return c.Station
-	}
 }

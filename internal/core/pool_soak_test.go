@@ -33,7 +33,7 @@ func TestPoolDoubleFreeSoak(t *testing.T) {
 	// Faulted: drops orphan messages, dups alias one original across two
 	// packet chains — exactly the lifetimes the Put guards must respect.
 	for _, fs := range faultSchedules() {
-		for _, sc := range faultScenarios() {
+		for _, sc := range faultScenarios(t) {
 			t.Run(sc.name+"/"+fs.name+"/"+equivLoops[2], func(t *testing.T) {
 				runCase(t, sc, equivRun{loop: equivLoops[2], fast: true, fault: &fs})
 			})
@@ -77,7 +77,7 @@ func TestMessagePoolRecyclesInSteadyState(t *testing.T) {
 // accruing) rather than silently falling back to the GC.
 func TestMulticastRefcountReleaseOrder(t *testing.T) {
 	defer msg.SetPoolDebug(msg.SetPoolDebug(true))
-	sc := faultScenarios()[0] // hierarchical mixed traffic: invalidations to duplicate
+	sc := faultScenarios(t)[0] // hierarchical mixed traffic: invalidations to duplicate
 	for _, fs := range faultSchedules() {
 		if fs.name != "dup" && fs.name != "drop-dup" {
 			continue

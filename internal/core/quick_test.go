@@ -35,9 +35,6 @@ func TestProtocolQuick(t *testing.T) {
 		cfg.Params.NCLines = []int{128, 512}[int(s.Caches/8)%2]
 		cfg.Params.SCLocking = s.Options&1 != 0
 		cfg.Params.OptimisticUpgrades = s.Options&2 != 0
-		if s.Options&4 != 0 {
-			cfg.Placement = FirstTouch
-		}
 		cfg.Params.DeadlockCycles = 2_000_000
 		m, err := New(cfg)
 		if err != nil {

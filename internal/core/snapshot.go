@@ -36,9 +36,7 @@ func (m *Machine) EncodeState(e *snap.Enc) {
 	for _, ri := range m.RIs {
 		ri.Encode(e)
 	}
-	if m.credits != nil {
-		m.credits.Encode(e)
-	}
+	m.credits.Encode(e)
 	for _, iri := range m.IRIs {
 		iri.Encode(e)
 	}

@@ -35,14 +35,6 @@ func New(seed uint64, spec Spec) *Injector {
 	return &Injector{seed: seed, spec: spec}
 }
 
-// Spec returns the injector's schedule (zero Spec on nil).
-func (in *Injector) Spec() Spec {
-	if in == nil {
-		return Spec{WedgeMemStation: -1}
-	}
-	return in.spec
-}
-
 // FetchTimeout returns the NC fetch re-issue timeout in cycles, or 0
 // when fault injection is off (so the timeout path is never armed and
 // zero-fault runs keep today's behavior exactly).

@@ -45,9 +45,6 @@ func New(spec Spec) (*Checker, error) {
 	return &Checker{spec: spec, visited: make(map[string]struct{})}, nil
 }
 
-// Spec returns the validated spec the checker runs.
-func (c *Checker) Spec() Spec { return c.spec }
-
 // SetMutation injects a deliberate protocol defect into every memory
 // module of every explored machine (mutation testing).
 func (c *Checker) SetMutation(mu memory.Mutation) { c.mut = mu }

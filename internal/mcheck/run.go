@@ -84,9 +84,8 @@ func newRun(spec Spec, mut memory.Mutation, seq []int, traceEvents int) *run {
 	p.DeadlockCycles = 0
 	p.StarvationWindows = 0
 	cfg := core.Config{
-		Geom:      topo.Geometry{ProcsPerStation: spec.Procs, StationsPerRing: spec.Stations, Rings: 1},
-		Params:    p,
-		Placement: core.RoundRobin,
+		Geom:   topo.Geometry{ProcsPerStation: spec.Procs, StationsPerRing: spec.Stations, Rings: 1},
+		Params: p,
 
 		CheckInvariants: true,
 	}

@@ -48,9 +48,9 @@ type IRI struct {
 }
 
 // Init builds the interface for local ring ringID in place, in a zero
-// IRI. credits is the station flow-control accounting (may be nil in unit
-// tests); the IRI needs it to return the credit of a packet the fault
-// injector loses. p is read, never written.
+// IRI. credits is the station flow-control accounting; the IRI needs it
+// to return the credit of a packet the fault injector loses. p is read,
+// never written.
 //
 // The FIFOs are unbounded: the paper sizes them so they never fill ("in
 // simulations of our prototype machine these buffers never contain more
@@ -184,9 +184,7 @@ func (i *IRI) centralSlot(pkt *msg.Packet, now int64) {
 // flow-control credit goes back, its message reference dies, and its slot
 // is freed.
 func (i *IRI) lose(pkt *msg.Packet) {
-	if i.credits != nil {
-		i.credits.Release(pkt.Msg.SrcStation)
-	}
+	i.credits.Release(pkt.Msg.SrcStation)
 	release(i.Births, pkt.Msg)
 	*pkt = msg.Packet{}
 }

@@ -116,7 +116,7 @@ func TestInvalidateMulticastAndSequencing(t *testing.T) {
 	// sequencing point (§2.3): the packet stays in the slot and the input
 	// FIFO stays empty. The sequenced copy is consumed.
 	for _, sequenced := range []bool{false, true} {
-		ri := NewStationRI(g, p, 2, nil)
+		ri := NewStationRI(g, p, 2, NewCredits(g.Stations(), p.MaxNonsinkable))
 		inv := &msg.Message{Type: msg.Invalidate, Line: 0x40, Home: 1, SrcStation: 1, DstStation: -1}
 		inv.InitRefs(1)
 		pkt := msg.Packet{Msg: inv, Mask: topo.RoutingMask{Stations: 1 << uint(g.PosOf(2))}, Sequenced: sequenced}

@@ -217,7 +217,7 @@ func (r *StationRI) HandleSlot(pkt *msg.Packet, now int64) {
 	}
 	if pk, ok := r.nonsinkQ.Peek(); ok && pk.ReadyAt <= now {
 		// Nonsinkable messages are single packets; each consumes a credit.
-		if r.credits == nil || r.credits.TryAcquire(pk.Msg.SrcStation) {
+		if r.credits.TryAcquire(pk.Msg.SrcStation) {
 			r.nonsinkQ.Pop()
 			// Drop fault: the request vanishes at injection time. The
 			// credit goes back (the message never enters the network) and
@@ -225,9 +225,7 @@ func (r *StationRI) HandleSlot(pkt *msg.Packet, now int64) {
 			// is drawn only for droppable types at this injection event,
 			// which every cycle loop reaches identically.
 			if pk.Msg.Type.Droppable() && r.Fault.Drop() {
-				if r.credits != nil {
-					r.credits.Release(pk.Msg.SrcStation)
-				}
+				r.credits.Release(pk.Msg.SrcStation)
 				r.Drops++
 				r.Tr.Emit(now, trace.KindFaultDrop, pk.Msg.Line, pk.Msg.TxnID,
 					int32(pk.Msg.Type), 0)
@@ -307,7 +305,7 @@ func (r *StationRI) Tick(now int64) {
 		} else {
 			r.DownNonsink.Sample(now - first)
 		}
-		if !m.Type.Sinkable() && r.credits != nil {
+		if !m.Type.Sinkable() {
 			r.credits.Release(m.SrcStation)
 		}
 		r.Delivered++

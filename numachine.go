@@ -50,8 +50,9 @@ import (
 // Results and the exported module fields.
 type Machine = core.Machine
 
-// Config describes a machine: geometry, timing parameters, primary-cache
-// size and page placement policy.
+// Config describes a machine: geometry, timing parameters and
+// primary-cache size. Pages are homed round robin across stations (the
+// paper's evaluation setting) unless placed with Machine.AllocAt.
 type Config = core.Config
 
 // Geometry fixes the machine shape: processors per station, stations per
@@ -70,17 +71,6 @@ type Program = proc.Program
 
 // Ctx is the blocking memory interface a Program runs against.
 type Ctx = proc.Ctx
-
-// Placement selects the page placement policy.
-type Placement = core.Placement
-
-// Placement policies.
-const (
-	// RoundRobin pages across stations (the paper's evaluation setting).
-	RoundRobin = core.RoundRobin
-	// FirstTouch places a page on the station that first references it.
-	FirstTouch = core.FirstTouch
-)
 
 // Prototype is the paper's 64-processor geometry: 4 processors per
 // station, 4 stations per local ring, 4 local rings.
