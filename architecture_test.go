@@ -113,13 +113,16 @@ var archRules = []archRule{
 		roots:   []string{"."}, goOnly: true},
 	// core.New allocates each kind of component once for the whole machine
 	// and builds every component in place with its Init, and all
-	// components read the machine's one sim.Params through a pointer. A
-	// per-component constructor call in core, or a component holding its
-	// own copy of the parameters, brings back one allocation (and one
-	// 224-byte copy) per component.
+	// components read the machine's one sim.Params through a pointer; the
+	// components' own tests build a zero value and call Init the same way.
+	// A standalone constructor in a component package (or a call to one in
+	// core), or a component holding its own copy of the parameters, brings
+	// back one allocation (and one 208-byte copy) per component, and a
+	// second way to wire one.
 	{name: "components are built in place",
-		pattern: `\b(proc|bus|memory|netcache)\.New\(|\bring\.NewStationRI\(`,
-		roots:   []string{"internal/core"}, goOnly: true, noTests: true},
+		pattern: `\b(proc|bus|memory|netcache)\.New\(|\bring\.NewStationRI\(|^func New\w*\(.*\) \*(CPU|Bus|Module|StationRI|IRI|Ring)\b`,
+		roots:   []string{"internal/core", "internal/proc", "internal/bus", "internal/memory", "internal/netcache", "internal/ring"},
+		goOnly:  true, noTests: true},
 	{name: "components share the machine's parameters",
 		pattern: `^\s+(\w+(, \w+)*\s+)?sim\.Params\s*(//.*)?$`,
 		roots:   []string{"internal/proc", "internal/bus", "internal/memory", "internal/netcache", "internal/ring"},
@@ -199,8 +202,7 @@ var archRules = []archRule{
 	{name: "one trace writer",
 		pattern: `WriteChrome(`, fixed: true,
 		roots: []string{"."}, goOnly: true, noTests: true, skip: []string{"internal/trace"}},
-	// Machine.Step and the run loop's step run the machine's one invariant
-	// loop (checkInvariants): the gate audit and the coherence check on
+	// Machine.Step runs the machine's one invariant loop (checkInvariants): the gate audit and the coherence check on
 	// every entry into quiescence. Quiescence tracking outside internal/core
 	// means a driver, the model checker say, runs a second copy of it.
 	{name: "one invariant loop",
@@ -236,6 +238,15 @@ var archRules = []archRule{
 	{name: "one NAK back-off",
 		pattern: `RetryChoice|retryDelay`,
 		roots:   []string{"internal/proc", "internal/netcache", "internal/mcheck"}, goOnly: true, noTests: true},
+	// The machine advances through one method, Machine.Step, which
+	// fast-forwards over quiescent cycles: Run, drain and the model checker
+	// all call it. A second stepping method (a non-jumping public Step
+	// beside a private run-loop step, say) means a driver that walks idle
+	// cycles one at a time and a second copy of the invariant loop's call.
+	{name: "the machine advances one way",
+		pattern: `^func \(m \*Machine\) (\w*[sS]tep\w*|[dD]rain)\(`,
+		roots:   []string{"internal/core"}, goOnly: true, noTests: true,
+		allow: `^func \(m \*Machine\) (Step|stepGated|drain)\(\) `},
 	// A page is homed round robin unless core.AllocAt placed it, and
 	// AllocAt runs before Run, so HomeOf only reads during a run under both
 	// executors. A pageHome write anywhere else (a first-touch resolver in

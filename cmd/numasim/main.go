@@ -24,6 +24,7 @@ import (
 	"numachine/internal/core"
 	"numachine/internal/profile"
 	"numachine/internal/serve"
+	"numachine/internal/sim"
 	"numachine/internal/telemetry"
 	"numachine/internal/topo"
 	"numachine/internal/trace"
@@ -161,7 +162,6 @@ func main() {
 	}
 
 	r := m.Results()
-	p := cfg.Params
 	if ctl != nil {
 		fmt.Printf("workload         serving layer, spec %q\n", r.Serve.Spec)
 	} else {
@@ -170,7 +170,7 @@ func main() {
 	fmt.Printf("geometry         %d procs/station x %d stations/ring x %d rings\n",
 		cfg.Geom.ProcsPerStation, cfg.Geom.StationsPerRing, cfg.Geom.Rings)
 	fmt.Printf("parallel section %d cycles (%.2f ms at %d MHz)\n",
-		cycles, p.CyclesToNS(cycles)/1e6, p.CPUClockMHz)
+		cycles, sim.CyclesToNS(cycles)/1e6, sim.CPUClockMHz)
 	r.WriteReport(os.Stdout, cfg.FaultLabel())
 
 	if *traceOut != "" {

@@ -53,7 +53,7 @@ func main() {
 
 	r := m.Results()
 	fmt.Printf("ran %d processors for %d cycles (%.1f us at %d MHz)\n",
-		procs, cycles, cfg.Params.CyclesToNS(cycles)/1e3, cfg.Params.CPUClockMHz)
+		procs, cycles, numachine.CyclesToNS(cycles)/1e3, numachine.CPUClockMHz)
 	fmt.Printf("references: %d reads, %d writes, %d misses\n",
 		r.Proc.Reads, r.Proc.Writes, r.Proc.Misses)
 	fmt.Printf("network cache hit rate: %.1f%% (migration %.1f%%)\n",

@@ -53,19 +53,12 @@ type Bus struct {
 	// Tr is the structured-event trace sink (nil when tracing is off).
 	Tr *trace.Sink
 
-	// Msgs recycles messages that die at delivery (nil-safe; wired by
+	// Msgs recycles messages that die at delivery (wired by
 	// core, shared per station). A message's last stop is the bus exactly
 	// when its receivers retain nothing: processor deliveries (the CPU
 	// copies what it needs) and multicasts. Memory/NC deliveries are
 	// retained in the target's input queue and recycled there instead.
 	Msgs *msg.Pool[msg.Message]
-}
-
-// New creates a standalone bus for one station over a private copy of p.
-func New(g topo.Geometry, p sim.Params) *Bus {
-	b := new(Bus)
-	b.Init(g, &p, make([]Module, g.ModCount()), make([]*sim.Queue[*msg.Message], g.ModCount()))
-	return b
 }
 
 // Init builds the bus for one station in place. modules and outs are its

@@ -25,7 +25,9 @@ func build(t *testing.T) (*Bus, []*stubModule, topo.Geometry) {
 	t.Helper()
 	g := topo.Geometry{ProcsPerStation: 4, StationsPerRing: 4, Rings: 1}
 	p := sim.DefaultParams()
-	b := New(g, p)
+	b := new(Bus)
+	b.Init(g, &p, make([]Module, g.ModCount()), make([]*sim.Queue[*msg.Message], g.ModCount()))
+	b.Msgs = new(msg.Pool[msg.Message])
 	mods := make([]*stubModule, g.ModCount())
 	for i := range mods {
 		mods[i] = newStub()

@@ -16,7 +16,7 @@ import (
 type Out struct {
 	outQ sim.Queue[*msg.Message]
 
-	// Msgs recycles consumed and constructed messages (nil-safe; wired by
+	// Msgs recycles consumed and constructed messages (wired by
 	// core, shared per station). See msg.Pool for the ownership discipline.
 	Msgs *msg.Pool[msg.Message]
 

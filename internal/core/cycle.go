@@ -9,24 +9,40 @@ import (
 
 // Step advances the machine one cycle through the gated cycle (stepGated),
 // which ticks only components whose activity gate fires and walks the
-// station phase station-major; under Config.CheckInvariants it then runs
-// the invariant loop (checkInvariants). The equivalence suites compare it
-// against a test-only reference order that ticks every component every
-// cycle, component-major (processors, buses, memory modules, network
-// caches, ring interfaces, local rings, central ring); DESIGN.md "Gated
-// cycle loop" argues why no component can tell the two orders apart.
+// station phase station-major. When no component ticked, the machine is
+// quiescent and Step jumps m.now to the next scheduled event. The jump is
+// exact: no component ticked, so no state can change until the earliest
+// reported wake-up, and every per-cycle statistic is reconciled lazily.
+// The watchdog and the driver clamp it (serialPoint.clamp), so Run fires
+// both at exactly the cycles a cycle-by-cycle walk fires them — including
+// on a fully wedged machine, whose sim.Never wake must land on the
+// watchdog's next check rather than spin. Under Config.CheckInvariants it
+// then runs the invariant loop (checkInvariants) at the cycle it lands on.
+//
+// Step is the one way the machine advances: Run, drain and the model
+// checker all call it. The equivalence suites compare it against a
+// test-only reference order that ticks every component every cycle,
+// component-major (processors, buses, memory modules, network caches, ring
+// interfaces, local rings, central ring); DESIGN.md "Gated cycle loop"
+// argues why no component can tell the two orders apart.
 func (m *Machine) Step() {
 	if m.oracle != nil {
 		m.oracle()
 		m.checkInvariants(false)
 		return
 	}
-	m.stepGated()
+	if m.stepGated() == 0 {
+		wake := m.driver.clamp(m.now, m.watchdog.clamp(m.now, m.cachedWake()))
+		if wake > m.now && wake != sim.Never {
+			m.FastForwarded.Add(wake - m.now)
+			m.now = wake
+		}
+	}
 	m.checkInvariants(true)
 }
 
 // stepGated is the gated cycle; it returns how many components ticked (0
-// means the whole machine was quiescent this cycle and the run loop may
+// means the whole machine was quiescent this cycle and Step may
 // fast-forward to cachedWake()). There is one body; the two executors
 // differ in phase 1 only:
 //
@@ -378,7 +394,7 @@ func (m *Machine) auditGates() error {
 }
 
 // checkInvariants is the machine's invariant loop, run under
-// Config.CheckInvariants after every Step and every step of Run and Drain:
+// Config.CheckInvariants at the end of every Step:
 // the gate audit after a gated cycle (the reference order has no poll
 // caches), and CheckCoherence on each entry into quiescence. A violation
 // panics with its cycle and rule.
@@ -426,29 +442,4 @@ func (m *Machine) resetPolls() {
 	if m.Central != nil {
 		m.pollCentral = m.Central.NextWork(now)
 	}
-}
-
-// step advances one cycle and, when the machine proved quiescent, jumps
-// m.now to the next scheduled event (and, under CheckInvariants, runs the
-// invariant checks at the cycle it lands on). The jump is exact: no component
-// ticked, so no state can change until the earliest reported wake-up, and
-// every per-cycle statistic is reconciled lazily. The watchdog and the
-// driver clamp it (serialPoint.clamp), so Run fires both at exactly the
-// cycles a cycle-by-cycle walk fires them — including on a fully wedged
-// machine, whose sim.Never wake must land on the watchdog's next check
-// rather than spin.
-func (m *Machine) step() {
-	if m.oracle != nil {
-		m.oracle()
-		m.checkInvariants(false)
-		return
-	}
-	if m.stepGated() == 0 {
-		wake := m.driver.clamp(m.now, m.watchdog.clamp(m.now, m.cachedWake()))
-		if wake > m.now && wake != sim.Never {
-			m.FastForwarded.Add(wake - m.now)
-			m.now = wake
-		}
-	}
-	m.checkInvariants(true)
 }

@@ -253,8 +253,7 @@ func equivScenarios() []equivScenario {
 	// falls one cycle after a ring edge and no order of the ring phase could
 	// change an outcome (ticking ring-group-major instead of all RIs first
 	// passes every other scenario and fails this one).
-	// TestCreditCapScenario checks the cap really binds. Kept last: other
-	// suites pick scenarios by index.
+	// TestCreditCapScenario checks the cap really binds.
 	creditCap := equivScenario{
 		name: "credit-cap",
 		cfg: func() Config {
@@ -684,7 +683,7 @@ func TestFastHitsFaultedEquivalence(t *testing.T) {
 // identical cycle counts and statistics versus an untraced, unsampled run.
 // (Tracing alone is held to that by the matrix's untraced runs.)
 func TestTraceNonIntrusive(t *testing.T) {
-	sc := equivScenarios()[1] // a hierarchical mixed-traffic scenario
+	sc := equivScenarioNamed(t, "mixed/g2x2x2-opts1-s12") // a hierarchical mixed-traffic scenario
 	samples := 0
 	sampled := sc
 	sampled.load = func(m *Machine) []proc.Program {

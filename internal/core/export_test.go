@@ -33,7 +33,7 @@ func CountDueStations(m *Machine) (hist []int64) {
 		}
 		hist[n]++
 		m.oracle = nil
-		m.step()
+		m.Step()
 		m.oracle = hook
 	}
 	m.oracle = hook

@@ -80,7 +80,7 @@ func TestFaultSoak(t *testing.T) {
 // machine as the empty spec — no injector, no new code paths — so traces
 // and results are byte-identical.
 func TestZeroFaultSpecIsInert(t *testing.T) {
-	sc := equivScenarios()[1]
+	sc := equivScenarioNamed(t, "mixed/g2x2x2-opts1-s12")
 	run := func(spec string) (*Machine, int64, []byte) {
 		// The seed must be irrelevant for a zero spec.
 		return runCase(t, sc, equivRun{loop: "scheduled", fast: true, traced: true,

@@ -148,7 +148,7 @@ type Machine struct {
 	quiescedAt int64
 	quiescedOK bool
 
-	// oracle, when set, replaces the gated cycle in Step and step. Only the
+	// oracle, when set, replaces the gated cycle in Step. Only the
 	// equivalence suites set it, to the test-only reference order they
 	// compare both executors against.
 	oracle func()
@@ -184,7 +184,7 @@ type Machine struct {
 	// The run loop's serial points, fired at the top of each cycle in this
 	// order: the live-metrics sampler (SetSampler), the deadlock watchdog
 	// (armed by Run) and the external driver (SetDriver). The watchdog and
-	// the driver clamp the quiescence fast-forward (see step); the sampler
+	// the driver clamp the quiescence fast-forward (see Step); the sampler
 	// only observes.
 	sampler, watchdog, driver serialPoint
 

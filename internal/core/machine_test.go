@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
 	"numachine/internal/proc"
@@ -83,6 +84,40 @@ func TestRunWaitsForTrailingCompute(t *testing.T) {
 	// central ring was there to raise again, pinning cachedWake in the past.
 	if ff := m.FastForwarded.Value(); ff < tail/2 {
 		t.Errorf("only %d of %d idle cycles fast-forwarded on a single-ring machine", ff, tail)
+	}
+}
+
+// TestStepFastForwards drives a machine through Step alone, as the model
+// checker does: a 50 000-cycle compute must be jumped, not walked one idle
+// cycle per call, and the machine must end exactly where Run leaves a twin.
+func TestStepFastForwards(t *testing.T) {
+	cfg := tinyConfig(2, 2, 1)
+	build := func() *Machine {
+		m, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		addr := m.AllocLines(1)
+		m.Load([]proc.Program{func(c *proc.Ctx) { c.Compute(50_000); c.Read(addr) }})
+		return m
+	}
+	twin := build()
+	twin.Run()
+
+	m := build()
+	defer m.Close()
+	steps := 0
+	for !m.CPUs[0].Done() || !m.Quiesced() {
+		if steps++; steps > 500 {
+			t.Fatalf("%d steps reached only cycle %d: Step walks idle cycles", steps, m.Now())
+		}
+		m.Step()
+	}
+	if ff := m.FastForwarded.Value(); ff < 49_000 {
+		t.Errorf("Step fast-forwarded %d cycles, want at least 49 000", ff)
+	}
+	if got, want := m.Results(), twin.Results(); !reflect.DeepEqual(got, want) {
+		t.Errorf("stepped machine's results diverge from Run's:\nStep: %+v\nRun:  %+v", got, want)
 	}
 }
 

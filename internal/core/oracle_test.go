@@ -5,7 +5,7 @@ package core
 // every bus, memory module, network cache, ring interface, local ring, the
 // central ring — with no activity gates, no poll caches and no quiescence
 // fast-forward. It lives only here; production reaches it through one
-// seam, Machine.oracle, which Step and step call instead of the gated
+// seam, Machine.oracle, which Step calls instead of the gated
 // cycle when it is set.
 
 import "numachine/internal/sim"

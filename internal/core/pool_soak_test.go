@@ -21,9 +21,8 @@ import (
 // pool that escaped the serial interconnect phase.
 func TestPoolDoubleFreeSoak(t *testing.T) {
 	defer msg.SetPoolDebug(msg.SetPoolDebug(true))
-	scenarios := equivScenarios()
-	picks := []equivScenario{scenarios[1], scenarios[3], scenarios[7]}
-	for _, sc := range picks {
+	for _, name := range []string{"mixed/g2x2x2-opts1-s12", "mixed/g2x3x3-opts3-s14", "kill-and-locks"} {
+		sc := equivScenarioNamed(t, name)
 		for _, loop := range equivLoops[1:] {
 			t.Run(sc.name+"/"+loop, func(t *testing.T) {
 				runCase(t, sc, equivRun{loop: loop, fast: true})
@@ -47,7 +46,7 @@ func TestPoolDoubleFreeSoak(t *testing.T) {
 // unwired in core.New) fails here long before it shows up as a throughput
 // regression in the benchmark manifest.
 func TestMessagePoolRecyclesInSteadyState(t *testing.T) {
-	sc := equivScenarios()[2] // 4x2x2 mixed traffic
+	sc := equivScenarioNamed(t, "mixed/g4x2x2-opts2-s13")
 	m, _, _ := runCase(t, sc, equivRun{loop: "scheduled", fast: true})
 	var news, hits int64
 	for _, b := range m.Buses {
@@ -77,7 +76,7 @@ func TestMessagePoolRecyclesInSteadyState(t *testing.T) {
 // accruing) rather than silently falling back to the GC.
 func TestMulticastRefcountReleaseOrder(t *testing.T) {
 	defer msg.SetPoolDebug(msg.SetPoolDebug(true))
-	sc := faultScenarios(t)[0] // hierarchical mixed traffic: invalidations to duplicate
+	sc := equivScenarioNamed(t, "mixed/g2x2x2-opts1-s12") // hierarchical mixed traffic: invalidations to duplicate
 	for _, fs := range faultSchedules() {
 		if fs.name != "dup" && fs.name != "drop-dup" {
 			continue

@@ -61,7 +61,8 @@ func (m *Machine) SetServeReport(fn func() *ServeResults) { m.serveReport = fn }
 // — and parks the pool's workers. A machine dropped without it while
 // programs are parked leaks their goroutines and, through their closures,
 // itself. Run closes the machine on every exit, so only callers that drive
-// Step themselves, or drop a machine after Load alone, need to call it.
+// Step themselves (the model checker's replays, tests), or drop a machine
+// after Load alone, need to call it.
 // The machine stays usable: Load starts the next phase.
 func (m *Machine) Close() {
 	for _, r := range m.runners {
@@ -128,7 +129,7 @@ func (m *Machine) Run() int64 {
 		// The driver sees the machine at the top of cycle now, before any
 		// component ticks, exactly as it would in a cycle-by-cycle walk.
 		m.driver.fire(m)
-		m.step()
+		m.Step()
 	}
 	end := int64(0)
 	for i, r := range m.runners {
@@ -136,7 +137,7 @@ func (m *Machine) Run() int64 {
 			end = m.CPUs[i].FinishedAt()
 		}
 	}
-	m.Drain()
+	m.drain()
 	return end - start
 }
 
@@ -181,12 +182,12 @@ func (m *Machine) progressCheck() func(*Machine) {
 	}
 }
 
-// Drain runs the machine until all queues, rings and controllers are
+// drain runs the machine until all queues, rings and controllers are
 // empty, so post-run invariant checks see a quiesced system.
-func (m *Machine) Drain() {
+func (m *Machine) drain() {
 	limit := m.now + 10_000_000
 	for !m.Quiesced() {
-		m.step()
+		m.Step()
 		if m.now > limit {
 			panic("core: machine failed to drain\n" + m.Progress().String())
 		}

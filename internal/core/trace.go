@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"numachine/internal/sim"
 	"numachine/internal/trace"
 )
 
@@ -15,7 +16,7 @@ import (
 // order and both executors of the gated cycle.
 func (m *Machine) EnableTrace(perSinkEvents int) *trace.Tracer {
 	tr := trace.NewTracer(perSinkEvents)
-	tr.CyclesToNS = m.p.CyclesToNS
+	tr.CyclesToNS = sim.CyclesToNS
 	for i, c := range m.CPUs {
 		c.Tr = tr.Register(fmt.Sprintf("cpu[%d]", i), c.Station, trace.ClassCPU)
 	}

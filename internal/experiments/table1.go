@@ -12,6 +12,7 @@ import (
 
 	"numachine/internal/core"
 	"numachine/internal/proc"
+	"numachine/internal/sim"
 )
 
 // Table1Row is one measured contention-free latency.
@@ -64,7 +65,7 @@ func Table1(cfg core.Config) ([]Table1Row, error) {
 				Access:     access,
 				Scope:      scope.name,
 				Cycles:     cycles,
-				NS:         cfg.Params.CyclesToNS(cycles),
+				NS:         sim.CyclesToNS(cycles),
 				PaperCycle: paperTable1[[2]string{access, scope.name}],
 			})
 		}

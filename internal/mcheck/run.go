@@ -67,10 +67,12 @@ type run struct {
 	pruned   bool
 }
 
-// newRun builds the machine for one path replay. It steps the production
-// cycle body (Machine.Step: the gated cycle, inline executor) with the gate
-// audit armed, so every explored path also checks the poll caches against
-// lost influence marks. The configuration is deliberately constrained so
+// newRun builds the machine for one path replay. The replay advances it
+// through the production step (Machine.Step: the gated cycle, inline
+// executor, quiescence fast-forward included) with the gate audit armed, so
+// every explored path also checks the poll caches against lost influence
+// marks. A jump crosses only cycles on which nothing ticks, so no choice is
+// consulted and no state changes inside it. The configuration is deliberately constrained so
 // every source of nondeterminism is either removed or routed through the
 // choice oracle: no front-end fast path, fixed NAK retry delay
 // (RetryBackoff off) overridden by the retry-choice hook, and — when fault

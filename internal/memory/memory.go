@@ -132,14 +132,6 @@ type Module struct {
 	Hist  monitor.Table // coherence histogram (§3.3.3), laid out by HomeHist
 }
 
-// New builds a standalone memory module for a station over a private copy
-// of p.
-func New(g topo.Geometry, p sim.Params, station int) *Module {
-	m := new(Module)
-	m.Init(g, &p, station)
-	return m
-}
-
 // Init builds the memory module for a station in place, in a zero Module;
 // p is read, never written.
 func (m *Module) Init(g topo.Geometry, p *sim.Params, station int) {

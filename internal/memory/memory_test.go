@@ -19,7 +19,16 @@ type harness struct {
 func newHarness(t *testing.T) *harness {
 	g := topo.Geometry{ProcsPerStation: 4, StationsPerRing: 4, Rings: 2}
 	p := sim.DefaultParams()
-	return &harness{t: t, m: New(g, p, 0), g: g}
+	return &harness{t: t, m: newModule(g, p, 0), g: g}
+}
+
+// newModule builds a memory module in place, as core.New does, with its
+// own message pool.
+func newModule(g topo.Geometry, p sim.Params, station int) *Module {
+	m := new(Module)
+	m.Init(g, &p, station)
+	m.Msgs = new(msg.Pool[msg.Message])
+	return m
 }
 
 // deliver hands the module a message and runs until it quiesces.

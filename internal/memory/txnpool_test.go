@@ -14,7 +14,7 @@ import (
 // flag would corrupt the state machine if zeroing were lost).
 func TestTxnPoolRecycles(t *testing.T) {
 	g := topo.Geometry{ProcsPerStation: 4, StationsPerRing: 4, Rings: 2}
-	m := New(g, sim.DefaultParams(), 0)
+	m := newModule(g, sim.DefaultParams(), 0)
 	a := m.txns.Get()
 	a.kind = msg.LocalReadEx
 	a.waitInval = true
@@ -37,7 +37,7 @@ func TestTxnPoolRecycles(t *testing.T) {
 // stranded.
 func TestTxnPoolLeakFree(t *testing.T) {
 	g := topo.Geometry{ProcsPerStation: 4, StationsPerRing: 4, Rings: 2}
-	m := New(g, sim.DefaultParams(), 0)
+	m := newModule(g, sim.DefaultParams(), 0)
 	const n = 64
 	batch := make([]*txn, n)
 	seen := make(map[*txn]bool, n)
@@ -67,7 +67,7 @@ func TestTxnPoolLeakFree(t *testing.T) {
 func TestTxnPoolDoubleFreePanics(t *testing.T) {
 	defer msg.SetPoolDebug(msg.SetPoolDebug(true))
 	g := topo.Geometry{ProcsPerStation: 4, StationsPerRing: 4, Rings: 2}
-	m := New(g, sim.DefaultParams(), 0)
+	m := newModule(g, sim.DefaultParams(), 0)
 	x := m.txns.Get()
 	m.txns.Put(x)
 	defer func() {
@@ -83,7 +83,7 @@ func TestTxnPoolDoubleFreePanics(t *testing.T) {
 // line), so Put(nil) must be a no-op.
 func TestTxnPoolNilFree(t *testing.T) {
 	g := topo.Geometry{ProcsPerStation: 4, StationsPerRing: 4, Rings: 2}
-	m := New(g, sim.DefaultParams(), 0)
+	m := newModule(g, sim.DefaultParams(), 0)
 	m.txns.Put(nil)
 	if m.txns.Get() == nil {
 		t.Fatal("Put(nil) put a nil record on the free list")

@@ -255,10 +255,14 @@ func (m *Message) Release() bool {
 	return m.refs == 0
 }
 
+// PacketsPerLine is the number of ring packets a cache-line payload takes,
+// headers excluded.
+const PacketsPerLine = 4
+
 // Packets returns the number of ring packets the message occupies.
-func (m *Message) Packets(packetsPerLine int) int {
+func (m *Message) Packets() int {
 	if m.Type.CarriesData() {
-		return 1 + packetsPerLine
+		return 1 + PacketsPerLine
 	}
 	return 1
 }

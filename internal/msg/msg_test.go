@@ -61,15 +61,15 @@ func TestCarriesData(t *testing.T) {
 }
 
 func TestPacketCounts(t *testing.T) {
-	// Single packet for commands; 1 + packetsPerLine for line transfers
+	// Single packet for commands; 1 + PacketsPerLine for line transfers
 	// (§2.2: "all data transfers that do not include the contents of a
 	// cache line require only a single packet").
 	m := &Message{Type: RemRead}
-	if n := m.Packets(4); n != 1 {
+	if n := m.Packets(); n != 1 {
 		t.Errorf("command message uses %d packets, want 1", n)
 	}
 	d := &Message{Type: NetData}
-	if n := d.Packets(4); n != 5 {
+	if n := d.Packets(); n != 5 {
 		t.Errorf("data message uses %d packets, want 5", n)
 	}
 }

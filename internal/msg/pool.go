@@ -35,10 +35,6 @@ import "fmt"
 // ring originals into any station's pool, but only in the serial
 // interconnect phase, which the shard pool's barrier separates from every
 // phase-1 worker.
-//
-// All methods tolerate a nil receiver (Get falls back to the heap, Put
-// drops the record) so components constructed directly in tests work
-// without wiring a pool.
 type Pool[T any] struct {
 	free []*T
 	news int64 // fresh heap allocations (pool misses)
@@ -62,9 +58,6 @@ func SetPoolDebug(on bool) bool {
 
 // Get returns a zeroed record, recycling a freed one when available.
 func (p *Pool[T]) Get() *T {
-	if p == nil {
-		return new(T)
-	}
 	if n := len(p.free) - 1; n >= 0 {
 		v := p.free[n]
 		p.free[n] = nil
@@ -78,9 +71,10 @@ func (p *Pool[T]) Get() *T {
 
 // Put releases a dead record to the free list. The struct is zeroed
 // immediately so nothing is kept reachable through the pool and any
-// use-after-free reads a visibly blank record instead of stale state.
+// use-after-free reads a visibly blank record instead of stale state. A
+// nil record is a no-op.
 func (p *Pool[T]) Put(v *T) {
-	if p == nil || v == nil {
+	if v == nil {
 		return
 	}
 	if poolDebug {
@@ -97,8 +91,5 @@ func (p *Pool[T]) Put(v *T) {
 
 // Stats reports fresh allocations and recycled reuses (diagnostics).
 func (p *Pool[T]) Stats() (news, hits int64) {
-	if p == nil {
-		return 0, 0
-	}
 	return p.news, p.hits
 }

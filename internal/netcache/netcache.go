@@ -195,14 +195,6 @@ type Module struct {
 	Hist  monitor.Table // coherence histogram (§3.3.3), laid out by memory.NCHist
 }
 
-// New builds a standalone network cache for a station over a private copy
-// of p.
-func New(g topo.Geometry, p sim.Params, station int) *Module {
-	n := new(Module)
-	n.Init(g, &p, station)
-	return n
-}
-
 // Init builds the network cache for a station in place, in a zero Module;
 // p is read, never written.
 func (n *Module) Init(g topo.Geometry, p *sim.Params, station int) {

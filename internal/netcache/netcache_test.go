@@ -22,7 +22,16 @@ func newHarness(t *testing.T) *harness {
 	g := topo.Geometry{ProcsPerStation: 4, StationsPerRing: 4, Rings: 2}
 	p := sim.DefaultParams()
 	p.NCLines = 16 // tiny: ejections are easy to provoke
-	return &harness{t: t, n: New(g, p, 1), g: g}
+	return &harness{t: t, n: newModule(g, p, 1), g: g}
+}
+
+// newModule builds a network cache in place, as core.New does, with its
+// own message pool.
+func newModule(g topo.Geometry, p sim.Params, station int) *Module {
+	n := new(Module)
+	n.Init(g, &p, station)
+	n.Msgs = new(msg.Pool[msg.Message])
+	return n
 }
 
 func (h *harness) deliver(x *msg.Message) []*msg.Message {

@@ -55,7 +55,7 @@ func newSizedHarness(t *testing.T, ncLines int) *harness {
 	g := topo.Geometry{ProcsPerStation: 4, StationsPerRing: 4, Rings: 2}
 	p := sim.DefaultParams()
 	p.NCLines = ncLines
-	return &harness{t: t, n: New(g, p, 1), g: g}
+	return &harness{t: t, n: newModule(g, p, 1), g: g}
 }
 
 func (h *harness) tagPages() int {

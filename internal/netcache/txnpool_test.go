@@ -10,7 +10,7 @@ import (
 
 func newPoolModule() *Module {
 	g := topo.Geometry{ProcsPerStation: 4, StationsPerRing: 4, Rings: 2}
-	return New(g, sim.DefaultParams(), 1)
+	return newModule(g, sim.DefaultParams(), 1)
 }
 
 // TestTxnPoolRecycles pins the free-list mechanics: a record freed through

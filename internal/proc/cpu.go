@@ -129,13 +129,6 @@ type CPU struct {
 	RetryStreak  monitor.Sampler
 }
 
-// New builds a standalone processor module over a private copy of p.
-func New(g topo.Geometry, p sim.Params, globalID int, runner *Runner, l1Lines int) *CPU {
-	c := new(CPU)
-	c.Init(g, &p, globalID, runner, l1Lines)
-	return c
-}
-
 // Init builds a processor module in place, in a zero CPU that must not move
 // afterwards (the L1 pointer addresses a field of c). p is read, never
 // written, for the life of the CPU. l1Lines of 0 disables the

@@ -35,7 +35,9 @@ func newCPU(prog Program) *CPU {
 	g := testGeom()
 	p := sim.DefaultParams()
 	p.L2Lines = 64
-	c := New(g, p, 0, NewRunner(0, 1, prog), 16)
+	c := new(CPU)
+	c.Init(g, &p, 0, NewRunner(0, 1, prog), 16)
+	c.Msgs = new(msg.Pool[msg.Message])
 	c.HomeOf = func(line uint64) int { return 0 }
 	return c
 }

@@ -22,8 +22,8 @@ type IRI struct {
 	upQ     sim.Queue[msg.Packet]
 	downQ   sim.Queue[msg.Packet]
 
-	// Births is every station's message pool, by station id (nil-safe;
-	// wired by core). A packet death here that leaves no packet aliasing
+	// Births is every station's message pool, by station id (wired by
+	// core). A packet death here that leaves no packet aliasing
 	// its message — possible only for a fault-dropped request — returns
 	// the message to Births[SrcStation], the pool that built it.
 	Births []*msg.Pool[msg.Message]

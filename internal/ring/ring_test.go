@@ -17,14 +17,24 @@ func testParams() sim.Params {
 	return p
 }
 
+// newStationRIs builds every station's ring interface in place, as core.New
+// does: one message pool per station, shared as the births table.
+func newStationRIs(g topo.Geometry, p *sim.Params, credits *Credits) []*StationRI {
+	births := make([]*msg.Pool[msg.Message], g.Stations())
+	ris := make([]*StationRI, g.Stations())
+	for s := range ris {
+		births[s] = new(msg.Pool[msg.Message])
+		ris[s] = new(StationRI)
+		ris[s].Init(g, p, s, credits)
+		ris[s].Msgs, ris[s].Births = births[s], births
+	}
+	return ris
+}
+
 // buildLocalRing wires S stations on one ring (no hierarchy).
 func buildLocalRing(t *testing.T, g topo.Geometry, p sim.Params) ([]*StationRI, *Ring) {
 	t.Helper()
-	credits := NewCredits(g.Stations(), p.MaxNonsinkable)
-	var ris []*StationRI
-	for s := 0; s < g.Stations(); s++ {
-		ris = append(ris, NewStationRI(g, p, s, credits))
-	}
+	ris := newStationRIs(g, &p, NewCredits(g.Stations(), p.MaxNonsinkable))
 	r := new(Ring)
 	r.Init(&p, ris, nil, make([]msg.Packet, len(ris)))
 	return ris, r
@@ -81,8 +91,8 @@ func TestDataMessageUsesMultiplePackets(t *testing.T) {
 	m := &msg.Message{Type: msg.NetData, Home: 1, SrcStation: 0, DstStation: 1}
 	ris[0].BusDeliver(m, 0)
 	runRing(r, ris, 0, 60)
-	if got := ris[0].Injected; got != int64(1+p.PacketsPerLine) {
-		t.Errorf("injected %d packets, want %d", got, 1+p.PacketsPerLine)
+	if got := ris[0].Injected; got != int64(1+msg.PacketsPerLine) {
+		t.Errorf("injected %d packets, want %d", got, 1+msg.PacketsPerLine)
 	}
 	if ris[1].Delivered != 1 {
 		t.Errorf("delivered %d messages, want 1 (reassembled)", ris[1].Delivered)
@@ -116,7 +126,7 @@ func TestInvalidateMulticastAndSequencing(t *testing.T) {
 	// sequencing point (§2.3): the packet stays in the slot and the input
 	// FIFO stays empty. The sequenced copy is consumed.
 	for _, sequenced := range []bool{false, true} {
-		ri := NewStationRI(g, p, 2, NewCredits(g.Stations(), p.MaxNonsinkable))
+		ri := newStationRIs(g, &p, NewCredits(g.Stations(), p.MaxNonsinkable))[2]
 		inv := &msg.Message{Type: msg.Invalidate, Line: 0x40, Home: 1, SrcStation: 1, DstStation: -1}
 		inv.InitRefs(1)
 		pkt := msg.Packet{Msg: inv, Mask: topo.RoutingMask{Stations: 1 << uint(g.PosOf(2))}, Sequenced: sequenced}
@@ -190,14 +200,12 @@ func TestTwoLevelHierarchyCrossRing(t *testing.T) {
 	g := topo.Geometry{ProcsPerStation: 2, StationsPerRing: 2, Rings: 2}
 	p := testParams()
 	credits := NewCredits(g.Stations(), p.MaxNonsinkable)
-	var ris []*StationRI
-	for s := 0; s < g.Stations(); s++ {
-		ris = append(ris, NewStationRI(g, p, s, credits))
-	}
+	ris := newStationRIs(g, &p, credits)
 	iris := []*IRI{new(IRI), new(IRI)}
 	locals := []*Ring{new(Ring), new(Ring)}
 	for ringID, lr := range locals {
 		iris[ringID].Init(&p, ringID, credits)
+		iris[ringID].Births = ris[0].Births
 		lr.Init(&p, ris[2*ringID:2*ringID+2], iris[ringID:ringID+1], make([]msg.Packet, 3))
 	}
 	central := new(Ring)

@@ -72,7 +72,7 @@ type StationRI struct {
 	unpackBusy int64
 
 	// Out is the interface's send side toward the station bus, with its
-	// Station. Its Msgs pool (nil-safe; wired by core, shared with the
+	// Station. Its Msgs pool (wired by core, shared with the
 	// station's other components) builds the private copy of every arriving
 	// message that the interface hands to its bus, and takes back loopback
 	// originals that copy supersedes. The pool is touched from the
@@ -80,8 +80,8 @@ type StationRI struct {
 	// (Tick), which the shard pool's barrier separates.
 	bus.Out
 
-	// Births is every station's message pool, by station id (nil-safe;
-	// wired by core, shared by every interface). A network original is
+	// Births is every station's message pool, by station id (wired by
+	// core, shared by every interface). A network original is
 	// aliased by its packets (see msg.Message.Release); the packet death
 	// that leaves none returns it to Births[SrcStation], the pool that
 	// built it.
@@ -109,14 +109,6 @@ type StationRI struct {
 	// HandleSlot/Tick emissions come from the serial phase 2 — never both
 	// in the same phase, so the sink needs no locking.
 	Tr *trace.Sink
-}
-
-// NewStationRI builds a standalone ring interface for a station over a
-// private copy of p.
-func NewStationRI(g topo.Geometry, p sim.Params, station int, credits *Credits) *StationRI {
-	r := new(StationRI)
-	r.Init(g, &p, station, credits)
-	return r
 }
 
 // Init builds the ring interface for a station in place, in a zero
@@ -149,7 +141,7 @@ func (r *StationRI) BusDeliver(m *msg.Message, now int64) {
 	if mask.Rings == 1<<uint(r.g.RingOf(r.Station)) {
 		mask.Rings = 0
 	}
-	n := m.Packets(r.p.PacketsPerLine)
+	n := m.Packets()
 	r.Tr.Emit(now, trace.KindFlitEnqueue, m.Line, m.TxnID, int32(m.Type), int32(n))
 	q := &r.sinkQ
 	if !m.Type.Sinkable() {
@@ -289,7 +281,7 @@ func (r *StationRI) Tick(now int64) {
 			r.reasm = append(r.reasm, reassembly{m: m, first: pkt.EnqueuedAt})
 		}
 		r.reasm[k].count++
-		if r.reasm[k].count < m.Packets(r.p.PacketsPerLine) {
+		if r.reasm[k].count < m.Packets() {
 			// Mid-chain packet: the chain's remaining packets hold further
 			// references, so this release cannot recycle m while reasm
 			// still holds it.
@@ -323,10 +315,9 @@ func (r *StationRI) Tick(now int64) {
 
 // release records the death of one packet of m. The death that leaves no
 // packet aliasing m owns it and returns it to births[m.SrcStation], the
-// pool of the station that built it (see msg.Pool); with no births table,
-// as in unit tests, m falls to the garbage collector.
+// pool of the station that built it (see msg.Pool).
 func release(births []*msg.Pool[msg.Message], m *msg.Message) {
-	if m.Release() && births != nil {
+	if m.Release() {
 		births[m.SrcStation].Put(m)
 	}
 }

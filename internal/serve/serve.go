@@ -380,7 +380,6 @@ func (ctl *Controller) newRequest(arrived int64) *request {
 		shape: workloads.RequestShape{
 			Touches:  cl.Touches,
 			Offset:   ctl.shapeRNG.Intn(sp.SpanLines),
-			Stride:   1,
 			WritePct: cl.WritePct,
 			Think:    cl.Think,
 		},

@@ -4,7 +4,7 @@
 //
 // All times are expressed in CPU clock cycles. The prototype CPU is a
 // 150 MHz MIPS R4400, so one cycle is 6.67 ns; results can be converted to
-// nanoseconds with Params.CyclesToNS.
+// nanoseconds with CyclesToNS.
 package sim
 
 import "math"
@@ -19,11 +19,10 @@ const Never = int64(math.MaxInt64)
 // probe reproduces the paper's Table 1 within a small tolerance.
 type Params struct {
 	// Geometry-independent structure.
-	LineSize    int // cache line size in bytes (64 in the prototype)
-	PageSize    int // physical page size used for placement (4096)
-	L2Lines     int // secondary cache capacity in lines, per processor
-	NCLines     int // network cache capacity in lines, per station
-	CPUClockMHz int // for cycle<->ns conversion only
+	LineSize int // cache line size in bytes (64 in the prototype)
+	PageSize int // physical page size used for placement (4096)
+	L2Lines  int // secondary cache capacity in lines, per processor
+	NCLines  int // network cache capacity in lines, per station
 
 	// Processor / secondary cache timing.
 	L2HitCycles      int // load-to-use for an L2 hit (L1 miss)
@@ -56,7 +55,6 @@ type Params struct {
 
 	// Ring and ring interface timing.
 	RingHopCycles  int // one slot advance (ring clock vs CPU clock ratio)
-	PacketsPerLine int // packets needed for a cache-line payload (headers excluded)
 	RIPackCycles   int // packet generator latency (bus -> ring)
 	RIUnpackCycles int // packet handler latency (ring -> bus)
 	IRICycles      int // inter-ring interface switch latency, each way
@@ -84,11 +82,10 @@ type Params struct {
 // DefaultParams returns the calibrated prototype parameter set.
 func DefaultParams() Params {
 	return Params{
-		LineSize:    64,
-		PageSize:    4096,
-		L2Lines:     16384, // 1 MB / 64 B
-		NCLines:     65536, // 4 MB / 64 B
-		CPUClockMHz: 150,
+		LineSize: 64,
+		PageSize: 4096,
+		L2Lines:  16384, // 1 MB / 64 B
+		NCLines:  65536, // 4 MB / 64 B
 
 		L2HitCycles:      4,
 		ProcMissOverhead: 20,
@@ -106,7 +103,6 @@ func DefaultParams() Params {
 		NCDRAMCycles: 24,
 
 		RingHopCycles:  3,
-		PacketsPerLine: 4,
 		RIPackCycles:   6,
 		RIUnpackCycles: 6,
 		IRICycles:      6,
@@ -121,9 +117,13 @@ func DefaultParams() Params {
 	}
 }
 
-// CyclesToNS converts a cycle count to nanoseconds at the configured clock.
-func (p Params) CyclesToNS(cycles int64) float64 {
-	return float64(cycles) * 1000.0 / float64(p.CPUClockMHz)
+// CPUClockMHz is the prototype's processor clock, used only to convert
+// cycles to nanoseconds.
+const CPUClockMHz = 150
+
+// CyclesToNS converts a cycle count to nanoseconds at CPUClockMHz.
+func CyclesToNS(cycles int64) float64 {
+	return float64(cycles) * 1000.0 / CPUClockMHz
 }
 
 // Backoff is one requester's NAK back-off: the jitter stream it draws

@@ -128,8 +128,7 @@ func TestRNGIntnRange(t *testing.T) {
 }
 
 func TestParamsConversions(t *testing.T) {
-	p := DefaultParams()
-	if ns := p.CyclesToNS(150); ns != 1000 {
+	if ns := CyclesToNS(150); ns != 1000 {
 		t.Errorf("150 cycles at 150 MHz = %v ns, want 1000", ns)
 	}
 }

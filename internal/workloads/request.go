@@ -38,15 +38,14 @@ func (s Span) LineAddr(i int) uint64 {
 }
 
 // RequestShape describes one request's traversal of its tenant's span:
-// Touches line accesses starting at line Offset with the given Stride,
-// WritePct percent of them writes (spread evenly over the traversal, not
-// drawn randomly — the job itself is deterministic; variety comes from
-// the generator's seeded shape stream), and Think compute cycles between
+// Touches consecutive line accesses starting at line Offset, WritePct
+// percent of them writes (spread evenly over the traversal, not drawn
+// randomly — the job itself is deterministic; variety comes from the
+// generator's seeded shape stream), and Think compute cycles between
 // consecutive accesses.
 type RequestShape struct {
 	Touches  int
 	Offset   int
-	Stride   int
 	WritePct int
 	Think    int64
 }
@@ -64,13 +63,9 @@ type RequestShape struct {
 // before the returned cycle, under every cycle loop and fast-hits
 // setting (the same alternation argument as the serving mailboxes).
 func RunRequestPreempt(c *proc.Ctx, sp Span, sh RequestShape, every int, stop func(now int64) bool) bool {
-	stride := sh.Stride
-	if stride < 1 {
-		stride = 1
-	}
 	writes := 0
 	for i := 0; i < sh.Touches; i++ {
-		addr := sp.LineAddr(sh.Offset + i*stride)
+		addr := sp.LineAddr(sh.Offset + i)
 		// Emit a write whenever the running write quota falls behind
 		// i*WritePct/100 — an evenly spread, deterministic read/write mix.
 		if (i+1)*sh.WritePct >= (writes+1)*100 {

@@ -83,5 +83,11 @@ func DefaultConfig() Config { return core.DefaultConfig() }
 // DefaultParams returns the calibrated timing parameters on their own.
 func DefaultParams() Params { return sim.DefaultParams() }
 
+// CPUClockMHz is the prototype's processor clock (a 150 MHz R4400).
+const CPUClockMHz = sim.CPUClockMHz
+
+// CyclesToNS converts a cycle count to nanoseconds at CPUClockMHz.
+func CyclesToNS(cycles int64) float64 { return sim.CyclesToNS(cycles) }
+
 // New builds a machine from cfg.
 func New(cfg Config) (*Machine, error) { return core.New(cfg) }

@@ -83,8 +83,8 @@ func TestDefaultConfigIsPrototype(t *testing.T) {
 		t.Errorf("prototype has %d processors, want 64", cfg.Geom.Procs())
 	}
 	p := cfg.Params
-	if p.LineSize != 64 || p.CPUClockMHz != 150 {
-		t.Errorf("prototype line/clock = %d/%d, want 64/150", p.LineSize, p.CPUClockMHz)
+	if p.LineSize != 64 || numachine.CPUClockMHz != 150 {
+		t.Errorf("prototype line/clock = %d/%d, want 64/150", p.LineSize, numachine.CPUClockMHz)
 	}
 	if !p.SCLocking || !p.OptimisticUpgrades {
 		t.Error("paper protocol options must default on")
