@@ -257,6 +257,13 @@ var archRules = []archRule{
 		pattern: `pageHome\[[^]]*\] *=[^=]|delete\([^,]*pageHome`,
 		roots:   []string{"internal/core"}, goOnly: true, noTests: true,
 		allow: `^\t\tm\.pageHome\[pg\] = station$`},
+	// The paper's experiments are reported by cmd/experiments and checked
+	// by assertions in tier-1 tests; bench/ alone reports the simulator's
+	// own speed. A test that reports a metric or prints to stdout outside
+	// bench/ means a second reporting path, one that no check reads.
+	{name: "one reporting path for the paper's experiments",
+		pattern: `ReportMetric\(|os\.Stdout`,
+		roots:   []string{"."}, goOnly: true, testsOnly: true, skip: []string{"bench"}},
 }
 
 // archRuleFile is this file: it spells every pattern, so no rule searches

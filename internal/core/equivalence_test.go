@@ -36,7 +36,6 @@ func equivScenarios() []equivScenario {
 				cfg.Params.L2Lines = 64
 				cfg.Params.NCLines = 128
 				cfg.Params.SCLocking = opts&1 != 0
-				cfg.Params.OptimisticUpgrades = opts&2 != 0
 				cfg.Params.DeadlockCycles = 2_000_000
 				return cfg
 			},
@@ -298,9 +297,9 @@ func equivScenarios() []equivScenario {
 	scenarios = append(scenarios,
 		mixed(topo.Geometry{ProcsPerStation: 1, StationsPerRing: 2, Rings: 1}, 0, 11),
 		mixed(topo.Geometry{ProcsPerStation: 2, StationsPerRing: 2, Rings: 2}, 1, 12),
-		mixed(topo.Geometry{ProcsPerStation: 4, StationsPerRing: 2, Rings: 2}, 2, 13),
-		mixed(topo.Geometry{ProcsPerStation: 2, StationsPerRing: 3, Rings: 3}, 3, 14),
-		mixed(topo.Geometry{ProcsPerStation: 2, StationsPerRing: 2, Rings: 2}, 3, 15),
+		mixed(topo.Geometry{ProcsPerStation: 4, StationsPerRing: 2, Rings: 2}, 0, 13),
+		mixed(topo.Geometry{ProcsPerStation: 2, StationsPerRing: 3, Rings: 3}, 1, 14),
+		mixed(topo.Geometry{ProcsPerStation: 2, StationsPerRing: 2, Rings: 2}, 1, 15),
 		computeHeavy,
 		barrierPingPong,
 		special,
@@ -723,7 +722,6 @@ func TestSchedulerEquivalenceQuick(t *testing.T) {
 			cfg.Params.L2Lines = []int{32, 64, 256}[int(seed)%3]
 			cfg.Params.NCLines = []int{128, 512}[int(seed)%2]
 			cfg.Params.SCLocking = opts&1 != 0
-			cfg.Params.OptimisticUpgrades = opts&2 != 0
 			cfg.Params.DeadlockCycles = 2_000_000
 			return cfg
 		}

@@ -5,42 +5,8 @@ import (
 
 	"numachine/internal/memory"
 	"numachine/internal/proc"
-	"numachine/internal/sim"
 	"numachine/internal/topo"
 )
-
-func TestDeterminism(t *testing.T) {
-	run := func() int64 {
-		cfg := tinyConfig(4, 2, 2)
-		m, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		base := m.AllocLines(64)
-		prog := func(c *proc.Ctx) {
-			rng := sim.NewRNG(uint64(c.ID) + 1)
-			for i := 0; i < 200; i++ {
-				line := base + uint64(rng.Intn(64))*64
-				if rng.Intn(3) == 0 {
-					c.Write(line, uint64(i))
-				} else {
-					c.Read(line)
-				}
-			}
-			c.Barrier()
-		}
-		progs := make([]proc.Program, 16)
-		for i := range progs {
-			progs[i] = prog
-		}
-		m.Load(progs)
-		return m.Run()
-	}
-	a, b := run(), run()
-	if a != b {
-		t.Fatalf("identical runs took %d and %d cycles", a, b)
-	}
-}
 
 func TestRoundRobinPlacement(t *testing.T) {
 	cfg := tinyConfig(2, 2, 2)
@@ -172,36 +138,6 @@ func findDirty(m *Machine, line uint64) uint64 {
 		}
 	}
 	return 0
-}
-
-func TestOptimisticUpgradesOffStillCoherent(t *testing.T) {
-	cfg := tinyConfig(2, 2, 2)
-	cfg.Params.OptimisticUpgrades = false
-	m, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := m.AllocLines(16)
-	prog := func(c *proc.Ctx) {
-		for i := 0; i < 16; i++ {
-			c.Read(base + uint64(i)*64)
-		}
-		c.Barrier()
-		for i := 0; i < 16; i++ {
-			if i%c.NProcs == c.ID {
-				c.Write(base+uint64(i)*64, uint64(c.ID))
-			}
-		}
-	}
-	progs := make([]proc.Program, 8)
-	for i := range progs {
-		progs[i] = prog
-	}
-	m.Load(progs)
-	m.Run()
-	if err := m.CheckCoherence(); err != nil {
-		t.Fatal(err)
-	}
 }
 
 func TestGeometryVariants(t *testing.T) {

@@ -21,7 +21,7 @@ import (
 // pool that escaped the serial interconnect phase.
 func TestPoolDoubleFreeSoak(t *testing.T) {
 	defer msg.SetPoolDebug(msg.SetPoolDebug(true))
-	for _, name := range []string{"mixed/g2x2x2-opts1-s12", "mixed/g2x3x3-opts3-s14", "kill-and-locks"} {
+	for _, name := range []string{"mixed/g2x2x2-opts1-s12", "mixed/g2x3x3-opts1-s14", "kill-and-locks"} {
 		sc := equivScenarioNamed(t, name)
 		for _, loop := range equivLoops[1:] {
 			t.Run(sc.name+"/"+loop, func(t *testing.T) {
@@ -46,7 +46,7 @@ func TestPoolDoubleFreeSoak(t *testing.T) {
 // unwired in core.New) fails here long before it shows up as a throughput
 // regression in the benchmark manifest.
 func TestMessagePoolRecyclesInSteadyState(t *testing.T) {
-	sc := equivScenarioNamed(t, "mixed/g4x2x2-opts2-s13")
+	sc := equivScenarioNamed(t, "mixed/g4x2x2-opts0-s13")
 	m, _, _ := runCase(t, sc, equivRun{loop: "scheduled", fast: true})
 	var news, hits int64
 	for _, b := range m.Buses {

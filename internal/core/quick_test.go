@@ -34,7 +34,6 @@ func TestProtocolQuick(t *testing.T) {
 		cfg.Params.L2Lines = []int{32, 64, 256}[int(s.Caches)%3]
 		cfg.Params.NCLines = []int{128, 512}[int(s.Caches/8)%2]
 		cfg.Params.SCLocking = s.Options&1 != 0
-		cfg.Params.OptimisticUpgrades = s.Options&2 != 0
 		cfg.Params.DeadlockCycles = 2_000_000
 		m, err := New(cfg)
 		if err != nil {

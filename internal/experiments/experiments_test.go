@@ -80,26 +80,3 @@ func TestTable1ReproducesPaperShape(t *testing.T) {
 		}
 	}
 }
-
-// TestSpeedupMonotoneOnKernel pins the qualitative speedup property on a
-// small sweep: more processors never slow the contiguous LU kernel down
-// by more than noise.
-func TestSpeedupMonotoneOnKernel(t *testing.T) {
-	if testing.Short() {
-		t.Skip("long")
-	}
-	curves, err := SweepSpeedups(core.DefaultConfig(), []string{"lu-contig"}, map[string]int{"lu-contig": 96}, []int{1, 4, 16}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pts := curves[0].Points
-	for i := 1; i < len(pts); i++ {
-		if pts[i].Speedup < pts[i-1].Speedup*0.9 {
-			t.Errorf("speedup dropped: P=%d %.2fx after P=%d %.2fx",
-				pts[i].Procs, pts[i].Speedup, pts[i-1].Procs, pts[i-1].Speedup)
-		}
-	}
-	if pts[len(pts)-1].Speedup < 2 {
-		t.Errorf("P=16 speedup %.2fx implausibly low", pts[len(pts)-1].Speedup)
-	}
-}

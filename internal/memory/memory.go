@@ -381,7 +381,7 @@ func (m *Module) request(e *entry, x *msg.Message, now int64) {
 		// The (possibly inexact) mask says the requester still has a valid
 		// copy: an acknowledgement suffices (§2.3). Otherwise its copy was
 		// invalidated before the upgrade arrived, and data must travel.
-		optimistic = e.state == GV && e.mask.Contains(m.g, src) && m.p.OptimisticUpgrades
+		optimistic = e.state == GV && e.mask.Contains(m.g, src)
 		if optimistic {
 			m.Stats.OptimisticAcks++
 		} else {

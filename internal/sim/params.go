@@ -63,8 +63,7 @@ type Params struct {
 
 	// Protocol options (the paper's design choices; flipping them gives the
 	// ablation experiments).
-	SCLocking          bool // hold write data until the invalidation returns (§2.3)
-	OptimisticUpgrades bool // ack-only upgrades when the directory is ambiguous
+	SCLocking bool // hold write data until the invalidation returns (§2.3)
 
 	// Watchdog: abort the simulation if no processor makes progress for this
 	// many cycles (0 disables). Catches protocol deadlocks in development.
@@ -109,8 +108,7 @@ func DefaultParams() Params {
 		RingInputFIFO:  64,
 		MaxNonsinkable: 16,
 
-		SCLocking:          true,
-		OptimisticUpgrades: true,
+		SCLocking: true,
 
 		DeadlockCycles:    3_000_000,
 		StarvationWindows: 8,

@@ -109,34 +109,15 @@ func TestRadiosityConservesEnergy(t *testing.T) {
 	runWorkload(t, "radiosity", small, 8, 64)
 }
 
+// TestAllWorkloadsOnPrototypeGeometry runs every workload on 64 CPUs at its
+// builder's default size, the size numasim runs when -size is not given.
 func TestAllWorkloadsOnPrototypeGeometry(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long: full prototype geometry")
 	}
-	proto := topo.Prototype
 	for _, name := range Names() {
-		name := name
 		t.Run(name, func(t *testing.T) {
-			size := 0 // defaults
-			switch name {
-			case "radix":
-				size = 4096
-			case "fft":
-				size = 4096
-			case "lu-contig", "lu-noncontig", "cholesky":
-				size = 96
-			case "ocean":
-				size = 64
-			case "water-nsq", "water-spatial":
-				size = 64
-			case "barnes", "fmm":
-				size = 256
-			case "raytrace":
-				size = 24
-			case "radiosity":
-				size = 96
-			}
-			runWorkloadCfg(t, name, protoConfig(proto), 64, size)
+			runWorkloadCfg(t, name, protoConfig(topo.Prototype), 64, 0)
 		})
 	}
 }

@@ -16,6 +16,9 @@ import (
 // 0.02 — loose enough for that noise, tight enough to catch one lost
 // recycling path. The first run of each kernel is a discarded warm-up.
 func TestKernelAllocsPerRef(t *testing.T) {
+	cfg := core.DefaultConfig()
+	cfg.Params.L2Lines = 2048
+	cfg.Params.NCLines = 8192
 	for _, k := range []struct {
 		name        string
 		procs, size int
@@ -27,7 +30,7 @@ func TestKernelAllocsPerRef(t *testing.T) {
 	} {
 		var perRef float64
 		for rep := 0; rep < 2; rep++ {
-			m, err := core.New(benchConfig())
+			m, err := core.New(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}

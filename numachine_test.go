@@ -86,7 +86,7 @@ func TestDefaultConfigIsPrototype(t *testing.T) {
 	if p.LineSize != 64 || numachine.CPUClockMHz != 150 {
 		t.Errorf("prototype line/clock = %d/%d, want 64/150", p.LineSize, numachine.CPUClockMHz)
 	}
-	if !p.SCLocking || !p.OptimisticUpgrades {
+	if !p.SCLocking {
 		t.Error("paper protocol options must default on")
 	}
 }
